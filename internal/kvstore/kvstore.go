@@ -19,6 +19,7 @@ package kvstore
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -150,30 +151,69 @@ func (s *Store) Get(key string, before uint64, limit int) []Version {
 	return s.regionFor(key).get(key, before, limit)
 }
 
-// MultiGet is the batched form of Get: result[i] holds keys[i]'s versions
-// with timestamp strictly below before, newest first, up to limit each
-// (limit <= 0 means all). Keys are grouped by owning region so each covered
-// region's lock — and its server's cache-accounting mutex — is taken once
-// for the whole group instead of once per key.
-func (s *Store) MultiGet(keys []string, before uint64, limit int) [][]Version {
-	out := make([][]Version, len(keys))
-	if len(keys) == 0 {
-		return out
-	}
-	// Group key positions by region under one topology snapshot.
+// ReadBuf is the reusable result of MultiGetInto: every key's versions back
+// to back in one arena, and a span per key. The zero value is ready to use.
+// MultiGetInto overwrites the buffer it is given: slices obtained from
+// Versions before that call no longer describe its result. A ReadBuf must
+// not be used by two goroutines at once.
+type ReadBuf struct {
+	versions []Version
+	spans    []span    // per key: its versions' place in the arena
+	regions  []*Region // per key: the owning region, nil once it has been read
+	group    []int     // positions of the keys of the region being read
+}
+
+type span struct{ lo, hi int }
+
+// Versions returns the versions MultiGetInto found for keys[i], newest
+// first; empty when the key has none.
+func (b *ReadBuf) Versions(i int) []Version {
+	sp := b.spans[i]
+	return b.versions[sp.lo:sp.hi:sp.hi]
+}
+
+// MultiGetInto is the batched form of Get: afterwards buf.Versions(i) holds
+// keys[i]'s versions with timestamp strictly below before, newest first, up
+// to limit each (limit <= 0 means all). Keys are grouped by owning region so
+// each covered region's lock — and its server's cache-accounting mutex — is
+// taken once for the whole group instead of once per key. With a buffer that
+// has seen a read of this size before, it allocates nothing.
+func (s *Store) MultiGetInto(buf *ReadBuf, keys []string, before uint64, limit int) {
+	buf.versions = buf.versions[:0]
+	buf.spans = slices.Grow(buf.spans[:0], len(keys))[:len(keys)]
+	buf.regions = slices.Grow(buf.regions[:0], len(keys))[:len(keys)]
+	// Locate every key's region under one topology snapshot.
 	s.topoMu.RLock()
-	groups := make(map[*Region][]int)
 	for i, key := range keys {
-		r := s.regionForLocked(key)
-		groups[r] = append(groups[r], i)
+		buf.regions[i] = s.regionForLocked(key)
 	}
 	s.topoMu.RUnlock()
-	for r, idx := range groups {
-		rkeys := make([]string, len(idx))
-		for p, i := range idx {
-			rkeys[p] = keys[i]
+	for i, r := range buf.regions {
+		if r == nil {
+			continue // read with an earlier key's group
 		}
-		r.multiGet(out, idx, rkeys, before, limit)
+		group := buf.group[:0]
+		for j := i; j < len(keys); j++ {
+			if buf.regions[j] == r {
+				group = append(group, j)
+				buf.regions[j] = nil
+			}
+		}
+		buf.group = group
+		r.multiGetInto(buf, group, keys, before, limit)
+	}
+}
+
+// MultiGet is MultiGetInto with a result of its own: result[i] holds
+// keys[i]'s versions, nil when it has none.
+func (s *Store) MultiGet(keys []string, before uint64, limit int) [][]Version {
+	var buf ReadBuf
+	s.MultiGetInto(&buf, keys, before, limit)
+	out := make([][]Version, len(keys))
+	for i := range keys {
+		if vs := buf.Versions(i); len(vs) > 0 {
+			out[i] = vs
+		}
 	}
 	return out
 }

@@ -66,3 +66,78 @@ func TestMultiGetChargesEveryRead(t *testing.T) {
 		t.Fatalf("cache accounting covered %d keys, want %d", hitsMiss, len(keys))
 	}
 }
+
+// TestMultiGetIntoMatchesGetProperty drives random stores through random
+// batched reads with ONE buffer reused for every call: each result must
+// equal per-key Get — any before, any limit, missing and duplicate keys, and
+// across region splits the puts trigger along the way.
+func TestMultiGetIntoMatchesGetProperty(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Config{Servers: 1 + rng.Intn(3), MaxRegionRows: 4 + rng.Intn(5), CacheRows: rng.Intn(8)}
+		for i := rng.Intn(4); i > 0; i-- {
+			cfg.SplitKeys = append(cfg.SplitKeys, fmt.Sprintf("k%03d", rng.Intn(60)))
+		}
+		s := New(cfg)
+		var buf ReadBuf
+		regions := s.NumRegions()
+		for round := 0; round < 40; round++ {
+			for i := rng.Intn(12); i > 0; i-- {
+				key := fmt.Sprintf("k%03d", rng.Intn(60))
+				s.Put(key, uint64(1+rng.Intn(50)), []byte(fmt.Sprintf("%s#%d", key, round)))
+			}
+			keys := make([]string, rng.Intn(25))
+			for i := range keys {
+				keys[i] = fmt.Sprintf("k%03d", rng.Intn(70)) // k060..k069 are never written
+			}
+			before, limit := uint64(rng.Intn(55)), rng.Intn(4)
+			if rng.Intn(4) == 0 {
+				before = ^uint64(0)
+			}
+			s.MultiGetInto(&buf, keys, before, limit)
+			for i, key := range keys {
+				got, want := buf.Versions(i), s.Get(key, before, limit)
+				if len(got) != len(want) {
+					t.Fatalf("seed %d round %d key %q before=%d limit=%d: %d versions, Get has %d",
+						seed, round, key, before, limit, len(got), len(want))
+				}
+				for j := range want {
+					if got[j].TS != want[j].TS || string(got[j].Value) != string(want[j].Value) {
+						t.Fatalf("seed %d round %d key %q version %d: %+v != %+v", seed, round, key, j, got[j], want[j])
+					}
+				}
+			}
+		}
+		if s.NumRegions() == regions {
+			t.Fatalf("seed %d: no region split happened; the property was not tested across one", seed)
+		}
+	}
+}
+
+// TestReadBufReuseInvalidatesPreviousResult pins the documented contract: a
+// result lives in its buffer, so reading into the same buffer again
+// overwrites what Versions returned before.
+func TestReadBufReuseInvalidatesPreviousResult(t *testing.T) {
+	s := New(Config{})
+	s.Put("a", 1, []byte("a1"))
+	s.Put("b", 2, []byte("b2"))
+	var buf ReadBuf
+	s.MultiGetInto(&buf, []string{"a"}, ^uint64(0), 0)
+	first := buf.Versions(0)
+	if len(first) != 1 || string(first[0].Value) != "a1" {
+		t.Fatalf("first read: %+v", first)
+	}
+	s.MultiGetInto(&buf, []string{"b"}, ^uint64(0), 0)
+	if second := buf.Versions(0); &first[0] != &second[0] {
+		t.Fatal("the reused buffer did not reuse its arena")
+	}
+	if string(first[0].Value) != "b2" {
+		t.Fatalf("the earlier result still reads %q: reuse is documented to invalidate it", first[0].Value)
+	}
+	// A result's slices are capped: appending to one cannot reach the next key's versions.
+	s.MultiGetInto(&buf, []string{"a", "b"}, ^uint64(0), 0)
+	_ = append(buf.Versions(0), Version{TS: 99})
+	if got := buf.Versions(1); len(got) != 1 || got[0].TS != 2 {
+		t.Fatalf("append to key 0's versions reached key 1's: %+v", got)
+	}
+}

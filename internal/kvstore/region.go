@@ -92,30 +92,28 @@ func (r *Region) get(key string, before uint64, limit int) []Version {
 	return out
 }
 
-// multiGet resolves many keys of this region under one lock acquisition:
-// for each position p in idx, out[idx[p]] receives up to limit versions of
-// keys[p] with TS < before, newest first. Cache accounting for the whole
-// group costs one server-mutex pass.
-func (r *Region) multiGet(out [][]Version, idx []int, keys []string, before uint64, limit int) {
-	r.server.chargeReadBatch(keys)
+// multiGetInto reads the keys at positions group, all of this region, under
+// one lock acquisition: each one's versions with TS < before, newest first,
+// up to limit, are appended to buf's arena and its span recorded. Cache
+// accounting for the whole group costs one server-mutex pass.
+func (r *Region) multiGetInto(buf *ReadBuf, group []int, keys []string, before uint64, limit int) {
+	r.server.chargeReadBatch(keys, group)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for p, key := range keys {
-		rw, ok := r.rows[key]
-		if !ok {
-			continue
-		}
-		var vs []Version
-		for _, v := range rw.versions {
-			if v.TS >= before {
-				continue
-			}
-			vs = append(vs, v)
-			if limit > 0 && len(vs) >= limit {
-				break
+	for _, i := range group {
+		lo := len(buf.versions)
+		if rw, ok := r.rows[keys[i]]; ok {
+			for _, v := range rw.versions {
+				if v.TS >= before {
+					continue
+				}
+				buf.versions = append(buf.versions, v)
+				if limit > 0 && len(buf.versions)-lo >= limit {
+					break
+				}
 			}
 		}
-		out[idx[p]] = vs
+		buf.spans[i] = span{lo, len(buf.versions)}
 	}
 }
 

@@ -60,15 +60,16 @@ func (rs *RegionServer) chargeRead(key string) {
 	}
 }
 
-// chargeReadBatch accounts a batched read of many keys under one mutex
-// pass, simulating each key's cache behaviour. The modelled latency is the
-// sum of the per-key costs — a multiget still pays every disk seek — but it
-// is charged as one sleep, and the cache bookkeeping costs one lock
-// acquisition instead of one per key.
-func (rs *RegionServer) chargeReadBatch(keys []string) {
+// chargeReadBatch accounts a batched read of the keys at positions group
+// under one mutex pass, simulating each key's cache behaviour. The modelled
+// latency is the sum of the per-key costs — a multiget still pays every disk
+// seek — but it is charged as one sleep, and the cache bookkeeping costs one
+// lock acquisition instead of one per key.
+func (rs *RegionServer) chargeReadBatch(keys []string, group []int) {
 	var delay time.Duration
 	rs.mu.Lock()
-	for _, key := range keys {
+	for _, i := range group {
+		key := keys[i]
 		rs.reads++
 		if rs.cache == nil {
 			rs.hits++

@@ -109,3 +109,24 @@ func BenchmarkQueryRoundTrip(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSessionRoundTrip measures one enveloped Begin round trip with many
+// sessions sharing one connection, each waiting for its own reply: the shape
+// in which both ends' writers batch frames. -benchmem shows what a request
+// costs both ends together once every pool is warm.
+func BenchmarkSessionRoundTrip(b *testing.B) {
+	c, _ := benchServer(b)
+	mux := &Mux{clients: []*Client{c}}
+	b.SetParallelism(32) // sessions per processor
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		s := mux.Session(0)
+		for pb.Next() {
+			if _, err := s.Begin(); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}

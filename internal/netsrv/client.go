@@ -1,6 +1,7 @@
 package netsrv
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -48,13 +49,13 @@ type Client struct {
 
 	mu      sync.Mutex
 	conn    net.Conn
-	cur     int    // index into addrs of the live connection
-	hint    string // leader address learned from a codeNotLeader redirect
+	w       *connWriter // conn's write path; created and replaced with it
+	cur     int         // index into addrs of the live connection
+	hint    string      // leader address learned from a codeNotLeader redirect
 	nextID  uint64
 	pending map[uint64]chan response
 	err     error // connection failure; reconnectable unless closed
 	closed  bool
-	wbuf    []byte // frame write buffer, reused under mu
 
 	subs   []*subConn
 	subsMu sync.Mutex
@@ -68,8 +69,8 @@ type response struct {
 }
 
 // Package pools of the client hot path. Request payloads are encoded into
-// pooled buffers (released when call returns — the frame write copies them
-// into the client's write buffer first), response bodies are read into
+// pooled buffers (released when call returns — the connection writer copies
+// them into its pending buffer first), response bodies are read into
 // pooled buffers (released by each method once the payload is decoded),
 // and the one-shot response channels ping-pong through their own pool.
 var (
@@ -103,9 +104,18 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{addr: addr, conn: conn, pending: make(map[uint64]chan response)}
-	go c.readLoop(conn)
+	c := &Client{addr: addr, pending: make(map[uint64]chan response)}
+	c.attach(conn)
 	return c, nil
+}
+
+// attach makes conn the client's live connection: its writer (default
+// pending bound and stall timeout, as on the server) and its read loop.
+// Caller holds c.mu, or has not published c yet.
+func (c *Client) attach(conn net.Conn) {
+	c.conn = conn
+	c.w = newConnWriter(conn, 0, 0, nil)
+	go c.readLoop(conn)
 }
 
 // dialTimeout bounds each reconnection attempt so a dead address cannot
@@ -161,13 +171,13 @@ func DialFailover(addrs ...string) (*Client, error) {
 			continue
 		}
 		c := &Client{
-			addr: addr, addrs: addrs, cur: i, conn: conn,
+			addr: addr, addrs: addrs, cur: i,
 			pending:      make(map[uint64]chan response),
 			backoffBase:  defaultBackoffBase,
 			backoffCap:   defaultBackoffCap,
 			redialBudget: defaultRedialBudget,
 		}
-		go c.readLoop(conn)
+		c.attach(conn)
 		return c, nil
 	}
 	return nil, fmt.Errorf("netsrv: no address reachable: %w", firstErr)
@@ -233,7 +243,7 @@ func (c *Client) reconnect() error {
 				conn.Close()
 				return err
 			}
-			c.conn = conn
+			c.attach(conn)
 			c.addr = addr
 			for i, a := range addrs {
 				if a == addr {
@@ -243,7 +253,6 @@ func (c *Client) reconnect() error {
 			}
 			c.err = nil
 			c.mu.Unlock()
-			go c.readLoop(conn)
 			return nil
 		}
 		if deadline.IsZero() || !time.Now().Before(deadline) {
@@ -306,11 +315,12 @@ func (c *Client) readLoop(conn net.Conn) {
 		}
 		c.mu.Unlock()
 	}
+	br := bufio.NewReaderSize(conn, connReadBuf)
 	for {
 		// Each response body lands in a pooled buffer whose ownership
 		// travels with the response; the caller releases it after decoding.
 		buf := respBufPool.Get().(*[]byte)
-		body, err := readFrameInto(conn, (*buf)[:cap(*buf)])
+		body, err := readFrameInto(br, (*buf)[:cap(*buf)])
 		if err != nil {
 			respBufPool.Put(buf)
 			failConn(fmt.Errorf("netsrv: connection lost: %w", err))
@@ -341,9 +351,9 @@ func (c *Client) readLoop(conn net.Conn) {
 // so no request is ever submitted twice).
 //
 // The returned response's payload aliases a pooled buffer: the caller must
-// decode it and then release it with putRespBuf. The request frame is
-// built in the client's reusable write buffer and leaves in one Write
-// syscall, so the payload argument is free for reuse on return.
+// decode it and then release it with putRespBuf. The connection writer
+// copies the request into its pending buffer, so the payload argument is
+// free for reuse on return.
 func (c *Client) callResp(op byte, payload []byte) (response, error) {
 	return c.callRespEnv(op, payload, nil)
 }
@@ -432,41 +442,26 @@ func (c *Client) callRespOnce(op byte, payload []byte, env *envelope) (response,
 			return response{}, err
 		}
 	}
-	conn := c.conn
+	w := c.w
 	c.nextID++
 	id := c.nextID
 	c.pending[id] = ch
-	// Frame: len(u32) reqID(u64) op(u8) payload — one buffer, one syscall.
-	// An enveloped request inserts the 10-byte ingress header between the
-	// op (rewritten to opEnvelope) and the payload.
-	b := append(c.wbuf[:0], 0, 0, 0, 0)
-	bodyLen := 9 + len(payload)
-	if env != nil {
-		bodyLen += envelopeLen + 1
-	}
-	binary.BigEndian.PutUint32(b, uint32(bodyLen))
-	b = appendU64(b, id)
-	if env != nil {
-		b = append(b, opEnvelope)
-		b = appendEnvelope(b, *env, op)
-	} else {
-		b = append(b, op)
-	}
-	b = append(b, payload...)
-	if cap(b) <= maxRetainedWriteBuf {
-		c.wbuf = b[:0] // keep the grown buffer; one giant frame is not pinned
-	}
-	_, err := conn.Write(b)
-	if err != nil {
-		delete(c.pending, id)
-		if c.conn == conn {
-			c.failLocked(fmt.Errorf("netsrv: write: %w", err))
-		}
-		c.mu.Unlock()
-		respChPool.Put(ch)
-		return response{}, fmt.Errorf("netsrv: write: %w", err)
-	}
 	c.mu.Unlock()
+	// Body: reqID(u64) op(u8) payload. An enveloped request inserts the
+	// 10-byte ingress header between the op (rewritten to opEnvelope) and
+	// the payload. The send happens outside c.mu, so a stalled peer blocks
+	// neither readLoop's delivery of responses already received nor other
+	// callers; its error is not needed here: a write failure closes the
+	// connection, and readLoop then fails every pending call, this one
+	// included. The request is queued on w exactly once and never resent.
+	var hdr [9 + envelopeLen + 1]byte
+	head := appendU64(hdr[:0], id)
+	if env != nil {
+		head = appendEnvelope(append(head, opEnvelope), *env, op)
+	} else {
+		head = append(head, op)
+	}
+	_ = w.send(head, payload)
 
 	resp := <-ch
 	respChPool.Put(ch)

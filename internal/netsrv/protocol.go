@@ -172,24 +172,54 @@ func writeFrame(w io.Writer, body []byte) error {
 
 // readFrameInto reads one length-prefixed frame, reusing buf when its
 // capacity suffices. The returned slice aliases buf (or its replacement);
-// ownership stays with the caller.
+// ownership stays with the caller. It is the one frame decode entry of both
+// ends, over a buffered reader or a bare connection alike.
 func readFrameInto(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header is read into the buffer the body then overwrites: a local
+	// array would escape through the io.Reader and cost an allocation a frame.
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > maxFrame {
 		return nil, ErrFrameTooLarge
 	}
-	if uint64(cap(buf)) < uint64(n) {
-		buf = make([]byte, n)
-	}
-	body := buf[:n]
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBody(r, buf[:0], int(n))
+	if err != nil {
 		return nil, err
 	}
 	return body, nil
+}
+
+// frameGrowChunk is the least a frame buffer grows by.
+const frameGrowChunk = 64 << 10
+
+// readBody reads an n-byte frame body into buf (length 0). A body beyond
+// buf's capacity is believed only as far as it has arrived: the buffer grows
+// by the bytes already read (at least one chunk), so a peer that claims
+// maxFrame in a 4-byte header and sends nothing more costs one chunk, and
+// the buffer never holds more than twice the bytes present plus a chunk. On
+// error the partly filled buffer is returned alongside it.
+func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			size := min(n, len(buf)+max(len(buf), frameGrowChunk))
+			buf = append(make([]byte, 0, size), buf...)
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		if err == io.EOF && len(buf) > 0 {
+			err = io.ErrUnexpectedEOF // the stream ended inside the body, on a chunk boundary
+		}
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // readFrame reads one length-prefixed frame into a fresh buffer.

@@ -1,8 +1,10 @@
 package netsrv
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
+	"io"
 	"log"
 	"net"
 	"sync"
@@ -118,6 +120,9 @@ type Server struct {
 	// PooledFrameHits/Misses stats fields.
 	ctxPool              sync.Pool
 	poolHits, poolMisses atomic.Int64
+
+	// wire counts frames and syscalls over all connections, both directions.
+	wire wireStats
 
 	// SlowThreshold, when > 0, makes requests whose total server-side
 	// residence time meets it emit one structured slow-request log line with
@@ -403,112 +408,6 @@ func (s *Server) dropConn(conn net.Conn) {
 	conn.Close()
 }
 
-// connWriter coalesces frame writes on one connection: a frame is framed
-// into a pending buffer under the lock, and whichever goroutine finds no
-// flusher active becomes the flusher, draining the pending buffer with one
-// Write syscall per pass. Responses that arrive while a write syscall is in
-// flight pile into the next pass, so a burst of coalesced-batch decisions
-// leaves the server in one flush. The two buffers ping-pong, so the steady
-// state allocates nothing.
-//
-// The pending buffer is bounded: a sender whose frame would grow it past
-// maxPending parks on the drained condition instead of appending, so a slow
-// reader exerts backpressure on its own handlers rather than growing the
-// buffer without limit. A reader that stalls the flusher's Write syscall
-// longer than stallTimeout fails the write deadline and is disconnected —
-// backpressure first, then disconnect, never OOM.
-type connWriter struct {
-	mu         sync.Mutex
-	drained    sync.Cond // signaled when pending is swapped out or on error
-	conn       net.Conn
-	pending    []byte
-	spare      []byte
-	flushing   bool
-	err        error
-	maxPending int           // 0 = unbounded
-	stall      time.Duration // write deadline per flush pass; 0 = none
-}
-
-// defaultMaxPendingBytes bounds the per-connection pending write buffer
-// unless the server overrides it; defaultWriteStall bounds how long a flush
-// pass may sit in Write before the connection is declared dead.
-const (
-	defaultMaxPendingBytes = 4 << 20
-	defaultWriteStall      = 5 * time.Second
-)
-
-func newConnWriter(conn net.Conn, maxPending int, stall time.Duration) *connWriter {
-	if maxPending == 0 {
-		maxPending = defaultMaxPendingBytes
-	} else if maxPending < 0 {
-		maxPending = 0 // explicit opt-out: unbounded
-	}
-	if stall == 0 {
-		stall = defaultWriteStall
-	} else if stall < 0 {
-		stall = 0
-	}
-	w := &connWriter{conn: conn, maxPending: maxPending, stall: stall}
-	w.drained.L = &w.mu
-	return w
-}
-
-// maxRetainedWriteBuf caps the buffer capacity the writer keeps across
-// flushes; a one-off giant response does not pin its memory forever.
-const maxRetainedWriteBuf = 1 << 20
-
-// send enqueues one frame. The error reports this connection's first write
-// failure; a frame handed to an active flusher reports nil and fails the
-// flusher's caller instead (all callers of send only log).
-func (w *connWriter) send(body []byte) error {
-	w.mu.Lock()
-	// Backpressure: while another goroutine is flushing and the pending
-	// buffer is at its cap, wait for the flusher to swap it out. A frame
-	// larger than the whole cap is exempt (it must pass eventually).
-	for w.err == nil && w.flushing && w.maxPending > 0 &&
-		len(w.pending)+4+len(body) > w.maxPending && 4+len(body) <= w.maxPending {
-		w.drained.Wait()
-	}
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return err
-	}
-	w.pending = appendFrame(w.pending, body)
-	if w.flushing {
-		w.mu.Unlock()
-		return nil
-	}
-	w.flushing = true
-	for w.err == nil && len(w.pending) > 0 {
-		buf := w.pending
-		w.pending = w.spare[:0]
-		w.spare = nil
-		w.drained.Broadcast()
-		w.mu.Unlock()
-		if w.stall > 0 {
-			w.conn.SetWriteDeadline(time.Now().Add(w.stall))
-		}
-		_, err := w.conn.Write(buf)
-		w.mu.Lock()
-		if cap(buf) <= maxRetainedWriteBuf {
-			w.spare = buf[:0]
-		}
-		if err != nil {
-			// The reader stalled past the write deadline (or the
-			// connection broke): disconnect it so its handlers and
-			// buffers are released instead of leaking.
-			w.err = err
-			w.conn.Close()
-		}
-	}
-	w.flushing = false
-	w.drained.Broadcast()
-	err := w.err
-	w.mu.Unlock()
-	return err
-}
-
 // isDataOp reports whether op is a data-plane operation the admission gate
 // applies to; control-plane ops (health, promote, stats, routing, range
 // migration, subscribe) bypass admission so operability survives overload.
@@ -525,7 +424,12 @@ func isDataOp(op byte) bool {
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(conn)
-	w := newConnWriter(conn, s.MaxPendingBytes, s.WriteStallTimeout)
+	w := newConnWriter(conn, s.MaxPendingBytes, s.WriteStallTimeout, &s.wire)
+	// Frames are read through one buffered reader, so one read syscall
+	// drains every frame the kernel already holds. Read deadlines still
+	// work: they apply to the connection underneath.
+	br := bufio.NewReaderSize(countingReader{conn, &s.wire.readSyscalls}, connReadBuf)
+	frames := int64(0) // read since the buffer last ran dry; folded into s.wire when it does again
 	var handlers sync.WaitGroup
 	defer handlers.Wait()
 	// sessions tracks the distinct multiplexed session ids this transport
@@ -546,7 +450,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		if s.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.IdleTimeout))
 		}
-		body, err := readFrameInto(conn, ctx.body)
+		body, err := readFrameInto(br, ctx.body)
+		if err == nil {
+			frames++
+		}
+		if err != nil || br.Buffered() == 0 {
+			s.wire.framesRead.Add(frames)
+			frames = 0
+		}
 		if err != nil {
 			s.putCtx(ctx)
 			return // connection closed, idle-expired or broken
@@ -610,7 +521,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// only after the stream ends — payload aliases ctx.body.
 			// Idle disconnection does not apply to a subscriber.
 			conn.SetReadDeadline(time.Time{})
-			s.streamEvents(conn, w, reqID, payload)
+			s.streamEvents(br, w, reqID, payload)
 			s.putCtx(ctx)
 			return
 		}
@@ -677,7 +588,7 @@ func (s *Server) serveConn(conn net.Conn) {
 // pending buffer, so the context and any decode scratch the response
 // aliases are free for the next frame).
 func (s *Server) sendAndRecycle(w *connWriter, conn net.Conn, ctx *handlerCtx, resp []byte) {
-	if err := w.send(resp); err != nil {
+	if err := w.send(resp, nil); err != nil {
 		s.logf("netsrv: write to %s: %v", conn.RemoteAddr(), err)
 	}
 	if s.traceOn.Load() {
@@ -1099,14 +1010,14 @@ func (s *Server) handlePromote(reqID uint64) []byte {
 
 // streamEvents acknowledges the subscription and forwards the oracle's
 // notification stream until the connection breaks.
-func (s *Server) streamEvents(conn net.Conn, w *connWriter, reqID uint64, payload []byte) {
+func (s *Server) streamEvents(r io.Reader, w *connWriter, reqID uint64, payload []byte) {
 	buffer := 0
 	if len(payload) == 8 {
 		buffer = int(binary.BigEndian.Uint64(payload))
 	}
 	so := s.oracle()
 	if so == nil {
-		_ = w.send(respError(reqID, ErrStandby))
+		_ = w.send(respError(reqID, ErrStandby), nil)
 		return
 	}
 	sub := so.Subscribe(buffer)
@@ -1116,13 +1027,13 @@ func (s *Server) streamEvents(conn net.Conn, w *connWriter, reqID uint64, payloa
 	// instead of blocking forever on an idle event channel.
 	go func() {
 		for {
-			if _, err := readFrame(conn); err != nil {
+			if _, err := readFrame(r); err != nil {
 				sub.Close()
 				return
 			}
 		}
 	}()
-	if err := w.send(respOK(reqID, nil)); err != nil {
+	if err := w.send(respOK(reqID, nil), nil); err != nil {
 		return
 	}
 	body := make([]byte, 0, 9+16)
@@ -1132,7 +1043,7 @@ func (s *Server) streamEvents(conn net.Conn, w *connWriter, reqID uint64, payloa
 		body = appendRespHdr(body[:0], 0, codeEvent)
 		body = appendU64(body, e.StartTS)
 		body = appendU64(body, e.CommitTS)
-		if err := w.send(body); err != nil {
+		if err := w.send(body, nil); err != nil {
 			return
 		}
 	}

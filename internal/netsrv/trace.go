@@ -88,6 +88,10 @@ func (s *Server) initRegistry() {
 		emit(metrics.C("netsrv_pooled_frame_hits_total", s.poolHits.Load()))
 		emit(metrics.C("netsrv_pooled_frame_misses_total", s.poolMisses.Load()))
 		emit(metrics.G("netsrv_sessions", float64(s.sessions.Load())))
+		emit(metrics.C("netsrv_conn_frames_read_total", s.wire.framesRead.Load()))
+		emit(metrics.C("netsrv_conn_read_syscalls_total", s.wire.readSyscalls.Load()))
+		emit(metrics.C("netsrv_conn_frames_written_total", s.wire.framesWritten.Load()))
+		emit(metrics.C("netsrv_conn_write_syscalls_total", s.wire.writeSyscalls.Load()))
 		for c := range s.stage {
 			label := `{op="` + opClassNames[c] + `"}`
 			for i := range s.stage[c] {

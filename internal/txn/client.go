@@ -19,6 +19,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -281,11 +282,35 @@ func (c *Client) resolveBatch(refs []versionRef) []oracle.TxnStatus {
 	return out
 }
 
+// resolveScratch is resolveInto's bookkeeping beyond a single version: the
+// unresolved positions of a long batch and the deduplicated lookup.
+type resolveScratch struct {
+	need     []int
+	pos      map[uint64]int // write timestamp -> index into startTSs; empty between uses
+	startTSs []uint64
+}
+
+var resolveScratchPool = sync.Pool{New: func() interface{} {
+	return &resolveScratch{pos: make(map[uint64]int)}
+}}
+
 // resolveInto is resolveBatch with a caller-supplied result slice.
 func (c *Client) resolveInto(refs []versionRef, out []oracle.TxnStatus) {
-	// Stack-backed index buffer keeps single-version reads off the heap.
+	// Stack-backed index buffer keeps short reads off the heap; anything
+	// beyond a single version borrows pooled scratch for the rest.
 	var needBuf [16]int
 	need := needBuf[:0]
+	var sc *resolveScratch
+	if len(refs) > 1 {
+		sc = resolveScratchPool.Get().(*resolveScratch)
+		defer resolveScratchPool.Put(sc)
+	}
+	if len(refs) > len(needBuf) {
+		// Grown here to all it can need: storing need back into the
+		// scratch would make needBuf escape to the heap.
+		sc.need = slices.Grow(sc.need[:0], len(refs))
+		need = sc.need
+	}
 	switch c.cfg.Mode {
 	case ModeReplica:
 		for i := range refs {
@@ -319,18 +344,19 @@ func (c *Client) resolveInto(refs []versionRef, out []oracle.TxnStatus) {
 		return
 	}
 	// One oracle round trip for every unresolved write timestamp.
-	pos := make(map[uint64]int, len(need))
-	startTSs := make([]uint64, 0, len(need))
+	pos, startTSs := sc.pos, sc.startTSs[:0]
 	for _, i := range need {
 		if _, ok := pos[refs[i].writeTS]; !ok {
 			pos[refs[i].writeTS] = len(startTSs)
 			startTSs = append(startTSs, refs[i].writeTS)
 		}
 	}
+	sc.startTSs = startTSs
 	statuses := c.queryBatch(startTSs)
 	for _, i := range need {
 		out[i] = c.applyWriteBackRule(statuses[pos[refs[i].writeTS]])
 	}
+	clear(pos)
 }
 
 // applyWriteBackRule maps an oracle answer through ModeWriteBack's

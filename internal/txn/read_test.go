@@ -3,6 +3,8 @@ package txn
 import (
 	"errors"
 	"fmt"
+	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
@@ -239,4 +241,104 @@ func TestGetMultiResolvesInOneOracleRoundTrip(t *testing.T) {
 	if got := after.Queries - before.Queries; got != 1 {
 		t.Fatalf("GetMulti issued %d lookups, want 1 (deduplicated)", got)
 	}
+}
+
+// TestGetMultiMatchesGetUnderConcurrentWriters runs readers against writers
+// that keep committing to the same rows: within one transaction GetMulti
+// must answer exactly what a loop of Get answers — the snapshot does not move
+// — while the pooled read scratch is shared by every reader. Run with -race.
+func TestGetMultiMatchesGetUnderConcurrentWriters(t *testing.T) {
+	_, _, c := newStack(t, oracle.WSI, Config{})
+	const rows = 24
+	keys := make([]string, rows)
+	seed := begin(t, c)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("row%02d", i)
+		put(t, seed, keys[i], "v0")
+	}
+	commit(t, seed)
+
+	stop := make(chan struct{})
+	var writers, readers sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				tx, err := c.Begin()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := 0; i < 3; i++ {
+					k := keys[rng.Intn(rows)]
+					if rng.Intn(8) == 0 {
+						err = tx.Delete(k)
+					} else {
+						err = tx.Put(k, []byte(fmt.Sprintf("w%d-%d", w, n)))
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if n%5 == 4 {
+					err = tx.Abort()
+				} else if err = tx.Commit(); errors.Is(err, ErrConflict) {
+					err = nil
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(100 + r)))
+			for n := 0; n < 150; n++ {
+				tx, err := c.Begin()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				read := make([]string, 1+rng.Intn(rows))
+				for i := range read {
+					read[i] = keys[rng.Intn(rows)] // duplicates included
+				}
+				if rng.Intn(3) == 0 {
+					read = append(read, "never-written")
+				}
+				values, ok, err := tx.GetMulti(read)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i, k := range read {
+					v, found, err := tx.Get(k)
+					if err != nil || found != ok[i] || string(v) != string(values[i]) {
+						t.Errorf("reader %d txn %d key %q: GetMulti %q,%v but Get %q,%v (%v)",
+							r, n, k, values[i], ok[i], v, found, err)
+						return
+					}
+				}
+				if err := tx.Commit(); err != nil { // read-only: never conflicts
+					t.Error(err)
+					return
+				}
+			}
+		}(r)
+	}
+	readers.Wait()
+	close(stop)
+	writers.Wait()
 }

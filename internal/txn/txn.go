@@ -1,10 +1,12 @@
 package txn
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
 	"repro/internal/history"
+	"repro/internal/kvstore"
 	"repro/internal/oracle"
 )
 
@@ -187,6 +189,20 @@ func (t *Txn) snapshotRead(key string) (raw []byte, obs uint64, found bool) {
 	return raw, obs, found
 }
 
+// readScratch is everything GetMulti needs and does not return: the store's
+// read buffer, the keys to fetch and where their answers go, the candidate
+// versions and their writers' statuses. Pooled, so a steady read rate
+// allocates only what the caller keeps.
+type readScratch struct {
+	buf      kvstore.ReadBuf
+	fetch    []string
+	fetchIdx []int
+	refs     []versionRef
+	statuses []oracle.TxnStatus
+}
+
+var readScratchPool = sync.Pool{New: func() interface{} { return new(readScratch) }}
+
 // GetMulti reads many keys from the snapshot in one pass: the store fetch
 // is grouped by region (one region-lock acquisition per covered region) and
 // every unresolved writer across the whole read set is resolved in a single
@@ -199,9 +215,10 @@ func (t *Txn) GetMulti(keys []string) (values [][]byte, ok []bool, err error) {
 	}
 	values = make([][]byte, len(keys))
 	ok = make([]bool, len(keys))
+	sc := readScratchPool.Get().(*readScratch)
+	defer readScratchPool.Put(sc)
 	// Own writes answer immediately; the store is consulted for the rest.
-	fetch := make([]string, 0, len(keys))
-	fetchIdx := make([]int, 0, len(keys))
+	fetch, fetchIdx := sc.fetch[:0], sc.fetchIdx[:0]
 	for i, key := range keys {
 		t.reads[key] = struct{}{}
 		if v, mine := t.writes[key]; mine {
@@ -215,27 +232,30 @@ func (t *Txn) GetMulti(keys []string) (values [][]byte, ok []bool, err error) {
 		fetch = append(fetch, key)
 		fetchIdx = append(fetchIdx, i)
 	}
+	sc.fetch, sc.fetchIdx = fetch, fetchIdx
 	if len(fetch) == 0 {
 		return values, ok, nil
 	}
-	perKey := t.client.store.MultiGet(fetch, t.startTS, 0)
-	// Collect every candidate version across the read set and resolve the
-	// writers in one batch; offsets[k] marks where key k's versions start.
-	refs := make([]versionRef, 0, len(fetch))
-	offsets := make([]int, len(fetch)+1)
-	for k, versions := range perKey {
-		for i := range versions {
-			refs = append(refs, versionRef{key: fetch[k], writeTS: versions[i].TS})
+	t.client.store.MultiGetInto(&sc.buf, fetch, t.startTS, 0)
+	// Collect every candidate version across the read set, in key order,
+	// and resolve the writers in one batch.
+	refs := sc.refs[:0]
+	for k := range fetch {
+		for _, v := range sc.buf.Versions(k) {
+			refs = append(refs, versionRef{key: fetch[k], writeTS: v.TS})
 		}
-		offsets[k+1] = len(refs)
 	}
-	statuses := t.client.resolveBatch(refs)
-	for k, versions := range perKey {
+	sc.refs = refs
+	statuses := slices.Grow(sc.statuses[:0], len(refs))[:len(refs)]
+	sc.statuses = statuses
+	t.client.resolveInto(refs, statuses)
+	for k := range fetch {
+		versions := sc.buf.Versions(k)
 		var bestTC, obs uint64
 		var raw []byte
 		found := false
 		for i := range versions {
-			st := statuses[offsets[k]+i]
+			st := statuses[i]
 			if st.Status == oracle.StatusCommitted && st.CommitTS < t.startTS && st.CommitTS > bestTC {
 				bestTC = st.CommitTS
 				raw = versions[i].Value
@@ -243,6 +263,7 @@ func (t *Txn) GetMulti(keys []string) (values [][]byte, ok []bool, err error) {
 				found = true
 			}
 		}
+		statuses = statuses[len(versions):]
 		t.tapRead(fetch[k], obs)
 		if !found {
 			continue

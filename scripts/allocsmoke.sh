@@ -1,5 +1,5 @@
 #!/usr/bin/env sh
-# Allocation-regression smoke: runs the commit/query hot-path benchmarks
+# Allocation-regression smoke: runs the commit/query/read hot-path benchmarks
 # with -benchmem and fails if any allocs/op exceeds the checked-in budget
 # (scripts/alloc_budget.txt). Used by CI; run locally before touching the
 # commit path.
@@ -7,7 +7,8 @@ set -eu
 cd "$(dirname "$0")/.."
 
 out=$(go test -run=NONE -bench 'BenchmarkCommitBatch|BenchmarkQueryBatch' -benchmem -benchtime 5000x .
-      go test -run=NONE -bench 'BenchmarkAdmissionDecision' -benchmem -benchtime 5000x ./internal/netsrv
+      go test -run=NONE -bench 'BenchmarkAdmissionDecision|BenchmarkSessionRoundTrip' -benchmem -benchtime 5000x ./internal/netsrv
+      go test -run=NONE -bench 'BenchmarkGetMulti' -benchmem -benchtime 5000x ./internal/txn
       go test -run=NONE -bench 'BenchmarkTraceStamp|BenchmarkAtomicHistogramRecord' -benchmem -benchtime 5000x ./internal/metrics
       go test -run=NONE -bench 'BenchmarkTapRecord|BenchmarkTapSampledOut' -benchmem -benchtime 5000x ./internal/history)
 echo "$out"
