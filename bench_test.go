@@ -32,7 +32,7 @@ import (
 // simulated network hop, so the number reflects pure oracle cost).
 func BenchmarkMicroStartTimestamp(b *testing.B) {
 	ledger := wal.NewMemLedger()
-	w, err := wal.NewWriter(wal.DefaultConfig(), ledger)
+	w, err := wal.NewWriter(wal.Config{}, ledger)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func BenchmarkFig9ZipfianLatest(b *testing.B) {
 func BenchmarkWALBatching(b *testing.B) {
 	ledger := wal.NewMemLedger()
 	ledger.Latency = time.Millisecond
-	w, err := wal.NewWriter(wal.DefaultConfig(), ledger)
+	w, err := wal.NewWriter(wal.Config{}, ledger)
 	if err != nil {
 		b.Fatal(err)
 	}

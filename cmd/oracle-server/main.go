@@ -106,9 +106,7 @@ func main() {
 		noTrace     = flag.Bool("no-trace", false, "disable hot-path lifecycle tracing (per-stage histograms stay empty)")
 		statsEvery  = flag.Duration("stats-every", 0, "log an oracle/ingress stats summary this often, with per-tenant admission breakdown (0 = off)")
 		anomSample  = flag.Float64("anomaly-sample", 0, "fraction of commit decisions fed to the streaming anomaly checker (0 = off, 1 = every decision; history_* metrics)")
-
-		coalesce      = flag.Int("coalesce", 0, "server-side coalescing: max single-commit (and single-query) frames merged into one oracle batch (0 = off)")
-		coalesceDelay = flag.Duration("coalesce-delay", 200*time.Microsecond, "max extra latency a request waits for its batch to fill (with -coalesce)")
+		coalesce    = flag.Int("coalesce", 0, "server-side coalescing: max single-commit frames merged into one oracle batch (0 = off)")
 
 		tenants     = flag.Int("tenants", 0, "admission classes for the ingress gate (envelope tenant ids 0..n-1; enables admission when any ingress flag is set)")
 		maxInflight = flag.Int("max-inflight", 0, "data-plane requests executing concurrently before arrivals queue (0 = gate default 256)")
@@ -210,14 +208,14 @@ func main() {
 			fsync:     *fsync,
 			ckpt:      *ckptInterval,
 		}
-		runGroup(cfg, *addr, gf, *coalesce, *coalesceDelay, ing, obs, sig)
+		runGroup(cfg, *addr, gf, *coalesce, ing, obs, sig)
 		return
 	}
 	if *standby {
-		runStandby(cfg, *addr, *follow, *walPath, *fsync, *pollEvery, *coalesce, *coalesceDelay, ing, obs, role, sig)
+		runStandby(cfg, *addr, *follow, *walPath, *fsync, *pollEvery, *coalesce, ing, obs, role, sig)
 		return
 	}
-	runPrimary(cfg, *addr, *walPath, *fsync, *ckptInterval, *coalesce, *coalesceDelay, ing, obs, role, sig)
+	runPrimary(cfg, *addr, *walPath, *fsync, *ckptInterval, *coalesce, ing, obs, role, sig)
 }
 
 // obsFlags carries the observability knobs: the debug HTTP plane address,
@@ -377,16 +375,15 @@ func (p *partitionRole) apply(srv *netsrv.Server) {
 	srv.SetRouting(partition.RoutingTable{Epoch: 1, Router: p.router})
 }
 
-// configureCoalescing applies the coalescer knobs to a server.
-func configureCoalescing(srv *netsrv.Server, coalesce int, delay time.Duration) {
+// configureCoalescing applies the coalescer's batch cap to a server.
+func configureCoalescing(srv *netsrv.Server, coalesce int) {
 	if coalesce > 0 {
 		srv.CoalesceMaxBatch = coalesce
-		srv.CoalesceMaxDelay = delay
-		log.Printf("oracle-server: coalescing up to %d commits/queries per batch (max delay %v)", coalesce, delay)
+		log.Printf("oracle-server: coalescing up to %d commits per batch", coalesce)
 	}
 }
 
-func runPrimary(cfg oracle.Config, addr, walPath string, fsync bool, ckptInterval time.Duration, coalesce int, coalesceDelay time.Duration, ing ingressFlags, obs obsFlags, role *partitionRole, sig chan os.Signal) {
+func runPrimary(cfg oracle.Config, addr, walPath string, fsync bool, ckptInterval time.Duration, coalesce int, ing ingressFlags, obs obsFlags, role *partitionRole, sig chan os.Signal) {
 	var (
 		so     *oracle.StatusOracle
 		writer *wal.Writer
@@ -398,7 +395,7 @@ func runPrimary(cfg oracle.Config, addr, walPath string, fsync bool, ckptInterva
 		if err != nil {
 			log.Fatalf("oracle-server: open wal: %v", err)
 		}
-		writer, err = wal.NewWriter(wal.DefaultConfig(), ledger)
+		writer, err = wal.NewWriter(wal.Config{}, ledger)
 		if err != nil {
 			log.Fatalf("oracle-server: wal writer: %v", err)
 		}
@@ -429,7 +426,7 @@ func runPrimary(cfg oracle.Config, addr, walPath string, fsync bool, ckptInterva
 
 	srv := netsrv.NewServer(so)
 	role.apply(srv)
-	configureCoalescing(srv, coalesce, coalesceDelay)
+	configureCoalescing(srv, coalesce)
 	ing.apply(srv)
 	obs.apply(srv)
 	bound, err := srv.Listen(addr)
@@ -485,10 +482,10 @@ type groupFlags struct {
 // observes a higher epoch (OnFollow). Data ops sent here while following
 // answer a leader redirect built from replayed lease records; status reads
 // are served from the follower's shadow at bounded staleness.
-func runGroup(cfg oracle.Config, addr string, gf groupFlags, coalesce int, coalesceDelay time.Duration, ing ingressFlags, obs obsFlags, sig chan os.Signal) {
+func runGroup(cfg oracle.Config, addr string, gf groupFlags, coalesce int, ing ingressFlags, obs obsFlags, sig chan os.Signal) {
 	store := &ha.DirStore{Dir: gf.dir, Sync: gf.fsync}
 	srv := netsrv.NewStandbyServer(nil)
-	configureCoalescing(srv, coalesce, coalesceDelay)
+	configureCoalescing(srv, coalesce)
 	ing.apply(srv)
 	obs.apply(srv)
 
@@ -509,7 +506,6 @@ func runGroup(cfg oracle.Config, addr string, gf groupFlags, coalesce int, coale
 		Addr:            adv,
 		Store:           store,
 		Oracle:          cfg,
-		WAL:             wal.DefaultConfig(),
 		Lease:           gf.lease,
 		Bootstrap:       gf.bootstrap,
 		CheckpointEvery: gf.ckpt,
@@ -544,7 +540,7 @@ func runGroup(cfg oracle.Config, addr string, gf groupFlags, coalesce int, coale
 	m.Stop()
 }
 
-func runStandby(cfg oracle.Config, addr, follow, walPath string, fsync bool, pollEvery time.Duration, coalesce int, coalesceDelay time.Duration, ing ingressFlags, obs obsFlags, role *partitionRole, sig chan os.Signal) {
+func runStandby(cfg oracle.Config, addr, follow, walPath string, fsync bool, pollEvery time.Duration, coalesce int, ing ingressFlags, obs obsFlags, role *partitionRole, sig chan os.Signal) {
 	if follow == "" {
 		log.Fatalf("oracle-server: -standby requires -follow <primary wal>")
 	}
@@ -581,7 +577,7 @@ func runStandby(cfg oracle.Config, addr, follow, walPath string, fsync bool, pol
 			if err != nil {
 				return nil, fmt.Errorf("open standby wal: %w", err)
 			}
-			w, err = wal.NewWriter(wal.DefaultConfig(), ownLedger)
+			w, err = wal.NewWriter(wal.Config{}, ownLedger)
 			if err != nil {
 				return nil, err
 			}
@@ -599,7 +595,7 @@ func runStandby(cfg oracle.Config, addr, follow, walPath string, fsync bool, pol
 		return so, nil
 	})
 	role.apply(srv)
-	configureCoalescing(srv, coalesce, coalesceDelay)
+	configureCoalescing(srv, coalesce)
 	ing.apply(srv)
 	obs.apply(srv)
 	boundAddr, err := srv.Listen(addr)

@@ -100,11 +100,7 @@ func elasticWALFor() (func(i int) *wal.Writer, func(), error) {
 				// and elastic routing pay one commit record on one partition.
 				ml.Bandwidth = 160 << 10 // 160 KiB/s per ledger
 			}
-			cfg := wal.DefaultConfig()
-			cfg.Quorum = 2
-			cfg.BatchBytes = 64 << 10
-			cfg.BatchDelay = 50 * time.Microsecond
-			w, err := wal.NewWriter(cfg, ledgers...)
+			w, err := wal.NewWriter(wal.Config{Quorum: 2}, ledgers...)
 			if err != nil {
 				werr = err
 				return nil

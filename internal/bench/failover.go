@@ -38,7 +38,7 @@ var FailoverJSONPath string
 // replayed (one commit-batch record covers up to 64 commits).
 func recoveryPoint(commits, interval int) (records, replayed int64, recovery time.Duration, err error) {
 	ledger := wal.NewMemLedger()
-	w, err := wal.NewWriter(wal.Config{BatchBytes: 64 << 10, BatchDelay: time.Millisecond}, ledger)
+	w, err := wal.NewWriter(wal.Config{}, ledger)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -99,7 +99,7 @@ func recoveryPoint(commits, interval int) (records, replayed int64, recovery tim
 // after failover — must be zero).
 func availabilityGap(detect time.Duration) (gap, promote time.Duration, acked, lost int, promotedStats oracle.Stats, err error) {
 	ledgers := []wal.Ledger{wal.NewMemLedger(), wal.NewMemLedger(), wal.NewMemLedger()}
-	w, err := wal.NewWriter(wal.Config{BatchBytes: 64 << 10, BatchDelay: time.Millisecond}, ledgers...)
+	w, err := wal.NewWriter(wal.Config{}, ledgers...)
 	if err != nil {
 		return 0, 0, 0, 0, oracle.Stats{}, err
 	}
@@ -120,7 +120,7 @@ func availabilityGap(detect time.Duration) (gap, promote time.Duration, acked, l
 	}
 	sb.Start(time.Millisecond)
 	standby := netsrv.NewStandbyServer(func() (*oracle.StatusOracle, error) {
-		nw, err := wal.NewWriter(wal.Config{BatchBytes: 64 << 10, BatchDelay: time.Millisecond}, wal.NewMemLedger())
+		nw, err := wal.NewWriter(wal.Config{}, wal.NewMemLedger())
 		if err != nil {
 			return nil, err
 		}
@@ -152,6 +152,7 @@ func availabilityGap(detect time.Duration) (gap, promote time.Duration, acked, l
 	go func() {
 		defer wg.Done()
 		for i := 0; !stop.Load(); i++ {
+			begun := time.Now().UnixNano()
 			ts, err := client.Begin()
 			if err != nil {
 				time.Sleep(200 * time.Microsecond)
@@ -164,7 +165,9 @@ func availabilityGap(detect time.Duration) (gap, promote time.Duration, acked, l
 			}
 			now := time.Now().UnixNano()
 			lastOK.Store(now)
-			if killed.Load() > 0 && firstOK.Load() == 0 {
+			// Only a transaction begun after the dead server drained can
+			// have been answered by its successor.
+			if k := killed.Load(); k > 0 && begun > k && firstOK.Load() == 0 {
 				firstOK.Store(now)
 			}
 			mu.Lock()
@@ -175,8 +178,8 @@ func availabilityGap(detect time.Duration) (gap, promote time.Duration, acked, l
 
 	time.Sleep(50 * time.Millisecond) // steady load
 	preKill := lastOK.Load()
-	killed.Store(time.Now().UnixNano())
 	primary.Close()
+	killed.Store(time.Now().UnixNano())
 	// A detector (health checker, lease) notices the death and triggers
 	// the promotion; its delay is part of the availability gap.
 	time.Sleep(detect)
@@ -291,7 +294,6 @@ func electionGap(lease time.Duration) (electionResult, error) {
 			Addr:      addr,
 			Store:     store,
 			Oracle:    oracle.Config{Engine: oracle.SI},
-			WAL:       wal.Config{BatchBytes: 64 << 10, BatchDelay: time.Millisecond},
 			Lease:     lease,
 			Bootstrap: i == 0,
 			OnLead:    func(so *oracle.StatusOracle, epoch uint64) { srv.Install(so) },
@@ -339,6 +341,7 @@ func electionGap(lease time.Duration) (electionResult, error) {
 	go func() {
 		defer wg.Done()
 		for i := 0; !stop.Load(); i++ {
+			begun := time.Now().UnixNano()
 			ts, err := client.Begin()
 			if err != nil {
 				time.Sleep(200 * time.Microsecond)
@@ -349,7 +352,7 @@ func electionGap(lease time.Duration) (electionResult, error) {
 				time.Sleep(200 * time.Microsecond)
 				continue
 			}
-			if killed.Load() > 0 && firstOK.Load() == 0 {
+			if k := killed.Load(); k > 0 && begun > k && firstOK.Load() == 0 {
 				firstOK.Store(time.Now().UnixNano())
 			}
 			mu.Lock()
@@ -391,9 +394,11 @@ func electionGap(lease time.Duration) (electionResult, error) {
 	}
 	time.Sleep(steady)
 	oldSO := members[lead].Oracle()
-	killed.Store(time.Now().UnixNano())
 	members[lead].Stop() // crash: renewals cease, nothing handed over
 	srvs[lead].Close()
+	// Stamped once the dead server has drained: a commit it was already
+	// answering must not pass for the first post-election ack.
+	killed.Store(time.Now().UnixNano())
 
 	deadline := time.Now().Add(30*lease + 5*time.Second)
 	for firstOK.Load() == 0 && time.Now().Before(deadline) {

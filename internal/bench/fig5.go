@@ -28,14 +28,7 @@ func fig5Point(engine oracle.Engine, clients, outstanding int, measure time.Dura
 	for _, l := range ledgers {
 		l.(*wal.MemLedger).Latency = time.Millisecond
 	}
-	cfg := wal.DefaultConfig()
-	cfg.Quorum = 2
-	// BookKeeper pipelines large batches; with the paper's 1 KB cap and a
-	// strictly serialized flush the log would cap throughput at ~8K
-	// records/s. A 16 KB batch keeps the 5 ms group-commit latency while
-	// lifting the ceiling above the oracle's CPU saturation point.
-	cfg.BatchBytes = 16 << 10
-	w, err := wal.NewWriter(cfg, ledgers...)
+	w, err := wal.NewWriter(wal.Config{Quorum: 2}, ledgers...)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -40,11 +40,6 @@ const (
 	// box's ability to context-switch.
 	ingressSessions  = 512
 	ingressBandwidth = 64 << 10
-	// Small WAL batches keep one group commit's transmission time (batch
-	// bytes / bandwidth = ~31ms) well inside the deadline; a 16 KiB batch at
-	// this bandwidth would take ~250ms on the wire and no admitted request
-	// could ever beat the budget.
-	ingressWALBatch = 2 << 10
 )
 
 // ingressPhase is one measured phase of the JSON artifact.
@@ -127,11 +122,7 @@ func ingressServer(ingress *netsrv.IngressConfig) (srv *netsrv.Server, addr stri
 		ml.Latency = 200 * time.Microsecond
 		ml.Bandwidth = ingressBandwidth
 	}
-	cfg := wal.DefaultConfig()
-	cfg.Quorum = 2
-	cfg.BatchBytes = ingressWALBatch
-	cfg.BatchDelay = 50 * time.Microsecond
-	w, err := wal.NewWriter(cfg, ledgers...)
+	w, err := wal.NewWriter(wal.Config{Quorum: 2}, ledgers...)
 	if err != nil {
 		return nil, "", nil, err
 	}
@@ -145,12 +136,9 @@ func ingressServer(ingress *netsrv.IngressConfig) (srv *netsrv.Server, addr stri
 	srv.Logf = nil
 	srv.CoalesceMaxBatch = 64
 	// Under admission the coalescer sees a smoothed trickle (one commit per
-	// slot handoff), not the pile-up a saturated closed loop produces. With
-	// the default 200µs cut delay that means near-singleton batches, and the
-	// per-append ledger latency then dominates the WAL — capacity collapses
-	// to ~half. A 10ms window refills full batches at near-peak rates and
-	// costs 4% of the deadline budget.
-	srv.CoalesceMaxDelay = 10 * time.Millisecond
+	// slot handoff), not the pile-up a saturated closed loop produces. The
+	// self-clocked stages absorb it: whatever trickles in while a ledger
+	// append is in flight rides the next one.
 	srv.Ingress = ingress
 	addr, err = srv.Listen("127.0.0.1:0")
 	if err != nil {

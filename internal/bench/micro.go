@@ -22,7 +22,7 @@ import (
 func microLatencies(txns, opsPerTxn int) (string, error) {
 	ledger := wal.NewMemLedger()
 	ledger.Latency = 2 * time.Millisecond // remote bookie round trip
-	w, err := wal.NewWriter(wal.DefaultConfig(), ledger)
+	w, err := wal.NewWriter(wal.Config{}, ledger)
 	if err != nil {
 		return "", err
 	}

@@ -68,15 +68,7 @@ func scaleoutPoint(engine oracle.Engine, partitions, workers, batchSize int, cro
 			for _, l := range ledgers {
 				l.(*wal.MemLedger).Latency = time.Millisecond
 			}
-			cfg := wal.DefaultConfig()
-			cfg.Quorum = 2
-			cfg.BatchBytes = 64 << 10
-			// The two-phase records (prepares, decides, verdicts) are tiny
-			// and latency-bound: the default 5 ms group-commit delay would
-			// dominate every cross-partition round, so cut the batch much
-			// sooner — the 1 ms bookie round trip still sets the floor.
-			cfg.BatchDelay = 200 * time.Microsecond
-			w, werr := wal.NewWriter(cfg, ledgers...)
+			w, werr := wal.NewWriter(wal.Config{Quorum: 2}, ledgers...)
 			if werr != nil {
 				err = werr
 				return nil

@@ -15,7 +15,6 @@ package core
 
 import (
 	"errors"
-	"time"
 
 	"repro/internal/kvstore"
 	"repro/internal/oracle"
@@ -85,9 +84,6 @@ type Options struct {
 	// client's commit pipeliner coalesces into one oracle batch
 	// (default txn.DefaultCommitBatchSize).
 	CommitBatchSize int
-	// CommitBatchDelay is how long the pipeliner waits for a commit
-	// batch to fill before cutting it (default txn.DefaultCommitBatchDelay).
-	CommitBatchDelay time.Duration
 }
 
 // System is a wired-up transactional store.
@@ -125,10 +121,8 @@ func New(opts Options) (*System, error) {
 		for i, l := range sys.ledgers {
 			ls[i] = l
 		}
-		cfg := wal.DefaultConfig()
-		cfg.Quorum = 2
 		var err error
-		w, err = wal.NewWriter(cfg, ls...)
+		w, err = wal.NewWriter(wal.Config{Quorum: 2}, ls...)
 		if err != nil {
 			return nil, err
 		}
@@ -157,10 +151,9 @@ func New(opts Options) (*System, error) {
 	})
 
 	client, err := txn.NewClient(sys.Store, so, txn.Config{
-		Mode:             opts.Mode,
-		Bucketer:         opts.Bucketer,
-		CommitBatchSize:  opts.CommitBatchSize,
-		CommitBatchDelay: opts.CommitBatchDelay,
+		Mode:            opts.Mode,
+		Bucketer:        opts.Bucketer,
+		CommitBatchSize: opts.CommitBatchSize,
 	})
 	if err != nil {
 		return nil, err
@@ -221,9 +214,7 @@ func Recover(crashed *System, opts Options) (*System, error) {
 	for i, l := range crashed.ledgers {
 		ls[i] = l
 	}
-	cfg := wal.DefaultConfig()
-	cfg.Quorum = 2
-	w, err := wal.NewWriter(cfg, ls...)
+	w, err := wal.NewWriter(wal.Config{Quorum: 2}, ls...)
 	if err != nil {
 		return nil, err
 	}
@@ -245,10 +236,9 @@ func Recover(crashed *System, opts Options) (*System, error) {
 	}
 	sys.Oracle = so
 	client, err := txn.NewClient(sys.Store, so, txn.Config{
-		Mode:             opts.Mode,
-		Bucketer:         opts.Bucketer,
-		CommitBatchSize:  opts.CommitBatchSize,
-		CommitBatchDelay: opts.CommitBatchDelay,
+		Mode:            opts.Mode,
+		Bucketer:        opts.Bucketer,
+		CommitBatchSize: opts.CommitBatchSize,
 	})
 	if err != nil {
 		return nil, err

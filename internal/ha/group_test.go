@@ -17,7 +17,6 @@ func groupMember(id int, store LedgerStore, lease time.Duration, bootstrap bool)
 		Addr:      "node-" + string(rune('a'+id)),
 		Store:     store,
 		Oracle:    oracle.Config{Engine: oracle.SI},
-		WAL:       wal.Config{BatchBytes: 512, BatchDelay: time.Millisecond},
 		Lease:     lease,
 		Bootstrap: bootstrap,
 		Logf:      func(string, ...any) {},

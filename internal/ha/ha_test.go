@@ -14,7 +14,7 @@ import (
 
 func newWriter(t *testing.T, ledgers ...wal.Ledger) *wal.Writer {
 	t.Helper()
-	w, err := wal.NewWriter(wal.Config{BatchBytes: 512, BatchDelay: time.Millisecond}, ledgers...)
+	w, err := wal.NewWriter(wal.Config{}, ledgers...)
 	if err != nil {
 		t.Fatalf("writer: %v", err)
 	}

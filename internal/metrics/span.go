@@ -10,8 +10,7 @@ import "time"
 //	StageAdmit  admission gate passed, stamped only when the request parked
 //	            at the gate (fast-path admits wait ~0 and skip the clock)
 //	StageCut    batch cut — the oracle started processing the request's
-//	            batch (stamped once per batch at CommitBatch entry, or by
-//	            the query coalescer's decide)
+//	            batch (stamped once per batch at CommitBatch entry)
 //	StageWAL    WAL group append returned durable (commit ops only)
 //	StageApply  decision applied and result published
 //	StageFlush  response bytes handed to the socket

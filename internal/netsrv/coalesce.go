@@ -2,10 +2,8 @@ package netsrv
 
 import (
 	"errors"
-	"sync"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/oracle"
 )
 
@@ -20,13 +18,13 @@ type coalescer struct {
 	b *oracle.Batcher[oracle.CommitRequest, oracle.CommitResult]
 }
 
-func newCoalescer(so *oracle.StatusOracle, maxBatch int, maxDelay time.Duration) *coalescer {
+func newCoalescer(so *oracle.StatusOracle, maxBatch int) *coalescer {
 	// The oracle stamps StageCut on every traced request at CommitBatch
 	// entry, so the decide hook adds no tracing work of its own.
 	decide := func(reqs []oracle.CommitRequest) ([]oracle.CommitResult, error) {
 		return so.CommitBatch(reqs)
 	}
-	return &coalescer{b: oracle.NewBatcher(decide, maxBatch, maxDelay)}
+	return &coalescer{b: oracle.NewBatcher(decide, maxBatch)}
 }
 
 // submit parks one commit request in the accumulation loop and waits for its
@@ -44,70 +42,3 @@ func (c *coalescer) submit(req oracle.CommitRequest, deadline time.Time) (oracle
 // stop shuts the loop down. The server calls it only after every connection
 // handler has returned, so no submitter can be left waiting.
 func (c *coalescer) stop() { c.b.Stop() }
-
-// queryItem is one parked status lookup: the start timestamp plus the
-// request's trace span (nil when tracing is off), so the read path stamps
-// batch-cut and decide-applied like the commit path does.
-type queryItem struct {
-	ts   uint64
-	span *metrics.Span
-}
-
-// queryCoalescer is the read-side twin of the commit coalescer, built on
-// the same oracle.Batcher accumulation loop: concurrent single-query frames
-// are merged into one QueryBatch per cut batch, so unbatched clients get
-// batched status resolution for free.
-type queryCoalescer struct {
-	b *oracle.Batcher[queryItem, oracle.TxnStatus]
-}
-
-func newQueryCoalescer(so *oracle.StatusOracle, maxBatch int, maxDelay time.Duration) *queryCoalescer {
-	// The timestamp vector handed to QueryBatch is pooled: the batcher's
-	// item type carries spans, so the plain []uint64 view is rebuilt per
-	// cut batch from recycled scratch rather than allocated.
-	pool := sync.Pool{New: func() interface{} {
-		s := make([]uint64, 0, maxBatch)
-		return &s
-	}}
-	decide := func(items []queryItem) ([]oracle.TxnStatus, error) {
-		tp := pool.Get().(*[]uint64)
-		tss := (*tp)[:0]
-		var now int64
-		for i := range items {
-			tss = append(tss, items[i].ts)
-			if sp := items[i].span; sp != nil {
-				if now == 0 {
-					now = metrics.Nanotime()
-				}
-				sp.StampAt(metrics.StageCut, now)
-			}
-		}
-		sts := so.QueryBatch(tss)
-		now = 0
-		for i := range items {
-			if sp := items[i].span; sp != nil {
-				if now == 0 {
-					now = metrics.Nanotime()
-				}
-				sp.StampAt(metrics.StageApply, now)
-			}
-		}
-		*tp = tss
-		pool.Put(tp)
-		return sts, nil
-	}
-	return &queryCoalescer{b: oracle.NewBatcher(decide, maxBatch, maxDelay)}
-}
-
-// submit parks one status lookup and waits for its batch's answers,
-// dropping it with oracle.ErrExpired if deadline passes before the cut.
-// span, when non-nil, receives the batch-cut and decide-applied stamps.
-func (c *queryCoalescer) submit(startTS uint64, deadline time.Time, span *metrics.Span) (oracle.TxnStatus, error) {
-	st, err := c.b.SubmitWaitDeadline(queryItem{ts: startTS, span: span}, deadline)
-	if errors.Is(err, oracle.ErrBatcherStopped) {
-		return oracle.TxnStatus{}, ErrServerClosed
-	}
-	return st, err
-}
-
-func (c *queryCoalescer) stop() { c.b.Stop() }

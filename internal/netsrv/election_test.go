@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/ha"
 	"repro/internal/oracle"
-	"repro/internal/wal"
 )
 
 // startGroupNode fronts one ha.Member with a Server wired the way
@@ -28,7 +27,6 @@ func startGroupNode(t *testing.T, id int, store ha.LedgerStore, lease time.Durat
 		Addr:      addr,
 		Store:     store,
 		Oracle:    oracle.Config{Engine: oracle.SI},
-		WAL:       wal.Config{BatchBytes: 512, BatchDelay: time.Millisecond},
 		Lease:     lease,
 		Bootstrap: bootstrap,
 		OnLead:    func(so *oracle.StatusOracle, epoch uint64) { srv.Install(so) },

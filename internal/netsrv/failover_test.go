@@ -16,7 +16,7 @@ import (
 func startFailoverPair(t *testing.T) (primarySrv, standbySrv *Server, primaryAddr, standbyAddr string, ledgers []wal.Ledger) {
 	t.Helper()
 	ledgers = []wal.Ledger{wal.NewMemLedger(), wal.NewMemLedger(), wal.NewMemLedger()}
-	w, err := wal.NewWriter(wal.Config{BatchBytes: 512, BatchDelay: time.Millisecond}, ledgers...)
+	w, err := wal.NewWriter(wal.Config{}, ledgers...)
 	if err != nil {
 		t.Fatalf("writer: %v", err)
 	}
@@ -37,7 +37,7 @@ func startFailoverPair(t *testing.T) (primarySrv, standbySrv *Server, primaryAdd
 	}
 	sb.Start(time.Millisecond)
 	standbySrv = NewStandbyServer(func() (*oracle.StatusOracle, error) {
-		nw, err := wal.NewWriter(wal.Config{BatchBytes: 512, BatchDelay: time.Millisecond}, wal.NewMemLedger())
+		nw, err := wal.NewWriter(wal.Config{}, wal.NewMemLedger())
 		if err != nil {
 			return nil, err
 		}
@@ -183,7 +183,7 @@ func TestClientFailover(t *testing.T) {
 // trips the checkpoint/recovery fields.
 func TestFailoverStatsCarriesAvailabilityCounters(t *testing.T) {
 	ledger := wal.NewMemLedger()
-	w, err := wal.NewWriter(wal.Config{BatchBytes: 512, BatchDelay: time.Millisecond}, ledger)
+	w, err := wal.NewWriter(wal.Config{}, ledger)
 	if err != nil {
 		t.Fatalf("writer: %v", err)
 	}

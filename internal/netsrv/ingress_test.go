@@ -295,94 +295,54 @@ func TestOverloadDeadlineExpiredAtAdmission(t *testing.T) {
 	}
 }
 
-// TestOverloadDeadlineExpiredInCoalescer parks a commit in a slow-cutting
-// coalescer with a deadline shorter than the cut delay: the batcher must
-// drop it at cut time (codeExpired on the wire) and the commit must never
-// reach the oracle.
-func TestOverloadDeadlineExpiredInCoalescer(t *testing.T) {
-	_, addr := startIngressServer(t, nil, func(s *Server) {
-		s.CoalesceMaxBatch = 64
-		s.CoalesceMaxDelay = 100 * time.Millisecond
-	})
-	m, err := DialMux(addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	s := m.Session(0)
-	ts, err := s.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetDeadline(10 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.Commit(oracle.CommitRequest{StartTS: ts, WriteSet: []oracle.RowID{1}})
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("parked-past-deadline commit error = %v, want ErrDeadlineExceeded", err)
-	}
-	// The dropped commit must not have been decided.
-	if err := s.SetDeadline(0); err != nil {
-		t.Fatal(err)
-	}
-	st, err := s.Query(ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Status == oracle.StatusCommitted {
-		t.Fatalf("expired commit was decided anyway: %+v", st)
-	}
-}
-
 // TestOverloadShedQueueFull saturates a one-slot, one-queue-entry admission
-// gate with concurrent commits held open by a slow coalescer and checks some
-// requests are shed with ErrOverload while at least one is served.
+// gate: the first commit holds the slot while its ledger append is held, the
+// second queues, and every later arrival is shed with ErrOverload.
 func TestOverloadShedQueueFull(t *testing.T) {
-	_, addr := startIngressServer(t, &IngressConfig{MaxInflight: 1, QueueCap: 1}, func(s *Server) {
-		s.CoalesceMaxBatch = 64
-		s.CoalesceMaxDelay = 50 * time.Millisecond
-	})
-	m, err := DialMux(addr, 1)
+	g := startGatedServer(t, &IngressConfig{MaxInflight: 1, QueueCap: 1}, 64)
+	m, err := DialMux(g.addr, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer m.Close()
-	setup := m.Session(0)
-	tss := make([]uint64, 10)
-	for i := range tss {
-		if tss[i], err = setup.Begin(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	const n = 10
+	tss := g.begins(t, m.Session(0), n)
 	var served, shed, other int
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for i := range tss {
-		s := m.Session(0)
+	commit := func(i int) {
+		defer wg.Done()
+		_, err := m.Session(0).Commit(oracle.CommitRequest{StartTS: tss[i], WriteSet: []oracle.RowID{oracle.RowID(i + 1)}})
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case err == nil:
+			served++
+		case errors.Is(err, ErrOverload):
+			shed++
+		default:
+			other++
+		}
+	}
+	wg.Add(1)
+	go commit(0)
+	<-g.entered
+	wg.Add(1)
+	go commit(1)
+	g.settle(t, func(st gateState) bool { return st.waiting == 1 })
+	for i := 2; i < n; i++ {
 		wg.Add(1)
-		go func(s *Session, ts uint64, row oracle.RowID) {
-			defer wg.Done()
-			_, err := s.Commit(oracle.CommitRequest{StartTS: ts, WriteSet: []oracle.RowID{row}})
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				served++
-			case errors.Is(err, ErrOverload):
-				shed++
-			default:
-				other++
-			}
-		}(s, tss[i], oracle.RowID(i+1))
+		go commit(i)
 	}
+	g.settle(t, func(st gateState) bool { return st.shed == n-2 })
+	g.release <- nil
+	<-g.entered
+	g.release <- nil
 	wg.Wait()
-	if other != 0 {
-		t.Fatalf("unexpected errors under overload: served=%d shed=%d other=%d", served, shed, other)
+	if served != 2 || shed != n-2 || other != 0 {
+		t.Fatalf("served=%d shed=%d other=%d, want 2, %d, 0", served, shed, other, n-2)
 	}
-	if served == 0 || shed == 0 {
-		t.Fatalf("overload did not both serve and shed: served=%d shed=%d", served, shed)
-	}
-	c, err := Dial(addr)
+	c, err := Dial(g.addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,6 @@ type Server struct {
 	so        atomic.Pointer[oracle.StatusOracle]
 	ln        net.Listener
 	coal      atomic.Pointer[coalescer]
-	qcoal     atomic.Pointer[queryCoalescer]
 	promoteFn func() (*oracle.StatusOracle, error)
 	promoteMu sync.Mutex
 
@@ -79,14 +78,15 @@ type Server struct {
 	routingMu sync.Mutex
 	routing   partition.RoutingTable
 
-	// CoalesceMaxBatch, when > 0, enables the server-side coalescers:
-	// concurrent single-commit frames are accumulated into oracle commit
-	// batches of up to this size, and concurrent single-query frames into
-	// QueryBatch calls, each cut after CoalesceMaxDelay if a batch does
-	// not fill first. Set both before Listen. Batched frames
-	// (opCommitBatch, opQueryBatch) bypass the coalescers — they are
-	// already batches.
+	// CoalesceMaxBatch, when > 0, enables the server-side commit
+	// coalescer: concurrent single-commit frames are accumulated into
+	// oracle commit batches of up to this size, cut when full or when no
+	// decide is in flight (oracle.Batcher). Set before Listen. opCommitBatch
+	// frames bypass it — they are already batches — and status lookups are
+	// answered inline: they are decided in memory, so there is no busy
+	// stage for a batch to form behind.
 	CoalesceMaxBatch int
+	// Deprecated: ignored, no timer cuts a batch; only benchmark/ still sets it.
 	CoalesceMaxDelay time.Duration
 
 	// Ingress, when set, puts every data-plane request through the
@@ -195,10 +195,6 @@ func (s *Server) putCtx(c *handlerCtx) {
 	s.ctxPool.Put(c)
 }
 
-// defaultCoalesceDelay bounds the extra latency the coalescer may add to a
-// single commit while waiting for a batch to fill.
-const defaultCoalesceDelay = 200 * time.Microsecond
-
 // NewServer wraps a status oracle for network service.
 func NewServer(so *oracle.StatusOracle) *Server {
 	s := &Server{conns: make(map[net.Conn]struct{}), Logf: log.Printf}
@@ -228,16 +224,16 @@ func (s *Server) oracle() *oracle.StatusOracle { return s.so.Load() }
 func (s *Server) Promoted() bool { return s.oracle() != nil }
 
 // Install makes the server serve so, replacing (and stopping) the
-// coalescers of any previously served oracle. A group member's OnLead
+// coalescer of any previously served oracle. A group member's OnLead
 // callback installs its freshly promoted oracle here; handlers racing the
 // swap fail cleanly (the stopped coalescer rejects parked submits, and the
 // fenced old oracle rejects appends), never serve torn state.
 func (s *Server) Install(so *oracle.StatusOracle) {
 	s.promoteMu.Lock()
 	defer s.promoteMu.Unlock()
-	s.stopCoalescers()
+	s.stopCoalescer()
 	if so != nil {
-		s.startCoalescers(so)
+		s.startCoalescer(so)
 	}
 	s.so.Store(so)
 }
@@ -248,14 +244,11 @@ func (s *Server) Install(so *oracle.StatusOracle) {
 // steps down after losing its lease.
 func (s *Server) Depose() { s.Install(nil) }
 
-// stopCoalescers detaches and stops the running coalescers; submits parked
-// in them fail with ErrServerClosed. Caller holds promoteMu (or is Close,
+// stopCoalescer detaches and stops the running coalescer; submits parked
+// in it fail with ErrServerClosed. Caller holds promoteMu (or is Close,
 // after the handler drain).
-func (s *Server) stopCoalescers() {
+func (s *Server) stopCoalescer() {
 	if c := s.coal.Swap(nil); c != nil {
-		c.stop()
-	}
-	if c := s.qcoal.Swap(nil); c != nil {
 		c.stop()
 	}
 }
@@ -276,7 +269,7 @@ func (s *Server) Listen(addr string) (string, error) {
 // the backoff path).
 func (s *Server) Serve(ln net.Listener) {
 	if so := s.oracle(); so != nil {
-		s.startCoalescers(so)
+		s.startCoalescer(so)
 	}
 	if s.Ingress != nil {
 		s.adm = newAdmitter(*s.Ingress)
@@ -378,27 +371,22 @@ func (s *Server) Close() error {
 	if s.adm != nil {
 		s.adm.close()
 	}
-	// Handlers drain first (requests parked in the coalescers still get
-	// their decisions), then the coalescer loops are stopped.
+	// Handlers drain first (requests parked in the coalescer still get
+	// their decisions), then its loop is stopped.
 	s.wg.Wait()
-	s.stopCoalescers()
+	s.stopCoalescer()
 	if s.anomStop != nil {
 		s.anomStop() // final drain: every recorded decision is checked
 	}
 	return err
 }
 
-// startCoalescers builds the server-side coalescers for so when configured.
-func (s *Server) startCoalescers(so *oracle.StatusOracle) {
+// startCoalescer builds the server-side commit coalescer for so when configured.
+func (s *Server) startCoalescer(so *oracle.StatusOracle) {
 	if s.CoalesceMaxBatch <= 0 {
 		return
 	}
-	delay := s.CoalesceMaxDelay
-	if delay <= 0 {
-		delay = defaultCoalesceDelay
-	}
-	s.coal.Store(newCoalescer(so, s.CoalesceMaxBatch, delay))
-	s.qcoal.Store(newQueryCoalescer(so, s.CoalesceMaxBatch, delay))
+	s.coal.Store(newCoalescer(so, s.CoalesceMaxBatch))
 }
 
 func (s *Server) dropConn(conn net.Conn) {
@@ -728,20 +716,7 @@ func (s *Server) handle(ctx *handlerCtx, reqID uint64, op byte, payload []byte, 
 		if err != nil {
 			return respError(reqID, err)
 		}
-		var st oracle.TxnStatus
-		if c := s.qcoal.Load(); c != nil {
-			var sp *metrics.Span
-			if s.traceOn.Load() {
-				sp = &ctx.span
-			}
-			st, err = c.submit(ts, deadline, sp)
-			if err != nil {
-				return s.respDataErr(ctx, reqID, err)
-			}
-		} else {
-			st = so.Query(ts)
-		}
-		return appendTxnStatus(ok, st)
+		return appendTxnStatus(ok, so.Query(ts))
 	case opQueryBatch:
 		startTSs, err := decodeQueryBatchReqInto(ctx.tss, payload)
 		if err != nil {
@@ -1000,10 +975,10 @@ func (s *Server) handlePromote(reqID uint64) []byte {
 	if err != nil {
 		return respError(reqID, err)
 	}
-	// Coalescers must exist before the oracle becomes visible: handlers
-	// pick the coalesced path by loading the pointers after seeing the
+	// The coalescer must exist before the oracle becomes visible: handlers
+	// pick the coalesced path by loading the pointer after seeing the
 	// oracle.
-	s.startCoalescers(so)
+	s.startCoalescer(so)
 	s.so.Store(so)
 	return respOK(reqID, []byte{rolePrimary})
 }

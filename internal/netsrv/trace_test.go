@@ -17,7 +17,7 @@ import (
 // full production shape — so every stage of the span lifecycle is live.
 func startTraceServer(t *testing.T, tune func(*Server)) (*Server, *Client) {
 	t.Helper()
-	w, err := wal.NewWriter(wal.Config{BatchBytes: 512, BatchDelay: time.Millisecond}, wal.NewMemLedger())
+	w, err := wal.NewWriter(wal.Config{}, wal.NewMemLedger())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/tso"
 	"repro/internal/wal"
@@ -275,7 +274,7 @@ func TestCommitBatchStress(t *testing.T) {
 // oracle and checks the recovered state answers exactly like the original.
 func TestCommitBatchWALRecovery(t *testing.T) {
 	ledger := wal.NewMemLedger()
-	w, err := wal.NewWriter(wal.DefaultConfig(), ledger)
+	w, err := wal.NewWriter(wal.Config{}, ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +379,7 @@ func (failingLedger) ReadBatch(int) ([]byte, error)   { return nil, fmt.Errorf("
 // and every later commit fails fast with the same error instead of being
 // silently aborted by leftover placeholder state.
 func TestCommitBatchLatchesTSOFailure(t *testing.T) {
-	w, err := wal.NewWriter(wal.Config{BatchBytes: 1, BatchDelay: time.Microsecond}, failingLedger{})
+	w, err := wal.NewWriter(wal.Config{}, failingLedger{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package oracle
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -25,33 +26,35 @@ type batcherItem[Q, R any] struct {
 }
 
 // Batcher is the shared accumulation loop behind every coalescing layer —
-// the netsrv server-side commit and query coalescers and the txn
-// client-side commit pipeliner: requests submitted by any number of
-// goroutines are funneled through a channel into one loop that cuts batches
-// on a max-size or max-delay trigger and hands them to the decide function
-// (typically a CommitBatch or QueryBatch). Batches are decided on their own
-// goroutines, so a batch waiting on the WAL group commit never stalls
-// accumulation of the next.
+// the netsrv server-side commit coalescer and the txn client-side commit
+// pipeliner: requests submitted by any number of goroutines are funneled
+// through a channel into one loop that hands batches to the decide function
+// (typically a CommitBatch). The loop is self-clocked: it cuts a batch when
+// it is full or when no decide is in flight, so an idle batcher decides an
+// arrival at once, a busy one parks arrivals until the decide in flight
+// returns, and the stage behind it — not a timer — sets the batch size.
+// Batches are decided on their own goroutines, so at saturation full batches
+// still run concurrently.
 type Batcher[Q, R any] struct {
 	decide   func([]Q) ([]R, error)
 	maxBatch int
-	maxDelay time.Duration
 	items    chan batcherItem[Q, R]
+	decided  chan struct{} // one signal per finished decide goroutine
 	quit     chan struct{}
 	wg       sync.WaitGroup
+	accepted atomic.Int64
 
 	mu     sync.RWMutex
 	closed bool
 }
 
-// NewBatcher starts a batcher cutting batches of up to maxBatch after at
-// most maxDelay.
-func NewBatcher[Q, R any](decide func([]Q) ([]R, error), maxBatch int, maxDelay time.Duration) *Batcher[Q, R] {
+// NewBatcher starts a batcher cutting batches of up to maxBatch.
+func NewBatcher[Q, R any](decide func([]Q) ([]R, error), maxBatch int) *Batcher[Q, R] {
 	b := &Batcher[Q, R]{
 		decide:   decide,
 		maxBatch: maxBatch,
-		maxDelay: maxDelay,
 		items:    make(chan batcherItem[Q, R], 4*maxBatch),
+		decided:  make(chan struct{}),
 		quit:     make(chan struct{}),
 	}
 	b.wg.Add(1)
@@ -116,54 +119,52 @@ func (b *Batcher[Q, R]) SubmitWaitDeadline(req Q, deadline time.Time) (R, error)
 	return o.res, o.err
 }
 
+// Accepted counts the requests the loop has taken in so far. One counted here
+// is in a cut batch or parked for the next: a test holding a decide in flight
+// waits on it instead of sleeping until its submissions have parked.
+func (b *Batcher[Q, R]) Accepted() int64 { return b.accepted.Load() }
+
 func (b *Batcher[Q, R]) loop() {
 	defer b.wg.Done()
 	var batch []batcherItem[Q, R]
-	var timer *time.Timer
-	var timeout <-chan time.Time
-	flush := func() {
-		if timer != nil {
-			timer.Stop()
-			timer = nil
-			timeout = nil
-		}
-		if len(batch) == 0 {
-			return
-		}
+	inflight := 0 // decide goroutines that have not signalled decided
+	cut := func() {
 		items := batch
 		batch = nil
+		inflight++
 		b.wg.Add(1)
 		go func() {
 			defer b.wg.Done()
 			b.run(items)
+			select {
+			case b.decided <- struct{}{}:
+			case <-b.quit:
+			}
 		}()
 	}
 	for {
 		select {
 		case item := <-b.items:
+			held := len(batch)
 			batch = append(batch, item)
-			// Drain whatever else is already queued, up to the batch
-			// cap, before arming the delay timer: under load this
-			// cuts full batches with no timer latency at all.
+			// Drain whatever else is already queued, up to the batch cap.
+		drain:
 			for len(batch) < b.maxBatch {
 				select {
 				case item := <-b.items:
 					batch = append(batch, item)
 				default:
-					goto accumulated
+					break drain
 				}
 			}
-		accumulated:
-			if len(batch) >= b.maxBatch {
-				flush()
-			} else if timer == nil {
-				timer = time.NewTimer(b.maxDelay)
-				timeout = timer.C
+			b.accepted.Add(int64(len(batch) - held))
+			if len(batch) >= b.maxBatch || inflight == 0 {
+				cut()
 			}
-		case <-timeout:
-			timer = nil
-			timeout = nil
-			flush()
+		case <-b.decided:
+			if inflight--; inflight == 0 && len(batch) > 0 {
+				cut()
+			}
 		case <-b.quit:
 			// Fail parked items, then drain the channel: Submit stops
 			// sending before quit closes, so this leaves nothing

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/tso"
 	"repro/internal/wal"
@@ -85,7 +84,7 @@ func TestChaosRecoveryNeverLosesAckedCommits(t *testing.T) {
 		rowHigh := make(map[RowID]uint64) // row -> newest acked commit ts
 
 		newIncarnation := func() (*StatusOracle, *wal.Writer) {
-			w, err := wal.NewWriter(wal.Config{BatchBytes: 64, BatchDelay: time.Millisecond}, ledger)
+			w, err := wal.NewWriter(wal.Config{}, ledger)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,7 +163,7 @@ func TestChaosRecoveryNeverLosesAckedCommits(t *testing.T) {
 // asserts replica equivalence.
 func TestRecoveryReplicaEquivalence(t *testing.T) {
 	ledgers := []*wal.MemLedger{wal.NewMemLedger(), wal.NewMemLedger(), wal.NewMemLedger()}
-	w, err := wal.NewWriter(wal.Config{BatchBytes: 64, BatchDelay: time.Millisecond, Quorum: 3},
+	w, err := wal.NewWriter(wal.Config{Quorum: 3},
 		ledgers[0], ledgers[1], ledgers[2])
 	if err != nil {
 		t.Fatal(err)

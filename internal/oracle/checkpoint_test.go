@@ -13,7 +13,7 @@ import (
 // newCheckpointTestWriter builds a fast-flushing writer over one ledger.
 func newCheckpointTestWriter(t *testing.T, l wal.Ledger) *wal.Writer {
 	t.Helper()
-	w, err := wal.NewWriter(wal.Config{BatchBytes: 512, BatchDelay: time.Millisecond}, l)
+	w, err := wal.NewWriter(wal.Config{}, l)
 	if err != nil {
 		t.Fatalf("writer: %v", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/tso"
 	"repro/internal/wal"
@@ -15,7 +14,7 @@ import (
 func durableOracle(t *testing.T, engine Engine, maxRows int) (*StatusOracle, *wal.MemLedger, *wal.Writer) {
 	t.Helper()
 	ledger := wal.NewMemLedger()
-	w, err := wal.NewWriter(wal.Config{BatchBytes: 64, BatchDelay: time.Millisecond}, ledger)
+	w, err := wal.NewWriter(wal.Config{}, ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +208,7 @@ func TestCommitRecordRoundTrip(t *testing.T) {
 
 func TestRecoverRejectsGarbage(t *testing.T) {
 	ledger := wal.NewMemLedger()
-	w, err := wal.NewWriter(wal.Config{BatchBytes: 4, BatchDelay: time.Millisecond}, ledger)
+	w, err := wal.NewWriter(wal.Config{}, ledger)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,7 +82,7 @@ type Stats struct {
 	// session cap was hit), IngressRateLimited the ones rejected by their
 	// tenant's token bucket, and IngressExpired the ones dropped because
 	// their deadline passed — at admission, while queued, or at batch-cut
-	// time inside the coalescers. Sessions is the server's current count of
+	// time inside the coalescer. Sessions is the server's current count of
 	// live multiplexed sessions, and QueueDepthP99 the 99th percentile of
 	// the admission queue depth sampled at each admit.
 	IngressAdmitted    int64

@@ -260,7 +260,7 @@ func TestPartitionPreparedBlocksOneShot(t *testing.T) {
 // commit, an unlogged prepare aborts.
 func TestPartitionInDoubtRecovery(t *testing.T) {
 	ledger := wal.NewMemLedger()
-	w, err := wal.NewWriter(wal.Config{BatchBytes: 1, Quorum: 1}, ledger)
+	w, err := wal.NewWriter(wal.Config{Quorum: 1}, ledger)
 	if err != nil {
 		t.Fatalf("writer: %v", err)
 	}
@@ -289,7 +289,7 @@ func TestPartitionInDoubtRecovery(t *testing.T) {
 	}
 
 	// Crash: recover a fresh oracle from the ledger.
-	rw, err := wal.NewWriter(wal.Config{BatchBytes: 1, Quorum: 1}, ledger)
+	rw, err := wal.NewWriter(wal.Config{Quorum: 1}, ledger)
 	if err != nil {
 		t.Fatalf("recover writer: %v", err)
 	}
@@ -343,7 +343,7 @@ func TestPartitionInDoubtRecovery(t *testing.T) {
 // recPrepare record lies before the checkpoint.
 func TestPartitionCheckpointCarriesPrepares(t *testing.T) {
 	ledger := wal.NewMemLedger()
-	w, err := wal.NewWriter(wal.Config{BatchBytes: 1, Quorum: 1}, ledger)
+	w, err := wal.NewWriter(wal.Config{Quorum: 1}, ledger)
 	if err != nil {
 		t.Fatalf("writer: %v", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/wal"
 )
@@ -89,7 +88,7 @@ func TestLast(t *testing.T) {
 
 func TestReservationsPersisted(t *testing.T) {
 	ledger := wal.NewMemLedger()
-	w, err := wal.NewWriter(wal.Config{BatchBytes: 8, BatchDelay: time.Millisecond}, ledger)
+	w, err := wal.NewWriter(wal.Config{}, ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +120,7 @@ func TestReservationsPersisted(t *testing.T) {
 
 func TestRecoverNeverReissues(t *testing.T) {
 	ledger := wal.NewMemLedger()
-	w, err := wal.NewWriter(wal.Config{BatchBytes: 8, BatchDelay: time.Millisecond}, ledger)
+	w, err := wal.NewWriter(wal.Config{}, ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +131,7 @@ func TestRecoverNeverReissues(t *testing.T) {
 	}
 	w.Flush() // crash point: reservations durable, oracle state lost
 
-	w2, err := wal.NewWriter(wal.Config{BatchBytes: 8, BatchDelay: time.Millisecond}, ledger)
+	w2, err := wal.NewWriter(wal.Config{}, ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +160,7 @@ func TestRecoverEmptyLedger(t *testing.T) {
 
 func TestRecoverSkipsForeignRecords(t *testing.T) {
 	ledger := wal.NewMemLedger()
-	w, err := wal.NewWriter(wal.Config{BatchBytes: 4, BatchDelay: time.Millisecond}, ledger)
+	w, err := wal.NewWriter(wal.Config{}, ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +206,7 @@ func TestWALFailurePropagates(t *testing.T) {
 		}
 		return nil
 	}
-	w, err := wal.NewWriter(wal.Config{BatchBytes: 4, BatchDelay: time.Millisecond}, ledger)
+	w, err := wal.NewWriter(wal.Config{}, ledger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +259,7 @@ func TestNextBlockContiguous(t *testing.T) {
 
 func TestNextBlockLargerThanReservation(t *testing.T) {
 	ledger := wal.NewMemLedger()
-	w, err := wal.NewWriter(wal.DefaultConfig(), ledger)
+	w, err := wal.NewWriter(wal.Config{}, ledger)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,9 +147,6 @@ type Config struct {
 	// commit pipeliner coalesces into one arbiter batch (default
 	// DefaultCommitBatchSize). Synchronous Commit is unaffected.
 	CommitBatchSize int
-	// CommitBatchDelay is how long the pipeliner waits for a batch to
-	// fill before cutting it (default DefaultCommitBatchDelay).
-	CommitBatchDelay time.Duration
 	// Tap, when non-nil, receives sampled transaction lifecycle events
 	// (begin/read/write/commit/abort) for the streaming anomaly checker.
 	// The sampling decision is made once per transaction at Begin; an
@@ -220,11 +217,7 @@ func (c *Client) pipeliner() *commitPipeliner {
 		if size <= 0 {
 			size = DefaultCommitBatchSize
 		}
-		delay := c.cfg.CommitBatchDelay
-		if delay <= 0 {
-			delay = DefaultCommitBatchDelay
-		}
-		c.pipe = newCommitPipeliner(c.so, size, delay)
+		c.pipe = newCommitPipeliner(c.so, size)
 	}
 	return c.pipe
 }

@@ -2,7 +2,6 @@ package txn
 
 import (
 	"errors"
-	"time"
 
 	"repro/internal/oracle"
 )
@@ -15,11 +14,9 @@ type BatchArbiter interface {
 	CommitBatch([]oracle.CommitRequest) ([]oracle.CommitResult, error)
 }
 
-// Pipeliner defaults, used when Config leaves the knobs zero.
-const (
-	DefaultCommitBatchSize  = 64
-	DefaultCommitBatchDelay = 200 * time.Microsecond
-)
+// DefaultCommitBatchSize caps a pipeliner batch when Config leaves
+// CommitBatchSize zero.
+const DefaultCommitBatchSize = 64
 
 // ErrClientClosed reports a commit submitted after Client.Close.
 var ErrClientClosed = errors.New("txn: client closed")
@@ -42,7 +39,7 @@ type commitPipeliner struct {
 	b *oracle.Batcher[oracle.CommitRequest, oracle.CommitResult]
 }
 
-func newCommitPipeliner(arb Arbiter, maxBatch int, maxDelay time.Duration) *commitPipeliner {
+func newCommitPipeliner(arb Arbiter, maxBatch int) *commitPipeliner {
 	decide := func(reqs []oracle.CommitRequest) ([]oracle.CommitResult, error) {
 		if ba, ok := arb.(BatchArbiter); ok {
 			return ba.CommitBatch(reqs)
@@ -57,7 +54,7 @@ func newCommitPipeliner(arb Arbiter, maxBatch int, maxDelay time.Duration) *comm
 		}
 		return results, nil
 	}
-	return &commitPipeliner{b: oracle.NewBatcher(decide, maxBatch, maxDelay)}
+	return &commitPipeliner{b: oracle.NewBatcher(decide, maxBatch)}
 }
 
 // submit parks one commit; done is invoked exactly once, from a pipeliner

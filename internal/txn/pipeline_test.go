@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/kvstore"
 	"repro/internal/oracle"
@@ -69,8 +68,7 @@ func TestCommitAsyncPipelinesManyCommits(t *testing.T) {
 	}
 	store := kvstore.New(kvstore.Config{})
 	c, err := NewClient(store, so, Config{
-		CommitBatchSize:  16,
-		CommitBatchDelay: time.Millisecond,
+		CommitBatchSize: 16,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,12 +4,11 @@ import (
 	"errors"
 	"path/filepath"
 	"testing"
-	"time"
 )
 
 func sealTestWriter(t *testing.T, ledgers ...Ledger) *Writer {
 	t.Helper()
-	w, err := NewWriter(Config{BatchBytes: 64, BatchDelay: time.Millisecond}, ledgers...)
+	w, err := NewWriter(Config{}, ledgers...)
 	if err != nil {
 		t.Fatalf("writer: %v", err)
 	}

@@ -2,9 +2,10 @@
 // status oracle persists its commit decisions into. It stands in for Apache
 // BookKeeper (paper, Appendix A): every state change of the status oracle is
 // appended to a log replicated across multiple remote storage devices, and
-// appends are group-committed — a batch is flushed when it reaches
-// BatchBytes (paper: 1 KB) or when BatchDelay elapses since the last
-// trigger (paper: 5 ms), whichever comes first.
+// appends are group-committed. The paper cut a batch at 1 KB or after 5 ms,
+// whichever came first; this writer cuts one the moment the previous append
+// has been answered (at once when idle), so the busy log is the batch timer
+// and there is nothing to tune.
 package wal
 
 import (
@@ -101,64 +102,68 @@ func SealEpoch(l Ledger, epoch uint64) error {
 	return Seal(l)
 }
 
-// Config parameterizes the batching and replication policy.
+// Config parameterizes replication. Batching has no parameters: the writer
+// is self-clocked (see Writer).
 type Config struct {
-	// BatchBytes triggers a flush once this many payload bytes are
-	// buffered. Paper value: 1024.
-	BatchBytes int
-	// BatchDelay triggers a flush this long after the first entry of a
-	// batch arrives. Paper value: 5ms.
-	BatchDelay time.Duration
 	// Quorum is the number of ledgers that must acknowledge a batch
 	// before its entries are considered durable. Zero means all.
 	Quorum int
+	// Deprecated: ignored, no size cuts a batch; only benchmark/ still sets it.
+	BatchBytes int
+	// Deprecated: ignored, no timer cuts a batch; only benchmark/ still sets it.
+	BatchDelay time.Duration
 }
 
-// DefaultConfig returns the paper's batching parameters.
-func DefaultConfig() Config {
-	return Config{BatchBytes: 1024, BatchDelay: 5 * time.Millisecond}
-}
-
-// pendingWaiter is one Append/AppendAll call parked on a batch; its done
-// channel receives exactly one value when the batch's fate is known.
+// pendingWaiter is one Append/AppendAll/Flush/Close call parked on a batch;
+// its done channel receives exactly one value when the batch's fate is
+// known. A barrier waiter (Flush, Close) carries no entries and is released
+// only once every replica has answered, not at quorum.
 type pendingWaiter struct {
-	done chan error
+	done    chan error
+	barrier bool
 }
+
+// donePool recycles the waiter channels of the blocking calls, which drain
+// their channel before returning it.
+var donePool = sync.Pool{New: func() interface{} { return make(chan error, 1) }}
 
 // Writer batches entries and replicates each batch to a set of ledgers.
-// Append blocks until the entry is durable on a quorum of ledgers, so the
-// caller observes the same group-commit latency profile as the paper's
-// status oracle did with BookKeeper.
+// Append blocks until the entry is durable on a quorum of ledgers.
+//
+// Group commit is self-clocked: the appender that finds the writer idle
+// starts the flusher, which takes everything buffered, replicates it, and
+// takes again until it finds nothing — so a batch is exactly what arrived
+// while the previous one was in flight, an idle writer flushes at once, and
+// there is no timer, no size trigger and no resident goroutine. One flusher
+// at a time makes cut order = ledger order structural.
 //
 // Entries are framed (length + CRC) directly into the accumulating batch
-// buffer at enqueue time — the framing IS the copy, so there is no separate
-// per-entry allocation and no re-encode at flush time. Batch buffers and
-// waiter slices cycle through small free lists, so a steady append rate
-// runs the whole group-commit pipeline with zero allocation.
+// buffer at enqueue time — the framing IS the copy. The two batch buffers
+// and waiter slices alternate between accumulating and in flight, the
+// blocking calls' waiter channels are pooled and the per-replica append
+// closures are built once, so a steady rate of Append/AppendAll/Flush runs
+// the whole pipeline with zero allocation. AppendAsync allocates the one
+// channel it hands to its caller.
 type Writer struct {
 	cfg     Config
 	ledgers []Ledger
 
-	mu      sync.Mutex
-	buf     []byte // framed entries of the accumulating batch
-	waiters []pendingWaiter
-	timer   *time.Timer
-	closed  bool
-	fenced  bool // a flush observed ErrSealed; every later append fails fast
+	mu       sync.Mutex
+	buf      []byte // framed entries of the accumulating batch
+	waiters  []pendingWaiter
+	flushing bool // a flushLoop goroutine is running; set and cleared under mu
+	closed   bool
+	fenced   bool // a flush observed ErrSealed; every later append fails fast
 
-	// Free lists recycling flushed batch buffers and waiter slices.
-	freeBufs    [][]byte
-	freeWaiters [][]pendingWaiter
+	// The buffers of the last flushed batch, swapped in at the next take.
+	spareBuf     []byte
+	spareWaiters []pendingWaiter
 
-	// flushMu serializes flushes; the ticket pair orders them. Each
-	// takeLocked draws nextTicket under w.mu (take order = cut order) and
-	// flush blocks until serveTicket reaches its ticket, so batches land
-	// in the ledgers in exactly the order they were cut even though
-	// size-triggered flushes run in freshly spawned goroutines.
-	flushMu     sync.Mutex
-	flushCond   *sync.Cond
-	nextTicket  uint64
-	serveTicket uint64
+	// Flusher-only state: the batch in flight, one append closure per
+	// ledger reading it, and the channel their results come back on.
+	inflight  []byte
+	replicate []func()
+	errs      chan error
 
 	// Lifetime counters feeding MetricsSource.
 	entriesAppended atomic.Int64
@@ -180,51 +185,22 @@ func NewWriter(cfg Config, ledgers ...Ledger) (*Writer, error) {
 	if len(ledgers) == 0 {
 		return nil, errors.New("wal: need at least one ledger")
 	}
-	if cfg.BatchBytes <= 0 {
-		cfg.BatchBytes = 1024
-	}
-	if cfg.BatchDelay <= 0 {
-		cfg.BatchDelay = 5 * time.Millisecond
-	}
 	if cfg.Quorum <= 0 || cfg.Quorum > len(ledgers) {
 		cfg.Quorum = len(ledgers)
 	}
-	w := &Writer{cfg: cfg, ledgers: ledgers}
-	w.flushCond = sync.NewCond(&w.flushMu)
+	w := &Writer{cfg: cfg, ledgers: ledgers, errs: make(chan error, len(ledgers))}
+	for _, l := range ledgers {
+		w.replicate = append(w.replicate, func() {
+			_, err := l.AppendBatch(w.inflight)
+			w.errs <- err
+		})
+	}
 	return w, nil
 }
 
 // Append stores one entry and blocks until it is durable on a quorum of
 // ledgers (or the writer fails).
-func (w *Writer) Append(entry []byte) error {
-	done, err := w.AppendAsync(entry)
-	if err != nil {
-		return err
-	}
-	return <-done
-}
-
-// appendFramedLocked frames one entry (length + CRC + payload) into the
-// accumulating batch buffer. Caller holds w.mu.
-func (w *Writer) appendFramedLocked(entry []byte) {
-	w.buf = appendEntryFrame(w.buf, entry)
-	w.entriesAppended.Add(1)
-}
-
-// maybeFlushLocked cuts the batch if it reached BatchBytes, else arms the
-// delay timer. Caller holds w.mu, which is released either way.
-func (w *Writer) maybeFlushLocked() {
-	if len(w.buf) >= w.cfg.BatchBytes {
-		batch, waiters, ticket := w.takeLocked()
-		w.mu.Unlock()
-		go w.flush(batch, waiters, ticket)
-		return
-	}
-	if w.timer == nil {
-		w.timer = time.AfterFunc(w.cfg.BatchDelay, w.flushTimer)
-	}
-	w.mu.Unlock()
-}
+func (w *Writer) Append(entry []byte) error { return w.AppendAll(entry) }
 
 // AppendAsync enqueues one entry and returns a channel that reports its
 // durability. The channel receives exactly one value. The entry is framed
@@ -232,93 +208,80 @@ func (w *Writer) maybeFlushLocked() {
 // its buffer immediately.
 func (w *Writer) AppendAsync(entry []byte) (<-chan error, error) {
 	done := make(chan error, 1)
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil, ErrClosed
+	if err := w.enqueue(done, entry); err != nil {
+		return nil, err
 	}
-	if w.fenced {
-		w.mu.Unlock()
-		return nil, ErrFenced
-	}
-	w.appendFramedLocked(entry)
-	w.waiters = append(w.waiters, pendingWaiter{done: done})
-	w.maybeFlushLocked()
 	return done, nil
 }
 
-// AppendAll enqueues a group of entries under a single lock acquisition —
-// one batching decision for the whole group instead of one per entry — and
-// blocks until every entry is durable on a quorum of ledgers. The status
-// oracle's batched commit path uses it to persist a commit batch and its
-// accompanying abort records as one group commit. The entries are framed
-// in place into the batch buffer before the call blocks, so the caller's
-// buffers (typically pooled record scratch) are reusable on return.
+// AppendAll enqueues a group of entries under a single lock acquisition and
+// blocks until every entry is durable on a quorum of ledgers; the group
+// never straddles two batches. The status oracle's batched commit path uses
+// it to persist a commit batch and its accompanying abort records as one
+// group commit. The entries are framed in place into the batch buffer
+// before the call blocks, so the caller's buffers (typically pooled record
+// scratch) are reusable on return.
 func (w *Writer) AppendAll(entries ...[]byte) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	done := make(chan error, 1)
+	done := donePool.Get().(chan error)
+	err := w.enqueue(done, entries...)
+	if err == nil {
+		err = <-done
+	}
+	donePool.Put(done)
+	return err
+}
+
+// enqueue frames the entries into the accumulating batch and parks done on
+// it.
+func (w *Writer) enqueue(done chan error, entries ...[]byte) error {
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return ErrClosed
 	}
 	if w.fenced {
-		w.mu.Unlock()
 		return ErrFenced
 	}
 	for _, entry := range entries {
-		w.appendFramedLocked(entry)
+		w.buf = appendEntryFrame(w.buf, entry)
 	}
-	w.waiters = append(w.waiters, pendingWaiter{done: done})
-	w.maybeFlushLocked()
-	return <-done
+	w.entriesAppended.Add(int64(len(entries)))
+	w.parkLocked(pendingWaiter{done: done})
+	return nil
 }
 
-// flushTimer fires when BatchDelay elapses.
-func (w *Writer) flushTimer() {
+// parkLocked adds a waiter to the accumulating batch and, if the writer is
+// idle, starts the flusher. Caller holds w.mu.
+func (w *Writer) parkLocked(pw pendingWaiter) {
+	w.waiters = append(w.waiters, pw)
+	if !w.flushing {
+		w.flushing = true
+		go w.flushLoop()
+	}
+}
+
+// flushLoop is the flusher: it takes everything buffered, flushes it, and
+// takes again. It exits only when it finds no waiters, clearing flushing
+// under the same w.mu hold, so no appender can park unseen.
+func (w *Writer) flushLoop() {
+	const maxRetained = 1 << 20 // larger batch buffers go to the GC
 	w.mu.Lock()
-	batch, waiters, ticket := w.takeLocked()
-	w.mu.Unlock()
-	w.flush(batch, waiters, ticket)
-}
-
-// takeLocked removes and returns the accumulated batch and its flush
-// ticket, installing recycled buffers for the next one. Caller holds w.mu.
-// Every take MUST be followed by a flush call, even when empty — the
-// ticket must be consumed for later flushes to proceed.
-func (w *Writer) takeLocked() ([]byte, []pendingWaiter, uint64) {
-	batch, waiters := w.buf, w.waiters
-	w.buf, w.waiters = nil, nil
-	if n := len(w.freeBufs); n > 0 {
-		w.buf = w.freeBufs[n-1]
-		w.freeBufs = w.freeBufs[:n-1]
+	for len(w.waiters) > 0 {
+		batch, waiters, fenced := w.buf, w.waiters, w.fenced
+		w.buf, w.waiters = w.spareBuf[:0], w.spareWaiters[:0]
+		w.mu.Unlock()
+		sealed := w.flush(batch, waiters, fenced)
+		w.mu.Lock()
+		w.fenced = w.fenced || sealed
+		w.spareBuf, w.spareWaiters = batch, waiters
+		if cap(batch) > maxRetained {
+			w.spareBuf = nil
+		}
 	}
-	if n := len(w.freeWaiters); n > 0 {
-		w.waiters = w.freeWaiters[n-1]
-		w.freeWaiters = w.freeWaiters[:n-1]
-	}
-	if w.timer != nil {
-		w.timer.Stop()
-		w.timer = nil
-	}
-	ticket := w.nextTicket
-	w.nextTicket++
-	return batch, waiters, ticket
-}
-
-// recycle returns a flushed batch buffer and waiter slice to the free
-// lists. Oversized buffers and surplus list entries go to the GC.
-func (w *Writer) recycle(batch []byte, waiters []pendingWaiter) {
-	const maxRetained = 1 << 20
-	w.mu.Lock()
-	if len(w.freeBufs) < 4 && cap(batch) <= maxRetained {
-		w.freeBufs = append(w.freeBufs, batch[:0])
-	}
-	if len(w.freeWaiters) < 4 {
-		w.freeWaiters = append(w.freeWaiters, waiters[:0])
-	}
+	w.flushing = false
 	w.mu.Unlock()
 }
 
@@ -358,92 +321,72 @@ func DecodeBatch(batch []byte) ([][]byte, error) {
 	return entries, nil
 }
 
-// flush replicates one pre-framed batch to all ledgers and acknowledges
-// the waiters once a quorum has accepted it. Flushes are admitted in
-// ticket (= cut) order, so a size-triggered flush goroutine scheduled
-// late can never let a later batch overtake it into the ledgers.
-func (w *Writer) flush(batch []byte, waiters []pendingWaiter, ticket uint64) {
-	// Taken even for an empty batch: Flush/Close must block until any
-	// in-flight flush has fully replicated before claiming the log is
-	// synced, and the ticket must advance regardless.
-	w.flushMu.Lock()
-	for w.serveTicket != ticket {
-		w.flushCond.Wait()
-	}
-	defer func() {
-		w.serveTicket++
-		w.flushCond.Broadcast()
-		w.flushMu.Unlock()
-	}()
-	if len(batch) == 0 && len(waiters) == 0 {
-		return
-	}
-	w.batchesFlushed.Add(1)
-	w.bytesFlushed.Add(int64(len(batch)))
-
-	errs := make(chan error, len(w.ledgers))
-	for _, l := range w.ledgers {
-		go func(l Ledger) {
-			_, err := l.AppendBatch(batch)
-			errs <- err
-		}(l)
-	}
-	// Callers are acknowledged as soon as the quorum decides, but the
-	// flush holds flushMu until every replica has responded: a straggler
-	// append racing into the next batch would reorder that ledger's
-	// batches (breaking Replay), and Flush/Close must be true barriers so
-	// recovery never reads a ledger with an append still in flight.
-	acks, fails := 0, 0
-	var firstErr error
-	sealed := false
-	need := w.cfg.Quorum
+// flush replicates one pre-framed batch to all ledgers, acknowledges the
+// appenders once a quorum has accepted it and the barrier waiters once
+// every replica has answered, and reports whether any replica was sealed.
+// It returns only then: a straggler append racing into the next batch would
+// reorder that ledger's batches (breaking Replay), and Flush/Close must be
+// true barriers so recovery never reads a ledger with an append in flight.
+// A batch cut after the writer latched fenced fails without touching the
+// ledgers; one holding only barriers has nothing to replicate.
+func (w *Writer) flush(batch []byte, waiters []pendingWaiter, fenced bool) (sealed bool) {
 	acked := false
-	ack := func() {
-		var result error
-		if acks < need {
-			w.quorumFailures.Add(1)
-			// A seal on any replica means a successor has fenced the
-			// log; report it as such so the oracle can latch rather
-			// than treat it as a transient quorum loss.
-			if sealed {
-				result = fmt.Errorf("%w: %d/%d acks", ErrFenced, acks, need)
-			} else {
-				result = fmt.Errorf("%w: %d/%d acks: %v", ErrQuorumFailed, acks, need, firstErr)
-			}
-		}
+	ack := func(result error) {
 		for _, pw := range waiters {
-			pw.done <- result
+			if !pw.barrier {
+				pw.done <- result
+			}
 		}
 		acked = true
 	}
-	for i := 0; i < len(w.ledgers); i++ {
-		err := <-errs
-		if err == nil {
-			acks++
-		} else {
-			fails++
-			if errors.Is(err, ErrSealed) {
-				sealed = true
+	switch {
+	case fenced:
+		ack(ErrFenced)
+	case len(batch) > 0:
+		w.batchesFlushed.Add(1)
+		w.bytesFlushed.Add(int64(len(batch)))
+		w.inflight = batch
+		for _, appendTo := range w.replicate {
+			go appendTo()
+		}
+		acks, fails, need := 0, 0, w.cfg.Quorum
+		var firstErr error
+		for range w.ledgers {
+			err := <-w.errs
+			if err == nil {
+				acks++
+			} else {
+				fails++
+				sealed = sealed || errors.Is(err, ErrSealed)
+				if firstErr == nil {
+					firstErr = err
+				}
 			}
-			if firstErr == nil {
-				firstErr = err
+			if acked {
+				continue
+			}
+			switch {
+			case acks >= need:
+				ack(nil)
+			case fails <= len(w.ledgers)-need: // quorum still undecided
+			case sealed:
+				// A seal on any replica means a successor has fenced the
+				// log; report it as such so the oracle can latch rather
+				// than treat it as a transient quorum loss.
+				w.quorumFailures.Add(1)
+				ack(fmt.Errorf("%w: %d/%d acks", ErrFenced, acks, need))
+			default:
+				w.quorumFailures.Add(1)
+				ack(fmt.Errorf("%w: %d/%d acks: %v", ErrQuorumFailed, acks, need, firstErr))
 			}
 		}
-		if !acked && (acks >= need || fails > len(w.ledgers)-need) {
-			ack()
+	}
+	for _, pw := range waiters {
+		if pw.barrier {
+			pw.done <- nil
 		}
 	}
-	if !acked {
-		ack()
-	}
-	if sealed {
-		w.mu.Lock()
-		w.fenced = true
-		w.mu.Unlock()
-	}
-	// Every replica has responded and every waiter is acknowledged: the
-	// batch buffer and waiter slice can serve the next batch.
-	w.recycle(batch, waiters)
+	return sealed
 }
 
 // MetricsSource adapts the writer's group-commit counters to the metrics
@@ -461,26 +404,24 @@ func (w *Writer) MetricsSource() metrics.Source {
 	}
 }
 
-// Flush forces out any buffered entries and waits for them.
-func (w *Writer) Flush() {
-	w.mu.Lock()
-	batch, waiters, ticket := w.takeLocked()
-	w.mu.Unlock()
-	w.flush(batch, waiters, ticket)
-}
+// Flush waits until everything buffered or in flight has been answered by
+// every replica. It rides the flusher as a barrier waiter.
+func (w *Writer) Flush() { w.barrier(false) }
 
 // Close flushes buffered entries and marks the writer closed.
 func (w *Writer) Close() error {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return nil
-	}
-	w.closed = true
-	batch, waiters, ticket := w.takeLocked()
-	w.mu.Unlock()
-	w.flush(batch, waiters, ticket)
+	w.barrier(true)
 	return nil
+}
+
+func (w *Writer) barrier(closing bool) {
+	done := donePool.Get().(chan error)
+	w.mu.Lock()
+	w.closed = w.closed || closing
+	w.parkLocked(pendingWaiter{done: done, barrier: true})
+	w.mu.Unlock()
+	<-done
+	donePool.Put(done)
 }
 
 // Replay feeds every entry stored in the ledger, in append order, to fn.

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func newTestWriter(t *testing.T, cfg Config, n int) (*Writer, []*MemLedger) {
@@ -27,7 +26,7 @@ func newTestWriter(t *testing.T, cfg Config, n int) (*Writer, []*MemLedger) {
 }
 
 func TestAppendAndReplay(t *testing.T) {
-	w, ledgers := newTestWriter(t, Config{BatchBytes: 64, BatchDelay: time.Millisecond}, 3)
+	w, ledgers := newTestWriter(t, Config{}, 3)
 	var want [][]byte
 	for i := 0; i < 20; i++ {
 		e := []byte(fmt.Sprintf("entry-%02d", i))
@@ -57,49 +56,10 @@ func TestAppendAndReplay(t *testing.T) {
 	}
 }
 
-func TestBatchingBySize(t *testing.T) {
-	// With a huge delay, only the size trigger can flush.
-	w, ledgers := newTestWriter(t, Config{BatchBytes: 100, BatchDelay: time.Hour}, 1)
-	entry := make([]byte, 40) // 48 bytes framed; 3rd entry crosses 100
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := w.Append(entry); err != nil {
-				t.Errorf("append: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-	n, _ := ledgers[0].NumBatches()
-	if n != 1 {
-		t.Fatalf("expected one size-triggered batch, got %d", n)
-	}
-	w.Close()
-}
-
-func TestBatchingByTime(t *testing.T) {
-	w, ledgers := newTestWriter(t, Config{BatchBytes: 1 << 20, BatchDelay: 5 * time.Millisecond}, 1)
-	start := time.Now()
-	if err := w.Append([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Fatalf("time-triggered flush took %v", elapsed)
-	}
-	n, _ := ledgers[0].NumBatches()
-	if n != 1 {
-		t.Fatalf("batches = %d, want 1", n)
-	}
-	w.Close()
-}
-
 func TestQuorumToleratesMinorityFailure(t *testing.T) {
 	ledgers := []*MemLedger{NewMemLedger(), NewMemLedger(), NewMemLedger()}
 	ledgers[2].FailAppend = func() error { return errors.New("bookie down") }
-	w, err := NewWriter(Config{BatchBytes: 8, Quorum: 2},
-		ledgers[0], ledgers[1], ledgers[2])
+	w, err := NewWriter(Config{Quorum: 2}, ledgers[0], ledgers[1], ledgers[2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +74,7 @@ func TestQuorumFailure(t *testing.T) {
 	boom := func() error { return errors.New("bookie down") }
 	ledgers[1].FailAppend = boom
 	ledgers[2].FailAppend = boom
-	w, err := NewWriter(Config{BatchBytes: 8, Quorum: 2},
-		ledgers[0], ledgers[1], ledgers[2])
+	w, err := NewWriter(Config{Quorum: 2}, ledgers[0], ledgers[1], ledgers[2])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +93,7 @@ func TestAppendAfterClose(t *testing.T) {
 }
 
 func TestCloseFlushesPending(t *testing.T) {
-	w, ledgers := newTestWriter(t, Config{BatchBytes: 1 << 20, BatchDelay: time.Hour}, 1)
+	w, ledgers := newTestWriter(t, Config{}, 1)
 	done, err := w.AppendAsync([]byte("pending"))
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +109,7 @@ func TestCloseFlushesPending(t *testing.T) {
 }
 
 func TestDecodeBatchDetectsCorruption(t *testing.T) {
-	w, ledgers := newTestWriter(t, Config{BatchBytes: 8}, 1)
+	w, ledgers := newTestWriter(t, Config{}, 1)
 	if err := w.Append([]byte("precious")); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +158,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestConcurrentAppends(t *testing.T) {
-	w, ledgers := newTestWriter(t, Config{BatchBytes: 256, BatchDelay: time.Millisecond}, 3)
+	w, ledgers := newTestWriter(t, Config{}, 3)
 	const writers, per = 8, 50
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {
@@ -224,24 +183,6 @@ func TestConcurrentAppends(t *testing.T) {
 	if count != writers*per {
 		t.Fatalf("replayed %d entries, want %d", count, writers*per)
 	}
-}
-
-func TestQuorumOneAcksOnFirstReplica(t *testing.T) {
-	fast := NewMemLedger()
-	slow := NewMemLedger()
-	slow.Latency = 100 * time.Millisecond
-	w, err := NewWriter(Config{BatchBytes: 8, Quorum: 1}, fast, slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if err := w.Append([]byte("quick")); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > 80*time.Millisecond {
-		t.Fatalf("quorum-1 append waited for the slow replica: %v", elapsed)
-	}
-	w.Close()
 }
 
 func TestFlushEmptyPending(t *testing.T) {
@@ -337,44 +278,8 @@ func TestDiscardLedger(t *testing.T) {
 	}
 }
 
-func TestThroughputWithBatching(t *testing.T) {
-	// Appendix A: with batching, a slow ledger (5ms/write) must sustain
-	// far more than 200 entries/sec. Sanity-check the group commit: 200
-	// entries against a 2ms-latency ledger should take ~ tens of
-	// batches, not 200 round trips.
-	l := NewMemLedger()
-	l.Latency = 2 * time.Millisecond
-	w, err := NewWriter(Config{BatchBytes: 1024, BatchDelay: 5 * time.Millisecond}, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	const n = 200
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			entry := make([]byte, 100)
-			if err := w.Append(entry); err != nil {
-				t.Errorf("append: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	w.Close()
-	if elapsed > n*2*time.Millisecond/4 {
-		t.Fatalf("batching ineffective: %d appends took %v", n, elapsed)
-	}
-	batches, _ := l.NumBatches()
-	if batches >= n {
-		t.Fatalf("no batching happened: %d batches for %d entries", batches, n)
-	}
-}
-
 func TestAppendAllGroupDurable(t *testing.T) {
-	w, ledgers := newTestWriter(t, Config{BatchBytes: 1 << 20, BatchDelay: time.Millisecond}, 3)
+	w, ledgers := newTestWriter(t, Config{}, 3)
 	defer w.Close()
 	var want [][]byte
 	for i := 0; i < 5; i++ {
@@ -401,33 +306,12 @@ func TestAppendAllGroupDurable(t *testing.T) {
 }
 
 func TestAppendAllEmptyAndClosed(t *testing.T) {
-	w, _ := newTestWriter(t, DefaultConfig(), 1)
+	w, _ := newTestWriter(t, Config{}, 1)
 	if err := w.AppendAll(); err != nil {
 		t.Fatalf("empty AppendAll: %v", err)
 	}
 	w.Close()
 	if err := w.AppendAll([]byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("AppendAll after close = %v, want ErrClosed", err)
-	}
-}
-
-func TestAppendAllSizeTrigger(t *testing.T) {
-	// A group whose combined size crosses BatchBytes must flush without
-	// waiting for the delay timer.
-	w, ledgers := newTestWriter(t, Config{BatchBytes: 64, BatchDelay: time.Hour}, 1)
-	defer w.Close()
-	entries := [][]byte{make([]byte, 40), make([]byte, 40)}
-	done := make(chan error, 1)
-	go func() { done <- w.AppendAll(entries...) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("AppendAll did not flush on the size trigger")
-	}
-	if n, _ := ledgers[0].NumBatches(); n != 1 {
-		t.Fatalf("got %d batches, want 1", n)
 	}
 }
