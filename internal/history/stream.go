@@ -284,9 +284,9 @@ type Streaming struct {
 	tap        *Tap // set by Run, for exposition only
 	txns       map[uint64]*streamTxn
 	items      map[uint64]*streamItem
-	byCommit   map[uint64]uint64     // commit ts -> start ts
+	byCommit   map[uint64]uint64      // commit ts -> start ts
 	pendingObs map[uint64][][2]uint64 // pending writer start -> (reader, item)
-	rw         map[[2]uint64]int     // anti-dependency edge refcounts
+	rw         map[[2]uint64]int      // anti-dependency edge refcounts
 	skewPairs  map[[2]uint64]struct{}
 	counts     StreamCounts
 	maxCommit  uint64

@@ -3,10 +3,10 @@ package kvstore
 // MVCC garbage collection. A multi-version store grows without bound
 // unless versions that no possible snapshot can observe are pruned (§2's
 // multi-version substrate [6]). Visibility is decided by *commit*
-// timestamps, which the store does not know — versions are tagged with
-// their writers' start timestamps — so collection takes a Resolver
-// callback (the transaction layer supplies one backed by the status
-// oracle; see txn.Client.GC).
+// timestamps, which the store knows only for versions somebody has stamped
+// (StampCommits); for the rest collection takes a Resolver callback (the
+// transaction layer supplies one backed by the status oracle; see
+// txn.Client.GC).
 //
 // Given a low-water mark — the oldest start timestamp any live or future
 // transaction can hold — a version is reclaimable if it is aborted, or if
@@ -29,7 +29,8 @@ const (
 )
 
 // Resolver reports the commit status of the version of key written at
-// writeTS.
+// writeTS. The collector calls it for unstamped versions only, while holding
+// the region's write lock: a Resolver must not call into the store.
 type Resolver func(key string, writeTS uint64) (commitTS uint64, status GCStatus)
 
 // CompactBefore prunes versions unobservable by any snapshot at or above
@@ -45,39 +46,43 @@ func (s *Store) CompactBefore(lowWater uint64, resolve Resolver) int {
 	return removed
 }
 
-// compactBefore prunes one region.
+// compactBefore prunes one region. Stamps are read off the row; only
+// unstamped versions cost a resolver call, and a committed answer is stamped
+// on the spot (the write lock is already held), so a row nobody reads is
+// asked about once, not once per pass. Nothing is allocated.
 func (r *Region) compactBefore(lowWater uint64, resolve Resolver) int {
-	// Resolve outside the region lock would be nicer for long oracle
-	// round trips, but correctness is simpler under the lock and our
-	// resolvers are in-memory.
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	removed := 0
 	for key, rw := range r.rows {
-		type verdict struct {
-			commitTS uint64
-			status   GCStatus
+		if len(rw.versions) == 1 && rw.versions[0].CommitTS != 0 {
+			continue // settled and alone: nothing to learn, nothing to drop
 		}
-		verdicts := make([]verdict, len(rw.versions))
-		// The retained snapshot version: largest commit timestamp
-		// below the mark.
+		// First pass: learn what is not stamped yet, drop the aborted, and
+		// find the retained snapshot version — the largest commit
+		// timestamp below the mark.
 		var bestTC uint64
-		for i, v := range rw.versions {
-			tc, st := resolve(key, v.TS)
-			verdicts[i] = verdict{commitTS: tc, status: st}
-			if st == GCCommitted && tc < lowWater && tc > bestTC {
+		kept := rw.versions[:0]
+		for _, v := range rw.versions {
+			if v.CommitTS == 0 {
+				tc, st := resolve(key, v.TS)
+				if st == GCAborted {
+					removed++
+					continue
+				}
+				if st == GCCommitted {
+					v.CommitTS = tc
+				}
+			}
+			if tc := v.CommitTS; tc != 0 && tc < lowWater && tc > bestTC {
 				bestTC = tc
 			}
+			kept = append(kept, v)
 		}
-		kept := rw.versions[:0]
-		for i, v := range rw.versions {
-			vd := verdicts[i]
-			drop := vd.status == GCAborted ||
-				(vd.status == GCCommitted && vd.commitTS < bestTC)
-			if drop {
-				if rw.shadow != nil {
-					delete(rw.shadow, v.TS)
-				}
+		// Second pass: every committed version it supersedes goes.
+		rw.versions, kept = kept, kept[:0]
+		for _, v := range rw.versions {
+			if v.CommitTS != 0 && v.CommitTS < bestTC {
 				removed++
 				continue
 			}

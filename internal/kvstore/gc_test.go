@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -60,20 +61,99 @@ func TestCompactBeforeKeepsPending(t *testing.T) {
 	}
 }
 
-func TestCompactBeforeRemovesShadow(t *testing.T) {
+// TestGCReadsStampsNotResolver: over a fully stamped store the collector
+// never calls the resolver, and a settled single-version row is left alone.
+func TestGCReadsStampsNotResolver(t *testing.T) {
 	s := New(Config{})
 	s.Put("k", 10, []byte("old"))
-	s.PutShadow("k", 10, 11)
 	s.Put("k", 20, []byte("new"))
-	s.PutShadow("k", 20, 21)
-	if n := s.CompactBefore(100, alwaysCommitted); n != 1 {
+	s.Put("single", 10, []byte("only"))
+	s.StampCommits([]Stamp{{"k", 10, 11}, {"k", 20, 21}, {"single", 10, 11}})
+	resolve := func(key string, ts uint64) (uint64, GCStatus) {
+		t.Errorf("resolver called for stamped version %s@%d", key, ts)
+		return 0, GCPending
+	}
+	if n := s.CompactBefore(100, resolve); n != 1 {
 		t.Fatalf("removed %d, want 1", n)
 	}
-	if _, ok := s.GetShadow("k", 10); ok {
-		t.Fatal("shadow of pruned version survived")
+	if _, err := s.GetVersion("k", 10); err == nil {
+		t.Fatal("superseded version survived")
 	}
-	if _, ok := s.GetShadow("k", 20); !ok {
-		t.Fatal("shadow of retained version pruned")
+	if commitTSOf(s, "k", 20) != 21 || commitTSOf(s, "single", 10) != 11 {
+		t.Fatal("retained versions lost their stamps")
+	}
+}
+
+// TestGCStampedMatchesResolverOnly runs the collector over the same random
+// chains three ways — nothing stamped (every verdict from the resolver, the
+// only road there used to be), every committed version stamped, and a random
+// half stamped — and requires the same survivors each time. Chains include
+// History-4 shapes (commit order differing from write order), aborted
+// garbage and pending writers, on both sides of the mark.
+func TestGCStampedMatchesResolverOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	type fate struct {
+		commitTS uint64
+		status   GCStatus
+	}
+	for round := 0; round < 50; round++ {
+		fates := map[string]map[uint64]fate{}
+		for k := 0; k < 20; k++ {
+			key := fmt.Sprintf("k%02d", k)
+			fates[key] = map[uint64]fate{}
+			for n := rng.Intn(7); n >= 0; n-- {
+				ts := uint64(1 + rng.Intn(200))
+				switch rng.Intn(6) {
+				case 0:
+					fates[key][ts] = fate{0, GCAborted}
+				case 1:
+					fates[key][ts] = fate{0, GCPending}
+				default:
+					fates[key][ts] = fate{ts + 1 + uint64(rng.Intn(60)), GCCommitted}
+				}
+			}
+		}
+		lowWater := uint64(rng.Intn(260))
+		build := func(stampOneIn int) (*Store, Resolver) {
+			s := New(Config{Servers: 2, SplitKeys: []string{"k10"}})
+			stamped := map[string]bool{}
+			var stamps []Stamp
+			for key, chain := range fates {
+				for ts, f := range chain {
+					s.Put(key, ts, []byte{byte(ts)})
+					if f.status == GCCommitted && stampOneIn > 0 && rng.Intn(stampOneIn) == 0 {
+						stamps = append(stamps, Stamp{key, ts, f.commitTS})
+						stamped[fmt.Sprint(key, ts)] = true
+					}
+				}
+			}
+			s.StampCommits(stamps)
+			return s, func(key string, ts uint64) (uint64, GCStatus) {
+				if stamped[fmt.Sprint(key, ts)] {
+					t.Errorf("resolver called for stamped version %s@%d", key, ts)
+				}
+				f := fates[key][ts]
+				return f.commitTS, f.status
+			}
+		}
+		survivors := func(s *Store) string {
+			var out []string
+			for _, row := range s.Scan("", "", ^uint64(0), 0, 0) {
+				for _, v := range row.Versions {
+					out = append(out, fmt.Sprint(row.Key, "@", v.TS))
+				}
+			}
+			return fmt.Sprint(out)
+		}
+		ref, resolve := build(0)
+		refRemoved := ref.CompactBefore(lowWater, resolve)
+		for _, stampOneIn := range []int{1, 2} {
+			s, resolve := build(stampOneIn)
+			if n := s.CompactBefore(lowWater, resolve); n != refRemoved || survivors(s) != survivors(ref) {
+				t.Fatalf("round %d lowWater %d stamping 1 in %d: removed %d, kept %s; resolver-only removed %d, kept %s",
+					round, lowWater, stampOneIn, n, survivors(s), refRemoved, survivors(ref))
+			}
+		}
 	}
 }
 

@@ -31,6 +31,10 @@ import (
 type Version struct {
 	TS    uint64
 	Value []byte
+	// CommitTS is the writer's commit timestamp once somebody who learned
+	// it has stamped it here (StampCommits) — the paper's "written back
+	// into the database" option. 0 = not known here; ask.
+	CommitTS uint64
 }
 
 // LatencyModel charges wall-clock delays for store operations; the zero
@@ -148,7 +152,13 @@ func (s *Store) Put(key string, ts uint64, value []byte) {
 // Get returns up to limit versions of key with timestamp strictly below
 // before, newest first. limit <= 0 means all.
 func (s *Store) Get(key string, before uint64, limit int) []Version {
-	return s.regionFor(key).get(key, before, limit)
+	return s.GetInto(nil, key, before, limit)
+}
+
+// GetInto is Get appending to dst: with a buffer the caller owns (a stack
+// array for a short chain) a read allocates nothing.
+func (s *Store) GetInto(dst []Version, key string, before uint64, limit int) []Version {
+	return s.regionFor(key).get(dst, key, before, limit)
 }
 
 // ReadBuf is the reusable result of MultiGetInto: every key's versions back
@@ -229,17 +239,36 @@ func (s *Store) DeleteVersion(key string, ts uint64) {
 	s.regionFor(key).deleteVersion(key, ts)
 }
 
-// PutShadow records the commit timestamp of the version of key written at
-// writeTS — the paper's "written back into the database" option for commit
-// timestamps (§2.2).
-func (s *Store) PutShadow(key string, writeTS, commitTS uint64) {
-	s.regionFor(key).putShadow(key, writeTS, commitTS)
+// Stamp names the version of Key written at WriteTS and its writer's commit
+// timestamp.
+type Stamp struct {
+	Key               string
+	WriteTS, CommitTS uint64
 }
 
-// GetShadow returns the written-back commit timestamp for the version of
-// key written at writeTS, or ok=false if none was written back.
-func (s *Store) GetShadow(key string, writeTS uint64) (uint64, bool) {
-	return s.regionFor(key).getShadow(key, writeTS)
+// StampCommits records commit timestamps on the versions themselves, so
+// every later Get, MultiGetInto, Scan and collector pass finds them there.
+// Only a fact may be stamped: a committed transaction's commit timestamp
+// never changes, so whoever learns it — a reader from the status oracle, a
+// committer from its own ack — may record it for everyone. A stamp for a
+// version that is not there (aborted and cleaned up, or collected) is
+// dropped. One topology snapshot serves the call, and each run of
+// consecutive same-region keys costs one region-lock hold.
+func (s *Store) StampCommits(stamps []Stamp) {
+	if len(stamps) == 0 {
+		return
+	}
+	s.topoMu.RLock()
+	defer s.topoMu.RUnlock()
+	for len(stamps) > 0 {
+		r := s.regionForLocked(stamps[0].Key)
+		n := 1
+		for n < len(stamps) && r.contains(stamps[n].Key) {
+			n++
+		}
+		r.stamp(stamps[:n])
+		stamps = stamps[n:]
+	}
 }
 
 // Scan returns, for each row in [startKey, endKey) holding at least one

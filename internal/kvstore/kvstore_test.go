@@ -3,6 +3,7 @@ package kvstore
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -95,19 +96,76 @@ func TestDeleteVersion(t *testing.T) {
 	s.DeleteVersion("absent", 99) // no-op
 }
 
-func TestShadowCells(t *testing.T) {
-	s := New(Config{})
+// commitTSOf reads the stamp of the version of key written at ts (0 when
+// unstamped or absent).
+func commitTSOf(s *Store, key string, ts uint64) uint64 {
+	v, _ := s.GetVersion(key, ts)
+	return v.CommitTS
+}
+
+// TestStampCommitsIsReturnedByEveryRead: a stamp lands on the version it
+// names, across regions in one call, and Get, GetInto, MultiGet and Scan all
+// hand it back with the version.
+func TestStampCommitsIsReturnedByEveryRead(t *testing.T) {
+	s := New(Config{Servers: 2, SplitKeys: []string{"m"}})
+	s.Put("a", 5, []byte("x"))
+	s.Put("a", 7, []byte("y"))
+	s.Put("z", 5, []byte("x"))
+	if tc := commitTSOf(s, "a", 5); tc != 0 {
+		t.Fatalf("fresh version stamped %d", tc)
+	}
+	s.StampCommits([]Stamp{{"a", 5, 9}, {"z", 5, 9}, {"a", 7, 12}})
+	if a5, a7, z5 := commitTSOf(s, "a", 5), commitTSOf(s, "a", 7), commitTSOf(s, "z", 5); a5 != 9 || a7 != 12 || z5 != 9 {
+		t.Fatalf("stamps a@5=%d a@7=%d z@5=%d, want 9 12 9", a5, a7, z5)
+	}
+	want := []Version{{TS: 7, Value: []byte("y"), CommitTS: 12}, {TS: 5, Value: []byte("x"), CommitTS: 9}}
+	var buf [4]Version
+	reads := map[string][]Version{
+		"Get":      s.Get("a", 100, 0),
+		"GetInto":  s.GetInto(buf[:0], "a", 100, 0),
+		"MultiGet": s.MultiGet([]string{"z", "a"}, 100, 0)[1],
+		"Scan":     s.Scan("a", "b", 100, 0, 0)[0].Versions,
+	}
+	for name, got := range reads {
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s = %+v, want %+v", name, got, want)
+		}
+	}
+}
+
+// TestStampForMissingVersionIsNoOp: a stamp for a version that is not there
+// (cleaned up, collected, never written) creates nothing — no phantom row to
+// scan, count toward a split, or collect.
+func TestStampForMissingVersionIsNoOp(t *testing.T) {
+	s := New(Config{MaxRegionRows: 1})
 	s.Put("k", 5, []byte("x"))
-	if _, ok := s.GetShadow("k", 5); ok {
-		t.Fatal("shadow present before write-back")
+	s.StampCommits([]Stamp{{"absent", 5, 9}, {"k", 4, 9}, {"k", 6, 9}, {"other", 1, 2}})
+	s.StampCommits(nil)
+	if n := s.VersionCount(); n != 1 {
+		t.Fatalf("VersionCount = %d after stamping missing versions, want 1", n)
 	}
-	s.PutShadow("k", 5, 9)
-	tc, ok := s.GetShadow("k", 5)
-	if !ok || tc != 9 {
-		t.Fatalf("shadow = %d,%v want 9,true", tc, ok)
+	if rows := s.Scan("", "", 100, 0, 0); len(rows) != 1 {
+		t.Fatalf("scan sees %d rows, want 1", len(rows))
 	}
-	if _, ok := s.GetShadow("absent", 5); ok {
-		t.Fatal("shadow on absent key")
+	if s.NumRegions() != 1 {
+		t.Fatalf("phantom rows split the region: %d regions", s.NumRegions())
+	}
+	if tc := commitTSOf(s, "k", 5); tc != 0 {
+		t.Fatalf("neighbouring version stamped %d", tc)
+	}
+}
+
+// TestStampDoesNotSurviveRewrite: a transaction rewriting its own tentative
+// write stores a whole new version, so whatever was stamped on the replaced
+// one is gone with its bytes.
+func TestStampDoesNotSurviveRewrite(t *testing.T) {
+	s := New(Config{})
+	s.Put("k", 5, []byte("first"))
+	s.StampCommits([]Stamp{{"k", 5, 9}})
+	s.Put("k", 5, []byte("second"))
+	v, err := s.GetVersion("k", 5)
+	if err != nil || string(v.Value) != "second" || v.CommitTS != 0 {
+		t.Fatalf("rewritten version = %+v, %v; want second, unstamped", v, err)
 	}
 }
 

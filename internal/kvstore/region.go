@@ -5,11 +5,9 @@ import (
 	"sync"
 )
 
-// row holds the versions of one row, newest first, plus the written-back
-// ("shadow") commit timestamps keyed by write timestamp.
+// row holds the versions of one row, newest first.
 type row struct {
 	versions []Version // sorted by TS descending
-	shadow   map[uint64]uint64
 }
 
 // Region is a contiguous key range [StartKey, EndKey) served by one region
@@ -56,7 +54,9 @@ func (r *Region) put(key string, ts uint64, value []byte) bool {
 }
 
 // insert places v in descending-timestamp order, replacing an equal
-// timestamp (idempotent re-write by the same transaction).
+// timestamp (a transaction rewriting its own tentative write). The new
+// version is stored whole, so the replaced one's CommitTS goes with it: a
+// stamp never outlives the bytes it was learned about.
 func (rw *row) insert(v Version) {
 	i := sort.Search(len(rw.versions), func(i int) bool {
 		return rw.versions[i].TS <= v.TS
@@ -70,26 +70,32 @@ func (rw *row) insert(v Version) {
 	rw.versions[i] = v
 }
 
-// get returns up to limit versions with TS < before, newest first.
-func (r *Region) get(key string, before uint64, limit int) []Version {
-	r.server.chargeRead(key)
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	rw, ok := r.rows[key]
-	if !ok {
-		return nil
-	}
-	var out []Version
+// appendBelow appends the row's versions with TS < before, newest first, up
+// to limit (limit <= 0 means all), to dst.
+func (rw *row) appendBelow(dst []Version, before uint64, limit int) []Version {
+	n := 0
 	for _, v := range rw.versions {
 		if v.TS >= before {
 			continue
 		}
-		out = append(out, v)
-		if limit > 0 && len(out) >= limit {
+		dst = append(dst, v)
+		if n++; n == limit {
 			break
 		}
 	}
-	return out
+	return dst
+}
+
+// get appends up to limit versions of key with TS < before, newest first,
+// to dst.
+func (r *Region) get(dst []Version, key string, before uint64, limit int) []Version {
+	r.server.chargeRead(key)
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if rw, ok := r.rows[key]; ok {
+		dst = rw.appendBelow(dst, before, limit)
+	}
+	return dst
 }
 
 // multiGetInto reads the keys at positions group, all of this region, under
@@ -103,18 +109,23 @@ func (r *Region) multiGetInto(buf *ReadBuf, group []int, keys []string, before u
 	for _, i := range group {
 		lo := len(buf.versions)
 		if rw, ok := r.rows[keys[i]]; ok {
-			for _, v := range rw.versions {
-				if v.TS >= before {
-					continue
-				}
-				buf.versions = append(buf.versions, v)
-				if limit > 0 && len(buf.versions)-lo >= limit {
-					break
-				}
-			}
+			buf.versions = rw.appendBelow(buf.versions, before, limit)
 		}
 		buf.spans[i] = span{lo, len(buf.versions)}
 	}
+}
+
+// find returns the index of the version written at ts, or -1.
+func (rw *row) find(ts uint64) int {
+	for i := range rw.versions {
+		if rw.versions[i].TS <= ts {
+			if rw.versions[i].TS == ts {
+				return i
+			}
+			break
+		}
+	}
+	return -1
 }
 
 // getVersion returns the exact version written at ts.
@@ -123,13 +134,8 @@ func (r *Region) getVersion(key string, ts uint64) (Version, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	if rw, ok := r.rows[key]; ok {
-		for _, v := range rw.versions {
-			if v.TS == ts {
-				return v, nil
-			}
-			if v.TS < ts {
-				break
-			}
+		if i := rw.find(ts); i >= 0 {
+			return rw.versions[i], nil
 		}
 	}
 	return Version{}, ErrNoSuchVersion
@@ -139,48 +145,31 @@ func (r *Region) getVersion(key string, ts uint64) (Version, error) {
 func (r *Region) deleteVersion(key string, ts uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rw, ok := r.rows[key]
-	if !ok {
-		return
-	}
-	for i, v := range rw.versions {
-		if v.TS == ts {
+	if rw, ok := r.rows[key]; ok {
+		if i := rw.find(ts); i >= 0 {
 			rw.versions = append(rw.versions[:i], rw.versions[i+1:]...)
-			break
-		}
-		if v.TS < ts {
-			break
 		}
 	}
 }
 
-// putShadow records a written-back commit timestamp.
-func (r *Region) putShadow(key string, writeTS, commitTS uint64) {
+// contains reports whether key falls in the region's range. Caller holds the
+// store's topoMu (a split rewrites EndKey under it).
+func (r *Region) contains(key string) bool {
+	return key >= r.StartKey && (r.EndKey == "" || key < r.EndKey)
+}
+
+// stamp records each stamp's commit timestamp on the version it names, under
+// one lock hold; a stamp whose version is not there is dropped.
+func (r *Region) stamp(stamps []Stamp) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rw, ok := r.rows[key]
-	if !ok {
-		rw = &row{}
-		r.rows[key] = rw
-		r.keys = append(r.keys, key)
-		r.dirty = true
+	for _, st := range stamps {
+		if rw, ok := r.rows[st.Key]; ok {
+			if i := rw.find(st.WriteTS); i >= 0 {
+				rw.versions[i].CommitTS = st.CommitTS
+			}
+		}
 	}
-	if rw.shadow == nil {
-		rw.shadow = make(map[uint64]uint64)
-	}
-	rw.shadow[writeTS] = commitTS
-}
-
-// getShadow reads a written-back commit timestamp.
-func (r *Region) getShadow(key string, writeTS uint64) (uint64, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	rw, ok := r.rows[key]
-	if !ok || rw.shadow == nil {
-		return 0, false
-	}
-	ts, ok := rw.shadow[writeTS]
-	return ts, ok
 }
 
 // sortedKeys returns the region's keys in order. Caller must hold r.mu
@@ -203,17 +192,7 @@ func (r *Region) scan(out []ScanRow, startKey, endKey string, before uint64, ver
 		if endKey != "" && key >= endKey {
 			break
 		}
-		rw := r.rows[key]
-		var vs []Version
-		for _, v := range rw.versions {
-			if v.TS >= before {
-				continue
-			}
-			vs = append(vs, v)
-			if versionsPerRow > 0 && len(vs) >= versionsPerRow {
-				break
-			}
-		}
+		vs := r.rows[key].appendBelow(nil, before, versionsPerRow)
 		if len(vs) == 0 {
 			continue
 		}

@@ -10,9 +10,13 @@
 // To decide whether a version it encounters is visible, a reader must learn
 // the commit status of the writing transaction. The paper lists three
 // options (§2.2): query the status oracle, write commit timestamps back
-// into the database ("shadow" data), or replicate commit timestamps on the
-// clients. All three are implemented here (CommitInfoMode); the paper's
-// experiments used client replication.
+// into the database, or replicate commit timestamps on the clients. Here
+// write-back is how the store remembers: whoever learns that a version's
+// writer committed stamps the commit timestamp on the version itself
+// (kvstore.Store.StampCommits), in every mode, so a version's fate is looked
+// up once — not once per reader. CommitInfoMode only chooses where a version
+// nobody has resolved yet is looked up; the paper's experiments used client
+// replication.
 package txn
 
 import (
@@ -80,19 +84,21 @@ type StatusResolverCtx interface {
 	ResolveStatusCtx(ctx context.Context, startTS uint64) (oracle.TxnStatus, error)
 }
 
-// CommitInfoMode selects how readers resolve commit timestamps (§2.2).
+// CommitInfoMode selects how readers resolve the commit timestamps of
+// versions nobody has stamped yet (§2.2). Stamped versions need no mode.
 type CommitInfoMode uint8
 
 // Commit-info modes.
 const (
-	// ModeQuery asks the status oracle about every candidate version.
+	// ModeQuery asks the status oracle.
 	ModeQuery CommitInfoMode = iota
 	// ModeReplica maintains a client-local replica of the commit table
-	// fed by the oracle's notification stream (the paper's choice).
+	// fed by the oracle's notification stream (the paper's choice), and
+	// asks the oracle what the replica does not hold.
 	ModeReplica
-	// ModeWriteBack resolves from commit timestamps written back into
-	// the store next to the data, falling back to a query for versions
-	// whose write-back has not landed yet.
+	// ModeWriteBack asks the status oracle, and additionally has every
+	// committer stamp its own write set at ack, which lets it read an
+	// unknown (evicted) writer with no stamp as aborted.
 	ModeWriteBack
 )
 
@@ -233,7 +239,6 @@ func (c *Client) Begin() (*Txn, error) {
 		client:  c,
 		startTS: ts,
 		writes:  make(map[string][]byte),
-		reads:   make(map[string]struct{}),
 	}
 	if tap := c.cfg.Tap; tap != nil && tap.Sampled(ts) {
 		t.tap = tap
@@ -245,118 +250,72 @@ func (c *Client) Begin() (*Txn, error) {
 // Store returns the underlying store (examples use it for direct loads).
 func (c *Client) Store() *kvstore.Store { return c.store }
 
-// versionRef names one store version whose writer's commit status a reader
-// needs: the row key (write-back mode resolves from the key's shadow cell)
-// and the version's write (start) timestamp.
-type versionRef struct {
-	key     string
-	writeTS uint64
-}
-
-// resolve determines the commit status of the transaction that wrote
-// version writeTS of key. It is a resolveBatch of one, sharing the
-// per-mode decision path.
-func (c *Client) resolve(key string, writeTS uint64) oracle.TxnStatus {
+// resolve is resolveInto for one version (the collector's shape).
+func (c *Client) resolve(writeTS uint64) oracle.TxnStatus {
 	var out [1]oracle.TxnStatus
-	c.resolveInto([]versionRef{{key: key, writeTS: writeTS}}, out[:])
-	return out[0]
+	return c.resolveInto([]uint64{writeTS}, out[:0])[0]
 }
 
-// resolveBatch determines the commit status of every referenced version's
-// writer, collapsing all oracle lookups into a single QueryBatch round trip.
-// Per-mode semantics (§2.2) are identical to serial resolve calls: the
-// local sources — the replica cache in ModeReplica, shadow cells in
-// ModeWriteBack — are consulted per version first, and only the leftovers
-// go to the oracle, deduplicated by write timestamp (one transaction's
-// status answers every row it wrote).
-func (c *Client) resolveBatch(refs []versionRef) []oracle.TxnStatus {
-	out := make([]oracle.TxnStatus, len(refs))
-	c.resolveInto(refs, out)
-	return out
-}
+// resolveScratchPool holds resolveInto's deduplicated lookups.
+var resolveScratchPool = sync.Pool{New: func() interface{} { return new([]uint64) }}
 
-// resolveScratch is resolveInto's bookkeeping beyond a single version: the
-// unresolved positions of a long batch and the deduplicated lookup.
-type resolveScratch struct {
-	need     []int
-	pos      map[uint64]int // write timestamp -> index into startTSs; empty between uses
-	startTSs []uint64
-}
-
-var resolveScratchPool = sync.Pool{New: func() interface{} {
-	return &resolveScratch{pos: make(map[uint64]int)}
-}}
-
-// resolveInto is resolveBatch with a caller-supplied result slice.
-func (c *Client) resolveInto(refs []versionRef, out []oracle.TxnStatus) {
-	// Stack-backed index buffer keeps short reads off the heap; anything
-	// beyond a single version borrows pooled scratch for the rest.
-	var needBuf [16]int
-	need := needBuf[:0]
-	var sc *resolveScratch
-	if len(refs) > 1 {
-		sc = resolveScratchPool.Get().(*resolveScratch)
-		defer resolveScratchPool.Put(sc)
-	}
-	if len(refs) > len(needBuf) {
-		// Grown here to all it can need: storing need back into the
-		// scratch would make needBuf escape to the heap.
-		sc.need = slices.Grow(sc.need[:0], len(refs))
-		need = sc.need
-	}
-	switch c.cfg.Mode {
-	case ModeReplica:
-		for i := range refs {
-			if st, ok := c.replica.lookup(refs[i].writeTS); ok {
+// resolveInto determines the commit status of the transactions that wrote
+// at writeTSs, one answer each in out's storage (grown if it must be). The
+// read path sends it unstamped versions only; the mode chooses the source:
+// ModeReplica consults the client's replica first, and whatever is left goes
+// to the oracle in a single QueryBatch round trip, deduplicated (one
+// transaction's status answers every row it wrote).
+func (c *Client) resolveInto(writeTSs []uint64, out []oracle.TxnStatus) []oracle.TxnStatus {
+	out = slices.Grow(out[:0], len(writeTSs))[:len(writeTSs)]
+	// The replica answers committed or aborted, never pending, so a pending
+	// entry of out marks a writer the oracle is still to be asked about.
+	asked, last := 0, 0
+	for i, ts := range writeTSs {
+		out[i] = oracle.TxnStatus{}
+		if c.replica != nil {
+			if st, ok := c.replica.lookup(ts); ok {
 				out[i] = st
-			} else {
-				need = append(need, i)
+				continue
 			}
 		}
-	case ModeWriteBack:
-		for i := range refs {
-			if tc, ok := c.store.GetShadow(refs[i].key, refs[i].writeTS); ok {
-				out[i] = oracle.TxnStatus{Status: oracle.StatusCommitted, CommitTS: tc}
-			} else {
-				need = append(need, i)
-			}
-		}
-	default:
-		for i := range refs {
-			need = append(need, i)
-		}
+		asked, last = asked+1, i
 	}
-	if len(need) == 0 {
-		return
+	if asked == 0 {
+		return out
 	}
-	if len(need) == 1 {
-		// Single unresolved version — the common Get shape: a direct
-		// query, no dedup bookkeeping, no allocation.
-		i := need[0]
-		out[i] = c.applyWriteBackRule(c.so.Query(refs[i].writeTS))
-		return
+	if asked == 1 {
+		// The common Get shape: a direct query, no dedup bookkeeping, no
+		// allocation.
+		out[last] = c.applyWriteBackRule(c.so.Query(writeTSs[last]))
+		return out
 	}
 	// One oracle round trip for every unresolved write timestamp.
-	pos, startTSs := sc.pos, sc.startTSs[:0]
-	for _, i := range need {
-		if _, ok := pos[refs[i].writeTS]; !ok {
-			pos[refs[i].writeTS] = len(startTSs)
-			startTSs = append(startTSs, refs[i].writeTS)
+	sc := resolveScratchPool.Get().(*[]uint64)
+	defer resolveScratchPool.Put(sc)
+	startTSs := (*sc)[:0]
+	for i, ts := range writeTSs {
+		if out[i].Status == oracle.StatusPending {
+			startTSs = append(startTSs, ts)
 		}
 	}
-	sc.startTSs = startTSs
+	slices.Sort(startTSs)
+	startTSs = slices.Compact(startTSs)
+	*sc = startTSs
 	statuses := c.queryBatch(startTSs)
-	for _, i := range need {
-		out[i] = c.applyWriteBackRule(statuses[pos[refs[i].writeTS]])
+	for i, ts := range writeTSs {
+		if out[i].Status == oracle.StatusPending {
+			j, _ := slices.BinarySearch(startTSs, ts)
+			out[i] = c.applyWriteBackRule(statuses[j])
+		}
 	}
-	clear(pos)
+	return out
 }
 
 // applyWriteBackRule maps an oracle answer through ModeWriteBack's
 // unknown-means-aborted rule: a transaction evicted from the commit table
-// with no shadow cell never completed its write-back, so its client was
-// either never acknowledged or crashed mid-write-back; treating the
-// version as invisible is safe (§2.2, Appendix A). Other modes pass
+// whose version carries no stamp never completed its write-back, so its
+// client was either never acknowledged or crashed mid-write-back; treating
+// the version as invisible is safe (§2.2, Appendix A). Other modes pass
 // through unchanged.
 func (c *Client) applyWriteBackRule(st oracle.TxnStatus) oracle.TxnStatus {
 	if c.cfg.Mode == ModeWriteBack && st.Status == oracle.StatusUnknown {

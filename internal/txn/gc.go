@@ -47,20 +47,19 @@ func (a *activeSet) min() (uint64, bool) {
 }
 
 // resolverForGC adapts the client's commit-status resolution to the
-// store's collector interface.
+// store's collector interface. The collector calls it under the region
+// lock, for unstamped versions only; resolve never touches the store.
 func (c *Client) resolverForGC() kvstore.Resolver {
-	return func(key string, writeTS uint64) (uint64, kvstore.GCStatus) {
-		st := c.resolve(key, writeTS)
+	return func(_ string, writeTS uint64) (uint64, kvstore.GCStatus) {
+		st := c.resolve(writeTS)
 		switch st.Status {
 		case oracle.StatusCommitted:
 			return st.CommitTS, kvstore.GCCommitted
 		case oracle.StatusAborted:
 			return 0, kvstore.GCAborted
 		default:
-			// Pending and unknown versions are conservatively kept:
-			// unknown means the commit table evicted the entry, and
-			// only the write-back mode may treat that as aborted —
-			// GC is not the place to make that call.
+			// Pending and unknown versions are conservatively kept
+			// (write-back mode has already read unknown as aborted).
 			return 0, kvstore.GCPending
 		}
 	}
@@ -78,10 +77,10 @@ func (c *Client) GCAt(lowWater uint64) int {
 // GC prunes using this client's own live transactions to derive the
 // watermark: the minimum active start timestamp, or — when idle — a fresh
 // timestamp from the oracle (every future transaction starts above it).
-// Safe for single-client deployments; concurrent Begin on the same client
-// is safe too, because Begin registers the transaction before GC can
-// observe the idle state... it cannot: callers must not race GC with Begin
-// from other goroutines unless they use GCAt with an external watermark.
+// Safe for single-client deployments only, and not concurrently with Begin
+// on this client: a transaction that has its start timestamp but is not yet
+// registered is invisible to the watermark. Callers that race Begin with
+// collection, or run several clients, use GCAt with an external watermark.
 func (c *Client) GC() (int, error) {
 	low, ok := c.active.min()
 	if !ok {
@@ -107,7 +106,6 @@ func (c *Client) BeginAt(ts uint64) *Txn {
 		client:   c,
 		startTS:  ts,
 		writes:   nil, // nil write map marks the transaction read-only
-		reads:    make(map[string]struct{}),
 		readOnly: true,
 	}
 	return t

@@ -8,8 +8,19 @@ import (
 	"repro/internal/oracle"
 )
 
-func TestGCReclaimsOldVersions(t *testing.T) {
-	store, _, c := newStack(t, oracle.WSI, Config{})
+// forEachMode runs a collector test in all three commit-info modes: the
+// collector's verdicts come from stamps first and the mode's source second,
+// and a write-back collector used to deadlock on its own region lock.
+func forEachMode(t *testing.T, test func(t *testing.T, mode CommitInfoMode)) {
+	for _, mode := range allModes {
+		t.Run(mode.String(), func(t *testing.T) { test(t, mode) })
+	}
+}
+
+func TestGCReclaimsOldVersions(t *testing.T) { forEachMode(t, testGCReclaimsOldVersions) }
+
+func testGCReclaimsOldVersions(t *testing.T, mode CommitInfoMode) {
+	store, _, c := newStack(t, oracle.WSI, Config{Mode: mode})
 	// Five committed rewrites of the same key.
 	for i := 0; i < 5; i++ {
 		tx := begin(t, c)
@@ -36,7 +47,11 @@ func TestGCReclaimsOldVersions(t *testing.T) {
 }
 
 func TestGCKeepsVersionsVisibleToActiveTxn(t *testing.T) {
-	store, _, c := newStack(t, oracle.WSI, Config{})
+	forEachMode(t, testGCKeepsVersionsVisibleToActiveTxn)
+}
+
+func testGCKeepsVersionsVisibleToActiveTxn(t *testing.T, mode CommitInfoMode) {
+	store, _, c := newStack(t, oracle.WSI, Config{Mode: mode})
 	w1 := begin(t, c)
 	put(t, w1, "k", "old")
 	commit(t, w1)
@@ -70,9 +85,13 @@ func TestGCKeepsVersionsVisibleToActiveTxn(t *testing.T) {
 }
 
 func TestGCReclaimsAbortedGarbageLeftInStore(t *testing.T) {
+	forEachMode(t, testGCReclaimsAbortedGarbageLeftInStore)
+}
+
+func testGCReclaimsAbortedGarbageLeftInStore(t *testing.T, mode CommitInfoMode) {
 	// Simulate a crashed client: its tentative version sits in the store
 	// and the oracle recorded the abort, but cleanup never ran.
-	store, so, c := newStack(t, oracle.WSI, Config{})
+	store, so, c := newStack(t, oracle.WSI, Config{Mode: mode})
 	ts, _ := so.Begin()
 	store.Put("k", ts, []byte{0x01, 'z'})
 	if err := so.Abort(ts); err != nil {
@@ -85,8 +104,10 @@ func TestGCReclaimsAbortedGarbageLeftInStore(t *testing.T) {
 	}
 }
 
-func TestGCKeepsPendingVersions(t *testing.T) {
-	_, _, c := newStack(t, oracle.WSI, Config{})
+func TestGCKeepsPendingVersions(t *testing.T) { forEachMode(t, testGCKeepsPendingVersions) }
+
+func testGCKeepsPendingVersions(t *testing.T, mode CommitInfoMode) {
+	_, _, c := newStack(t, oracle.WSI, Config{Mode: mode})
 	w := begin(t, c)
 	put(t, w, "k", "tentative")
 	// w still pending: GC from another client view must keep it.
@@ -100,7 +121,11 @@ func TestGCKeepsPendingVersions(t *testing.T) {
 // version with the older start timestamp but newer commit timestamp is the
 // retained one.
 func TestGCRespectsCommitOrderSelection(t *testing.T) {
-	store, _, c := newStack(t, oracle.WSI, Config{})
+	forEachMode(t, testGCRespectsCommitOrderSelection)
+}
+
+func testGCRespectsCommitOrderSelection(t *testing.T, mode CommitInfoMode) {
+	store, _, c := newStack(t, oracle.WSI, Config{Mode: mode})
 	t1 := begin(t, c) // older start
 	t2 := begin(t, c)
 	put(t, t2, "k", "loser") // newer start, earlier commit

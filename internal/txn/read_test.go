@@ -112,52 +112,77 @@ func TestBatchedReadsMatchSerialAllModes(t *testing.T) {
 				time.Sleep(10 * time.Millisecond)
 			}
 
-			bt := begin(t, batched)
-			st := begin(t, serial)
-			for _, key := range keys {
-				bv, bok, err := bt.Get(key)
+			// Two passes: the first meets every version unresolved and
+			// heals the committed ones, the second reads them stamped. Both
+			// must match the serial client, and each other.
+			var firstPass string
+			for pass := 0; pass < 2; pass++ {
+				bt := begin(t, batched)
+				st := begin(t, serial)
+				var seen []string
+				for _, key := range keys {
+					bv, bok, err := bt.Get(key)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sv, sok, err := st.Get(key)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if bok != sok || string(bv) != string(sv) {
+						t.Fatalf("pass %d Get(%q): batched %q,%v vs serial %q,%v", pass, key, bv, bok, sv, sok)
+					}
+					seen = append(seen, fmt.Sprintf("%s=%q,%v", key, bv, bok))
+				}
+				bvs, boks, err := bt.GetMulti(keys)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sv, sok, err := st.Get(key)
+				for i, key := range keys {
+					sv, sok, err := st.Get(key)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if boks[i] != sok || string(bvs[i]) != string(sv) {
+						t.Fatalf("pass %d GetMulti(%q): batched %q,%v vs serial Get %q,%v", pass, key, bvs[i], boks[i], sv, sok)
+					}
+				}
+				brows, err := bt.Scan("", "", 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if bok != sok || string(bv) != string(sv) {
-					t.Fatalf("Get(%q): batched %q,%v vs serial %q,%v", key, bv, bok, sv, sok)
-				}
-			}
-			bvs, boks, err := bt.GetMulti(keys)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, key := range keys {
-				sv, sok, err := st.Get(key)
+				srows, err := st.Scan("", "", 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if boks[i] != sok || string(bvs[i]) != string(sv) {
-					t.Fatalf("GetMulti(%q): batched %q,%v vs serial Get %q,%v", key, bvs[i], boks[i], sv, sok)
+				if len(brows) != len(srows) {
+					t.Fatalf("pass %d scan lengths differ: batched %v vs serial %v", pass, brows, srows)
+				}
+				for i := range brows {
+					if brows[i].Key != srows[i].Key || string(brows[i].Value) != string(srows[i].Value) {
+						t.Fatalf("pass %d scan row %d: batched %+v vs serial %+v", pass, i, brows[i], srows[i])
+					}
+					seen = append(seen, fmt.Sprintf("%s=%q", brows[i].Key, brows[i].Value))
+				}
+				commit(t, bt)
+				commit(t, st)
+				if pass == 0 {
+					firstPass = fmt.Sprint(seen)
+				} else if got := fmt.Sprint(seen); got != firstPass {
+					t.Fatalf("second pass read %s, first read %s", got, firstPass)
 				}
 			}
-			brows, err := bt.Scan("", "", 0)
-			if err != nil {
+			// Every committed version is stamped by now: reading the rows
+			// that hold nothing else costs no lookup in any mode.
+			before := so.Stats().Queries
+			tx := begin(t, batched)
+			if _, _, err := tx.GetMulti([]string{"k-multi", "k-h4", "k-gone", "k-missing"}); err != nil {
 				t.Fatal(err)
 			}
-			srows, err := st.Scan("", "", 0)
-			if err != nil {
-				t.Fatal(err)
+			commit(t, tx)
+			if n := so.Stats().Queries - before; n != 0 {
+				t.Fatalf("reading healed rows issued %d lookups", n)
 			}
-			if len(brows) != len(srows) {
-				t.Fatalf("scan lengths differ: batched %v vs serial %v", brows, srows)
-			}
-			for i := range brows {
-				if brows[i].Key != srows[i].Key || string(brows[i].Value) != string(srows[i].Value) {
-					t.Fatalf("scan row %d: batched %+v vs serial %+v", i, brows[i], srows[i])
-				}
-			}
-			commit(t, bt)
-			commit(t, st)
 		})
 	}
 }
@@ -240,6 +265,16 @@ func TestGetMultiResolvesInOneOracleRoundTrip(t *testing.T) {
 	// collapses the batch to a single lookup.
 	if got := after.Queries - before.Queries; got != 1 {
 		t.Fatalf("GetMulti issued %d lookups, want 1 (deduplicated)", got)
+	}
+	// That read stamped what it learned: the same read again asks nothing.
+	tx = begin(t, c)
+	if _, _, err := tx.GetMulti(keys); err != nil {
+		t.Fatal(err)
+	}
+	commit(t, tx)
+	if again := so.Stats(); again.QueryBatches != after.QueryBatches || again.Queries != after.Queries {
+		t.Fatalf("second GetMulti issued %d batches, %d lookups; want none",
+			again.QueryBatches-after.QueryBatches, again.Queries-after.Queries)
 	}
 }
 

@@ -1,7 +1,6 @@
 package txn
 
 import (
-	"slices"
 	"sort"
 	"sync"
 
@@ -24,7 +23,7 @@ func encodeValue(v []byte) []byte {
 	return out
 }
 
-func encodeTombstone() []byte { return []byte{tagTombstone} }
+var tombstone = []byte{tagTombstone} // the store copies what it is given
 
 func decodeValue(raw []byte) (value []byte, live bool) {
 	if len(raw) == 0 || raw[0] == tagTombstone {
@@ -38,12 +37,14 @@ type Txn struct {
 	client  *Client
 	startTS uint64
 
-	// writes buffers this transaction's own writes for read-your-writes;
-	// nil value = tombstone. The store already holds them as tentative
-	// versions at startTS.
+	// writes buffers this transaction's own writes for read-your-writes, as
+	// encoded store values (the very buffer Put handed the store, or hands
+	// it at commit under DeferWrites). The store already holds them as
+	// tentative versions at startTS.
 	writes map[string][]byte
 	// reads is the read set: every row the transaction actually read,
-	// whether addressed by key or reached by a scan (§5).
+	// whether addressed by key or reached by a scan (§5). Created by the
+	// first read: blind writers never pay for it.
 	reads map[string]struct{}
 	// readBuckets holds §5.2 compact read-set entries (bucket labels)
 	// accumulated by BucketScan.
@@ -107,6 +108,14 @@ type commitSets struct {
 
 var commitSetsPool = sync.Pool{New: func() interface{} { return new(commitSets) }}
 
+// read adds key to the read set.
+func (t *Txn) read(key string) {
+	if t.reads == nil {
+		t.reads = make(map[string]struct{})
+	}
+	t.reads[key] = struct{}{}
+}
+
 // StartTS returns the transaction's start timestamp (its snapshot).
 func (t *Txn) StartTS() uint64 { return t.startTS }
 
@@ -123,19 +132,13 @@ func (t *Txn) Get(key string) (value []byte, ok bool, err error) {
 	if t.done {
 		return nil, false, ErrClosed
 	}
-	t.reads[key] = struct{}{}
-	if v, mine := t.writes[key]; mine {
-		t.tapRead(key, t.startTS)
-		if v == nil {
-			return nil, false, nil
-		}
-		return append([]byte(nil), v...), true, nil
+	t.read(key)
+	raw, mine := t.writes[key]
+	obs := t.startTS
+	if !mine {
+		raw, obs = t.snapshotRead(key)
 	}
-	raw, obs, found := t.snapshotRead(key)
 	t.tapRead(key, obs)
-	if !found {
-		return nil, false, nil
-	}
 	val, live := decodeValue(raw)
 	if !live {
 		return nil, false, nil
@@ -143,62 +146,88 @@ func (t *Txn) Get(key string) (value []byte, ok bool, err error) {
 	return append([]byte(nil), val...), true, nil
 }
 
+// Every read takes the same road. The store hands each version back with
+// its commit timestamp if anybody has stamped it; unstamped collects the
+// rest, resolveInto asks the mode's source about them in one batch, pick
+// walks each row's versions in the same order — stamp when present, next
+// answer otherwise — and every committed answer is stamped back into the
+// store, so no reader of that version, on any client, asks again.
+
 // snapshotRead returns the raw store value of key in this transaction's
-// snapshot: among the committed versions with commit timestamp below the
-// start timestamp, the one with the *largest commit timestamp*. Selecting
-// by commit rather than write (start) timestamp matters under WSI, which —
-// unlike SI — allows two overlapping transactions to write the same row
-// (History 4): the version written by the earlier-starting but
-// later-committing transaction is the current one (§4.1: a transaction
-// "writes into a separate snapshot of the database specified by the
-// transaction commit timestamp"). Pending, aborted and unknown writers are
-// skipped (§2.2). All of the row's candidate versions are resolved in one
-// batched status lookup.
-func (t *Txn) snapshotRead(key string) (raw []byte, obs uint64, found bool) {
-	versions := t.client.store.Get(key, t.startTS, 0)
-	if len(versions) == 0 {
-		return nil, 0, false
-	}
-	// Stack-backed buffers keep short version chains — the common Get
-	// shape — off the heap.
-	var refsBuf [8]versionRef
-	var statusBuf [8]oracle.TxnStatus
-	var refs []versionRef
-	var statuses []oracle.TxnStatus
-	if len(versions) <= len(refsBuf) {
-		refs = refsBuf[:0]
-		statuses = statusBuf[:len(versions)]
-	} else {
-		refs = make([]versionRef, 0, len(versions))
-		statuses = make([]oracle.TxnStatus, len(versions))
-	}
-	for i := range versions {
-		refs = append(refs, versionRef{key: key, writeTS: versions[i].TS})
-	}
-	t.client.resolveInto(refs, statuses)
-	var bestTC uint64
-	for i := range versions {
-		st := statuses[i]
-		if st.Status == oracle.StatusCommitted && st.CommitTS < t.startTS && st.CommitTS > bestTC {
-			bestTC = st.CommitTS
-			raw = versions[i].Value
-			obs = versions[i].TS
-			found = true
-		}
-	}
-	return raw, obs, found
+// snapshot and its writer's start timestamp (nil, 0 when it has none).
+// Stack-backed buffers keep short version chains — the common Get shape —
+// off the heap.
+func (t *Txn) snapshotRead(key string) (raw []byte, obs uint64) {
+	var (
+		versionBuf [4]kvstore.Version
+		askBuf     [4]uint64
+		statusBuf  [4]oracle.TxnStatus
+		stampBuf   [4]kvstore.Stamp
+	)
+	versions := t.client.store.GetInto(versionBuf[:0], key, t.startTS, 0)
+	statuses := t.client.resolveInto(unstamped(askBuf[:0], versions), statusBuf[:0])
+	raw, obs, _, stamps := pick(key, versions, t.startTS, statuses, stampBuf[:0])
+	t.client.store.StampCommits(stamps)
+	return raw, obs
 }
 
-// readScratch is everything GetMulti needs and does not return: the store's
-// read buffer, the keys to fetch and where their answers go, the candidate
-// versions and their writers' statuses. Pooled, so a steady read rate
-// allocates only what the caller keeps.
+// unstamped appends to ask the write timestamps of the versions nobody has
+// resolved yet.
+func unstamped(ask []uint64, versions []kvstore.Version) []uint64 {
+	for i := range versions {
+		if versions[i].CommitTS == 0 {
+			ask = append(ask, versions[i].TS)
+		}
+	}
+	return ask
+}
+
+// pick selects key's snapshot version: among the committed versions with
+// commit timestamp below startTS, the one with the *largest commit
+// timestamp*. Selecting by commit rather than write (start) timestamp
+// matters under WSI, which — unlike SI — allows two overlapping transactions
+// to write the same row (History 4): the version written by the
+// earlier-starting but later-committing transaction is the current one
+// (§4.1: a transaction "writes into a separate snapshot of the database
+// specified by the transaction commit timestamp"), so the whole chain is
+// walked. statuses answers the row's unstamped versions in order; pick
+// returns the answers it did not use, and stamps with every committed answer
+// appended. Pending, aborted and unknown writers are skipped (§2.2) and
+// leave no stamp: pending and unknown are not facts yet, write-back mode's
+// unknown-means-aborted is an inference, and an aborted version is its
+// writer's to delete.
+func pick(key string, versions []kvstore.Version, startTS uint64, statuses []oracle.TxnStatus, stamps []kvstore.Stamp) (raw []byte, obs uint64, _ []oracle.TxnStatus, _ []kvstore.Stamp) {
+	var bestTC uint64
+	for i := range versions {
+		tc := versions[i].CommitTS
+		if tc == 0 {
+			st := statuses[0]
+			statuses = statuses[1:]
+			if st.Status != oracle.StatusCommitted {
+				continue
+			}
+			tc = st.CommitTS
+			stamps = append(stamps, kvstore.Stamp{Key: key, WriteTS: versions[i].TS, CommitTS: tc})
+		}
+		if tc < startTS && tc > bestTC {
+			bestTC, raw, obs = tc, versions[i].Value, versions[i].TS
+		}
+	}
+	return raw, obs, statuses, stamps
+}
+
+// readScratch is everything GetMulti and Scan need and do not return: the
+// store's read buffer, the keys to fetch and where their answers go, the
+// unstamped versions' write timestamps, their writers' statuses and the
+// stamps the read learned. Pooled, so a steady read rate allocates only what
+// the caller keeps.
 type readScratch struct {
 	buf      kvstore.ReadBuf
 	fetch    []string
 	fetchIdx []int
-	refs     []versionRef
+	ask      []uint64
 	statuses []oracle.TxnStatus
+	stamps   []kvstore.Stamp
 }
 
 var readScratchPool = sync.Pool{New: func() interface{} { return new(readScratch) }}
@@ -220,11 +249,11 @@ func (t *Txn) GetMulti(keys []string) (values [][]byte, ok []bool, err error) {
 	// Own writes answer immediately; the store is consulted for the rest.
 	fetch, fetchIdx := sc.fetch[:0], sc.fetchIdx[:0]
 	for i, key := range keys {
-		t.reads[key] = struct{}{}
+		t.read(key)
 		if v, mine := t.writes[key]; mine {
 			t.tapRead(key, t.startTS)
-			if v != nil {
-				values[i] = append([]byte(nil), v...)
+			if val, live := decodeValue(v); live {
+				values[i] = append([]byte(nil), val...)
 				ok[i] = true
 			}
 			continue
@@ -237,42 +266,24 @@ func (t *Txn) GetMulti(keys []string) (values [][]byte, ok []bool, err error) {
 		return values, ok, nil
 	}
 	t.client.store.MultiGetInto(&sc.buf, fetch, t.startTS, 0)
-	// Collect every candidate version across the read set, in key order,
-	// and resolve the writers in one batch.
-	refs := sc.refs[:0]
+	ask, stamps := sc.ask[:0], sc.stamps[:0]
 	for k := range fetch {
-		for _, v := range sc.buf.Versions(k) {
-			refs = append(refs, versionRef{key: fetch[k], writeTS: v.TS})
-		}
+		ask = unstamped(ask, sc.buf.Versions(k))
 	}
-	sc.refs = refs
-	statuses := slices.Grow(sc.statuses[:0], len(refs))[:len(refs)]
-	sc.statuses = statuses
-	t.client.resolveInto(refs, statuses)
-	for k := range fetch {
-		versions := sc.buf.Versions(k)
-		var bestTC, obs uint64
+	sc.statuses = t.client.resolveInto(ask, sc.statuses)
+	statuses := sc.statuses
+	for k, key := range fetch {
 		var raw []byte
-		found := false
-		for i := range versions {
-			st := statuses[i]
-			if st.Status == oracle.StatusCommitted && st.CommitTS < t.startTS && st.CommitTS > bestTC {
-				bestTC = st.CommitTS
-				raw = versions[i].Value
-				obs = versions[i].TS
-				found = true
-			}
-		}
-		statuses = statuses[len(versions):]
-		t.tapRead(fetch[k], obs)
-		if !found {
-			continue
-		}
+		var obs uint64
+		raw, obs, statuses, stamps = pick(key, sc.buf.Versions(k), t.startTS, statuses, stamps)
+		t.tapRead(key, obs)
 		if val, live := decodeValue(raw); live {
 			values[fetchIdx[k]] = append([]byte(nil), val...)
 			ok[fetchIdx[k]] = true
 		}
 	}
+	t.client.store.StampCommits(stamps)
+	sc.ask, sc.stamps = ask, stamps
 	return values, ok, nil
 }
 
@@ -285,11 +296,11 @@ func (t *Txn) Put(key string, value []byte) error {
 	if t.readOnly {
 		return errReadOnly
 	}
-	v := append([]byte(nil), value...)
-	t.writes[key] = v
+	enc := encodeValue(value)
+	t.writes[key] = enc
 	t.tapWrite(key)
 	if !t.client.cfg.DeferWrites {
-		t.client.store.Put(key, t.startTS, encodeValue(value))
+		t.client.store.Put(key, t.startTS, enc)
 	}
 	return nil
 }
@@ -302,10 +313,10 @@ func (t *Txn) Delete(key string) error {
 	if t.readOnly {
 		return errReadOnly
 	}
-	t.writes[key] = nil
+	t.writes[key] = tombstone
 	t.tapWrite(key)
 	if !t.client.cfg.DeferWrites {
-		t.client.store.Put(key, t.startTS, encodeTombstone())
+		t.client.store.Put(key, t.startTS, tombstone)
 	}
 	return nil
 }
@@ -351,56 +362,44 @@ func (t *Txn) scan(startKey, endKey string, limit int, buckets bool) ([]KV, erro
 		}
 	}
 	rows := t.client.store.Scan(startKey, endKey, t.startTS, 0, 0)
-	// Resolve every candidate writer across the scanned range in one
-	// batched status lookup; offsets[i] marks where row i's versions
-	// start (own-written rows contribute none — their buffer overrides).
-	refs := make([]versionRef, 0, len(rows))
-	offsets := make([]int, len(rows)+1)
-	for i, r := range rows {
+	sc := readScratchPool.Get().(*readScratch)
+	defer readScratchPool.Put(sc)
+	// Resolve every unstamped candidate across the scanned range in one
+	// batched status lookup (own-written rows contribute none — their
+	// buffer overrides).
+	ask, stamps := sc.ask[:0], sc.stamps[:0]
+	for _, r := range rows {
 		if !buckets {
-			t.reads[r.Key] = struct{}{}
+			t.read(r.Key)
 		}
 		if _, mine := t.writes[r.Key]; !mine {
-			for _, v := range r.Versions {
-				refs = append(refs, versionRef{key: r.Key, writeTS: v.TS})
-			}
+			ask = unstamped(ask, r.Versions)
 		}
-		offsets[i+1] = len(refs)
 	}
-	statuses := t.client.resolveBatch(refs)
+	sc.statuses = t.client.resolveInto(ask, sc.statuses)
+	statuses := sc.statuses
 	merged := make(map[string][]byte, len(rows))
-	for i, r := range rows {
-		if _, mine := t.writes[r.Key]; mine {
-			if !buckets {
-				t.tapRead(r.Key, t.startTS)
-			}
-			continue // own write overrides
-		}
-		// Same selection rule as snapshotRead: the committed version
-		// with the largest commit timestamp below the snapshot.
-		var bestTC, obs uint64
-		for j, v := range r.Versions {
-			st := statuses[offsets[i]+j]
-			if st.Status == oracle.StatusCommitted && st.CommitTS < t.startTS && st.CommitTS > bestTC {
-				bestTC = st.CommitTS
-				obs = v.TS
-				if val, live := decodeValue(v.Value); live {
-					merged[r.Key] = val
-				} else {
-					delete(merged, r.Key)
-				}
+	for _, r := range rows {
+		obs := t.startTS
+		if _, mine := t.writes[r.Key]; !mine {
+			var raw []byte
+			raw, obs, statuses, stamps = pick(r.Key, r.Versions, t.startTS, statuses, stamps)
+			if val, live := decodeValue(raw); live {
+				merged[r.Key] = val
 			}
 		}
 		if !buckets {
 			t.tapRead(r.Key, obs)
 		}
 	}
+	t.client.store.StampCommits(stamps)
+	sc.ask, sc.stamps = ask, stamps
 	for k, v := range t.writes {
 		if k < startKey || (endKey != "" && k >= endKey) {
 			continue
 		}
-		if v != nil {
-			merged[k] = v
+		if val, live := decodeValue(v); live {
+			merged[k] = val
 		}
 	}
 	keys := make([]string, 0, len(merged))
@@ -482,11 +481,7 @@ func (t *Txn) prepareCommit() oracle.CommitRequest {
 	// present, or a crash between ack and flush would lose them.
 	if t.client.cfg.DeferWrites {
 		for k, v := range t.writes {
-			if v == nil {
-				t.client.store.Put(k, t.startTS, encodeTombstone())
-			} else {
-				t.client.store.Put(k, t.startTS, encodeValue(v))
-			}
+			t.client.store.Put(k, t.startTS, v)
 		}
 	}
 
@@ -537,9 +532,10 @@ func (t *Txn) releaseSets() {
 }
 
 // finishCommit applies the oracle's decision to the transaction: cleanup and
-// forget on conflict, commit bookkeeping and (in write-back mode) shadow
-// cells on success. A submission error leaves the decision in doubt and is
-// settled by querying the transaction's status — never by resubmitting.
+// forget on conflict, commit bookkeeping and (in write-back mode) stamps on
+// its own write set on success. A submission error leaves the decision in
+// doubt and is settled by querying the transaction's status — never by
+// resubmitting.
 func (t *Txn) finishCommit(res oracle.CommitResult, err error) CommitOutcome {
 	t.client.active.remove(t.startTS)
 	// The arbiter has decided (or definitively failed); no layer holds the
@@ -563,9 +559,11 @@ func (t *Txn) applyCommitted(commitTS uint64) CommitOutcome {
 	t.commitTS = commitTS
 	t.tapDecision(true, commitTS)
 	if t.client.cfg.Mode == ModeWriteBack {
+		stamps := make([]kvstore.Stamp, 0, len(t.writes))
 		for k := range t.writes {
-			t.client.store.PutShadow(k, t.startTS, commitTS)
+			stamps = append(stamps, kvstore.Stamp{Key: k, WriteTS: t.startTS, CommitTS: commitTS})
 		}
+		t.client.store.StampCommits(stamps)
 	}
 	return CommitOutcome{Committed: true, CommitTS: commitTS}
 }

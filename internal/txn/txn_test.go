@@ -477,9 +477,9 @@ func TestModeWriteBackResolvesFromShadow(t *testing.T) {
 	tx := begin(t, c)
 	put(t, tx, "k", "v")
 	commit(t, tx)
-	// Shadow must exist.
-	if _, ok := store.GetShadow("k", tx.StartTS()); !ok {
-		t.Fatal("commit did not write back a shadow cell")
+	// The committer stamped its own write at ack.
+	if v, err := store.GetVersion("k", tx.StartTS()); err != nil || v.CommitTS != tx.CommitTS() {
+		t.Fatalf("commit did not write back its commit timestamp: %+v, %v", v, err)
 	}
 	// Even if the oracle evicted the commit (simulate with a bounded
 	// table), the shadow resolves the read.
