@@ -48,8 +48,8 @@ var ErrConflict = txn.ErrConflict
 func IsConflict(err error) bool { return errors.Is(err, txn.ErrConflict) }
 
 // Options configures a System. The zero value is a sensible single-process
-// deployment: WSI, durable commits on three in-memory ledger replicas,
-// client-replica commit-timestamp resolution, one region server.
+// deployment: WSI, an unbounded commit table that readers query for the
+// versions nobody has stamped yet, one region server.
 type Options struct {
 	// Engine selects SI or WSI. Default: WSI.
 	Engine Engine
@@ -62,13 +62,17 @@ type Options struct {
 	// MaxRows bounds the status oracle's lastCommit memory
 	// (Algorithm 3's NR). 0 = unbounded.
 	MaxRows int
-	// MaxCommits bounds the commit table. 0 = unbounded.
+	// MaxCommits bounds the commit table. 0 = unbounded. When bounded the
+	// client runs in txn.ModeWriteBack whatever Mode says: it is the only
+	// sound reader once the oracle may answer StatusUnknown for an acked
+	// commit (§2.2).
 	MaxCommits int
 	// Shards splits the status oracle's critical section (1 = the
 	// paper's implementation).
 	Shards int
-	// Mode selects how readers resolve commit timestamps.
-	// Default: ModeReplica (the paper's choice).
+	// Mode selects where readers look up the commit timestamps of versions
+	// nobody has stamped yet. Default: txn.ModeQuery. Ignored when
+	// MaxCommits > 0.
 	Mode txn.CommitInfoMode
 	// Servers is the number of region servers in the store (default 1).
 	Servers int
@@ -150,16 +154,28 @@ func New(opts Options) (*System, error) {
 		Latency:   opts.Latency,
 	})
 
-	client, err := txn.NewClient(sys.Store, so, txn.Config{
-		Mode:            opts.Mode,
-		Bucketer:        opts.Bucketer,
-		CommitBatchSize: opts.CommitBatchSize,
-	})
+	sys.Client, err = newClient(sys.Store, so, opts)
 	if err != nil {
 		return nil, err
 	}
-	sys.Client = client
 	return sys, nil
+}
+
+// newClient builds the transaction client New and Recover share. Over a
+// bounded commit table the commit-info mode is not a preference: an evicted
+// writer answers StatusUnknown, which only a reader whose committers stamped
+// every acked write (write-back) may read as aborted; any other mode would
+// skip an acked commit.
+func newClient(store *kvstore.Store, so *oracle.StatusOracle, opts Options) (*txn.Client, error) {
+	mode := opts.Mode
+	if opts.MaxCommits > 0 {
+		mode = txn.ModeWriteBack
+	}
+	return txn.NewClient(store, so, txn.Config{
+		Mode:            mode,
+		Bucketer:        opts.Bucketer,
+		CommitBatchSize: opts.CommitBatchSize,
+	})
 }
 
 // Begin starts a transaction.
@@ -235,15 +251,10 @@ func Recover(crashed *System, opts Options) (*System, error) {
 		return nil, err
 	}
 	sys.Oracle = so
-	client, err := txn.NewClient(sys.Store, so, txn.Config{
-		Mode:            opts.Mode,
-		Bucketer:        opts.Bucketer,
-		CommitBatchSize: opts.CommitBatchSize,
-	})
+	sys.Client, err = newClient(sys.Store, so, opts)
 	if err != nil {
 		return nil, err
 	}
-	sys.Client = client
 	sys.ledgers = crashed.ledgers
 	return sys, nil
 }

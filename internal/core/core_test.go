@@ -218,6 +218,40 @@ func TestEnginesDifferOnWriteSkew(t *testing.T) {
 	}
 }
 
+// TestBoundedCommitTableKeepsAckedCommitVisible: once the bounded commit
+// table has evicted a writer, the oracle answers StatusUnknown for it; the
+// reader must still see the acked commit. core derives write-back from
+// MaxCommits > 0 (the committer stamped the version before its ack) rather
+// than leaving the one sound mode to the caller.
+func TestBoundedCommitTableKeepsAckedCommitVisible(t *testing.T) {
+	sys := newSystem(t, Options{Engine: WSI, MaxCommits: 4})
+	put := func(key string) {
+		t.Helper()
+		tx, err := sys.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Put(key, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(); err != nil {
+			t.Fatalf("commit %s: %v", key, err)
+		}
+	}
+	put("victim")
+	for i := 0; i < 16; i++ {
+		put(fmt.Sprintf("other%02d", i))
+	}
+	r, err := sys.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Commit()
+	if v, ok, err := r.Get("victim"); err != nil || !ok || string(v) != "v" {
+		t.Fatalf("acked commit evicted from the commit table is invisible: v=%q ok=%v err=%v", v, ok, err)
+	}
+}
+
 func TestBoundedSystemOptions(t *testing.T) {
 	sys := newSystem(t, Options{
 		Engine:     WSI,

@@ -140,10 +140,15 @@ func (s *Store) regionForLocked(key string) *Region {
 	return s.regions[i]
 }
 
-// Put writes a version of a cell.
+// Put writes a version of a cell. The topology read lock is held across the
+// region write, as in StampCommits: a split between locating the region and
+// writing to it would strand the version in the lower half, where no reader
+// looks. It is released before split, which takes the lock exclusively.
 func (s *Store) Put(key string, ts uint64, value []byte) {
-	r := s.regionFor(key)
+	s.topoMu.RLock()
+	r := s.regionForLocked(key)
 	grew := r.put(key, ts, value)
+	s.topoMu.RUnlock()
 	if grew && s.cfg.MaxRegionRows > 0 && r.numRows() > s.cfg.MaxRegionRows {
 		s.split(r)
 	}

@@ -258,6 +258,41 @@ func TestAutoSplit(t *testing.T) {
 	}
 }
 
+// TestPutUnderConcurrentSplits: writers walk the keyspace together with a
+// small MaxRegionRows, so the region they all write to splits every few
+// rows. A Put that located its region before a split and wrote after it
+// used to leave the version in the lower half, where no reader looks; every
+// acked write must be readable once the writers are done.
+func TestPutUnderConcurrentSplits(t *testing.T) {
+	const writers, perWriter = 8, 300
+	s := New(Config{Servers: 2, MaxRegionRows: 4})
+	key := func(w, i int) string { return fmt.Sprintf("key%04d-%d", i, w) }
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				s.Put(key(w, i), 1, []byte("v"))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if s.NumRegions() < writers {
+		t.Fatalf("only %d regions: the writers never raced a split", s.NumRegions())
+	}
+	for w := 0; w < writers; w++ {
+		for i := 0; i < perWriter; i++ {
+			if vs := s.Get(key(w, i), 2, 0); len(vs) != 1 {
+				t.Fatalf("acked write %s unreadable after concurrent splits (%d versions)", key(w, i), len(vs))
+			}
+		}
+	}
+	if rows := s.Scan("", "", 2, 0, 0); len(rows) != writers*perWriter {
+		t.Fatalf("scan sees %d rows, want %d", len(rows), writers*perWriter)
+	}
+}
+
 func TestSplitPreservesVersionsProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -20,9 +20,9 @@ const (
 	// and its garbage may be collected.
 	StatusAborted
 	// StatusUnknown: the commit table evicted this transaction
-	// (bounded mode). Clients resolve it from shadow cells, or treat it
-	// as aborted when no shadow cell exists (a healthy committer wrote
-	// back long before eviction).
+	// (bounded mode). Clients resolve it from the stamps on the versions,
+	// and treat an unstamped version as aborted (a write-back committer
+	// stamped its writes before it was acked, long before eviction).
 	StatusUnknown
 )
 

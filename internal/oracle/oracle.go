@@ -126,7 +126,7 @@ type Config struct {
 	// MaxCommits bounds the commit table (start→commit timestamp map).
 	// Zero keeps every mapping. When bounded, queries for evicted
 	// transactions return StatusUnknown and clients must resolve commit
-	// timestamps from shadow cells (write-back mode).
+	// timestamps from the stamps on the versions (write-back mode).
 	MaxCommits int
 	// Shards splits lastCommit into independently locked shards.
 	// 1 reproduces the paper's single critical section (§6.3); larger

@@ -17,7 +17,10 @@ type LocalConfig struct {
 	// Router maps rows to partitions (default: hash).
 	Router Router
 	// MaxRows / MaxCommits / Shards configure each partition's oracle as
-	// in oracle.Config.
+	// in oracle.Config. MaxCommits > 0 obliges every txn client of the
+	// coordinator to read in txn.ModeWriteBack: an evicted writer answers
+	// StatusUnknown, and only a reader whose committers stamped their
+	// versions before the ack may read unknown + unstamped as aborted.
 	MaxRows    int
 	MaxCommits int
 	Shards     int

@@ -98,7 +98,10 @@ const (
 	ModeReplica
 	// ModeWriteBack asks the status oracle, and additionally has every
 	// committer stamp its own write set at ack, which lets it read an
-	// unknown (evicted) writer with no stamp as aborted.
+	// unknown (evicted) writer with no stamp as aborted. It is the only
+	// sound mode over a bounded commit table (oracle.Config.MaxCommits > 0),
+	// where the others would skip an acked commit whose writer was evicted;
+	// core derives it from MaxCommits.
 	ModeWriteBack
 )
 
