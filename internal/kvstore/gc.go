@@ -1,5 +1,10 @@
 package kvstore
 
+import (
+	"slices"
+	"sort"
+)
+
 // MVCC garbage collection. A multi-version store grows without bound
 // unless versions that no possible snapshot can observe are pruned (§2's
 // multi-version substrate [6]). Visibility is decided by *commit*
@@ -46,49 +51,36 @@ func (s *Store) CompactBefore(lowWater uint64, resolve Resolver) int {
 	return removed
 }
 
-// compactBefore prunes one region. Stamps are read off the row; only
-// unstamped versions cost a resolver call, and a committed answer is stamped
-// on the spot (the write lock is already held), so a row nobody reads is
-// asked about once, not once per pass. Nothing is allocated.
+// compactBefore prunes one region. Stamps are read off the row; only pending
+// versions cost a resolver call, and a committed answer is stamped on the
+// spot (the write lock is already held), so a row nobody reads is asked
+// about once, not once per pass. The stamped prefix below the retained
+// snapshot version then goes in one cut. Nothing is allocated.
 func (r *Region) compactBefore(lowWater uint64, resolve Resolver) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	removed := 0
 	for key, rw := range r.rows {
-		if len(rw.versions) == 1 && rw.versions[0].CommitTS != 0 {
-			continue // settled and alone: nothing to learn, nothing to drop
-		}
-		// First pass: learn what is not stamped yet, drop the aborted, and
-		// find the retained snapshot version — the largest commit
-		// timestamp below the mark.
-		var bestTC uint64
-		kept := rw.versions[:0]
-		for _, v := range rw.versions {
-			if v.CommitTS == 0 {
-				tc, st := resolve(key, v.TS)
-				if st == GCAborted {
-					removed++
-					continue
-				}
-				if st == GCCommitted {
-					v.CommitTS = tc
-				}
-			}
-			if tc := v.CommitTS; tc != 0 && tc < lowWater && tc > bestTC {
-				bestTC = tc
-			}
-			kept = append(kept, v)
-		}
-		// Second pass: every committed version it supersedes goes.
-		rw.versions, kept = kept, kept[:0]
-		for _, v := range rw.versions {
-			if v.CommitTS != 0 && v.CommitTS < bestTC {
+		for i := rw.stamped; i < len(rw.versions); {
+			tc, st := resolve(key, rw.versions[i].TS)
+			switch st {
+			case GCAborted:
+				rw.remove(i)
 				removed++
 				continue
+			case GCCommitted:
+				rw.stamp(i, tc)
 			}
-			kept = append(kept, v)
+			i++
 		}
-		rw.versions = kept
+		// The retained snapshot version is the last stamped one committed
+		// below the mark; every stamped version before it goes.
+		cut := sort.Search(rw.stamped, func(i int) bool { return rw.versions[i].CommitTS >= lowWater }) - 1
+		if cut <= 0 {
+			continue
+		}
+		rw.versions, rw.stamped = slices.Delete(rw.versions, 0, cut), rw.stamped-cut
+		removed += cut
 	}
 	return removed
 }

@@ -1,8 +1,10 @@
 package kvstore
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -89,7 +91,8 @@ func TestGCReadsStampsNotResolver(t *testing.T) {
 // only road there used to be), every committed version stamped, and a random
 // half stamped — and requires the same survivors each time. Chains include
 // History-4 shapes (commit order differing from write order), aborted
-// garbage and pending writers, on both sides of the mark.
+// garbage and pending writers, on both sides of the mark; a row's commit
+// timestamps are distinct, as one transaction has one.
 func TestGCStampedMatchesResolverOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	type fate struct {
@@ -101,6 +104,7 @@ func TestGCStampedMatchesResolverOnly(t *testing.T) {
 		for k := 0; k < 20; k++ {
 			key := fmt.Sprintf("k%02d", k)
 			fates[key] = map[uint64]fate{}
+			used := map[uint64]bool{}
 			for n := rng.Intn(7); n >= 0; n-- {
 				ts := uint64(1 + rng.Intn(200))
 				switch rng.Intn(6) {
@@ -109,7 +113,12 @@ func TestGCStampedMatchesResolverOnly(t *testing.T) {
 				case 1:
 					fates[key][ts] = fate{0, GCPending}
 				default:
-					fates[key][ts] = fate{ts + 1 + uint64(rng.Intn(60)), GCCommitted}
+					tc := ts + 1 + uint64(rng.Intn(60))
+					for used[tc] {
+						tc++
+					}
+					used[tc] = true
+					fates[key][ts] = fate{tc, GCCommitted}
 				}
 			}
 		}
@@ -136,15 +145,6 @@ func TestGCStampedMatchesResolverOnly(t *testing.T) {
 				return f.commitTS, f.status
 			}
 		}
-		survivors := func(s *Store) string {
-			var out []string
-			for _, row := range s.Scan("", "", ^uint64(0), 0, 0) {
-				for _, v := range row.Versions {
-					out = append(out, fmt.Sprint(row.Key, "@", v.TS))
-				}
-			}
-			return fmt.Sprint(out)
-		}
 		ref, resolve := build(0)
 		refRemoved := ref.CompactBefore(lowWater, resolve)
 		for _, stampOneIn := range []int{1, 2} {
@@ -155,6 +155,22 @@ func TestGCStampedMatchesResolverOnly(t *testing.T) {
 			}
 		}
 	}
+}
+
+// survivors lists every stored version as key@ts, in key and then write
+// order: the whole rows, where Scan shows only each row's candidates.
+func survivors(s *Store) string {
+	var out []string
+	for _, r := range s.regions {
+		for _, key := range r.sortedKeysLocked() {
+			vs := slices.Clone(r.rows[key].versions)
+			slices.SortFunc(vs, func(a, b Version) int { return cmp.Compare(a.TS, b.TS) })
+			for _, v := range vs {
+				out = append(out, fmt.Sprint(key, "@", v.TS))
+			}
+		}
+	}
+	return fmt.Sprint(out)
 }
 
 func TestVersionCountAcrossRegions(t *testing.T) {

@@ -121,16 +121,10 @@ func (s *Store) NumRegions() int {
 // Servers exposes the region servers (for metrics inspection).
 func (s *Store) Servers() []*RegionServer { return s.servers }
 
-// regionFor locates the region owning key.
+// regionFor finds the last region whose StartKey <= key. Caller holds
+// topoMu across its call into the region too: a split in between would send
+// the call to the lower half, where the row no longer is.
 func (s *Store) regionFor(key string) *Region {
-	s.topoMu.RLock()
-	defer s.topoMu.RUnlock()
-	return s.regionForLocked(key)
-}
-
-// regionForLocked finds the last region whose StartKey <= key. Caller
-// holds topoMu.
-func (s *Store) regionForLocked(key string) *Region {
 	i := sort.Search(len(s.regions), func(i int) bool {
 		return s.regions[i].StartKey > key
 	}) - 1
@@ -140,13 +134,11 @@ func (s *Store) regionForLocked(key string) *Region {
 	return s.regions[i]
 }
 
-// Put writes a version of a cell. The topology read lock is held across the
-// region write, as in StampCommits: a split between locating the region and
-// writing to it would strand the version in the lower half, where no reader
-// looks. It is released before split, which takes the lock exclusively.
+// Put writes a version of a cell. The topology read lock is released before
+// split, which takes it exclusively.
 func (s *Store) Put(key string, ts uint64, value []byte) {
 	s.topoMu.RLock()
-	r := s.regionForLocked(key)
+	r := s.regionFor(key)
 	grew := r.put(key, ts, value)
 	s.topoMu.RUnlock()
 	if grew && s.cfg.MaxRegionRows > 0 && r.numRows() > s.cfg.MaxRegionRows {
@@ -154,23 +146,28 @@ func (s *Store) Put(key string, ts uint64, value []byte) {
 	}
 }
 
-// Get returns up to limit versions of key with timestamp strictly below
-// before, newest first. limit <= 0 means all.
+// Get returns key's candidates for a snapshot at before, newest TS first, up
+// to limit (limit <= 0 means all): every unstamped version written before
+// before, and of the stamped versions only the one with the largest CommitTS
+// below before — §4.1's rule can choose no other.
 func (s *Store) Get(key string, before uint64, limit int) []Version {
 	return s.GetInto(nil, key, before, limit)
 }
 
-// GetInto is Get appending to dst: with a buffer the caller owns (a stack
-// array for a short chain) a read allocates nothing.
+// GetInto is Get appending the candidates to dst: with a buffer the caller
+// owns (a stack array — a row has few candidates however long its chain) a
+// read allocates nothing.
 func (s *Store) GetInto(dst []Version, key string, before uint64, limit int) []Version {
+	s.topoMu.RLock()
+	defer s.topoMu.RUnlock()
 	return s.regionFor(key).get(dst, key, before, limit)
 }
 
-// ReadBuf is the reusable result of MultiGetInto: every key's versions back
-// to back in one arena, and a span per key. The zero value is ready to use.
-// MultiGetInto overwrites the buffer it is given: slices obtained from
-// Versions before that call no longer describe its result. A ReadBuf must
-// not be used by two goroutines at once.
+// ReadBuf is the reusable result of MultiGetInto: every key's candidates
+// (Get) back to back in one arena, and a span per key. The zero value is
+// ready to use. MultiGetInto overwrites the buffer it is given: slices
+// obtained from Versions before that call no longer describe its result. A
+// ReadBuf must not be used by two goroutines at once.
 type ReadBuf struct {
 	versions []Version
 	spans    []span    // per key: its versions' place in the arena
@@ -180,7 +177,7 @@ type ReadBuf struct {
 
 type span struct{ lo, hi int }
 
-// Versions returns the versions MultiGetInto found for keys[i], newest
+// Versions returns the candidates MultiGetInto found for keys[i], newest TS
 // first; empty when the key has none.
 func (b *ReadBuf) Versions(i int) []Version {
 	sp := b.spans[i]
@@ -188,8 +185,8 @@ func (b *ReadBuf) Versions(i int) []Version {
 }
 
 // MultiGetInto is the batched form of Get: afterwards buf.Versions(i) holds
-// keys[i]'s versions with timestamp strictly below before, newest first, up
-// to limit each (limit <= 0 means all). Keys are grouped by owning region so
+// keys[i]'s candidates for a snapshot at before, newest TS first, up to
+// limit each (limit <= 0 means all). Keys are grouped by owning region so
 // each covered region's lock — and its server's cache-accounting mutex — is
 // taken once for the whole group instead of once per key. With a buffer that
 // has seen a read of this size before, it allocates nothing.
@@ -197,12 +194,12 @@ func (s *Store) MultiGetInto(buf *ReadBuf, keys []string, before uint64, limit i
 	buf.versions = buf.versions[:0]
 	buf.spans = slices.Grow(buf.spans[:0], len(keys))[:len(keys)]
 	buf.regions = slices.Grow(buf.regions[:0], len(keys))[:len(keys)]
-	// Locate every key's region under one topology snapshot.
+	// Locate every key's region, and read them, under one topology snapshot.
 	s.topoMu.RLock()
+	defer s.topoMu.RUnlock()
 	for i, key := range keys {
-		buf.regions[i] = s.regionForLocked(key)
+		buf.regions[i] = s.regionFor(key)
 	}
-	s.topoMu.RUnlock()
 	for i, r := range buf.regions {
 		if r == nil {
 			continue // read with an earlier key's group
@@ -235,12 +232,16 @@ func (s *Store) MultiGet(keys []string, before uint64, limit int) [][]Version {
 
 // GetVersion returns the exact version of key written at ts.
 func (s *Store) GetVersion(key string, ts uint64) (Version, error) {
+	s.topoMu.RLock()
+	defer s.topoMu.RUnlock()
 	return s.regionFor(key).getVersion(key, ts)
 }
 
 // DeleteVersion removes the exact version of key written at ts (abort
 // cleanup). Removing a missing version is not an error.
 func (s *Store) DeleteVersion(key string, ts uint64) {
+	s.topoMu.RLock()
+	defer s.topoMu.RUnlock()
 	s.regionFor(key).deleteVersion(key, ts)
 }
 
@@ -266,7 +267,7 @@ func (s *Store) StampCommits(stamps []Stamp) {
 	s.topoMu.RLock()
 	defer s.topoMu.RUnlock()
 	for len(stamps) > 0 {
-		r := s.regionForLocked(stamps[0].Key)
+		r := s.regionFor(stamps[0].Key)
 		n := 1
 		for n < len(stamps) && r.contains(stamps[n].Key) {
 			n++
@@ -277,9 +278,9 @@ func (s *Store) StampCommits(stamps []Stamp) {
 }
 
 // Scan returns, for each row in [startKey, endKey) holding at least one
-// version below before, the row's versions below before (newest first, up
-// to versionsPerRow). Rows arrive in key order, at most limit rows
-// (limit <= 0 means all). endKey == "" means +inf.
+// version written below before, the row's candidates for a snapshot at
+// before (Get; up to versionsPerRow, possibly none). Rows arrive in key
+// order, at most limit rows (limit <= 0 means all). endKey == "" means +inf.
 func (s *Store) Scan(startKey, endKey string, before uint64, versionsPerRow, limit int) []ScanRow {
 	var out []ScanRow
 	s.topoMu.RLock()

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -105,30 +106,51 @@ func commitTSOf(s *Store, key string, ts uint64) uint64 {
 
 // TestStampCommitsIsReturnedByEveryRead: a stamp lands on the version it
 // names, across regions in one call, and Get, GetInto, MultiGet and Scan all
-// hand it back with the version.
+// hand back the same candidates with their stamps: the pending versions
+// written before the snapshot and the one stamped version committed last
+// before it, newest write first. a@3 commits last (History 4's shape).
 func TestStampCommitsIsReturnedByEveryRead(t *testing.T) {
 	s := New(Config{Servers: 2, SplitKeys: []string{"m"}})
-	s.Put("a", 5, []byte("x"))
-	s.Put("a", 7, []byte("y"))
+	for _, ts := range []uint64{5, 7, 3, 20, 10} {
+		s.Put("a", ts, []byte{byte(ts)})
+	}
 	s.Put("z", 5, []byte("x"))
 	if tc := commitTSOf(s, "a", 5); tc != 0 {
 		t.Fatalf("fresh version stamped %d", tc)
 	}
-	s.StampCommits([]Stamp{{"a", 5, 9}, {"z", 5, 9}, {"a", 7, 12}})
-	if a5, a7, z5 := commitTSOf(s, "a", 5), commitTSOf(s, "a", 7), commitTSOf(s, "z", 5); a5 != 9 || a7 != 12 || z5 != 9 {
-		t.Fatalf("stamps a@5=%d a@7=%d z@5=%d, want 9 12 9", a5, a7, z5)
+	s.StampCommits([]Stamp{{"a", 5, 9}, {"z", 5, 9}, {"a", 7, 12}, {"a", 3, 15}})
+	if a5, a7, a3, z5 := commitTSOf(s, "a", 5), commitTSOf(s, "a", 7), commitTSOf(s, "a", 3), commitTSOf(s, "z", 5); a5 != 9 || a7 != 12 || a3 != 15 || z5 != 9 {
+		t.Fatalf("stamps a@5=%d a@7=%d a@3=%d z@5=%d, want 9 12 15 9", a5, a7, a3, z5)
 	}
-	want := []Version{{TS: 7, Value: []byte("y"), CommitTS: 12}, {TS: 5, Value: []byte("x"), CommitTS: 9}}
-	var buf [4]Version
-	reads := map[string][]Version{
-		"Get":      s.Get("a", 100, 0),
-		"GetInto":  s.GetInto(buf[:0], "a", 100, 0),
-		"MultiGet": s.MultiGet([]string{"z", "a"}, 100, 0)[1],
-		"Scan":     s.Scan("a", "b", 100, 0, 0)[0].Versions,
-	}
-	for name, got := range reads {
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s = %+v, want %+v", name, got, want)
+	v := func(ts, tc uint64) Version { return Version{TS: ts, Value: []byte{byte(ts)}, CommitTS: tc} }
+	for _, tc := range []struct {
+		before uint64
+		want   []Version
+	}{
+		{100, []Version{v(20, 0), v(10, 0), v(3, 15)}},
+		{15, []Version{v(10, 0), v(7, 12)}},
+		{11, []Version{v(10, 0), v(5, 9)}},
+		{10, []Version{v(5, 9)}},
+		{4, nil}, // a@3 is written below 4 but committed above it
+	} {
+		var buf [4]Version
+		reads := map[string][]Version{
+			"Get":      s.Get("a", tc.before, 0),
+			"GetInto":  s.GetInto(buf[:0], "a", tc.before, 0),
+			"MultiGet": s.MultiGet([]string{"z", "a"}, tc.before, 0)[1],
+		}
+		if rows := s.Scan("a", "b", tc.before, 0, 0); len(rows) != 1 {
+			t.Errorf("before %d: Scan returned %d rows, want a's (it holds a version written below)", tc.before, len(rows))
+		} else {
+			reads["Scan"] = rows[0].Versions
+		}
+		for name, got := range reads {
+			if len(got) != len(tc.want) || (len(got) > 0 && !reflect.DeepEqual(got, tc.want)) {
+				t.Errorf("before %d: %s = %+v, want %+v", tc.before, name, got, tc.want)
+			}
+		}
+		if got := s.Get("a", tc.before, 1); len(tc.want) > 0 && (len(got) != 1 || got[0].TS != tc.want[0].TS) {
+			t.Errorf("before %d: limit 1 = %+v, want the newest candidate %d", tc.before, got, tc.want[0].TS)
 		}
 	}
 }
@@ -290,6 +312,103 @@ func TestPutUnderConcurrentSplits(t *testing.T) {
 	}
 	if rows := s.Scan("", "", 2, 0, 0); len(rows) != writers*perWriter {
 		t.Fatalf("scan sees %d rows, want %d", len(rows), writers*perWriter)
+	}
+}
+
+// TestReadsUnderConcurrentSplits: readers of acked keys race writers whose
+// puts split the regions every few rows. A read that located its region
+// before a split and read it after would miss the moved row; Get,
+// MultiGetInto and GetVersion must find every acked write every time.
+func TestReadsUnderConcurrentSplits(t *testing.T) {
+	const writers, perWriter, readers = 4, 300, 4
+	s := New(Config{Servers: 2, MaxRegionRows: 4})
+	key := func(w, i int) string { return fmt.Sprintf("key%04d-%d", i, w) }
+	var acked [writers]atomic.Int64
+	var wg, readersWG sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		s.Put(key(w, 0), 1, []byte("v"))
+		acked[w].Store(1)
+	}
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 1; i < perWriter; i++ {
+				s.Put(key(w, i), 1, []byte("v"))
+				acked[w].Store(int64(i + 1))
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		readersWG.Add(1)
+		go func(r int) {
+			defer readersWG.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			var buf ReadBuf
+			keys := make([]string, 8)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for j := range keys {
+					w := rng.Intn(writers)
+					keys[j] = key(w, rng.Intn(int(acked[w].Load())))
+					if vs := s.Get(keys[j], 2, 0); len(vs) != 1 {
+						t.Errorf("Get of acked %s saw %d versions", keys[j], len(vs))
+						return
+					}
+					if _, err := s.GetVersion(keys[j], 1); err != nil {
+						t.Errorf("GetVersion of acked %s: %v", keys[j], err)
+						return
+					}
+				}
+				s.MultiGetInto(&buf, keys, 2, 0)
+				for j, k := range keys {
+					if len(buf.Versions(j)) != 1 {
+						t.Errorf("MultiGetInto of acked %s saw %d versions", k, len(buf.Versions(j)))
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(done)
+	readersWG.Wait()
+	if s.NumRegions() < writers {
+		t.Fatalf("only %d regions: the readers never raced a split", s.NumRegions())
+	}
+}
+
+// TestAbortCleanupUnderConcurrentSplits: every writer also leaves a version
+// that its abort removes while splits run. A delete sent to the region that
+// held the row before a split would find nothing and orphan the version;
+// afterwards exactly the committed writes remain.
+func TestAbortCleanupUnderConcurrentSplits(t *testing.T) {
+	const writers, perWriter = 8, 300
+	s := New(Config{Servers: 2, MaxRegionRows: 4})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				k := fmt.Sprintf("key%04d-%d", i, w)
+				s.Put(k, 1, []byte("committed"))
+				s.Put(k, 2, []byte("aborted"))
+				s.DeleteVersion(k, 2)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if s.NumRegions() < writers {
+		t.Fatalf("only %d regions: the aborts never raced a split", s.NumRegions())
+	}
+	if n := s.VersionCount(); n != writers*perWriter {
+		t.Fatalf("VersionCount = %d after abort cleanup, want the %d committed writes", n, writers*perWriter)
 	}
 }
 

@@ -141,3 +141,33 @@ func TestReadBufReuseInvalidatesPreviousResult(t *testing.T) {
 		t.Fatalf("append to key 0's versions reached key 1's: %+v", got)
 	}
 }
+
+// BenchmarkMultiGetHotRow reads 20 keys on a warm buffer, each a row of
+// stamped versions and one pending write. A read copies only the pending
+// write and the newest stamp, so ns/key should not grow with the chain.
+func BenchmarkMultiGetHotRow(b *testing.B) {
+	for _, stamped := range []int{0, 64} {
+		b.Run(fmt.Sprintf("stamped-%d", stamped), func(b *testing.B) {
+			s := New(Config{})
+			keys := make([]string, 20)
+			var stamps []Stamp
+			for i := range keys {
+				keys[i] = fmt.Sprintf("k%02d", i)
+				for ts := uint64(2); ts <= uint64(2*stamped); ts += 2 {
+					s.Put(keys[i], ts, []byte("v"))
+					stamps = append(stamps, Stamp{keys[i], ts, ts + 1})
+				}
+				s.Put(keys[i], 1000, []byte("pending"))
+			}
+			s.StampCommits(stamps)
+			var buf ReadBuf
+			s.MultiGetInto(&buf, keys, 2000, 0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.MultiGetInto(&buf, keys, 2000, 0)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/key")
+		})
+	}
+}

@@ -62,8 +62,8 @@ func BenchmarkGetMulti(b *testing.B) {
 	}
 }
 
-// BenchmarkGet is the single-key read of a 4-version row, warm: the chain
-// fits Get's stack buffers, so the one allocation is the value copy the
+// BenchmarkGet is the single-key read of a 4-version row, warm: its
+// candidates fit Get's stack buffers, so the one allocation is the value copy the
 // caller keeps.
 func BenchmarkGet(b *testing.B) {
 	c, keys := benchStack(b, 1, 4)

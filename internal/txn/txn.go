@@ -146,17 +146,19 @@ func (t *Txn) Get(key string) (value []byte, ok bool, err error) {
 	return append([]byte(nil), val...), true, nil
 }
 
-// Every read takes the same road. The store hands each version back with
-// its commit timestamp if anybody has stamped it; unstamped collects the
-// rest, resolveInto asks the mode's source about them in one batch, pick
-// walks each row's versions in the same order — stamp when present, next
-// answer otherwise — and every committed answer is stamped back into the
-// store, so no reader of that version, on any client, asks again.
+// Every read takes the same road. The store hands back a row's candidates —
+// its unstamped versions below the snapshot and the one stamped version that
+// can win — each with its commit timestamp if anybody has stamped it;
+// unstamped collects the rest, resolveInto asks the mode's source about them
+// in one batch, pick walks each row's candidates in the same order — stamp
+// when present, next answer otherwise — and every committed answer is
+// stamped back into the store, so no reader of that version, on any client,
+// asks again.
 
 // snapshotRead returns the raw store value of key in this transaction's
 // snapshot and its writer's start timestamp (nil, 0 when it has none).
-// Stack-backed buffers keep short version chains — the common Get shape —
-// off the heap.
+// Stack-backed buffers keep a row's few candidates — the common Get shape,
+// however long the chain — off the heap.
 func (t *Txn) snapshotRead(key string) (raw []byte, obs uint64) {
 	var (
 		versionBuf [4]kvstore.Version
@@ -189,10 +191,10 @@ func unstamped(ask []uint64, versions []kvstore.Version) []uint64 {
 // to write the same row (History 4): the version written by the
 // earlier-starting but later-committing transaction is the current one
 // (§4.1: a transaction "writes into a separate snapshot of the database
-// specified by the transaction commit timestamp"), so the whole chain is
-// walked. statuses answers the row's unstamped versions in order; pick
-// returns the answers it did not use, and stamps with every committed answer
-// appended. Pending, aborted and unknown writers are skipped (§2.2) and
+// specified by the transaction commit timestamp"), so every candidate the
+// store hands back is walked. statuses answers the row's unstamped versions
+// in order; pick returns the answers it did not use, and stamps with every
+// committed answer appended. Pending, aborted and unknown writers are skipped (§2.2) and
 // leave no stamp: pending and unknown are not facts yet, write-back mode's
 // unknown-means-aborted is an inference, and an aborted version is its
 // writer's to delete.
