@@ -464,10 +464,10 @@ func BenchmarkAblationEngines(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationCommitInfo compares read-path cost across the three
+// BenchmarkAblationCommitInfo compares read-path cost across the two
 // §2.2 commit-timestamp resolution modes.
 func BenchmarkAblationCommitInfo(b *testing.B) {
-	for _, mode := range []txn.CommitInfoMode{txn.ModeQuery, txn.ModeReplica, txn.ModeWriteBack} {
+	for _, mode := range []txn.CommitInfoMode{txn.ModeQuery, txn.ModeWriteBack} {
 		b.Run(mode.String(), func(b *testing.B) {
 			clock := tso.New(0, nil)
 			so, err := oracle.New(oracle.Config{Engine: oracle.WSI, TSO: clock})
@@ -491,7 +491,6 @@ func BenchmarkAblationCommitInfo(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			time.Sleep(5 * time.Millisecond) // let replica drain
 			tx, _ := client.Begin()
 			defer tx.Commit()
 			b.ResetTimer()

@@ -1,8 +1,7 @@
 // Command oracle-server runs the status oracle as a TCP daemon — the
 // centralized commit arbiter of the paper's lock-free scheme. Clients
 // (cmd/txn, or the txn library via netsrv.Dial) connect to it to obtain
-// timestamps, submit commit requests, query transaction statuses, and
-// subscribe to the commit notification stream.
+// timestamps, submit commit requests, and query transaction statuses.
 //
 // Usage:
 //
@@ -114,7 +113,7 @@ func main() {
 		rate        = flag.Float64("rate", 0, "per-tenant token-bucket refill in requests/second (0 = unlimited)")
 		burst       = flag.Int("burst", 0, "token-bucket depth (with -rate; 0 = max(rate, 1))")
 		maxSessions = flag.Int("max-sessions", 0, "server-wide cap on live multiplexed sessions (0 = unlimited)")
-		idleTimeout = flag.Duration("idle-timeout", 0, "disconnect a connection sending no frame for this long (0 = never; subscribers exempt)")
+		idleTimeout = flag.Duration("idle-timeout", 0, "disconnect a connection sending no frame for this long (0 = never)")
 		maxPending  = flag.Int("max-pending", 0, "per-connection response buffer bound in bytes; a slow reader beyond it is disconnected (0 = default 4MiB, -1 = unbounded)")
 
 		ckptInterval = flag.Duration("checkpoint-interval", 0, "write a commit-table checkpoint this often (0 = off; requires -wal)")

@@ -56,7 +56,7 @@ func main() {
 		}
 		defer oracleClient.Close()
 		store := kvstore.New(kvstore.Config{})
-		client, err = txn.NewClient(store, oracleClient, txn.Config{Mode: txn.ModeReplica})
+		client, err = txn.NewClient(store, oracleClient, txn.Config{})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "txn: %v\n", err)
 			os.Exit(1)

@@ -241,7 +241,7 @@ func ablationShards(workers int, duration time.Duration) (string, error) {
 
 // countingArbiter wraps an arbiter and counts status lookups — whether they
 // arrive as single Query calls or inside a QueryBatch — the cost that the
-// commit-info replication strategies (§2.2) are designed to avoid.
+// commit-info strategies (§2.2) are designed to avoid.
 type countingArbiter struct {
 	*oracle.StatusOracle
 	mu      sync.Mutex
@@ -262,7 +262,7 @@ func (c *countingArbiter) QueryBatch(startTSs []uint64) []oracle.TxnStatus {
 	return c.StatusOracle.QueryBatch(startTSs)
 }
 
-// ablationCommitInfo compares the three §2.2 commit-timestamp resolution
+// ablationCommitInfo compares the two §2.2 commit-timestamp resolution
 // strategies by the number of status-oracle queries a read-heavy workload
 // generates.
 func ablationCommitInfo(txns int) (string, error) {
@@ -306,11 +306,6 @@ func ablationCommitInfo(txns int) (string, error) {
 			if err := r.Commit(); err != nil {
 				return 0, err
 			}
-			// Give the replica drain goroutine a chance to apply
-			// notifications (its benefit is asynchronous).
-			if mode == txn.ModeReplica && i%32 == 0 {
-				time.Sleep(time.Millisecond)
-			}
 		}
 		ca.mu.Lock()
 		defer ca.mu.Unlock()
@@ -319,7 +314,7 @@ func ablationCommitInfo(txns int) (string, error) {
 	var b strings.Builder
 	b.WriteString(header("Ablation C — commit-timestamp resolution strategies (§2.2)"))
 	fmt.Fprintf(&b, "%-12s %20s\n", "mode", "oracle queries")
-	for _, mode := range []txn.CommitInfoMode{txn.ModeQuery, txn.ModeReplica, txn.ModeWriteBack} {
+	for _, mode := range []txn.CommitInfoMode{txn.ModeQuery, txn.ModeWriteBack} {
 		q, err := run(mode)
 		if err != nil {
 			return "", err

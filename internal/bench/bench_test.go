@@ -62,7 +62,7 @@ func TestQuickRuns(t *testing.T) {
 		{"micro", []string{"start timestamp", "random read", "commit"}},
 		{"ablation-engines", []string{"SI", "WSI", "SSI", "Percolator", "abort-rate"}},
 		{"ablation-maxrows", []string{"unbounded", "false aborts"}},
-		{"ablation-commitinfo", []string{"query", "replica", "write-back"}},
+		{"ablation-commitinfo", []string{"query", "write-back"}},
 		{"appendix-wal", []string{"group commit", "speedup"}},
 	}
 	for _, tc := range cases {

@@ -37,7 +37,7 @@ func microLatencies(txns, opsPerTxn int) (string, error) {
 		CacheRows: 1, // ~every random read misses, as on the 100GB table
 		Latency:   kvstore.PaperLatencies(),
 	})
-	client, err := txn.NewClient(store, so, txn.Config{Mode: txn.ModeReplica})
+	client, err := txn.NewClient(store, so, txn.Config{Mode: txn.ModeQuery})
 	if err != nil {
 		return "", err
 	}

@@ -62,18 +62,14 @@ type Options struct {
 	// MaxRows bounds the status oracle's lastCommit memory
 	// (Algorithm 3's NR). 0 = unbounded.
 	MaxRows int
-	// MaxCommits bounds the commit table. 0 = unbounded. When bounded the
-	// client runs in txn.ModeWriteBack whatever Mode says: it is the only
-	// sound reader once the oracle may answer StatusUnknown for an acked
-	// commit (§2.2).
+	// MaxCommits bounds the commit table. 0 = unbounded. It also picks the
+	// client's mode: txn.ModeWriteBack when bounded, the only sound reader
+	// once the oracle may answer StatusUnknown for an acked commit (§2.2),
+	// txn.ModeQuery otherwise.
 	MaxCommits int
 	// Shards splits the status oracle's critical section (1 = the
 	// paper's implementation).
 	Shards int
-	// Mode selects where readers look up the commit timestamps of versions
-	// nobody has stamped yet. Default: txn.ModeQuery. Ignored when
-	// MaxCommits > 0.
-	Mode txn.CommitInfoMode
 	// Servers is the number of region servers in the store (default 1).
 	Servers int
 	// SplitKeys pre-splits the table into regions.
@@ -164,10 +160,10 @@ func New(opts Options) (*System, error) {
 // newClient builds the transaction client New and Recover share. Over a
 // bounded commit table the commit-info mode is not a preference: an evicted
 // writer answers StatusUnknown, which only a reader whose committers stamped
-// every acked write (write-back) may read as aborted; any other mode would
-// skip an acked commit.
+// every acked write (write-back) may read as aborted; ModeQuery would skip
+// an acked commit.
 func newClient(store *kvstore.Store, so *oracle.StatusOracle, opts Options) (*txn.Client, error) {
-	mode := opts.Mode
+	mode := txn.ModeQuery
 	if opts.MaxCommits > 0 {
 		mode = txn.ModeWriteBack
 	}
@@ -202,7 +198,7 @@ func (s *System) FlushWAL() {
 	}
 }
 
-// Close releases background resources (client subscriptions, WAL writer).
+// Close releases background resources (commit pipeliner, WAL writer).
 func (s *System) Close() {
 	s.Client.Close()
 	if s.walWriter != nil {

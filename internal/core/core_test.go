@@ -258,7 +258,6 @@ func TestBoundedSystemOptions(t *testing.T) {
 		MaxRows:    8,
 		MaxCommits: 8,
 		Shards:     4,
-		Mode:       txn.ModeWriteBack,
 		Servers:    3,
 		SplitKeys:  []string{"m"},
 		CacheRows:  16,

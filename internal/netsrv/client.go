@@ -3,7 +3,6 @@ package netsrv
 import (
 	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -17,7 +16,7 @@ import (
 )
 
 // Client is a pipelined network client for the status oracle. It satisfies
-// txn.Arbiter and txn.Subscribing, so the transaction layer works unchanged
+// txn.Arbiter and txn.BatchQuerier, so the transaction layer works unchanged
 // whether the oracle is in-process or remote. Any number of goroutines may
 // issue requests concurrently; they share one connection and are matched to
 // responses by request id.
@@ -56,9 +55,6 @@ type Client struct {
 	pending map[uint64]chan response
 	err     error // connection failure; reconnectable unless closed
 	closed  bool
-
-	subs   []*subConn
-	subsMu sync.Mutex
 }
 
 type response struct {
@@ -273,7 +269,7 @@ func (c *Client) reconnect() error {
 	}
 }
 
-// Close tears down the connection and any subscription connections.
+// Close tears down the connection.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -284,12 +280,6 @@ func (c *Client) Close() error {
 	c.failLocked(errors.New("netsrv: client closed"))
 	conn := c.conn
 	c.mu.Unlock()
-	c.subsMu.Lock()
-	for _, s := range c.subs {
-		s.close()
-	}
-	c.subs = nil
-	c.subsMu.Unlock()
 	return conn.Close()
 }
 
@@ -887,89 +877,4 @@ func (c *Client) resolveStatusEnv(startTS uint64, env *envelope) (oracle.TxnStat
 		return oracle.TxnStatus{}, ErrBadFrame
 	}
 	return statuses[0], nil
-}
-
-// Subscribe opens a dedicated event-stream connection and adapts it to the
-// oracle.Subscription interface used by the transaction layer.
-func (c *Client) Subscribe(buffer int) *oracle.Subscription {
-	sc, err := newSubConn(c.addr, buffer)
-	if err != nil {
-		// Degrade gracefully: a closed subscription forces the
-		// replica cache to fall back to direct queries.
-		b := newClosedBroadcastSub()
-		return b
-	}
-	c.subsMu.Lock()
-	c.subs = append(c.subs, sc)
-	c.subsMu.Unlock()
-	return sc.sub
-}
-
-// subConn pumps a server event stream into a local broadcaster, reusing the
-// oracle package's Subscription type so txn's replica cache is agnostic to
-// transport.
-type subConn struct {
-	conn  net.Conn
-	bcast *oracle.LocalBroadcaster
-	sub   *oracle.Subscription
-}
-
-func newSubConn(addr string, buffer int) (*subConn, error) {
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	body := make([]byte, 9, 17)
-	binary.BigEndian.PutUint64(body[:8], 1)
-	body[8] = opSubscribe
-	body = append(body, u64(uint64(buffer))...)
-	if err := writeFrame(conn, body); err != nil {
-		conn.Close()
-		return nil, err
-	}
-	// Await the OK response.
-	ack, err := readFrame(conn)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if _, code, _, err := splitResponse(ack); err != nil || code != codeOK {
-		conn.Close()
-		return nil, fmt.Errorf("netsrv: subscribe rejected")
-	}
-	bc := oracle.NewLocalBroadcaster()
-	sc := &subConn{conn: conn, bcast: bc, sub: bc.Subscribe(buffer)}
-	go sc.pump()
-	return sc, nil
-}
-
-func (sc *subConn) pump() {
-	defer sc.bcast.Close()
-	for {
-		body, err := readFrame(sc.conn)
-		if err != nil {
-			return
-		}
-		_, code, payload, err := splitResponse(body)
-		if err != nil || code != codeEvent {
-			return
-		}
-		e, err := parseEvent(payload)
-		if err != nil {
-			return
-		}
-		sc.bcast.Publish(e)
-	}
-}
-
-func (sc *subConn) close() {
-	sc.conn.Close()
-}
-
-// newClosedBroadcastSub returns an already-closed subscription.
-func newClosedBroadcastSub() *oracle.Subscription {
-	bc := oracle.NewLocalBroadcaster()
-	sub := bc.Subscribe(1)
-	bc.Close()
-	return sub
 }

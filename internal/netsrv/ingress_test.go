@@ -489,8 +489,7 @@ func TestOverloadStalledReader(t *testing.T) {
 }
 
 // TestOverloadIdleTimeout checks a silent connection is disconnected after
-// the idle deadline, while one that keeps sending stays up, and that an
-// event-stream connection is exempt.
+// the idle deadline, while one that keeps sending stays up.
 func TestOverloadIdleTimeout(t *testing.T) {
 	_, addr := startIngressServer(t, nil, func(s *Server) {
 		s.IdleTimeout = 100 * time.Millisecond
@@ -519,38 +518,6 @@ func TestOverloadIdleTimeout(t *testing.T) {
 		}
 		time.Sleep(40 * time.Millisecond)
 	}
-	// Subscriber: never writes after the subscribe frame, must outlive the
-	// idle window (the request connection it came from may idle out — a
-	// fresh client drives the commit that proves the stream is live).
-	sub := c.Subscribe(4)
-	defer sub.Close()
-	time.Sleep(300 * time.Millisecond)
-	c2, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	res, err := c2.Commit(oracle.CommitRequest{StartTS: mustBegin(t, c2), WriteSet: []oracle.RowID{42}})
-	if err != nil || !res.Committed {
-		t.Fatalf("commit: %+v %v", res, err)
-	}
-	select {
-	case e := <-sub.C:
-		if e.CommitTS != res.CommitTS {
-			t.Fatalf("subscription event %+v, want commitTS %d", e, res.CommitTS)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("subscription stream dead after idle window")
-	}
-}
-
-func mustBegin(t *testing.T, c *Client) uint64 {
-	t.Helper()
-	ts, err := c.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ts
 }
 
 // BenchmarkAdmissionDecision measures the per-request cost of the admission

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -134,28 +135,6 @@ func TestPipelinedConcurrentCalls(t *testing.T) {
 	}
 }
 
-func TestSubscriptionOverNetwork(t *testing.T) {
-	_, c := startServer(t, oracle.WSI)
-	sub := c.Subscribe(64)
-	defer sub.Close()
-	// Give the subscription connection a moment to register.
-	time.Sleep(20 * time.Millisecond)
-
-	ts, _ := c.Begin()
-	res, err := c.Commit(oracle.CommitRequest{StartTS: ts, WriteSet: []oracle.RowID{7}})
-	if err != nil || !res.Committed {
-		t.Fatalf("commit: %v %v", res, err)
-	}
-	select {
-	case e := <-sub.C:
-		if e.StartTS != ts || e.CommitTS != res.CommitTS {
-			t.Fatalf("event = %+v, want %d@%d", e, ts, res.CommitTS)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no event over network subscription")
-	}
-}
-
 func TestServerSurvivesGarbageConnection(t *testing.T) {
 	srv, c := startServer(t, oracle.WSI)
 	// Throw garbage at the server on a raw connection.
@@ -192,12 +171,55 @@ func TestRemoteErrorPropagates(t *testing.T) {
 	}
 }
 
+// Op 6 was the retired commit-notification stream. Bare or enveloped, a
+// frame asking it for a 1<<40-event buffer is an unknown operation,
+// answered without allocating for it, and the same connection goes on
+// serving requests.
+func TestRetiredOpSubscribe(t *testing.T) {
+	srv, _ := startServer(t, oracle.WSI)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	exchange := func(reqID uint64, op byte, payload []byte) (byte, []byte) {
+		t.Helper()
+		body := append(appendU64(nil, reqID), op)
+		if err := writeFrame(conn, append(body, payload...)); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := readFrame(conn)
+		if err != nil {
+			t.Fatalf("request %d: %v", reqID, err)
+		}
+		id, code, p, err := splitResponse(resp)
+		if err != nil || id != reqID {
+			t.Fatalf("request %d: response id %d, err %v", reqID, id, err)
+		}
+		return code, p
+	}
+	const retiredOp = 6
+	buffer := u64(1 << 40)
+	enveloped := append(appendEnvelope(nil, envelope{session: 1}, retiredOp), buffer...)
+	for i, f := range []struct {
+		op      byte
+		payload []byte
+	}{{retiredOp, buffer}, {opEnvelope, enveloped}} {
+		if code, p := exchange(uint64(i+1), f.op, f.payload); code != codeErr || string(p) != "unknown operation" {
+			t.Fatalf("frame %d: code %d %q, want codeErr \"unknown operation\"", i, code, p)
+		}
+	}
+	if code, p := exchange(3, opBegin, nil); code != codeOK || len(p) != 8 {
+		t.Fatalf("begin after op 6: code %d, %d-byte payload", code, len(p))
+	}
+}
+
 func TestTxnLayerOverNetwork(t *testing.T) {
-	// Full integration: the transaction layer drives the oracle over TCP
-	// in replica mode — the paper's deployment shape.
+	// Full integration: the transaction layer drives the oracle over TCP.
 	_, c := startServer(t, oracle.WSI)
 	store := kvstore.New(kvstore.Config{})
-	tc, err := txn.NewClient(store, c, txn.Config{Mode: txn.ModeReplica})
+	tc, err := txn.NewClient(store, c, txn.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,49 +264,6 @@ func TestTxnLayerOverNetwork(t *testing.T) {
 	}
 	if err := a.Commit(); !errors.Is(err, txn.ErrConflict) {
 		t.Fatalf("networked conflict = %v, want ErrConflict", err)
-	}
-}
-
-func TestSubscribeAgainstDeadServerDegrades(t *testing.T) {
-	srv, c := startServer(t, oracle.WSI)
-	srv.Close()
-	// Subscribe must not hang or panic; it returns a closed subscription
-	// that forces replica caches onto the query path.
-	sub := c.Subscribe(4)
-	select {
-	case _, ok := <-sub.C:
-		if ok {
-			t.Fatal("event from a dead server")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("subscription against dead server hangs")
-	}
-}
-
-func TestSubscriptionEventOrder(t *testing.T) {
-	_, c := startServer(t, oracle.WSI)
-	sub := c.Subscribe(64)
-	defer sub.Close()
-	time.Sleep(20 * time.Millisecond)
-
-	var commits []uint64
-	for i := 0; i < 5; i++ {
-		ts, _ := c.Begin()
-		res, err := c.Commit(oracle.CommitRequest{StartTS: ts, WriteSet: []oracle.RowID{oracle.RowID(i)}})
-		if err != nil || !res.Committed {
-			t.Fatalf("commit %d: %v", i, err)
-		}
-		commits = append(commits, res.CommitTS)
-	}
-	for i := 0; i < 5; i++ {
-		select {
-		case e := <-sub.C:
-			if e.CommitTS != commits[i] {
-				t.Fatalf("event %d out of order: got %d want %d", i, e.CommitTS, commits[i])
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("missing event %d", i)
-		}
 	}
 }
 
@@ -352,17 +331,6 @@ func TestFrameTooLarge(t *testing.T) {
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	if _, err := readFrame(&buf); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
-	}
-}
-
-func TestEventRoundTrip(t *testing.T) {
-	e := oracle.Event{StartTS: 3, CommitTS: 9}
-	got, err := parseEvent(encodeEvent(e))
-	if err != nil || got != e {
-		t.Fatalf("event round trip: %+v %v", got, err)
-	}
-	if _, err := parseEvent([]byte{1}); err == nil {
-		t.Fatal("short event must fail")
 	}
 }
 

@@ -9,10 +9,6 @@
 //	frame  := len(u32) body
 //	request body  := reqID(u64) op(u8) payload
 //	response body := reqID(u64) code(u8) payload
-//
-// A subscription switches its connection into a one-way event stream:
-// after the OK response, every subsequent frame is an event
-// (startTS(u64) commitTS(u64), commitTS==0 meaning abort).
 package netsrv
 
 import (
@@ -25,14 +21,14 @@ import (
 	"repro/internal/oracle"
 )
 
-// Operation codes.
+// Operation codes. 6 (a retired commit-notification stream) is never
+// reused: a server answers it, like any unknown op, with codeErr.
 const (
 	opBegin       = 1
 	opCommit      = 2
 	opAbort       = 3
 	opQuery       = 4
 	opForget      = 5
-	opSubscribe   = 6
 	opStats       = 7
 	opCommitBatch = 8
 	opQueryBatch  = 9
@@ -80,11 +76,10 @@ const (
 	rolePrimary byte = 1
 )
 
-// Response codes.
+// Response codes. 2 (the retired stream's event frame) is never reused.
 const (
-	codeOK    = 0
-	codeErr   = 1
-	codeEvent = 2
+	codeOK  = 0
+	codeErr = 1
 	// codeRedirect answers a misrouted request (rows the server does not
 	// own under its routing table) with the server's routing epoch and
 	// router spec, so the client refreshes its table and retries instead
@@ -889,24 +884,6 @@ func decodeDecideBatchReq(b []byte) ([]oracle.Decision, error) {
 		rest = rest[17:]
 	}
 	return ds, nil
-}
-
-// encodeEvent renders an event frame body.
-func encodeEvent(e oracle.Event) []byte {
-	b := make([]byte, 16)
-	binary.BigEndian.PutUint64(b[:8], e.StartTS)
-	binary.BigEndian.PutUint64(b[8:], e.CommitTS)
-	return b
-}
-
-func parseEvent(b []byte) (oracle.Event, error) {
-	if len(b) != 16 {
-		return oracle.Event{}, ErrBadFrame
-	}
-	return oracle.Event{
-		StartTS:  binary.BigEndian.Uint64(b[:8]),
-		CommitTS: binary.BigEndian.Uint64(b[8:]),
-	}, nil
 }
 
 // appendRespHdr starts a response body: reqID(u64) code(u8). Payload bytes

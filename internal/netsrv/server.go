@@ -2,9 +2,7 @@ package netsrv
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
-	"io"
 	"log"
 	"net"
 	"sync"
@@ -99,8 +97,7 @@ type Server struct {
 
 	// IdleTimeout, when > 0, disconnects a connection that sends no frame
 	// for this long, so dead clients stop pinning goroutines (and their
-	// pooled buffers) forever. Event-stream connections are exempt — a
-	// subscriber legitimately never writes. Set before Listen.
+	// pooled buffers) forever. Set before Listen.
 	IdleTimeout time.Duration
 
 	// MaxPendingBytes caps the per-connection pending write buffer: a
@@ -398,7 +395,7 @@ func (s *Server) dropConn(conn net.Conn) {
 
 // isDataOp reports whether op is a data-plane operation the admission gate
 // applies to; control-plane ops (health, promote, stats, routing, range
-// migration, subscribe) bypass admission so operability survives overload.
+// migration) bypass admission so operability survives overload.
 func isDataOp(op byte) bool {
 	switch op {
 	case opBegin, opCommit, opAbort, opQuery, opForget,
@@ -503,16 +500,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 		}
 		ctx.op = op
-		if op == opSubscribe {
-			// The connection becomes a one-way event stream; handle
-			// inline and stop reading requests. The context is released
-			// only after the stream ends — payload aliases ctx.body.
-			// Idle disconnection does not apply to a subscriber.
-			conn.SetReadDeadline(time.Time{})
-			s.streamEvents(br, w, reqID, payload)
-			s.putCtx(ctx)
-			return
-		}
 		// The admission decision happens here, at the frame boundary, on
 		// the connection's read goroutine: shedding costs one counter bump
 		// and a 10-byte reply — no handler goroutine, no oracle work, no
@@ -981,45 +968,4 @@ func (s *Server) handlePromote(reqID uint64) []byte {
 	s.startCoalescer(so)
 	s.so.Store(so)
 	return respOK(reqID, []byte{rolePrimary})
-}
-
-// streamEvents acknowledges the subscription and forwards the oracle's
-// notification stream until the connection breaks.
-func (s *Server) streamEvents(r io.Reader, w *connWriter, reqID uint64, payload []byte) {
-	buffer := 0
-	if len(payload) == 8 {
-		buffer = int(binary.BigEndian.Uint64(payload))
-	}
-	so := s.oracle()
-	if so == nil {
-		_ = w.send(respError(reqID, ErrStandby), nil)
-		return
-	}
-	sub := so.Subscribe(buffer)
-	defer sub.Close()
-	// Watch the connection: when the peer (or Server.Close) tears it
-	// down, close the subscription so the forwarding loop below exits
-	// instead of blocking forever on an idle event channel.
-	go func() {
-		for {
-			if _, err := readFrame(r); err != nil {
-				sub.Close()
-				return
-			}
-		}
-	}()
-	if err := w.send(respOK(reqID, nil), nil); err != nil {
-		return
-	}
-	body := make([]byte, 0, 9+16)
-	for e := range sub.C {
-		// send copies the frame into the connection's pending buffer, so
-		// one event buffer serves the whole stream.
-		body = appendRespHdr(body[:0], 0, codeEvent)
-		body = appendU64(body, e.StartTS)
-		body = appendU64(body, e.CommitTS)
-		if err := w.send(body, nil); err != nil {
-			return
-		}
-	}
 }

@@ -253,7 +253,6 @@ func (s *StatusOracle) CommitBatchInto(reqs []CommitRequest, scratch []CommitRes
 			_, _ = s.cfg.WAL.AppendAsync(encodeAbortRecord(startTS))
 		}
 		s.table.addAbort(startTS)
-		s.bcast.publish(Event{StartTS: startTS})
 	}
 	if len(committed) == 0 {
 		s.stats.applyBatch(readOnly, 0, int64(len(aborts)), tmaxAborts, int64(len(writeIdx)))
@@ -284,9 +283,7 @@ func (s *StatusOracle) CommitBatchInto(reqs []CommitRequest, scratch []CommitRes
 		stampSpans(reqs, metrics.StageWAL)
 	}
 	for k, i := range committed {
-		ts := lo + uint64(k)
-		results[i] = CommitResult{Committed: true, CommitTS: ts}
-		s.bcast.publish(Event{StartTS: reqs[i].StartTS, CommitTS: ts})
+		results[i] = CommitResult{Committed: true, CommitTS: lo + uint64(k)}
 	}
 	s.stats.applyBatch(readOnly, int64(len(committed)), int64(len(aborts)), tmaxAborts, int64(len(writeIdx)))
 	stampSpans(reqs, metrics.StageApply)

@@ -183,7 +183,6 @@ type StatusOracle struct {
 	tso    *tso.Oracle
 	shards []*shard
 	table  *commitTable
-	bcast  *broadcaster
 	stats  statsCollector
 	loads  loadHistogram
 	// prepared indexes in-flight two-phase transactions by start timestamp
@@ -216,7 +215,6 @@ func New(cfg Config) (*StatusOracle, error) {
 		cfg:      cfg,
 		tso:      cfg.TSO,
 		table:    newCommitTable(cfg.MaxCommits),
-		bcast:    newBroadcaster(),
 		prepared: make(map[uint64]*preparedTxn),
 	}
 	s.loads.span = cfg.LoadSpan
@@ -278,7 +276,6 @@ func (s *StatusOracle) Abort(startTS uint64) error {
 	}
 	s.table.addAbort(startTS)
 	s.stats.explicitAbort()
-	s.bcast.publish(Event{StartTS: startTS})
 	return nil
 }
 
@@ -329,13 +326,6 @@ func (s *StatusOracle) QueryBatchInto(startTSs []uint64, scratch []TxnStatus) []
 func (s *StatusOracle) Err() error {
 	err, _ := s.failed.Load().(error)
 	return err
-}
-
-// Subscribe registers for commit/abort notifications; clients use the
-// stream to maintain a local replica of the commit table (§2.2, the
-// implementation option the paper's experiments use).
-func (s *StatusOracle) Subscribe(buffer int) *Subscription {
-	return s.bcast.subscribe(buffer)
 }
 
 // Tmax returns the maximum commit timestamp evicted from lastCommit

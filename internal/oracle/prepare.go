@@ -392,14 +392,6 @@ func (s *StatusOracle) DecideBatch(decisions []Decision) error {
 			return fmt.Errorf("oracle: persist decides: %w", err)
 		}
 	}
-	for i := range apps {
-		d := apps[i].d
-		if d.Commit {
-			s.bcast.publish(Event{StartTS: d.StartTS, CommitTS: d.CommitTS})
-		} else {
-			s.bcast.publish(Event{StartTS: d.StartTS})
-		}
-	}
 	s.stats.applyDecides(commits, aborts, waitNanos, int64(len(apps)))
 	return nil
 }
@@ -471,7 +463,6 @@ func (s *StatusOracle) CommitAtBatch(reqs []PrepareRequest) ([]CommitResult, err
 			tmaxAborts++
 		}
 		s.table.addAbort(reqs[a.idx].StartTS)
-		s.bcast.publish(Event{StartTS: reqs[a.idx].StartTS})
 	}
 	writeTxns := int64(len(reqs)) - readOnly
 	if s.cfg.WAL != nil && (len(committed) > 0 || len(aborts) > 0) {
@@ -498,7 +489,6 @@ func (s *StatusOracle) CommitAtBatch(reqs []PrepareRequest) ([]CommitResult, err
 	}
 	for _, i := range committed {
 		results[i] = CommitResult{Committed: true, CommitTS: reqs[i].CommitTS}
-		s.bcast.publish(Event{StartTS: reqs[i].StartTS, CommitTS: reqs[i].CommitTS})
 	}
 	s.stats.applyBatch(readOnly, int64(len(committed)), int64(len(aborts)), tmaxAborts, writeTxns)
 	return results, nil

@@ -33,12 +33,6 @@ type Backend interface {
 	Stats() (oracle.Stats, error)
 }
 
-// Subscribing is implemented by backends that can stream commit events;
-// the coordinator merges the streams for ModeReplica clients.
-type Subscribing interface {
-	Subscribe(buffer int) *oracle.Subscription
-}
-
 // StatusResolving is implemented by backends whose status lookup reports
 // transport failure (netsrv clients); in-process backends answer
 // authoritatively through QueryBatch.

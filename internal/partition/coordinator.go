@@ -83,8 +83,8 @@ func (s Stats) CrossRatio() float64 {
 }
 
 // Coordinator fronts N status-oracle partitions with the single-oracle
-// interface: it satisfies txn.Arbiter (plus the batching, forgetting,
-// subscribing and status-resolving extensions), so the transaction layer
+// interface: it satisfies txn.Arbiter (plus the batching, forgetting and
+// status-resolving extensions), so the transaction layer
 // runs unchanged on top of a partitioned oracle.
 type Coordinator struct {
 	cfg   Config
@@ -125,9 +125,6 @@ type Coordinator struct {
 	crossTxns  atomic.Int64
 	crossCommits,
 	crossAborts atomic.Int64
-
-	subMu sync.Mutex
-	subs  []*oracle.Subscription
 
 	// decideWG tracks in-flight background decide rounds (AsyncDecide);
 	// decideErr latches their first failure. expiredDecides counts rounds
@@ -1139,55 +1136,9 @@ func (co *Coordinator) Forget(startTS uint64) {
 	}
 }
 
-// Subscribe merges every partition's commit notification stream into one
-// subscription, so ModeReplica clients maintain their commit-table replica
-// exactly as against a single oracle. Cross-partition transactions are
-// announced once per covering partition; the duplicate events carry
-// identical payloads and are harmless to the replica cache.
-func (co *Coordinator) Subscribe(buffer int) *oracle.Subscription {
-	bc := oracle.NewLocalBroadcaster()
-	merged := bc.Subscribe(buffer)
-	var upstream []*oracle.Subscription
-	for _, b := range co.parts {
-		s, ok := b.(Subscribing)
-		if !ok {
-			continue
-		}
-		upstream = append(upstream, s.Subscribe(buffer))
-	}
-	if len(upstream) == 0 {
-		bc.Close()
-		return merged
-	}
-	var wg sync.WaitGroup
-	for _, sub := range upstream {
-		wg.Add(1)
-		go func(sub *oracle.Subscription) {
-			defer wg.Done()
-			for e := range sub.C {
-				bc.Publish(e)
-			}
-		}(sub)
-	}
-	go func() {
-		wg.Wait()
-		bc.Close()
-	}()
-	co.subMu.Lock()
-	co.subs = append(co.subs, upstream...)
-	co.subMu.Unlock()
-	return merged
-}
-
-// Close tears down the coordinator's upstream subscriptions.
+// Close waits for every background decide round to land on its partitions.
 func (co *Coordinator) Close() {
-	co.subMu.Lock()
-	subs := co.subs
-	co.subs = nil
-	co.subMu.Unlock()
-	for _, s := range subs {
-		s.Close()
-	}
+	co.decideWG.Wait()
 }
 
 // Stats snapshots the coordinator counters plus every partition's oracle

@@ -116,24 +116,3 @@ func TestBucketScanRequiresBucketer(t *testing.T) {
 		t.Fatal("BucketScan without a bucketer must fail")
 	}
 }
-
-func TestReplicaCacheWindowBounded(t *testing.T) {
-	_, so, _ := newStack(t, oracle.WSI, Config{})
-	sub := so.Subscribe(1024)
-	rc := newReplicaCache(sub, 8)
-	defer rc.close()
-	for i := 0; i < 100; i++ {
-		ts, _ := so.Begin()
-		if _, err := so.Commit(oracle.CommitRequest{StartTS: ts, WriteSet: []oracle.RowID{oracle.RowID(i)}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Drain asynchronously; poll for the window to settle.
-	deadline := 100
-	for rc.size() > 8 && deadline > 0 {
-		deadline--
-	}
-	if rc.size() > 16 { // allow in-flight slack
-		t.Fatalf("replica window grew to %d", rc.size())
-	}
-}

@@ -10,13 +10,13 @@
 // To decide whether a version it encounters is visible, a reader must learn
 // the commit status of the writing transaction. The paper lists three
 // options (§2.2): query the status oracle, write commit timestamps back
-// into the database, or replicate commit timestamps on the clients. Here
-// write-back is how the store remembers: whoever learns that a version's
-// writer committed stamps the commit timestamp on the version itself
-// (kvstore.Store.StampCommits), in every mode, so a version's fate is looked
-// up once — not once per reader. CommitInfoMode only chooses where a version
-// nobody has resolved yet is looked up; the paper's experiments used client
-// replication.
+// into the database, or replicate commit timestamps on the clients. The
+// paper's experiments replicated; here the stamped store is the replica:
+// whoever learns that a version's writer committed stamps the commit
+// timestamp on the version itself (kvstore.Store.StampCommits), in every
+// mode, so a version's fate is looked up once — not once per reader. A
+// version nobody has stamped yet is asked of the oracle; CommitInfoMode
+// only chooses how an unknown answer is read.
 package txn
 
 import (
@@ -40,12 +40,6 @@ type Arbiter interface {
 	Commit(oracle.CommitRequest) (oracle.CommitResult, error)
 	Abort(startTS uint64) error
 	Query(startTS uint64) oracle.TxnStatus
-}
-
-// Subscribing is implemented by arbiters that can stream commit
-// notifications (used by ModeReplica).
-type Subscribing interface {
-	Subscribe(buffer int) *oracle.Subscription
 }
 
 // BatchQuerier is implemented by arbiters that can resolve many status
@@ -92,15 +86,11 @@ type CommitInfoMode uint8
 const (
 	// ModeQuery asks the status oracle.
 	ModeQuery CommitInfoMode = iota
-	// ModeReplica maintains a client-local replica of the commit table
-	// fed by the oracle's notification stream (the paper's choice), and
-	// asks the oracle what the replica does not hold.
-	ModeReplica
 	// ModeWriteBack asks the status oracle, and additionally has every
 	// committer stamp its own write set at ack, which lets it read an
 	// unknown (evicted) writer with no stamp as aborted. It is the only
 	// sound mode over a bounded commit table (oracle.Config.MaxCommits > 0),
-	// where the others would skip an acked commit whose writer was evicted;
+	// where ModeQuery would skip an acked commit whose writer was evicted;
 	// core derives it from MaxCommits.
 	ModeWriteBack
 )
@@ -109,8 +99,6 @@ func (m CommitInfoMode) String() string {
 	switch m {
 	case ModeQuery:
 		return "query"
-	case ModeReplica:
-		return "replica"
 	case ModeWriteBack:
 		return "write-back"
 	default:
@@ -135,11 +123,6 @@ var errReadOnly = ErrReadOnly
 type Config struct {
 	// Mode selects the commit-info resolution strategy.
 	Mode CommitInfoMode
-	// ReplicaBuffer sizes the notification subscription (ModeReplica).
-	ReplicaBuffer int
-	// ReplicaWindow bounds the client-side commit-table replica; zero
-	// keeps everything.
-	ReplicaWindow int
 	// Bucketer, when non-nil, enables the §5.2 analytics extension:
 	// writers additionally publish the bucket of every written row, and
 	// scans may submit compact bucket-level read sets instead of
@@ -173,11 +156,10 @@ type Config struct {
 // Client runs transactions. Create one per process; it is safe for
 // concurrent use and transactions from the same client may run in parallel.
 type Client struct {
-	store   *kvstore.Store
-	so      Arbiter
-	cfg     Config
-	replica *replicaCache // nil unless ModeReplica
-	active  activeSet     // live transactions, for GC watermarking
+	store  *kvstore.Store
+	so     Arbiter
+	cfg    Config
+	active activeSet // live transactions, for GC watermarking
 
 	pipeMu     sync.Mutex
 	pipe       *commitPipeliner // started lazily by the first CommitAsync
@@ -186,19 +168,11 @@ type Client struct {
 
 // NewClient creates a transaction client.
 func NewClient(store *kvstore.Store, so Arbiter, cfg Config) (*Client, error) {
-	c := &Client{store: store, so: so, cfg: cfg}
-	if cfg.Mode == ModeReplica {
-		sub, ok := so.(Subscribing)
-		if !ok {
-			return nil, errors.New("txn: ModeReplica requires a subscribing arbiter")
-		}
-		c.replica = newReplicaCache(sub.Subscribe(cfg.ReplicaBuffer), cfg.ReplicaWindow)
-	}
-	return c, nil
+	return &Client{store: store, so: so, cfg: cfg}, nil
 }
 
-// Close releases the client's subscription and commit pipeliner, if any.
-// Outstanding CommitAsync futures complete with ErrClientClosed.
+// Close stops the client's commit pipeliner, if any. Outstanding
+// CommitAsync futures complete with ErrClientClosed.
 func (c *Client) Close() {
 	c.pipeMu.Lock()
 	pipe := c.pipe
@@ -207,9 +181,6 @@ func (c *Client) Close() {
 	c.pipeMu.Unlock()
 	if pipe != nil {
 		pipe.stop()
-	}
-	if c.replica != nil {
-		c.replica.close()
 	}
 }
 
@@ -264,52 +235,30 @@ var resolveScratchPool = sync.Pool{New: func() interface{} { return new([]uint64
 
 // resolveInto determines the commit status of the transactions that wrote
 // at writeTSs, one answer each in out's storage (grown if it must be). The
-// read path sends it unstamped versions only; the mode chooses the source:
-// ModeReplica consults the client's replica first, and whatever is left goes
-// to the oracle in a single QueryBatch round trip, deduplicated (one
+// read path sends it unstamped versions only: one goes to the oracle as a
+// direct Query, more as a single QueryBatch round trip, deduplicated (one
 // transaction's status answers every row it wrote).
 func (c *Client) resolveInto(writeTSs []uint64, out []oracle.TxnStatus) []oracle.TxnStatus {
 	out = slices.Grow(out[:0], len(writeTSs))[:len(writeTSs)]
-	// The replica answers committed or aborted, never pending, so a pending
-	// entry of out marks a writer the oracle is still to be asked about.
-	asked, last := 0, 0
-	for i, ts := range writeTSs {
-		out[i] = oracle.TxnStatus{}
-		if c.replica != nil {
-			if st, ok := c.replica.lookup(ts); ok {
-				out[i] = st
-				continue
-			}
-		}
-		asked, last = asked+1, i
-	}
-	if asked == 0 {
+	switch len(writeTSs) {
+	case 0:
 		return out
-	}
-	if asked == 1 {
+	case 1:
 		// The common Get shape: a direct query, no dedup bookkeeping, no
 		// allocation.
-		out[last] = c.applyWriteBackRule(c.so.Query(writeTSs[last]))
+		out[0] = c.applyWriteBackRule(c.so.Query(writeTSs[0]))
 		return out
 	}
-	// One oracle round trip for every unresolved write timestamp.
 	sc := resolveScratchPool.Get().(*[]uint64)
 	defer resolveScratchPool.Put(sc)
-	startTSs := (*sc)[:0]
-	for i, ts := range writeTSs {
-		if out[i].Status == oracle.StatusPending {
-			startTSs = append(startTSs, ts)
-		}
-	}
+	startTSs := append((*sc)[:0], writeTSs...)
 	slices.Sort(startTSs)
 	startTSs = slices.Compact(startTSs)
 	*sc = startTSs
 	statuses := c.queryBatch(startTSs)
 	for i, ts := range writeTSs {
-		if out[i].Status == oracle.StatusPending {
-			j, _ := slices.BinarySearch(startTSs, ts)
-			out[i] = c.applyWriteBackRule(statuses[j])
-		}
+		j, _ := slices.BinarySearch(startTSs, ts)
+		out[i] = c.applyWriteBackRule(statuses[j])
 	}
 	return out
 }
@@ -318,7 +267,7 @@ func (c *Client) resolveInto(writeTSs []uint64, out []oracle.TxnStatus) []oracle
 // unknown-means-aborted rule: a transaction evicted from the commit table
 // whose version carries no stamp never completed its write-back, so its
 // client was either never acknowledged or crashed mid-write-back; treating
-// the version as invisible is safe (§2.2, Appendix A). Other modes pass
+// the version as invisible is safe (§2.2, Appendix A). ModeQuery passes
 // through unchanged.
 func (c *Client) applyWriteBackRule(st oracle.TxnStatus) oracle.TxnStatus {
 	if c.cfg.Mode == ModeWriteBack && st.Status == oracle.StatusUnknown {

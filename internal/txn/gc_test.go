@@ -8,7 +8,7 @@ import (
 	"repro/internal/oracle"
 )
 
-// forEachMode runs a collector test in all three commit-info modes: the
+// forEachMode runs a collector test in both commit-info modes: the
 // collector's verdicts come from stamps first and the mode's source second,
 // and a write-back collector used to deadlock on its own region lock.
 func forEachMode(t *testing.T, test func(t *testing.T, mode CommitInfoMode)) {

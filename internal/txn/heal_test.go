@@ -31,7 +31,7 @@ func (a *countingArbiter) QueryBatch(startTSs []uint64) []oracle.TxnStatus {
 	return a.StatusOracle.QueryBatch(startTSs)
 }
 
-var allModes = []CommitInfoMode{ModeQuery, ModeReplica, ModeWriteBack}
+var allModes = []CommitInfoMode{ModeQuery, ModeWriteBack}
 
 // healStack is one store and oracle with any number of metered clients.
 type healStack struct {

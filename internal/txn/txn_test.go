@@ -60,7 +60,7 @@ func commit(t *testing.T, tx *Txn) {
 }
 
 func TestBasicPutGetCommit(t *testing.T) {
-	for _, mode := range []CommitInfoMode{ModeQuery, ModeReplica, ModeWriteBack} {
+	for _, mode := range []CommitInfoMode{ModeQuery, ModeWriteBack} {
 		t.Run(mode.String(), func(t *testing.T) {
 			_, _, c := newStack(t, oracle.WSI, Config{Mode: mode})
 			t1 := begin(t, c)
@@ -380,7 +380,7 @@ func TestOlderVersionStillVisibleUnderPendingNewer(t *testing.T) {
 // its store tag (start timestamp) is older; a reader that picked versions
 // by start-timestamp order would resurrect the overwritten value.
 func TestH4VersionSelectionByCommitOrder(t *testing.T) {
-	for _, mode := range []CommitInfoMode{ModeQuery, ModeReplica, ModeWriteBack} {
+	for _, mode := range []CommitInfoMode{ModeQuery, ModeWriteBack} {
 		t.Run(mode.String(), func(t *testing.T) {
 			_, _, c := newStack(t, oracle.WSI, Config{Mode: mode})
 			// t1 starts first (older start timestamp) ...
@@ -422,52 +422,6 @@ func TestScanH4VersionSelection(t *testing.T) {
 	}
 	if len(rows) != 1 || string(rows[0].Value) != "early-start-late-commit" {
 		t.Fatalf("scan = %v; want the later committer's value", rows)
-	}
-	commit(t, r)
-}
-
-func TestModeReplicaFallsBackToQuery(t *testing.T) {
-	// A commit that happened before the replica subscribed must still be
-	// resolvable (fallback to direct query).
-	store, so, _ := newStack(t, oracle.WSI, Config{})
-	// Write directly with a pre-subscription client.
-	c0, err := NewClient(store, so, Config{Mode: ModeQuery})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tx := begin(t, c0)
-	put(t, tx, "old", "v")
-	commit(t, tx)
-	c0.Close()
-
-	c1, err := NewClient(store, so, Config{Mode: ModeReplica})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c1.Close()
-	r := begin(t, c1)
-	if v, ok := get(t, r, "old"); !ok || v != "v" {
-		t.Fatalf("replica client missed pre-subscription commit: %q,%v", v, ok)
-	}
-	commit(t, r)
-}
-
-func TestModeReplicaLagFallsBackCorrectly(t *testing.T) {
-	// A one-slot replica buffer guarantees dropped events under a commit
-	// burst; reads must still resolve every version via the query
-	// fallback.
-	_, _, c := newStack(t, oracle.WSI, Config{Mode: ModeReplica, ReplicaBuffer: 1})
-	for i := 0; i < 50; i++ {
-		w := begin(t, c)
-		put(t, w, fmt.Sprintf("k%02d", i), fmt.Sprintf("v%d", i))
-		commit(t, w)
-	}
-	r := begin(t, c)
-	for i := 0; i < 50; i++ {
-		v, ok := get(t, r, fmt.Sprintf("k%02d", i))
-		if !ok || v != fmt.Sprintf("v%d", i) {
-			t.Fatalf("lagged replica read k%02d = %q,%v", i, v, ok)
-		}
 	}
 	commit(t, r)
 }
