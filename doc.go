@@ -4,8 +4,6 @@
 // key-value stores at snapshot-isolation cost.
 //
 // The user-facing API lives in internal/core; see README.md for the
-// architecture, DESIGN.md for the system inventory and per-experiment
-// index, and EXPERIMENTS.md for the reproduced evaluation. The root
-// package holds the testing.B benchmarks (bench_test.go), one per
-// table/figure of the paper.
+// architecture, DESIGN.md for the system inventory, and benchmark/ for the
+// measured canonical transaction.
 package repro

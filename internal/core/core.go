@@ -76,8 +76,6 @@ type Options struct {
 	SplitKeys []string
 	// CacheRows enables block-cache modelling per server.
 	CacheRows int
-	// Latency charges wall-clock store latencies (demos only).
-	Latency kvstore.LatencyModel
 	// Bucketer enables the §5.2 analytics extension.
 	Bucketer txn.Bucketer
 	// CommitBatchSize caps how many Txn.CommitAsync submissions the
@@ -147,7 +145,6 @@ func New(opts Options) (*System, error) {
 		Servers:   opts.Servers,
 		SplitKeys: opts.SplitKeys,
 		CacheRows: opts.CacheRows,
-		Latency:   opts.Latency,
 	})
 
 	sys.Client, err = newClient(sys.Store, so, opts)

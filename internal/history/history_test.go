@@ -1,6 +1,7 @@
 package history
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -338,5 +339,38 @@ func TestOpStringUnknown(t *testing.T) {
 	op := Op{Type: OpType(9), Txn: 3}
 	if !strings.Contains(op.String(), "?") {
 		t.Fatalf("unknown op renders %q", op.String())
+	}
+}
+
+// serializableSink keeps the benchmarked call's result live.
+var serializableSink bool
+
+// BenchmarkHistoryChecker measures the serializability checker on random
+// histories of four transactions with four operations each.
+func BenchmarkHistoryChecker(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	hs := make([]History, 16)
+	for i := range hs {
+		var sb strings.Builder
+		for t := 1; t <= 4; t++ {
+			for o := 0; o < 4; o++ {
+				item := 'a' + rng.Intn(4)
+				kind := "r"
+				if rng.Intn(2) == 1 {
+					kind = "w"
+				}
+				fmt.Fprintf(&sb, "%s%d[%c] ", kind, t, item)
+			}
+		}
+		sb.WriteString("c1 c2 c3 c4")
+		h, err := Parse(sb.String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		hs[i] = h
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serializableSink = Serializable(hs[i%len(hs)])
 	}
 }

@@ -4,16 +4,12 @@
 // region server, cells carry multiple timestamped versions, and reads/writes
 // are get/put requests addressed by (key, timestamp).
 //
-// Two aspects of the paper's testbed are modelled explicitly because the
-// evaluation depends on them:
-//
-//   - A per-server block cache: the 100 GB table does not fit in the 3 GB
-//     data-server memory, so a uniformly random read misses the cache and
-//     pays a disk seek (38.8 ms in §6.2), while skewed (zipfian) traffic is
-//     mostly served from memory — the reason Figure 7 outperforms Figure 6.
-//   - A configurable latency model, used by the real-time harness; the
-//     discrete-event simulator (internal/cluster) instead charges these
-//     costs on its virtual clock.
+// Each server counts its reads against a per-server block cache (CacheRows),
+// the one aspect of the paper's testbed the evaluation depends on: the 100 GB
+// table does not fit in the 3 GB data-server memory, so a uniformly random
+// read misses the cache and pays a disk seek (38.8 ms in §6.2), while skewed
+// (zipfian) traffic is mostly served from memory — the reason Figure 7
+// outperforms Figure 6.
 package kvstore
 
 import (
@@ -22,7 +18,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"time"
 )
 
 // Version is one timestamped value of a cell. In the lock-free scheme the
@@ -37,24 +32,6 @@ type Version struct {
 	CommitTS uint64
 }
 
-// LatencyModel charges wall-clock delays for store operations; the zero
-// value charges nothing. §6.2 measured: random read 38.8 ms (disk),
-// write 1.13 ms (memstore + WAL append).
-type LatencyModel struct {
-	ReadDisk  time.Duration // cache miss: load a block from disk
-	ReadCache time.Duration // cache hit: served from block cache
-	Write     time.Duration // memstore write + WAL append
-}
-
-// Paper §6.2 values, for real-time runs that want testbed-like latencies.
-func PaperLatencies() LatencyModel {
-	return LatencyModel{
-		ReadDisk:  38800 * time.Microsecond,
-		ReadCache: 300 * time.Microsecond,
-		Write:     1130 * time.Microsecond,
-	}
-}
-
 // Config parameterizes a store.
 type Config struct {
 	// Servers is the number of region servers (paper: 25).
@@ -66,10 +43,8 @@ type Config struct {
 	// rows. Zero disables auto-splitting.
 	MaxRegionRows int
 	// CacheRows is each server's block-cache capacity in rows. Zero
-	// disables cache modelling (every read is a hit at zero cost).
+	// disables cache modelling (every read is a hit).
 	CacheRows int
-	// Latency charges wall-clock delays per operation.
-	Latency LatencyModel
 }
 
 // Errors returned by the store.
@@ -93,7 +68,7 @@ func New(cfg Config) *Store {
 	}
 	s := &Store{cfg: cfg}
 	for i := 0; i < cfg.Servers; i++ {
-		s.servers = append(s.servers, newRegionServer(i, cfg.CacheRows, cfg.Latency))
+		s.servers = append(s.servers, newRegionServer(i, cfg.CacheRows))
 	}
 	splits := append([]string(nil), cfg.SplitKeys...)
 	sort.Strings(splits)

@@ -489,23 +489,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestModelServerCacheTouch(t *testing.T) {
-	rs := NewModelServer(0, 2)
-	if rs.CacheTouch("x") {
-		t.Fatal("first touch must miss")
-	}
-	if !rs.CacheTouch("x") {
-		t.Fatal("second touch must hit")
-	}
-	if !rs.CacheContains("x") {
-		t.Fatal("CacheContains disagrees")
-	}
-	st := rs.stats()
-	if st.CacheHits != 1 || st.CacheMiss != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-}
-
 func TestStoreString(t *testing.T) {
 	s := New(Config{Servers: 2, SplitKeys: []string{"m"}})
 	if s.String() == "" {

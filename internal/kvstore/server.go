@@ -3,16 +3,13 @@ package kvstore
 import (
 	"container/list"
 	"sync"
-	"time"
 )
 
-// RegionServer models one data server: it owns a block cache and charges
-// operation latencies. All regions assigned to it share the cache, as
-// HBase's block cache is process-wide.
+// RegionServer models one data server: it owns a block cache and counts
+// reads, writes, hits and misses. All regions assigned to it share the cache,
+// as HBase's block cache is process-wide.
 type RegionServer struct {
 	ID int
-
-	latency LatencyModel
 
 	mu     sync.Mutex
 	cache  *lruCache // nil when cache modelling is off
@@ -22,71 +19,42 @@ type RegionServer struct {
 	misses int64
 }
 
-// NewModelServer returns a stand-alone RegionServer used purely for
-// block-cache modelling (no regions, no latency charging). The cluster
-// simulator creates one per modelled data server and charges virtual time
-// itself based on CacheTouch results.
-func NewModelServer(id, cacheRows int) *RegionServer {
-	return newRegionServer(id, cacheRows, LatencyModel{})
-}
-
-func newRegionServer(id, cacheRows int, latency LatencyModel) *RegionServer {
-	rs := &RegionServer{ID: id, latency: latency}
+func newRegionServer(id, cacheRows int) *RegionServer {
+	rs := &RegionServer{ID: id}
 	if cacheRows > 0 {
 		rs.cache = newLRUCache(cacheRows)
 	}
 	return rs
 }
 
-// chargeRead accounts one read, simulating cache behaviour and latency.
+// chargeRead accounts one read against the cache.
 func (rs *RegionServer) chargeRead(key string) {
-	var delay time.Duration
 	rs.mu.Lock()
-	rs.reads++
-	if rs.cache == nil {
-		rs.hits++
-		delay = rs.latency.ReadCache
-	} else if rs.cache.touch(key) {
-		rs.hits++
-		delay = rs.latency.ReadCache
-	} else {
-		rs.misses++
-		rs.cache.add(key)
-		delay = rs.latency.ReadDisk
-	}
+	rs.touchLocked(key)
 	rs.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
 }
 
 // chargeReadBatch accounts a batched read of the keys at positions group
-// under one mutex pass, simulating each key's cache behaviour. The modelled
-// latency is the sum of the per-key costs — a multiget still pays every disk
-// seek — but it is charged as one sleep, and the cache bookkeeping costs one
-// lock acquisition instead of one per key.
+// under one mutex pass: the cache bookkeeping costs one lock acquisition
+// instead of one per key.
 func (rs *RegionServer) chargeReadBatch(keys []string, group []int) {
-	var delay time.Duration
 	rs.mu.Lock()
 	for _, i := range group {
-		key := keys[i]
-		rs.reads++
-		if rs.cache == nil {
-			rs.hits++
-			delay += rs.latency.ReadCache
-		} else if rs.cache.touch(key) {
-			rs.hits++
-			delay += rs.latency.ReadCache
-		} else {
-			rs.misses++
-			rs.cache.add(key)
-			delay += rs.latency.ReadDisk
-		}
+		rs.touchLocked(keys[i])
 	}
 	rs.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
+}
+
+// touchLocked accounts one read of key: a hit when cache modelling is off or
+// the row is resident, otherwise a miss that makes it resident.
+func (rs *RegionServer) touchLocked(key string) {
+	rs.reads++
+	if rs.cache == nil || rs.cache.touch(key) {
+		rs.hits++
+		return
 	}
+	rs.misses++
+	rs.cache.add(key)
 }
 
 // chargeWrite accounts one write. Writes go to the memstore, so the row
@@ -97,41 +65,7 @@ func (rs *RegionServer) chargeWrite(key string) {
 	if rs.cache != nil {
 		rs.cache.add(key)
 	}
-	delay := rs.latency.Write
 	rs.mu.Unlock()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-}
-
-// CacheContains reports whether the key is currently cache-resident
-// (false when cache modelling is off). Exposed for the simulator, which
-// charges virtual rather than wall-clock time.
-func (rs *RegionServer) CacheContains(key string) bool {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if rs.cache == nil {
-		return true
-	}
-	return rs.cache.contains(key)
-}
-
-// CacheTouch simulates a read's cache effect and reports whether it hit.
-func (rs *RegionServer) CacheTouch(key string) bool {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	rs.reads++
-	if rs.cache == nil {
-		rs.hits++
-		return true
-	}
-	if rs.cache.touch(key) {
-		rs.hits++
-		return true
-	}
-	rs.misses++
-	rs.cache.add(key)
-	return false
 }
 
 func (rs *RegionServer) stats() Stats {

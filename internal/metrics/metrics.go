@@ -1,20 +1,18 @@
-// Package metrics provides latency histograms and throughput meters used by
-// the benchmark harness and the cluster simulator.
+// Package metrics provides the latency histograms, stage spans and metric
+// registry the servers export and the benchmark reads.
 //
 // The histogram is a fixed-layout log-linear histogram (similar in spirit to
 // HdrHistogram): values are bucketed into power-of-two magnitude groups, each
 // split into a fixed number of linear sub-buckets. This gives a bounded
 // relative error (~1/subBuckets) over an arbitrary dynamic range while
 // keeping Record at a handful of instructions, which matters because the
-// simulator records millions of samples per run.
+// commit path records a sample per stage per request.
 package metrics
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
-	"strings"
 	"sync"
 )
 
@@ -197,91 +195,4 @@ func (c *ConcurrentHistogram) Snapshot() Histogram {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.h
-}
-
-// Counter is an atomic-free counter protected by a mutex; used where exact
-// totals matter more than raw speed.
-type Counter struct {
-	mu sync.Mutex
-	n  int64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d int64) {
-	c.mu.Lock()
-	c.n += d
-	c.mu.Unlock()
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-// Series is an ordered set of (x, y) points, used to accumulate the data
-// behind one curve of a figure (e.g. latency vs. throughput).
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Point is a single measurement of a figure curve.
-type Point struct {
-	X float64 // e.g. throughput in TPS
-	Y float64 // e.g. average latency in ms
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y float64) {
-	s.Points = append(s.Points, Point{X: x, Y: y})
-}
-
-// Sorted returns a copy of the points ordered by X.
-func (s *Series) Sorted() []Point {
-	pts := make([]Point, len(s.Points))
-	copy(pts, s.Points)
-	sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
-	return pts
-}
-
-// Table renders one or more series that share X semantics as an aligned
-// text table, the format used by cmd/bench to print figure data.
-func Table(xLabel, yLabel string, series ...*Series) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-14s", xLabel)
-	for _, s := range series {
-		fmt.Fprintf(&b, "%16s", s.Name+" "+yLabel)
-	}
-	b.WriteByte('\n')
-	n := 0
-	for _, s := range series {
-		if len(s.Points) > n {
-			n = len(s.Points)
-		}
-	}
-	for i := 0; i < n; i++ {
-		wrote := false
-		for j, s := range series {
-			if i >= len(s.Points) {
-				fmt.Fprintf(&b, "%16s", "-")
-				continue
-			}
-			p := s.Points[i]
-			if !wrote {
-				fmt.Fprintf(&b, "%-14.1f", p.X)
-				wrote = true
-				if j > 0 {
-					// X came from a later series; pad earlier columns.
-					for k := 0; k < j; k++ {
-						fmt.Fprintf(&b, "%16s", "-")
-					}
-				}
-			}
-			fmt.Fprintf(&b, "%16.2f", p.Y)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

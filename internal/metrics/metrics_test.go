@@ -165,66 +165,3 @@ func TestConcurrentHistogram(t *testing.T) {
 		t.Fatalf("count = %d, want 8000", snap.Count())
 	}
 }
-
-func TestCounter(t *testing.T) {
-	var c Counter
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func() {
-			for i := 0; i < 1000; i++ {
-				c.Add(2)
-			}
-			done <- struct{}{}
-		}()
-	}
-	for g := 0; g < 4; g++ {
-		<-done
-	}
-	if c.Value() != 8000 {
-		t.Fatalf("counter = %d, want 8000", c.Value())
-	}
-}
-
-func TestSeriesSorted(t *testing.T) {
-	s := &Series{Name: "x"}
-	s.Add(3, 30)
-	s.Add(1, 10)
-	s.Add(2, 20)
-	pts := s.Sorted()
-	for i := 1; i < len(pts); i++ {
-		if pts[i-1].X > pts[i].X {
-			t.Fatalf("not sorted: %v", pts)
-		}
-	}
-	// Original order preserved.
-	if s.Points[0].X != 3 {
-		t.Fatalf("Sorted mutated the series")
-	}
-}
-
-func TestTableRendersAllSeries(t *testing.T) {
-	a := &Series{Name: "WSI"}
-	b := &Series{Name: "SI"}
-	a.Add(100, 5.5)
-	a.Add(200, 7.5)
-	b.Add(110, 5.0)
-	b.Add(210, 7.0)
-	out := Table("TPS", "ms", a, b)
-	if out == "" {
-		t.Fatal("empty table")
-	}
-	for _, want := range []string{"WSI ms", "SI ms", "5.50", "7.00"} {
-		if !contains(out, want) {
-			t.Fatalf("table missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
-}

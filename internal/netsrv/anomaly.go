@@ -41,22 +41,10 @@ func (s *Server) initAnomaly() {
 }
 
 // SetAnomalySampling sets the sampled fraction of transactions recorded
-// into the anomaly tap, safe to flip at runtime (the `anomaly` bench
-// toggles it to interleave sampled and unsampled measurement slices, the
-// same methodology SetTracing serves for lifecycle tracing). In-flight
-// transactions keep the decision made when their commit was handled.
+// into the anomaly tap, safe to flip at runtime. In-flight transactions keep
+// the decision made when their commit was handled.
 func (s *Server) SetAnomalySampling(frac float64) {
 	s.anomTap.SetSampling(frac)
-}
-
-// AnomalyCounts returns a snapshot of the streaming checker's counters
-// after draining any events still buffered in the tap, so a test that
-// just finished driving traffic sees every recorded decision.
-func (s *Server) AnomalyCounts() history.StreamCounts {
-	if buf := s.anomTap.Drain(nil); len(buf) > 0 {
-		s.anomChecker.ProcessAll(buf)
-	}
-	return s.anomChecker.Counts()
 }
 
 // AnomalyExemplars returns the streaming checker's retained anomaly

@@ -2,6 +2,7 @@ package netsrv
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -295,64 +296,85 @@ func TestOverloadDeadlineExpiredAtAdmission(t *testing.T) {
 	}
 }
 
-// TestOverloadShedQueueFull saturates a one-slot, one-queue-entry admission
-// gate: the first commit holds the slot while its ledger append is held, the
-// second queues, and every later arrival is shed with ErrOverload.
+// TestOverloadShedQueueFull saturates a MaxInflight-slot, QueueCap-entry
+// admission gate: the first commit holds a slot while its ledger append is
+// held, the next MaxInflight-1 hold the other slots parked in the coalescer,
+// QueueCap more queue, and every later arrival is shed with ErrOverload. A
+// shed request never executes: neither the coalescer nor the oracle ever
+// sees more commits than were served.
 func TestOverloadShedQueueFull(t *testing.T) {
-	g := startGatedServer(t, &IngressConfig{MaxInflight: 1, QueueCap: 1}, 64)
-	m, err := DialMux(g.addr, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	const n = 10
-	tss := g.begins(t, m.Session(0), n)
-	var served, shed, other int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	commit := func(i int) {
-		defer wg.Done()
-		_, err := m.Session(0).Commit(oracle.CommitRequest{StartTS: tss[i], WriteSet: []oracle.RowID{oracle.RowID(i + 1)}})
-		mu.Lock()
-		defer mu.Unlock()
-		switch {
-		case err == nil:
-			served++
-		case errors.Is(err, ErrOverload):
-			shed++
-		default:
-			other++
-		}
-	}
-	wg.Add(1)
-	go commit(0)
-	<-g.entered
-	wg.Add(1)
-	go commit(1)
-	g.settle(t, func(st gateState) bool { return st.waiting == 1 })
-	for i := 2; i < n; i++ {
-		wg.Add(1)
-		go commit(i)
-	}
-	g.settle(t, func(st gateState) bool { return st.shed == n-2 })
-	g.release <- nil
-	<-g.entered
-	g.release <- nil
-	wg.Wait()
-	if served != 2 || shed != n-2 || other != 0 {
-		t.Fatalf("served=%d shed=%d other=%d, want 2, %d, 0", served, shed, other, n-2)
-	}
-	c, err := Dial(g.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.IngressShed != int64(shed) {
-		t.Fatalf("IngressShed = %d, want %d", st.IngressShed, shed)
+	for _, tc := range []struct{ inflight, queue int }{{1, 1}, {2, 3}} {
+		t.Run(fmt.Sprintf("inflight-%d/queue-%d", tc.inflight, tc.queue), func(t *testing.T) {
+			g := startGatedServer(t, &IngressConfig{MaxInflight: tc.inflight, QueueCap: tc.queue}, 64)
+			m, err := DialMux(g.addr, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.Close()
+			const n = 10
+			wantServed := tc.inflight + tc.queue
+			tss := g.begins(t, m.Session(0), n)
+			var served, shed, other int
+			var mu sync.Mutex
+			var wg sync.WaitGroup
+			commit := func(i int) {
+				defer wg.Done()
+				_, err := m.Session(0).Commit(oracle.CommitRequest{StartTS: tss[i], WriteSet: []oracle.RowID{oracle.RowID(i + 1)}})
+				mu.Lock()
+				defer mu.Unlock()
+				switch {
+				case err == nil:
+					served++
+				case errors.Is(err, ErrOverload):
+					shed++
+				default:
+					other++
+				}
+			}
+			wg.Add(1)
+			go commit(0)
+			<-g.entered
+			for i := 1; i < tc.inflight; i++ {
+				wg.Add(1)
+				go commit(i)
+			}
+			g.settle(t, func(st gateState) bool { return st.inflight == tc.inflight && st.coalesced == tc.inflight })
+			for i := tc.inflight; i < wantServed; i++ {
+				wg.Add(1)
+				go commit(i)
+			}
+			g.settle(t, func(st gateState) bool { return st.waiting == tc.queue })
+			for i := wantServed; i < n; i++ {
+				wg.Add(1)
+				go commit(i)
+			}
+			g.settle(t, func(st gateState) bool { return st.shed == n-wantServed })
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			g.releaseUntil(done, nil)
+			if served != wantServed || shed != n-wantServed || other != 0 {
+				t.Fatalf("served=%d shed=%d other=%d, want %d, %d, 0", served, shed, other, wantServed, n-wantServed)
+			}
+			if got := g.srv.coal.Load().b.Accepted(); got != int64(served) {
+				t.Fatalf("coalescer accepted %d commits, want the %d served", got, served)
+			}
+			ost := g.so.Stats()
+			if got := ost.Commits + ost.ConflictAborts + ost.TmaxAborts; got != int64(served) {
+				t.Fatalf("oracle decided %d commits, want the %d served", got, served)
+			}
+			c, err := Dial(g.addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			st, err := c.Stats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.IngressShed != int64(shed) {
+				t.Fatalf("IngressShed = %d, want %d", st.IngressShed, shed)
+			}
+		})
 	}
 }
 

@@ -49,9 +49,6 @@ func (m *Mux) Close() error {
 	return err
 }
 
-// Conns reports the transport pool size.
-func (m *Mux) Conns() int { return len(m.clients) }
-
 // Session opens one logical session for tenant: a lightweight handle whose
 // requests travel enveloped with the session id and the tenant's admission
 // class, pinned to one pooled transport (round-robin by session id).

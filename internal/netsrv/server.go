@@ -129,8 +129,8 @@ type Server struct {
 	TraceSample   int
 
 	// DisableTracing turns the request lifecycle tracing off entirely (no
-	// span stamps, no stage histograms, no slow log). Exists for the `obs`
-	// bench to measure the instrumentation's own overhead; production
+	// span stamps, no stage histograms, no slow log). Exists for the
+	// benchmark to measure the instrumentation's own overhead; production
 	// leaves tracing always on. Set before Listen.
 	DisableTracing bool
 	traceOn        atomic.Bool
@@ -283,7 +283,7 @@ func (s *Server) Serve(ln net.Listener) {
 // SetTracing enables or disables lifecycle tracing at runtime. A request in
 // flight across the flip may be stamped on one side only; recordSpan drops
 // such partial spans, so the histograms never see a torn lifecycle. The
-// `obs` bench toggles this to interleave traced and untraced measurement
+// benchmark toggles this to interleave traced and untraced measurement
 // slices under one continuous load.
 func (s *Server) SetTracing(enabled bool) { s.traceOn.Store(enabled) }
 

@@ -397,17 +397,10 @@ func (co *Coordinator) waitPublished(ts uint64) {
 	}
 }
 
-// Cover returns the sorted partition set covering a commit request's
-// write rows and conflict-check rows (read set under WSI) per the current
-// router. The virtual-time cluster model uses it so its cost model routes
-// exactly as the real protocol does.
-func (co *Coordinator) Cover(req *oracle.CommitRequest) []int {
-	return co.coverWith(co.Router(), req)
-}
-
-// coverWith is Cover against an explicit router snapshot — the commit
-// fan-out pins one router for its whole round (under routeMu), so every
-// cover and slice of the round agrees on ownership.
+// coverWith returns the sorted partition set covering a commit request's
+// write rows and conflict-check rows (read set under WSI) per router — the
+// commit fan-out pins one router snapshot for its whole round (under
+// routeMu), so every cover and slice of the round agrees on ownership.
 func (co *Coordinator) coverWith(router Router, req *oracle.CommitRequest) []int {
 	n := router.Partitions()
 	if n == 1 {

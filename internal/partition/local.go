@@ -42,8 +42,8 @@ type LocalConfig struct {
 
 // LocalCluster is an in-process partitioned status oracle: N real oracles
 // sharing one timestamp oracle behind a Coordinator. It is the
-// configuration the equivalence and chaos tests, the scaleout bench, and
-// the virtual-time cluster model run.
+// configuration the equivalence and chaos tests and the cross-partition
+// benchmark run.
 type LocalCluster struct {
 	Coordinator *Coordinator
 	Partitions  []*oracle.StatusOracle

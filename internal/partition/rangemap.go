@@ -62,25 +62,6 @@ func NewSingleOwnerRangeMap(parts, owner int) (*RangeMap, error) {
 	return NewRangeMap(nil, []int{owner}, parts)
 }
 
-// NewEvenRangeMap splits [0, space) into parts equal slices owned in order
-// — the static range router expressed as a RangeMap, so it can be
-// rebalanced later. The last slice is unbounded above (rows past space
-// stay with the last partition).
-func NewEvenRangeMap(parts int, space uint64) (*RangeMap, error) {
-	if parts <= 1 {
-		return NewSingleOwnerRangeMap(1, 0)
-	}
-	splits := make([]uint64, parts-1)
-	owners := make([]int, parts)
-	for i := range splits {
-		splits[i] = uint64(i+1) * (space / uint64(parts))
-	}
-	for i := range owners {
-		owners[i] = i
-	}
-	return NewRangeMap(splits, owners, parts)
-}
-
 // coalesce merges adjacent segments with the same owner.
 func (m *RangeMap) coalesce() {
 	if len(m.splits) == 0 {

@@ -26,8 +26,7 @@ type RebalanceConfig struct {
 	// LoadSpan must match the partitions' oracle.Config.LoadSpan so bucket
 	// indexes translate back to key ranges.
 	LoadSpan uint64
-	// OnMove, when non-nil, observes every completed move (for tests and
-	// the bench harness's trajectory log).
+	// OnMove, when non-nil, observes every completed move (for tests).
 	OnMove func(lo, hi uint64, from, to int)
 }
 

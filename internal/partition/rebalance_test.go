@@ -59,6 +59,23 @@ func burn(t *testing.T, co *Coordinator, n int, rows ...uint64) {
 	}
 }
 
+// routedCommits runs burn and returns how many of its commits each
+// partition's oracle decided.
+func routedCommits(t *testing.T, co *Coordinator, n int, rows ...uint64) []int64 {
+	t.Helper()
+	before := co.Stats().Partitions
+	burn(t, co, n, rows...)
+	after := co.Stats().Partitions
+	got := make([]int64, len(after))
+	for p := range after {
+		got[p] = after[p].Commits - before[p].Commits
+	}
+	return got
+}
+
+// TestRebalancerMovesHotRange: a static single-owner table sends every commit
+// to partition 0; after the rebalancer moves one of two equally hot buckets,
+// the same load splits evenly across both partitions.
 func TestRebalancerMovesHotRange(t *testing.T) {
 	lc, rb, moves := elasticPair(t, RebalanceConfig{MinLoad: 10, MinImbalance: 1.5})
 	co := lc.Coordinator
@@ -68,7 +85,9 @@ func TestRebalancerMovesHotRange(t *testing.T) {
 
 	// Equal heat in buckets 2 (rows 200..299) and 10 (rows 1000..1099):
 	// exactly one of them fits under the half-gap target and moves.
-	burn(t, co, 50, 250, 1050)
+	if got := routedCommits(t, co, 50, 250, 1050); got[0] != 100 || got[1] != 0 {
+		t.Fatalf("commits per partition before the move = %v, want [100 0]", got)
+	}
 	rb.Tick()
 
 	if len(*moves) != 1 {
@@ -96,7 +115,9 @@ func TestRebalancerMovesHotRange(t *testing.T) {
 	// Re-baseline after the move: the next tick only samples; the tick
 	// after sees both partitions equally hot and holds still.
 	rb.Tick()
-	burn(t, co, 50, 250, 1050)
+	if got := routedCommits(t, co, 50, 250, 1050); got[0] != 50 || got[1] != 50 {
+		t.Fatalf("commits per partition after the move = %v, want [50 50]", got)
+	}
 	rb.Tick()
 	if len(*moves) != 1 {
 		t.Fatalf("balanced cluster kept moving: %+v", *moves)

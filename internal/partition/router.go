@@ -65,7 +65,7 @@ func (h HashRouter) String() string { return fmt.Sprintf("hash(%d)", h.n) }
 // RangeRouter slices the row-id space into contiguous ranges: partition 0
 // owns [0, splits[0]), partition i owns [splits[i-1], splits[i]), and the
 // last partition owns [splits[n-2], 2^64). Range slicing keeps workloads
-// with locality (and the bench harness's dense row indexes) mostly
+// with locality (and the benchmark's dense row indexes) mostly
 // single-partition, and the split points can be rebalanced without
 // remapping the whole space.
 type RangeRouter struct {
@@ -83,9 +83,9 @@ func NewRangeRouter(splits []uint64) (RangeRouter, error) {
 	return RangeRouter{splits: append([]uint64(nil), splits...)}, nil
 }
 
-// NewEvenRangeRouter splits [0, space) into n equal slices. The bench
-// harness uses it with space = the workload's row count, since its row ids
-// are the dense record indexes themselves.
+// NewEvenRangeRouter splits [0, space) into n equal slices. The benchmark
+// uses it with space = the workload's row count, since its row ids are the
+// dense record indexes themselves.
 func NewEvenRangeRouter(n int, space uint64) RangeRouter {
 	if n <= 1 {
 		return RangeRouter{}

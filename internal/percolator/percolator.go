@@ -18,7 +18,7 @@
 // exists, roll it back if its primary lock has expired. The paper's
 // criticism — "the locks a failed or slow transaction holds prevent the
 // others from making progress during recovery" — is directly observable in
-// this implementation and measured by the ablation benchmarks.
+// this implementation.
 package percolator
 
 import (

@@ -1,6 +1,6 @@
 // Package ssi implements a centralized, commit-time variant of Cahill,
-// Röhm and Fekete's serializable snapshot isolation (§7.1 [8]) as an extra
-// baseline for the ablation benchmarks.
+// Röhm and Fekete's serializable snapshot isolation (§7.1 [8]) as a
+// comparison baseline for the status oracle's engines.
 //
 // SSI keeps snapshot isolation's write-write conflict detection and
 // additionally tracks read-write anti-dependencies: transaction T has an

@@ -257,7 +257,7 @@ func (o *Oracle) NextBlock(n int, publish func(lo, hi Timestamp)) (Timestamp, er
 }
 
 // MustNext is Next for contexts where a durability failure is fatal
-// (simulator and tests with in-memory ledgers).
+// (tests with in-memory ledgers).
 func (o *Oracle) MustNext() Timestamp {
 	ts, err := o.Next()
 	if err != nil {

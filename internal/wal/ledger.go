@@ -8,29 +8,16 @@ import (
 	"os"
 	"sync"
 	"syscall"
-	"time"
 )
 
-// MemLedger is an in-memory Ledger standing in for a remote bookie. A
-// configurable append latency models the network+fsync round trip, and a
-// fail hook supports fault-injection tests.
+// MemLedger is an in-memory Ledger standing in for a remote bookie. A fail
+// hook supports fault-injection tests.
 type MemLedger struct {
 	mu        sync.Mutex
 	batches   [][]byte
 	sealed    bool
 	sealEpoch uint64
 
-	// Latency is slept on every AppendBatch, modelling the remote write.
-	// Concurrent appends overlap their sleeps, so Latency alone delays acks
-	// without bounding throughput (pipelined group commits).
-	Latency time.Duration
-	// Bandwidth, when > 0, bounds append throughput to this many payload
-	// bytes per second: concurrent appends serialize on the ledger's write
-	// pipe and each batch occupies it for len/Bandwidth. This models the
-	// bounded sequential-write bandwidth of a real ledger device — the
-	// per-partition resource that capacity experiments contend for.
-	Bandwidth int64
-	pipeMu    sync.Mutex
 	// FailAppend, when non-nil, is consulted before each append; a
 	// non-nil return fails the append (fault injection).
 	FailAppend func() error
@@ -45,15 +32,6 @@ func (m *MemLedger) AppendBatch(batch []byte) (int, error) {
 		if err := m.FailAppend(); err != nil {
 			return 0, err
 		}
-	}
-	if m.Bandwidth > 0 {
-		d := time.Duration(int64(len(batch)) * int64(time.Second) / m.Bandwidth)
-		m.pipeMu.Lock()
-		time.Sleep(d)
-		m.pipeMu.Unlock()
-	}
-	if m.Latency > 0 {
-		time.Sleep(m.Latency)
 	}
 	cp := make([]byte, len(batch))
 	copy(cp, batch)

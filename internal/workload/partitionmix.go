@@ -2,8 +2,8 @@ package workload
 
 import "math/rand"
 
-// CrossMix generates the partition-aware transaction mix of the scale-out
-// experiments: the row space [0, Rows) is carved into Partitions contiguous
+// CrossMix generates the partition-aware transaction mix of the
+// cross-partition benchmark: the row space [0, Rows) is carved into Partitions contiguous
 // slices (matching an even range router over dense row indexes), each
 // transaction draws its rows inside one home slice, and a dialable
 // CrossFraction of write transactions additionally spread their writes

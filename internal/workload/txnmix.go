@@ -98,15 +98,6 @@ func MixedWorkload() MixConfig {
 	return MixConfig{MaxRows: 20, ReadOnlyFraction: 0.5, WriteFraction: 0.5}
 }
 
-// ReadHeavyWorkload returns the read-dominated mix the batched read
-// pipeline targets (the region-server-scale regime where status lookups,
-// not commits, dominate oracle traffic): 80% read-only transactions, and
-// complex transactions that write only 20% of their operations — roughly
-// 19 of every 20 row touches are reads.
-func ReadHeavyWorkload() MixConfig {
-	return MixConfig{MaxRows: 20, ReadOnlyFraction: 0.8, WriteFraction: 0.2}
-}
-
 // Mix generates transactions from a key distribution.
 type Mix struct {
 	cfg MixConfig
