@@ -24,20 +24,8 @@
 //	oracle-server -addr :7070 -coalesce 64 -tenants 2 -max-inflight 256 \
 //	    -queue-cap 64 -rate 50000 -max-sessions 1000000 -idle-timeout 2m
 //
-// A second instance can run as a hot standby on the same machine:
-//
-//	oracle-server -addr :7071 -standby -follow /var/lib/wsi/wal.log \
-//	    -wal /var/lib/wsi/standby-wal.log
-//
-// The standby tails the primary's ledger into a shadow commit table and
-// rejects requests until a client issues the promote operation
-// (netsrv.Client.Promote). Promotion seals the primary's ledger — fencing
-// it BookKeeper-style, so a still-running primary can no longer
-// acknowledge commits — drains the tail, resumes the timestamp epoch, and
-// starts serving from its own WAL, whose first record is a full checkpoint.
-//
-// Instead of the manual standby/promote pair, a set of servers can run as a
-// self-healing replicated group over a shared ledger directory:
+// For availability, a set of servers runs as a self-healing replicated
+// group over a shared ledger directory:
 //
 //	oracle-server -addr :7070 -group /var/lib/wsi/group -node-id 0 -bootstrap
 //	oracle-server -addr :7071 -group /var/lib/wsi/group -node-id 1
@@ -117,9 +105,6 @@ func main() {
 		maxPending  = flag.Int("max-pending", 0, "per-connection response buffer bound in bytes; a slow reader beyond it is disconnected (0 = default 4MiB, -1 = unbounded)")
 
 		ckptInterval = flag.Duration("checkpoint-interval", 0, "write a commit-table checkpoint this often (0 = off; requires -wal)")
-		standby      = flag.Bool("standby", false, "run as a hot standby tailing -follow; serve only after a promote request")
-		follow       = flag.String("follow", "", "primary WAL ledger to tail (with -standby)")
-		pollEvery    = flag.Duration("poll", 20*time.Millisecond, "standby tail poll interval (with -standby)")
 
 		groupDir  = flag.String("group", "", "epoch-ledger directory of a self-healing replicated group; runs this server as one member (with -node-id)")
 		nodeID    = flag.Int("node-id", 0, "this member's id in the group; also staggers election timeouts (with -group)")
@@ -132,9 +117,6 @@ func main() {
 		routerSpec  = flag.String("router", "hash", "row router of the partitioned deployment: hash, range, range:s1,s2,..., or map:... (with -partitions > 1)")
 		loadSpan    = flag.Uint64("loadspan", 0, "row-id span of the per-slice load histogram the rebalancer reads (0 = full 64-bit space); set to the workload's row count")
 	)
-	// -pprof predates the metrics plane; it is kept as an alias so existing
-	// start scripts keep their profiler.
-	flag.StringVar(debugAddr, "pprof", "", "deprecated alias for -debug-addr")
 	flag.Parse()
 
 	var eng oracle.Engine
@@ -208,10 +190,6 @@ func main() {
 			ckpt:      *ckptInterval,
 		}
 		runGroup(cfg, *addr, gf, *coalesce, ing, obs, sig)
-		return
-	}
-	if *standby {
-		runStandby(cfg, *addr, *follow, *walPath, *fsync, *pollEvery, *coalesce, ing, obs, role, sig)
 		return
 	}
 	runPrimary(cfg, *addr, *walPath, *fsync, *ckptInterval, *coalesce, ing, obs, role, sig)
@@ -324,7 +302,7 @@ func logStats(reg *metrics.Registry) {
 	}
 }
 
-// ingressFlags carries the front-door knobs shared by primary and standby.
+// ingressFlags carries the front-door knobs shared by primary and group member.
 type ingressFlags struct {
 	tenants, maxInflight, queueCap int
 	rate                           float64
@@ -483,7 +461,7 @@ type groupFlags struct {
 // are served from the follower's shadow at bounded staleness.
 func runGroup(cfg oracle.Config, addr string, gf groupFlags, coalesce int, ing ingressFlags, obs obsFlags, sig chan os.Signal) {
 	store := &ha.DirStore{Dir: gf.dir, Sync: gf.fsync}
-	srv := netsrv.NewStandbyServer(nil)
+	srv := netsrv.NewStandbyServer()
 	configureCoalescing(srv, coalesce)
 	ing.apply(srv)
 	obs.apply(srv)
@@ -537,87 +515,4 @@ func runGroup(cfg oracle.Config, addr string, gf groupFlags, coalesce int, ing i
 	// Stopping the member releases the lease path cleanly: a leader stops
 	// renewing and the rest of the group elects after expiry.
 	m.Stop()
-}
-
-func runStandby(cfg oracle.Config, addr, follow, walPath string, fsync bool, pollEvery time.Duration, coalesce int, ing ingressFlags, obs obsFlags, role *partitionRole, sig chan os.Signal) {
-	if follow == "" {
-		log.Fatalf("oracle-server: -standby requires -follow <primary wal>")
-	}
-	reader, err := wal.OpenFileLedgerReader(follow)
-	if err != nil {
-		log.Fatalf("oracle-server: open primary wal: %v", err)
-	}
-	sb, err := ha.NewStandby(cfg, reader)
-	if err != nil {
-		log.Fatalf("oracle-server: standby: %v", err)
-	}
-	if n, err := sb.CatchUp(); err != nil {
-		log.Fatalf("oracle-server: initial catch-up: %v", err)
-	} else {
-		log.Printf("oracle-server: standby caught up: %d records applied", n)
-	}
-	sb.Start(pollEvery)
-
-	var promotedWriter *wal.Writer
-	var promotedSO *oracle.StatusOracle
-	var srv *netsrv.Server
-	srv = netsrv.NewStandbyServer(func() (*oracle.StatusOracle, error) {
-		// Fence the primary through a read-write handle on its ledger
-		// file: the durable seal marker fails the primary's next append
-		// even though it is a separate process.
-		fenceLedger, err := wal.OpenFileLedger(follow, fsync)
-		if err != nil {
-			return nil, fmt.Errorf("open primary wal for fencing: %w", err)
-		}
-		defer fenceLedger.Close()
-		var w *wal.Writer
-		if walPath != "" {
-			ownLedger, err := wal.OpenFileLedger(walPath, fsync)
-			if err != nil {
-				return nil, fmt.Errorf("open standby wal: %w", err)
-			}
-			w, err = wal.NewWriter(wal.Config{}, ownLedger)
-			if err != nil {
-				return nil, err
-			}
-		}
-		so, err := sb.Promote(ha.PromoteConfig{Fence: []wal.Ledger{fenceLedger}, WAL: w})
-		if err != nil {
-			return nil, err
-		}
-		promotedWriter, promotedSO = w, so
-		if w != nil {
-			srv.Registry().Register(w.MetricsSource())
-		}
-		records, tsoBound := sb.Applied()
-		log.Printf("oracle-server: promoted to primary: %d records inherited, timestamp epoch resumes at %d", records, tsoBound)
-		return so, nil
-	})
-	role.apply(srv)
-	configureCoalescing(srv, coalesce)
-	ing.apply(srv)
-	obs.apply(srv)
-	boundAddr, err := srv.Listen(addr)
-	if err != nil {
-		log.Fatalf("oracle-server: listen: %v", err)
-	}
-	srv.Registry().Register(sb.MetricsSource())
-	obs.start(srv)
-	log.Printf("oracle-server: %s engine hot standby on %s, tailing %s (promote to serve)", cfg.Engine, boundAddr, follow)
-
-	<-sig
-	log.Printf("oracle-server: shutting down standby")
-	if err := srv.Close(); err != nil {
-		log.Printf("oracle-server: close: %v", err)
-	}
-	sb.Stop()
-	if promotedWriter != nil {
-		promotedWriter.Flush()
-		if promotedSO != nil {
-			if err := promotedSO.Checkpoint(); err != nil {
-				log.Printf("oracle-server: final checkpoint: %v", err)
-			}
-		}
-		promotedWriter.Close()
-	}
 }

@@ -3,6 +3,8 @@ package ha
 import (
 	"errors"
 	"fmt"
+	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -15,11 +17,11 @@ import (
 	"repro/internal/wal"
 )
 
-// This file turns the manual standby/Promote machinery into a
-// self-healing N-node group. Each epoch of leadership owns one replica
-// ledger set; the leader renews an epoch-numbered lease through the
-// quorum append path (lease.go), followers tail the epoch's log and run a
-// failure detector over observed progress, and on lease expiry the
+// This file builds a self-healing N-node group from the Standby and its
+// fenced Promote. Each epoch of leadership owns one replica ledger set;
+// the leader renews an epoch-numbered lease through the quorum append
+// path (lease.go), followers tail the epoch's log and run a failure
+// detector over observed progress, and on lease expiry the
 // best-caught-up follower campaigns: it seals the old epoch's ledgers at
 // epoch+1 (wal.SealEpoch — each ledger grants an epoch once, so dueling
 // candidates are serialized by the quorum seal) and promotes its shadow
@@ -36,7 +38,8 @@ type LedgerStore interface {
 	// MaxEpoch returns the highest epoch with a ledger set (0 = none).
 	MaxEpoch() (uint64, error)
 	// Read returns the designated read replica of epoch's ledger set,
-	// which followers tail.
+	// which followers tail. An epoch with no ledger set fails with an
+	// error wrapping fs.ErrNotExist; any other error may be transient.
 	Read(epoch uint64) (wal.Ledger, error)
 	// Fence returns seal handles for epoch's full replica set; an
 	// election candidate seals these.
@@ -76,7 +79,7 @@ func (s *MemStore) Read(epoch uint64) (wal.Ledger, error) {
 	defer s.mu.Unlock()
 	set, ok := s.epochs[epoch]
 	if !ok {
-		return nil, fmt.Errorf("ha: no ledger set for epoch %d", epoch)
+		return nil, fmt.Errorf("ha: no ledger set for epoch %d: %w", epoch, fs.ErrNotExist)
 	}
 	return set[0], nil
 }
@@ -177,6 +180,15 @@ func (s *DirStore) Create(epoch uint64) ([]wal.Ledger, error) {
 		return nil, err
 	}
 	return []wal.Ledger{l}, nil
+}
+
+// closeLedger releases a read handle nothing tails any more. A DirStore
+// reader holds a file; MemStore hands out the leader's own ledger, which
+// has no Close and stays open.
+func closeLedger(l wal.Ledger) {
+	if c, ok := l.(io.Closer); ok {
+		_ = c.Close()
+	}
 }
 
 // Role is a group member's current role.
@@ -510,12 +522,15 @@ func (m *Member) campaign(from uint64) {
 		// Won the seals but promotion failed (e.g. the store refused the
 		// create): the epoch is burned — propose strictly higher next
 		// time so the upgrade path (SealEpoch accepts higher epochs) can
-		// make progress.
+		// make progress. The shadow may be half promoted and latched on
+		// the fence, so the member rebuilds it from the log.
 		m.cfg.Logf("ha: member %d promotion for epoch %d failed: %v", m.cfg.ID, propose, err)
 		m.mu.Lock()
 		m.nextEpoch = propose + 1
 		m.lastAlive = now
+		m.sb = nil
 		m.mu.Unlock()
+		closeLedger(sb.read)
 		if err := m.follow(from); err != nil {
 			m.cfg.Logf("ha: member %d refollow epoch %d: %v", m.cfg.ID, from, err)
 		}
@@ -599,18 +614,40 @@ func (m *Member) stepDown(epoch uint64) {
 	}
 }
 
-// follow (re)builds the follower state over epoch's read ledger. The
-// fresh shadow replays the epoch log from the start; its first record is
-// the winner's full checkpoint, so the shadow converges without the
-// sealed history.
+// follow makes the member a follower of epoch's log. A promoted epoch's
+// log opens with its winner's full checkpoint, but a winner that died or
+// was fenced before writing it leaves the log empty, and a shadow built
+// from that log alone would campaign without the history before it. So
+// the shadow is carried across epochs: a follower drains each older
+// (sealed) epoch to its end before tailing the next, and a member without
+// a shadow starts from the newest epoch whose log is not empty. A failed
+// step is retried on a later tick; tailing a promoted epoch's log again
+// from its start is harmless, because its checkpoint resets the shadow.
 func (m *Member) follow(epoch uint64) error {
-	read, err := m.cfg.Store.Read(epoch)
-	if err != nil {
-		return err
+	m.mu.Lock()
+	sb, at := m.sb, m.epoch
+	m.mu.Unlock()
+	fresh := sb == nil
+	if fresh {
+		var err error
+		if sb, at, err = m.newestShadow(epoch); err != nil {
+			return err
+		}
 	}
-	sb, err := NewStandby(m.cfg.Oracle, read)
-	if err != nil {
-		return err
+	for ; at < epoch; at++ {
+		read, err := m.cfg.Store.Read(at + 1)
+		if errors.Is(err, fs.ErrNotExist) && at+1 < epoch {
+			continue // a burned epoch number: never created, acked nothing
+		}
+		if err == nil {
+			err = sb.advance(read)
+		}
+		if err != nil {
+			if fresh {
+				closeLedger(sb.read)
+			}
+			return err
+		}
 	}
 	m.mu.Lock()
 	m.role = RoleFollower
@@ -625,6 +662,36 @@ func (m *Member) follow(epoch uint64) error {
 		m.cfg.OnFollow(epoch)
 	}
 	return nil
+}
+
+// newestShadow builds a standby over the newest epoch at or below epoch
+// whose log is not empty: it opens with a full checkpoint (or is the
+// bootstrap epoch), so replaying it rebuilds every epoch before it.
+func (m *Member) newestShadow(epoch uint64) (*Standby, uint64, error) {
+	for e := epoch; e >= 1; e-- {
+		read, err := m.cfg.Store.Read(e)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue // a burned epoch number
+		}
+		if err != nil {
+			return nil, 0, err
+		}
+		n, err := read.NumBatches()
+		if err != nil {
+			closeLedger(read)
+			return nil, 0, err
+		}
+		if n == 0 && e > 1 {
+			closeLedger(read)
+			continue
+		}
+		sb, err := NewStandby(m.cfg.Oracle, read)
+		if err != nil {
+			closeLedger(read)
+		}
+		return sb, e, err
+	}
+	return nil, 0, fmt.Errorf("ha: no epoch log at or below %d", epoch)
 }
 
 // Role returns the member's current role.

@@ -165,6 +165,216 @@ func TestElectionDuelSingleWinner(t *testing.T) {
 	}
 }
 
+// TestElectionWinnerDiesBeforeCheckpoint: a candidate can win the seals and
+// create its epoch's ledgers, then die or be fenced before the checkpoint
+// that opens the new log reaches them. A follower that campaigns from that
+// empty epoch, and a member that joins it fresh, must still hold every
+// commit acked before it.
+func TestElectionWinnerDiesBeforeCheckpoint(t *testing.T) {
+	store := NewMemStore(3)
+	leader := groupMember(0, store, time.Second, true)
+	if err := leader.lead(1); err != nil {
+		t.Fatalf("bootstrap: %v", err)
+	}
+	follower := groupMember(1, store, time.Second, false)
+	if err := follower.follow(1); err != nil {
+		t.Fatalf("follow epoch 1: %v", err)
+	}
+	acked := commitN(t, leader.Oracle(), 100, 0)
+
+	// The winner of epoch 2 fences epoch 1 and creates epoch 2's ledgers,
+	// then dies with nothing written to them.
+	fence, err := store.Fence(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range fence {
+		if err := wal.SealEpoch(l, 2); err != nil {
+			t.Fatalf("seal epoch 1 at 2: %v", err)
+		}
+	}
+	if _, err := store.Create(2); err != nil {
+		t.Fatal(err)
+	}
+
+	joiner := groupMember(2, store, time.Second, false)
+	for _, m := range []*Member{follower, joiner} {
+		if err := m.follow(2); err != nil {
+			t.Fatalf("member %d follow epoch 2: %v", m.cfg.ID, err)
+		}
+	}
+	follower.campaign(2)
+	if follower.Role() != RoleLeader || follower.Epoch() != 3 {
+		t.Fatalf("follower role=%v epoch=%d, want leader of epoch 3", follower.Role(), follower.Epoch())
+	}
+
+	tss := make([]uint64, 0, len(acked))
+	for ts := range acked {
+		tss = append(tss, ts)
+	}
+	joined, ok := joiner.QueryBatchInto(tss, nil)
+	if !ok {
+		t.Fatalf("joiner has no shadow")
+	}
+	for name, sts := range map[string][]oracle.TxnStatus{
+		"epoch-3 leader": follower.Oracle().QueryBatch(tss),
+		"joiner":         joined,
+	} {
+		for i, ts := range tss {
+			if sts[i].Status != oracle.StatusCommitted || sts[i].CommitTS != acked[ts] {
+				t.Fatalf("%s lost acked commit %d: %+v (want committed at %d)", name, ts, sts[i], acked[ts])
+			}
+		}
+	}
+}
+
+// sealOnCreate hands out the next epoch's ledgers already sealed above it,
+// as if a rival had fenced the new epoch before its checkpoint landed.
+type sealOnCreate struct {
+	*MemStore
+	armed bool
+}
+
+func (s *sealOnCreate) Create(epoch uint64) ([]wal.Ledger, error) {
+	ledgers, err := s.MemStore.Create(epoch)
+	if err == nil && s.armed {
+		s.armed = false
+		for _, l := range ledgers {
+			if err := wal.SealEpoch(l, epoch+1); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return ledgers, err
+}
+
+// TestElectionRetryAfterFencedPromotion: a candidate whose promotion is
+// fenced after it drained the old log must not reuse that half-promoted
+// shadow; its next campaign wins with every acked commit.
+func TestElectionRetryAfterFencedPromotion(t *testing.T) {
+	store := &sealOnCreate{MemStore: NewMemStore(3)}
+	leader := groupMember(0, store, time.Second, true)
+	if err := leader.lead(1); err != nil {
+		t.Fatalf("bootstrap: %v", err)
+	}
+	candidate := groupMember(1, store, time.Second, false)
+	if err := candidate.follow(1); err != nil {
+		t.Fatalf("follow epoch 1: %v", err)
+	}
+	acked := commitN(t, leader.Oracle(), 50, 0)
+
+	store.armed = true
+	candidate.campaign(1)
+	if candidate.Role() == RoleLeader {
+		t.Fatalf("candidate led a fenced epoch")
+	}
+	candidate.campaign(1)
+	if candidate.Role() != RoleLeader || candidate.Epoch() != 3 {
+		t.Fatalf("retry: role=%v epoch=%d, want leader of epoch 3", candidate.Role(), candidate.Epoch())
+	}
+	for ts, commit := range acked {
+		if st := candidate.Oracle().Query(ts); st.Status != oracle.StatusCommitted || st.CommitTS != commit {
+			t.Fatalf("acked commit %d lost: %+v (want committed at %d)", ts, st, commit)
+		}
+	}
+}
+
+// flakyRead fails every Read of one epoch while armed, the way a DirStore
+// read can fail (EMFILE, EACCES) for a log that exists.
+type flakyRead struct {
+	*MemStore
+	epoch uint64
+	armed bool
+}
+
+func (s *flakyRead) Read(epoch uint64) (wal.Ledger, error) {
+	if s.armed && epoch == s.epoch {
+		return nil, errors.New("too many open files")
+	}
+	return s.MemStore.Read(epoch)
+}
+
+// TestElectionFollowRetriesUnreadableEpoch: only an epoch that was never
+// created may be skipped. With epoch 2 holding acked commits and epoch 3
+// empty (its winner died before its checkpoint), neither a follower of
+// epoch 1 nor a fresh joiner may follow epoch 3 while epoch 2 cannot be
+// read; once it can, both hold every acked commit, and so does the
+// follower's next epoch.
+func TestElectionFollowRetriesUnreadableEpoch(t *testing.T) {
+	store := &flakyRead{MemStore: NewMemStore(3), epoch: 2}
+	first := groupMember(0, store, time.Second, true)
+	if err := first.lead(1); err != nil {
+		t.Fatalf("bootstrap: %v", err)
+	}
+	second := groupMember(1, store, time.Second, false)
+	follower := groupMember(2, store, time.Second, false)
+	for _, m := range []*Member{second, follower} {
+		if err := m.follow(1); err != nil {
+			t.Fatalf("member %d follow epoch 1: %v", m.cfg.ID, err)
+		}
+	}
+	acked := commitN(t, first.Oracle(), 50, 0)
+	second.campaign(1)
+	if second.Role() != RoleLeader || second.Epoch() != 2 {
+		t.Fatalf("second role=%v epoch=%d, want leader of epoch 2", second.Role(), second.Epoch())
+	}
+	for ts, commit := range commitN(t, second.Oracle(), 50, 1000) {
+		acked[ts] = commit
+	}
+
+	// The winner of epoch 3 fences epoch 2 and dies before its checkpoint.
+	fence, err := store.Fence(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range fence {
+		if err := wal.SealEpoch(l, 3); err != nil {
+			t.Fatalf("seal epoch 2 at 3: %v", err)
+		}
+	}
+	if _, err := store.Create(3); err != nil {
+		t.Fatal(err)
+	}
+
+	joiner := groupMember(3, store, time.Second, false)
+	members := []*Member{follower, joiner}
+	store.armed = true
+	for _, m := range members {
+		if err := m.follow(3); err == nil {
+			t.Fatalf("member %d followed epoch 3 past an unreadable epoch 2", m.cfg.ID)
+		}
+	}
+	store.armed = false
+	for _, m := range members {
+		if err := m.follow(3); err != nil {
+			t.Fatalf("member %d follow epoch 3: %v", m.cfg.ID, err)
+		}
+	}
+
+	tss := make([]uint64, 0, len(acked))
+	for ts := range acked {
+		tss = append(tss, ts)
+	}
+	joined, ok := joiner.QueryBatchInto(tss, nil)
+	if !ok {
+		t.Fatalf("joiner has no shadow")
+	}
+	follower.campaign(3)
+	if follower.Role() != RoleLeader || follower.Epoch() != 4 {
+		t.Fatalf("follower role=%v epoch=%d, want leader of epoch 4", follower.Role(), follower.Epoch())
+	}
+	for name, sts := range map[string][]oracle.TxnStatus{
+		"epoch-4 leader": follower.Oracle().QueryBatch(tss),
+		"joiner":         joined,
+	} {
+		for i, ts := range tss {
+			if sts[i].Status != oracle.StatusCommitted || sts[i].CommitTS != acked[ts] {
+				t.Fatalf("%s lost acked commit %d: %+v (want committed at %d)", name, ts, sts[i], acked[ts])
+			}
+		}
+	}
+}
+
 // TestElectionChaosCommitStorm is the fencing-invariant chaos audit: kill
 // the leader in the middle of a commit storm, let the group elect, keep
 // the storm going against the survivor, and then audit —
@@ -306,7 +516,7 @@ func TestElectionChaosCommitStorm(t *testing.T) {
 	close(killed)
 	killedAt := time.Now()
 
-	successor := waitLeader(t, members, first, 5*time.Second)
+	waitLeader(t, members, first, 5*time.Second)
 	electionGap := time.Since(killedAt)
 	time.Sleep(4 * lease) // storm continues against the survivor
 	close(stop)
@@ -319,8 +529,15 @@ func TestElectionChaosCommitStorm(t *testing.T) {
 		t.Fatalf("standby reads gap: before=%d after=%d", answeredBefore, answeredAfter)
 	}
 
-	// Audit: zero acked commits lost or invisible on the final leader.
-	finalSO := successor.Oracle()
+	// Audit: zero acked commits lost or invisible on the final leader. A
+	// starved leader may lose its lease mid-storm, so the final leader is
+	// whoever leads now, not necessarily the first successor.
+	var final *Member
+	var finalSO *oracle.StatusOracle
+	for finalSO == nil {
+		final = waitLeader(t, members, first, 5*time.Second)
+		finalSO = final.Oracle()
+	}
 	ackMu.Lock()
 	defer ackMu.Unlock()
 	tss := make([]uint64, len(acks))
@@ -357,12 +574,12 @@ func TestElectionChaosCommitStorm(t *testing.T) {
 	defer rejoin.Stop()
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if rejoin.Role() == RoleFollower && rejoin.Epoch() == successor.Epoch() {
+		if rejoin.Role() == RoleFollower && rejoin.Epoch() >= final.Epoch() {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("rejoined member role=%v epoch=%d, want follower of epoch %d",
-				rejoin.Role(), rejoin.Epoch(), successor.Epoch())
+				rejoin.Role(), rejoin.Epoch(), final.Epoch())
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -1,5 +1,6 @@
 // Package ha is the availability subsystem around the centralized status
-// oracle: periodic checkpointing, a hot standby, and fenced failover.
+// oracle: periodic checkpointing, and a self-healing replicated group that
+// fails over by fencing.
 //
 // The paper defends centralizing commit decisions by noting that every
 // status-oracle mutation "is persisted in multiple remote storages"
@@ -10,26 +11,27 @@
 //
 //   - A Checkpointer periodically writes a commit-table snapshot record
 //     through the oracle's WAL, bounding the log suffix that recovery (or
-//     a cold standby) must replay to the checkpoint interval.
+//     a joining follower) must replay to the checkpoint interval.
 //
-//   - A Standby continuously tails the ledger, applying commit/abort/
-//     checkpoint records into a shadow status oracle, so promotion only
-//     has to drain the final few batches — near-instant, independent of
-//     history length.
+//   - A Standby is a follower's building block: it tails the leader's
+//     ledger, applying commit/abort/checkpoint records into a shadow status
+//     oracle, so promotion only has to drain the final few batches —
+//     near-instant, independent of history length. A group Member
+//     (group.go) drives its CatchUp on every follower tick.
 //
-//   - Promotion is fenced, BookKeeper-style: the standby seals the old
-//     primary's ledgers before serving. A sealed ledger rejects appends,
-//     so the old primary's in-flight group commits fail, its WAL writer
-//     latches ErrFenced, and the status oracle above it latches into
-//     fail-fast errors — it can never double-ack a commit the promoted
-//     oracle did not inherit.
+//   - Promotion is fenced, BookKeeper-style: the candidate seals the old
+//     leader's ledgers at its new epoch before serving. A sealed ledger
+//     rejects appends, so the old leader's in-flight group commits fail,
+//     its WAL writer latches ErrFenced, and the status oracle above it
+//     latches into fail-fast errors — it can never double-ack a commit the
+//     promoted oracle did not inherit.
 //
 // The safety contract for clients is exactly the acknowledged-commit
 // invariant: a commit acked before the failover is durable on the ledgers
 // the standby drains, so it stays visible after promotion; a commit that
 // was in flight is either inherited (its record won the race into the
 // sealed log) or permanently uncommitted — never silently both, because
-// the old primary cannot ack it after the fence. Clients resolve such
+// the old leader cannot ack it after the fence. Clients resolve such
 // in-doubt commits by querying the promoted oracle, never by resubmitting.
 //
 // With the default write quorum (all ledgers), any single ledger is a
@@ -45,7 +47,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/oracle"
 	"repro/internal/tso"
 	"repro/internal/wal"
@@ -95,38 +96,39 @@ func (c *Checkpointer) Stop() {
 	<-c.done
 }
 
+// errBox gives atomic.Value a single concrete type to hold errors of any
+// underlying type (including the cleared nil state).
+type errBox struct{ err error }
+
 // Err returns the most recent checkpoint failure, if any.
 func (c *Checkpointer) Err() error {
 	box, _ := c.lastErr.Load().(errBox)
 	return box.err
 }
 
-// Standby maintains a hot shadow of a primary status oracle by tailing its
-// ledger. It applies commit, abort, commit-batch and checkpoint records
-// into an oracle that is not serving, and tracks the timestamp-oracle
-// reservation bound (from checkpoint records and reservation records) so
-// a promotion can resume the timestamp epoch monotonically.
+// Standby maintains a hot shadow of a leader's status oracle by tailing
+// its ledger. It applies commit, abort, commit-batch and checkpoint
+// records into an oracle that is not serving, and tracks the
+// timestamp-oracle reservation bound (from checkpoint records and
+// reservation records) so a promotion can resume the timestamp epoch
+// monotonically. It has no loop of its own: its owner calls CatchUp.
 type Standby struct {
 	mu       sync.Mutex
 	shadow   *oracle.StatusOracle
+	read     wal.Ledger // the ledger tail reads
 	tail     *wal.Tailer
 	tsoBound uint64
-	applied  int64
 	observed int64 // every record tailed, including lease/tso/foreign ones
 	promoted bool
-	lastErr  atomic.Value // error: latest tail failure, cleared on success
 
 	// Leadership as observed from lease records in the tailed log.
 	leaseEpoch uint64
 	leaseSeq   uint64
 	leaderAddr string
-
-	runStop chan struct{}
-	runDone chan struct{}
 }
 
 // NewStandby builds a standby over the designated read ledger. cfg carries
-// the conflict-detection parameters, which must match the primary's; its
+// the conflict-detection parameters, which must match the leader's; its
 // WAL and TSO fields are ignored (the shadow gets them at promotion).
 func NewStandby(cfg oracle.Config, read wal.Ledger) (*Standby, error) {
 	cfg.WAL = nil
@@ -135,11 +137,12 @@ func NewStandby(cfg oracle.Config, read wal.Ledger) (*Standby, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Standby{shadow: shadow, tail: wal.NewTailer(read)}, nil
+	return &Standby{shadow: shadow, read: read, tail: wal.NewTailer(read)}, nil
 }
 
 // CatchUp drains every entry currently in the ledger into the shadow,
-// returning how many records it applied.
+// returning how many oracle records it applied. A failure leaves the
+// tailer before the unreadable batch, so the next call retries it.
 func (s *Standby) CatchUp() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -181,79 +184,26 @@ func (s *Standby) catchUpLocked() (int, error) {
 		}
 		if applied {
 			n++
-			s.applied++
 		}
 	}
 }
 
-// Start launches the tailing loop, polling the ledger every interval.
-func (s *Standby) Start(interval time.Duration) {
-	if interval <= 0 {
-		interval = 10 * time.Millisecond
-	}
-	s.mu.Lock()
-	if s.runStop != nil || s.promoted {
-		s.mu.Unlock()
-		return
-	}
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	s.runStop, s.runDone = stop, done
-	s.mu.Unlock()
-	go func() {
-		defer close(done)
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-t.C:
-				// A failure is latched for Err() and retried on the
-				// next tick — the tailer does not advance past an
-				// unreadable batch, so a transient anomaly (e.g. a
-				// raced read) resolves itself, while a persistent one
-				// stays visible to monitoring and fails Promote.
-				if _, err := s.CatchUp(); err != nil {
-					s.lastErr.Store(errBox{err})
-				} else {
-					s.lastErr.Store(errBox{})
-				}
-			}
-		}
-	}()
-}
-
-// errBox gives atomic.Value a single concrete type to hold errors of any
-// underlying type (including the cleared nil state).
-type errBox struct{ err error }
-
-// Err reports the most recent tailing failure, nil after a healthy poll.
-// Operators should check it before trusting Applied() freshness.
-func (s *Standby) Err() error {
-	box, _ := s.lastErr.Load().(errBox)
-	return box.err
-}
-
-// Stop halts the tailing loop (idempotent; promotion calls it).
-func (s *Standby) Stop() {
-	s.mu.Lock()
-	stop, done := s.runStop, s.runDone
-	s.runStop, s.runDone = nil, nil
-	s.mu.Unlock()
-	if stop == nil {
-		return
-	}
-	close(stop)
-	<-done
-}
-
-// Applied returns how many oracle records the standby has applied and the
-// timestamp-oracle bound it has observed.
-func (s *Standby) Applied() (records int64, tsoBound uint64) {
+// advance drains the log the standby tails — sealed, because a newer
+// epoch exists — and goes on tailing read into the same shadow. When read
+// opens with its winner's checkpoint, applying it resets the shadow to
+// that snapshot; when the winner died before writing one, the shadow
+// still holds everything acked before. advance closes whichever ledger it
+// stops tailing: the drained one, or read if the drain fails.
+func (s *Standby) advance(read wal.Ledger) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.applied, s.tsoBound
+	if _, err := s.catchUpLocked(); err != nil {
+		closeLedger(read)
+		return err
+	}
+	closeLedger(s.read)
+	s.read, s.tail = read, wal.NewTailer(read)
+	return nil
 }
 
 // Observed returns how many log records of any kind the standby has
@@ -274,20 +224,10 @@ func (s *Standby) Lease() (epoch, seq uint64, addr string) {
 	return s.leaseEpoch, s.leaseSeq, s.leaderAddr
 }
 
-// Retarget points the standby at a different ledger — the new leader's
-// epoch log after an election this standby lost. It is safe because a
-// promoted log's first record is a full checkpoint, which resets the
-// shadow wholesale when applied; nothing stale survives the switch.
-func (s *Standby) Retarget(read wal.Ledger) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tail = wal.NewTailer(read)
-}
-
 // QueryBatchInto serves a stale-bounded read from the shadow commit
 // table: result[i] answers startTSs[i] as of the standby's applied log
 // prefix. Because the WAL is applied in log order, the answer is
-// prefix-consistent — it is exactly the primary's state as of some recent
+// prefix-consistent — it is exactly the leader's state as of some recent
 // log position, never a mix — and the staleness bound is Lag() records
 // (surfaced as ha_standby_lag_records). Serialized against CatchUp under
 // s.mu, so reads never observe a half-applied checkpoint reset.
@@ -312,26 +252,26 @@ func (s *Standby) Lag() (int, error) {
 
 // ErrElectionLost is returned by Promote when another candidate sealed a
 // quorum of the fence ledgers at the proposed epoch first. The loser's
-// standby is untouched — it retargets onto the winner's log and keeps
-// tailing.
+// standby is untouched — it re-follows the winner's log.
 var ErrElectionLost = errors.New("ha: election lost: seal epoch superseded on a quorum")
 
 // PromoteConfig parameterizes a fenced promotion.
 type PromoteConfig struct {
-	// Fence lists the old primary's ledgers to seal. With a write quorum
+	// Fence lists the old leader's ledgers to seal. With a write quorum
 	// of Q over N ledgers, at least N-Q+1 must seal successfully for the
-	// fence to guarantee the old primary can never again reach quorum;
+	// fence to guarantee the old leader can never again reach quorum;
 	// MinSeals sets that requirement (0 means all of Fence).
 	Fence    []wal.Ledger
 	MinSeals int
-	// FenceEpoch, when nonzero, makes the fence an election: each Fence
-	// ledger is sealed with wal.SealEpoch(FenceEpoch), and only seals this
-	// call newly won count toward MinSeals — a ledger already sealed at
-	// FenceEpoch (or higher) by a rival candidate counts against it. Each
-	// ledger grants an epoch at most once, so with MinSeals a majority of
-	// Fence, two candidates proposing the same epoch cannot both promote:
-	// the loser gets ErrElectionLost and its standby stays intact. The
-	// epoch is thereby the fencing token, derived from the seal itself.
+	// FenceEpoch is required (nonzero) and makes the fence an election:
+	// each Fence ledger is sealed with wal.SealEpoch(FenceEpoch), and only
+	// seals this call newly won count toward MinSeals — a ledger already
+	// sealed at FenceEpoch (or higher) by a rival candidate counts against
+	// it. Each ledger grants an epoch at most once, so with MinSeals a
+	// majority of Fence, two candidates proposing the same epoch cannot
+	// both promote: the loser gets ErrElectionLost and its standby stays
+	// intact. The epoch is thereby the fencing token, derived from the
+	// seal itself.
 	FenceEpoch uint64
 	// WAL is the promoted oracle's writer (typically over fresh ledgers).
 	// The promotion writes a full checkpoint as its first record, so the
@@ -352,18 +292,20 @@ type PromoteConfig struct {
 // Promote performs the fenced failover and returns the shadow as a serving
 // status oracle:
 //
-//  1. seal the old primary's ledgers, so its in-flight appends fail and
-//     its writer latches ErrFenced;
+//  1. seal the old leader's ledgers at FenceEpoch, so its in-flight
+//     appends fail and its writer latches ErrFenced;
 //  2. drain the tail — the sealed ledger can no longer grow, so the drain
 //     observes every record that was ever acknowledged;
 //  3. resume the timestamp epoch at the observed reservation bound, wire
 //     the shadow to its new WAL, and write the initial checkpoint.
 //
 // The promoted oracle's first timestamp is strictly above everything the
-// old primary could have issued, and every commit the old primary acked is
+// old leader could have issued, and every commit the old leader acked is
 // in its commit table.
 func (s *Standby) Promote(pc PromoteConfig) (*oracle.StatusOracle, error) {
-	s.Stop()
+	if pc.FenceEpoch == 0 {
+		return nil, errors.New("ha: promote needs a nonzero FenceEpoch")
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.promoted {
@@ -377,13 +319,7 @@ func (s *Standby) Promote(pc PromoteConfig) (*oracle.StatusOracle, error) {
 	sealed, superseded := 0, 0
 	var sealErr error
 	for _, l := range pc.Fence {
-		var err error
-		if pc.FenceEpoch > 0 {
-			err = wal.SealEpoch(l, pc.FenceEpoch)
-		} else {
-			err = wal.Seal(l)
-		}
-		if err != nil {
+		if err := wal.SealEpoch(l, pc.FenceEpoch); err != nil {
 			if errors.Is(err, wal.ErrEpochSuperseded) {
 				superseded++
 			}
@@ -423,23 +359,4 @@ func (s *Standby) Promote(pc PromoteConfig) (*oracle.StatusOracle, error) {
 	}
 	s.promoted = true
 	return s.shadow, nil
-}
-
-// MetricsSource adapts the standby's tailing progress to the metrics
-// registry: records applied, the TSO bound the shadow has reached, and
-// whether the tail loop has latched an error.
-func (s *Standby) MetricsSource() metrics.Source {
-	return func(emit func(metrics.Sample)) {
-		records, bound := s.Applied()
-		emit(metrics.C("ha_standby_applied_records", records))
-		emit(metrics.G("ha_standby_tso_bound", float64(bound)))
-		if lag, err := s.Lag(); err == nil {
-			emit(metrics.G("ha_standby_lag_records", float64(lag)))
-		}
-		failed := 0.0
-		if s.Err() != nil {
-			failed = 1
-		}
-		emit(metrics.G("ha_standby_tail_failed", failed))
-	}
 }

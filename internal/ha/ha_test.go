@@ -3,7 +3,9 @@ package ha
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -62,7 +64,6 @@ func TestFailoverStandbyTailsAndPromotes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("standby: %v", err)
 	}
-	sb.Start(time.Millisecond)
 
 	acked := commitN(t, primary, 300, 0)
 	if err := primary.Checkpoint(); err != nil {
@@ -74,20 +75,12 @@ func TestFailoverStandbyTailsAndPromotes(t *testing.T) {
 	w.Flush()
 
 	// The tailer catches up without promotion.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if n, _ := sb.Applied(); n >= 400 {
-			break
-		}
-		if time.Now().After(deadline) {
-			n, _ := sb.Applied()
-			t.Fatalf("standby applied %d records, want >= 400", n)
-		}
-		time.Sleep(time.Millisecond)
+	if n, err := sb.CatchUp(); err != nil || n < 400 {
+		t.Fatalf("standby applied %d records (%v), want >= 400", n, err)
 	}
 
 	newLedger := wal.NewMemLedger()
-	promoted, err := sb.Promote(PromoteConfig{Fence: ledgers, WAL: newWriter(t, newLedger)})
+	promoted, err := sb.Promote(PromoteConfig{Fence: ledgers, FenceEpoch: 1, WAL: newWriter(t, newLedger)})
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}
@@ -146,29 +139,38 @@ func TestFailoverStandbyTailsAndPromotes(t *testing.T) {
 }
 
 // TestFailoverPromotionRequiresQuorumOfSeals: a fence that cannot seal enough
-// ledgers to block the old primary's quorum must fail.
+// ledgers to block the old primary's quorum must fail, and so must a fence
+// without an epoch.
 func TestFailoverPromotionRequiresQuorumOfSeals(t *testing.T) {
 	sealable := wal.NewMemLedger()
 	sb, err := NewStandby(oracle.Config{Engine: oracle.SI}, sealable)
 	if err != nil {
 		t.Fatalf("standby: %v", err)
 	}
-	_, err = sb.Promote(PromoteConfig{Fence: []wal.Ledger{sealable, wal.DiscardLedger{}}})
+	if _, err := sb.Promote(PromoteConfig{Fence: []wal.Ledger{sealable}}); err == nil {
+		t.Fatalf("promotion succeeded without a fence epoch")
+	}
+	if sealable.Sealed() {
+		t.Fatalf("an epoch-less promotion sealed a ledger")
+	}
+	_, err = sb.Promote(PromoteConfig{Fence: []wal.Ledger{sealable, wal.DiscardLedger{}}, FenceEpoch: 1})
 	if err == nil {
 		t.Fatalf("promotion succeeded with an unsealable ledger in the fence")
 	}
 	// With MinSeals relaxed to 1 the same fence is acceptable.
 	sb2, _ := NewStandby(oracle.Config{Engine: oracle.SI}, wal.NewMemLedger())
-	if _, err := sb2.Promote(PromoteConfig{Fence: []wal.Ledger{wal.NewMemLedger(), wal.DiscardLedger{}}, MinSeals: 1}); err != nil {
+	if _, err := sb2.Promote(PromoteConfig{Fence: []wal.Ledger{wal.NewMemLedger(), wal.DiscardLedger{}}, MinSeals: 1, FenceEpoch: 1}); err != nil {
 		t.Fatalf("promotion with MinSeals=1: %v", err)
 	}
 }
 
 // TestFailoverChaosPromotionRace races promotion against concurrent CommitBatch
-// and QueryBatch traffic (run with -race). The invariant under test is the
-// acked-commit one: every commit acknowledged by the primary — before or
-// during the failover — is visible on the promoted oracle with the same
-// commit timestamp, and the old primary never acks after the fence wins.
+// and QueryBatch traffic and a tailing follower loop (run with -race). The
+// invariant under test is the acked-commit one: every commit acknowledged by
+// the primary — before or during the failover — is visible on the promoted
+// oracle with the same commit timestamp, and the old primary never acks a
+// batch submitted after the fence won. The schedule is paced by acked
+// batches, not by the clock: checkpoint at 200, promote at 400.
 func TestFailoverChaosPromotionRace(t *testing.T) {
 	ledgers := []wal.Ledger{wal.NewMemLedger(), wal.NewMemLedger(), wal.NewMemLedger()}
 	primary, w := newPrimary(t, ledgers...)
@@ -176,12 +178,41 @@ func TestFailoverChaosPromotionRace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("standby: %v", err)
 	}
-	sb.Start(time.Millisecond)
 
+	// fenced is closed once promotion has returned, or when the test
+	// fails before that, so no goroutine outlives the test.
+	fenced := make(chan struct{})
+	release := sync.OnceFunc(func() { close(fenced) })
+	defer release()
+
+	// The follower loop: tail until promotion retires the standby.
+	tailed := make(chan struct{})
+	go func() {
+		defer close(tailed)
+		for {
+			select {
+			case <-fenced:
+				return
+			default:
+			}
+			if _, err := sb.CatchUp(); err != nil {
+				return
+			}
+			runtime.Gosched()
+		}
+	}()
+
+	const (
+		workers          = 4
+		checkpointAt     = 200
+		promoteAt        = 400
+		roundsAfterFence = 20
+	)
 	type ack struct{ start, commit uint64 }
-	const workers = 4
+	var batches atomic.Int64
+	reachedCheckpoint, reachedPromote := make(chan struct{}), make(chan struct{})
 	ackCh := make(chan []ack, workers)
-	stop := make(chan struct{})
+	lateAcks := make(chan int, workers)
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
@@ -189,11 +220,13 @@ func TestFailoverChaosPromotionRace(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			var mine []ack
-			for i := 0; ; i++ {
+			late, after := 0, 0
+			for i := 0; after < roundsAfterFence; i++ {
+				isFenced := false
 				select {
-				case <-stop:
-					ackCh <- mine
-					return
+				case <-fenced:
+					isFenced = true
+					after++
 				default:
 				}
 				n := 1 + rng.Intn(4)
@@ -214,8 +247,17 @@ func TestFailoverChaosPromotionRace(t *testing.T) {
 				}
 				for k, res := range results {
 					if res.Committed {
+						if isFenced {
+							late++
+						}
 						mine = append(mine, ack{reqs[k].StartTS, res.CommitTS})
 					}
+				}
+				switch batches.Add(1) {
+				case checkpointAt:
+					close(reachedCheckpoint)
+				case promoteAt:
+					close(reachedPromote)
 				}
 				// Concurrent snapshot-read traffic.
 				if len(mine) > 0 && i%3 == 0 {
@@ -228,29 +270,33 @@ func TestFailoverChaosPromotionRace(t *testing.T) {
 					}
 				}
 			}
+			ackCh <- mine
+			lateAcks <- late
 		}(g)
 	}
 
-	time.Sleep(20 * time.Millisecond)
+	<-reachedCheckpoint
 	if err := primary.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
-	time.Sleep(10 * time.Millisecond)
-
-	promoted, err := sb.Promote(PromoteConfig{Fence: ledgers, WAL: newWriter(t, wal.NewMemLedger())})
+	<-reachedPromote
+	promoted, err := sb.Promote(PromoteConfig{Fence: ledgers, FenceEpoch: 1, WAL: newWriter(t, wal.NewMemLedger())})
 	if err != nil {
 		t.Fatalf("promote: %v", err)
 	}
-	// Let workers run a little longer against the fenced primary, then
-	// collect their acks.
-	time.Sleep(10 * time.Millisecond)
-	close(stop)
+	<-tailed
+	// Every worker runs more rounds against the fenced primary before the
+	// acks are collected.
+	release()
 	wg.Wait()
 	w.Flush()
 
 	var all []ack
 	for g := 0; g < workers; g++ {
 		all = append(all, <-ackCh...)
+		if late := <-lateAcks; late > 0 {
+			t.Fatalf("fenced primary acked %d commits submitted after promotion", late)
+		}
 	}
 	if len(all) == 0 {
 		t.Fatalf("no commits acked before failover; test proves nothing")

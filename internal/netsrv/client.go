@@ -23,7 +23,7 @@ import (
 //
 // A client created with DialFailover additionally reconnects: when the
 // connection is lost, the next call re-dials the configured addresses in
-// round-robin order (so it finds the promoted standby after a failover).
+// round-robin order (so it finds the newly elected leader after a failover).
 // Requests that were in flight when the connection died still fail — the
 // client never resubmits them, because a lost commit ack is in-doubt, not
 // retriable; the transaction layer resolves those by querying the status
@@ -784,7 +784,7 @@ func (c *Client) DiscardRange(lo, hi uint64) error {
 }
 
 // Health reports the server's role: "primary" when it serves an oracle,
-// "standby" before promotion.
+// "standby" while it has none (a group follower).
 func (c *Client) Health() (string, error) {
 	payload, err := c.call(opHealth, nil)
 	if err != nil {
@@ -797,13 +797,6 @@ func (c *Client) Health() (string, error) {
 		return "primary", nil
 	}
 	return "standby", nil
-}
-
-// Promote asks a standby server to run its fenced promotion and begin
-// serving. Idempotent against an already-serving server.
-func (c *Client) Promote() error {
-	_, err := c.call(opPromote, nil)
-	return err
 }
 
 // ResolveStatus is the error-aware status lookup the transaction layer

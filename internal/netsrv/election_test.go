@@ -16,7 +16,7 @@ import (
 // leader-hint and standby-read hooks delegate to the member.
 func startGroupNode(t *testing.T, id int, store ha.LedgerStore, lease time.Duration, bootstrap bool) (*Server, *ha.Member, string) {
 	t.Helper()
-	srv := NewStandbyServer(nil)
+	srv := NewStandbyServer()
 	srv.Logf = nil
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

@@ -171,47 +171,54 @@ func TestRemoteErrorPropagates(t *testing.T) {
 	}
 }
 
-// Op 6 was the retired commit-notification stream. Bare or enveloped, a
-// frame asking it for a 1<<40-event buffer is an unknown operation,
-// answered without allocating for it, and the same connection goes on
-// serving requests.
+// Retired ops are never reused: op 6 was the commit-notification stream
+// (a frame asking it for a 1<<40-event buffer once made the server
+// allocate for it), op 11 the manual standby promote. Bare or enveloped,
+// each is an unknown operation answered with codeErr, and the same
+// connection goes on serving requests.
 func TestRetiredOpSubscribe(t *testing.T) {
-	srv, _ := startServer(t, oracle.WSI)
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	exchange := func(reqID uint64, op byte, payload []byte) (byte, []byte) {
-		t.Helper()
-		body := append(appendU64(nil, reqID), op)
-		if err := writeFrame(conn, append(body, payload...)); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := readFrame(conn)
-		if err != nil {
-			t.Fatalf("request %d: %v", reqID, err)
-		}
-		id, code, p, err := splitResponse(resp)
-		if err != nil || id != reqID {
-			t.Fatalf("request %d: response id %d, err %v", reqID, id, err)
-		}
-		return code, p
-	}
-	const retiredOp = 6
-	buffer := u64(1 << 40)
-	enveloped := append(appendEnvelope(nil, envelope{session: 1}, retiredOp), buffer...)
-	for i, f := range []struct {
-		op      byte
-		payload []byte
-	}{{retiredOp, buffer}, {opEnvelope, enveloped}} {
-		if code, p := exchange(uint64(i+1), f.op, f.payload); code != codeErr || string(p) != "unknown operation" {
-			t.Fatalf("frame %d: code %d %q, want codeErr \"unknown operation\"", i, code, p)
-		}
-	}
-	if code, p := exchange(3, opBegin, nil); code != codeOK || len(p) != 8 {
-		t.Fatalf("begin after op 6: code %d, %d-byte payload", code, len(p))
+	for _, retired := range []struct {
+		name string
+		op   byte
+	}{{"subscribe", 6}, {"promote", 11}} {
+		t.Run(retired.name, func(t *testing.T) {
+			srv, _ := startServer(t, oracle.WSI)
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			exchange := func(reqID uint64, op byte, payload []byte) (byte, []byte) {
+				t.Helper()
+				body := append(appendU64(nil, reqID), op)
+				if err := writeFrame(conn, append(body, payload...)); err != nil {
+					t.Fatal(err)
+				}
+				resp, err := readFrame(conn)
+				if err != nil {
+					t.Fatalf("request %d: %v", reqID, err)
+				}
+				id, code, p, err := splitResponse(resp)
+				if err != nil || id != reqID {
+					t.Fatalf("request %d: response id %d, err %v", reqID, id, err)
+				}
+				return code, p
+			}
+			buffer := u64(1 << 40)
+			enveloped := append(appendEnvelope(nil, envelope{session: 1}, retired.op), buffer...)
+			for i, f := range []struct {
+				op      byte
+				payload []byte
+			}{{retired.op, buffer}, {opEnvelope, enveloped}} {
+				if code, p := exchange(uint64(i+1), f.op, f.payload); code != codeErr || string(p) != "unknown operation" {
+					t.Fatalf("frame %d: code %d %q, want codeErr \"unknown operation\"", i, code, p)
+				}
+			}
+			if code, p := exchange(3, opBegin, nil); code != codeOK || len(p) != 8 {
+				t.Fatalf("begin after op %d: code %d, %d-byte payload", retired.op, code, len(p))
+			}
+		})
 	}
 }
 

@@ -21,8 +21,9 @@ import (
 	"repro/internal/oracle"
 )
 
-// Operation codes. 6 (a retired commit-notification stream) is never
-// reused: a server answers it, like any unknown op, with codeErr.
+// Operation codes. 6 (a retired commit-notification stream) and 11 (a
+// retired manual promote) are never reused: a server answers them, like
+// any unknown op, with codeErr.
 const (
 	opBegin       = 1
 	opCommit      = 2
@@ -32,12 +33,10 @@ const (
 	opStats       = 7
 	opCommitBatch = 8
 	opQueryBatch  = 9
-	// opHealth reports the server's role (standby or primary); failover
-	// clients and orchestration use it without touching the oracle.
+	// opHealth reports whether the server is serving an oracle (a leader
+	// or single primary) or not (a group follower), without touching the
+	// oracle.
 	opHealth = 10
-	// opPromote asks a standby server to run its fenced promotion and
-	// begin serving. Idempotent on an already-serving server.
-	opPromote = 11
 	// The partitioned-oracle ops (internal/partition): phase one and two
 	// of the cross-partition commit protocol, the one-shot fast path at
 	// coordinator-supplied timestamps, and block allocation of timestamps
@@ -70,7 +69,8 @@ const (
 	opMetrics = 22
 )
 
-// Role bytes carried by opHealth / opPromote responses.
+// Role bytes carried by opHealth responses: rolePrimary while the server
+// has an oracle installed, roleStandby while it has none.
 const (
 	roleStandby byte = 0
 	rolePrimary byte = 1
@@ -897,12 +897,6 @@ func appendRespHdr(b []byte, reqID uint64, code byte) []byte {
 func respError(reqID uint64, err error) []byte {
 	body := appendRespHdr(make([]byte, 0, 9+len(err.Error())), reqID, codeErr)
 	return append(body, err.Error()...)
-}
-
-// respOK renders a success response with payload.
-func respOK(reqID uint64, payload []byte) []byte {
-	body := appendRespHdr(make([]byte, 0, 9+len(payload)), reqID, codeOK)
-	return append(body, payload...)
 }
 
 // splitResponse parses a response body.

@@ -22,14 +22,12 @@ import (
 // request id and may arrive out of order.
 //
 // A server may also start in standby role (NewStandbyServer): it rejects
-// data operations until an opPromote request triggers the supplied
-// promotion callback — typically ha.Standby.Promote, which fences the old
-// primary — and installs the returned oracle.
+// data operations until a replicated-group member that wins an election
+// installs its oracle (Install).
 type Server struct {
 	so        atomic.Pointer[oracle.StatusOracle]
 	ln        net.Listener
 	coal      atomic.Pointer[coalescer]
-	promoteFn func() (*oracle.StatusOracle, error)
 	promoteMu sync.Mutex
 
 	mu     sync.Mutex
@@ -201,11 +199,10 @@ func NewServer(so *oracle.StatusOracle) *Server {
 }
 
 // NewStandbyServer creates a server in standby role: every data operation
-// is rejected with ErrStandby until a client issues opPromote, at which
-// point promote runs (fencing the old primary and returning the caught-up
-// oracle) and the server starts serving it.
-func NewStandbyServer(promote func() (*oracle.StatusOracle, error)) *Server {
-	s := &Server{promoteFn: promote, conns: make(map[net.Conn]struct{}), Logf: log.Printf}
+// is rejected with ErrStandby (or redirected, with a LeaderHint) until
+// Install hands it an oracle to serve.
+func NewStandbyServer() *Server {
+	s := &Server{conns: make(map[net.Conn]struct{}), Logf: log.Printf}
 	s.initAnomaly()
 	return s
 }
@@ -394,7 +391,7 @@ func (s *Server) dropConn(conn net.Conn) {
 }
 
 // isDataOp reports whether op is a data-plane operation the admission gate
-// applies to; control-plane ops (health, promote, stats, routing, range
+// applies to; control-plane ops (health, stats, routing, range
 // migration) bypass admission so operability survives overload.
 func isDataOp(op byte) bool {
 	switch op {
@@ -602,11 +599,9 @@ func (s *Server) handle(ctx *handlerCtx, reqID uint64, op byte, payload []byte, 
 			role = rolePrimary
 		}
 		return append(ok, role)
-	case opPromote:
-		return s.handlePromote(reqID)
 	case opMetrics:
 		// Served even in standby role: the registry's netsrv samples (and
-		// the dynamic oracle source, once promoted) are always gatherable.
+		// the dynamic oracle source, once installed) are always gatherable.
 		return metrics.AppendSamples(ok, s.Registry().Gather())
 	}
 	if so == nil {
@@ -944,28 +939,4 @@ func respOwnership(reqID uint64, err error) []byte {
 		return appendRoutingPayload(body, mr.Epoch, mr.Spec)
 	}
 	return respError(reqID, err)
-}
-
-// handlePromote runs the standby's promotion callback (fencing the old
-// primary) and installs the returned oracle. Idempotent: promoting an
-// already-serving server succeeds without side effects.
-func (s *Server) handlePromote(reqID uint64) []byte {
-	s.promoteMu.Lock()
-	defer s.promoteMu.Unlock()
-	if s.oracle() != nil {
-		return respOK(reqID, []byte{rolePrimary})
-	}
-	if s.promoteFn == nil {
-		return respError(reqID, errors.New("netsrv: server has no standby to promote"))
-	}
-	so, err := s.promoteFn()
-	if err != nil {
-		return respError(reqID, err)
-	}
-	// The coalescer must exist before the oracle becomes visible: handlers
-	// pick the coalesced path by loading the pointer after seeing the
-	// oracle.
-	s.startCoalescer(so)
-	s.so.Store(so)
-	return respOK(reqID, []byte{rolePrimary})
 }

@@ -81,7 +81,7 @@ func opName(op byte) string {
 
 // initRegistry builds the server's metrics registry and registers the netsrv
 // source (pool/session gauges, stage histograms, per-tenant ingress
-// breakdown) plus a dynamic oracle source that follows standby promotion.
+// breakdown) plus a dynamic oracle source that follows Install and Depose.
 func (s *Server) initRegistry() {
 	s.reg = metrics.NewRegistry()
 	s.reg.Register(func(emit func(metrics.Sample)) {
@@ -103,7 +103,7 @@ func (s *Server) initRegistry() {
 		}
 	})
 	s.reg.Register(func(emit func(metrics.Sample)) {
-		// Resolved per gather: a standby has no oracle until promoted.
+		// Resolved per gather: a standby has no oracle until installed.
 		if so := s.oracle(); so != nil {
 			so.MetricsSource()(emit)
 		}
@@ -112,7 +112,7 @@ func (s *Server) initRegistry() {
 }
 
 // Registry returns the server's metrics registry, creating it on first use.
-// Additional sources (the WAL writer, a standby, a partition coordinator)
+// Additional sources (the WAL writer, a group member, a partition coordinator)
 // may be registered at any time; they appear in the next gather.
 func (s *Server) Registry() *metrics.Registry {
 	s.regOnce.Do(s.initRegistry)

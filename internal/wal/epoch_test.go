@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -87,8 +89,9 @@ func TestSealEpochElectionDuel(t *testing.T) {
 }
 
 // TestSealEpochLeasePersistence: a file ledger's seal epoch survives
-// reopen, arbitrates against a second process-style handle, and a legacy
-// bare seal reads back as epoch 0 yet still accepts an epoch upgrade.
+// reopen, arbitrates against a second process-style handle, and a bare
+// seal marker left by an older binary reads back as epoch 0 yet still
+// accepts an epoch upgrade.
 func TestSealEpochLeasePersistence(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "epoch.wal")
@@ -135,17 +138,23 @@ func TestSealEpochLeasePersistence(t *testing.T) {
 	re.Close()
 	other.Close()
 
-	// Legacy bare seal: marker only, epoch reads back 0, upgrade allowed.
+	// A bare marker with no epoch word, as an older binary sealed a file:
+	// it still fences, reads back as epoch 0, and accepts an upgrade.
 	lp := filepath.Join(dir, "legacy.wal")
+	var marker [8]byte
+	binary.BigEndian.PutUint64(marker[:], sealMarker)
+	if err := os.WriteFile(lp, marker[:], 0o644); err != nil {
+		t.Fatal(err)
+	}
 	legacy, err := OpenFileLedger(lp, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := legacy.Seal(); err != nil {
-		t.Fatal(err)
+	if !legacy.Sealed() || legacy.SealedEpoch() != 0 {
+		t.Fatalf("legacy marker: sealed=%v epoch=%d, want sealed at 0", legacy.Sealed(), legacy.SealedEpoch())
 	}
-	if got := legacy.SealedEpoch(); got != 0 {
-		t.Fatalf("legacy SealedEpoch = %d, want 0", got)
+	if _, err := legacy.AppendBatch([]byte("x")); !errors.Is(err, ErrSealed) {
+		t.Fatalf("append to legacy-sealed file: got %v, want ErrSealed", err)
 	}
 	if err := legacy.SealEpoch(1); err != nil {
 		t.Fatalf("epoch upgrade of legacy seal: %v", err)

@@ -46,16 +46,9 @@ func (m *MemLedger) AppendBatch(batch []byte) (int, error) {
 	return n, nil
 }
 
-// Seal fences the ledger: once Seal returns, no append can store a batch,
-// so a reader that has consumed every stored batch has seen the final log.
-func (m *MemLedger) Seal() error {
-	m.mu.Lock()
-	m.sealed = true
-	m.mu.Unlock()
-	return nil
-}
-
-// SealEpoch fences the ledger with an epoch-numbered seal. The ledger
+// SealEpoch fences the ledger with an epoch-numbered seal: once it
+// returns, no append can store a batch, so a reader that has consumed
+// every stored batch has seen the final log. The ledger
 // grants each epoch at most once: a proposal at or below the current seal
 // epoch fails with ErrEpochSuperseded, which is what serializes dueling
 // election candidates (only one can newly seal a quorum at a given epoch).
@@ -72,7 +65,7 @@ func (m *MemLedger) SealEpoch(epoch uint64) error {
 	return nil
 }
 
-// SealedEpoch returns the current seal's epoch (0 = unsealed or legacy).
+// SealedEpoch returns the current seal's epoch (0 = unsealed).
 func (m *MemLedger) SealedEpoch() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -132,24 +125,25 @@ type FileLedger struct {
 	sync      bool
 	sealed    bool
 	sealOff   int64  // offset of the seal marker, valid when sealed
-	sealEpoch uint64 // epoch word following the marker (0 = legacy seal)
+	sealEpoch uint64 // epoch word following the marker (0 = bare marker)
 	reader    bool   // opened read-only: never truncate, Refresh allowed
 	wbuf      []byte // header+payload staging so each append is one WriteAt
 }
 
 // sealMarker is the batch-length value that marks a sealed file: no real
 // batch can be that large, and a writer that finds it at its append offset
-// knows a successor has fenced the log. An epoch-numbered seal follows the
-// marker with one more 8-byte word holding the epoch; a legacy seal ends
-// at the marker and reads as epoch 0.
+// knows a successor has fenced the log. The marker is followed by one more
+// 8-byte word holding the seal epoch. A bare marker with no epoch word,
+// written by an older binary, still fences the file and reads as epoch 0,
+// so the fence survives an upgrade.
 const sealMarker = ^uint64(0)
 
 // flockEx/flockSh/funlock wrap the advisory file lock that makes the
-// cross-process fence atomic: AppendBatch's check-then-write and Seal's
-// rescan-then-mark each run under the exclusive lock, so a fencing standby
-// can never clobber a batch the primary is mid-appending, and the primary
-// can never overwrite a freshly written seal marker. Locks are held only
-// for the duration of one append, seal, or scan.
+// cross-process fence atomic: AppendBatch's check-then-write and
+// SealEpoch's rescan-then-mark each run under the exclusive lock, so a
+// fencing candidate can never clobber a batch the leader is mid-appending,
+// and the leader can never overwrite a freshly written seal marker. Locks
+// are held only for the duration of one append, seal, or scan.
 func flockEx(f *os.File) error { return syscall.Flock(int(f.Fd()), syscall.LOCK_EX) }
 func flockSh(f *os.File) error { return syscall.Flock(int(f.Fd()), syscall.LOCK_SH) }
 func funlock(f *os.File)       { _ = syscall.Flock(int(f.Fd()), syscall.LOCK_UN) }
@@ -179,10 +173,10 @@ func OpenFileLedger(path string, syncEveryBatch bool) (*FileLedger, error) {
 }
 
 // OpenFileLedgerReader opens an existing ledger file read-only, for a
-// standby tailing a primary's WAL on the same machine. The reader never
-// truncates torn tails (the primary may still be mid-write) and supports
-// Refresh, so a Tailer over it observes batches as the primary appends
-// them.
+// group follower tailing the leader's log on the same machine. The reader
+// never truncates torn tails (the leader may still be mid-write) and
+// supports Refresh, so a Tailer over it observes batches as the leader
+// appends them.
 func OpenFileLedgerReader(path string) (*FileLedger, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -265,7 +259,7 @@ func (l *FileLedger) Refresh() error {
 
 // AppendBatch appends one batch record. Under the exclusive file lock it
 // re-reads the header at the append offset: a seal marker placed there by
-// another process (a promoting standby fencing this primary) fails the
+// another process (an election winner fencing this leader) fails the
 // append, and the lock guarantees the marker check and the write are one
 // atomic step — a seal can never be overwritten, and a batch can never be
 // clobbered by a concurrent seal.
@@ -307,52 +301,17 @@ func (l *FileLedger) AppendBatch(batch []byte) (int, error) {
 	return len(l.offsets) - 1, nil
 }
 
-// Seal durably fences the file: a seal marker is written at the end and
-// fsynced, so both this process and any other process appending to the
-// same file observe the fence. Under the exclusive file lock the seal
-// first rescans to the file's true end — batches another process appended
-// (and possibly acked) since this handle's last scan are indexed, never
-// clobbered — and only then writes the marker, which the lock orders
-// strictly after any in-flight append.
-func (l *FileLedger) Seal() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.sealed {
-		return nil
-	}
-	if err := flockEx(l.f); err != nil {
-		return err
-	}
-	defer funlock(l.f)
-	if err := l.scan(); err != nil {
-		return err
-	}
-	if l.sealed {
-		// The rescan found another sealer's marker; the fence holds.
-		return nil
-	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint64(hdr[:], sealMarker)
-	if _, err := l.f.WriteAt(hdr[:], l.end); err != nil {
-		return err
-	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	l.sealOff = l.end
-	l.end += 8
-	l.sealed = true
-	return nil
-}
-
 // SealEpoch durably fences the file with an epoch-numbered seal record
-// ([marker][epoch], fsynced). Like Seal, it runs under the exclusive file
-// lock and rescans first, so it composes with concurrent appends and
-// seals from other processes. The ledger grants each epoch at most once:
-// a proposal at or below the current seal epoch — whether placed by this
-// process or read back from a marker another candidate wrote — fails with
-// ErrEpochSuperseded, and a strictly higher proposal upgrades the epoch
-// word in place.
+// ([marker][epoch], fsynced), so both this process and any other process
+// appending to the same file observe the fence. Under the exclusive file
+// lock it first rescans to the file's true end — batches another process
+// appended (and possibly acked) since this handle's last scan are indexed,
+// never clobbered — and only then writes the record, which the lock orders
+// strictly after any in-flight append. The ledger grants each epoch at
+// most once: a proposal at or below the current seal epoch — whether
+// placed by this process or read back from a marker another candidate
+// wrote — fails with ErrEpochSuperseded, and a strictly higher proposal
+// upgrades the epoch word in place.
 func (l *FileLedger) SealEpoch(epoch uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -421,7 +380,7 @@ func (l *FileLedger) rereadSealEpoch() error {
 	return nil
 }
 
-// SealedEpoch returns the current seal's epoch (0 = unsealed or legacy).
+// SealedEpoch returns the current seal's epoch (0 = unsealed or bare marker).
 func (l *FileLedger) SealedEpoch() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -23,7 +23,7 @@ func TestSealFencesWriter(t *testing.T) {
 	if err := w.Append([]byte("before")); err != nil {
 		t.Fatalf("append: %v", err)
 	}
-	if err := Seal(l); err != nil {
+	if err := SealEpoch(l, 1); err != nil {
 		t.Fatalf("seal: %v", err)
 	}
 	err := w.Append([]byte("after"))
@@ -41,14 +41,14 @@ func TestSealFencesWriter(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("sealed ledger grew to %d batches", n)
 	}
-	if err := Seal(DiscardLedger{}); err == nil {
+	if err := SealEpoch(DiscardLedger{}, 1); err == nil {
 		t.Fatalf("sealing an unsealable ledger succeeded")
 	}
 }
 
 // TestFileLedgerSealIsDurableAndCrossProcess: the seal marker persists
 // across re-opens, and a second read-write handle (standing in for the
-// old primary process) observes it on its next append.
+// old leader process) observes it on its next append.
 func TestFileLedgerSealIsDurableAndCrossProcess(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	primary, err := OpenFileLedger(path, false)
@@ -60,13 +60,13 @@ func TestFileLedgerSealIsDurableAndCrossProcess(t *testing.T) {
 		t.Fatalf("append: %v", err)
 	}
 
-	// The standby opens its own handle and seals.
+	// The election winner opens its own handle and seals.
 	sealer, err := OpenFileLedger(path, false)
 	if err != nil {
 		t.Fatalf("open sealer: %v", err)
 	}
 	defer sealer.Close()
-	if err := sealer.Seal(); err != nil {
+	if err := sealer.SealEpoch(1); err != nil {
 		t.Fatalf("seal: %v", err)
 	}
 
@@ -85,8 +85,8 @@ func TestFileLedgerSealIsDurableAndCrossProcess(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer reopened.Close()
-	if !reopened.Sealed() {
-		t.Fatalf("seal marker not durable across reopen")
+	if !reopened.Sealed() || reopened.SealedEpoch() != 1 {
+		t.Fatalf("seal at epoch 1 not durable across reopen (epoch %d)", reopened.SealedEpoch())
 	}
 	if n, _ := reopened.NumBatches(); n != 1 {
 		t.Fatalf("reopened ledger has %d batches, want 1", n)

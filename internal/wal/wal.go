@@ -40,7 +40,7 @@ var (
 	ErrQuorumFailed = errors.New("wal: quorum of ledgers failed")
 	ErrCorrupt      = errors.New("wal: corrupt entry")
 	// ErrSealed is returned by a sealed ledger's AppendBatch. Sealing is
-	// the BookKeeper-style fence a promoting standby applies before it
+	// the BookKeeper-style fence an election winner applies before it
 	// serves: no writer can extend a sealed ledger.
 	ErrSealed = errors.New("wal: ledger sealed")
 	// ErrFenced is returned by a writer that has observed a seal on any
@@ -57,49 +57,31 @@ var (
 	ErrEpochSuperseded = errors.New("wal: seal epoch superseded")
 )
 
-// Sealer is implemented by ledgers that support fencing.
-type Sealer interface {
-	// Seal makes the ledger permanently read-only: every subsequent
-	// AppendBatch fails with ErrSealed. Sealing an already-sealed ledger
-	// succeeds.
-	Seal() error
-}
-
-// Seal fences a ledger. Ledgers that do not implement Sealer cannot be
-// fenced and return an error.
-func Seal(l Ledger) error {
-	s, ok := l.(Sealer)
-	if !ok {
-		return fmt.Errorf("wal: ledger %T is not sealable", l)
-	}
-	return s.Seal()
-}
-
-// EpochSealer is implemented by ledgers whose seal carries an election
-// epoch. The epoch is the fencing token of the self-healing oracle group:
-// a candidate for epoch e fences the previous epoch's ledgers by sealing
-// them at e, and the ledger arbitrates — a proposal at or below the
-// current seal epoch fails with ErrEpochSuperseded.
+// EpochSealer is implemented by ledgers that support fencing. The seal
+// carries an election epoch, the fencing token of the self-healing oracle
+// group: a candidate for epoch e fences the previous epoch's ledgers by
+// sealing them at e, and the ledger arbitrates — a proposal at or below
+// the current seal epoch fails with ErrEpochSuperseded.
 type EpochSealer interface {
-	// SealEpoch fences the ledger with an epoch-numbered seal. It succeeds
-	// only when epoch is strictly higher than the ledger's current seal
-	// epoch (an unsealed ledger counts as epoch 0), so each epoch is
-	// granted at most once per ledger; otherwise ErrEpochSuperseded.
+	// SealEpoch fences the ledger with an epoch-numbered seal: every
+	// subsequent AppendBatch fails with ErrSealed. It succeeds only when
+	// epoch is strictly higher than the ledger's current seal epoch (an
+	// unsealed ledger counts as epoch 0), so each epoch is granted at most
+	// once per ledger; otherwise ErrEpochSuperseded.
 	SealEpoch(epoch uint64) error
 	// SealedEpoch returns the epoch of the current seal: 0 when the ledger
-	// is unsealed or was sealed without an epoch (legacy Seal).
+	// is unsealed, or is a file sealed by an older binary without an epoch.
 	SealedEpoch() uint64
 }
 
-// SealEpoch fences a ledger with an epoch-numbered seal. Ledgers without
-// epoch support fall back to a plain Seal — the fence still holds, but
-// such ledgers cannot arbitrate between dueling candidates, so automatic
-// election requires EpochSealer replicas.
+// SealEpoch fences a ledger with an epoch-numbered seal. A ledger that
+// does not implement EpochSealer cannot be fenced and returns an error.
 func SealEpoch(l Ledger, epoch uint64) error {
-	if es, ok := l.(EpochSealer); ok {
-		return es.SealEpoch(epoch)
+	es, ok := l.(EpochSealer)
+	if !ok {
+		return fmt.Errorf("wal: ledger %T is not sealable", l)
 	}
-	return Seal(l)
+	return es.SealEpoch(epoch)
 }
 
 // Config parameterizes replication. Batching has no parameters: the writer
@@ -372,7 +354,12 @@ func (w *Writer) flush(batch []byte, waiters []pendingWaiter, fenced bool) (seal
 			case sealed:
 				// A seal on any replica means a successor has fenced the
 				// log; report it as such so the oracle can latch rather
-				// than treat it as a transient quorum loss.
+				// than treat it as a transient quorum loss. The writer
+				// latches first, so an appender told ErrFenced never
+				// finds Fenced still false.
+				w.mu.Lock()
+				w.fenced = true
+				w.mu.Unlock()
 				w.quorumFailures.Add(1)
 				ack(fmt.Errorf("%w: %d/%d acks", ErrFenced, acks, need))
 			default:
