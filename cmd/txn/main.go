@@ -12,7 +12,8 @@
 //	scan <t> <a> <b> scan [a,b) in transaction t
 //	commit <t>       commit transaction t
 //	abort <t>        abort transaction t
-//	stats            print oracle counters
+//	stats            print oracle counters (remote: the server's metrics,
+//	                 Prometheus text)
 //	quit
 //
 // Example demonstrating write skew under SI (run with -engine si):
@@ -34,6 +35,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kvstore"
+	"repro/internal/metrics"
 	"repro/internal/netsrv"
 	"repro/internal/txn"
 )
@@ -62,11 +64,13 @@ func main() {
 			os.Exit(1)
 		}
 		statsFn = func() string {
-			st, err := oracleClient.Stats()
+			samples, err := oracleClient.Metrics()
 			if err != nil {
 				return fmt.Sprintf("error: %v", err)
 			}
-			return fmt.Sprintf("%+v", st)
+			var b strings.Builder
+			metrics.WritePrometheus(&b, samples)
+			return strings.TrimSuffix(b.String(), "\n")
 		}
 	default:
 		eng := core.WSI

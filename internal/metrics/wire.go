@@ -8,8 +8,8 @@ import (
 
 // Wire encoding for a gathered sample set. The format is self-describing so
 // the metric set can grow (or shrink, or reorder) without ever breaking wire
-// compatibility — the failure mode that forced every prior PR to hand-widen
-// the positional opStats payload in lockstep on both ends:
+// compatibility, as a positional payload widened in lockstep on both ends
+// would:
 //
 //	u32  sample count
 //	per sample:
@@ -27,6 +27,9 @@ const (
 	// wireHistLen is the current histogram summary width; decoders accept
 	// anything >= this and ignore the tail.
 	wireHistLen = 8 * 8
+	// wireMinSampleLen is the smallest sample on the wire: an empty name,
+	// the kind byte and an empty value.
+	wireMinSampleLen = 2 + 1 + 2
 )
 
 // ErrTruncatedSamples reports a sample payload that ends mid-record.
@@ -84,7 +87,9 @@ func DecodeSamples(b []byte) ([]Sample, error) {
 	}
 	n := int(binary.BigEndian.Uint32(b[:4]))
 	b = b[4:]
-	out := make([]Sample, 0, n)
+	// The count comes off the wire: reserve no more samples than the bytes
+	// present can hold.
+	out := make([]Sample, 0, min(n, len(b)/wireMinSampleLen))
 	for i := 0; i < n; i++ {
 		if len(b) < 2 {
 			return nil, ErrTruncatedSamples

@@ -58,8 +58,7 @@ const depthBuckets = 32
 
 // tenantQ is one tenant's admission state. The verdict counters and the
 // queue-depth histogram live here, per tenant, so the ingress breakdown the
-// operator sees is keyed by admission class; the aggregate opStats fields
-// are computed by summing on read. The hot path still pays exactly one
+// operator sees is keyed by admission class. The hot path pays exactly one
 // atomic add per verdict.
 type tenantQ struct {
 	bucket  tokenBucket
@@ -253,19 +252,6 @@ func (a *admitter) close() {
 	a.mu.Unlock()
 }
 
-// totals sums the per-tenant verdict counters into the aggregates the frozen
-// opStats payload carries.
-func (a *admitter) totals() (admitted, shed, rateLimited, expired int64) {
-	for i := range a.tenants {
-		t := &a.tenants[i]
-		admitted += t.admitted.Load()
-		shed += t.shed.Load()
-		rateLimited += t.rateLimited.Load()
-		expired += t.expired.Load()
-	}
-	return
-}
-
 // depthQuantile computes the q-quantile of a power-of-two depth histogram
 // (bucket lower bounds).
 func depthQuantile(counts *[depthBuckets]int64, q float64) int64 {
@@ -299,20 +285,6 @@ func (a *admitter) tenantDepth(i int, counts *[depthBuckets]int64) {
 	for j := range t.depthHist {
 		counts[j] = t.depthHist[j].Load()
 	}
-}
-
-// depthP99 computes the 99th percentile of the admission queue depth over
-// all tenants' samples (bucket lower bounds, power-of-two resolution) — the
-// aggregate the frozen opStats payload carries.
-func (a *admitter) depthP99() int64 {
-	var counts [depthBuckets]int64
-	for i := range a.tenants {
-		t := &a.tenants[i]
-		for j := range t.depthHist {
-			counts[j] += t.depthHist[j].Load()
-		}
-	}
-	return depthQuantile(&counts, 0.99)
 }
 
 // metricsInto emits the per-tenant ingress breakdown: verdict counters and

@@ -696,22 +696,21 @@ func (c *Client) Forget(startTS uint64) {
 	}
 }
 
-// Stats fetches the server-side oracle counters over the frozen positional
-// opStats payload — the legacy shim kept for old clients. New telemetry is
-// not added here; use Metrics.
-func (c *Client) Stats() (oracle.Stats, error) {
-	payload, err := c.call(opStats, nil)
+// SliceLoads reads the server oracle's per-slice write-load histogram off
+// its metrics registry. Implements partition.Backend.
+func (c *Client) SliceLoads() ([]int64, error) {
+	samples, err := c.Metrics()
 	if err != nil {
-		return oracle.Stats{}, err
+		return nil, err
 	}
-	return decodeStats(payload)
+	return oracle.SliceLoadsFrom(samples), nil
 }
 
 // Metrics gathers the server's self-describing metrics registry: every
 // named counter, gauge and histogram summary the server's subsystems
 // registered, in deterministic family-major order. The wire encoding is
-// length-prefixed per
-// sample, so a client of any vintage decodes whatever subset it understands.
+// length-prefixed per sample, so a client of any vintage decodes whatever
+// subset it understands.
 func (c *Client) Metrics() ([]metrics.Sample, error) {
 	payload, err := c.call(opMetrics, nil)
 	if err != nil {

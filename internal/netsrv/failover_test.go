@@ -8,8 +8,8 @@ import (
 	"repro/internal/wal"
 )
 
-// TestFailoverStatsCarriesAvailabilityCounters: the widened opStats payload round-
-// trips the checkpoint/recovery fields.
+// TestFailoverStatsCarriesAvailabilityCounters: the metrics plane carries the
+// checkpoint/recovery counters, the checkpoint's TSO bound included.
 func TestFailoverStatsCarriesAvailabilityCounters(t *testing.T) {
 	ledger := wal.NewMemLedger()
 	w, err := wal.NewWriter(wal.Config{}, ledger)
@@ -46,14 +46,19 @@ func TestFailoverStatsCarriesAvailabilityCounters(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
-	got, err := c.Stats()
-	if err != nil {
-		t.Fatalf("stats: %v", err)
-	}
 	want := recovered.Stats()
-	if got.LastCheckpointTS != want.LastCheckpointTS || got.ReplayedRecords != want.ReplayedRecords ||
-		got.RecoveryNanos != want.RecoveryNanos || got.Checkpoints != want.Checkpoints {
-		t.Fatalf("availability counters did not round-trip:\n got %+v\nwant %+v", got, want)
+	for _, f := range []struct {
+		family string
+		want   int64
+	}{
+		{"oracle_last_checkpoint_ts", want.LastCheckpointTS},
+		{"oracle_replayed_records", want.ReplayedRecords},
+		{"oracle_recovery_nanos", want.RecoveryNanos},
+		{"oracle_checkpoints_total", want.Checkpoints},
+	} {
+		if got := wireSum(t, c, f.family); got != float64(f.want) {
+			t.Fatalf("%s = %v over the wire, want %d", f.family, got, f.want)
+		}
 	}
 	if want.LastCheckpointTS == 0 {
 		t.Fatalf("recovery surfaced no checkpoint bound")

@@ -38,6 +38,18 @@ func startIngressServer(t *testing.T, cfg *IngressConfig, tune func(*Server)) (*
 
 // TestOverloadAdmitterBasics exercises the admitter state machine directly:
 // the uncontended fast path, queue-full shedding, and expiry at admission.
+// totals sums the per-tenant verdict counters.
+func (a *admitter) totals() (admitted, shed, rateLimited, expired int64) {
+	for i := range a.tenants {
+		t := &a.tenants[i]
+		admitted += t.admitted.Load()
+		shed += t.shed.Load()
+		rateLimited += t.rateLimited.Load()
+		expired += t.expired.Load()
+	}
+	return
+}
+
 func TestOverloadAdmitterBasics(t *testing.T) {
 	a := newAdmitter(IngressConfig{Tenants: 1, MaxInflight: 1, QueueCap: 1})
 	if v := a.tryAdmit(0, time.Time{}); v != admitOK {
@@ -211,18 +223,16 @@ func TestOverloadMuxSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
+	if got := wireSum(t, c, "netsrv_sessions"); got != sessions {
+		t.Fatalf("sessions gauge = %v, want %d", got, sessions)
 	}
-	if st.Sessions != sessions {
-		t.Fatalf("Sessions gauge = %d, want %d", st.Sessions, sessions)
+	if got, want := wireSum(t, c, "netsrv_ingress_admitted_total"), sessions*20*3; got != float64(want) {
+		t.Fatalf("admitted = %v, want %d", got, want)
 	}
-	if want := int64(sessions * 20 * 3); st.IngressAdmitted != want {
-		t.Fatalf("IngressAdmitted = %d, want %d", st.IngressAdmitted, want)
-	}
-	if st.IngressShed != 0 || st.IngressRateLimited != 0 || st.IngressExpired != 0 {
-		t.Fatalf("unexpected shedding under no overload: %+v", st)
+	for _, family := range []string{"netsrv_ingress_shed_total", "netsrv_ingress_rate_limited_total", "netsrv_ingress_expired_total"} {
+		if got := wireSum(t, c, family); got != 0 {
+			t.Fatalf("%s = %v under no overload", family, got)
+		}
 	}
 }
 
@@ -367,12 +377,8 @@ func TestOverloadShedQueueFull(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			st, err := c.Stats()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.IngressShed != int64(shed) {
-				t.Fatalf("IngressShed = %d, want %d", st.IngressShed, shed)
+			if got := wireSum(t, c, "netsrv_ingress_shed_total"); got != float64(shed) {
+				t.Fatalf("shed = %v, want %d", got, shed)
 			}
 		})
 	}

@@ -95,12 +95,8 @@ func TestStatsOverNetwork(t *testing.T) {
 	if _, err := c.Commit(oracle.CommitRequest{StartTS: ts, WriteSet: []oracle.RowID{1}}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Begins != 1 || st.Commits != 1 {
-		t.Fatalf("stats = %+v", st)
+	if b, n := wireSum(t, c, "oracle_begins_total"), wireSum(t, c, "oracle_commits_total"); b != 1 || n != 1 {
+		t.Fatalf("begins = %v commits = %v, want 1 and 1", b, n)
 	}
 }
 
@@ -180,7 +176,7 @@ func TestRetiredOpSubscribe(t *testing.T) {
 	for _, retired := range []struct {
 		name string
 		op   byte
-	}{{"subscribe", 6}, {"promote", 11}} {
+	}{{"subscribe", 6}, {"stats", 7}, {"promote", 11}} {
 		t.Run(retired.name, func(t *testing.T) {
 			srv, _ := startServer(t, oracle.WSI)
 			conn, err := net.Dial("tcp", srv.Addr())
@@ -648,13 +644,11 @@ func TestStatsQueryFieldsOverNetwork(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.QueryBatch([]uint64{t1, t1, t1, t1})
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Queries != 4 || st.QueryBatches != 1 || st.QueryBatchSizeAvg != 4 {
-		t.Fatalf("read stats over wire = Queries:%d QueryBatches:%d Avg:%v, want 4/1/4",
-			st.Queries, st.QueryBatches, st.QueryBatchSizeAvg)
+	queries := wireSum(t, c, "oracle_queries_total")
+	batches := wireSum(t, c, "oracle_query_batches_total")
+	avg := wireSum(t, c, "oracle_query_batch_size_avg")
+	if queries != 4 || batches != 1 || avg != 4 {
+		t.Fatalf("read stats over wire = Queries:%v QueryBatches:%v Avg:%v, want 4/1/4", queries, batches, avg)
 	}
 }
 
@@ -668,11 +662,8 @@ func TestStatsBatchFieldsOverNetwork(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Batches != 1 || st.BatchSizeAvg != 2 {
-		t.Fatalf("Batches = %d BatchSizeAvg = %v, want 1 and 2", st.Batches, st.BatchSizeAvg)
+	batches, avg := wireSum(t, c, "oracle_commit_batches_total"), wireSum(t, c, "oracle_commit_batch_size_avg")
+	if batches != 1 || avg != 2 {
+		t.Fatalf("Batches = %v BatchSizeAvg = %v, want 1 and 2", batches, avg)
 	}
 }

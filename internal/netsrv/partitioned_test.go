@@ -8,23 +8,32 @@ import (
 	"repro/internal/tso"
 )
 
-// startPartitionServers boots n partition servers over in-process oracles.
-// Partition 0 owns the shared timestamp stream; the others never allocate
-// timestamps (their clocks exist only to satisfy the oracle constructor).
-func startPartitionServers(t *testing.T, n int, engine oracle.Engine, router partition.Router) ([]string, []*Server, []*oracle.StatusOracle) {
+// testLoadSpan sizes the partition oracles' load histogram: 64 buckets of
+// 100 rows each.
+const testLoadSpan = oracle.LoadBuckets * 100
+
+// startElasticServers boots n partition servers over in-process oracles
+// sharing one timestamp stream, each fenced by the given routing table.
+// Partition 0 is the deployment's timestamp authority; the others never
+// allocate timestamps.
+func startElasticServers(t *testing.T, n int, engine oracle.Engine, rt partition.RoutingTable) ([]string, []*Server, []*oracle.StatusOracle) {
 	t.Helper()
+	clock := tso.New(0, nil)
 	addrs := make([]string, n)
 	servers := make([]*Server, n)
 	oracles := make([]*oracle.StatusOracle, n)
 	for i := 0; i < n; i++ {
-		so, err := oracle.New(oracle.Config{Engine: engine, TSO: tso.New(0, nil)})
+		so, err := oracle.New(oracle.Config{Engine: engine, TSO: clock, LoadSpan: testLoadSpan})
 		if err != nil {
 			t.Fatalf("oracle %d: %v", i, err)
 		}
 		srv := NewServer(so)
 		srv.Logf = nil
-		part := i
-		srv.OwnsRow = func(r oracle.RowID) bool { return router.Partition(r) == part }
+		srv.PartitionID = i
+		srv.Partitions = n
+		if !srv.SetRouting(rt) {
+			t.Fatalf("server %d rejected initial routing table", i)
+		}
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatalf("listen %d: %v", i, err)
@@ -42,7 +51,7 @@ func startPartitionServers(t *testing.T, n int, engine oracle.Engine, router par
 // misrouting guard.
 func TestPartitionedClient(t *testing.T) {
 	router := partition.NewHashRouter(3)
-	addrs, _, oracles := startPartitionServers(t, 3, oracle.WSI, router)
+	addrs, _, oracles := startElasticServers(t, 3, oracle.WSI, partition.RoutingTable{Epoch: 1, Router: router})
 	pc, err := DialPartitioned(oracle.WSI, router, addrs...)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -101,16 +110,13 @@ func TestPartitionedClient(t *testing.T) {
 		t.Fatalf("cross-partition read-write conflict missed over the wire")
 	}
 
-	// Stats carry the partition counters over the widened payload.
-	st1, err := pc.Clients()[1].Stats()
-	if err != nil {
-		t.Fatalf("stats: %v", err)
+	// Each partition server's metrics carry its protocol counters.
+	c1 := pc.Clients()[1]
+	if p, d := wireSum(t, c1, "oracle_prepares_total"), wireSum(t, c1, "oracle_decides_total"); p == 0 || d == 0 {
+		t.Fatalf("partition 1 metrics missing prepare/decide counters: prepares %v decides %v", p, d)
 	}
-	if st1.Prepares == 0 || st1.Decides == 0 {
-		t.Fatalf("partition 1 stats missing prepare/decide counters: %+v", st1)
-	}
-	if st1.CrossPartitionRatio != 1 {
-		t.Fatalf("partition 1 cross ratio %v, want 1 (it only saw two-phase traffic)", st1.CrossPartitionRatio)
+	if r := wireSum(t, c1, "oracle_cross_partition_ratio"); r != 1 {
+		t.Fatalf("partition 1 cross ratio %v, want 1 (it only saw two-phase traffic)", r)
 	}
 
 	// ResolveStatus answers from the coordinator's decision log.
@@ -120,11 +126,10 @@ func TestPartitionedClient(t *testing.T) {
 	}
 }
 
-// TestPartitionedMisroutingGuard: a server configured with OwnsRow rejects
-// slices carrying foreign rows.
+// TestPartitionedMisroutingGuard: a partition server rejects slices carrying
+// rows its routing table assigns elsewhere with a redirect at its epoch.
 func TestPartitionedMisroutingGuard(t *testing.T) {
-	router := partition.NewHashRouter(2)
-	addrs, _, _ := startPartitionServers(t, 2, oracle.WSI, router)
+	addrs, _, _ := startElasticServers(t, 2, oracle.WSI, partition.RoutingTable{Epoch: 1, Router: partition.NewHashRouter(2)})
 	c, err := Dial(addrs[0])
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -136,12 +141,12 @@ func TestPartitionedMisroutingGuard(t *testing.T) {
 	}
 	// Row 1 belongs to partition 1; partition 0 must reject it.
 	_, err = c.CommitAtBatch([]oracle.PrepareRequest{{StartTS: ts, CommitTS: ts + 1, WriteSet: []oracle.RowID{1}}})
-	if err == nil {
-		t.Fatalf("misrouted one-shot accepted")
+	if mr := partition.AsMisroute(err); mr == nil || mr.Epoch != 1 {
+		t.Fatalf("misrouted one-shot: err %v, want a redirect at epoch 1", err)
 	}
 	_, err = c.PrepareBatch([]oracle.PrepareRequest{{StartTS: ts, CommitTS: ts + 1, WriteSet: []oracle.RowID{1}}})
-	if err == nil {
-		t.Fatalf("misrouted prepare accepted")
+	if mr := partition.AsMisroute(err); mr == nil || mr.Epoch != 1 {
+		t.Fatalf("misrouted prepare: err %v, want a redirect at epoch 1", err)
 	}
 	// Correctly routed rows pass.
 	res, err := c.CommitAtBatch([]oracle.PrepareRequest{{StartTS: ts, CommitTS: ts + 1, WriteSet: []oracle.RowID{2}}})
@@ -156,7 +161,7 @@ func TestPartitionedMisroutingGuard(t *testing.T) {
 // otherwise reject the whole commit (regression).
 func TestPartitionedSIForeignReads(t *testing.T) {
 	router := partition.NewHashRouter(2)
-	addrs, _, _ := startPartitionServers(t, 2, oracle.SI, router)
+	addrs, _, _ := startElasticServers(t, 2, oracle.SI, partition.RoutingTable{Epoch: 1, Router: router})
 	pc, err := DialPartitioned(oracle.SI, router, addrs...)
 	if err != nil {
 		t.Fatalf("dial: %v", err)

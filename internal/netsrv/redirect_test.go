@@ -1,44 +1,12 @@
 package netsrv
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/oracle"
 	"repro/internal/partition"
-	"repro/internal/tso"
 )
-
-// startElasticServers boots n partition servers over oracles sharing one
-// timestamp stream, each fenced by the given routing table.
-func startElasticServers(t *testing.T, n int, rt partition.RoutingTable) ([]string, []*Server, []*oracle.StatusOracle) {
-	t.Helper()
-	clock := tso.New(0, nil)
-	addrs := make([]string, n)
-	servers := make([]*Server, n)
-	oracles := make([]*oracle.StatusOracle, n)
-	for i := 0; i < n; i++ {
-		so, err := oracle.New(oracle.Config{Engine: oracle.WSI, TSO: clock})
-		if err != nil {
-			t.Fatalf("oracle %d: %v", i, err)
-		}
-		srv := NewServer(so)
-		srv.Logf = nil
-		srv.PartitionID = i
-		srv.Partitions = n
-		if !srv.SetRouting(rt) {
-			t.Fatalf("server %d rejected initial routing table", i)
-		}
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("listen %d: %v", i, err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		addrs[i] = addr
-		servers[i] = srv
-		oracles[i] = so
-	}
-	return addrs, servers, oracles
-}
 
 func mustParse(t *testing.T, spec string, n int) partition.Router {
 	t.Helper()
@@ -56,7 +24,7 @@ func mustParse(t *testing.T, spec string, n int) partition.Router {
 func TestRedirectAdoption(t *testing.T) {
 	// Epoch 1: rows < 100 on partition 0, the rest on partition 1.
 	table1 := partition.RoutingTable{Epoch: 1, Router: mustParse(t, "map:2;0,1;100", 2)}
-	addrs, servers, oracles := startElasticServers(t, 2, table1)
+	addrs, servers, oracles := startElasticServers(t, 2, oracle.WSI, table1)
 
 	pc, err := DialPartitioned(oracle.WSI, table1.Router, addrs...)
 	if err != nil {
@@ -123,7 +91,7 @@ func TestRedirectAdoption(t *testing.T) {
 // recovered server is healed rather than the commit failing forever.
 func TestRedirectHealsStaleServer(t *testing.T) {
 	table1 := partition.RoutingTable{Epoch: 1, Router: mustParse(t, "map:2;0;", 2)}
-	addrs, servers, oracles := startElasticServers(t, 2, table1)
+	addrs, servers, oracles := startElasticServers(t, 2, oracle.WSI, table1)
 	pc, err := DialPartitioned(oracle.WSI, table1.Router, addrs...)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -164,7 +132,7 @@ func TestRedirectHealsStaleServer(t *testing.T) {
 // to an older or equal epoch, in-process or over the wire.
 func TestServerRoutingEpochFence(t *testing.T) {
 	table2 := partition.RoutingTable{Epoch: 2, Router: mustParse(t, "map:1;0;", 1)}
-	addrs, servers, _ := startElasticServers(t, 1, table2)
+	addrs, servers, _ := startElasticServers(t, 1, oracle.WSI, table2)
 
 	stale := partition.RoutingTable{Epoch: 1, Router: mustParse(t, "map:1;0;", 1)}
 	if servers[0].SetRouting(stale) {
@@ -195,5 +163,53 @@ func TestServerRoutingEpochFence(t *testing.T) {
 	}
 	if _, err := partition.ParseRouter(spec, 1); err != nil {
 		t.Fatalf("wire spec %q does not reparse: %v", spec, err)
+	}
+}
+
+// TestRemoteRebalancerMovesHotRange runs the elastic rebalancer over a
+// wire-fronted fleet: it reads each server's slice loads off the metrics
+// plane, moves one of two equally hot buckets off the single owner, and
+// pushes the new table to both servers.
+func TestRemoteRebalancerMovesHotRange(t *testing.T) {
+	table1 := partition.RoutingTable{Epoch: 1, Router: mustParse(t, "map:2;0;", 2)}
+	addrs, servers, oracles := startElasticServers(t, 2, oracle.WSI, table1)
+	pc, err := DialPartitioned(oracle.WSI, table1.Router, addrs...)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer pc.Close()
+	rb := partition.NewRebalancer(pc.Coordinator, partition.RebalanceConfig{LoadSpan: testLoadSpan, MinLoad: 10, MinImbalance: 1.5})
+	rb.Tick() // first sample establishes the baseline
+
+	// Equal heat in buckets 2 (rows 200..299) and 10 (rows 1000..1099).
+	for i := 0; i < 50; i++ {
+		for _, row := range []oracle.RowID{250, 1050} {
+			ts, err := pc.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res, err := pc.Commit(oracle.CommitRequest{StartTS: ts, WriteSet: []oracle.RowID{row}}); err != nil || !res.Committed {
+				t.Fatalf("commit row %d: res=%+v err=%v", row, res, err)
+			}
+		}
+	}
+	rb.Tick()
+
+	if n := rb.Moves(); n != 1 {
+		t.Fatalf("rebalancer made %d moves, want exactly one", n)
+	}
+	for i, srv := range servers {
+		if e := srv.Routing().Epoch; e < 2 {
+			t.Fatalf("server %d at routing epoch %d after the move, want >= 2", i, e)
+		}
+	}
+	for p, c := range pc.Clients() {
+		got, err := c.SliceLoads()
+		if err != nil {
+			t.Fatalf("partition %d slice loads: %v", p, err)
+		}
+		if want := oracles[p].Stats().SliceLoads; !slices.Equal(got, want) {
+			t.Fatalf("partition %d slice loads over the wire = %v, want %v", p, got, want)
+		}
 	}
 }

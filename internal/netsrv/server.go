@@ -55,19 +55,13 @@ type Server struct {
 	// codeNotLeader like any other data op. Set before Listen.
 	StandbyReads func(startTSs []uint64, scratch []oracle.TxnStatus) ([]oracle.TxnStatus, bool)
 
-	// OwnsRow, when set, marks this server as one partition of a
-	// partitioned status oracle: commit, prepare and one-shot requests
-	// whose rows the router did not assign here are rejected before they
-	// can corrupt the partition's slice of the conflict state (a
-	// misconfigured client is the partitioned deployment's analogue of a
-	// corrupt frame). Set before Listen.
-	OwnsRow func(oracle.RowID) bool
-
-	// PartitionID / Partitions identify this server's slice of an elastic
-	// partitioned deployment; with a routing table installed (SetRouting),
-	// ownership is checked against the table instead of OwnsRow, and a
-	// misrouted request answers codeRedirect carrying the table's epoch
-	// and spec so the client self-heals. Set both before Listen.
+	// PartitionID / Partitions identify this server's slice of a
+	// partitioned deployment. With a routing table installed (SetRouting),
+	// prepare and one-shot requests carrying rows the table did not assign
+	// here answer codeRedirect with the table's epoch and spec, before they
+	// can touch the partition's slice of the conflict state, so the client
+	// self-heals; without one the server owns every row. Set both before
+	// Listen.
 	PartitionID int
 	Partitions  int
 
@@ -112,7 +106,7 @@ type Server struct {
 
 	// ctxPool recycles per-request handler contexts (frame read buffer,
 	// decode scratch, response build buffer); poolHits/poolMisses feed the
-	// PooledFrameHits/Misses stats fields.
+	// netsrv_pooled_frame_{hits,misses}_total counters.
 	ctxPool              sync.Pool
 	poolHits, poolMisses atomic.Int64
 
@@ -713,8 +707,8 @@ func (s *Server) handle(ctx *handlerCtx, reqID uint64, op byte, payload []byte, 
 		if err != nil {
 			return respError(reqID, err)
 		}
-		if err := s.checkOwnership(reqs); err != nil {
-			return respOwnership(reqID, err)
+		if mr := s.checkOwnership(reqs); mr != nil {
+			return respRedirect(reqID, mr)
 		}
 		votes, err := so.PrepareBatch(reqs)
 		if err != nil {
@@ -738,8 +732,8 @@ func (s *Server) handle(ctx *handlerCtx, reqID uint64, op byte, payload []byte, 
 			return respError(reqID, err)
 		}
 		ctx.preps = reqs
-		if err := s.checkOwnership(reqs); err != nil {
-			return respOwnership(reqID, err)
+		if mr := s.checkOwnership(reqs); mr != nil {
+			return respRedirect(reqID, mr)
 		}
 		results, err := so.CommitAtBatch(reqs)
 		if err != nil {
@@ -766,16 +760,6 @@ func (s *Server) handle(ctx *handlerCtx, reqID uint64, op byte, payload []byte, 
 		}
 		so.Forget(ts)
 		return ok
-	case opStats:
-		st := so.Stats()
-		st.PooledFrameHits = s.poolHits.Load()
-		st.PooledFrameMisses = s.poolMisses.Load()
-		st.Sessions = s.sessions.Load()
-		if a := s.adm; a != nil {
-			st.IngressAdmitted, st.IngressShed, st.IngressRateLimited, st.IngressExpired = a.totals()
-			st.QueueDepthP99 = a.depthP99()
-		}
-		return appendStats(ok, st)
 	case opRouting:
 		rt := s.Routing()
 		if rt.Router == nil {
@@ -865,13 +849,9 @@ func (s *Server) respNotLeader(reqID uint64, fallback error) []byte {
 	return respError(reqID, fallback)
 }
 
-// ErrMisrouted reports rows sent to a partition that does not own them.
-var ErrMisrouted = errors.New("netsrv: request carries rows this partition does not own")
-
 // SetRouting installs an epoch-fenced routing table (adopted only when
 // strictly newer than the held one) and reports whether it was adopted.
-// With a table installed, ownership checks consult it instead of OwnsRow
-// and misroutes answer codeRedirect.
+// With a table installed, misrouted rows answer codeRedirect.
 func (s *Server) SetRouting(rt partition.RoutingTable) bool {
 	if rt.Router == nil {
 		return false
@@ -893,50 +873,32 @@ func (s *Server) Routing() partition.RoutingTable {
 }
 
 // checkOwnership rejects prepare/one-shot slices carrying rows this
-// partition does not own — atomically, before the oracle touches any state,
-// which is what makes a whole-group retry after a redirect safe. Under a
-// routing table the rejection is a *partition.MisrouteError (rendered as
-// codeRedirect); under legacy OwnsRow it is ErrMisrouted.
-func (s *Server) checkOwnership(reqs []oracle.PrepareRequest) error {
-	if rt := s.Routing(); rt.Router != nil {
-		for i := range reqs {
-			for _, r := range reqs[i].WriteSet {
-				if rt.Router.Partition(r) != s.PartitionID {
-					return &partition.MisrouteError{Epoch: rt.Epoch, Spec: rt.Spec()}
-				}
-			}
-			for _, r := range reqs[i].ReadSet {
-				if rt.Router.Partition(r) != s.PartitionID {
-					return &partition.MisrouteError{Epoch: rt.Epoch, Spec: rt.Spec()}
-				}
-			}
-		}
-		return nil
-	}
-	if s.OwnsRow == nil {
+// partition does not own under its routing table — atomically, before the
+// oracle touches any state, which is what makes a whole-group retry after a
+// redirect safe. Without a table the server owns every row.
+func (s *Server) checkOwnership(reqs []oracle.PrepareRequest) *partition.MisrouteError {
+	rt := s.Routing()
+	if rt.Router == nil {
 		return nil
 	}
 	for i := range reqs {
 		for _, r := range reqs[i].WriteSet {
-			if !s.OwnsRow(r) {
-				return ErrMisrouted
+			if rt.Router.Partition(r) != s.PartitionID {
+				return &partition.MisrouteError{Epoch: rt.Epoch, Spec: rt.Spec()}
 			}
 		}
 		for _, r := range reqs[i].ReadSet {
-			if !s.OwnsRow(r) {
-				return ErrMisrouted
+			if rt.Router.Partition(r) != s.PartitionID {
+				return &partition.MisrouteError{Epoch: rt.Epoch, Spec: rt.Spec()}
 			}
 		}
 	}
 	return nil
 }
 
-// respOwnership renders an ownership failure: redirects carry the routing
-// table for client self-healing, legacy misroutes stay plain errors.
-func respOwnership(reqID uint64, err error) []byte {
-	if mr := partition.AsMisroute(err); mr != nil {
-		body := appendRespHdr(make([]byte, 0, 9+8+len(mr.Spec)), reqID, codeRedirect)
-		return appendRoutingPayload(body, mr.Epoch, mr.Spec)
-	}
-	return respError(reqID, err)
+// respRedirect renders a misroute as codeRedirect carrying the routing
+// table, for client self-healing.
+func respRedirect(reqID uint64, mr *partition.MisrouteError) []byte {
+	body := appendRespHdr(make([]byte, 0, 9+8+len(mr.Spec)), reqID, codeRedirect)
+	return appendRoutingPayload(body, mr.Epoch, mr.Spec)
 }

@@ -53,6 +53,29 @@ func sampleByName(samples []metrics.Sample, name string) (metrics.Sample, bool) 
 	return metrics.Sample{}, false
 }
 
+// wireSum reads the server's metrics over the wire and sums one family over
+// its label sets (counters by value, gauges by level). A family the server
+// does not emit fails the test.
+func wireSum(t *testing.T, c *Client, family string) float64 {
+	t.Helper()
+	samples, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, found := 0.0, false
+	for _, s := range samples {
+		if s.Name != family && !strings.HasPrefix(s.Name, family+"{") {
+			continue
+		}
+		found = true
+		sum += float64(s.Value) + s.Gauge
+	}
+	if !found {
+		t.Fatalf("server emits no %s samples", family)
+	}
+	return sum
+}
+
 // TestTracePopulatesStageHistograms drives real commits and queries through
 // the wire and asserts the per-stage, per-op-class histograms fill in — both
 // via the in-process Registry and via the opMetrics wire call.

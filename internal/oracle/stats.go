@@ -1,6 +1,8 @@
 package oracle
 
 import (
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,36 +69,15 @@ type Stats struct {
 	// slot ratio of the open-addressed lastCommit shards (0 under
 	// TableMap) and Rehashes the number of incremental growth passes they
 	// have run; together they say whether the conflict-check scan lengths
-	// are healthy. PooledFrameHits/Misses count the netsrv frame-buffer
-	// pool's recycled vs freshly allocated buffers (filled in by the
-	// network server when stats travel over the wire; zero in-process) —
-	// at steady state the miss count stops moving.
-	TableLoadFactor   float64
-	Rehashes          int64
-	PooledFrameHits   int64
-	PooledFrameMisses int64
-	// Ingress counters, filled in by the network server when stats travel
-	// over the wire (zero in-process). IngressAdmitted counts data-plane
-	// requests that passed admission, IngressShed the ones rejected at the
-	// frame boundary because their tenant's bounded queue was full (or the
-	// session cap was hit), IngressRateLimited the ones rejected by their
-	// tenant's token bucket, and IngressExpired the ones dropped because
-	// their deadline passed — at admission, while queued, or at batch-cut
-	// time inside the coalescer. Sessions is the server's current count of
-	// live multiplexed sessions, and QueueDepthP99 the 99th percentile of
-	// the admission queue depth sampled at each admit.
-	IngressAdmitted    int64
-	IngressShed        int64
-	IngressRateLimited int64
-	IngressExpired     int64
-	Sessions           int64
-	QueueDepthP99      int64
+	// are healthy.
+	TableLoadFactor float64
+	Rehashes        int64
 	// SliceLoads is the per-key-range write-load histogram (LoadBuckets
 	// cumulative counters over Config.LoadSpan): every submitted write row
 	// of the commit, one-shot and prepare paths increments its range's
 	// bucket. The elastic rebalancer differences successive snapshots to
-	// find hot ranges. Nil when the oracle was never asked (wire decode of
-	// a legacy stats payload).
+	// find hot ranges; over the wire it travels as the
+	// oracle_slice_writes_total{slice="i"} series (SliceLoadsFrom).
 	SliceLoads []int64
 }
 
@@ -230,10 +211,44 @@ func (c *statsCollector) snapshot() Stats {
 	return s
 }
 
+// sliceWritesPrefix starts the name of every SliceLoads sample; the bucket
+// index and the closing `"}` follow.
+const sliceWritesPrefix = `oracle_slice_writes_total{slice="`
+
+// sliceWriteNames are the SliceLoads sample names, built once.
+var sliceWriteNames = func() (names [LoadBuckets]string) {
+	for i := range names {
+		names[i] = sliceWritesPrefix + strconv.Itoa(i) + `"}`
+	}
+	return names
+}()
+
+// SliceLoadsFrom rebuilds Stats.SliceLoads from gathered samples, the form
+// a remote oracle's histogram arrives in. Nil when the samples carry none
+// (a server with no oracle installed).
+func SliceLoadsFrom(samples []metrics.Sample) []int64 {
+	var loads []int64
+	for _, s := range samples {
+		rest, ok := strings.CutPrefix(s.Name, sliceWritesPrefix)
+		if !ok {
+			continue
+		}
+		i, err := strconv.Atoi(strings.TrimSuffix(rest, `"}`))
+		if err != nil || i < 0 || i >= LoadBuckets {
+			continue
+		}
+		if loads == nil {
+			loads = make([]int64, LoadBuckets)
+		}
+		loads[i] = s.Value
+	}
+	return loads
+}
+
 // MetricsSource adapts the oracle's counters to the self-describing metrics
-// registry. Unlike the frozen positional Stats payload, samples emitted here
-// can be added freely: the registry's length-prefixed wire encoding carries
-// names, so no consumer needs a format change.
+// registry — the only way they leave a server. Samples can be added freely:
+// the registry's length-prefixed wire encoding carries names, so no
+// consumer needs a format change.
 func (s *StatusOracle) MetricsSource() metrics.Source {
 	return func(emit func(metrics.Sample)) {
 		st := s.Stats()
@@ -249,6 +264,7 @@ func (s *StatusOracle) MetricsSource() metrics.Source {
 		emit(metrics.C("oracle_query_batches_total", st.QueryBatches))
 		emit(metrics.G("oracle_query_batch_size_avg", st.QueryBatchSizeAvg))
 		emit(metrics.C("oracle_checkpoints_total", st.Checkpoints))
+		emit(metrics.C("oracle_last_checkpoint_ts", st.LastCheckpointTS))
 		emit(metrics.C("oracle_replayed_records", st.ReplayedRecords))
 		emit(metrics.C("oracle_recovery_nanos", st.RecoveryNanos))
 		emit(metrics.C("oracle_prepares_total", st.Prepares))
@@ -258,5 +274,8 @@ func (s *StatusOracle) MetricsSource() metrics.Source {
 		emit(metrics.G("oracle_cross_partition_ratio", st.CrossPartitionRatio))
 		emit(metrics.G("oracle_table_load_factor", st.TableLoadFactor))
 		emit(metrics.C("oracle_table_rehashes_total", st.Rehashes))
+		for i, v := range st.SliceLoads {
+			emit(metrics.C(sliceWriteNames[i], v))
+		}
 	}
 }

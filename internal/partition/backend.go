@@ -29,8 +29,9 @@ type Backend interface {
 	Abort(startTS uint64) error
 	// Forget drops an aborted transaction's record after cleanup.
 	Forget(startTS uint64)
-	// Stats snapshots the partition's counters.
-	Stats() (oracle.Stats, error)
+	// SliceLoads snapshots the partition's per-slice write-load histogram
+	// (oracle.Stats.SliceLoads), the rebalancer's input.
+	SliceLoads() ([]int64, error)
 }
 
 // StatusResolving is implemented by backends whose status lookup reports
@@ -69,9 +70,9 @@ type Local struct {
 	*oracle.StatusOracle
 }
 
-// Stats implements Backend with the error-carrying signature the remote
-// backend shares.
-func (l Local) Stats() (oracle.Stats, error) { return l.StatusOracle.Stats(), nil }
+// SliceLoads implements Backend with the error-carrying signature the
+// remote backend shares.
+func (l Local) SliceLoads() ([]int64, error) { return l.StatusOracle.Stats().SliceLoads, nil }
 
 // Clock is the shared timestamp authority: the coordinator draws start
 // timestamps and commit-timestamp blocks from it. In-process it is the

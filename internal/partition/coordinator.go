@@ -67,10 +67,6 @@ type Stats struct {
 	// live range migrations the coordinator has completed.
 	RoutingEpoch uint64
 	Moves        int64
-	// Partitions holds each partition's own Stats (prepares, decide
-	// latency, cross-partition ratio, ...), indexed as the router numbers
-	// them. Partitions that failed to answer hold zero values.
-	Partitions []oracle.Stats
 }
 
 // CrossRatio returns the fraction of routed write transactions that
@@ -1134,10 +1130,10 @@ func (co *Coordinator) Close() {
 	co.decideWG.Wait()
 }
 
-// Stats snapshots the coordinator counters plus every partition's oracle
-// counters.
+// Stats snapshots the coordinator counters. Each partition's own counters
+// are its oracle's (locally) or its server's metrics (remotely).
 func (co *Coordinator) Stats() Stats {
-	st := Stats{
+	return Stats{
 		Begins:         co.begins.Load(),
 		SingleTxns:     co.singleTxns.Load(),
 		CrossTxns:      co.crossTxns.Load(),
@@ -1146,14 +1142,7 @@ func (co *Coordinator) Stats() Stats {
 		ExpiredDecides: co.expiredDecides.Load(),
 		RoutingEpoch:   co.Routing().Epoch,
 		Moves:          co.moves.Load(),
-		Partitions:     make([]oracle.Stats, len(co.parts)),
 	}
-	for p, b := range co.parts {
-		if ps, err := b.Stats(); err == nil {
-			st.Partitions[p] = ps
-		}
-	}
-	return st
 }
 
 // MetricsSource adapts the coordinator's counters to the metrics registry.

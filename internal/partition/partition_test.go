@@ -31,8 +31,21 @@ func TestRouters(t *testing.T) {
 			t.Fatalf("range route %d -> %d, want %d", tc.row, p, tc.want)
 		}
 	}
-	if _, err := ParseRouter("range:100,200,300", 4); err != nil {
-		t.Fatalf("parse range: %v", err)
+	// More partitions than rows still gives one slice per partition.
+	for row, want := range []int{0, 1, 2, 3, 3} {
+		if p := NewEvenRangeRouter(4, 2).Partition(oracle.RowID(row)); p != want {
+			t.Fatalf("narrow range route %d -> %d, want %d", row, p, want)
+		}
+	}
+	// Every range spec builds a RangeMap, which live moves need.
+	for _, spec := range []string{"range", "range:100,200,300"} {
+		r, err := ParseRouter(spec, 4)
+		if err != nil {
+			t.Fatalf("parse %q: %v", spec, err)
+		}
+		if _, ok := r.(*RangeMap); !ok {
+			t.Fatalf("ParseRouter(%q) = %T, want *RangeMap", spec, r)
+		}
 	}
 	if _, err := ParseRouter("range:100,50", 3); err == nil {
 		t.Fatalf("descending splits accepted")

@@ -9,11 +9,12 @@ import (
 	"repro/internal/oracle"
 )
 
-// RangeMap is the elastic router: an arbitrary assignment of contiguous
-// key ranges to partitions. Unlike RangeRouter, whose n-1 split points pin
-// partition i to the i-th slice, a RangeMap carries an explicit owner per
-// segment — so a rebalance can carve a hot sub-range off partition 0 and
-// hand it to partition 3 without renumbering anything. Segment i covers
+// RangeMap is the range router: an arbitrary assignment of contiguous key
+// ranges to partitions. Range slicing keeps workloads with locality (and the
+// benchmark's dense row indexes) mostly single-partition. A RangeMap carries
+// an explicit owner per segment — so a rebalance can carve a hot sub-range
+// off partition 0 and hand it to partition 3 without renumbering anything,
+// and every range deployment can move ranges live. Segment i covers
 // [splits[i-1], splits[i]) (segment 0 starts at 0, the last segment is
 // unbounded above) and is owned by owners[i].
 //
@@ -234,21 +235,10 @@ func parseRangeMapSpec(spec string) (*RangeMap, error) {
 // the epoch-aware redirect carries it so a stale client can adopt the
 // server's routing table without an out-of-band channel.
 func RouterSpec(r Router) string {
-	switch rt := r.(type) {
-	case *RangeMap:
-		return rt.Spec()
-	case RangeRouter:
-		if len(rt.splits) == 0 {
-			return "range:"
-		}
-		ss := make([]string, len(rt.splits))
-		for i, s := range rt.splits {
-			ss[i] = strconv.FormatUint(s, 10)
-		}
-		return "range:" + strings.Join(ss, ",")
-	default:
-		return "hash"
+	if m, ok := r.(*RangeMap); ok {
+		return m.Spec()
 	}
+	return "hash"
 }
 
 // RoutingTable is a router under an epoch fence. Epochs are strictly

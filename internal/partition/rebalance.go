@@ -120,8 +120,11 @@ func (rb *Rebalancer) loop(stop, done chan struct{}) {
 // tests (and deterministic harnesses) can drive the controller without the
 // timer.
 func (rb *Rebalancer) Tick() {
-	st := rb.co.Stats()
-	deltas := rb.diff(st.Partitions)
+	loads := make([][]int64, len(rb.co.parts))
+	for p, b := range rb.co.parts {
+		loads[p], _ = b.SliceLoads() // a partition that failed to answer holds nil
+	}
+	deltas := rb.diff(loads)
 	if deltas == nil {
 		return // first sample only establishes the baseline
 	}
@@ -143,14 +146,11 @@ func (rb *Rebalancer) Tick() {
 	}
 }
 
-// diff turns this tick's cumulative per-slice counters into per-tick deltas
-// and advances the baseline. Returns nil until two samples exist or when
-// histogram shapes mismatch (a partition restarted or answered empty).
-func (rb *Rebalancer) diff(parts []oracle.Stats) [][]int64 {
-	cur := make([][]int64, len(parts))
-	for p := range parts {
-		cur[p] = parts[p].SliceLoads
-	}
+// diff turns this tick's cumulative per-slice counters (one histogram per
+// partition) into per-tick deltas and advances the baseline. Returns nil
+// until two samples exist or when histogram shapes mismatch (a partition
+// restarted or answered empty).
+func (rb *Rebalancer) diff(cur [][]int64) [][]int64 {
 	rb.mu.Lock()
 	prev := rb.prev
 	rb.prev = cur

@@ -61,14 +61,15 @@ func burn(t *testing.T, co *Coordinator, n int, rows ...uint64) {
 
 // routedCommits runs burn and returns how many of its commits each
 // partition's oracle decided.
-func routedCommits(t *testing.T, co *Coordinator, n int, rows ...uint64) []int64 {
+func routedCommits(t *testing.T, lc *LocalCluster, n int, rows ...uint64) []int64 {
 	t.Helper()
-	before := co.Stats().Partitions
-	burn(t, co, n, rows...)
-	after := co.Stats().Partitions
-	got := make([]int64, len(after))
-	for p := range after {
-		got[p] = after[p].Commits - before[p].Commits
+	got := make([]int64, len(lc.Partitions))
+	for p, so := range lc.Partitions {
+		got[p] = -so.Stats().Commits
+	}
+	burn(t, lc.Coordinator, n, rows...)
+	for p, so := range lc.Partitions {
+		got[p] += so.Stats().Commits
 	}
 	return got
 }
@@ -85,7 +86,7 @@ func TestRebalancerMovesHotRange(t *testing.T) {
 
 	// Equal heat in buckets 2 (rows 200..299) and 10 (rows 1000..1099):
 	// exactly one of them fits under the half-gap target and moves.
-	if got := routedCommits(t, co, 50, 250, 1050); got[0] != 100 || got[1] != 0 {
+	if got := routedCommits(t, lc, 50, 250, 1050); got[0] != 100 || got[1] != 0 {
 		t.Fatalf("commits per partition before the move = %v, want [100 0]", got)
 	}
 	rb.Tick()
@@ -115,7 +116,7 @@ func TestRebalancerMovesHotRange(t *testing.T) {
 	// Re-baseline after the move: the next tick only samples; the tick
 	// after sees both partitions equally hot and holds still.
 	rb.Tick()
-	if got := routedCommits(t, co, 50, 250, 1050); got[0] != 50 || got[1] != 50 {
+	if got := routedCommits(t, lc, 50, 250, 1050); got[0] != 50 || got[1] != 50 {
 		t.Fatalf("commits per partition after the move = %v, want [50 50]", got)
 	}
 	rb.Tick()

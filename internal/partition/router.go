@@ -22,7 +22,6 @@ package partition
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -41,7 +40,9 @@ type Router interface {
 
 // HashRouter slices the row-id space by modulo: uniform load regardless of
 // key distribution, at the cost of scattering every multi-row transaction
-// across partitions. The default.
+// across partitions. The default, because oracle.HashRow is FNV-1a and keys
+// that differ only in their last bytes differ mostly in their low bits, which
+// a modulo spreads evenly and contiguous ranges do not.
 type HashRouter struct {
 	n int
 }
@@ -62,58 +63,40 @@ func (h HashRouter) Partitions() int { return h.n }
 
 func (h HashRouter) String() string { return fmt.Sprintf("hash(%d)", h.n) }
 
-// RangeRouter slices the row-id space into contiguous ranges: partition 0
-// owns [0, splits[0]), partition i owns [splits[i-1], splits[i]), and the
-// last partition owns [splits[n-2], 2^64). Range slicing keeps workloads
-// with locality (and the benchmark's dense row indexes) mostly
-// single-partition, and the split points can be rebalanced without
-// remapping the whole space.
-type RangeRouter struct {
-	splits []uint64 // ascending lower bounds of partitions 1..n-1
-}
-
-// NewRangeRouter builds a range router from the ascending lower bounds of
-// partitions 1..n-1 (so len(splits)+1 partitions).
-func NewRangeRouter(splits []uint64) (RangeRouter, error) {
-	for i := 1; i < len(splits); i++ {
-		if splits[i] <= splits[i-1] {
-			return RangeRouter{}, fmt.Errorf("partition: range splits must be strictly ascending, got %d after %d", splits[i], splits[i-1])
-		}
-	}
-	return RangeRouter{splits: append([]uint64(nil), splits...)}, nil
-}
-
-// NewEvenRangeRouter splits [0, space) into n equal slices. The benchmark
-// uses it with space = the workload's row count, since its row ids are the
-// dense record indexes themselves.
-func NewEvenRangeRouter(n int, space uint64) RangeRouter {
-	if n <= 1 {
-		return RangeRouter{}
-	}
+// NewEvenRangeRouter splits [0, space) into n equal slices, partition i
+// owning slice i and the last also everything above. It is a RangeMap, so a
+// live move can reassign any part of it later. The benchmark uses it with
+// space = the workload's row count, since its row ids are the dense record
+// indexes themselves. The slice width is at least one row, so n > space
+// still yields n slices.
+func NewEvenRangeRouter(n int, space uint64) *RangeMap {
+	n = max(n, 1)
+	width := max(space/uint64(n), 1)
 	splits := make([]uint64, n-1)
 	for i := range splits {
-		splits[i] = uint64(i+1) * (space / uint64(n))
+		splits[i] = uint64(i+1) * width
 	}
-	r, _ := NewRangeRouter(splits)
-	return r
+	m, _ := newSlicedRangeMap(splits)
+	return m
 }
 
-// Partition implements Router.
-func (rr RangeRouter) Partition(r oracle.RowID) int {
-	return sort.Search(len(rr.splits), func(i int) bool { return uint64(r) < rr.splits[i] })
+// newSlicedRangeMap builds the range map in which partition i owns the i-th
+// of the len(splits)+1 ranges the ascending splits cut.
+func newSlicedRangeMap(splits []uint64) (*RangeMap, error) {
+	owners := make([]int, len(splits)+1)
+	for i := range owners {
+		owners[i] = i
+	}
+	return NewRangeMap(splits, owners, len(owners))
 }
-
-// Partitions implements Router.
-func (rr RangeRouter) Partitions() int { return len(rr.splits) + 1 }
-
-func (rr RangeRouter) String() string { return fmt.Sprintf("range(%d)", rr.Partitions()) }
 
 // ParseRouter builds a router from a flag-style spec for n partitions:
 // "hash" (the default), "range" (even slices over the full 64-bit row-id
-// space), "range:s1,s2,..." with explicit ascending split points ("range:"
-// with no splits is the single-partition range router), or
-// "map:<parts>;o0,o1,...;s1,s2,..." — an elastic RangeMap with explicit
-// per-segment owners, the syntax RoutingTable redirects carry.
+// space), "range:s1,s2,..." with explicit ascending split points, partition
+// i owning the i-th range ("range:" with no splits is the single-partition
+// range router), or "map:<parts>;o0,o1,...;s1,s2,..." with explicit
+// per-segment owners, the syntax RoutingTable redirects carry. Every range
+// spec builds a RangeMap.
 func ParseRouter(spec string, n int) (Router, error) {
 	switch {
 	case spec == "" || spec == "hash":
@@ -133,14 +116,10 @@ func ParseRouter(spec string, n int) (Router, error) {
 			}
 			splits = append(splits, v)
 		}
-		rr, err := NewRangeRouter(splits)
-		if err != nil {
-			return nil, err
+		if len(splits)+1 != n {
+			return nil, fmt.Errorf("partition: %d range splits describe %d partitions, want %d", len(splits), len(splits)+1, n)
 		}
-		if rr.Partitions() != n {
-			return nil, fmt.Errorf("partition: %d range splits describe %d partitions, want %d", len(splits), rr.Partitions(), n)
-		}
-		return rr, nil
+		return newSlicedRangeMap(splits)
 	case strings.HasPrefix(spec, "map:"):
 		m, err := parseRangeMapSpec(spec)
 		if err != nil {

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -137,5 +138,28 @@ func TestRoutingTableEpochFence(t *testing.T) {
 	}
 	if r.Partition(12345) != 1 {
 		t.Fatal("table spec lost the owner assignment")
+	}
+}
+
+// TestDefaultRouterSpreadsHashedKeys pins why hash is the default router:
+// oracle.HashRow is FNV-1a, so keys that differ only in their last bytes
+// differ mostly in their low bits. A modulo spreads "k0".."k999" evenly over
+// four partitions; even ranges over the row-id space put 100, 300, 600 and
+// 0 of them on the four.
+func TestDefaultRouterSpreadsHashedKeys(t *testing.T) {
+	def, err := ParseRouter("", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []Router{def, NewHashRouter(4)} {
+		counts := make([]int, 4)
+		for i := 0; i < 1000; i++ {
+			counts[r.Partition(oracle.HashRow("k"+strconv.Itoa(i)))]++
+		}
+		for p, n := range counts {
+			if n < 225 || n > 275 {
+				t.Fatalf("%v puts %d of 1000 hashed keys on partition %d (all: %v), want 250 ± 25", r, n, p, counts)
+			}
+		}
 	}
 }
