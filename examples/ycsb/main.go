@@ -38,7 +38,7 @@ func main() {
 	if *engineName == "si" {
 		engine = core.SI
 	}
-	sys, err := core.New(core.Options{Engine: engine, Servers: 4})
+	sys, err := core.New(core.Options{Engine: engine})
 	if err != nil {
 		log.Fatal(err)
 	}

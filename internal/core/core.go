@@ -49,7 +49,7 @@ func IsConflict(err error) bool { return errors.Is(err, txn.ErrConflict) }
 
 // Options configures a System. The zero value is a sensible single-process
 // deployment: WSI, an unbounded commit table that readers query for the
-// versions nobody has stamped yet, one region server.
+// versions nobody has stamped yet.
 type Options struct {
 	// Engine selects SI or WSI. Default: WSI.
 	Engine Engine
@@ -70,12 +70,6 @@ type Options struct {
 	// Shards splits the status oracle's critical section (1 = the
 	// paper's implementation).
 	Shards int
-	// Servers is the number of region servers in the store (default 1).
-	Servers int
-	// SplitKeys pre-splits the table into regions.
-	SplitKeys []string
-	// CacheRows enables block-cache modelling per server.
-	CacheRows int
 	// Bucketer enables the §5.2 analytics extension.
 	Bucketer txn.Bucketer
 	// CommitBatchSize caps how many Txn.CommitAsync submissions the
@@ -100,9 +94,6 @@ type System struct {
 func New(opts Options) (*System, error) {
 	if opts.Ledgers <= 0 {
 		opts.Ledgers = 3
-	}
-	if opts.Servers <= 0 {
-		opts.Servers = 1
 	}
 	if opts.Shards <= 0 {
 		opts.Shards = 1
@@ -141,11 +132,7 @@ func New(opts Options) (*System, error) {
 	}
 	sys.Oracle = so
 
-	sys.Store = kvstore.New(kvstore.Config{
-		Servers:   opts.Servers,
-		SplitKeys: opts.SplitKeys,
-		CacheRows: opts.CacheRows,
-	})
+	sys.Store = kvstore.New(kvstore.Config{})
 
 	sys.Client, err = newClient(sys.Store, so, opts)
 	if err != nil {

@@ -258,9 +258,6 @@ func TestBoundedSystemOptions(t *testing.T) {
 		MaxRows:    8,
 		MaxCommits: 8,
 		Shards:     4,
-		Servers:    3,
-		SplitKeys:  []string{"m"},
-		CacheRows:  16,
 	})
 	for i := 0; i < 50; i++ {
 		tx, _ := sys.Begin()

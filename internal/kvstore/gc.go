@@ -35,32 +35,20 @@ const (
 
 // Resolver reports the commit status of the version of key written at
 // writeTS. The collector calls it for unstamped versions only, while holding
-// the region's write lock: a Resolver must not call into the store.
+// the store's write lock: a Resolver must not call into the store.
 type Resolver func(key string, writeTS uint64) (commitTS uint64, status GCStatus)
 
 // CompactBefore prunes versions unobservable by any snapshot at or above
-// lowWater, across all regions, and returns the number removed.
-func (s *Store) CompactBefore(lowWater uint64, resolve Resolver) int {
-	s.topoMu.RLock()
-	regions := append([]*Region(nil), s.regions...)
-	s.topoMu.RUnlock()
-	removed := 0
-	for _, r := range regions {
-		removed += r.compactBefore(lowWater, resolve)
-	}
-	return removed
-}
-
-// compactBefore prunes one region. Stamps are read off the row; only pending
-// versions cost a resolver call, and a committed answer is stamped on the
-// spot (the write lock is already held), so a row nobody reads is asked
+// lowWater and returns the number removed. Stamps are read off the row; only
+// pending versions cost a resolver call, and a committed answer is stamped on
+// the spot (the write lock is already held), so a row nobody reads is asked
 // about once, not once per pass. The stamped prefix below the retained
 // snapshot version then goes in one cut. Nothing is allocated.
-func (r *Region) compactBefore(lowWater uint64, resolve Resolver) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+func (s *Store) CompactBefore(lowWater uint64, resolve Resolver) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	removed := 0
-	for key, rw := range r.rows {
+	for key, rw := range s.rows {
 		for i := rw.stamped; i < len(rw.versions); {
 			tc, st := resolve(key, rw.versions[i].TS)
 			switch st {
@@ -88,16 +76,11 @@ func (r *Region) compactBefore(lowWater uint64, resolve Resolver) int {
 // VersionCount returns the total number of stored versions (test and
 // monitoring hook).
 func (s *Store) VersionCount() int {
-	s.topoMu.RLock()
-	regions := append([]*Region(nil), s.regions...)
-	s.topoMu.RUnlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	n := 0
-	for _, r := range regions {
-		r.mu.RLock()
-		for _, rw := range r.rows {
-			n += len(rw.versions)
-		}
-		r.mu.RUnlock()
+	for _, rw := range s.rows {
+		n += len(rw.versions)
 	}
 	return n
 }

@@ -124,7 +124,7 @@ func TestGCStampedMatchesResolverOnly(t *testing.T) {
 		}
 		lowWater := uint64(rng.Intn(260))
 		build := func(stampOneIn int) (*Store, Resolver) {
-			s := New(Config{Servers: 2, SplitKeys: []string{"k10"}})
+			s := New(Config{})
 			stamped := map[string]bool{}
 			var stamps []Stamp
 			for key, chain := range fates {
@@ -161,20 +161,23 @@ func TestGCStampedMatchesResolverOnly(t *testing.T) {
 // order: the whole rows, where Scan shows only each row's candidates.
 func survivors(s *Store) string {
 	var out []string
-	for _, r := range s.regions {
-		for _, key := range r.sortedKeysLocked() {
-			vs := slices.Clone(r.rows[key].versions)
-			slices.SortFunc(vs, func(a, b Version) int { return cmp.Compare(a.TS, b.TS) })
-			for _, v := range vs {
-				out = append(out, fmt.Sprint(key, "@", v.TS))
-			}
+	var keys []string
+	for key := range s.rows {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	for _, key := range keys {
+		vs := slices.Clone(s.rows[key].versions)
+		slices.SortFunc(vs, func(a, b Version) int { return cmp.Compare(a.TS, b.TS) })
+		for _, v := range vs {
+			out = append(out, fmt.Sprint(key, "@", v.TS))
 		}
 	}
 	return fmt.Sprint(out)
 }
 
 func TestVersionCountAcrossRegions(t *testing.T) {
-	s := New(Config{Servers: 2, SplitKeys: []string{"m"}})
+	s := New(Config{})
 	for i := 0; i < 10; i++ {
 		s.Put(fmt.Sprintf("a%d", i), 1, []byte("v"))
 		s.Put(fmt.Sprintf("z%d", i), 1, []byte("v"))

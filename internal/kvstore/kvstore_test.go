@@ -5,9 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestPutGetVersions(t *testing.T) {
@@ -105,12 +103,12 @@ func commitTSOf(s *Store, key string, ts uint64) uint64 {
 }
 
 // TestStampCommitsIsReturnedByEveryRead: a stamp lands on the version it
-// names, across regions in one call, and Get, GetInto, MultiGet and Scan all
+// names, for several rows in one call, and Get, GetInto, MultiGet and Scan all
 // hand back the same candidates with their stamps: the pending versions
 // written before the snapshot and the one stamped version committed last
 // before it, newest write first. a@3 commits last (History 4's shape).
 func TestStampCommitsIsReturnedByEveryRead(t *testing.T) {
-	s := New(Config{Servers: 2, SplitKeys: []string{"m"}})
+	s := New(Config{})
 	for _, ts := range []uint64{5, 7, 3, 20, 10} {
 		s.Put("a", ts, []byte{byte(ts)})
 	}
@@ -157,9 +155,9 @@ func TestStampCommitsIsReturnedByEveryRead(t *testing.T) {
 
 // TestStampForMissingVersionIsNoOp: a stamp for a version that is not there
 // (cleaned up, collected, never written) creates nothing — no phantom row to
-// scan, count toward a split, or collect.
+// scan or collect.
 func TestStampForMissingVersionIsNoOp(t *testing.T) {
-	s := New(Config{MaxRegionRows: 1})
+	s := New(Config{})
 	s.Put("k", 5, []byte("x"))
 	s.StampCommits([]Stamp{{"absent", 5, 9}, {"k", 4, 9}, {"k", 6, 9}, {"other", 1, 2}})
 	s.StampCommits(nil)
@@ -168,9 +166,6 @@ func TestStampForMissingVersionIsNoOp(t *testing.T) {
 	}
 	if rows := s.Scan("", "", 100, 0, 0); len(rows) != 1 {
 		t.Fatalf("scan sees %d rows, want 1", len(rows))
-	}
-	if s.NumRegions() != 1 {
-		t.Fatalf("phantom rows split the region: %d regions", s.NumRegions())
 	}
 	if tc := commitTSOf(s, "k", 5); tc != 0 {
 		t.Fatalf("neighbouring version stamped %d", tc)
@@ -202,22 +197,8 @@ func TestValueCopiedOnPut(t *testing.T) {
 	}
 }
 
-func TestRegionPartitioning(t *testing.T) {
-	s := New(Config{Servers: 3, SplitKeys: []string{"g", "p"}})
-	if s.NumRegions() != 3 {
-		t.Fatalf("regions = %d, want 3", s.NumRegions())
-	}
-	// Keys land in the right region regardless of server count.
-	for _, k := range []string{"a", "g", "h", "p", "z", ""} {
-		r := s.regionFor(k)
-		if k < r.StartKey || (r.EndKey != "" && k >= r.EndKey) {
-			t.Fatalf("key %q routed to region [%q,%q)", k, r.StartKey, r.EndKey)
-		}
-	}
-}
-
 func TestScanOrderedAndBounded(t *testing.T) {
-	s := New(Config{SplitKeys: []string{"m"}})
+	s := New(Config{})
 	keys := []string{"d", "a", "z", "m", "b", "q"}
 	for i, k := range keys {
 		s.Put(k, uint64(i+1), []byte(k))
@@ -258,197 +239,20 @@ func TestScanRespectsSnapshot(t *testing.T) {
 	}
 }
 
-func TestAutoSplit(t *testing.T) {
-	s := New(Config{Servers: 4, MaxRegionRows: 10})
-	for i := 0; i < 100; i++ {
-		s.Put(fmt.Sprintf("key%03d", i), 1, []byte("v"))
-	}
-	if s.NumRegions() < 4 {
-		t.Fatalf("auto-split produced only %d regions", s.NumRegions())
-	}
-	// All keys still reachable.
-	for i := 0; i < 100; i++ {
-		k := fmt.Sprintf("key%03d", i)
-		if vs := s.Get(k, 2, 0); len(vs) != 1 {
-			t.Fatalf("key %q lost after splits", k)
-		}
-	}
-	// Scans still produce everything in order.
-	rows := s.Scan("", "", 2, 0, 0)
-	if len(rows) != 100 {
-		t.Fatalf("scan after splits: %d rows, want 100", len(rows))
-	}
-}
-
-// TestPutUnderConcurrentSplits: writers walk the keyspace together with a
-// small MaxRegionRows, so the region they all write to splits every few
-// rows. A Put that located its region before a split and wrote after it
-// used to leave the version in the lower half, where no reader looks; every
-// acked write must be readable once the writers are done.
-func TestPutUnderConcurrentSplits(t *testing.T) {
-	const writers, perWriter = 8, 300
-	s := New(Config{Servers: 2, MaxRegionRows: 4})
-	key := func(w, i int) string { return fmt.Sprintf("key%04d-%d", i, w) }
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				s.Put(key(w, i), 1, []byte("v"))
-			}
-		}(w)
-	}
-	wg.Wait()
-	if s.NumRegions() < writers {
-		t.Fatalf("only %d regions: the writers never raced a split", s.NumRegions())
-	}
-	for w := 0; w < writers; w++ {
-		for i := 0; i < perWriter; i++ {
-			if vs := s.Get(key(w, i), 2, 0); len(vs) != 1 {
-				t.Fatalf("acked write %s unreadable after concurrent splits (%d versions)", key(w, i), len(vs))
-			}
-		}
-	}
-	if rows := s.Scan("", "", 2, 0, 0); len(rows) != writers*perWriter {
-		t.Fatalf("scan sees %d rows, want %d", len(rows), writers*perWriter)
-	}
-}
-
-// TestReadsUnderConcurrentSplits: readers of acked keys race writers whose
-// puts split the regions every few rows. A read that located its region
-// before a split and read it after would miss the moved row; Get,
-// MultiGetInto and GetVersion must find every acked write every time.
-func TestReadsUnderConcurrentSplits(t *testing.T) {
-	const writers, perWriter, readers = 4, 300, 4
-	s := New(Config{Servers: 2, MaxRegionRows: 4})
-	key := func(w, i int) string { return fmt.Sprintf("key%04d-%d", i, w) }
-	var acked [writers]atomic.Int64
-	var wg, readersWG sync.WaitGroup
-	done := make(chan struct{})
-	for w := 0; w < writers; w++ {
-		s.Put(key(w, 0), 1, []byte("v"))
-		acked[w].Store(1)
-	}
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 1; i < perWriter; i++ {
-				s.Put(key(w, i), 1, []byte("v"))
-				acked[w].Store(int64(i + 1))
-			}
-		}(w)
-	}
-	for r := 0; r < readers; r++ {
-		readersWG.Add(1)
-		go func(r int) {
-			defer readersWG.Done()
-			rng := rand.New(rand.NewSource(int64(r)))
-			var buf ReadBuf
-			keys := make([]string, 8)
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				for j := range keys {
-					w := rng.Intn(writers)
-					keys[j] = key(w, rng.Intn(int(acked[w].Load())))
-					if vs := s.Get(keys[j], 2, 0); len(vs) != 1 {
-						t.Errorf("Get of acked %s saw %d versions", keys[j], len(vs))
-						return
-					}
-					if _, err := s.GetVersion(keys[j], 1); err != nil {
-						t.Errorf("GetVersion of acked %s: %v", keys[j], err)
-						return
-					}
-				}
-				s.MultiGetInto(&buf, keys, 2, 0)
-				for j, k := range keys {
-					if len(buf.Versions(j)) != 1 {
-						t.Errorf("MultiGetInto of acked %s saw %d versions", k, len(buf.Versions(j)))
-						return
-					}
-				}
-			}
-		}(r)
-	}
-	wg.Wait()
-	close(done)
-	readersWG.Wait()
-	if s.NumRegions() < writers {
-		t.Fatalf("only %d regions: the readers never raced a split", s.NumRegions())
-	}
-}
-
-// TestAbortCleanupUnderConcurrentSplits: every writer also leaves a version
-// that its abort removes while splits run. A delete sent to the region that
-// held the row before a split would find nothing and orphan the version;
-// afterwards exactly the committed writes remain.
-func TestAbortCleanupUnderConcurrentSplits(t *testing.T) {
-	const writers, perWriter = 8, 300
-	s := New(Config{Servers: 2, MaxRegionRows: 4})
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				k := fmt.Sprintf("key%04d-%d", i, w)
-				s.Put(k, 1, []byte("committed"))
-				s.Put(k, 2, []byte("aborted"))
-				s.DeleteVersion(k, 2)
-			}
-		}(w)
-	}
-	wg.Wait()
-	if s.NumRegions() < writers {
-		t.Fatalf("only %d regions: the aborts never raced a split", s.NumRegions())
-	}
-	if n := s.VersionCount(); n != writers*perWriter {
-		t.Fatalf("VersionCount = %d after abort cleanup, want the %d committed writes", n, writers*perWriter)
-	}
-}
-
-func TestSplitPreservesVersionsProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := New(Config{Servers: 2, MaxRegionRows: 5})
-		type put struct {
-			key string
-			ts  uint64
-		}
-		var puts []put
-		for i := 0; i < 60; i++ {
-			p := put{key: fmt.Sprintf("k%02d", rng.Intn(30)), ts: uint64(i + 1)}
-			puts = append(puts, p)
-			s.Put(p.key, p.ts, []byte(p.key))
-		}
-		for _, p := range puts {
-			if _, err := s.GetVersion(p.key, p.ts); err != nil {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestConcurrentPutsAndGets: writers and readers share a few hot rows; once
+// the writers are done, every version each of them put is there to read.
 func TestConcurrentPutsAndGets(t *testing.T) {
-	s := New(Config{Servers: 4, SplitKeys: []string{"k05", "k10", "k15"}})
+	const goroutines, ops = 8, 500
+	s := New(Config{})
+	key := func(rng *rand.Rand) string { return fmt.Sprintf("k%02d", rng.Intn(20)) }
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < 500; i++ {
-				k := fmt.Sprintf("k%02d", rng.Intn(20))
-				if rng.Intn(2) == 0 {
+			for i := 0; i < ops; i++ {
+				if k := key(rng); rng.Intn(2) == 0 {
 					s.Put(k, uint64(g*1000+i+1), []byte(k))
 				} else {
 					s.Get(k, uint64(rng.Intn(5000)), 4)
@@ -457,41 +261,21 @@ func TestConcurrentPutsAndGets(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	st := s.Stats()
-	if st.Writes == 0 || st.Reads == 0 {
-		t.Fatalf("stats missing activity: %+v", st)
+	puts := 0
+	for g := 0; g < goroutines; g++ {
+		rng := rand.New(rand.NewSource(int64(g))) // replays g's choices
+		for i := 0; i < ops; i++ {
+			if k := key(rng); rng.Intn(2) == 0 {
+				puts++
+				if v, err := s.GetVersion(k, uint64(g*1000+i+1)); err != nil || string(v.Value) != k {
+					t.Fatalf("writer %d's put %d to %s: %q, %v", g, i, k, v.Value, err)
+				}
+			} else {
+				rng.Intn(5000)
+			}
+		}
 	}
-}
-
-func TestBlockCacheHitMiss(t *testing.T) {
-	s := New(Config{Servers: 1, CacheRows: 2})
-	s.Put("a", 1, []byte("x")) // resident via write
-	s.Get("a", 2, 0)           // hit
-	s.Get("b", 2, 0)           // miss (not resident)
-	s.Get("b", 2, 0)           // now hit
-	st := s.Stats()
-	if st.CacheMiss != 1 {
-		t.Fatalf("misses = %d, want 1", st.CacheMiss)
-	}
-	if st.CacheHits != 2 {
-		t.Fatalf("hits = %d, want 2", st.CacheHits)
-	}
-}
-
-func TestLRUEviction(t *testing.T) {
-	c := newLRUCache(2)
-	c.add("a")
-	c.add("b")
-	c.touch("a") // a most recent
-	c.add("c")   // evicts b
-	if !c.contains("a") || !c.contains("c") || c.contains("b") {
-		t.Fatal("LRU evicted the wrong entry")
-	}
-}
-
-func TestStoreString(t *testing.T) {
-	s := New(Config{Servers: 2, SplitKeys: []string{"m"}})
-	if s.String() == "" {
-		t.Fatal("empty String()")
+	if n := s.VersionCount(); n != puts {
+		t.Fatalf("VersionCount = %d, want the %d puts", n, puts)
 	}
 }

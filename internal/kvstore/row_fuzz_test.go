@@ -150,7 +150,7 @@ func FuzzRowOps(f *testing.F) {
 			if n := s.VersionCount(); n != len(ref.versions) {
 				t.Fatalf("step %d: %d versions, flat chain holds %d", i/2, n, len(ref.versions))
 			}
-			if rw := s.regions[0].rows["k"]; rw != nil {
+			if rw := s.rows["k"]; rw != nil {
 				byTS := slices.Clone(rw.versions)
 				slices.SortFunc(byTS, func(a, b Version) int { return cmp.Compare(b.TS, a.TS) })
 				if fmt.Sprint(byTS) != fmt.Sprint(ref.versions) {

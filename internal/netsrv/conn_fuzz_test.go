@@ -54,14 +54,14 @@ func serveFuzzBytes(ln *fakeListener, bodies [][]byte) {
 	go func() {
 		defer close(wrote)
 		for _, body := range bodies {
-			if writeFrame(client, body) != nil {
+			if _, err := client.Write(appendFrame(nil, body)); err != nil {
 				return
 			}
 		}
-		writeFrame(client, append(appendU64(nil, probeID), opHealth))
+		client.Write(appendFrame(nil, append(appendU64(nil, probeID), opHealth)))
 	}()
 	for {
-		resp, err := readFrame(client)
+		resp, err := readFrameInto(client, nil)
 		if err != nil {
 			return
 		}
@@ -78,10 +78,10 @@ func beginOnFreshConn(ln *fakeListener) bool {
 	ln.conns <- server
 	defer client.Close()
 	client.SetDeadline(time.Now().Add(10 * time.Second))
-	if writeFrame(client, append(appendU64(nil, 1), opBegin)) != nil {
+	if _, err := client.Write(appendFrame(nil, append(appendU64(nil, 1), opBegin))); err != nil {
 		return false
 	}
-	resp, err := readFrame(client)
+	resp, err := readFrameInto(client, nil)
 	if err != nil {
 		return false
 	}
@@ -105,12 +105,12 @@ func FuzzServerConn(f *testing.F) {
 		payload []byte
 	}{
 		{opBegin, nil},
-		{opCommit, encodeCommitReq(req)},
+		{opCommit, appendCommitReq(nil, req)},
 		{opAbort, u64(1)},
 		{opQuery, u64(1)},
 		{opForget, u64(1)},
 		{opCommitBatch, appendCommitBatchReq(nil, []oracle.CommitRequest{req, req})},
-		{opQueryBatch, encodeQueryBatchReq([]uint64{1, 2})},
+		{opQueryBatch, appendQueryBatchReq(nil, []uint64{1, 2})},
 		{opHealth, nil},
 		{opPrepareBatch, appendPrepareBatchReq(nil, []oracle.PrepareRequest{prep})},
 		{opDecideBatch, appendDecideBatchReq(nil, []oracle.Decision{{StartTS: 4, CommitTS: 5, Commit: true}})},

@@ -452,10 +452,10 @@ func TestOverloadAcceptBackoff(t *testing.T) {
 	body := make([]byte, 9)
 	copyU64(body, 7)
 	body[8] = opHealth
-	if err := writeFrame(cli, body); err != nil {
+	if _, err := cli.Write(appendFrame(nil, body)); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := readFrame(cli)
+	resp, err := readFrameInto(cli, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +501,7 @@ func TestOverloadStalledReader(t *testing.T) {
 		copyU64(body, uint64(i+1))
 		body[8] = opBegin
 		cli.SetWriteDeadline(time.Now().Add(20 * time.Millisecond))
-		if err := writeFrame(cli, body); err != nil {
+		if _, err := cli.Write(appendFrame(nil, body)); err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				// Server stopped consuming but has not killed the conn
 				// yet; keep probing.
@@ -529,7 +529,7 @@ func TestOverloadIdleTimeout(t *testing.T) {
 	}
 	defer idle.Close()
 	idle.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := readFrame(idle); err == nil {
+	if _, err := readFrameInto(idle, nil); err == nil {
 		t.Fatal("idle connection was not disconnected")
 	} else if errors.Is(err, os.ErrDeadlineExceeded) {
 		t.Fatal("idle connection still up after 5s")

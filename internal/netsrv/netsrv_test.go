@@ -188,10 +188,10 @@ func TestRetiredOpSubscribe(t *testing.T) {
 			exchange := func(reqID uint64, op byte, payload []byte) (byte, []byte) {
 				t.Helper()
 				body := append(appendU64(nil, reqID), op)
-				if err := writeFrame(conn, append(body, payload...)); err != nil {
+				if _, err := conn.Write(appendFrame(nil, append(body, payload...))); err != nil {
 					t.Fatal(err)
 				}
-				resp, err := readFrame(conn)
+				resp, err := readFrameInto(conn, nil)
 				if err != nil {
 					t.Fatalf("request %d: %v", reqID, err)
 				}
@@ -279,7 +279,8 @@ func TestCommitReqRoundTrip(t *testing.T) {
 		for _, v := range r {
 			req.ReadSet = append(req.ReadSet, oracle.RowID(v))
 		}
-		got, err := decodeCommitReq(encodeCommitReq(req))
+		var got oracle.CommitRequest
+		err := decodeCommitReqInto(&got, appendCommitReq(nil, req))
 		if err != nil || got.StartTS != start ||
 			len(got.WriteSet) != len(req.WriteSet) || len(got.ReadSet) != len(req.ReadSet) {
 			return false
@@ -302,11 +303,12 @@ func TestCommitReqRoundTrip(t *testing.T) {
 }
 
 func TestDecodeCommitReqRejectsTrailing(t *testing.T) {
-	enc := encodeCommitReq(oracle.CommitRequest{StartTS: 1})
-	if _, err := decodeCommitReq(append(enc, 0xFF)); err == nil {
+	enc := appendCommitReq(nil, oracle.CommitRequest{StartTS: 1})
+	var req oracle.CommitRequest
+	if err := decodeCommitReqInto(&req, append(enc, 0xFF)); err == nil {
 		t.Fatal("trailing bytes must be rejected")
 	}
-	if _, err := decodeCommitReq(enc[:5]); err == nil {
+	if err := decodeCommitReqInto(&req, enc[:5]); err == nil {
 		t.Fatal("truncated request must be rejected")
 	}
 }
@@ -316,10 +318,10 @@ func TestFrameRoundTrip(t *testing.T) {
 	bodies := [][]byte{nil, {1}, []byte("hello"), make([]byte, 4096)}
 	for _, b := range bodies {
 		buf.Reset()
-		if err := writeFrame(&buf, b); err != nil {
+		if _, err := buf.Write(appendFrame(nil, b)); err != nil {
 			t.Fatal(err)
 		}
-		got, err := readFrame(&buf)
+		got, err := readFrameInto(&buf, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +334,7 @@ func TestFrameRoundTrip(t *testing.T) {
 func TestFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := readFrame(&buf); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := readFrameInto(&buf, nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("err = %v, want ErrFrameTooLarge", err)
 	}
 }
@@ -403,7 +405,7 @@ func TestCommitBatchReqRoundTrip(t *testing.T) {
 		{StartTS: 11},
 		{StartTS: 13, ReadSet: []oracle.RowID{4, 5, 6}},
 	}
-	dec, err := decodeCommitBatchReq(appendCommitBatchReq(nil, reqs))
+	dec, err := decodeCommitBatchReqInto(nil, appendCommitBatchReq(nil, reqs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,18 +419,18 @@ func TestCommitBatchReqRoundTrip(t *testing.T) {
 			t.Fatalf("request %d: %+v != %+v", i, dec[i], reqs[i])
 		}
 	}
-	if _, err := decodeCommitBatchReq([]byte{0, 0}); err == nil {
+	if _, err := decodeCommitBatchReqInto(nil, []byte{0, 0}); err == nil {
 		t.Fatal("short payload decoded without error")
 	}
 	// A count far beyond the payload length must be rejected up front.
 	huge := []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}
-	if _, err := decodeCommitBatchReq(huge); err == nil {
+	if _, err := decodeCommitBatchReqInto(nil, huge); err == nil {
 		t.Fatal("absurd count decoded without error")
 	}
 }
 
 func TestCommitBatchRespRejectsCorruption(t *testing.T) {
-	resp := encodeCommitBatchResp([]oracle.CommitResult{{Committed: true, CommitTS: 42}})
+	resp := appendCommitBatchResp(nil, []oracle.CommitResult{{Committed: true, CommitTS: 42}})
 	if _, err := decodeCommitBatchResp(resp[:len(resp)-1]); err == nil {
 		t.Fatal("truncated response decoded without error")
 	}
@@ -530,7 +532,7 @@ func TestQueryBatchOverNetwork(t *testing.T) {
 
 func TestQueryBatchCodecRoundTrip(t *testing.T) {
 	startTSs := []uint64{0, 1, 1 << 40, ^uint64(0)}
-	dec, err := decodeQueryBatchReq(encodeQueryBatchReq(startTSs))
+	dec, err := decodeQueryBatchReqInto(nil, appendQueryBatchReq(nil, startTSs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,11 +557,11 @@ func TestQueryBatchCodecRoundTrip(t *testing.T) {
 		}
 	}
 	// Corruption is rejected.
-	if _, err := decodeQueryBatchReq([]byte{0, 0}); err == nil {
+	if _, err := decodeQueryBatchReqInto(nil, []byte{0, 0}); err == nil {
 		t.Fatal("short query-batch request decoded without error")
 	}
-	enc := encodeQueryBatchReq(startTSs)
-	if _, err := decodeQueryBatchReq(enc[:len(enc)-1]); err == nil {
+	enc := appendQueryBatchReq(nil, startTSs)
+	if _, err := decodeQueryBatchReqInto(nil, enc[:len(enc)-1]); err == nil {
 		t.Fatal("truncated query-batch request decoded without error")
 	}
 	resp := appendQueryBatchResp(nil, statuses)

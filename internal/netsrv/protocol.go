@@ -144,22 +144,14 @@ var (
 	ErrBadFrame      = errors.New("netsrv: malformed frame")
 )
 
-// appendFrame appends one length-prefixed frame to dst (the zero-copy
-// sibling of writeFrame used by the pooled write paths).
+// appendFrame appends one length-prefixed frame to dst. A frame is written
+// with one Write of the framed buffer, so header and body never cost two
+// syscalls (nor let the kernel emit a 4-byte TCP segment between them).
 func appendFrame(dst, body []byte) []byte {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
 	dst = append(dst, hdr[:]...)
 	return append(dst, body...)
-}
-
-// writeFrame writes one length-prefixed frame as a single Write call: the
-// header and body are framed into one buffer first, so a frame never costs
-// two syscalls (nor lets the kernel emit a 4-byte TCP segment between
-// them). Hot paths frame into reusable buffers via appendFrame instead.
-func writeFrame(w io.Writer, body []byte) error {
-	_, err := w.Write(appendFrame(make([]byte, 0, 4+len(body)), body))
-	return err
 }
 
 // readFrameInto reads one length-prefixed frame, reusing buf when its
@@ -214,11 +206,6 @@ func readBody(r io.Reader, buf []byte, n int) ([]byte, error) {
 	return buf, nil
 }
 
-// readFrame reads one length-prefixed frame into a fresh buffer.
-func readFrame(r io.Reader) ([]byte, error) {
-	return readFrameInto(r, nil)
-}
-
 // appendRows appends a row-id set as count + fixed 8-byte ids.
 func appendRows(b []byte, rows []oracle.RowID) []byte {
 	var n [4]byte
@@ -253,28 +240,12 @@ func parseRowsInto(b []byte, dst []oracle.RowID) (rows []oracle.RowID, rest []by
 	return rows, b[n*8:], nil
 }
 
-func parseRows(b []byte) (rows []oracle.RowID, rest []byte, err error) {
-	return parseRowsInto(b, nil)
-}
-
 // appendCommitReq renders a commit request payload.
 func appendCommitReq(b []byte, req oracle.CommitRequest) []byte {
 	b = appendU64(b, req.StartTS)
 	b = appendRows(b, req.WriteSet)
 	b = appendRows(b, req.ReadSet)
 	return b
-}
-
-func encodeCommitReq(req oracle.CommitRequest) []byte {
-	return appendCommitReq(make([]byte, 0, 8+8+len(req.WriteSet)*8+len(req.ReadSet)*8), req)
-}
-
-func decodeCommitReq(b []byte) (oracle.CommitRequest, error) {
-	var req oracle.CommitRequest
-	if err := decodeCommitReqInto(&req, b); err != nil {
-		return oracle.CommitRequest{}, err
-	}
-	return req, nil
 }
 
 // decodeCommitReqInto decodes a single-commit payload reusing req's row-set
@@ -290,19 +261,9 @@ func decodeCommitReqInto(req *oracle.CommitRequest, b []byte) error {
 	return nil
 }
 
-// parseCommitReq decodes one commit request from the front of b, returning
-// the remainder; commit-batch payloads are a plain concatenation of these.
-func parseCommitReq(b []byte) (oracle.CommitRequest, []byte, error) {
-	var req oracle.CommitRequest
-	rest, err := parseCommitReqInto(&req, b)
-	if err != nil {
-		return oracle.CommitRequest{}, nil, err
-	}
-	return req, rest, nil
-}
-
-// parseCommitReqInto decodes one commit request in place, reusing req's
-// row-set backing arrays.
+// parseCommitReqInto decodes one commit request from the front of b in
+// place, reusing req's row-set backing arrays, and returns the remainder;
+// commit-batch payloads are a plain concatenation of these.
 func parseCommitReqInto(req *oracle.CommitRequest, b []byte) ([]byte, error) {
 	if len(b) < 8 {
 		return nil, ErrBadFrame
@@ -331,10 +292,6 @@ func appendCommitBatchReq(b []byte, reqs []oracle.CommitRequest) []byte {
 		b = appendCommitReq(b, reqs[i])
 	}
 	return b
-}
-
-func decodeCommitBatchReq(b []byte) ([]oracle.CommitRequest, error) {
-	return decodeCommitBatchReqInto(nil, b)
 }
 
 // decodeCommitBatchReqInto decodes a commit batch reusing the scratch
@@ -404,10 +361,6 @@ func appendCommitBatchResp(b []byte, results []oracle.CommitResult) []byte {
 	return b
 }
 
-func encodeCommitBatchResp(results []oracle.CommitResult) []byte {
-	return appendCommitBatchResp(make([]byte, 0, 4+len(results)*9), results)
-}
-
 func decodeCommitBatchResp(b []byte) ([]oracle.CommitResult, error) {
 	if len(b) < 4 {
 		return nil, ErrBadFrame
@@ -456,10 +409,6 @@ func appendTxnStatus(b []byte, st oracle.TxnStatus) []byte {
 	return appendU64(b, st.CommitTS)
 }
 
-func encodeTxnStatus(st oracle.TxnStatus) []byte {
-	return appendTxnStatus(make([]byte, 0, 9), st)
-}
-
 func parseTxnStatus(b []byte) (oracle.TxnStatus, error) {
 	if len(b) != 9 {
 		return oracle.TxnStatus{}, ErrBadFrame
@@ -480,14 +429,6 @@ func appendQueryBatchReq(b []byte, startTSs []uint64) []byte {
 		b = appendU64(b, ts)
 	}
 	return b
-}
-
-func encodeQueryBatchReq(startTSs []uint64) []byte {
-	return appendQueryBatchReq(make([]byte, 0, 4+len(startTSs)*8), startTSs)
-}
-
-func decodeQueryBatchReq(b []byte) ([]uint64, error) {
-	return decodeQueryBatchReqInto(nil, b)
 }
 
 // decodeQueryBatchReqInto decodes a query batch into the scratch slice.
@@ -594,36 +535,8 @@ func encodePrepareReq(b []byte, req oracle.PrepareRequest) []byte {
 	return b
 }
 
-func parsePrepareReq(b []byte) (oracle.PrepareRequest, []byte, error) {
-	if len(b) < 16 {
-		return oracle.PrepareRequest{}, nil, ErrBadFrame
-	}
-	req := oracle.PrepareRequest{
-		StartTS:  binary.BigEndian.Uint64(b[:8]),
-		CommitTS: binary.BigEndian.Uint64(b[8:16]),
-	}
-	var err error
-	rest := b[16:]
-	req.WriteSet, rest, err = parseRows(rest)
-	if err != nil {
-		return oracle.PrepareRequest{}, nil, err
-	}
-	req.ReadSet, rest, err = parseRows(rest)
-	if err != nil {
-		return oracle.PrepareRequest{}, nil, err
-	}
-	return req, rest, nil
-}
-
-// Note: opPrepareBatch decoding deliberately does NOT reuse row-set
-// scratch — a prepared transaction's row sets are retained by the oracle
-// until its decide arrives, so the decoded slices escape the handler. The
-// one-shot opCommitAtBatch path retains nothing and decodes through the
-// scratch-reusing variant below.
-
 // parsePrepareReqInto decodes one prepare slice in place, reusing req's
-// row-set backing arrays. Only for ops whose handling does not retain the
-// row sets past the call (CommitAtBatch).
+// row-set backing arrays.
 func parsePrepareReqInto(req *oracle.PrepareRequest, b []byte) ([]byte, error) {
 	if len(b) < 16 {
 		return nil, ErrBadFrame
@@ -644,8 +557,8 @@ func parsePrepareReqInto(req *oracle.PrepareRequest, b []byte) ([]byte, error) {
 }
 
 // decodePrepareBatchReqInto decodes a prepare/commit-at batch reusing the
-// scratch request slice and row-set arrays; same retention caveat as
-// parsePrepareReqInto.
+// scratch request slice and row-set arrays. A caller that keeps the decoded
+// row sets past the call passes nil scratch.
 func decodePrepareBatchReqInto(scratch []oracle.PrepareRequest, b []byte) ([]oracle.PrepareRequest, error) {
 	if len(b) < 4 {
 		return nil, ErrBadFrame
@@ -684,31 +597,6 @@ func appendPrepareBatchReq(b []byte, reqs []oracle.PrepareRequest) []byte {
 		b = encodePrepareReq(b, reqs[i])
 	}
 	return b
-}
-
-func decodePrepareBatchReq(b []byte) ([]oracle.PrepareRequest, error) {
-	if len(b) < 4 {
-		return nil, ErrBadFrame
-	}
-	count := binary.BigEndian.Uint32(b[:4])
-	rest := b[4:]
-	// Each request is at least 24 bytes (two timestamps + two empty row
-	// sets).
-	if uint64(count)*24 > uint64(len(rest)) {
-		return nil, ErrBadFrame
-	}
-	reqs := make([]oracle.PrepareRequest, count)
-	var err error
-	for i := range reqs {
-		reqs[i], rest, err = parsePrepareReq(rest)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(rest) != 0 {
-		return nil, ErrBadFrame
-	}
-	return reqs, nil
 }
 
 // appendVotesResp renders prepare votes: count(u32) + one byte per vote.

@@ -703,7 +703,9 @@ func (s *Server) handle(ctx *handlerCtx, reqID uint64, op byte, payload []byte, 
 		ctx.sts = sts
 		return appendQueryBatchResp(ok, sts)
 	case opPrepareBatch:
-		reqs, err := decodePrepareBatchReq(payload)
+		// Nil scratch: every request and row set is freshly allocated, so the
+		// oracle may keep them until the decide arrives.
+		reqs, err := decodePrepareBatchReqInto(nil, payload)
 		if err != nil {
 			return respError(reqID, err)
 		}

@@ -169,6 +169,13 @@ func (r *checkpointReader) u32() uint32 {
 	return v
 }
 
+// reserve caps a count read from the record at the elements of size bytes
+// (the section's smallest encoding) that the rest of the record can hold, so
+// a corrupt count sizes no allocation beyond the bytes that are there.
+func (r *checkpointReader) reserve(n uint32, size int) int {
+	return min(int(n), len(r.b)/size)
+}
+
 func (r *checkpointReader) entries(n uint32) []evictEntry {
 	if r.err != nil {
 		return nil
@@ -209,22 +216,22 @@ func decodeCheckpointRecord(b []byte) (*checkpointState, error) {
 	r := &checkpointReader{b: b[1:]}
 	cp := &checkpointState{TSOBound: r.u64(), LowWater: r.u64()}
 	n := r.u32()
-	cp.Commits = make([]commitPair, 0, n)
+	cp.Commits = make([]commitPair, 0, r.reserve(n, 16))
 	for i := uint32(0); i < n && r.err == nil; i++ {
 		cp.Commits = append(cp.Commits, commitPair{StartTS: r.u64(), CommitTS: r.u64()})
 	}
 	n = r.u32()
-	cp.Aborted = make([]uint64, 0, n)
+	cp.Aborted = make([]uint64, 0, r.reserve(n, 8))
 	for i := uint32(0); i < n && r.err == nil; i++ {
 		cp.Aborted = append(cp.Aborted, r.u64())
 	}
 	n = r.u32()
-	cp.Order = make([]uint64, 0, n)
+	cp.Order = make([]uint64, 0, r.reserve(n, 8))
 	for i := uint32(0); i < n && r.err == nil; i++ {
 		cp.Order = append(cp.Order, r.u64())
 	}
 	n = r.u32()
-	cp.Shards = make([]shardState, 0, n)
+	cp.Shards = make([]shardState, 0, r.reserve(n, 16))
 	for i := uint32(0); i < n && r.err == nil; i++ {
 		var sh shardState
 		sh.Tmax = r.u64()
@@ -239,7 +246,7 @@ func decodeCheckpointRecord(b []byte) (*checkpointState, error) {
 		return cp, nil
 	}
 	n = r.u32()
-	cp.Prepared = make([]preparedSnap, 0, n)
+	cp.Prepared = make([]preparedSnap, 0, r.reserve(n, 24))
 	for i := uint32(0); i < n && r.err == nil; i++ {
 		var p preparedSnap
 		p.StartTS = r.u64()

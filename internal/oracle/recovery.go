@@ -59,7 +59,9 @@ func decodeCommitBatchRecord(b []byte) ([]commitEntry, error) {
 	}
 	count := binary.BigEndian.Uint32(b[1:5])
 	rest := b[5:]
-	commits := make([]commitEntry, 0, count)
+	// A commit entry is at least 20 bytes: the count reserves no more
+	// entries than the record can hold.
+	commits := make([]commitEntry, 0, min(int(count), len(rest)/20))
 	for i := uint32(0); i < count; i++ {
 		if len(rest) < 20 {
 			return nil, fmt.Errorf("oracle: commit-batch record truncated")

@@ -47,7 +47,7 @@ func (a *activeSet) min() (uint64, bool) {
 }
 
 // resolverForGC adapts the client's commit-status resolution to the
-// store's collector interface. The collector calls it under the region
+// store's collector interface. The collector calls it under the store's
 // lock, for unstamped versions only; resolve never touches the store.
 func (c *Client) resolverForGC() kvstore.Resolver {
 	return func(_ string, writeTS uint64) (uint64, kvstore.GCStatus) {

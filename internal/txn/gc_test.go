@@ -10,7 +10,7 @@ import (
 
 // forEachMode runs a collector test in both commit-info modes: the
 // collector's verdicts come from stamps first and the mode's source second,
-// and a write-back collector used to deadlock on its own region lock.
+// and a write-back collector used to deadlock on its own store lock.
 func forEachMode(t *testing.T, test func(t *testing.T, mode CommitInfoMode)) {
 	for _, mode := range allModes {
 		t.Run(mode.String(), func(t *testing.T) { test(t, mode) })

@@ -46,7 +46,7 @@ func newHealStack(t *testing.T) *healStack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &healStack{t: t, store: kvstore.New(kvstore.Config{Servers: 2, SplitKeys: []string{"k2"}}), so: so}
+	return &healStack{t: t, store: kvstore.New(kvstore.Config{}), so: so}
 }
 
 func (h *healStack) client(mode CommitInfoMode) (*Client, *countingArbiter) {

@@ -90,7 +90,7 @@ func TestBatchedReadsMatchSerialAllModes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			store := kvstore.New(kvstore.Config{Servers: 2, SplitKeys: []string{"k-h"}})
+			store := kvstore.New(kvstore.Config{})
 			keys := seedReadHistory(t, store, so, mode)
 
 			batched, err := NewClient(store, so, Config{Mode: mode})

@@ -235,9 +235,9 @@ type readScratch struct {
 var readScratchPool = sync.Pool{New: func() interface{} { return new(readScratch) }}
 
 // GetMulti reads many keys from the snapshot in one pass: the store fetch
-// is grouped by region (one region-lock acquisition per covered region) and
-// every unresolved writer across the whole read set is resolved in a single
-// batched status lookup — one oracle round trip instead of one per version.
+// is one read-lock hold for the whole set, and every unresolved writer
+// across the whole read set is resolved in a single batched status lookup —
+// one oracle round trip instead of one per version.
 // values[i] and ok[i] answer keys[i] with Get's exact semantics; the whole
 // set joins the read set.
 func (t *Txn) GetMulti(keys []string) (values [][]byte, ok []bool, err error) {
