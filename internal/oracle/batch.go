@@ -43,32 +43,44 @@ type batchAbort struct {
 // callers only iterate it, so one shared instance serves all batches.
 var singleShardLocks = []int{0}
 
-// batchLockSet computes the ordered union of shard indexes covering every
-// check and write row of the batch's write requests, so the whole batch is
-// processed under one lock acquisition per shard.
-func (s *StatusOracle) batchLockSet(reqs []CommitRequest, writeIdx []int) []int {
+// lockShards locks, in ascending index order, every shard covering the
+// write rows and the engine's check and guard rows (Engine.Rows) of n
+// requests, and returns the lock set for unlockShards. rows(i) yields the
+// i-th request's write and read sets.
+func (s *StatusOracle) lockShards(n int, rows func(i int) (writeSet, readSet []RowID)) []int {
 	if len(s.shards) == 1 {
+		s.shards[0].mu.Lock()
 		return singleShardLocks
 	}
 	seen := make(map[int]struct{}, len(s.shards))
-	for _, i := range writeIdx {
-		for _, r := range reqs[i].WriteSet {
-			seen[s.shardOf(r)] = struct{}{}
-		}
-		checkRows := reqs[i].WriteSet
-		if s.cfg.Engine == WSI {
-			checkRows = reqs[i].ReadSet
-		}
-		for _, r := range checkRows {
+	mark := func(set []RowID) {
+		for _, r := range set {
 			seen[s.shardOf(r)] = struct{}{}
 		}
 	}
-	idx := make([]int, 0, len(seen))
+	for i := 0; i < n; i++ {
+		writeSet, readSet := rows(i)
+		check, guard := s.cfg.Engine.Rows(writeSet, readSet)
+		mark(writeSet)
+		mark(check)
+		mark(guard)
+	}
+	locks := make([]int, 0, len(seen))
 	for i := range seen {
-		idx = append(idx, i)
+		locks = append(locks, i)
 	}
-	sort.Ints(idx)
-	return idx
+	sort.Ints(locks)
+	for _, i := range locks {
+		s.shards[i].mu.Lock()
+	}
+	return locks
+}
+
+// unlockShards releases a lock set taken by lockShards.
+func (s *StatusOracle) unlockShards(locks []int) {
+	for j := len(locks) - 1; j >= 0; j-- {
+		s.shards[locks[j]].mu.Unlock()
+	}
 }
 
 // CommitBatch decides a batch of commit requests in request order, with
@@ -86,7 +98,7 @@ func (s *StatusOracle) batchLockSet(reqs []CommitRequest, writeIdx []int) []int 
 // an infrastructure failure (timestamp oracle or WAL) for the whole batch,
 // not a conflict.
 func (s *StatusOracle) CommitBatch(reqs []CommitRequest) ([]CommitResult, error) {
-	return s.CommitBatchInto(reqs, nil)
+	return s.commitBatch(reqs, nil, nil)
 }
 
 // CommitBatchInto is CommitBatch writing its decisions into the caller's
@@ -94,6 +106,40 @@ func (s *StatusOracle) CommitBatch(reqs []CommitRequest) ([]CommitResult, error)
 // that recycles the buffer — the network server's pooled handler contexts —
 // pays no allocation for the decision vector. results[i] answers reqs[i].
 func (s *StatusOracle) CommitBatchInto(reqs []CommitRequest, scratch []CommitResult) ([]CommitResult, error) {
+	return s.commitBatch(reqs, nil, scratch)
+}
+
+// CommitAtBatch is the single-partition fast path of the partitioned
+// commit protocol: the whole transaction lives on this partition, so the
+// conflict check and the publication happen in one shot — no prepared
+// state, no second phase — at the coordinator-supplied commit timestamps.
+// It runs CommitBatch's kernel, so decisions are identical to an
+// equivalent serial sequence and one WAL group append persists the whole
+// batch before it is acknowledged.
+func (s *StatusOracle) CommitAtBatch(reqs []PrepareRequest) ([]CommitResult, error) {
+	creqs := make([]CommitRequest, len(reqs))
+	at := make([]uint64, len(reqs))
+	for i := range reqs {
+		creqs[i] = CommitRequest{StartTS: reqs[i].StartTS, WriteSet: reqs[i].WriteSet, ReadSet: reqs[i].ReadSet}
+		at[i] = reqs[i].CommitTS
+	}
+	return s.commitBatch(creqs, at, nil)
+}
+
+// commitTSOf is the commit timestamp of reqs[i], the k-th commit of a
+// batch: the supplied at[i], or lo+k in the batch's NextBlock allocation.
+func commitTSOf(at []uint64, lo uint64, i, k int) uint64 {
+	if at != nil {
+		return at[i]
+	}
+	return lo + uint64(k)
+}
+
+// commitBatch is the one decision kernel (Algorithm 3's check-then-publish)
+// behind CommitBatch, CommitBatchInto and CommitAtBatch. With at == nil the
+// commit timestamps come from one tso.NextBlock after the checks; otherwise
+// reqs[i] commits at at[i], published as soon as it passes its check.
+func (s *StatusOracle) commitBatch(reqs []CommitRequest, at []uint64, scratch []CommitResult) ([]CommitResult, error) {
 	if err, ok := s.failed.Load().(error); ok {
 		return nil, err
 	}
@@ -147,15 +193,14 @@ func (s *StatusOracle) CommitBatchInto(reqs []CommitRequest, scratch []CommitRes
 	s.ckptMu.RLock()
 	defer s.ckptMu.RUnlock()
 
-	locks := s.batchLockSet(reqs, writeIdx)
-	for _, i := range locks {
-		s.shards[i].mu.Lock()
-	}
+	locks := s.lockShards(len(writeIdx), func(k int) ([]RowID, []RowID) {
+		return reqs[writeIdx[k]].WriteSet, reqs[writeIdx[k]].ReadSet
+	})
 
-	// Pass 1: sequential conflict checks (Algorithm 3 lines 1–11) with
-	// tentative lastCommit updates under placeholder timestamps, so later
-	// requests in the batch observe earlier intra-batch commits — and the
-	// evictions they cause — exactly as a serial execution would.
+	// Pass 1: sequential conflict checks (Algorithm 3 lines 1–11). Each
+	// commit updates lastCommit before the next request is checked, so
+	// later requests in the batch observe earlier intra-batch commits —
+	// and the evictions they cause — exactly as a serial execution would.
 	var abortsBuf [16]batchAbort
 	aborts := abortsBuf[:0]
 	committed := committedBuf[:0]
@@ -164,8 +209,7 @@ func (s *StatusOracle) CommitBatchInto(reqs []CommitRequest, scratch []CommitRes
 	}
 	for _, i := range writeIdx {
 		req := &reqs[i]
-		// checkConflict applies the engine's rule (SI: write set vs
-		// lastCommit; WSI: read set vs lastCommit) and additionally aborts
+		// checkConflict applies the engine's rule and additionally aborts
 		// on overlap with the prepared rows of in-flight cross-partition
 		// transactions (prepare.go) — absent any prepares it is exactly
 		// the original Algorithm 3 check.
@@ -174,75 +218,38 @@ func (s *StatusOracle) CommitBatchInto(reqs []CommitRequest, scratch []CommitRes
 			aborts = append(aborts, batchAbort{idx: i, tmax: tmaxAbort})
 			continue
 		}
-		ph := batchPlaceholderBase + uint64(len(committed))
-		for _, r := range req.WriteSet {
-			s.shards[s.shardOf(r)].update(r, ph)
+		if at != nil {
+			// A supplied timestamp is published at once. updateMax keeps
+			// an out-of-order decide from ever lowering a retained
+			// timestamp.
+			for _, r := range req.WriteSet {
+				s.shards[s.shardOf(r)].updateMax(r, at[i])
+			}
+			s.table.addCommit(req.StartTS, at[i])
+		} else {
+			// A placeholder stands in until pass 2 allocates the block.
+			ph := batchPlaceholderBase + uint64(len(committed))
+			for _, r := range req.WriteSet {
+				s.shards[s.shardOf(r)].update(r, ph)
+			}
 		}
 		committed = append(committed, i)
 	}
 
-	// Pass 2: one contiguous timestamp block for the whole batch. The
-	// commit-table entries are published inside the timestamp oracle's
-	// critical section, so no transaction can obtain a start timestamp
-	// above any of the batch's commit timestamps before the corresponding
-	// entry is queryable (the batched analogue of serial Commit's NextWith).
 	var lo uint64
-	if len(committed) > 0 {
+	if at == nil && len(committed) > 0 {
 		var err error
-		lo, err = s.tso.NextBlock(len(committed), func(blo, _ uint64) {
-			for k, i := range committed {
-				s.table.addCommit(reqs[i].StartTS, blo+uint64(k))
-			}
-		})
-		if err != nil {
-			// The batch's placeholder updates cannot be rolled back
-			// exactly (their evictions already discarded real rows),
-			// so the shard state is poisoned toward aborting. A
-			// timestamp-oracle failure is permanent by design; latch
-			// it so every later commit fails fast instead of being
-			// silently aborted by leftover placeholders.
-			s.failed.Store(err)
-			for j := len(locks) - 1; j >= 0; j-- {
-				s.shards[locks[j]].mu.Unlock()
-			}
+		if lo, err = s.publishBlock(reqs, committed, locks); err != nil {
+			s.unlockShards(locks)
 			return nil, err
 		}
-		// Replace placeholders with the real timestamps. Rows overwritten
-		// later in the batch or already evicted no longer hold their
-		// placeholder and are skipped.
-		for k, i := range committed {
-			ph := batchPlaceholderBase + uint64(k)
-			ts := lo + uint64(k)
-			for _, r := range reqs[i].WriteSet {
-				sh := s.shards[s.shardOf(r)]
-				if cur, ok := sh.getRow(r); ok && cur == ph {
-					sh.putRow(r, ts)
-				}
-			}
-		}
-		for _, li := range locks {
-			sh := s.shards[li]
-			// Placeholder queue entries are exactly the entries this batch
-			// appended: appends go to the tail, pops leave the head, and
-			// compaction preserves order, so they form a contiguous tail
-			// suffix — the fixup walks backward and stops at the first real
-			// timestamp instead of scanning the whole O(capacity) queue.
-			for qi := len(sh.queue) - 1; qi >= 0 && sh.queue[qi].ts >= batchPlaceholderBase; qi-- {
-				sh.queue[qi].ts = lo + (sh.queue[qi].ts - batchPlaceholderBase)
-			}
-			if sh.tmax >= batchPlaceholderBase {
-				sh.tmax = lo + (sh.tmax - batchPlaceholderBase)
-			}
-		}
 	}
-	for j := len(locks) - 1; j >= 0; j-- {
-		s.shards[locks[j]].mu.Unlock()
-	}
+	s.unlockShards(locks)
 
 	// Abort bookkeeping. When the batch also commits, the abort records
-	// ride the same WAL group append below; a batch with only aborts keeps
-	// serial Commit's best-effort persistence (losing one in a crash is
-	// safe because recovery treats unknown transactions as uncommitted).
+	// ride the same WAL group append below; a batch with only aborts
+	// persists them best-effort (losing one in a crash is safe because
+	// recovery treats unknown transactions as uncommitted).
 	var tmaxAborts int64
 	for _, a := range aborts {
 		startTS := reqs[a.idx].StartTS
@@ -267,7 +274,7 @@ func (s *StatusOracle) CommitBatchInto(reqs []CommitRequest, scratch []CommitRes
 	// moment it acknowledges.
 	if s.cfg.WAL != nil {
 		rec := walRecPool.Get().(*[]byte)
-		*rec = appendCommitBatchRecord((*rec)[:0], reqs, committed, lo)
+		*rec = appendCommitBatchRecord((*rec)[:0], reqs, committed, at, lo)
 		var entriesBuf [8][]byte
 		entries := append(entriesBuf[:0], *rec)
 		for _, a := range aborts {
@@ -283,11 +290,62 @@ func (s *StatusOracle) CommitBatchInto(reqs []CommitRequest, scratch []CommitRes
 		stampSpans(reqs, metrics.StageWAL)
 	}
 	for k, i := range committed {
-		results[i] = CommitResult{Committed: true, CommitTS: lo + uint64(k)}
+		results[i] = CommitResult{Committed: true, CommitTS: commitTSOf(at, lo, i, k)}
 	}
 	s.stats.applyBatch(readOnly, int64(len(committed)), int64(len(aborts)), tmaxAborts, int64(len(writeIdx)))
 	stampSpans(reqs, metrics.StageApply)
 	return results, nil
+}
+
+// publishBlock is pass 2 of a batch without supplied timestamps: one
+// contiguous timestamp block for the whole batch, returned as its lowest
+// timestamp. The commit-table entries are published inside the timestamp
+// oracle's critical section, so no transaction can obtain a start timestamp
+// above any of the batch's commit timestamps before the corresponding entry
+// is queryable. Caller holds the batch's lock set.
+func (s *StatusOracle) publishBlock(reqs []CommitRequest, committed, locks []int) (uint64, error) {
+	lo, err := s.tso.NextBlock(len(committed), func(blo, _ uint64) {
+		for k, i := range committed {
+			s.table.addCommit(reqs[i].StartTS, blo+uint64(k))
+		}
+	})
+	if err != nil {
+		// The batch's placeholder updates cannot be rolled back exactly
+		// (their evictions already discarded real rows), so the shard
+		// state is poisoned toward aborting. A timestamp-oracle failure
+		// is permanent by design; latch it so every later commit fails
+		// fast instead of being silently aborted by leftover placeholders.
+		s.failed.Store(err)
+		return 0, err
+	}
+	// Replace placeholders with the real timestamps. Rows overwritten
+	// later in the batch or already evicted no longer hold their
+	// placeholder and are skipped.
+	for k, i := range committed {
+		ph := batchPlaceholderBase + uint64(k)
+		ts := lo + uint64(k)
+		for _, r := range reqs[i].WriteSet {
+			sh := s.shards[s.shardOf(r)]
+			if cur, ok := sh.getRow(r); ok && cur == ph {
+				sh.putRow(r, ts)
+			}
+		}
+	}
+	for _, li := range locks {
+		sh := s.shards[li]
+		// Placeholder queue entries are exactly the entries this batch
+		// appended: appends go to the tail, pops leave the head, and
+		// compaction preserves order, so they form a contiguous tail
+		// suffix — the fixup walks backward and stops at the first real
+		// timestamp instead of scanning the whole O(capacity) queue.
+		for qi := len(sh.queue) - 1; qi >= 0 && sh.queue[qi].ts >= batchPlaceholderBase; qi-- {
+			sh.queue[qi].ts = lo + (sh.queue[qi].ts - batchPlaceholderBase)
+		}
+		if sh.tmax >= batchPlaceholderBase {
+			sh.tmax = lo + (sh.tmax - batchPlaceholderBase)
+		}
+	}
+	return lo, nil
 }
 
 // walRecPool recycles commit-batch WAL record buffers: the WAL writer
@@ -295,15 +353,18 @@ func (s *StatusOracle) CommitBatchInto(reqs []CommitRequest, scratch []CommitRes
 // buffer is reusable as soon as the append is acknowledged.
 var walRecPool = sync.Pool{New: func() interface{} { b := make([]byte, 0, 1024); return &b }}
 
-// appendCommitBatchRecord renders the committed subset of a batch directly
-// from the request slice as one recCommitBatch WAL record, skipping the
-// intermediate commitEntry vector. Layout matches encodeCommitBatchRecord.
-func appendCommitBatchRecord(b []byte, reqs []CommitRequest, committed []int, lo uint64) []byte {
+// appendCommitBatchRecord renders the committed subset of a batch as one
+// recCommitBatch WAL record, so an entire batch costs a single group-commit
+// append; reqs[committed[k]] commits at commitTSOf(at, lo, committed[k], k).
+// Layout:
+//
+//	[1] kind | [4] count | count × ( [8] startTS | [8] commitTS | [4] n | n×[8] row ids )
+func appendCommitBatchRecord(b []byte, reqs []CommitRequest, committed []int, at []uint64, lo uint64) []byte {
 	b = append(b, recCommitBatch)
 	b = appendU32(b, uint32(len(committed)))
 	for k, i := range committed {
 		b = appendU64(b, reqs[i].StartTS)
-		b = appendU64(b, lo+uint64(k))
+		b = appendU64(b, commitTSOf(at, lo, i, k))
 		b = appendRowSet(b, reqs[i].WriteSet)
 	}
 	return b

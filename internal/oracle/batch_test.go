@@ -40,11 +40,14 @@ func burnStarts(t *testing.T, clock *tso.Oracle, n int) {
 	}
 }
 
-// TestCommitBatchMatchesSerial asserts the batch path is bit-identical to a
-// serial Commit sequence over the same request order: same commit/abort
-// decisions, same commit timestamps, intra-batch conflicts honored, for both
-// engines, with and without bounded lastCommit memory (eviction + Tmax), and
-// across varying batch sizes.
+// TestCommitBatchMatchesSerial asserts every decision entry point is
+// bit-identical to a serial Commit sequence over the same request order: same
+// commit/abort decisions, same commit timestamps, intra-batch conflicts
+// honored, for both engines, with and without bounded lastCommit memory
+// (eviction + Tmax), and across varying batch sizes. Besides CommitBatch it
+// drives the coordinator's entry points at the serial run's commit
+// timestamps: CommitAtBatch over the same batch cuts, and one
+// PrepareBatch + DecideBatch per write request.
 func TestCommitBatchMatchesSerial(t *testing.T) {
 	for _, engine := range []Engine{SI, WSI} {
 		for _, maxRows := range []int{0, 8} {
@@ -55,14 +58,20 @@ func TestCommitBatchMatchesSerial(t *testing.T) {
 					const n, rows = 600, 24
 					reqs := randomRequests(rng, n, rows)
 					cfg := Config{Engine: engine, MaxRows: maxRows, Shards: shards}
-
-					serialTSO := tso.New(0, nil)
-					cfg.TSO = serialTSO
-					serial, err := New(cfg)
-					if err != nil {
-						t.Fatal(err)
+					fresh := func() *StatusOracle {
+						t.Helper()
+						clock := tso.New(0, nil)
+						c := cfg
+						c.TSO = clock
+						so, err := New(c)
+						if err != nil {
+							t.Fatal(err)
+						}
+						burnStarts(t, clock, n)
+						return so
 					}
-					burnStarts(t, serialTSO, n)
+
+					serial := fresh()
 					want := make([]CommitResult, n)
 					for i, req := range reqs {
 						res, err := serial.Commit(req)
@@ -71,15 +80,42 @@ func TestCommitBatchMatchesSerial(t *testing.T) {
 						}
 						want[i] = res
 					}
-
-					batchTSO := tso.New(0, nil)
-					cfg.TSO = batchTSO
-					batched, err := New(cfg)
-					if err != nil {
-						t.Fatal(err)
+					check := func(path string, so *StatusOracle, got []CommitResult) {
+						t.Helper()
+						for i := range want {
+							if got[i] != want[i] {
+								t.Fatalf("%s: request %d: got %+v, serial %+v", path, i, got[i], want[i])
+							}
+						}
+						// The surviving oracle state must match too.
+						if gt, st := so.Tmax(), serial.Tmax(); gt != st {
+							t.Fatalf("%s: Tmax %d, serial %d", path, gt, st)
+						}
+						if gr, sr := so.RetainedRows(), serial.RetainedRows(); gr != sr {
+							t.Fatalf("%s: retained rows %d, serial %d", path, gr, sr)
+						}
+						for r := 0; r < rows; r++ {
+							gtc, gok := so.LastCommitOf(RowID(r))
+							stc, sok := serial.LastCommitOf(RowID(r))
+							if gtc != stc || gok != sok {
+								t.Fatalf("%s: lastCommit[%d] (%d,%v), serial (%d,%v)", path, r, gtc, gok, stc, sok)
+							}
+						}
 					}
-					burnStarts(t, batchTSO, n)
+					// prepareAt is request i at the serial run's commit
+					// timestamp (unused when the request aborts).
+					prepareAt := func(i int) PrepareRequest {
+						return PrepareRequest{
+							StartTS:  reqs[i].StartTS,
+							CommitTS: want[i].CommitTS,
+							WriteSet: reqs[i].WriteSet,
+							ReadSet:  reqs[i].ReadSet,
+						}
+					}
+
+					batched, at := fresh(), fresh()
 					got := make([]CommitResult, 0, n)
+					gotAt := make([]CommitResult, 0, n)
 					for lo := 0; lo < n; {
 						hi := lo + 1 + rng.Intn(64)
 						if hi > n {
@@ -90,27 +126,42 @@ func TestCommitBatchMatchesSerial(t *testing.T) {
 							t.Fatal(err)
 						}
 						got = append(got, res...)
+						sub := make([]PrepareRequest, 0, hi-lo)
+						for i := lo; i < hi; i++ {
+							sub = append(sub, prepareAt(i))
+						}
+						if res, err = at.CommitAtBatch(sub); err != nil {
+							t.Fatal(err)
+						}
+						gotAt = append(gotAt, res...)
 						lo = hi
 					}
+					check("CommitBatch", batched, got)
+					check("CommitAtBatch", at, gotAt)
 
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("request %d: batch %+v, serial %+v", i, got[i], want[i])
+					twoPhase := fresh()
+					gotTwoPhase := make([]CommitResult, n)
+					for i := range reqs {
+						if reqs[i].ReadOnly() {
+							gotTwoPhase[i] = CommitResult{Committed: true, CommitTS: reqs[i].StartTS}
+							continue
+						}
+						pr := prepareAt(i)
+						votes, err := twoPhase.PrepareBatch([]PrepareRequest{pr})
+						if err != nil {
+							t.Fatal(err)
+						}
+						d := Decision{StartTS: pr.StartTS, CommitTS: pr.CommitTS, Commit: votes[0]}
+						if err := twoPhase.DecideBatch([]Decision{d}); err != nil {
+							t.Fatal(err)
+						}
+						if votes[0] {
+							gotTwoPhase[i] = CommitResult{Committed: true, CommitTS: pr.CommitTS}
 						}
 					}
-					// The surviving oracle state must match too.
-					if bt, st := batched.Tmax(), serial.Tmax(); bt != st {
-						t.Fatalf("Tmax: batch %d, serial %d", bt, st)
-					}
-					if br, sr := batched.RetainedRows(), serial.RetainedRows(); br != sr {
-						t.Fatalf("retained rows: batch %d, serial %d", br, sr)
-					}
-					for r := 0; r < rows; r++ {
-						btc, bok := batched.LastCommitOf(RowID(r))
-						stc, sok := serial.LastCommitOf(RowID(r))
-						if btc != stc || bok != sok {
-							t.Fatalf("lastCommit[%d]: batch (%d,%v), serial (%d,%v)", r, btc, bok, stc, sok)
-						}
+					check("PrepareBatch+DecideBatch", twoPhase, gotTwoPhase)
+					if n := twoPhase.PreparedCount(); n != 0 {
+						t.Fatalf("%d prepares left undecided", n)
 					}
 				})
 			}
@@ -334,32 +385,44 @@ func TestCommitBatchWALRecovery(t *testing.T) {
 }
 
 // TestCommitBatchRecordRoundTrip exercises the batch record codec directly,
-// including rejection of corrupt input.
+// with timestamps from a block and supplied ones, including rejection of
+// corrupt input.
 func TestCommitBatchRecordRoundTrip(t *testing.T) {
-	commits := []commitEntry{
-		{StartTS: 3, CommitTS: 10, WriteSet: []RowID{1, 2, 3}},
-		{StartTS: 5, CommitTS: 11, WriteSet: nil},
-		{StartTS: 7, CommitTS: 12, WriteSet: []RowID{9}},
+	reqs := []CommitRequest{
+		{StartTS: 3, WriteSet: []RowID{1, 2, 3}},
+		{StartTS: 4, WriteSet: []RowID{4}}, // aborted: not in the record
+		{StartTS: 5, WriteSet: nil},
+		{StartTS: 7, WriteSet: []RowID{9}},
 	}
-	enc := encodeCommitBatchRecord(commits)
-	dec, err := decodeCommitBatchRecord(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dec) != len(commits) {
-		t.Fatalf("decoded %d commits, want %d", len(dec), len(commits))
-	}
-	for i := range commits {
-		if dec[i].StartTS != commits[i].StartTS || dec[i].CommitTS != commits[i].CommitTS ||
-			len(dec[i].WriteSet) != len(commits[i].WriteSet) {
-			t.Fatalf("entry %d: %+v != %+v", i, dec[i], commits[i])
+	committed := []int{0, 2, 3}
+	for _, tc := range []struct {
+		name string
+		at   []uint64
+		want []uint64
+	}{
+		{"block", nil, []uint64{10, 11, 12}},
+		{"supplied", []uint64{20, 0, 24, 22}, []uint64{20, 24, 22}},
+	} {
+		enc := appendCommitBatchRecord(nil, reqs, committed, tc.at, 10)
+		dec, err := decodeCommitBatchRecord(enc)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-	}
-	if _, err := decodeCommitBatchRecord(enc[:len(enc)-1]); err == nil {
-		t.Fatal("truncated record decoded without error")
-	}
-	if _, err := decodeCommitBatchRecord(append(enc, 0)); err == nil {
-		t.Fatal("padded record decoded without error")
+		if len(dec) != len(committed) {
+			t.Fatalf("%s: decoded %d commits, want %d", tc.name, len(dec), len(committed))
+		}
+		for k, i := range committed {
+			if dec[k].StartTS != reqs[i].StartTS || dec[k].CommitTS != tc.want[k] ||
+				len(dec[k].WriteSet) != len(reqs[i].WriteSet) {
+				t.Fatalf("%s: entry %d: %+v, want start %d commit %d rows %v", tc.name, k, dec[k], reqs[i].StartTS, tc.want[k], reqs[i].WriteSet)
+			}
+		}
+		if _, err := decodeCommitBatchRecord(enc[:len(enc)-1]); err == nil {
+			t.Fatalf("%s: truncated record decoded without error", tc.name)
+		}
+		if _, err := decodeCommitBatchRecord(append(enc, 0)); err == nil {
+			t.Fatalf("%s: padded record decoded without error", tc.name)
+		}
 	}
 	if _, err := decodeCommitBatchRecord([]byte{recAbort, 0}); err == nil {
 		t.Fatal("foreign record decoded without error")

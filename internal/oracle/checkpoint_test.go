@@ -128,7 +128,7 @@ func TestCheckpointedRecoveryEquivalence(t *testing.T) {
 		case recCheckpoint:
 			checkpoints++
 			return nil
-		case recCommit, recCommitBatch, recAbort:
+		case recCommitBatch, recAbort:
 			total++
 		}
 		// Foreign records (timestamp reservations) are copied but not

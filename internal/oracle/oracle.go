@@ -64,6 +64,19 @@ const (
 	WSI
 )
 
+// Rows is the engine's rule, the one place SI and WSI differ: check are
+// the rows a commit request conflict-checks against lastCommit, and guard
+// are the rows a prepared transaction holds against later writers. SI
+// (Algorithm 1) checks the write set and guards nothing; WSI (Algorithm 2)
+// checks the read set and guards it, because a later write to a prepared
+// read row would invalidate the prepared yes vote.
+func (e Engine) Rows(writeSet, readSet []RowID) (check, guard []RowID) {
+	if e == WSI {
+		return readSet, readSet
+	}
+	return writeSet, nil
+}
+
 func (e Engine) String() string {
 	switch e {
 	case SI:
@@ -231,9 +244,6 @@ func New(cfg Config) (*StatusOracle, error) {
 	}
 	return s, nil
 }
-
-// Engine returns the configured conflict-detection engine.
-func (s *StatusOracle) Engine() Engine { return s.cfg.Engine }
 
 // Begin allocates a start timestamp.
 func (s *StatusOracle) Begin() (uint64, error) {

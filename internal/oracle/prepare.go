@@ -73,17 +73,6 @@ type preparedTxn struct {
 	since    time.Time
 }
 
-// InDoubtPrepare is a prepare that survived recovery with no matching
-// decide: the coordinator decided (or will decide) its fate, so the
-// recovering partition settles it by asking the coordinator's decision log
-// — mirroring how clients settle in-doubt commits by status lookup.
-type InDoubtPrepare struct {
-	StartTS  uint64
-	CommitTS uint64
-	WriteSet []RowID
-	ReadSet  []RowID
-}
-
 // BeginBlock allocates n consecutive start timestamps and returns the
 // lowest. The partitioned coordinator uses it over the wire to draw a
 // block of commit timestamps from the timestamp authority in one round
@@ -100,40 +89,13 @@ func (s *StatusOracle) BeginBlock(n int) (uint64, error) {
 	return lo, nil
 }
 
-// prepLockSet computes the ordered shard set covering the write and read
-// rows of a slice of prepare requests.
-func (s *StatusOracle) prepLockSet(rows func(i int) ([]RowID, []RowID), n int) []int {
-	if len(s.shards) == 1 {
-		return singleShardLocks
-	}
-	seen := make(map[int]struct{}, len(s.shards))
-	for i := 0; i < n; i++ {
-		w, r := rows(i)
-		for _, row := range w {
-			seen[s.shardOf(row)] = struct{}{}
-		}
-		for _, row := range r {
-			seen[s.shardOf(row)] = struct{}{}
-		}
-	}
-	idx := make([]int, 0, len(seen))
-	for i := range seen {
-		idx = append(idx, i)
-	}
-	sort.Ints(idx)
-	return idx
-}
-
 // checkConflict runs the engine's conflict rule for one request under the
-// already-held shard locks: the check rows against lastCommit/Tmax and the
-// prepared write rows, and — under WSI — the write rows against the
-// prepared read rows. Caller holds the locks of every covered shard.
+// already-held shard locks: the check rows (Engine.Rows) against
+// lastCommit/Tmax and the prepared write rows, and the write rows against
+// the prepared guard rows. Caller holds the locks of every covered shard.
 func (s *StatusOracle) checkConflict(startTS uint64, writeSet, readSet []RowID) (conflict, tmaxAbort bool) {
-	checkRows := writeSet // SI: write-write conflicts
-	if s.cfg.Engine == WSI {
-		checkRows = readSet // WSI: read-write conflicts
-	}
-	for _, r := range checkRows {
+	check, _ := s.cfg.Engine.Rows(writeSet, readSet)
+	for _, r := range check {
 		sh := s.shards[s.shardOf(r)]
 		if tc, ok := sh.getRow(r); ok {
 			if tc > startTS {
@@ -149,21 +111,21 @@ func (s *StatusOracle) checkConflict(startTS uint64, writeSet, readSet []RowID) 
 			return true, false
 		}
 	}
-	if s.cfg.Engine == WSI {
-		// Committing these writes would invalidate the yes vote of any
-		// prepared transaction that read them.
-		for _, w := range writeSet {
-			sh := s.shards[s.shardOf(w)]
-			if len(sh.preparedR) != 0 && sh.preparedR[w] > 0 {
-				return true, false
-			}
+	// Committing these writes would invalidate the yes vote of any
+	// prepared transaction that read them. preparedR holds guard rows
+	// only, so it stays empty under SI.
+	for _, w := range writeSet {
+		sh := s.shards[s.shardOf(w)]
+		if len(sh.preparedR) != 0 && sh.preparedR[w] > 0 {
+			return true, false
 		}
 	}
 	return false, false
 }
 
-// addPrepRefs registers a prepared transaction's rows in the per-shard
-// prepared sets. Caller holds the covered shard locks.
+// addPrepRefs registers a prepared transaction's write rows and guard rows
+// (Engine.Rows) in the per-shard prepared sets. Caller holds the covered
+// shard locks.
 func (s *StatusOracle) addPrepRefs(writeSet, readSet []RowID) {
 	for _, w := range writeSet {
 		sh := s.shards[s.shardOf(w)]
@@ -172,10 +134,8 @@ func (s *StatusOracle) addPrepRefs(writeSet, readSet []RowID) {
 		}
 		sh.preparedW[w]++
 	}
-	if s.cfg.Engine != WSI {
-		return
-	}
-	for _, r := range readSet {
+	_, guard := s.cfg.Engine.Rows(writeSet, readSet)
+	for _, r := range guard {
 		sh := s.shards[s.shardOf(r)]
 		if sh.preparedR == nil {
 			sh.preparedR = make(map[RowID]int)
@@ -195,10 +155,8 @@ func (s *StatusOracle) dropPrepRefs(writeSet, readSet []RowID) {
 			delete(sh.preparedW, w)
 		}
 	}
-	if s.cfg.Engine != WSI {
-		return
-	}
-	for _, r := range readSet {
+	_, guard := s.cfg.Engine.Rows(writeSet, readSet)
+	for _, r := range guard {
 		sh := s.shards[s.shardOf(r)]
 		if sh.preparedR[r] > 1 {
 			sh.preparedR[r]--
@@ -245,16 +203,9 @@ func (s *StatusOracle) PrepareBatch(reqs []PrepareRequest) ([]bool, error) {
 	for i := range reqs {
 		s.loads.note(reqs[i].WriteSet)
 	}
-	locks := s.prepLockSet(func(i int) ([]RowID, []RowID) {
-		checkRows := reqs[i].WriteSet
-		if s.cfg.Engine == WSI {
-			checkRows = reqs[i].ReadSet
-		}
-		return reqs[i].WriteSet, checkRows
-	}, len(reqs))
-	for _, i := range locks {
-		s.shards[i].mu.Lock()
-	}
+	locks := s.lockShards(len(reqs), func(i int) ([]RowID, []RowID) {
+		return reqs[i].WriteSet, reqs[i].ReadSet
+	})
 	now := time.Now()
 	var yes []int
 	for i := range reqs {
@@ -266,9 +217,7 @@ func (s *StatusOracle) PrepareBatch(reqs []PrepareRequest) ([]bool, error) {
 		votes[i] = true
 		yes = append(yes, i)
 	}
-	for j := len(locks) - 1; j >= 0; j-- {
-		s.shards[locks[j]].mu.Unlock()
-	}
+	s.unlockShards(locks)
 
 	if s.cfg.WAL != nil && len(yes) > 0 {
 		entries := make([][]byte, len(yes))
@@ -291,22 +240,16 @@ func (s *StatusOracle) PrepareBatch(reqs []PrepareRequest) ([]bool, error) {
 // rollbackPrepares withdraws the prepared state of the given yes votes
 // after their WAL append failed.
 func (s *StatusOracle) rollbackPrepares(reqs []PrepareRequest, yes []int) {
-	locks := s.prepLockSet(func(k int) ([]RowID, []RowID) {
-		i := yes[k]
-		return reqs[i].WriteSet, reqs[i].ReadSet
-	}, len(yes))
-	for _, i := range locks {
-		s.shards[i].mu.Lock()
-	}
+	locks := s.lockShards(len(yes), func(k int) ([]RowID, []RowID) {
+		return reqs[yes[k]].WriteSet, reqs[yes[k]].ReadSet
+	})
 	for _, i := range yes {
 		s.prepMu.Lock()
 		delete(s.prepared, reqs[i].StartTS)
 		s.prepMu.Unlock()
 		s.dropPrepRefs(reqs[i].WriteSet, reqs[i].ReadSet)
 	}
-	for j := len(locks) - 1; j >= 0; j-- {
-		s.shards[locks[j]].mu.Unlock()
-	}
+	s.unlockShards(locks)
 }
 
 // DecideBatch is phase two: it applies the coordinator's verdicts to this
@@ -343,15 +286,12 @@ func (s *StatusOracle) DecideBatch(decisions []Decision) error {
 	s.prepMu.Unlock()
 
 	now := time.Now()
-	locks := s.prepLockSet(func(i int) ([]RowID, []RowID) {
+	locks := s.lockShards(len(apps), func(i int) ([]RowID, []RowID) {
 		if apps[i].pt == nil {
 			return nil, nil
 		}
 		return apps[i].pt.writeSet, apps[i].pt.readSet
-	}, len(apps))
-	for _, i := range locks {
-		s.shards[i].mu.Lock()
-	}
+	})
 	var commits, aborts int64
 	var waitNanos int64
 	for i := range apps {
@@ -374,9 +314,7 @@ func (s *StatusOracle) DecideBatch(decisions []Decision) error {
 			aborts++
 		}
 	}
-	for j := len(locks) - 1; j >= 0; j-- {
-		s.shards[locks[j]].mu.Unlock()
-	}
+	s.unlockShards(locks)
 
 	if s.cfg.WAL != nil {
 		entries := make([][]byte, len(apps))
@@ -396,112 +334,14 @@ func (s *StatusOracle) DecideBatch(decisions []Decision) error {
 	return nil
 }
 
-// CommitAtBatch is the single-partition fast path of the partitioned
-// commit protocol: the whole transaction lives on this partition, so the
-// conflict check and the publication happen in one shot — no prepared
-// state, no second phase — at the coordinator-supplied commit timestamps.
-// Decisions are identical to an equivalent serial sequence: each request's
-// check observes every earlier request's committed writes (applied under
-// their real timestamps, which the pre-allocation makes available up
-// front). One WAL group append persists the whole batch before it is
-// acknowledged.
-func (s *StatusOracle) CommitAtBatch(reqs []PrepareRequest) ([]CommitResult, error) {
-	if err, ok := s.failed.Load().(error); ok {
-		return nil, err
-	}
-	results := make([]CommitResult, len(reqs))
-	if len(reqs) == 0 {
-		return results, nil
-	}
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-
-	for i := range reqs {
-		s.loads.note(reqs[i].WriteSet)
-	}
-	locks := s.prepLockSet(func(i int) ([]RowID, []RowID) {
-		checkRows := reqs[i].WriteSet
-		if s.cfg.Engine == WSI {
-			checkRows = reqs[i].ReadSet
-		}
-		return reqs[i].WriteSet, checkRows
-	}, len(reqs))
-	for _, i := range locks {
-		s.shards[i].mu.Lock()
-	}
-	var committed []int
-	var aborts []batchAbort
-	var readOnly int64
-	for i := range reqs {
-		if len(reqs[i].WriteSet) == 0 {
-			readOnly++
-			results[i] = CommitResult{Committed: true, CommitTS: reqs[i].StartTS}
-			continue
-		}
-		conflict, tmaxAbort := s.checkConflict(reqs[i].StartTS, reqs[i].WriteSet, reqs[i].ReadSet)
-		if conflict {
-			aborts = append(aborts, batchAbort{idx: i, tmax: tmaxAbort})
-			continue
-		}
-		// Publish under the real timestamp immediately: later requests in
-		// the batch conflict-check against it exactly as serial commits
-		// would. updateMax keeps an out-of-order decide from ever lowering
-		// a retained timestamp.
-		for _, w := range reqs[i].WriteSet {
-			s.shards[s.shardOf(w)].updateMax(w, reqs[i].CommitTS)
-		}
-		s.table.addCommit(reqs[i].StartTS, reqs[i].CommitTS)
-		committed = append(committed, i)
-	}
-	for j := len(locks) - 1; j >= 0; j-- {
-		s.shards[locks[j]].mu.Unlock()
-	}
-
-	var tmaxAborts int64
-	for _, a := range aborts {
-		if a.tmax {
-			tmaxAborts++
-		}
-		s.table.addAbort(reqs[a.idx].StartTS)
-	}
-	writeTxns := int64(len(reqs)) - readOnly
-	if s.cfg.WAL != nil && (len(committed) > 0 || len(aborts) > 0) {
-		entries := make([][]byte, 0, 1+len(aborts))
-		if len(committed) > 0 {
-			commits := make([]commitEntry, len(committed))
-			for k, i := range committed {
-				commits[k] = commitEntry{
-					StartTS:  reqs[i].StartTS,
-					CommitTS: reqs[i].CommitTS,
-					WriteSet: reqs[i].WriteSet,
-				}
-			}
-			entries = append(entries, encodeCommitBatchRecord(commits))
-		}
-		for _, a := range aborts {
-			entries = append(entries, encodeAbortRecord(reqs[a.idx].StartTS))
-		}
-		if err := s.cfg.WAL.AppendAll(entries...); err != nil {
-			s.latchFence(err)
-			s.stats.applyBatch(readOnly, 0, int64(len(aborts)), tmaxAborts, writeTxns)
-			return nil, fmt.Errorf("oracle: persist commit batch: %w", err)
-		}
-	}
-	for _, i := range committed {
-		results[i] = CommitResult{Committed: true, CommitTS: reqs[i].CommitTS}
-	}
-	s.stats.applyBatch(readOnly, int64(len(committed)), int64(len(aborts)), tmaxAborts, writeTxns)
-	return results, nil
-}
-
 // InDoubt returns the prepares currently parked with no decide — after
 // recovery, the transactions whose fate only the coordinator's decision
 // log knows. Sorted by start timestamp for determinism.
-func (s *StatusOracle) InDoubt() []InDoubtPrepare {
+func (s *StatusOracle) InDoubt() []PrepareRequest {
 	s.prepMu.Lock()
-	out := make([]InDoubtPrepare, 0, len(s.prepared))
+	out := make([]PrepareRequest, 0, len(s.prepared))
 	for start, pt := range s.prepared {
-		out = append(out, InDoubtPrepare{
+		out = append(out, PrepareRequest{
 			StartTS:  start,
 			CommitTS: pt.commitTS,
 			WriteSet: pt.writeSet,
@@ -529,16 +369,11 @@ func (s *StatusOracle) applyPrepareEntry(req *PrepareRequest) {
 		return
 	}
 	s.prepMu.Unlock()
-	locks := s.prepLockSet(func(int) ([]RowID, []RowID) {
+	locks := s.lockShards(1, func(int) ([]RowID, []RowID) {
 		return req.WriteSet, req.ReadSet
-	}, 1)
-	for _, i := range locks {
-		s.shards[i].mu.Lock()
-	}
+	})
 	s.registerPrepared(req, time.Now())
-	for j := len(locks) - 1; j >= 0; j-- {
-		s.shards[locks[j]].mu.Unlock()
-	}
+	s.unlockShards(locks)
 }
 
 // applyDecideEntry applies a recDecide record: the record carries the
@@ -556,15 +391,14 @@ func (s *StatusOracle) applyDecideEntry(d Decision, writeSet []RowID) {
 			writeSet = pt.writeSet
 		}
 	}
-	locks := s.prepLockSet(func(int) ([]RowID, []RowID) {
-		if len(prepW)+len(prepR) > 0 {
-			return append(append([]RowID(nil), prepW...), writeSet...), prepR
+	// Two lock-set entries: the prepared rows the decide releases, and the
+	// record's write rows it folds into lastCommit.
+	locks := s.lockShards(2, func(i int) ([]RowID, []RowID) {
+		if i == 0 {
+			return prepW, prepR
 		}
 		return writeSet, nil
-	}, 1)
-	for _, i := range locks {
-		s.shards[i].mu.Lock()
-	}
+	})
 	if pt != nil {
 		s.dropPrepRefs(prepW, prepR)
 	}
@@ -573,9 +407,7 @@ func (s *StatusOracle) applyDecideEntry(d Decision, writeSet []RowID) {
 			s.shards[s.shardOf(w)].updateMax(w, d.CommitTS)
 		}
 	}
-	for j := len(locks) - 1; j >= 0; j-- {
-		s.shards[locks[j]].mu.Unlock()
-	}
+	s.unlockShards(locks)
 	if d.Commit {
 		s.table.addCommit(d.StartTS, d.CommitTS)
 	} else {

@@ -13,9 +13,12 @@ import (
 // change into the memory of the status oracle that is related to a
 // transaction commit/abort is persisted in multiple remote storages".
 const (
-	recCommit      = 0x43 // 'C': startTS, commitTS, write set
 	recAbort       = 0x41 // 'A': startTS
 	recCommitBatch = 0x42 // 'B': count, then per commit: startTS, commitTS, write set
+	// recRetiredCommit ('C') was the single-commit record, which no writer
+	// has produced since Commit became a batch of one. Replay rejects it
+	// instead of skipping it as a foreign record; never reuse the kind.
+	recRetiredCommit = 0x43
 )
 
 // commitEntry is one committed transaction inside a batch record.
@@ -25,34 +28,8 @@ type commitEntry struct {
 	WriteSet []RowID
 }
 
-// encodeCommitBatchRecord renders the committed subset of a CommitBatch as
-// one WAL entry, so an entire batch costs a single group-commit append.
-// Layout:
-//
-//	[1] kind | [4] count | count × ( [8] startTS | [8] commitTS | [4] n | n×[8] row ids )
-func encodeCommitBatchRecord(commits []commitEntry) []byte {
-	size := 1 + 4
-	for i := range commits {
-		size += 8 + 8 + 4 + 8*len(commits[i].WriteSet)
-	}
-	b := make([]byte, size)
-	b[0] = recCommitBatch
-	binary.BigEndian.PutUint32(b[1:5], uint32(len(commits)))
-	off := 5
-	for i := range commits {
-		c := &commits[i]
-		binary.BigEndian.PutUint64(b[off:], c.StartTS)
-		binary.BigEndian.PutUint64(b[off+8:], c.CommitTS)
-		binary.BigEndian.PutUint32(b[off+16:], uint32(len(c.WriteSet)))
-		off += 20
-		for _, r := range c.WriteSet {
-			binary.BigEndian.PutUint64(b[off:], uint64(r))
-			off += 8
-		}
-	}
-	return b
-}
-
+// decodeCommitBatchRecord parses a record rendered by
+// appendCommitBatchRecord.
 func decodeCommitBatchRecord(b []byte) ([]commitEntry, error) {
 	if len(b) < 5 || b[0] != recCommitBatch {
 		return nil, fmt.Errorf("oracle: not a commit-batch record")
@@ -86,45 +63,6 @@ func decodeCommitBatchRecord(b []byte) ([]commitEntry, error) {
 		return nil, fmt.Errorf("oracle: commit-batch record length mismatch")
 	}
 	return commits, nil
-}
-
-// encodeCommitRecord renders a commit decision. Layout:
-//
-//	[1] kind | [8] startTS | [8] commitTS | [4] n | n×[8] row ids
-//
-// The write set is included so recovery can rebuild lastCommit (and thus
-// Tmax) exactly, not just the commit table.
-func encodeCommitRecord(startTS, commitTS uint64, writeSet []RowID) []byte {
-	b := make([]byte, 1+8+8+4+8*len(writeSet))
-	b[0] = recCommit
-	binary.BigEndian.PutUint64(b[1:9], startTS)
-	binary.BigEndian.PutUint64(b[9:17], commitTS)
-	binary.BigEndian.PutUint32(b[17:21], uint32(len(writeSet)))
-	off := 21
-	for _, r := range writeSet {
-		binary.BigEndian.PutUint64(b[off:off+8], uint64(r))
-		off += 8
-	}
-	return b
-}
-
-func decodeCommitRecord(b []byte) (startTS, commitTS uint64, writeSet []RowID, err error) {
-	if len(b) < 21 || b[0] != recCommit {
-		return 0, 0, nil, fmt.Errorf("oracle: not a commit record")
-	}
-	startTS = binary.BigEndian.Uint64(b[1:9])
-	commitTS = binary.BigEndian.Uint64(b[9:17])
-	n := binary.BigEndian.Uint32(b[17:21])
-	if len(b) != 21+int(n)*8 {
-		return 0, 0, nil, fmt.Errorf("oracle: commit record length mismatch")
-	}
-	writeSet = make([]RowID, n)
-	off := 21
-	for i := range writeSet {
-		writeSet[i] = RowID(binary.BigEndian.Uint64(b[off : off+8]))
-		off += 8
-	}
-	return startTS, commitTS, writeSet, nil
 }
 
 func encodeAbortRecord(startTS uint64) []byte {
@@ -283,12 +221,8 @@ func (s *StatusOracle) ApplyLogEntry(entry []byte) (applied bool, err error) {
 		return false, fmt.Errorf("oracle: empty WAL entry")
 	}
 	switch entry[0] {
-	case recCommit:
-		startTS, commitTS, writeSet, err := decodeCommitRecord(entry)
-		if err != nil {
-			return false, err
-		}
-		s.replayCommit(startTS, commitTS, writeSet)
+	case recRetiredCommit:
+		return false, fmt.Errorf("oracle: retired single-commit record (kind %#x)", recRetiredCommit)
 	case recCommitBatch:
 		commits, err := decodeCommitBatchRecord(entry)
 		if err != nil {

@@ -183,22 +183,11 @@ func TestRecoverPreservesTmax(t *testing.T) {
 	}
 }
 
+// TestCommitRecordRoundTrip checks the abort record's codec, and that the
+// abort decoder rejects a commit record.
 func TestCommitRecordRoundTrip(t *testing.T) {
-	ws := rows("a", "b", "c")
-	enc := encodeCommitRecord(7, 12, ws)
-	s, c, got, err := decodeCommitRecord(enc)
-	if err != nil || s != 7 || c != 12 || len(got) != 3 {
-		t.Fatalf("round trip: %d %d %v %v", s, c, got, err)
-	}
-	for i := range ws {
-		if got[i] != ws[i] {
-			t.Fatalf("row %d: %d != %d", i, got[i], ws[i])
-		}
-	}
-	if _, _, _, err := decodeCommitRecord(enc[:10]); err == nil {
-		t.Fatal("truncated commit record must fail")
-	}
-	if _, err := decodeAbortRecord(encodeCommitRecord(1, 2, nil)); err == nil {
+	commit := appendCommitBatchRecord(nil, []CommitRequest{{StartTS: 1}}, []int{0}, nil, 2)
+	if _, err := decodeAbortRecord(commit); err == nil {
 		t.Fatal("abort decoder must reject commit records")
 	}
 	if s, err := decodeAbortRecord(encodeAbortRecord(99)); err != nil || s != 99 {
@@ -212,14 +201,37 @@ func TestRecoverRejectsGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A record that claims to be a commit but is malformed.
-	if err := w.Append([]byte{recCommit, 1, 2}); err != nil {
+	// A record that claims to be a commit batch but is malformed.
+	if err := w.Append([]byte{recCommitBatch, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
 	_, err = Recover(Config{Engine: SI, TSO: tso.New(0, nil)}, ledger)
 	if err == nil {
 		t.Fatal("recovery must reject malformed commit records")
+	}
+}
+
+// TestRecoverRejectsRetiredCommitRecord: a well-formed single-commit record
+// (kind 0x43, retired) fails recovery rather than being skipped as a
+// foreign record, which would silently drop a commit.
+func TestRecoverRejectsRetiredCommitRecord(t *testing.T) {
+	ledger := wal.NewMemLedger()
+	w, err := wal.NewWriter(wal.Config{}, ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The retired layout: kind | startTS | commitTS | write set.
+	rec := appendRowSet(appendU64(appendU64([]byte{recRetiredCommit}, 7), 12), []RowID{1, 2})
+	if err := w.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if _, err := Recover(Config{Engine: SI, TSO: tso.New(0, nil)}, ledger); err == nil {
+		t.Fatal("Recover accepted a retired single-commit record")
+	}
+	if _, _, err := RecoverState(Config{Engine: SI}, ledger, nil, 0); err == nil {
+		t.Fatal("RecoverState accepted a retired single-commit record")
 	}
 }
 

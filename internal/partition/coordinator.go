@@ -14,9 +14,9 @@ import (
 // Config parameterizes a Coordinator.
 type Config struct {
 	// Engine must match the partitions' conflict-detection engine; the
-	// coordinator needs it to know which rows a transaction's conflict
-	// check covers (write set under SI, read set under WSI) when slicing
-	// requests across partitions.
+	// coordinator needs its rule (oracle.Engine.Rows) to know which rows a
+	// transaction's conflict check covers when slicing requests across
+	// partitions.
 	Engine oracle.Engine
 	// Router maps rows to partitions. Defaults to hash routing.
 	Router Router
@@ -394,7 +394,7 @@ func (co *Coordinator) waitPublished(ts uint64) {
 }
 
 // coverWith returns the sorted partition set covering a commit request's
-// write rows and conflict-check rows (read set under WSI) per router — the
+// write rows and check rows (oracle.Engine.Rows) per router — the
 // commit fan-out pins one router snapshot for its whole round (under
 // routeMu), so every cover and slice of the round agrees on ownership.
 func (co *Coordinator) coverWith(router Router, req *oracle.CommitRequest) []int {
@@ -416,11 +416,9 @@ func (co *Coordinator) coverWith(router Router, req *oracle.CommitRequest) []int
 		}
 		list = append(list, p)
 	}
-	for _, r := range req.WriteSet {
-		add(router.Partition(r))
-	}
-	if co.cfg.Engine == oracle.WSI {
-		for _, r := range req.ReadSet {
+	check, _ := co.cfg.Engine.Rows(req.WriteSet, req.ReadSet)
+	for _, set := range [2][]oracle.RowID{req.WriteSet, check} {
+		for _, r := range set {
 			add(router.Partition(r))
 		}
 	}
@@ -666,20 +664,17 @@ func (co *Coordinator) commitSingles(p int, reqs []oracle.CommitRequest, idxs []
 	sp := prepSubPool.Get().(*[]oracle.PrepareRequest)
 	sub := (*sp)[:0]
 	for k, i := range idxs {
-		pr := oracle.PrepareRequest{
+		// Only the guard rows travel as the read set: the cover includes
+		// every check row's partition, so they are all owned here. Under
+		// SI there are none, and a read set spanning foreign partitions
+		// would trip the server's ownership guard.
+		_, guard := co.cfg.Engine.Rows(reqs[i].WriteSet, reqs[i].ReadSet)
+		sub = append(sub, oracle.PrepareRequest{
 			StartTS:  reqs[i].StartTS,
 			CommitTS: lo + uint64(k),
 			WriteSet: reqs[i].WriteSet,
-		}
-		if co.cfg.Engine == oracle.WSI {
-			// Under WSI the cover includes every read row's partition, so
-			// the whole read set is owned here. Under SI the read set
-			// plays no part in the conflict check and may span foreign
-			// partitions — shipping it would trip the server's ownership
-			// guard.
-			pr.ReadSet = reqs[i].ReadSet
-		}
-		sub = append(sub, pr)
+			ReadSet:  guard,
+		})
 	}
 	res, err := co.parts[p].CommitAtBatch(sub)
 	*sp = sub[:0]
@@ -709,14 +704,13 @@ func (co *Coordinator) buildSlices(router Router, reqs []oracle.CommitRequest, m
 		slots:    make(map[int][]int),
 	}
 	for k, i := range multi {
+		_, guard := co.cfg.Engine.Rows(reqs[i].WriteSet, reqs[i].ReadSet)
 		for _, p := range covers[i] {
 			pr := oracle.PrepareRequest{
 				StartTS:  reqs[i].StartTS,
 				CommitTS: ctOf(k),
 				WriteSet: sliceRows(router, reqs[i].WriteSet, p),
-			}
-			if co.cfg.Engine == oracle.WSI {
-				pr.ReadSet = sliceRows(router, reqs[i].ReadSet, p)
+				ReadSet:  sliceRows(router, guard, p),
 			}
 			r.prepReqs[p] = append(r.prepReqs[p], pr)
 			r.slots[p] = append(r.slots[p], k)

@@ -7,6 +7,8 @@
 #   sh scripts/size.sh -check        fail if any number is above SIZE.json's
 #
 # The root module only: benchmark/ is a module of its own with its own rules.
+# engine_switches counts comparisons against an engine outside tests: the
+# rule that tells SI from WSI is oracle.Engine.Rows, so it should stay 1.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -36,6 +38,7 @@ current() {
   "sleeps_in_tests": $(matches 'time\.Sleep\(' -name '*_test.go'),
   "sleeps_outside_tests": $(matches 'time\.Sleep\(' -not -name '*_test.go'),
   "fuzz_targets": $(matches '^func Fuzz' -name '*_test.go'),
+  "engine_switches": $(matches '[!=]= (oracle\.)?(WSI|SI)\b' -not -name '*_test.go'),
   "design_md_lines": $(wc -l < DESIGN.md | tr -d ' ')
 }
 EOF
