@@ -49,10 +49,10 @@
 //
 // Requests carrying rows the router did not assign to this partition are
 // rejected at the wire; clients front the fleet with
-// netsrv.DialPartitioned, whose coordinator routes single-partition
-// commits to their owner and runs the two-phase prepare/decide protocol
-// for transactions that span slices. Partition 0's server doubles as the
-// timestamp authority.
+// netsrv.DialPartitioned, whose coordinator runs every write transaction
+// through the two-phase prepare/decide protocol on the slices its rows
+// live on. Partition 0's server doubles as the timestamp authority: it
+// draws each round's commit timestamps after the votes.
 package main
 
 import (

@@ -622,30 +622,6 @@ func (c *Client) DecideBatch(ds []oracle.Decision) error {
 	return nil
 }
 
-// CommitAtBatch one-shot commits single-partition transactions at
-// coordinator-supplied commit timestamps.
-func (c *Client) CommitAtBatch(reqs []oracle.PrepareRequest) ([]oracle.CommitResult, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	pb := getPayloadBuf()
-	*pb = appendPrepareBatchReq((*pb)[:0], reqs)
-	resp, err := c.callResp(opCommitAtBatch, *pb)
-	putPayloadBuf(pb)
-	if err != nil {
-		return nil, err
-	}
-	results, err := decodeCommitBatchResp(resp.payload)
-	putRespBuf(resp)
-	if err != nil {
-		return nil, err
-	}
-	if len(results) != len(reqs) {
-		return nil, ErrBadFrame
-	}
-	return results, nil
-}
-
 // Query asks for a transaction's status.
 func (c *Client) Query(startTS uint64) oracle.TxnStatus {
 	resp, err := c.callResp(opQuery, u64(startTS))

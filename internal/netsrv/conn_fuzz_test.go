@@ -95,8 +95,8 @@ func beginOnFreshConn(ln *fakeListener) bool {
 // constant plus a small multiple of the bytes it was sent, and a fresh
 // connection still begins a transaction.
 func FuzzServerConn(f *testing.F) {
-	// testdata/fuzz/FuzzServerConn holds the retired ops 6, 7 and 11, bare and
-	// enveloped, and op 6 carrying a 2^40-entry buffer request. Here: one
+	// testdata/fuzz/FuzzServerConn holds the retired ops 6, 7, 11 and 14, bare
+	// and enveloped, and op 6 carrying a 2^40-entry buffer request. Here: one
 	// valid request per live op.
 	req := oracle.CommitRequest{StartTS: 1, WriteSet: []oracle.RowID{1, 2}, ReadSet: []oracle.RowID{3}}
 	prep := oracle.PrepareRequest{StartTS: 4, CommitTS: 5, WriteSet: []oracle.RowID{6}}
@@ -114,7 +114,6 @@ func FuzzServerConn(f *testing.F) {
 		{opHealth, nil},
 		{opPrepareBatch, appendPrepareBatchReq(nil, []oracle.PrepareRequest{prep})},
 		{opDecideBatch, appendDecideBatchReq(nil, []oracle.Decision{{StartTS: 4, CommitTS: 5, Commit: true}})},
-		{opCommitAtBatch, appendPrepareBatchReq(nil, []oracle.PrepareRequest{prep})},
 		{opBeginBlock, u64(16)},
 		{opRouting, nil},
 		{opSetRouting, appendRoutingPayload(nil, 2, "hash")},

@@ -169,14 +169,15 @@ func TestRemoteErrorPropagates(t *testing.T) {
 
 // Retired ops are never reused: op 6 was the commit-notification stream
 // (a frame asking it for a 1<<40-event buffer once made the server
-// allocate for it), op 11 the manual standby promote. Bare or enveloped,
+// allocate for it), op 7 the positional stats, op 11 the manual standby
+// promote, op 14 the one-shot commit at coordinator-supplied timestamps. Bare or enveloped,
 // each is an unknown operation answered with codeErr, and the same
 // connection goes on serving requests.
 func TestRetiredOpSubscribe(t *testing.T) {
 	for _, retired := range []struct {
 		name string
 		op   byte
-	}{{"subscribe", 6}, {"stats", 7}, {"promote", 11}} {
+	}{{"subscribe", 6}, {"stats", 7}, {"promote", 11}, {"commit-at", 14}} {
 		t.Run(retired.name, func(t *testing.T) {
 			srv, _ := startServer(t, oracle.WSI)
 			conn, err := net.Dial("tcp", srv.Addr())

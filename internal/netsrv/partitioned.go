@@ -2,6 +2,7 @@ package netsrv
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/oracle"
 	"repro/internal/partition"
@@ -10,30 +11,49 @@ import (
 // PartitionedClient fronts N partition servers with the single-oracle
 // client surface: it embeds a partition.Coordinator whose backends are the
 // per-partition network clients, so the transaction layer runs unchanged
-// against a scale-out status oracle. Commit requests fan out by key slice
-// (single-partition transactions take one one-shot round trip to their
-// owner; cross-partition transactions run the two-phase prepare/decide
-// protocol), and status queries fan out to every partition and merge.
+// against a scale-out status oracle. Every write transaction runs the
+// two-phase prepare/decide protocol on the partitions its rows live on, and
+// status queries fan out to every partition and merge.
 //
 // Partition 0's server doubles as the timestamp authority: Begin and the
-// coordinator's commit-timestamp blocks are allocated there, which keeps
-// the whole deployment on one monotonic timestamp stream. Run exactly one
-// PartitionedClient per coordinator role — the begin barrier that keeps
-// snapshots from observing half-published commits is coordinator-local, so
-// independent coordinators over the same partitions would not be fenced
-// against each other.
+// coordinator's commit-timestamp blocks are drawn there, which keeps the
+// whole deployment on one monotonic timestamp stream. A commit block is
+// drawn after its round's votes, and the round's verdicts are published to
+// the coordinator's decision log under the same mutex that orders Begin.
+// That mutex is coordinator-local, so run exactly one PartitionedClient per
+// deployment: independent coordinators over the same partitions would not
+// be ordered against each other.
 type PartitionedClient struct {
 	*partition.Coordinator
 	clients []*Client
 }
 
 // remoteClock adapts the timestamp partition's client to partition.Clock.
+// Its mutex is the critical section the in-process timestamp oracle gives
+// the coordinator: it is held across the BeginBlock round trip and the
+// publish, and Begin takes it too, so no start timestamp above a commit
+// timestamp is handed out before that commit's verdict is published.
 type remoteClock struct {
-	c *Client
+	mu sync.Mutex
+	c  *Client
 }
 
-func (rc remoteClock) Next() (uint64, error)           { return rc.c.Begin() }
-func (rc remoteClock) NextBlock(n int) (uint64, error) { return rc.c.BeginBlock(n) }
+func (rc *remoteClock) Next() (uint64, error) {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	return rc.c.Begin()
+}
+
+func (rc *remoteClock) NextBlockWith(n int, publish func(lo, hi uint64)) (uint64, error) {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	lo, err := rc.c.BeginBlock(n)
+	if err != nil {
+		return 0, err
+	}
+	publish(lo, lo+uint64(n)-1)
+	return lo, nil
+}
 
 // DialPartitioned connects to every partition server (addrs indexed as the
 // router numbers partitions) and returns the coordinator-fronted client.
@@ -65,7 +85,7 @@ func DialPartitioned(engine oracle.Engine, router partition.Router, addrs ...str
 		Engine:   engine,
 		Router:   router,
 		Backends: backends,
-		Clock:    remoteClock{clients[0]},
+		Clock:    &remoteClock{c: clients[0]},
 	})
 	if err != nil {
 		for _, c := range clients {

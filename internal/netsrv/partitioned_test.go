@@ -140,18 +140,14 @@ func TestPartitionedMisroutingGuard(t *testing.T) {
 		t.Fatalf("begin: %v", err)
 	}
 	// Row 1 belongs to partition 1; partition 0 must reject it.
-	_, err = c.CommitAtBatch([]oracle.PrepareRequest{{StartTS: ts, CommitTS: ts + 1, WriteSet: []oracle.RowID{1}}})
-	if mr := partition.AsMisroute(err); mr == nil || mr.Epoch != 1 {
-		t.Fatalf("misrouted one-shot: err %v, want a redirect at epoch 1", err)
-	}
-	_, err = c.PrepareBatch([]oracle.PrepareRequest{{StartTS: ts, CommitTS: ts + 1, WriteSet: []oracle.RowID{1}}})
+	_, err = c.PrepareBatch([]oracle.PrepareRequest{{StartTS: ts, WriteSet: []oracle.RowID{1}}})
 	if mr := partition.AsMisroute(err); mr == nil || mr.Epoch != 1 {
 		t.Fatalf("misrouted prepare: err %v, want a redirect at epoch 1", err)
 	}
 	// Correctly routed rows pass.
-	res, err := c.CommitAtBatch([]oracle.PrepareRequest{{StartTS: ts, CommitTS: ts + 1, WriteSet: []oracle.RowID{2}}})
-	if err != nil || !res[0].Committed {
-		t.Fatalf("routed one-shot res=%+v err=%v", res, err)
+	votes, err := c.PrepareBatch([]oracle.PrepareRequest{{StartTS: ts, WriteSet: []oracle.RowID{2}}})
+	if err != nil || !votes[0] {
+		t.Fatalf("routed prepare votes=%v err=%v", votes, err)
 	}
 }
 

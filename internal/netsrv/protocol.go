@@ -21,7 +21,8 @@ import (
 )
 
 // Operation codes. 6 (a retired commit-notification stream), 7 (a retired
-// positional stats payload) and 11 (a retired manual promote) are never
+// positional stats payload), 11 (a retired manual promote) and 14 (a
+// retired one-shot commit at coordinator-supplied timestamps) are never
 // reused: a server answers them, like any unknown op, with codeErr.
 const (
 	opBegin       = 1
@@ -36,13 +37,11 @@ const (
 	// oracle.
 	opHealth = 10
 	// The partitioned-oracle ops (internal/partition): phase one and two
-	// of the cross-partition commit protocol, the one-shot fast path at
-	// coordinator-supplied timestamps, and block allocation of timestamps
+	// of the commit protocol, and block allocation of commit timestamps
 	// from the shared clock.
-	opPrepareBatch  = 12
-	opDecideBatch   = 13
-	opCommitAtBatch = 14
-	opBeginBlock    = 15
+	opPrepareBatch = 12
+	opDecideBatch  = 13
+	opBeginBlock   = 15
 	// The elastic-repartitioning ops: fetch/install the epoch-fenced
 	// routing table, and the three range-migration primitives the
 	// coordinator drives during a live move.
@@ -523,8 +522,8 @@ func parseEnvelope(b []byte) (env envelope, innerOp byte, innerPayload []byte, e
 }
 
 // encodePrepareReq renders one prepare slice: startTS, commitTS, write
-// rows, read rows. Prepare-batch and commit-at-batch payloads are a
-// count-prefixed concatenation of these.
+// rows, read rows. A prepare-batch payload is a count-prefixed
+// concatenation of these.
 func encodePrepareReq(b []byte, req oracle.PrepareRequest) []byte {
 	var hdr [16]byte
 	binary.BigEndian.PutUint64(hdr[:8], req.StartTS)
@@ -556,10 +555,9 @@ func parsePrepareReqInto(req *oracle.PrepareRequest, b []byte) ([]byte, error) {
 	return rest, nil
 }
 
-// decodePrepareBatchReqInto decodes a prepare/commit-at batch reusing the
-// scratch request slice and row-set arrays. A caller that keeps the decoded
-// row sets past the call passes nil scratch.
-func decodePrepareBatchReqInto(scratch []oracle.PrepareRequest, b []byte) ([]oracle.PrepareRequest, error) {
+// decodePrepareBatchReq decodes a prepare batch into freshly allocated
+// requests and row sets: the oracle keeps them until the decide arrives.
+func decodePrepareBatchReq(b []byte) ([]oracle.PrepareRequest, error) {
 	if len(b) < 4 {
 		return nil, ErrBadFrame
 	}
@@ -568,12 +566,7 @@ func decodePrepareBatchReqInto(scratch []oracle.PrepareRequest, b []byte) ([]ora
 	if uint64(count)*24 > uint64(len(rest)) {
 		return nil, ErrBadFrame
 	}
-	reqs := scratch
-	if uint64(cap(reqs)) < uint64(count) {
-		reqs = make([]oracle.PrepareRequest, count)
-		copy(reqs, scratch[:cap(scratch)])
-	}
-	reqs = reqs[:count:cap(reqs)]
+	reqs := make([]oracle.PrepareRequest, count)
 	var err error
 	for i := range reqs {
 		rest, err = parsePrepareReqInto(&reqs[i], rest)
@@ -587,8 +580,8 @@ func decodePrepareBatchReqInto(scratch []oracle.PrepareRequest, b []byte) ([]ora
 	return reqs, nil
 }
 
-// appendPrepareBatchReq renders a batch of prepare slices (also the
-// commit-at-batch payload): count(u32) + concatenated encodings.
+// appendPrepareBatchReq renders a batch of prepare slices: count(u32) +
+// concatenated encodings.
 func appendPrepareBatchReq(b []byte, reqs []oracle.PrepareRequest) []byte {
 	var n [4]byte
 	binary.BigEndian.PutUint32(n[:], uint32(len(reqs)))

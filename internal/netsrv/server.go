@@ -57,7 +57,7 @@ type Server struct {
 
 	// PartitionID / Partitions identify this server's slice of a
 	// partitioned deployment. With a routing table installed (SetRouting),
-	// prepare and one-shot requests carrying rows the table did not assign
+	// prepare requests carrying rows the table did not assign
 	// here answer codeRedirect with the table's epoch and spec, before they
 	// can touch the partition's slice of the conflict state, so the client
 	// self-heals; without one the server owns every row. Set both before
@@ -153,16 +153,15 @@ type Server struct {
 // has been handed to the connection writer, so a steady request rate is
 // served with zero per-request allocation.
 type handlerCtx struct {
-	body    []byte                  // raw frame (request body)
-	resp    []byte                  // response build buffer
-	reqs    []oracle.CommitRequest  // commit-batch decode scratch
-	single  oracle.CommitRequest    // single-commit decode scratch
-	tss     []uint64                // query-batch decode scratch
-	results []oracle.CommitResult   // CommitBatchInto result scratch
-	sts     []oracle.TxnStatus      // QueryBatchInto result scratch
-	preps   []oracle.PrepareRequest // commit-at-batch decode scratch (one-shot path only)
-	span    metrics.Span            // request lifecycle trace, embedded so tracing allocates nothing
-	op      byte                    // unwrapped op code, for per-class stage histograms
+	body    []byte                 // raw frame (request body)
+	resp    []byte                 // response build buffer
+	reqs    []oracle.CommitRequest // commit-batch decode scratch
+	single  oracle.CommitRequest   // single-commit decode scratch
+	tss     []uint64               // query-batch decode scratch
+	results []oracle.CommitResult  // CommitBatchInto result scratch
+	sts     []oracle.TxnStatus     // QueryBatchInto result scratch
+	span    metrics.Span           // request lifecycle trace, embedded so tracing allocates nothing
+	op      byte                   // unwrapped op code, for per-class stage histograms
 }
 
 // getCtx checks a handler context out of the pool.
@@ -391,7 +390,7 @@ func isDataOp(op byte) bool {
 	switch op {
 	case opBegin, opCommit, opAbort, opQuery, opForget,
 		opCommitBatch, opQueryBatch,
-		opPrepareBatch, opDecideBatch, opCommitAtBatch, opBeginBlock:
+		opPrepareBatch, opDecideBatch, opBeginBlock:
 		return true
 	}
 	return false
@@ -703,9 +702,7 @@ func (s *Server) handle(ctx *handlerCtx, reqID uint64, op byte, payload []byte, 
 		ctx.sts = sts
 		return appendQueryBatchResp(ok, sts)
 	case opPrepareBatch:
-		// Nil scratch: every request and row set is freshly allocated, so the
-		// oracle may keep them until the decide arrives.
-		reqs, err := decodePrepareBatchReqInto(nil, payload)
+		reqs, err := decodePrepareBatchReq(payload)
 		if err != nil {
 			return respError(reqID, err)
 		}
@@ -726,22 +723,6 @@ func (s *Server) handle(ctx *handlerCtx, reqID uint64, op byte, payload []byte, 
 			return respError(reqID, err)
 		}
 		return ok
-	case opCommitAtBatch:
-		// The one-shot fast path retains nothing, so — unlike
-		// opPrepareBatch — it decodes through the pooled scratch.
-		reqs, err := decodePrepareBatchReqInto(ctx.preps, payload)
-		if err != nil {
-			return respError(reqID, err)
-		}
-		ctx.preps = reqs
-		if mr := s.checkOwnership(reqs); mr != nil {
-			return respRedirect(reqID, mr)
-		}
-		results, err := so.CommitAtBatch(reqs)
-		if err != nil {
-			return respError(reqID, err)
-		}
-		return appendCommitBatchResp(ok, results)
 	case opBeginBlock:
 		n, err := parseU64(payload)
 		if err != nil {
@@ -874,10 +855,10 @@ func (s *Server) Routing() partition.RoutingTable {
 	return s.routing
 }
 
-// checkOwnership rejects prepare/one-shot slices carrying rows this
-// partition does not own under its routing table — atomically, before the
-// oracle touches any state, which is what makes a whole-group retry after a
-// redirect safe. Without a table the server owns every row.
+// checkOwnership rejects prepare slices carrying rows this partition does
+// not own under its routing table — atomically, before the oracle touches
+// any state, which is what lets the coordinator retry a transaction whose
+// every slice was rejected. Without a table the server owns every row.
 func (s *Server) checkOwnership(reqs []oracle.PrepareRequest) *partition.MisrouteError {
 	rt := s.Routing()
 	if rt.Router == nil {

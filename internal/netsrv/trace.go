@@ -31,7 +31,7 @@ var stageHistNames = [numStageHists]string{
 // Op classes partition the wire ops into the families whose latency stories
 // differ, labeling the stage histograms without exploding one series per op.
 const (
-	classCommit = iota // opCommit, opCommitBatch, opCommitAtBatch
+	classCommit = iota // opCommit, opCommitBatch
 	classQuery         // opQuery, opQueryBatch
 	classOther         // everything else (begin, abort, control plane, …)
 	numOpClasses
@@ -41,7 +41,7 @@ var opClassNames = [numOpClasses]string{"commit", "query", "other"}
 
 func opClass(op byte) int {
 	switch op {
-	case opCommit, opCommitBatch, opCommitAtBatch:
+	case opCommit, opCommitBatch:
 		return classCommit
 	case opQuery, opQueryBatch:
 		return classQuery
@@ -70,8 +70,6 @@ func opName(op byte) string {
 		return "prepare-batch"
 	case opDecideBatch:
 		return "decide-batch"
-	case opCommitAtBatch:
-		return "commit-at-batch"
 	case opBeginBlock:
 		return "begin-block"
 	default:

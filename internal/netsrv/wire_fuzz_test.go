@@ -37,7 +37,7 @@ var (
 		encode: func(b []byte, v any) []byte { return appendU64(b, v.(uint64)) },
 	}
 	prepareBatchCodec = wireCodec{
-		decode: func(p []byte) (any, error) { return decodePrepareBatchReqInto(nil, p) },
+		decode: func(p []byte) (any, error) { return decodePrepareBatchReq(p) },
 		encode: func(b []byte, v any) []byte { return appendPrepareBatchReq(b, v.([]oracle.PrepareRequest)) },
 	}
 	rangeCodec = wireCodec{
@@ -66,8 +66,7 @@ var wireCodecs = map[byte]wireCodec{
 		decode: func(p []byte) (any, error) { return decodeQueryBatchReqInto(nil, p) },
 		encode: func(b []byte, v any) []byte { return appendQueryBatchReq(b, v.([]uint64)) },
 	},
-	opPrepareBatch:  prepareBatchCodec,
-	opCommitAtBatch: prepareBatchCodec,
+	opPrepareBatch: prepareBatchCodec,
 	opDecideBatch: {
 		decode: func(p []byte) (any, error) { return decodeDecideBatchReq(p) },
 		encode: func(b []byte, v any) []byte { return appendDecideBatchReq(b, v.([]oracle.Decision)) },
@@ -144,7 +143,6 @@ func FuzzWireRequest(f *testing.F) {
 		{opQueryBatch, appendQueryBatchReq(nil, []uint64{1, 2})},
 		{opPrepareBatch, appendPrepareBatchReq(nil, []oracle.PrepareRequest{prep})},
 		{opDecideBatch, appendDecideBatchReq(nil, []oracle.Decision{{StartTS: 4, CommitTS: 5, Commit: true}})},
-		{opCommitAtBatch, appendPrepareBatchReq(nil, []oracle.PrepareRequest{prep, prep})},
 		{opBeginBlock, u64(16)},
 		{opSetRouting, appendRoutingPayload(nil, 2, "hash")},
 		{opExportRange, appendRangeReq(nil, 0, 100)},

@@ -98,7 +98,7 @@ func (s *StatusOracle) unlockShards(locks []int) {
 // an infrastructure failure (timestamp oracle or WAL) for the whole batch,
 // not a conflict.
 func (s *StatusOracle) CommitBatch(reqs []CommitRequest) ([]CommitResult, error) {
-	return s.commitBatch(reqs, nil, nil)
+	return s.commitBatch(reqs, nil)
 }
 
 // CommitBatchInto is CommitBatch writing its decisions into the caller's
@@ -106,40 +106,13 @@ func (s *StatusOracle) CommitBatch(reqs []CommitRequest) ([]CommitResult, error)
 // that recycles the buffer — the network server's pooled handler contexts —
 // pays no allocation for the decision vector. results[i] answers reqs[i].
 func (s *StatusOracle) CommitBatchInto(reqs []CommitRequest, scratch []CommitResult) ([]CommitResult, error) {
-	return s.commitBatch(reqs, nil, scratch)
-}
-
-// CommitAtBatch is the single-partition fast path of the partitioned
-// commit protocol: the whole transaction lives on this partition, so the
-// conflict check and the publication happen in one shot — no prepared
-// state, no second phase — at the coordinator-supplied commit timestamps.
-// It runs CommitBatch's kernel, so decisions are identical to an
-// equivalent serial sequence and one WAL group append persists the whole
-// batch before it is acknowledged.
-func (s *StatusOracle) CommitAtBatch(reqs []PrepareRequest) ([]CommitResult, error) {
-	creqs := make([]CommitRequest, len(reqs))
-	at := make([]uint64, len(reqs))
-	for i := range reqs {
-		creqs[i] = CommitRequest{StartTS: reqs[i].StartTS, WriteSet: reqs[i].WriteSet, ReadSet: reqs[i].ReadSet}
-		at[i] = reqs[i].CommitTS
-	}
-	return s.commitBatch(creqs, at, nil)
-}
-
-// commitTSOf is the commit timestamp of reqs[i], the k-th commit of a
-// batch: the supplied at[i], or lo+k in the batch's NextBlock allocation.
-func commitTSOf(at []uint64, lo uint64, i, k int) uint64 {
-	if at != nil {
-		return at[i]
-	}
-	return lo + uint64(k)
+	return s.commitBatch(reqs, scratch)
 }
 
 // commitBatch is the one decision kernel (Algorithm 3's check-then-publish)
-// behind CommitBatch, CommitBatchInto and CommitAtBatch. With at == nil the
-// commit timestamps come from one tso.NextBlock after the checks; otherwise
-// reqs[i] commits at at[i], published as soon as it passes its check.
-func (s *StatusOracle) commitBatch(reqs []CommitRequest, at []uint64, scratch []CommitResult) ([]CommitResult, error) {
+// behind CommitBatch and CommitBatchInto: the commit timestamps come from
+// one tso.NextBlock after the checks.
+func (s *StatusOracle) commitBatch(reqs []CommitRequest, scratch []CommitResult) ([]CommitResult, error) {
 	if err, ok := s.failed.Load().(error); ok {
 		return nil, err
 	}
@@ -218,26 +191,16 @@ func (s *StatusOracle) commitBatch(reqs []CommitRequest, at []uint64, scratch []
 			aborts = append(aborts, batchAbort{idx: i, tmax: tmaxAbort})
 			continue
 		}
-		if at != nil {
-			// A supplied timestamp is published at once. updateMax keeps
-			// an out-of-order decide from ever lowering a retained
-			// timestamp.
-			for _, r := range req.WriteSet {
-				s.shards[s.shardOf(r)].updateMax(r, at[i])
-			}
-			s.table.addCommit(req.StartTS, at[i])
-		} else {
-			// A placeholder stands in until pass 2 allocates the block.
-			ph := batchPlaceholderBase + uint64(len(committed))
-			for _, r := range req.WriteSet {
-				s.shards[s.shardOf(r)].update(r, ph)
-			}
+		// A placeholder stands in until pass 2 allocates the block.
+		ph := batchPlaceholderBase + uint64(len(committed))
+		for _, r := range req.WriteSet {
+			s.shards[s.shardOf(r)].update(r, ph)
 		}
 		committed = append(committed, i)
 	}
 
 	var lo uint64
-	if at == nil && len(committed) > 0 {
+	if len(committed) > 0 {
 		var err error
 		if lo, err = s.publishBlock(reqs, committed, locks); err != nil {
 			s.unlockShards(locks)
@@ -274,7 +237,7 @@ func (s *StatusOracle) commitBatch(reqs []CommitRequest, at []uint64, scratch []
 	// moment it acknowledges.
 	if s.cfg.WAL != nil {
 		rec := walRecPool.Get().(*[]byte)
-		*rec = appendCommitBatchRecord((*rec)[:0], reqs, committed, at, lo)
+		*rec = appendCommitBatchRecord((*rec)[:0], reqs, committed, lo)
 		var entriesBuf [8][]byte
 		entries := append(entriesBuf[:0], *rec)
 		for _, a := range aborts {
@@ -290,16 +253,15 @@ func (s *StatusOracle) commitBatch(reqs []CommitRequest, at []uint64, scratch []
 		stampSpans(reqs, metrics.StageWAL)
 	}
 	for k, i := range committed {
-		results[i] = CommitResult{Committed: true, CommitTS: commitTSOf(at, lo, i, k)}
+		results[i] = CommitResult{Committed: true, CommitTS: lo + uint64(k)}
 	}
 	s.stats.applyBatch(readOnly, int64(len(committed)), int64(len(aborts)), tmaxAborts, int64(len(writeIdx)))
 	stampSpans(reqs, metrics.StageApply)
 	return results, nil
 }
 
-// publishBlock is pass 2 of a batch without supplied timestamps: one
-// contiguous timestamp block for the whole batch, returned as its lowest
-// timestamp. The commit-table entries are published inside the timestamp
+// publishBlock is pass 2 of a batch: one contiguous timestamp block for the
+// whole batch, returned as its lowest timestamp. The commit-table entries are published inside the timestamp
 // oracle's critical section, so no transaction can obtain a start timestamp
 // above any of the batch's commit timestamps before the corresponding entry
 // is queryable. Caller holds the batch's lock set.
@@ -355,16 +317,16 @@ var walRecPool = sync.Pool{New: func() interface{} { b := make([]byte, 0, 1024);
 
 // appendCommitBatchRecord renders the committed subset of a batch as one
 // recCommitBatch WAL record, so an entire batch costs a single group-commit
-// append; reqs[committed[k]] commits at commitTSOf(at, lo, committed[k], k).
+// append; reqs[committed[k]] commits at lo+k.
 // Layout:
 //
 //	[1] kind | [4] count | count × ( [8] startTS | [8] commitTS | [4] n | n×[8] row ids )
-func appendCommitBatchRecord(b []byte, reqs []CommitRequest, committed []int, at []uint64, lo uint64) []byte {
+func appendCommitBatchRecord(b []byte, reqs []CommitRequest, committed []int, lo uint64) []byte {
 	b = append(b, recCommitBatch)
 	b = appendU32(b, uint32(len(committed)))
 	for k, i := range committed {
 		b = appendU64(b, reqs[i].StartTS)
-		b = appendU64(b, commitTSOf(at, lo, i, k))
+		b = appendU64(b, lo+uint64(k))
 		b = appendRowSet(b, reqs[i].WriteSet)
 	}
 	return b

@@ -45,9 +45,8 @@ func burnStarts(t *testing.T, clock *tso.Oracle, n int) {
 // commit/abort decisions, same commit timestamps, intra-batch conflicts
 // honored, for both engines, with and without bounded lastCommit memory
 // (eviction + Tmax), and across varying batch sizes. Besides CommitBatch it
-// drives the coordinator's entry points at the serial run's commit
-// timestamps: CommitAtBatch over the same batch cuts, and one
-// PrepareBatch + DecideBatch per write request.
+// drives the coordinator's two-phase entry points at the serial run's commit
+// timestamps: one PrepareBatch + DecideBatch per write request.
 func TestCommitBatchMatchesSerial(t *testing.T) {
 	for _, engine := range []Engine{SI, WSI} {
 		for _, maxRows := range []int{0, 8} {
@@ -113,9 +112,8 @@ func TestCommitBatchMatchesSerial(t *testing.T) {
 						}
 					}
 
-					batched, at := fresh(), fresh()
+					batched := fresh()
 					got := make([]CommitResult, 0, n)
-					gotAt := make([]CommitResult, 0, n)
 					for lo := 0; lo < n; {
 						hi := lo + 1 + rng.Intn(64)
 						if hi > n {
@@ -126,18 +124,9 @@ func TestCommitBatchMatchesSerial(t *testing.T) {
 							t.Fatal(err)
 						}
 						got = append(got, res...)
-						sub := make([]PrepareRequest, 0, hi-lo)
-						for i := lo; i < hi; i++ {
-							sub = append(sub, prepareAt(i))
-						}
-						if res, err = at.CommitAtBatch(sub); err != nil {
-							t.Fatal(err)
-						}
-						gotAt = append(gotAt, res...)
 						lo = hi
 					}
 					check("CommitBatch", batched, got)
-					check("CommitAtBatch", at, gotAt)
 
 					twoPhase := fresh()
 					gotTwoPhase := make([]CommitResult, n)
@@ -385,8 +374,7 @@ func TestCommitBatchWALRecovery(t *testing.T) {
 }
 
 // TestCommitBatchRecordRoundTrip exercises the batch record codec directly,
-// with timestamps from a block and supplied ones, including rejection of
-// corrupt input.
+// including rejection of corrupt input.
 func TestCommitBatchRecordRoundTrip(t *testing.T) {
 	reqs := []CommitRequest{
 		{StartTS: 3, WriteSet: []RowID{1, 2, 3}},
@@ -395,34 +383,25 @@ func TestCommitBatchRecordRoundTrip(t *testing.T) {
 		{StartTS: 7, WriteSet: []RowID{9}},
 	}
 	committed := []int{0, 2, 3}
-	for _, tc := range []struct {
-		name string
-		at   []uint64
-		want []uint64
-	}{
-		{"block", nil, []uint64{10, 11, 12}},
-		{"supplied", []uint64{20, 0, 24, 22}, []uint64{20, 24, 22}},
-	} {
-		enc := appendCommitBatchRecord(nil, reqs, committed, tc.at, 10)
-		dec, err := decodeCommitBatchRecord(enc)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+	enc := appendCommitBatchRecord(nil, reqs, committed, 10)
+	dec, err := decodeCommitBatchRecord(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(dec) != len(committed) {
+		t.Fatalf("decoded %d commits, want %d", len(dec), len(committed))
+	}
+	for k, i := range committed {
+		if want := uint64(10 + k); dec[k].StartTS != reqs[i].StartTS || dec[k].CommitTS != want ||
+			len(dec[k].WriteSet) != len(reqs[i].WriteSet) {
+			t.Fatalf("entry %d: %+v, want start %d commit %d rows %v", k, dec[k], reqs[i].StartTS, want, reqs[i].WriteSet)
 		}
-		if len(dec) != len(committed) {
-			t.Fatalf("%s: decoded %d commits, want %d", tc.name, len(dec), len(committed))
-		}
-		for k, i := range committed {
-			if dec[k].StartTS != reqs[i].StartTS || dec[k].CommitTS != tc.want[k] ||
-				len(dec[k].WriteSet) != len(reqs[i].WriteSet) {
-				t.Fatalf("%s: entry %d: %+v, want start %d commit %d rows %v", tc.name, k, dec[k], reqs[i].StartTS, tc.want[k], reqs[i].WriteSet)
-			}
-		}
-		if _, err := decodeCommitBatchRecord(enc[:len(enc)-1]); err == nil {
-			t.Fatalf("%s: truncated record decoded without error", tc.name)
-		}
-		if _, err := decodeCommitBatchRecord(append(enc, 0)); err == nil {
-			t.Fatalf("%s: padded record decoded without error", tc.name)
-		}
+	}
+	if _, err := decodeCommitBatchRecord(enc[:len(enc)-1]); err == nil {
+		t.Fatal("truncated record decoded without error")
+	}
+	if _, err := decodeCommitBatchRecord(append(enc, 0)); err == nil {
+		t.Fatal("padded record decoded without error")
 	}
 	if _, err := decodeCommitBatchRecord([]byte{recAbort, 0}); err == nil {
 		t.Fatal("foreign record decoded without error")

@@ -36,15 +36,7 @@ type checkpointState struct {
 	// bounded replay would lose their prepared row locks and in-doubt
 	// status, and a decide arriving after recovery could no longer fold
 	// their write sets into lastCommit.
-	Prepared []preparedSnap
-}
-
-// preparedSnap is one in-flight prepared transaction inside a checkpoint.
-type preparedSnap struct {
-	StartTS  uint64
-	CommitTS uint64
-	WriteSet []RowID
-	ReadSet  []RowID
+	Prepared []PrepareRequest
 }
 
 type commitPair struct {
@@ -246,9 +238,9 @@ func decodeCheckpointRecord(b []byte) (*checkpointState, error) {
 		return cp, nil
 	}
 	n = r.u32()
-	cp.Prepared = make([]preparedSnap, 0, r.reserve(n, 24))
+	cp.Prepared = make([]PrepareRequest, 0, r.reserve(n, 24))
 	for i := uint32(0); i < n && r.err == nil; i++ {
-		var p preparedSnap
+		var p PrepareRequest
 		p.StartTS = r.u64()
 		p.CommitTS = r.u64()
 		p.WriteSet = r.rows(r.u32())
@@ -300,18 +292,7 @@ func (s *StatusOracle) captureCheckpoint(tsoBound uint64) *checkpointState {
 		sh.mu.Unlock()
 		sort.Slice(st.Rows, func(a, b int) bool { return st.Rows[a].row < st.Rows[b].row })
 	}
-	s.prepMu.Lock()
-	cp.Prepared = make([]preparedSnap, 0, len(s.prepared))
-	for start, pt := range s.prepared {
-		cp.Prepared = append(cp.Prepared, preparedSnap{
-			StartTS:  start,
-			CommitTS: pt.commitTS,
-			WriteSet: pt.writeSet,
-			ReadSet:  pt.readSet,
-		})
-	}
-	s.prepMu.Unlock()
-	sort.Slice(cp.Prepared, func(a, b int) bool { return cp.Prepared[a].StartTS < cp.Prepared[b].StartTS })
+	cp.Prepared = s.InDoubt()
 	return cp
 }
 
@@ -363,13 +344,7 @@ func (s *StatusOracle) applyCheckpoint(cp *checkpointState) error {
 	s.prepared = make(map[uint64]*preparedTxn, len(cp.Prepared))
 	s.prepMu.Unlock()
 	for i := range cp.Prepared {
-		p := &cp.Prepared[i]
-		s.applyPrepareEntry(&PrepareRequest{
-			StartTS:  p.StartTS,
-			CommitTS: p.CommitTS,
-			WriteSet: p.WriteSet,
-			ReadSet:  p.ReadSet,
-		})
+		s.applyPrepareEntry(&cp.Prepared[i])
 	}
 	return nil
 }

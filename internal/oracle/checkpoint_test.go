@@ -322,7 +322,7 @@ func TestCheckpointDecodeLegacyRecord(t *testing.T) {
 		t.Fatalf("legacy checkpoint decoded wrong: %+v", got)
 	}
 	// The current format still round-trips, prepared section included.
-	cp.Prepared = []preparedSnap{{StartTS: 11, CommitTS: 12, WriteSet: []RowID{9}}}
+	cp.Prepared = []PrepareRequest{{StartTS: 11, CommitTS: 12, WriteSet: []RowID{9}}}
 	got2, err := decodeCheckpointRecord(encodeCheckpointRecord(cp))
 	if err != nil {
 		t.Fatalf("round trip: %v", err)

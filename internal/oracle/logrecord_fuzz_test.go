@@ -146,7 +146,7 @@ func FuzzLogRecord(f *testing.F) {
 	prefix := logPrefix(f, cfg)
 	f.Add(hugeCommitBatchRecord)
 	f.Add(hugeCheckpointRecord)
-	f.Add(appendCommitBatchRecord(nil, []CommitRequest{{StartTS: 900, WriteSet: []RowID{1, 9}}}, []int{0}, nil, 901))
+	f.Add(appendCommitBatchRecord(nil, []CommitRequest{{StartTS: 900, WriteSet: []RowID{1, 9}}}, []int{0}, 901))
 	f.Add(appendRowSet(appendU64(appendU64([]byte{recRetiredCommit}, 910), 911), []RowID{2}))
 	f.Add(encodeAbortRecord(920))
 	f.Add(encodePrepareRecord(&PrepareRequest{StartTS: 930, CommitTS: 931, WriteSet: []RowID{3}, ReadSet: []RowID{4}}))

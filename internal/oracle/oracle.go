@@ -520,11 +520,10 @@ func (sh *shard) update(r RowID, ts uint64) {
 	}
 }
 
-// updateMax is update for pre-allocated commit timestamps, which may apply
-// out of commit order (a cross-partition decide can land after a later
-// one-shot commit of the same row): it never lowers a row's retained
-// timestamp, so the conflict check's view of the latest committed writer
-// stays monotone. Caller holds sh.mu.
+// updateMax is update for commits that may apply out of commit order (a
+// two-phase decide can land after a later-timestamped commit of the same
+// row): it never lowers a row's retained timestamp, so the conflict check's
+// view of the latest committed writer stays monotone. Caller holds sh.mu.
 func (sh *shard) updateMax(r RowID, ts uint64) {
 	if cur, ok := sh.getRow(r); ok {
 		// Equality reapplies: a write set may list a row twice, and the
@@ -533,11 +532,14 @@ func (sh *shard) updateMax(r RowID, ts uint64) {
 		if cur > ts {
 			return
 		}
-	} else if ts <= sh.tmax {
+	} else if ts < sh.tmax {
 		// The row is absent because eviction already raised tmax past ts;
 		// reinstating it at a lower timestamp would weaken the Tmax
 		// pessimism and could hide the row's true (evicted, higher)
-		// last-commit timestamp from the conflict check.
+		// last-commit timestamp from the conflict check. At ts == tmax
+		// the row's last commit cannot be above ts, so reinstating it is
+		// exact — as the live path does when one write set lists a row
+		// twice and the first occurrence was evicted in between.
 		return
 	}
 	sh.update(r, ts)

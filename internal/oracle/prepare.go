@@ -47,9 +47,10 @@ const (
 )
 
 // PrepareRequest is one transaction's slice of a two-phase commit as seen
-// by a single partition: the coordinator pre-allocates the commit timestamp
-// from the shared timestamp oracle and pre-filters the row sets down to the
-// rows this partition owns.
+// by a single partition: the coordinator pre-filters the row sets down to
+// the rows this partition owns. The coordinator draws commit timestamps
+// after the votes, so it sends CommitTS as zero; the field stays in the
+// prepare record and the wire payload, whose layouts predate that.
 type PrepareRequest struct {
 	StartTS  uint64
 	CommitTS uint64
@@ -336,7 +337,8 @@ func (s *StatusOracle) DecideBatch(decisions []Decision) error {
 
 // InDoubt returns the prepares currently parked with no decide — after
 // recovery, the transactions whose fate only the coordinator's decision
-// log knows. Sorted by start timestamp for determinism.
+// log knows; a checkpoint carries the same vector. Sorted by start
+// timestamp for determinism.
 func (s *StatusOracle) InDoubt() []PrepareRequest {
 	s.prepMu.Lock()
 	out := make([]PrepareRequest, 0, len(s.prepared))

@@ -120,7 +120,7 @@ func (s *StatusOracle) ExportRange(lo, hi uint64) (*RangeState, error) {
 // lastCommit via updateMax (never lowering a retained timestamp this
 // partition already holds), then every shard's Tmax is raised to the
 // donor's bound. Order matters — rows first, Tmax second — because
-// updateMax refuses to reinstate an absent row at or below Tmax; raising
+// updateMax refuses to reinstate an absent row below Tmax; raising
 // Tmax first would silently drop the migrated rows. The step is durably
 // logged as one recRangeApply record, so the target's recovery (and its
 // hot standby, which tails the same WAL) rebuilds the adopted state.

@@ -288,10 +288,10 @@ func (s *StatusOracle) Promote(clock *tso.Oracle, w *wal.Writer) {
 }
 
 // replayCommit reapplies one recovered commit to lastCommit and the commit
-// table. updateMax, not update: with pre-allocated commit timestamps a
-// decide may have been appended after a later-timestamped one-shot commit
-// of the same row, so log order is not commit-timestamp order and a replay
-// must never lower a row's retained timestamp.
+// table. updateMax, not update: a two-phase decide may have been appended
+// after a later-timestamped commit of the same row, so log order is not
+// commit-timestamp order and a replay must never lower a row's retained
+// timestamp.
 func (s *StatusOracle) replayCommit(startTS, commitTS uint64, writeSet []RowID) {
 	for _, r := range writeSet {
 		sh := s.shards[s.shardOf(r)]

@@ -186,7 +186,7 @@ func TestRecoverPreservesTmax(t *testing.T) {
 // TestCommitRecordRoundTrip checks the abort record's codec, and that the
 // abort decoder rejects a commit record.
 func TestCommitRecordRoundTrip(t *testing.T) {
-	commit := appendCommitBatchRecord(nil, []CommitRequest{{StartTS: 1}}, []int{0}, nil, 2)
+	commit := appendCommitBatchRecord(nil, []CommitRequest{{StartTS: 1}}, []int{0}, 2)
 	if _, err := decodeAbortRecord(commit); err == nil {
 		t.Fatal("abort decoder must reject commit records")
 	}
@@ -253,5 +253,32 @@ func TestCommitTableBounded(t *testing.T) {
 	// Recent entries are still exact.
 	if st := so.Query(starts[len(starts)-1]); st.Status != StatusCommitted {
 		t.Fatalf("recent commit reports %v, want committed", st.Status)
+	}
+}
+
+// TestRecoverRepeatedWriteRowMatchesLive: a write set that lists a row
+// twice, with the row evicted between its two occurrences (MaxRows), leaves
+// the row at the commit's timestamp, which equals Tmax. Replay must
+// reinstate it exactly as the live path did.
+func TestRecoverRepeatedWriteRowMatchesLive(t *testing.T) {
+	so, ledger, w := durableOracle(t, WSI, 2)
+	ts := mustBegin(t, so)
+	if res := mustCommit(t, so, CommitRequest{StartTS: ts, WriteSet: []RowID{1, 2, 3, 1}}); !res.Committed {
+		t.Fatal("commit aborted")
+	}
+	w.Flush()
+	rec, err := Recover(Config{Engine: WSI, MaxRows: 2, TSO: tso.New(0, nil)}, ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt, lt := rec.Tmax(), so.Tmax(); rt != lt {
+		t.Fatalf("recovered Tmax %d, live %d", rt, lt)
+	}
+	for r := RowID(1); r <= 3; r++ {
+		rtc, rok := rec.LastCommitOf(r)
+		ltc, lok := so.LastCommitOf(r)
+		if rtc != ltc || rok != lok {
+			t.Fatalf("lastCommit[%d]: recovered (%d,%v), live (%d,%v)", r, rtc, rok, ltc, lok)
+		}
 	}
 }

@@ -43,7 +43,7 @@ import (
 // prepare→decide latency in nanoseconds (the window a transaction's rows
 // stay parked in the prepared set), and CrossPartitionRatio the fraction
 // of this partition's write transactions that arrived through the
-// two-phase path rather than a one-shot commit batch.
+// two-phase path rather than a commit batch.
 type Stats struct {
 	Begins              int64
 	Commits             int64
@@ -74,7 +74,7 @@ type Stats struct {
 	Rehashes        int64
 	// SliceLoads is the per-key-range write-load histogram (LoadBuckets
 	// cumulative counters over Config.LoadSpan): every submitted write row
-	// of the commit, one-shot and prepare paths increments its range's
+	// of the commit and prepare paths increments its range's
 	// bucket. The elastic rebalancer differences successive snapshots to
 	// find hot ranges; over the wire it travels as the
 	// oracle_slice_writes_total{slice="i"} series (SliceLoadsFrom).

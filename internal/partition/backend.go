@@ -15,12 +15,9 @@ type Backend interface {
 	// DecideBatch applies the coordinator's verdicts to prepared
 	// transactions.
 	DecideBatch([]oracle.Decision) error
-	// CommitAtBatch one-shot commits single-partition transactions at
-	// coordinator-supplied commit timestamps.
-	CommitAtBatch([]oracle.PrepareRequest) ([]oracle.CommitResult, error)
-	// CommitBatch is the partition's own batched commit path, usable as
-	// the single-partition fast path when the partition shares the
-	// coordinator's timestamp oracle in-process.
+	// CommitBatch is the partition's own batched commit path, the
+	// single-partition fast path when the partition shares the
+	// coordinator's timestamp oracle in-process (Config.SharedTSO).
 	CommitBatch([]oracle.CommitRequest) ([]oracle.CommitResult, error)
 	// QueryBatch resolves transaction statuses against this partition's
 	// commit table.
@@ -77,19 +74,14 @@ func (l Local) SliceLoads() ([]int64, error) { return l.StatusOracle.Stats().Sli
 // Clock is the shared timestamp authority: the coordinator draws start
 // timestamps and commit-timestamp blocks from it. In-process it is the
 // cluster's *tso.Oracle (via TSOClock); over the wire it is the timestamp
-// partition's netsrv client.
+// partition's netsrv client behind a mutex.
+//
+// NextBlockWith runs publish inside the clock's critical section, before
+// any later timestamp can be issued: the coordinator publishes a round's
+// verdicts there, so every snapshot above a commit timestamp can already
+// resolve the commit. That is what lets Begin be a bare Next.
 type Clock interface {
 	Next() (uint64, error)
-	NextBlock(n int) (uint64, error)
-}
-
-// HookedClock is the optional Clock extension of an in-process timestamp
-// oracle: NextBlockWith runs publish inside the oracle's critical section,
-// before any later timestamp can be issued. The shared-TSO coordinator
-// uses it to publish two-phase verdicts atomically with their
-// commit-timestamp allocation, which is what lets it skip the begin
-// barrier entirely.
-type HookedClock interface {
 	NextBlockWith(n int, publish func(lo, hi uint64)) (uint64, error)
 }
 
@@ -98,10 +90,7 @@ type TSOClock struct {
 	*tso.Oracle
 }
 
-// NextBlock implements Clock.
-func (c TSOClock) NextBlock(n int) (uint64, error) { return c.Oracle.NextBlock(n, nil) }
-
-// NextBlockWith implements HookedClock.
+// NextBlockWith implements Clock.
 func (c TSOClock) NextBlockWith(n int, publish func(lo, hi uint64)) (uint64, error) {
 	return c.Oracle.NextBlock(n, publish)
 }

@@ -25,26 +25,16 @@ type Config struct {
 	// Clock is the shared timestamp authority.
 	Clock Clock
 	// SharedTSO marks the backends as in-process oracles built on Clock's
-	// own timestamp oracle: single-partition transactions then go through
-	// the partition's existing CommitBatch fast path, which allocates and
-	// publishes commit timestamps atomically. When false (remote
-	// partitions), the coordinator pre-allocates commit timestamps and
-	// uses the one-shot CommitAtBatch path instead.
+	// own timestamp oracle: a single-partition transaction then takes its
+	// partition's CommitBatch, which draws and publishes its commit
+	// timestamp inside the same critical section the coordinator's rounds
+	// use. When false (remote partitions, which cannot draw from the
+	// coordinator's clock), single-partition transactions run the same
+	// two-phase round as cross-partition ones.
 	SharedTSO bool
 	// DecisionLog records two-phase verdicts; nil creates an in-memory
 	// log (no coordinator-crash durability).
 	DecisionLog *DecisionLog
-	// AsyncDecide acknowledges a cross-partition commit as soon as its
-	// verdict is recorded (shared mode: published in the timestamp
-	// oracle's critical section and appended to the decision log), fanning
-	// the decides out in the background: the ack no longer pays the decide
-	// round trip, readers resolve the window through the decision log, and
-	// a crashed partition recovers the commit from its in-doubt prepare
-	// plus the log. The cost is that prepared-row locks are held a little
-	// longer (slightly more pessimistic aborts) and partition state lags
-	// the ack by one fan-out — call DrainDecides before inspecting
-	// partitions directly.
-	AsyncDecide bool
 }
 
 // Stats aggregates the coordinator's own counters with a snapshot of every
@@ -54,7 +44,8 @@ type Stats struct {
 	Begins int64
 	// SingleTxns and CrossTxns split the write transactions the
 	// coordinator routed by whether their row sets spanned one partition
-	// or several; CrossCommits/CrossAborts are the two-phase verdicts.
+	// or several; CrossCommits/CrossAborts are the two-phase verdicts
+	// (which, without SharedTSO, include single-partition transactions).
 	SingleTxns   int64
 	CrossTxns    int64
 	CrossCommits int64
@@ -100,32 +91,15 @@ type Coordinator struct {
 	epoch   uint64
 	moves   atomic.Int64
 
-	// allocMu serializes timestamp allocation with outstanding-set
-	// marking, so every start timestamp observes the outstanding marks of
-	// all commit timestamps allocated before it — the begin barrier's
-	// ordering requirement.
-	allocMu sync.Mutex
-	// outstanding holds commit timestamps that were pre-allocated but
-	// whose transactions are not yet fully published to every covering
-	// partition. Begin blocks while any outstanding timestamp sits below
-	// the new snapshot: once a snapshot is handed out, every commit below
-	// it is queryable, so a reader can never first skip a transaction as
-	// pending and later see it committed inside the same snapshot (the
-	// Omid-style begin barrier).
-	outMu       sync.Mutex
-	outCond     *sync.Cond
-	outstanding map[uint64]struct{}
-
 	begins     atomic.Int64
 	singleTxns atomic.Int64
 	crossTxns  atomic.Int64
 	crossCommits,
 	crossAborts atomic.Int64
 
-	// decideWG tracks in-flight background decide rounds (AsyncDecide);
-	// decideErr latches their first failure. expiredDecides counts rounds
-	// whose caller's deadline passed at the decide-wait and was released
-	// early (the fan-out continued in the background).
+	// decideWG tracks the decide rounds moved to the background because
+	// their caller's deadline passed at the decide-wait (expiredDecides
+	// counts them); decideErr latches their first failure.
 	decideWG       sync.WaitGroup
 	decideMu       sync.Mutex
 	decideErr      error
@@ -153,29 +127,17 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("partition: router covers %d partitions, have %d backends",
 			cfg.Router.Partitions(), len(cfg.Backends))
 	}
-	if cfg.SharedTSO {
-		// SharedTSO skips the begin barrier on the strength of verdicts
-		// being published inside the clock's critical section; a clock
-		// that cannot be hooked would silently fall back to pre-allocated
-		// timestamps with no barrier — a snapshot-visibility hole.
-		if _, ok := cfg.Clock.(HookedClock); !ok {
-			return nil, fmt.Errorf("partition: SharedTSO requires a HookedClock (got %T)", cfg.Clock)
-		}
-	}
 	if cfg.DecisionLog == nil {
 		cfg.DecisionLog = NewDecisionLog(nil)
 	}
-	co := &Coordinator{
-		cfg:         cfg,
-		router:      cfg.Router,
-		epoch:       1,
-		parts:       cfg.Backends,
-		clock:       cfg.Clock,
-		dlog:        cfg.DecisionLog,
-		outstanding: make(map[uint64]struct{}),
-	}
-	co.outCond = sync.NewCond(&co.outMu)
-	return co, nil
+	return &Coordinator{
+		cfg:    cfg,
+		router: cfg.Router,
+		epoch:  1,
+		parts:  cfg.Backends,
+		clock:  cfg.Clock,
+		dlog:   cfg.DecisionLog,
+	}, nil
 }
 
 // Router returns the coordinator's current row router.
@@ -317,80 +279,16 @@ func (co *Coordinator) pushRouting(rt RoutingTable) {
 // tooling).
 func (co *Coordinator) DecisionLog() *DecisionLog { return co.dlog }
 
-// Begin allocates a start timestamp and holds it until every commit
-// timestamp allocated below it is fully published — see the begin-barrier
-// comment on Coordinator.outstanding.
+// Begin draws a start timestamp. Every round publishes its verdicts inside
+// the clock's critical section (commitCross), so a fresh snapshot can
+// already resolve every commit below it.
 func (co *Coordinator) Begin() (uint64, error) {
-	if co.cfg.SharedTSO {
-		// Shared-TSO verdicts are published inside the timestamp oracle's
-		// critical section, so a fresh snapshot can already resolve every
-		// commit below it — no barrier, no alloc serialization.
-		ts, err := co.clock.Next()
-		if err != nil {
-			return 0, err
-		}
-		co.begins.Add(1)
-		return ts, nil
-	}
-	co.allocMu.Lock()
 	ts, err := co.clock.Next()
-	co.allocMu.Unlock()
 	if err != nil {
 		return 0, err
 	}
-	co.waitPublished(ts)
 	co.begins.Add(1)
 	return ts, nil
-}
-
-// allocCommitTSs draws a block of n commit timestamps and marks them
-// outstanding before any later start timestamp can be issued.
-func (co *Coordinator) allocCommitTSs(n int) (uint64, error) {
-	co.allocMu.Lock()
-	defer co.allocMu.Unlock()
-	lo, err := co.clock.NextBlock(n)
-	if err != nil {
-		return 0, err
-	}
-	co.outMu.Lock()
-	for i := 0; i < n; i++ {
-		co.outstanding[lo+uint64(i)] = struct{}{}
-	}
-	co.outMu.Unlock()
-	return lo, nil
-}
-
-// releaseCommitTSs clears a block from the outstanding set once its
-// transactions are published (or their round has failed — an unpublished
-// failure is settled through the decision log and in-doubt resolution, not
-// by stalling every future snapshot).
-func (co *Coordinator) releaseCommitTSs(lo uint64, n int) {
-	co.outMu.Lock()
-	for i := 0; i < n; i++ {
-		delete(co.outstanding, lo+uint64(i))
-	}
-	co.outCond.Broadcast()
-	co.outMu.Unlock()
-}
-
-// waitPublished blocks until no outstanding commit timestamp sits below
-// ts.
-func (co *Coordinator) waitPublished(ts uint64) {
-	co.outMu.Lock()
-	for {
-		pending := false
-		for ct := range co.outstanding {
-			if ct < ts {
-				pending = true
-				break
-			}
-		}
-		if !pending {
-			co.outMu.Unlock()
-			return
-		}
-		co.outCond.Wait()
-	}
 }
 
 // coverWith returns the sorted partition set covering a commit request's
@@ -463,19 +361,18 @@ func (co *Coordinator) Commit(req oracle.CommitRequest) (oracle.CommitResult, er
 }
 
 // CommitBatch decides a batch of commit requests across the partitions:
-// read-only requests commit immediately, requests whose rows live on one
-// partition are grouped and sent down that partition's one-shot fast path,
-// and requests spanning several partitions run the two-phase
-// prepare/decide protocol — all concurrently. An error reports an
-// infrastructure failure; per-transaction conflicts are reported in the
-// results.
+// read-only requests commit immediately, and the others run the two-phase
+// prepare/decide round — except that with SharedTSO a request whose rows
+// live on one partition takes that partition's one-shot CommitBatch. All
+// partitions work concurrently. An error reports an infrastructure
+// failure; per-transaction conflicts are reported in the results.
 //
 // The whole fan-out runs under the routing fence (routeMu, shared): a live
 // repartition waits for in-flight rounds and no round ever mixes routers.
-// A partition server that rejects a group as misrouted (this coordinator's
+// A partition server that rejects a slice as misrouted (this coordinator's
 // table went stale against a rebalance elsewhere) answers with an
-// epoch-aware redirect; the group — atomically rejected before any state
-// change — is re-routed under the refreshed table and retried once.
+// epoch-aware redirect; a transaction the rejection left parked nowhere is
+// re-routed under the refreshed table and retried once.
 func (co *Coordinator) CommitBatch(reqs []oracle.CommitRequest) ([]oracle.CommitResult, error) {
 	return co.CommitBatchDeadline(reqs, time.Time{})
 }
@@ -486,12 +383,12 @@ func (co *Coordinator) CommitBatch(reqs []oracle.CommitRequest) ([]oracle.Commit
 // oracle.ErrExpired. A deadline that passes mid-round is honored at the
 // decide-wait: once the verdicts are durably recorded in the decision log
 // they are final and queryable, so the decide fan-out is moved to the
-// background (tracked like AsyncDecide rounds; DrainDecides still waits
-// for it) and the caller gets oracle.ErrExpired back instead of occupying
-// its slot for the slowest partition's decide round trip. A server
-// fronting the coordinator renders that error as an expired reply and
-// counts it in the ingress expired metric, exactly like a coalescer drop;
-// the client resolves the outcome through the in-doubt status machinery.
+// background (DrainDecides waits for it) and the caller gets
+// oracle.ErrExpired back instead of occupying its slot for the slowest
+// partition's decide round trip. A server fronting the coordinator renders
+// that error as an expired reply and counts it in the ingress expired
+// metric, exactly like a coalescer drop; the client resolves the outcome
+// through the in-doubt status machinery.
 func (co *Coordinator) CommitBatchDeadline(reqs []oracle.CommitRequest, deadline time.Time) ([]oracle.CommitResult, error) {
 	if expired(deadline) {
 		return nil, oracle.ErrExpired
@@ -509,13 +406,14 @@ func expired(deadline time.Time) bool {
 }
 
 // commitRouted routes and decides the requests selected by idxs (nil means
-// all of reqs) into results. depth > 0 marks a misroute retry; a group
+// all of reqs) into results. depth > 0 marks a misroute retry; a request
 // misrouted twice surfaces the error rather than looping.
 func (co *Coordinator) commitRouted(reqs []oracle.CommitRequest, results []oracle.CommitResult, idxs []int, depth int, deadline time.Time) error {
 	co.routeMu.RLock()
 	router := co.router
 	singles := make(map[int][]int)
 	var multi []int
+	var nSingles, nCross int64
 	covers := make([][]int, len(reqs))
 	route := func(i int) {
 		if reqs[i].ReadOnly() {
@@ -525,9 +423,18 @@ func (co *Coordinator) commitRouted(reqs []oracle.CommitRequest, results []oracl
 		}
 		cover := co.coverWith(router, &reqs[i])
 		covers[i] = cover
-		if len(cover) == 1 {
+		if len(cover) > 1 {
+			nCross++
+			multi = append(multi, i)
+			return
+		}
+		nSingles++
+		if co.cfg.SharedTSO {
 			singles[cover[0]] = append(singles[cover[0]], i)
 		} else {
+			// A remote partition cannot draw its commit timestamp after
+			// its check from the coordinator's clock, so the request takes
+			// the two-phase round, which can.
 			multi = append(multi, i)
 		}
 	}
@@ -541,18 +448,14 @@ func (co *Coordinator) commitRouted(reqs []oracle.CommitRequest, results []oracl
 		}
 	}
 	if depth == 0 {
-		// A retried group is counted once, under its first classification.
-		nSingles := 0
-		for _, g := range singles {
-			nSingles += len(g)
-		}
-		co.singleTxns.Add(int64(nSingles))
-		co.crossTxns.Add(int64(len(multi)))
+		// A retried request is counted once, under its first classification.
+		co.singleTxns.Add(nSingles)
+		co.crossTxns.Add(nCross)
 	}
 
-	// Misrouted groups collect here for the post-fence retry; the redirect
-	// with the newest epoch refreshes the routing table. The retry runs
-	// outside the read lock — adopting a table needs the write lock.
+	// Misrouted requests collect here for the post-fence retry; the
+	// redirect with the newest epoch refreshes the routing table. The retry
+	// runs outside the read lock — adopting a table needs the write lock.
 	var (
 		redMu    sync.Mutex
 		retry    []int
@@ -573,17 +476,9 @@ func (co *Coordinator) commitRouted(reqs []oracle.CommitRequest, results []oracl
 		wg.Add(1)
 		go func(p int, group []int) {
 			defer wg.Done()
-			err := co.commitSingles(p, reqs, group, results)
-			if err == nil {
-				return
+			if err := co.commitSingles(p, reqs, group, results); err != nil {
+				errCh <- err
 			}
-			if mr := AsMisroute(err); mr != nil {
-				// The server rejects a misrouted group before touching any
-				// state, so re-routing the whole group is safe.
-				noteMisroute(mr, group)
-				return
-			}
-			errCh <- err
 		}(p, group)
 	}
 	if len(multi) > 0 {
@@ -629,56 +524,21 @@ func (co *Coordinator) commitRouted(reqs []oracle.CommitRequest, results []oracl
 // sliceRows copies, never pooled).
 var (
 	commitSubPool = sync.Pool{New: func() interface{} { s := make([]oracle.CommitRequest, 0, 64); return &s }}
-	prepSubPool   = sync.Pool{New: func() interface{} { s := make([]oracle.PrepareRequest, 0, 64); return &s }}
 	decideSubPool = sync.Pool{New: func() interface{} { s := make([]oracle.Decision, 0, 64); return &s }}
 )
 
-// commitSingles routes one partition's group of single-partition requests
-// down its fast path.
+// commitSingles sends one partition's group of single-partition requests
+// down its CommitBatch, which draws and publishes their commit timestamps
+// inside the shared timestamp oracle's critical section (Config.SharedTSO).
 func (co *Coordinator) commitSingles(p int, reqs []oracle.CommitRequest, idxs []int, results []oracle.CommitResult) error {
-	if co.cfg.SharedTSO {
-		// The partition shares the coordinator's timestamp oracle: its own
-		// CommitBatch allocates and publishes commit timestamps atomically,
-		// so no begin barrier is needed.
-		sp := commitSubPool.Get().(*[]oracle.CommitRequest)
-		sub := (*sp)[:0]
-		for _, i := range idxs {
-			sub = append(sub, reqs[i])
-		}
-		res, err := co.parts[p].CommitBatch(sub)
-		*sp = sub[:0]
-		commitSubPool.Put(sp)
-		if err != nil {
-			return err
-		}
-		for k, i := range idxs {
-			results[i] = res[k]
-		}
-		return nil
-	}
-	lo, err := co.allocCommitTSs(len(idxs))
-	if err != nil {
-		return err
-	}
-	defer co.releaseCommitTSs(lo, len(idxs))
-	sp := prepSubPool.Get().(*[]oracle.PrepareRequest)
+	sp := commitSubPool.Get().(*[]oracle.CommitRequest)
 	sub := (*sp)[:0]
-	for k, i := range idxs {
-		// Only the guard rows travel as the read set: the cover includes
-		// every check row's partition, so they are all owned here. Under
-		// SI there are none, and a read set spanning foreign partitions
-		// would trip the server's ownership guard.
-		_, guard := co.cfg.Engine.Rows(reqs[i].WriteSet, reqs[i].ReadSet)
-		sub = append(sub, oracle.PrepareRequest{
-			StartTS:  reqs[i].StartTS,
-			CommitTS: lo + uint64(k),
-			WriteSet: reqs[i].WriteSet,
-			ReadSet:  guard,
-		})
+	for _, i := range idxs {
+		sub = append(sub, reqs[i])
 	}
-	res, err := co.parts[p].CommitAtBatch(sub)
+	res, err := co.parts[p].CommitBatch(sub)
 	*sp = sub[:0]
-	prepSubPool.Put(sp)
+	commitSubPool.Put(sp)
 	if err != nil {
 		return err
 	}
@@ -694,21 +554,23 @@ type crossRound struct {
 	slots    map[int][]int // partition -> index into multi, per prepare slice
 }
 
-// buildSlices cuts each cross-partition request into per-partition prepare
-// slices under the round's pinned router. ctOf supplies the pre-allocated
-// commit timestamp (0 in shared mode, where the timestamp is assigned at
-// decide time).
-func (co *Coordinator) buildSlices(router Router, reqs []oracle.CommitRequest, multi []int, covers [][]int, ctOf func(k int) uint64) crossRound {
+// buildSlices cuts each request of a round into per-partition prepare
+// slices under the round's pinned router. The slices carry no commit
+// timestamp: it is drawn after the votes.
+func (co *Coordinator) buildSlices(router Router, reqs []oracle.CommitRequest, multi []int, covers [][]int) crossRound {
 	r := crossRound{
 		prepReqs: make(map[int][]oracle.PrepareRequest),
 		slots:    make(map[int][]int),
 	}
 	for k, i := range multi {
+		// Only the guard rows travel as the read set: the cover includes
+		// every check row's partition, so each slice's guard rows are owned
+		// there. Under SI there are none, and a read set spanning foreign
+		// partitions would trip the server's ownership guard.
 		_, guard := co.cfg.Engine.Rows(reqs[i].WriteSet, reqs[i].ReadSet)
 		for _, p := range covers[i] {
 			pr := oracle.PrepareRequest{
 				StartTS:  reqs[i].StartTS,
-				CommitTS: ctOf(k),
 				WriteSet: sliceRows(router, reqs[i].WriteSet, p),
 				ReadSet:  sliceRows(router, guard, p),
 			}
@@ -722,29 +584,36 @@ func (co *Coordinator) buildSlices(router Router, reqs []oracle.CommitRequest, m
 // prepareRound runs phase one in parallel and ANDs the votes. A partition
 // that fails to answer vetoes every transaction it covers — aborting more
 // than a serial oracle would is always safe, and the client is never
-// acknowledged for a commit that was not unanimously prepared. A misrouted
-// prepare slice (the partition no longer owns those rows) likewise only
-// vetoes, and the redirect it carried is returned so the caller can refresh
-// its routing table: the transaction aborts cleanly this round and the
-// client's retry routes correctly.
-func (co *Coordinator) prepareRound(r crossRound, n int) ([]bool, *MisrouteError) {
+// acknowledged for a commit that was not unanimously prepared. A partition
+// that rejects its slices as misrouted (it no longer owns those rows) parks
+// none of them and likewise vetoes; it is returned among the misrouted
+// partitions, with the newest redirect, so the caller can drop it from the
+// round and refresh its routing table.
+func (co *Coordinator) prepareRound(r crossRound, n int) ([]bool, *MisrouteError, []int) {
 	votes := make([]bool, n)
 	for i := range votes {
 		votes[i] = true
 	}
-	var redirect *MisrouteError
-	var vmu sync.Mutex
+	// One struct, so the goroutines capture one heap variable.
+	var out struct {
+		mu        sync.Mutex
+		redirect  *MisrouteError
+		misrouted []int
+	}
 	var wg sync.WaitGroup
 	for p, prs := range r.prepReqs {
 		wg.Add(1)
 		go func(p int, prs []oracle.PrepareRequest) {
 			defer wg.Done()
 			vs, err := co.parts[p].PrepareBatch(prs)
-			vmu.Lock()
-			defer vmu.Unlock()
+			out.mu.Lock()
+			defer out.mu.Unlock()
 			if err != nil {
-				if mr := AsMisroute(err); mr != nil && (redirect == nil || mr.Epoch > redirect.Epoch) {
-					redirect = mr
+				if mr := AsMisroute(err); mr != nil {
+					out.misrouted = append(out.misrouted, p)
+					if out.redirect == nil || mr.Epoch > out.redirect.Epoch {
+						out.redirect = mr
+					}
 				}
 				for _, k := range r.slots[p] {
 					votes[k] = false
@@ -759,7 +628,43 @@ func (co *Coordinator) prepareRound(r crossRound, n int) ([]bool, *MisrouteError
 		}(p, prs)
 	}
 	wg.Wait()
-	return votes, redirect
+	return votes, out.redirect, out.misrouted
+}
+
+// dropMisrouted takes the misrouted partitions out of the round — they
+// parked nothing, so they get no decide — together with every transaction
+// that has no slice left on another partition. It returns the remaining
+// transactions with their votes, renumbering the slots to match, and the
+// dropped ones (as request indexes) for the misroute retry.
+func (r *crossRound) dropMisrouted(misrouted, multi []int, votes []bool) (kept []int, keptVotes []bool, retry []int) {
+	for _, p := range misrouted {
+		delete(r.prepReqs, p)
+		delete(r.slots, p)
+	}
+	renum := make([]int, len(multi))
+	for k := range renum {
+		renum[k] = -1
+	}
+	for _, ks := range r.slots {
+		for _, k := range ks {
+			renum[k] = 0
+		}
+	}
+	for k, i := range multi {
+		if renum[k] < 0 {
+			retry = append(retry, i)
+			continue
+		}
+		renum[k] = len(kept)
+		kept = append(kept, i)
+		keptVotes = append(keptVotes, votes[k])
+	}
+	for _, ks := range r.slots {
+		for j, k := range ks {
+			ks[j] = renum[k]
+		}
+	}
+	return kept, keptVotes, retry
 }
 
 // decideRound fans the verdicts to every covering partition in parallel.
@@ -806,45 +711,35 @@ func (co *Coordinator) finishCross(multi []int, decisions []oracle.Decision, res
 	co.crossAborts.Add(aborts)
 }
 
-// commitCross runs one two-phase round for the batch's cross-partition
-// requests.
+// commitCross runs one two-phase round for the requests in multi.
 //
-// In shared-TSO mode the commit timestamps are allocated *after* the votes,
-// inside the timestamp oracle's critical section, with the verdicts
-// published to the decision log in the same section — so any snapshot
-// issued above a commit's timestamp can already resolve the commit from
-// the log, no begin barrier required. This mirrors how the single oracle
-// publishes its commit-table entries atomically with the allocation.
-//
-// In remote mode the timestamps are pre-allocated (the issue of a remote
-// clock cannot be hooked), so the begin barrier holds new snapshots until
-// the verdicts are durably recorded; it releases as soon as the decision
-// log — which the coordinator's merged queries consult — has them, not
-// when the slower decide fan-out completes.
+// The commit timestamps are drawn *after* the votes, inside the clock's
+// critical section, and the same section publishes the verdicts to the
+// decision log. So every transaction is checked against every commit below
+// its commit timestamp, and any snapshot issued above a commit's timestamp
+// can already resolve the commit from the log. This mirrors how the single
+// oracle publishes its commit-table entries atomically with the
+// allocation.
 func (co *Coordinator) commitCross(router Router, reqs []oracle.CommitRequest, multi []int, covers [][]int, results []oracle.CommitResult, noteMisroute func(*MisrouteError, []int), deadline time.Time) error {
-	if co.cfg.SharedTSO {
-		// NewCoordinator guarantees the clock is hookable in this mode.
-		return co.commitCrossShared(co.clock.(HookedClock), router, reqs, multi, covers, results, noteMisroute, deadline)
-	}
-	return co.commitCrossBarrier(router, reqs, multi, covers, results, noteMisroute, deadline)
-}
-
-// commitCrossShared is the barrier-free in-process path.
-func (co *Coordinator) commitCrossShared(hc HookedClock, router Router, reqs []oracle.CommitRequest, multi []int, covers [][]int, results []oracle.CommitResult, noteMisroute func(*MisrouteError, []int), deadline time.Time) error {
-	round := co.buildSlices(router, reqs, multi, covers, func(int) uint64 { return 0 })
-	votes, mr := co.prepareRound(round, len(multi))
+	round := co.buildSlices(router, reqs, multi, covers)
+	votes, mr, misrouted := co.prepareRound(round, len(multi))
 	if mr != nil {
-		// Misrouted slices were vetoed (the transactions abort, nothing is
-		// acked wrongly); capture the redirect so the table refreshes, but
-		// retry nothing — the abort verdicts below are final.
-		noteMisroute(mr, nil)
+		// A transaction with a slice placed aborts below (nothing is acked
+		// wrongly); one with none placed was parked nowhere and is retried
+		// under the refreshed table.
+		var retry []int
+		multi, votes, retry = round.dropMisrouted(misrouted, multi, votes)
+		noteMisroute(mr, retry)
+		if len(multi) == 0 {
+			return nil
+		}
 	}
 
 	decisions := make([]oracle.Decision, len(multi))
 	for k, i := range multi {
 		decisions[k] = oracle.Decision{StartTS: reqs[i].StartTS, Commit: votes[k]}
 	}
-	_, err := hc.NextBlockWith(len(multi), func(lo, _ uint64) {
+	_, err := co.clock.NextBlockWith(len(multi), func(lo, _ uint64) {
 		for k := range decisions {
 			decisions[k].CommitTS = lo + uint64(k)
 		}
@@ -874,35 +769,17 @@ func (co *Coordinator) commitCrossShared(hc HookedClock, router Router, reqs []o
 	return decideErr
 }
 
-// runDecides fans the verdicts out — inline, or in the background under
-// AsyncDecide (the verdicts are already durable and queryable, so the ack
-// need not wait; a failure latches and surfaces on the next commit).
-//
-// A caller whose deadline passed while the verdicts were being recorded is
-// released here instead of waiting out the fan-out: every precondition for
-// backgrounding holds (the decisions are final and queryable through the
-// log), so the round is handed to the AsyncDecide machinery and the caller
-// gets oracle.ErrExpired — cooperative cancellation of post-admission work
-// that nobody is waiting for.
+// runDecides fans the verdicts out. A caller whose deadline passed while
+// the verdicts were being recorded is released here instead of waiting out
+// the fan-out: the decisions are final and queryable through the log, so
+// the round moves to the background (DrainDecides waits for it) and the
+// caller gets oracle.ErrExpired — cooperative cancellation of
+// post-admission work that nobody is waiting for.
 func (co *Coordinator) runDecides(round crossRound, decisions []oracle.Decision, deadline time.Time) error {
-	if !co.cfg.AsyncDecide {
-		if !expired(deadline) {
-			return co.decideRound(round, decisions)
-		}
-		co.expiredDecides.Add(1)
-		co.decideWG.Add(1)
-		go func() {
-			defer co.decideWG.Done()
-			if err := co.decideRound(round, decisions); err != nil {
-				co.decideMu.Lock()
-				if co.decideErr == nil {
-					co.decideErr = err
-				}
-				co.decideMu.Unlock()
-			}
-		}()
-		return oracle.ErrExpired
+	if !expired(deadline) {
+		return co.decideRound(round, decisions)
 	}
+	co.expiredDecides.Add(1)
 	co.decideWG.Add(1)
 	go func() {
 		defer co.decideWG.Done()
@@ -914,10 +791,7 @@ func (co *Coordinator) runDecides(round crossRound, decisions []oracle.Decision,
 			co.decideMu.Unlock()
 		}
 	}()
-	co.decideMu.Lock()
-	err := co.decideErr
-	co.decideMu.Unlock()
-	return err
+	return oracle.ErrExpired
 }
 
 // DrainDecides waits for every background decide round to land on its
@@ -927,62 +801,6 @@ func (co *Coordinator) DrainDecides() error {
 	co.decideMu.Lock()
 	defer co.decideMu.Unlock()
 	return co.decideErr
-}
-
-// commitCrossBarrier is the pre-allocated-timestamp path for remote
-// partitions.
-func (co *Coordinator) commitCrossBarrier(router Router, reqs []oracle.CommitRequest, multi []int, covers [][]int, results []oracle.CommitResult, noteMisroute func(*MisrouteError, []int), deadline time.Time) error {
-	lo, err := co.allocCommitTSs(len(multi))
-	if err != nil {
-		return err
-	}
-	released := false
-	release := func() {
-		if !released {
-			released = true
-			co.releaseCommitTSs(lo, len(multi))
-		}
-	}
-	defer release()
-
-	round := co.buildSlices(router, reqs, multi, covers, func(k int) uint64 { return lo + uint64(k) })
-	votes, mr := co.prepareRound(round, len(multi))
-	if mr != nil {
-		// As in the shared path: vetoed aborts stand, only the table refresh
-		// is taken from the redirect.
-		noteMisroute(mr, nil)
-	}
-
-	decisions := make([]oracle.Decision, len(multi))
-	for k, i := range multi {
-		decisions[k] = oracle.Decision{StartTS: reqs[i].StartTS, CommitTS: lo + uint64(k), Commit: votes[k]}
-	}
-	// Verdicts must be durable before any decide fans out. If the decision
-	// log cannot be persisted, no commit may be promised: flip everything
-	// to abort (safe — nothing was acknowledged) and still fan the aborts
-	// out to release the prepared rows.
-	dlogErr := co.dlog.RecordAll(decisions)
-	if dlogErr != nil {
-		for k := range decisions {
-			decisions[k].Commit = false
-		}
-	}
-	// The log now answers queries for these transactions; new snapshots
-	// need not wait for the decide fan-out.
-	release()
-	decideErr := co.runDecides(round, decisions, deadline)
-	co.finishCross(multi, decisions, results)
-	if dlogErr != nil {
-		return dlogErr
-	}
-	if decideErr != nil {
-		// Some partition did not apply its decides; the transactions are
-		// settled (decision log) but not fully published there, so the
-		// client must treat its commits as in-doubt rather than
-		// acknowledged.
-		return decideErr
-	}
-	return nil
 }
 
 // Query reports a transaction's status; it is a QueryBatch of one.

@@ -33,27 +33,12 @@ func NewDecisionLog(w *wal.Writer) *DecisionLog {
 	return &DecisionLog{decisions: make(map[uint64]oracle.Decision), w: w}
 }
 
-// RecordAll persists a round of verdicts — one WAL group append — and then
-// publishes them to the in-memory index. On a persistence failure nothing
-// is published: the caller must not fan out commit decides it could not
-// make durable.
-func (l *DecisionLog) RecordAll(ds []oracle.Decision) error {
-	if len(ds) == 0 {
-		return nil
-	}
-	if err := l.appendWAL(ds); err != nil {
-		return err
-	}
-	l.publishMem(ds)
-	return nil
-}
-
 // publishMem inserts verdicts into the in-memory index only. The
-// shared-TSO coordinator calls it inside the timestamp oracle's critical
-// section, so every snapshot issued above a commit's timestamp can already
-// resolve the commit from the log — the partitioned analogue of the
-// single oracle publishing its commit-table entry atomically with the
-// timestamp allocation.
+// coordinator calls it inside the clock's critical section, so every
+// snapshot issued above a commit's timestamp can already resolve the
+// commit from the log — the partitioned analogue of the single oracle
+// publishing its commit-table entry atomically with the timestamp
+// allocation.
 func (l *DecisionLog) publishMem(ds []oracle.Decision) {
 	l.mu.Lock()
 	for _, d := range ds {

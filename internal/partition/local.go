@@ -35,9 +35,6 @@ type LocalConfig struct {
 	// the hot range at useful resolution. 0 spreads the histogram over the
 	// full 64-bit space.
 	LoadSpan uint64
-	// AsyncDecide acknowledges cross-partition commits at verdict time and
-	// fans decides out in the background (see Config.AsyncDecide).
-	AsyncDecide bool
 }
 
 // LocalCluster is an in-process partitioned status oracle: N real oracles
@@ -99,7 +96,6 @@ func NewLocal(cfg LocalConfig) (*LocalCluster, error) {
 		Clock:       TSOClock{clock},
 		SharedTSO:   true,
 		DecisionLog: dlog,
-		AsyncDecide: cfg.AsyncDecide,
 	})
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package partition
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/oracle"
@@ -297,9 +298,7 @@ func TestPartitionInDoubtRecovery(t *testing.T) {
 	w.Flush()
 
 	dlog := NewDecisionLog(nil)
-	if err := dlog.RecordAll([]oracle.Decision{{StartTS: t1, CommitTS: ct1, Commit: true}}); err != nil {
-		t.Fatalf("record: %v", err)
-	}
+	dlog.publishMem([]oracle.Decision{{StartTS: t1, CommitTS: ct1, Commit: true}})
 
 	// Crash: recover a fresh oracle from the ledger.
 	rw, err := wal.NewWriter(wal.Config{Quorum: 1}, ledger)
@@ -437,28 +436,78 @@ func TestPartitionBeginBarrier(t *testing.T) {
 	}
 }
 
-// TestSharedTSORequiresHookedClock: SharedTSO's barrier-free begins are
-// only sound when verdicts publish inside the clock's critical section;
-// a non-hookable clock must be rejected at construction (regression).
-func TestSharedTSORequiresHookedClock(t *testing.T) {
+// TestLateWriterCommitsAfterReader: a transaction is checked against every
+// commit below its commit timestamp, on the path remote partitions run
+// (SharedTSO off). W = {write x} begins before R = {read x, write y}, but
+// W's round reaches its partition only after R has committed. WSI checks
+// W's reads, not its writes, so nothing there can reject W; what keeps the
+// history serializable is that W's commit timestamp is drawn after its
+// check, above R's. A W committed inside R's interval (S_R, C_R) would be
+// the write R's read missed: a lost update.
+func TestLateWriterCommitsAfterReader(t *testing.T) {
 	clock := tso.New(0, nil)
 	so, err := oracle.New(oracle.Config{Engine: oracle.WSI, TSO: clock})
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
-	_, err = NewCoordinator(Config{
-		Engine:    oracle.WSI,
-		Backends:  []Backend{Local{so}},
-		Clock:     plainClock{clock},
-		SharedTSO: true,
-	})
-	if err == nil {
-		t.Fatalf("SharedTSO with a non-hooked clock accepted")
+	pb := &parkingBackend{Backend: Local{so}, arrived: make(chan struct{}), release: make(chan struct{})}
+	co, err := NewCoordinator(Config{Engine: oracle.WSI, Backends: []Backend{pb}, Clock: TSOClock{clock}})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	const x, y = oracle.RowID(1), oracle.RowID(2)
+	sW, err := co.Begin()
+	if err != nil {
+		t.Fatalf("begin W: %v", err)
+	}
+	sR, err := co.Begin()
+	if err != nil {
+		t.Fatalf("begin R: %v", err)
+	}
+	pb.startTS = sW
+
+	doneW := make(chan oracle.CommitResult, 1)
+	go func() {
+		res, err := co.Commit(oracle.CommitRequest{StartTS: sW, WriteSet: []oracle.RowID{x}})
+		if err != nil {
+			t.Errorf("commit W: %v", err)
+		}
+		doneW <- res
+	}()
+	select {
+	case <-pb.arrived:
+	case res := <-doneW:
+		t.Fatalf("W's round never reached its partition: %+v", res)
+	}
+	resR, err := co.Commit(oracle.CommitRequest{StartTS: sR, WriteSet: []oracle.RowID{y}, ReadSet: []oracle.RowID{x}})
+	close(pb.release)
+	resW := <-doneW
+	if err != nil {
+		t.Fatalf("commit R: %v", err)
+	}
+	if resW.Committed && resR.Committed && sR < resW.CommitTS && resW.CommitTS < resR.CommitTS {
+		t.Fatalf("W committed at %d inside R's interval (%d, %d): R's read of x missed W's write", resW.CommitTS, sR, resR.CommitTS)
 	}
 }
 
-// plainClock satisfies Clock but not HookedClock.
-type plainClock struct{ o *tso.Oracle }
+// parkingBackend parks the first prepare carrying startTS until release is
+// closed, signalling arrived when it parks; every other call passes
+// straight through.
+type parkingBackend struct {
+	Backend
+	startTS          uint64
+	once             sync.Once
+	arrived, release chan struct{}
+}
 
-func (c plainClock) Next() (uint64, error)           { return c.o.Next() }
-func (c plainClock) NextBlock(n int) (uint64, error) { return c.o.NextBlock(n, nil) }
+func (b *parkingBackend) PrepareBatch(reqs []oracle.PrepareRequest) ([]bool, error) {
+	for _, r := range reqs {
+		if r.StartTS == b.startTS {
+			b.once.Do(func() {
+				close(b.arrived)
+				<-b.release
+			})
+		}
+	}
+	return b.Backend.PrepareBatch(reqs)
+}

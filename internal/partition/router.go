@@ -6,18 +6,21 @@
 // write-ahead log, behind a Coordinator that preserves the single-oracle
 // commit semantics.
 //
-// A transaction whose read/write set lives on one partition commits through
-// that partition's existing one-shot batched commit path. A transaction
-// spanning several partitions commits in two phases: the Coordinator
-// pre-allocates its commit timestamp from the shared timestamp oracle,
-// fans out Prepare (the conflict check on each partition's slice, parking
-// the slice's rows until the verdict), ANDs the votes, records the
-// decision in its durable decision log, and fans out Decide. Readers
-// resolve a transaction's fate through the Coordinator's merged status
-// query — committed as soon as any covering partition has published — so
-// no snapshot ever observes a half-decided transaction, and an Omid-style
-// begin barrier holds each new start timestamp until every commit
-// timestamp allocated below it has been fully published.
+// A transaction spanning several partitions commits in two phases: the
+// Coordinator fans out Prepare (the conflict check on each partition's
+// slice, parking the slice's rows until the verdict) and ANDs the votes.
+// Only then does it draw the commit timestamps from the shared clock, and
+// inside the clock's critical section it publishes the verdicts to its
+// decision log; it persists them there and fans out Decide. So every
+// transaction is checked against every commit below its commit timestamp,
+// and every snapshot issued above a commit timestamp can already resolve
+// that commit. Readers resolve a transaction's fate through the
+// Coordinator's merged status query — committed as soon as any covering
+// partition has published, else the decision log's verdict — so no
+// snapshot ever observes a half-decided transaction. A single-partition
+// transaction takes its partition's one-shot CommitBatch when the
+// partitions share the coordinator's timestamp oracle in-process, and the
+// same two phases otherwise.
 package partition
 
 import (

@@ -11,24 +11,61 @@ import (
 
 	"repro/internal/history"
 	"repro/internal/kvstore"
+	"repro/internal/netsrv"
 	"repro/internal/oracle"
 	"repro/internal/partition"
+	"repro/internal/tso"
 )
 
-// TestPartitionedTxnSerializability runs the full transaction layer —
-// unchanged — on top of a 4-partition status oracle, with a write-heavy
-// random mix whose keys hash across every partition, then reconstructs
-// the execution as a paper-notation history and checks it with
-// internal/history's machinery: every read observed exactly the version
-// the snapshot semantics prescribe, and the multi-version serialization
-// graph is acyclic (WSI's Theorem 1, now across a scale-out oracle).
+// TestPartitionedTxnSerializability runs the serializability check over a
+// 4-partition in-process oracle (partition.NewLocal).
 func TestPartitionedTxnSerializability(t *testing.T) {
 	lc, err := partition.NewLocal(partition.LocalConfig{Partitions: 4, Engine: oracle.WSI})
 	if err != nil {
 		t.Fatalf("local cluster: %v", err)
 	}
+	checkPartitionedSerializability(t, lc.Coordinator)
+}
+
+// TestPartitionedWireSerializability runs the same check over four loopback
+// partition servers, each with its own timestamp oracle, dialled through
+// netsrv.DialPartitioned: the path oracle-server -partitions deployments
+// run, where partition 0's server is the only clock.
+func TestPartitionedWireSerializability(t *testing.T) {
+	const n = 4
+	addrs := make([]string, n)
+	for i := range addrs {
+		so, err := oracle.New(oracle.Config{Engine: oracle.WSI, TSO: tso.New(0, nil)})
+		if err != nil {
+			t.Fatalf("oracle %d: %v", i, err)
+		}
+		srv := netsrv.NewServer(so)
+		srv.Logf = nil
+		srv.PartitionID, srv.Partitions = i, n
+		if addrs[i], err = srv.Listen("127.0.0.1:0"); err != nil {
+			t.Fatalf("listen %d: %v", i, err)
+		}
+		t.Cleanup(func() { srv.Close() })
+	}
+	pc, err := netsrv.DialPartitioned(oracle.WSI, partition.NewHashRouter(n), addrs...)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer pc.Close()
+	checkPartitionedSerializability(t, pc.Coordinator)
+}
+
+// checkPartitionedSerializability runs the full transaction layer —
+// unchanged — on top of a partitioned status oracle, with a write-heavy
+// random mix whose keys hash across every partition, then reconstructs
+// the execution as a paper-notation history and checks it with
+// internal/history's machinery: every read observed exactly the version
+// the snapshot semantics prescribe, and the multi-version serialization
+// graph is acyclic (WSI's Theorem 1, now across a scale-out oracle).
+func checkPartitionedSerializability(t *testing.T, co *partition.Coordinator) {
+	t.Helper()
 	store := kvstore.New(kvstore.Config{})
-	client, err := NewClient(store, lc.Coordinator, Config{Mode: ModeQuery})
+	client, err := NewClient(store, co, Config{Mode: ModeQuery})
 	if err != nil {
 		t.Fatalf("client: %v", err)
 	}
@@ -195,7 +232,7 @@ func TestPartitionedTxnSerializability(t *testing.T) {
 		t.Fatalf("partitioned WSI run not serializable; cycle: %v", g.FindCycle())
 	}
 
-	st := lc.Coordinator.Stats()
+	st := co.Stats()
 	if st.CrossTxns == 0 {
 		t.Fatalf("run exercised no cross-partition transactions: %+v", st)
 	}
