@@ -93,7 +93,7 @@ func main() {
 		noTrace     = flag.Bool("no-trace", false, "disable hot-path lifecycle tracing (per-stage histograms stay empty)")
 		statsEvery  = flag.Duration("stats-every", 0, "log an oracle/ingress stats summary this often, with per-tenant admission breakdown (0 = off)")
 		anomSample  = flag.Float64("anomaly-sample", 0, "fraction of commit decisions fed to the streaming anomaly checker (0 = off, 1 = every decision; history_* metrics)")
-		coalesce    = flag.Int("coalesce", 0, "server-side coalescing: max single-commit frames merged into one oracle batch (0 = off)")
+		coalesce    = flag.Int("coalesce", 0, "server-side coalescing: max one-request commit frames merged into one oracle batch (0 = off)")
 
 		tenants     = flag.Int("tenants", 0, "admission classes for the ingress gate (envelope tenant ids 0..n-1; enables admission when any ingress flag is set)")
 		maxInflight = flag.Int("max-inflight", 0, "data-plane requests executing concurrently before arrivals queue (0 = gate default 256)")

@@ -3,15 +3,17 @@ package netsrv
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/oracle"
 	"repro/internal/tso"
 )
 
-// benchServer starts a server over an in-memory oracle and returns a
-// connected client. Closers are registered on b.
-func benchServer(b *testing.B) (*Client, *oracle.StatusOracle) {
+// benchServer starts a server over an in-memory oracle, configured by the
+// optional functions before it listens, and returns a connected client.
+// Closers are registered on b.
+func benchServer(b *testing.B, configure ...func(*Server)) (*Client, *oracle.StatusOracle) {
 	b.Helper()
 	so, err := oracle.New(oracle.Config{Engine: oracle.WSI, TSO: tso.New(0, nil)})
 	if err != nil {
@@ -19,6 +21,9 @@ func benchServer(b *testing.B) (*Client, *oracle.StatusOracle) {
 	}
 	srv := NewServer(so)
 	srv.Logf = nil
+	for _, f := range configure {
+		f(srv)
+	}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -34,7 +39,7 @@ func benchServer(b *testing.B) (*Client, *oracle.StatusOracle) {
 
 // BenchmarkCommitRoundTrip measures one opCommitBatch wire round trip per
 // benchmark op (batch of `size` transactions, ~10 written + 10 read rows
-// each). -benchmem exposes the end-to-end allocation cost of the commit
+// each; size 1 is Client.Commit). -benchmem exposes the end-to-end allocation cost of the commit
 // path: client encode, server decode, oracle decision, response encode and
 // client decode. Per-transaction cost is ns/op ÷ size.
 func BenchmarkCommitRoundTrip(b *testing.B) {
@@ -74,7 +79,7 @@ func BenchmarkCommitRoundTrip(b *testing.B) {
 
 // BenchmarkQueryRoundTrip measures one opQueryBatch wire round trip per
 // benchmark op (batch of `size` status lookups against a seeded commit
-// table).
+// table; size 1 is Client.Query).
 func BenchmarkQueryRoundTrip(b *testing.B) {
 	for _, size := range []int{1, 64} {
 		b.Run(fmt.Sprintf("batch-%d", size), func(b *testing.B) {
@@ -124,6 +129,42 @@ func BenchmarkSessionRoundTrip(b *testing.B) {
 		s := mux.Session(0)
 		for pb.Next() {
 			if _, err := s.Begin(); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
+// BenchmarkSessionCommitRoundTrip measures one blind-write transaction's
+// oracle traffic — an enveloped Begin and an enveloped one-request Commit —
+// with many sessions sharing one connection to a coalescing server with
+// admission on: the shape of a durable blind-write workload over sessions,
+// without the log. -benchmem shows what it costs both ends together.
+func BenchmarkSessionCommitRoundTrip(b *testing.B) {
+	c, _ := benchServer(b, func(s *Server) {
+		s.CoalesceMaxBatch = 64
+		s.Ingress = &IngressConfig{Tenants: 1}
+	})
+	mux := &Mux{clients: []*Client{c}}
+	var rows atomic.Int64
+	b.SetParallelism(32) // sessions per processor
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		s := mux.Session(0)
+		req := oracle.CommitRequest{WriteSet: make([]oracle.RowID, 4)}
+		for pb.Next() {
+			ts, err := s.Begin()
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			req.StartTS = ts
+			for i := range req.WriteSet {
+				req.WriteSet[i] = oracle.RowID(rows.Add(1))
+			}
+			if _, err := s.Commit(req); err != nil {
 				b.Error(err)
 				return
 			}

@@ -519,18 +519,9 @@ func (c *Client) Begin() (uint64, error) {
 	return ts, err
 }
 
-// Commit submits a commit request.
+// Commit submits a commit request as a one-request commit batch.
 func (c *Client) Commit(req oracle.CommitRequest) (oracle.CommitResult, error) {
-	pb := getPayloadBuf()
-	*pb = appendCommitReq((*pb)[:0], req)
-	resp, err := c.callResp(opCommit, *pb)
-	putPayloadBuf(pb)
-	if err != nil {
-		return oracle.CommitResult{}, err
-	}
-	res, err := parseCommitResult(resp.payload)
-	putRespBuf(resp)
-	return res, err
+	return c.commitOne(req, nil)
 }
 
 // CommitBatch submits a batch of commit requests as one frame; the server
@@ -539,22 +530,37 @@ func (c *Client) CommitBatch(reqs []oracle.CommitRequest) ([]oracle.CommitResult
 	if len(reqs) == 0 {
 		return nil, nil
 	}
+	out := make([]oracle.CommitResult, len(reqs))
+	if err := c.commitBatch(reqs, out, nil); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// commitBatch is the one commit exchange of every transport: reqs travel as
+// one opCommitBatch frame, enveloped when env is non-nil, and out[i]
+// receives the decision on reqs[i].
+func (c *Client) commitBatch(reqs []oracle.CommitRequest, out []oracle.CommitResult, env *envelope) error {
 	pb := getPayloadBuf()
 	*pb = appendCommitBatchReq((*pb)[:0], reqs)
-	resp, err := c.callResp(opCommitBatch, *pb)
+	resp, err := c.callRespEnv(opCommitBatch, *pb, env)
 	putPayloadBuf(pb)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	results, err := decodeCommitBatchResp(resp.payload)
+	err = decodeCommitBatchRespInto(out, resp.payload)
 	putRespBuf(resp)
-	if err != nil {
-		return nil, err
+	return err
+}
+
+// commitOne is commitBatch for one request, on stack arrays.
+func (c *Client) commitOne(req oracle.CommitRequest, env *envelope) (oracle.CommitResult, error) {
+	reqs := [1]oracle.CommitRequest{req}
+	var out [1]oracle.CommitResult
+	if err := c.commitBatch(reqs[:], out[:], env); err != nil {
+		return oracle.CommitResult{}, err
 	}
-	if len(results) != len(reqs) {
-		return nil, ErrBadFrame
-	}
-	return results, nil
+	return out[0], nil
 }
 
 // Abort records an explicit abort.
@@ -622,20 +628,12 @@ func (c *Client) DecideBatch(ds []oracle.Decision) error {
 	return nil
 }
 
-// Query asks for a transaction's status.
+// Query asks for a transaction's status as a one-lookup query batch.
 func (c *Client) Query(startTS uint64) oracle.TxnStatus {
-	resp, err := c.callResp(opQuery, u64(startTS))
-	if err != nil {
-		// The Arbiter interface has no error path for Query;
-		// pending is the safe answer (the reader skips the version
-		// and may retry).
-		return oracle.TxnStatus{Status: oracle.StatusPending}
-	}
-	st, err := parseTxnStatus(resp.payload)
-	putRespBuf(resp)
-	if err != nil {
-		return oracle.TxnStatus{Status: oracle.StatusPending}
-	}
+	// The Arbiter interface has no error path for Query; on an error st is
+	// zero, which is pending: the safe answer (the reader skips the
+	// version and may retry).
+	st, _ := c.queryOne(startTS, nil)
 	return st
 }
 
@@ -646,22 +644,34 @@ func (c *Client) Query(startTS uint64) oracle.TxnStatus {
 // reader skips the versions and may retry).
 func (c *Client) QueryBatch(startTSs []uint64) []oracle.TxnStatus {
 	out := make([]oracle.TxnStatus, len(startTSs))
-	if len(startTSs) == 0 {
-		return out
+	if len(startTSs) > 0 {
+		_ = c.queryBatch(startTSs, out, nil) // on an error out is untouched: all pending
 	}
+	return out
+}
+
+// queryBatch is the one status exchange of every transport: startTSs travel
+// as one opQueryBatch frame, enveloped when env is non-nil, and out[i]
+// receives the status of startTSs[i]. On an error out is left as it was.
+func (c *Client) queryBatch(startTSs []uint64, out []oracle.TxnStatus, env *envelope) error {
 	pb := getPayloadBuf()
 	*pb = appendQueryBatchReq((*pb)[:0], startTSs)
-	resp, err := c.callResp(opQueryBatch, *pb)
+	resp, err := c.callRespEnv(opQueryBatch, *pb, env)
 	putPayloadBuf(pb)
 	if err != nil {
-		return out
+		return err
 	}
-	statuses, err := decodeQueryBatchResp(resp.payload)
+	err = decodeQueryBatchRespInto(out, resp.payload)
 	putRespBuf(resp)
-	if err != nil || len(statuses) != len(startTSs) {
-		return out
-	}
-	return statuses
+	return err
+}
+
+// queryOne is queryBatch for one lookup, on stack arrays.
+func (c *Client) queryOne(startTS uint64, env *envelope) (oracle.TxnStatus, error) {
+	tss := [1]uint64{startTS}
+	var out [1]oracle.TxnStatus
+	err := c.queryBatch(tss[:], out[:], env)
+	return out[0], err
 }
 
 // Forget drops an aborted transaction's record after cleanup.
@@ -781,7 +791,7 @@ func (c *Client) Health() (string, error) {
 // (possibly newly promoted) server's commit table — and a group member
 // that is not leading still answers it from its standby shadow.
 func (c *Client) ResolveStatus(startTS uint64) (oracle.TxnStatus, error) {
-	return c.resolveStatusEnv(startTS, nil)
+	return c.queryOne(startTS, nil)
 }
 
 // ResolveStatusCtx is ResolveStatus bounded by ctx: the context's remaining
@@ -814,7 +824,7 @@ func (c *Client) ResolveStatusCtx(ctx context.Context, startTS uint64) (oracle.T
 	}
 	done := make(chan result, 1)
 	go func() {
-		st, err := c.resolveStatusEnv(startTS, env)
+		st, err := c.queryOne(startTS, env)
 		done <- result{st, err}
 	}()
 	select {
@@ -825,24 +835,4 @@ func (c *Client) ResolveStatusCtx(ctx context.Context, startTS uint64) (oracle.T
 	case r := <-done:
 		return r.st, r.err
 	}
-}
-
-func (c *Client) resolveStatusEnv(startTS uint64, env *envelope) (oracle.TxnStatus, error) {
-	ts := [1]uint64{startTS}
-	pb := getPayloadBuf()
-	*pb = appendQueryBatchReq((*pb)[:0], ts[:])
-	resp, err := c.callRespEnv(opQueryBatch, *pb, env)
-	putPayloadBuf(pb)
-	if err != nil {
-		return oracle.TxnStatus{}, err
-	}
-	statuses, err := decodeQueryBatchResp(resp.payload)
-	putRespBuf(resp)
-	if err != nil {
-		return oracle.TxnStatus{}, err
-	}
-	if len(statuses) != 1 {
-		return oracle.TxnStatus{}, ErrBadFrame
-	}
-	return statuses[0], nil
 }

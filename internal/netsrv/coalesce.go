@@ -11,9 +11,9 @@ import (
 var ErrServerClosed = errors.New("netsrv: server closed")
 
 // coalescer adapts the shared oracle.Batcher as the server-side commit
-// coalescer: concurrent single-commit frames (each handled by its own
-// goroutine) are merged into oracle batches, so existing unbatched clients
-// transparently ride the batched commit path.
+// coalescer: concurrent one-request commit-batch frames (each handled by its
+// own goroutine) are merged into oracle batches, so clients that commit one
+// transaction at a time transparently ride the batched commit path.
 type coalescer struct {
 	b *oracle.Batcher[oracle.CommitRequest, oracle.CommitResult]
 }

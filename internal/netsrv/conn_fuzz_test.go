@@ -95,9 +95,10 @@ func beginOnFreshConn(ln *fakeListener) bool {
 // constant plus a small multiple of the bytes it was sent, and a fresh
 // connection still begins a transaction.
 func FuzzServerConn(f *testing.F) {
-	// testdata/fuzz/FuzzServerConn holds the retired ops 6, 7, 11 and 14, bare
-	// and enveloped, and op 6 carrying a 2^40-entry buffer request. Here: one
-	// valid request per live op.
+	// testdata/fuzz/FuzzServerConn holds the retired ops 2, 4, 6, 7, 11 and
+	// 14, bare and enveloped, and op 6 carrying a 2^40-entry buffer request.
+	// Here: one valid request per live op, and the one-entry batches a single
+	// commit and a single lookup travel in.
 	req := oracle.CommitRequest{StartTS: 1, WriteSet: []oracle.RowID{1, 2}, ReadSet: []oracle.RowID{3}}
 	prep := oracle.PrepareRequest{StartTS: 4, CommitTS: 5, WriteSet: []oracle.RowID{6}}
 	for _, s := range []struct {
@@ -105,9 +106,9 @@ func FuzzServerConn(f *testing.F) {
 		payload []byte
 	}{
 		{opBegin, nil},
-		{opCommit, appendCommitReq(nil, req)},
+		{opCommitBatch, appendCommitBatchReq(nil, []oracle.CommitRequest{req})},
 		{opAbort, u64(1)},
-		{opQuery, u64(1)},
+		{opQueryBatch, appendQueryBatchReq(nil, []uint64{1})},
 		{opForget, u64(1)},
 		{opCommitBatch, appendCommitBatchReq(nil, []oracle.CommitRequest{req, req})},
 		{opQueryBatch, appendQueryBatchReq(nil, []uint64{1, 2})},

@@ -118,16 +118,7 @@ func (s *Session) Begin() (uint64, error) {
 
 // Commit submits a commit request through the session's admission class.
 func (s *Session) Commit(req oracle.CommitRequest) (oracle.CommitResult, error) {
-	pb := getPayloadBuf()
-	*pb = appendCommitReq((*pb)[:0], req)
-	resp, err := s.c.callRespEnv(opCommit, *pb, &s.env)
-	putPayloadBuf(pb)
-	if err != nil {
-		return oracle.CommitResult{}, err
-	}
-	res, err := parseCommitResult(resp.payload)
-	putRespBuf(resp)
-	return res, err
+	return s.c.commitOne(req, &s.env)
 }
 
 // Abort records an explicit abort.
@@ -144,36 +135,7 @@ func (s *Session) Abort(startTS uint64) error {
 // shape has no error path), a session query surfaces shed and expiry
 // verdicts to the caller.
 func (s *Session) Query(startTS uint64) (oracle.TxnStatus, error) {
-	resp, err := s.c.callRespEnv(opQuery, u64(startTS), &s.env)
-	if err != nil {
-		return oracle.TxnStatus{}, err
-	}
-	st, err := parseTxnStatus(resp.payload)
-	putRespBuf(resp)
-	return st, err
-}
-
-// ResolveStatus is the error-aware status lookup used to settle in-doubt
-// commits, carried through the session's envelope so it shares the
-// session's admission class and deadline budget.
-func (s *Session) ResolveStatus(startTS uint64) (oracle.TxnStatus, error) {
-	pb := getPayloadBuf()
-	ts := [1]uint64{startTS}
-	*pb = appendQueryBatchReq((*pb)[:0], ts[:])
-	resp, err := s.c.callRespEnv(opQueryBatch, *pb, &s.env)
-	putPayloadBuf(pb)
-	if err != nil {
-		return oracle.TxnStatus{}, err
-	}
-	statuses, err := decodeQueryBatchResp(resp.payload)
-	putRespBuf(resp)
-	if err != nil {
-		return oracle.TxnStatus{}, err
-	}
-	if len(statuses) != 1 {
-		return oracle.TxnStatus{}, ErrBadFrame
-	}
-	return statuses[0], nil
+	return s.c.queryOne(startTS, &s.env)
 }
 
 // Forget drops an aborted transaction's record after cleanup.

@@ -167,17 +167,25 @@ func TestRemoteErrorPropagates(t *testing.T) {
 	}
 }
 
-// Retired ops are never reused: op 6 was the commit-notification stream
-// (a frame asking it for a 1<<40-event buffer once made the server
-// allocate for it), op 7 the positional stats, op 11 the manual standby
-// promote, op 14 the one-shot commit at coordinator-supplied timestamps. Bare or enveloped,
-// each is an unknown operation answered with codeErr, and the same
-// connection goes on serving requests.
+// Retired ops are never reused: ops 2 and 4 were the single commit and the
+// single status query (sent here with the payloads they took), op 6 the
+// commit-notification stream (a frame asking it for a 1<<40-event buffer
+// once made the server allocate for it), op 7 the positional stats, op 11
+// the manual standby promote, op 14 the one-shot commit at
+// coordinator-supplied timestamps. Bare or enveloped, each is an unknown
+// operation answered with codeErr, and the same connection goes on serving
+// requests.
 func TestRetiredOpSubscribe(t *testing.T) {
+	buffer := u64(1 << 40)
+	commit := appendCommitReq(nil, oracle.CommitRequest{StartTS: 1, WriteSet: []oracle.RowID{1}})
 	for _, retired := range []struct {
-		name string
-		op   byte
-	}{{"subscribe", 6}, {"stats", 7}, {"promote", 11}, {"commit-at", 14}} {
+		name    string
+		op      byte
+		payload []byte
+	}{
+		{"commit", 2, commit}, {"query", 4, u64(1)}, {"subscribe", 6, buffer},
+		{"stats", 7, buffer}, {"promote", 11, buffer}, {"commit-at", 14, buffer},
+	} {
 		t.Run(retired.name, func(t *testing.T) {
 			srv, _ := startServer(t, oracle.WSI)
 			conn, err := net.Dial("tcp", srv.Addr())
@@ -202,12 +210,11 @@ func TestRetiredOpSubscribe(t *testing.T) {
 				}
 				return code, p
 			}
-			buffer := u64(1 << 40)
-			enveloped := append(appendEnvelope(nil, envelope{session: 1}, retired.op), buffer...)
+			enveloped := append(appendEnvelope(nil, envelope{session: 1}, retired.op), retired.payload...)
 			for i, f := range []struct {
 				op      byte
 				payload []byte
-			}{{retired.op, buffer}, {opEnvelope, enveloped}} {
+			}{{retired.op, retired.payload}, {opEnvelope, enveloped}} {
 				if code, p := exchange(uint64(i+1), f.op, f.payload); code != codeErr || string(p) != "unknown operation" {
 					t.Fatalf("frame %d: code %d %q, want codeErr \"unknown operation\"", i, code, p)
 				}
@@ -280,9 +287,12 @@ func TestCommitReqRoundTrip(t *testing.T) {
 		for _, v := range r {
 			req.ReadSet = append(req.ReadSet, oracle.RowID(v))
 		}
-		var got oracle.CommitRequest
-		err := decodeCommitReqInto(&got, appendCommitReq(nil, req))
-		if err != nil || got.StartTS != start ||
+		dec, err := decodeCommitBatchReqInto(nil, appendCommitBatchReq(nil, []oracle.CommitRequest{req}))
+		if err != nil || len(dec) != 1 {
+			return false
+		}
+		got := dec[0]
+		if got.StartTS != start ||
 			len(got.WriteSet) != len(req.WriteSet) || len(got.ReadSet) != len(req.ReadSet) {
 			return false
 		}
@@ -303,13 +313,14 @@ func TestCommitReqRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeCommitReqRejectsTrailing checks a one-request commit batch, the
+// frame a single commit travels in.
 func TestDecodeCommitReqRejectsTrailing(t *testing.T) {
-	enc := appendCommitReq(nil, oracle.CommitRequest{StartTS: 1})
-	var req oracle.CommitRequest
-	if err := decodeCommitReqInto(&req, append(enc, 0xFF)); err == nil {
+	enc := appendCommitBatchReq(nil, []oracle.CommitRequest{{StartTS: 1}})
+	if _, err := decodeCommitBatchReqInto(nil, append(enc, 0xFF)); err == nil {
 		t.Fatal("trailing bytes must be rejected")
 	}
-	if err := decodeCommitReqInto(&req, enc[:5]); err == nil {
+	if _, err := decodeCommitBatchReqInto(nil, enc[:9]); err == nil {
 		t.Fatal("truncated request must be rejected")
 	}
 }
@@ -431,12 +442,24 @@ func TestCommitBatchReqRoundTrip(t *testing.T) {
 }
 
 func TestCommitBatchRespRejectsCorruption(t *testing.T) {
-	resp := appendCommitBatchResp(nil, []oracle.CommitResult{{Committed: true, CommitTS: 42}})
-	if _, err := decodeCommitBatchResp(resp[:len(resp)-1]); err == nil {
+	want := oracle.CommitResult{Committed: true, CommitTS: 42}
+	resp := appendCommitBatchResp(nil, []oracle.CommitResult{want})
+	var out [2]oracle.CommitResult
+	if err := decodeCommitBatchRespInto(out[:1], resp); err != nil || out[0] != want {
+		t.Fatalf("decoded %+v, %v; want %+v", out[0], err, want)
+	}
+	out[0] = oracle.CommitResult{}
+	if err := decodeCommitBatchRespInto(out[:1], resp[:len(resp)-1]); err == nil {
 		t.Fatal("truncated response decoded without error")
 	}
-	if _, err := decodeCommitBatchResp(append(resp, 0)); err == nil {
+	if err := decodeCommitBatchRespInto(out[:1], append(resp, 0)); err == nil {
 		t.Fatal("padded response decoded without error")
+	}
+	if err := decodeCommitBatchRespInto(out[:], resp); err == nil {
+		t.Fatal("response for one request decoded as an answer to two")
+	}
+	if out != [2]oracle.CommitResult{} {
+		t.Fatalf("rejected responses wrote %+v", out)
 	}
 }
 
@@ -548,8 +571,8 @@ func TestQueryBatchCodecRoundTrip(t *testing.T) {
 		{Status: oracle.StatusPending},
 		{Status: oracle.StatusUnknown},
 	}
-	got, err := decodeQueryBatchResp(appendQueryBatchResp(nil, statuses))
-	if err != nil {
+	got := make([]oracle.TxnStatus, len(statuses))
+	if err := decodeQueryBatchRespInto(got, appendQueryBatchResp(nil, statuses)); err != nil {
 		t.Fatal(err)
 	}
 	for i := range statuses {
@@ -566,8 +589,11 @@ func TestQueryBatchCodecRoundTrip(t *testing.T) {
 		t.Fatal("truncated query-batch request decoded without error")
 	}
 	resp := appendQueryBatchResp(nil, statuses)
-	if _, err := decodeQueryBatchResp(append(resp, 0)); err == nil {
+	if err := decodeQueryBatchRespInto(got, append(resp, 0)); err == nil {
 		t.Fatal("padded query-batch response decoded without error")
+	}
+	if err := decodeQueryBatchRespInto(got[:3], resp); err == nil {
+		t.Fatal("query-batch response for four lookups decoded as an answer to three")
 	}
 }
 

@@ -20,15 +20,15 @@ import (
 	"repro/internal/oracle"
 )
 
-// Operation codes. 6 (a retired commit-notification stream), 7 (a retired
-// positional stats payload), 11 (a retired manual promote) and 14 (a
-// retired one-shot commit at coordinator-supplied timestamps) are never
-// reused: a server answers them, like any unknown op, with codeErr.
+// Operation codes. 2 and 4 (the retired single commit and single status
+// query: one commit or lookup is a one-entry opCommitBatch or opQueryBatch),
+// 6 (a retired commit-notification stream), 7 (a retired positional stats
+// payload), 11 (a retired manual promote) and 14 (a retired one-shot commit
+// at coordinator-supplied timestamps) are never reused: a server answers
+// them, like any unknown op, with codeErr.
 const (
 	opBegin       = 1
-	opCommit      = 2
 	opAbort       = 3
-	opQuery       = 4
 	opForget      = 5
 	opCommitBatch = 8
 	opQueryBatch  = 9
@@ -247,19 +247,6 @@ func appendCommitReq(b []byte, req oracle.CommitRequest) []byte {
 	return b
 }
 
-// decodeCommitReqInto decodes a single-commit payload reusing req's row-set
-// arrays.
-func decodeCommitReqInto(req *oracle.CommitRequest, b []byte) error {
-	rest, err := parseCommitReqInto(req, b)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return ErrBadFrame
-	}
-	return nil
-}
-
 // parseCommitReqInto decodes one commit request from the front of b in
 // place, reusing req's row-set backing arrays, and returns the remainder;
 // commit-batch payloads are a plain concatenation of these.
@@ -282,7 +269,7 @@ func parseCommitReqInto(req *oracle.CommitRequest, b []byte) ([]byte, error) {
 }
 
 // appendCommitBatchReq renders a batched commit payload: count(u32)
-// followed by the concatenated single-commit encodings.
+// followed by the concatenated request encodings.
 func appendCommitBatchReq(b []byte, reqs []oracle.CommitRequest) []byte {
 	var n [4]byte
 	binary.BigEndian.PutUint32(n[:], uint32(len(reqs)))
@@ -328,57 +315,40 @@ func decodeCommitBatchReqInto(scratch []oracle.CommitRequest, b []byte) ([]oracl
 	return reqs, nil
 }
 
-// encodeCommitResult renders one commit decision: committed(u8) commitTS(u64).
-func encodeCommitResult(b []byte, res oracle.CommitResult) []byte {
-	var out [9]byte
-	if res.Committed {
-		out[0] = 1
-	}
-	binary.BigEndian.PutUint64(out[1:], res.CommitTS)
-	return append(b, out[:]...)
-}
-
-func parseCommitResult(b []byte) (oracle.CommitResult, error) {
-	if len(b) != 9 {
-		return oracle.CommitResult{}, ErrBadFrame
-	}
-	return oracle.CommitResult{
-		Committed: b[0] == 1,
-		CommitTS:  binary.BigEndian.Uint64(b[1:]),
-	}, nil
-}
-
 // appendCommitBatchResp renders the decisions of a commit batch:
-// count(u32) then 9 bytes per result.
+// count(u32) then per result committed(u8) commitTS(u64).
 func appendCommitBatchResp(b []byte, results []oracle.CommitResult) []byte {
 	var n [4]byte
 	binary.BigEndian.PutUint32(n[:], uint32(len(results)))
 	b = append(b, n[:]...)
-	for i := range results {
-		b = encodeCommitResult(b, results[i])
+	for _, res := range results {
+		var e [9]byte
+		if res.Committed {
+			e[0] = 1
+		}
+		binary.BigEndian.PutUint64(e[1:], res.CommitTS)
+		b = append(b, e[:]...)
 	}
 	return b
 }
 
-func decodeCommitBatchResp(b []byte) ([]oracle.CommitResult, error) {
-	if len(b) < 4 {
-		return nil, ErrBadFrame
+// decodeCommitBatchRespInto decodes a commit-batch response into out, which
+// must have one entry per request sent: a reply of any other count is
+// malformed. Nothing is written unless the whole payload is well formed.
+func decodeCommitBatchRespInto(out []oracle.CommitResult, b []byte) error {
+	if len(b) < 4 || uint64(binary.BigEndian.Uint32(b[:4])) != uint64(len(out)) ||
+		len(b)-4 != len(out)*9 {
+		return ErrBadFrame
 	}
-	count := binary.BigEndian.Uint32(b[:4])
 	rest := b[4:]
-	if uint64(len(rest)) != uint64(count)*9 {
-		return nil, ErrBadFrame
-	}
-	results := make([]oracle.CommitResult, count)
-	for i := range results {
-		var err error
-		results[i], err = parseCommitResult(rest[:9])
-		if err != nil {
-			return nil, err
+	for i := range out {
+		out[i] = oracle.CommitResult{
+			Committed: rest[0] == 1,
+			CommitTS:  binary.BigEndian.Uint64(rest[1:9]),
 		}
 		rest = rest[9:]
 	}
-	return results, nil
+	return nil
 }
 
 // u64 renders one big-endian uint64 payload.
@@ -400,22 +370,6 @@ func parseU64(b []byte) (uint64, error) {
 		return 0, ErrBadFrame
 	}
 	return binary.BigEndian.Uint64(b), nil
-}
-
-// appendTxnStatus renders a TxnStatus payload: status(u8) commitTS(u64).
-func appendTxnStatus(b []byte, st oracle.TxnStatus) []byte {
-	b = append(b, byte(st.Status))
-	return appendU64(b, st.CommitTS)
-}
-
-func parseTxnStatus(b []byte) (oracle.TxnStatus, error) {
-	if len(b) != 9 {
-		return oracle.TxnStatus{}, ErrBadFrame
-	}
-	return oracle.TxnStatus{
-		Status:   oracle.Status(b[0]),
-		CommitTS: binary.BigEndian.Uint64(b[1:]),
-	}, nil
 }
 
 // appendQueryBatchReq renders a batched status-query payload: count(u32)
@@ -452,35 +406,35 @@ func decodeQueryBatchReqInto(scratch []uint64, b []byte) ([]uint64, error) {
 }
 
 // appendQueryBatchResp renders the statuses of a query batch: count(u32)
-// then 9 bytes per TxnStatus.
+// then per status status(u8) commitTS(u64).
 func appendQueryBatchResp(b []byte, statuses []oracle.TxnStatus) []byte {
 	var n [4]byte
 	binary.BigEndian.PutUint32(n[:], uint32(len(statuses)))
 	b = append(b, n[:]...)
-	for i := range statuses {
-		b = appendTxnStatus(b, statuses[i])
+	for _, st := range statuses {
+		b = append(b, byte(st.Status))
+		b = appendU64(b, st.CommitTS)
 	}
 	return b
 }
 
-func decodeQueryBatchResp(b []byte) ([]oracle.TxnStatus, error) {
-	if len(b) < 4 {
-		return nil, ErrBadFrame
+// decodeQueryBatchRespInto decodes a query-batch response into out, which
+// must have one entry per lookup sent: a reply of any other count is
+// malformed. Nothing is written unless the whole payload is well formed.
+func decodeQueryBatchRespInto(out []oracle.TxnStatus, b []byte) error {
+	if len(b) < 4 || uint64(binary.BigEndian.Uint32(b[:4])) != uint64(len(out)) ||
+		len(b)-4 != len(out)*9 {
+		return ErrBadFrame
 	}
-	count := binary.BigEndian.Uint32(b[:4])
 	rest := b[4:]
-	if uint64(len(rest)) != uint64(count)*9 {
-		return nil, ErrBadFrame
-	}
-	statuses := make([]oracle.TxnStatus, count)
-	for i := range statuses {
-		statuses[i] = oracle.TxnStatus{
+	for i := range out {
+		out[i] = oracle.TxnStatus{
 			Status:   oracle.Status(rest[0]),
 			CommitTS: binary.BigEndian.Uint64(rest[1:9]),
 		}
 		rest = rest[9:]
 	}
-	return statuses, nil
+	return nil
 }
 
 // envelope is the ingress header of a multiplexed request: the tenant the

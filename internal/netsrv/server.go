@@ -47,12 +47,12 @@ type Server struct {
 	// back to a plain ErrStandby error. Set before Listen.
 	LeaderHint func() (epoch uint64, addr string)
 
-	// StandbyReads, when set alongside LeaderHint, serves opQuery and
-	// opQueryBatch from the member's local standby shadow while it is not
-	// leading: stale-bounded reads stay available through elections. The
-	// callback follows QueryBatchInto conventions (scratch reuse); ok
-	// false means no shadow is attached yet and the request is answered
-	// codeNotLeader like any other data op. Set before Listen.
+	// StandbyReads, when set alongside LeaderHint, serves opQueryBatch
+	// from the member's local standby shadow while it is not leading:
+	// stale-bounded reads stay available through elections. The callback
+	// follows QueryBatchInto conventions (scratch reuse); ok false means no
+	// shadow is attached yet and the request is answered codeNotLeader like
+	// any other data op. Set before Listen.
 	StandbyReads func(startTSs []uint64, scratch []oracle.TxnStatus) ([]oracle.TxnStatus, bool)
 
 	// PartitionID / Partitions identify this server's slice of a
@@ -69,12 +69,12 @@ type Server struct {
 	routing   partition.RoutingTable
 
 	// CoalesceMaxBatch, when > 0, enables the server-side commit
-	// coalescer: concurrent single-commit frames are accumulated into
-	// oracle commit batches of up to this size, cut when full or when no
-	// decide is in flight (oracle.Batcher). Set before Listen. opCommitBatch
-	// frames bypass it — they are already batches — and status lookups are
-	// answered inline: they are decided in memory, so there is no busy
-	// stage for a batch to form behind.
+	// coalescer: concurrent one-request commit-batch frames are accumulated
+	// into oracle commit batches of up to this size, cut when full or when
+	// no decide is in flight (oracle.Batcher). Set before Listen. Frames of
+	// several requests bypass it — they are already batches — and status
+	// lookups are answered inline: they are decided in memory, so there is
+	// no busy stage for a batch to form behind.
 	CoalesceMaxBatch int
 	// Deprecated: ignored, no timer cuts a batch; only benchmark/ still sets it.
 	CoalesceMaxDelay time.Duration
@@ -156,7 +156,6 @@ type handlerCtx struct {
 	body    []byte                 // raw frame (request body)
 	resp    []byte                 // response build buffer
 	reqs    []oracle.CommitRequest // commit-batch decode scratch
-	single  oracle.CommitRequest   // single-commit decode scratch
 	tss     []uint64               // query-batch decode scratch
 	results []oracle.CommitResult  // CommitBatchInto result scratch
 	sts     []oracle.TxnStatus     // QueryBatchInto result scratch
@@ -388,8 +387,7 @@ func (s *Server) dropConn(conn net.Conn) {
 // migration) bypass admission so operability survives overload.
 func isDataOp(op byte) bool {
 	switch op {
-	case opBegin, opCommit, opAbort, opQuery, opForget,
-		opCommitBatch, opQueryBatch,
+	case opBegin, opAbort, opForget, opCommitBatch, opQueryBatch,
 		opPrepareBatch, opDecideBatch, opBeginBlock:
 		return true
 	}
@@ -601,28 +599,15 @@ func (s *Server) handle(ctx *handlerCtx, reqID uint64, op byte, payload []byte, 
 		// A group member that is not leading still answers status reads
 		// from its standby shadow (stale-bounded availability through
 		// elections); everything else is redirected to the leader.
-		if s.StandbyReads != nil {
-			switch op {
-			case opQuery:
-				ts, err := parseU64(payload)
-				if err != nil {
-					return respError(reqID, err)
-				}
-				ctx.tss = append(ctx.tss[:0], ts)
-				if sts, served := s.StandbyReads(ctx.tss, ctx.sts); served {
-					ctx.sts = sts
-					return appendTxnStatus(ok, sts[0])
-				}
-			case opQueryBatch:
-				startTSs, err := decodeQueryBatchReqInto(ctx.tss, payload)
-				if err != nil {
-					return respError(reqID, err)
-				}
-				ctx.tss = startTSs
-				if sts, served := s.StandbyReads(startTSs, ctx.sts); served {
-					ctx.sts = sts
-					return appendQueryBatchResp(ok, sts)
-				}
+		if s.StandbyReads != nil && op == opQueryBatch {
+			startTSs, err := decodeQueryBatchReqInto(ctx.tss, payload)
+			if err != nil {
+				return respError(reqID, err)
+			}
+			ctx.tss = startTSs
+			if sts, served := s.StandbyReads(startTSs, ctx.sts); served {
+				ctx.sts = sts
+				return appendQueryBatchResp(ok, sts)
 			}
 		}
 		return s.respNotLeader(reqID, ErrStandby)
@@ -634,28 +619,6 @@ func (s *Server) handle(ctx *handlerCtx, reqID uint64, op byte, payload []byte, 
 			return s.respDataErr(ctx, reqID, err)
 		}
 		return appendU64(ok, ts)
-	case opCommit:
-		err := decodeCommitReqInto(&ctx.single, payload)
-		if err != nil {
-			return respError(reqID, err)
-		}
-		// Assigned unconditionally: the decode scratch is pooled, so a
-		// stale span pointer from a previous request must never survive.
-		ctx.single.Span = nil
-		if s.traceOn.Load() {
-			ctx.single.Span = &ctx.span
-		}
-		var res oracle.CommitResult
-		if c := s.coal.Load(); c != nil {
-			res, err = c.submit(ctx.single, deadline)
-		} else {
-			res, err = so.Commit(ctx.single)
-		}
-		if err != nil {
-			return s.respDataErr(ctx, reqID, err)
-		}
-		s.tapCommit(&ctx.single, res)
-		return encodeCommitResult(ok, res)
 	case opCommitBatch:
 		reqs, err := decodeCommitBatchReqInto(ctx.reqs, payload)
 		if err != nil {
@@ -663,12 +626,24 @@ func (s *Server) handle(ctx *handlerCtx, reqID uint64, op byte, payload []byte, 
 		}
 		ctx.reqs = reqs
 		for i := range reqs {
+			// Assigned unconditionally: the decode scratch is pooled, so a
+			// stale span pointer from a previous request must never survive.
 			reqs[i].Span = nil
 			if s.traceOn.Load() {
 				reqs[i].Span = &ctx.span
 			}
 		}
-		results, err := so.CommitBatchInto(reqs, ctx.results)
+		// A one-request frame is a client's single commit: with a
+		// coalescer it joins the concurrent ones in the next oracle batch.
+		// A frame of several is a batch already and is decided as sent.
+		results := ctx.results
+		if c := s.coal.Load(); c != nil && len(reqs) == 1 {
+			var res oracle.CommitResult
+			res, err = c.submit(reqs[0], deadline)
+			results = append(results[:0], res)
+		} else {
+			results, err = so.CommitBatchInto(reqs, results)
+		}
 		if err != nil {
 			return s.respDataErr(ctx, reqID, err)
 		}
@@ -686,12 +661,6 @@ func (s *Server) handle(ctx *handlerCtx, reqID uint64, op byte, payload []byte, 
 			return s.respDataErr(ctx, reqID, err)
 		}
 		return ok
-	case opQuery:
-		ts, err := parseU64(payload)
-		if err != nil {
-			return respError(reqID, err)
-		}
-		return appendTxnStatus(ok, so.Query(ts))
 	case opQueryBatch:
 		startTSs, err := decodeQueryBatchReqInto(ctx.tss, payload)
 		if err != nil {

@@ -31,8 +31,8 @@ var stageHistNames = [numStageHists]string{
 // Op classes partition the wire ops into the families whose latency stories
 // differ, labeling the stage histograms without exploding one series per op.
 const (
-	classCommit = iota // opCommit, opCommitBatch
-	classQuery         // opQuery, opQueryBatch
+	classCommit = iota // opCommitBatch
+	classQuery         // opQueryBatch
 	classOther         // everything else (begin, abort, control plane, …)
 	numOpClasses
 )
@@ -41,9 +41,9 @@ var opClassNames = [numOpClasses]string{"commit", "query", "other"}
 
 func opClass(op byte) int {
 	switch op {
-	case opCommit, opCommitBatch:
+	case opCommitBatch:
 		return classCommit
-	case opQuery, opQueryBatch:
+	case opQueryBatch:
 		return classQuery
 	}
 	return classOther
@@ -54,12 +54,8 @@ func opName(op byte) string {
 	switch op {
 	case opBegin:
 		return "begin"
-	case opCommit:
-		return "commit"
 	case opAbort:
 		return "abort"
-	case opQuery:
-		return "query"
 	case opForget:
 		return "forget"
 	case opCommitBatch:

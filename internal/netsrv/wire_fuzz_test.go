@@ -48,15 +48,7 @@ var (
 
 // wireCodecs maps every op whose request carries a payload to its codec.
 var wireCodecs = map[byte]wireCodec{
-	opCommit: {
-		decode: func(p []byte) (any, error) {
-			var req oracle.CommitRequest
-			return req, decodeCommitReqInto(&req, p)
-		},
-		encode: func(b []byte, v any) []byte { return appendCommitReq(b, v.(oracle.CommitRequest)) },
-	},
 	opAbort:  u64Codec,
-	opQuery:  u64Codec,
 	opForget: u64Codec,
 	opCommitBatch: {
 		decode: func(p []byte) (any, error) { return decodeCommitBatchReqInto(nil, p) },
@@ -128,16 +120,17 @@ func checkWireRequest(t *testing.T, op byte, payload []byte) {
 func FuzzWireRequest(f *testing.F) {
 	// testdata/fuzz/FuzzWireRequest holds batch payloads whose counts claim
 	// far more requests than the bytes present. Here: one valid payload per
-	// op that carries one.
+	// op that carries one, and the one-entry batches a single commit and a
+	// single lookup travel in.
 	req := oracle.CommitRequest{StartTS: 1, WriteSet: []oracle.RowID{1, 2}, ReadSet: []oracle.RowID{3}}
 	prep := oracle.PrepareRequest{StartTS: 4, CommitTS: 5, WriteSet: []oracle.RowID{6}}
 	for _, s := range []struct {
 		op      byte
 		payload []byte
 	}{
-		{opCommit, appendCommitReq(nil, req)},
+		{opCommitBatch, appendCommitBatchReq(nil, []oracle.CommitRequest{req})},
 		{opAbort, u64(1)},
-		{opQuery, u64(1)},
+		{opQueryBatch, appendQueryBatchReq(nil, []uint64{1})},
 		{opForget, u64(1)},
 		{opCommitBatch, appendCommitBatchReq(nil, []oracle.CommitRequest{req, req})},
 		{opQueryBatch, appendQueryBatchReq(nil, []uint64{1, 2})},
@@ -148,7 +141,7 @@ func FuzzWireRequest(f *testing.F) {
 		{opExportRange, appendRangeReq(nil, 0, 100)},
 		{opApplyRange, oracle.EncodeRangeState(&oracle.RangeState{Lo: 0, Hi: 100, Tmax: 1, Rows: []oracle.RangeRow{{Row: 7, TS: 1}}})},
 		{opDiscardRange, appendRangeReq(nil, 0, 100)},
-		{opEnvelope, appendCommitReq(appendEnvelope(nil, envelope{tenant: 1, session: 2, deadline: 3}, opCommit), req)},
+		{opEnvelope, appendCommitBatchReq(appendEnvelope(nil, envelope{tenant: 1, session: 2, deadline: 3}, opCommitBatch), []oracle.CommitRequest{req})},
 	} {
 		f.Add(s.op, s.payload)
 	}

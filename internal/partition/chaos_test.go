@@ -20,7 +20,8 @@ import (
 //     with the acknowledged timestamp (or unknown after eviction — never
 //     pending, never aborted);
 //   - a snapshot issued after an acknowledged commit always sits above the
-//     commit timestamp (the begin barrier), so the commit is inside it;
+//     commit timestamp (the clock drew it, and the verdict was published,
+//     before the ack), so the commit is inside it;
 //   - no prepared-row locks leak.
 func TestPartitionChaos(t *testing.T) {
 	lc, err := NewLocal(LocalConfig{

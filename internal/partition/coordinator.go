@@ -884,33 +884,29 @@ func (co *Coordinator) ResolveStatus(startTS uint64) (oracle.TxnStatus, error) {
 		}
 		return oracle.TxnStatus{Status: oracle.StatusAborted}, nil
 	}
-	merged := oracle.TxnStatus{Status: oracle.StatusPending}
+	// A partition that failed leaves its answer empty, which mergeStatuses
+	// skips; a committed answer is final, so the partitions after it are
+	// not asked.
+	answers := make([][]oracle.TxnStatus, len(co.parts))
 	var firstErr error
-	for _, b := range co.parts {
-		var st oracle.TxnStatus
-		var err error
+	for p, b := range co.parts {
 		if r, ok := b.(StatusResolving); ok {
-			st, err = r.ResolveStatus(startTS)
+			st, err := r.ResolveStatus(startTS)
+			if err != nil {
+				if firstErr == nil {
+					firstErr = err
+				}
+				continue
+			}
+			answers[p] = []oracle.TxnStatus{st}
 		} else {
-			st = b.QueryBatch([]uint64{startTS})[0]
+			answers[p] = b.QueryBatch([]uint64{startTS})
 		}
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		switch st.Status {
-		case oracle.StatusCommitted:
-			return st, nil
-		case oracle.StatusAborted:
-			merged = st
-		case oracle.StatusUnknown:
-			if merged.Status == oracle.StatusPending {
-				merged = st
-			}
+		if answers[p][0].Status == oracle.StatusCommitted {
+			break
 		}
 	}
+	merged := mergeStatuses(answers, 0)
 	if firstErr != nil && merged.Status == oracle.StatusPending {
 		// A silent partition might have held the only copy of the answer.
 		return oracle.TxnStatus{}, firstErr

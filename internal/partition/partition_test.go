@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -510,4 +511,74 @@ func (b *parkingBackend) PrepareBatch(reqs []oracle.PrepareRequest) ([]bool, err
 		}
 	}
 	return b.Backend.PrepareBatch(reqs)
+}
+
+// fixedResolver answers every status lookup with one fixed reply, counting
+// the lookups.
+type fixedResolver struct {
+	Backend
+	st    oracle.TxnStatus
+	err   error
+	asked *int
+}
+
+func (r fixedResolver) ResolveStatus(uint64) (oracle.TxnStatus, error) {
+	*r.asked++
+	return r.st, r.err
+}
+
+// TestResolveStatusMergesAnswers: the coordinator's in-doubt lookup merges
+// the partitions' answers as its queries do (committed beats aborted beats
+// unknown beats pending), stops at a committed answer, and reports a
+// transport failure only when the merged answer is still pending.
+func TestResolveStatusMergesAnswers(t *testing.T) {
+	var (
+		lost      = errors.New("partition unreachable")
+		pending   = oracle.TxnStatus{Status: oracle.StatusPending}
+		unknown   = oracle.TxnStatus{Status: oracle.StatusUnknown}
+		aborted   = oracle.TxnStatus{Status: oracle.StatusAborted}
+		committed = oracle.TxnStatus{Status: oracle.StatusCommitted, CommitTS: 7}
+	)
+	type reply struct {
+		st  oracle.TxnStatus
+		err error
+	}
+	for _, c := range []struct {
+		name    string
+		replies [2]reply
+		want    oracle.TxnStatus
+		wantErr bool
+		asked   int
+	}{
+		{"lost-then-pending", [2]reply{{err: lost}, {st: pending}}, oracle.TxnStatus{}, true, 2},
+		{"lost-then-committed", [2]reply{{err: lost}, {st: committed}}, committed, false, 2},
+		{"aborted-then-lost", [2]reply{{st: aborted}, {err: lost}}, aborted, false, 2},
+		{"unknown-then-pending", [2]reply{{st: unknown}, {st: pending}}, unknown, false, 2},
+		{"pending-then-aborted", [2]reply{{st: pending}, {st: aborted}}, aborted, false, 2},
+		{"committed-stops", [2]reply{{st: committed}, {err: lost}}, committed, false, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			clock := tso.New(0, nil)
+			asked := 0
+			backends := make([]Backend, 2)
+			for i, r := range c.replies {
+				so, err := oracle.New(oracle.Config{Engine: oracle.WSI, TSO: clock})
+				if err != nil {
+					t.Fatal(err)
+				}
+				backends[i] = fixedResolver{Local{so}, r.st, r.err, &asked}
+			}
+			co, err := NewCoordinator(Config{Engine: oracle.WSI, Backends: backends, Clock: TSOClock{clock}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := co.ResolveStatus(1)
+			if (err != nil) != c.wantErr || got != c.want {
+				t.Fatalf("ResolveStatus = %+v, %v; want %+v, error %v", got, err, c.want, c.wantErr)
+			}
+			if asked != c.asked {
+				t.Fatalf("%d partitions asked, want %d", asked, c.asked)
+			}
+		})
+	}
 }

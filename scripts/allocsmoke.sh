@@ -7,7 +7,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 out=$(go test -run=NONE -bench 'BenchmarkCommitBatch|BenchmarkQueryBatch' -benchmem -benchtime 5000x ./internal/oracle
-      go test -run=NONE -bench 'BenchmarkAdmissionDecision|BenchmarkSessionRoundTrip' -benchmem -benchtime 5000x ./internal/netsrv
+      go test -run=NONE -bench 'BenchmarkAdmissionDecision|BenchmarkSessionRoundTrip|BenchmarkSessionCommitRoundTrip|BenchmarkCommitRoundTrip|BenchmarkQueryRoundTrip' -benchmem -benchtime 5000x ./internal/netsrv
       go test -run=NONE -bench 'BenchmarkGet|BenchmarkPut' -benchmem -benchtime 5000x ./internal/txn
       go test -run=NONE -bench 'BenchmarkMultiGetHotRow' -benchmem -benchtime 5000x ./internal/kvstore
       go test -run=NONE -bench 'BenchmarkWriterAppend' -benchmem -benchtime 5000x ./internal/wal
