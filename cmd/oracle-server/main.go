@@ -47,12 +47,14 @@
 //	oracle-server -addr :7070 -partitions 4 -partition-id 0 -router hash \
 //	    -wal /var/lib/wsi/part0.wal
 //
-// Requests carrying rows the router did not assign to this partition are
-// rejected at the wire; clients front the fleet with
-// netsrv.DialPartitioned, whose coordinator runs every write transaction
-// through the two-phase prepare/decide protocol on the slices its rows
-// live on. Partition 0's server doubles as the timestamp authority: it
-// draws each round's commit timestamps after the votes.
+// The router is fixed at start: every server and every coordinator of the
+// deployment must be given the same -router. Requests carrying rows the
+// router did not assign to this partition are rejected at the wire, and the
+// coordinator reports the refusal as partition.ErrMisrouted. Clients front
+// the fleet with netsrv.DialPartitioned, whose coordinator runs every write
+// transaction through the two-phase prepare/decide protocol on the slices
+// its rows live on. Partition 0's server doubles as the timestamp
+// authority: it draws each round's commit timestamps after the votes.
 package main
 
 import (
@@ -115,7 +117,6 @@ func main() {
 		partitions  = flag.Int("partitions", 1, "total status-oracle partitions in the deployment (this server is one of them)")
 		partitionID = flag.Int("partition-id", 0, "this server's partition index in [0, -partitions) (with -partitions > 1)")
 		routerSpec  = flag.String("router", "hash", "row router of the partitioned deployment: hash, range, range:s1,s2,..., or map:... (with -partitions > 1)")
-		loadSpan    = flag.Uint64("loadspan", 0, "row-id span of the per-slice load histogram the rebalancer reads (0 = full 64-bit space); set to the workload's row count")
 	)
 	flag.Parse()
 
@@ -134,13 +135,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "oracle-server: %v\n", err)
 		os.Exit(2)
 	}
-	cfg := oracle.Config{Engine: eng, Table: kind, MaxRows: *maxRows, Shards: *shards, LoadSpan: *loadSpan}
+	cfg := oracle.Config{Engine: eng, Table: kind, MaxRows: *maxRows, Shards: *shards}
 
 	// Partitioned deployment: this server owns one key slice of a
 	// -partitions-wide status oracle. The router must match the one the
-	// PartitionedClient coordinators dial with; requests carrying rows the
-	// table did not assign here answer an epoch-aware redirect, and a live
-	// rebalance replaces the table through the set-routing op.
+	// PartitionedClient coordinators dial with; requests carrying rows it
+	// did not assign here are refused as misrouted.
 	var role *partitionRole
 	if *partitions > 1 {
 		if *partitionID < 0 || *partitionID >= *partitions {
@@ -152,8 +152,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "oracle-server: %v\n", err)
 			os.Exit(2)
 		}
-		role = &partitionRole{router: router, id: *partitionID, n: *partitions}
-		log.Printf("oracle-server: partition %d of %d (%s router, epoch 1)", *partitionID, *partitions, *routerSpec)
+		role = &partitionRole{router: router, id: *partitionID}
+		log.Printf("oracle-server: partition %d of %d (%s router)", *partitionID, *partitions, *routerSpec)
 	}
 
 	ing := ingressFlags{
@@ -336,20 +336,18 @@ func (f ingressFlags) apply(srv *netsrv.Server) {
 }
 
 // partitionRole carries the server's slice identity in a partitioned
-// deployment; apply installs the boot routing table at epoch 1, which a
-// live rebalance supersedes through the epoch-fenced set-routing op.
+// deployment; apply gives the server its router and partition id before it
+// serves, and neither changes while it runs.
 type partitionRole struct {
 	router partition.Router
-	id, n  int
+	id     int
 }
 
 func (p *partitionRole) apply(srv *netsrv.Server) {
 	if p == nil {
 		return
 	}
-	srv.PartitionID = p.id
-	srv.Partitions = p.n
-	srv.SetRouting(partition.RoutingTable{Epoch: 1, Router: p.router})
+	srv.Router, srv.PartitionID = p.router, p.id
 }
 
 // configureCoalescing applies the coalescer's batch cap to a server.

@@ -72,10 +72,6 @@ type Options struct {
 	Shards int
 	// Bucketer enables the §5.2 analytics extension.
 	Bucketer txn.Bucketer
-	// CommitBatchSize caps how many Txn.CommitAsync submissions the
-	// client's commit pipeliner coalesces into one oracle batch
-	// (default txn.DefaultCommitBatchSize).
-	CommitBatchSize int
 }
 
 // System is a wired-up transactional store.
@@ -151,11 +147,7 @@ func newClient(store *kvstore.Store, so *oracle.StatusOracle, opts Options) (*tx
 	if opts.MaxCommits > 0 {
 		mode = txn.ModeWriteBack
 	}
-	return txn.NewClient(store, so, txn.Config{
-		Mode:            mode,
-		Bucketer:        opts.Bucketer,
-		CommitBatchSize: opts.CommitBatchSize,
-	})
+	return txn.NewClient(store, so, txn.Config{Mode: mode, Bucketer: opts.Bucketer})
 }
 
 // Begin starts a transaction.
@@ -182,9 +174,8 @@ func (s *System) FlushWAL() {
 	}
 }
 
-// Close releases background resources (commit pipeliner, WAL writer).
+// Close releases background resources (the WAL writer).
 func (s *System) Close() {
-	s.Client.Close()
 	if s.walWriter != nil {
 		s.walWriter.Close()
 	}

@@ -323,37 +323,51 @@ func TestStatsSurface(t *testing.T) {
 	}
 }
 
-// TestCommitAsyncDurablePipeline drives the whole batched commit pipeline
-// through the facade: a durable system, many async commits in flight,
-// batch-encoded WAL records, then crash recovery of the batched state.
-func TestCommitAsyncDurablePipeline(t *testing.T) {
-	sys := newSystem(t, Options{
-		Engine:          WSI,
-		Durable:         true,
-		CommitBatchSize: 16,
-	})
+// TestConcurrentCommitsDurable drives the durable commit path through the
+// facade: many goroutines committing on one durable system at once, then
+// crash recovery, which must reproduce every acknowledged commit at its
+// commit timestamp.
+func TestConcurrentCommitsDurable(t *testing.T) {
+	sys := newSystem(t, Options{Engine: WSI, Durable: true})
 	const n = 48
-	futures := make([]<-chan txn.CommitOutcome, n)
-	for i := 0; i < n; i++ {
-		tx, err := sys.Begin()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := tx.Put(fmt.Sprintf("acct%02d", i), []byte("100")); err != nil {
-			t.Fatal(err)
-		}
-		futures[i] = tx.CommitAsync()
-	}
+	startTS := make([]uint64, n)
 	commitTS := make([]uint64, n)
-	for i, f := range futures {
-		out := <-f
-		if out.Err != nil {
-			t.Fatalf("async commit %d: %v", i, out.Err)
-		}
-		commitTS[i] = out.CommitTS
+	errs := make(chan error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			tx, err := sys.Begin()
+			if err != nil {
+				errs <- err
+				return
+			}
+			if err := tx.Put(fmt.Sprintf("acct%02d", i), []byte("100")); err != nil {
+				errs <- err
+				return
+			}
+			if err := tx.Commit(); err != nil {
+				errs <- fmt.Errorf("commit %d: %w", i, err)
+				return
+			}
+			startTS[i], commitTS[i] = tx.StartTS(), tx.CommitTS()
+		}(i)
 	}
-	if st := sys.Stats(); st.Commits != n || st.Batches >= n || st.BatchSizeAvg <= 1 {
-		t.Fatalf("batching not visible in stats: %+v", st)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if st := sys.Stats(); st.Commits != n {
+		t.Fatalf("%d commits in stats, want %d: %+v", st.Commits, n, st)
+	}
+	seen := make(map[uint64]bool, n)
+	for i, ts := range commitTS {
+		if ts <= startTS[i] || seen[ts] {
+			t.Fatalf("commit %d: commit timestamp %d (start %d) is not fresh and unique", i, ts, startTS[i])
+		}
+		seen[ts] = true
 	}
 
 	sys.FlushWAL()
@@ -362,6 +376,11 @@ func TestCommitAsyncDurablePipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer recovered.Close()
+	for i := range startTS {
+		if st := recovered.Oracle.Query(startTS[i]); st.CommitTS != commitTS[i] {
+			t.Fatalf("recovered commit %d = %+v, want committed at %d", i, st, commitTS[i])
+		}
+	}
 	tx, err := recovered.Begin()
 	if err != nil {
 		t.Fatal(err)

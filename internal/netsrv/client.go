@@ -463,16 +463,9 @@ func (c *Client) callRespOnce(op byte, payload []byte, env *envelope) (response,
 		putRespBuf(resp)
 		return response{}, err
 	}
-	if resp.code == codeRedirect {
-		// The server rejected the request under a newer routing table;
-		// surface it as a typed misroute so the coordinator refreshes its
-		// table and retries.
-		epoch, spec, perr := parseRoutingPayload(resp.payload)
+	if resp.code == codeMisrouted {
 		putRespBuf(resp)
-		if perr != nil {
-			return response{}, perr
-		}
-		return response{}, &partition.MisrouteError{Epoch: epoch, Spec: spec}
+		return response{}, partition.ErrMisrouted
 	}
 	if resp.code == codeOverload {
 		err := shedError(resp.payload)
@@ -486,7 +479,7 @@ func (c *Client) callRespOnce(op byte, payload []byte, env *envelope) (response,
 	if resp.code == codeNotLeader {
 		// The member is not the group leader; its hint names the member
 		// it believes is. callRespEnv chases the hint transparently.
-		epoch, addr, perr := parseRoutingPayload(resp.payload)
+		epoch, addr, perr := parseLeaderHint(resp.payload)
 		putRespBuf(resp)
 		if perr != nil {
 			return response{}, perr
@@ -682,16 +675,6 @@ func (c *Client) Forget(startTS uint64) {
 	}
 }
 
-// SliceLoads reads the server oracle's per-slice write-load histogram off
-// its metrics registry. Implements partition.Backend.
-func (c *Client) SliceLoads() ([]int64, error) {
-	samples, err := c.Metrics()
-	if err != nil {
-		return nil, err
-	}
-	return oracle.SliceLoadsFrom(samples), nil
-}
-
 // Metrics gathers the server's self-describing metrics registry: every
 // named counter, gauge and histogram summary the server's subsystems
 // registered, in deterministic family-major order. The wire encoding is
@@ -703,69 +686,6 @@ func (c *Client) Metrics() ([]metrics.Sample, error) {
 		return nil, err
 	}
 	return metrics.DecodeSamples(payload)
-}
-
-// Routing fetches the server's epoch-fenced routing table.
-func (c *Client) Routing() (epoch uint64, spec string, err error) {
-	payload, err := c.call(opRouting, nil)
-	if err != nil {
-		return 0, "", err
-	}
-	return parseRoutingPayload(payload)
-}
-
-// SetRouting pushes an epoch-fenced routing table to the partition server;
-// the server adopts it only when strictly newer than the one it holds.
-// Implements partition.RoutingUpdatable.
-func (c *Client) SetRouting(rt partition.RoutingTable) error {
-	pb := getPayloadBuf()
-	*pb = appendRoutingPayload((*pb)[:0], rt.Epoch, rt.Spec())
-	resp, err := c.callResp(opSetRouting, *pb)
-	putPayloadBuf(pb)
-	if err != nil {
-		return err
-	}
-	putRespBuf(resp)
-	return nil
-}
-
-// ExportRange snapshots the partition's conflict-check state for [lo, hi)
-// (hi == 0 means end of space). Implements partition.RangeMigratable.
-func (c *Client) ExportRange(lo, hi uint64) (*oracle.RangeState, error) {
-	pb := getPayloadBuf()
-	*pb = appendRangeReq((*pb)[:0], lo, hi)
-	resp, err := c.callResp(opExportRange, *pb)
-	putPayloadBuf(pb)
-	if err != nil {
-		return nil, err
-	}
-	rs, err := oracle.DecodeRangeState(resp.payload)
-	putRespBuf(resp)
-	return rs, err
-}
-
-// ApplyRange merges an exported range into the partition server's state.
-func (c *Client) ApplyRange(rs *oracle.RangeState) error {
-	resp, err := c.callResp(opApplyRange, oracle.EncodeRangeState(rs))
-	if err != nil {
-		return err
-	}
-	putRespBuf(resp)
-	return nil
-}
-
-// DiscardRange drops the partition server's state for a range whose
-// ownership moved away.
-func (c *Client) DiscardRange(lo, hi uint64) error {
-	pb := getPayloadBuf()
-	*pb = appendRangeReq((*pb)[:0], lo, hi)
-	resp, err := c.callResp(opDiscardRange, *pb)
-	putPayloadBuf(pb)
-	if err != nil {
-		return err
-	}
-	putRespBuf(resp)
-	return nil
 }
 
 // Health reports the server's role: "primary" when it serves an oracle,

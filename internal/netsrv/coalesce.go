@@ -32,7 +32,7 @@ func newCoalescer(so *oracle.StatusOracle, maxBatch int) *coalescer {
 // that expires while parked is dropped at batch-cut time with
 // oracle.ErrExpired instead of occupying a decide slot.
 func (c *coalescer) submit(req oracle.CommitRequest, deadline time.Time) (oracle.CommitResult, error) {
-	res, err := c.b.SubmitWaitDeadline(req, deadline)
+	res, err := c.b.Submit(req, deadline)
 	if errors.Is(err, oracle.ErrBatcherStopped) {
 		return oracle.CommitResult{}, ErrServerClosed
 	}

@@ -95,8 +95,9 @@ func beginOnFreshConn(ln *fakeListener) bool {
 // constant plus a small multiple of the bytes it was sent, and a fresh
 // connection still begins a transaction.
 func FuzzServerConn(f *testing.F) {
-	// testdata/fuzz/FuzzServerConn holds the retired ops 2, 4, 6, 7, 11 and
-	// 14, bare and enveloped, and op 6 carrying a 2^40-entry buffer request.
+	// testdata/fuzz/FuzzServerConn holds the retired ops 2, 4, 6, 7, 11, 14
+	// and 16-20, bare and enveloped, and op 6 carrying a 2^40-entry buffer
+	// request.
 	// Here: one valid request per live op, and the one-entry batches a single
 	// commit and a single lookup travel in.
 	req := oracle.CommitRequest{StartTS: 1, WriteSet: []oracle.RowID{1, 2}, ReadSet: []oracle.RowID{3}}
@@ -116,11 +117,15 @@ func FuzzServerConn(f *testing.F) {
 		{opPrepareBatch, appendPrepareBatchReq(nil, []oracle.PrepareRequest{prep})},
 		{opDecideBatch, appendDecideBatchReq(nil, []oracle.Decision{{StartTS: 4, CommitTS: 5, Commit: true}})},
 		{opBeginBlock, u64(16)},
-		{opRouting, nil},
-		{opSetRouting, appendRoutingPayload(nil, 2, "hash")},
-		{opExportRange, appendRangeReq(nil, 0, 100)},
-		{opApplyRange, oracle.EncodeRangeState(&oracle.RangeState{Lo: 0, Hi: 100, Tmax: 1})},
-		{opDiscardRange, appendRangeReq(nil, 0, 100)},
+		// Where the retired ops 16-20 stood, so the seeds after them keep
+		// their ids: a prepare batch whose second request reads the first's
+		// row, an abort decide for a transaction never prepared, a read-only
+		// commit, an empty lookup batch and the largest timestamp block.
+		{opPrepareBatch, appendPrepareBatchReq(nil, []oracle.PrepareRequest{prep, {StartTS: 7, WriteSet: []oracle.RowID{8}, ReadSet: []oracle.RowID{6}}})},
+		{opDecideBatch, appendDecideBatchReq(nil, []oracle.Decision{{StartTS: 7}})},
+		{opCommitBatch, appendCommitBatchReq(nil, []oracle.CommitRequest{{StartTS: 1}})},
+		{opQueryBatch, appendQueryBatchReq(nil, nil)},
+		{opBeginBlock, u64(1 << 20)},
 		{opMetrics, nil},
 	} {
 		f.Add(fuzzRecord(nil, 0, s.op, s.payload))

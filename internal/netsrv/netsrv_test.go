@@ -172,12 +172,14 @@ func TestRemoteErrorPropagates(t *testing.T) {
 // commit-notification stream (a frame asking it for a 1<<40-event buffer
 // once made the server allocate for it), op 7 the positional stats, op 11
 // the manual standby promote, op 14 the one-shot commit at
-// coordinator-supplied timestamps. Bare or enveloped, each is an unknown
-// operation answered with codeErr, and the same connection goes on serving
-// requests.
+// coordinator-supplied timestamps, ops 16-20 the routing table and range
+// migrations of live repartitioning (sent with the payloads they took, op
+// 19 with the huge buffer). Bare or enveloped, each is an unknown operation
+// answered with codeErr, and the same connection goes on serving requests.
 func TestRetiredOpSubscribe(t *testing.T) {
 	buffer := u64(1 << 40)
 	commit := appendCommitReq(nil, oracle.CommitRequest{StartTS: 1, WriteSet: []oracle.RowID{1}})
+	keyRange := append(u64(0), u64(100)...) // [lo, hi)
 	for _, retired := range []struct {
 		name    string
 		op      byte
@@ -185,6 +187,8 @@ func TestRetiredOpSubscribe(t *testing.T) {
 	}{
 		{"commit", 2, commit}, {"query", 4, u64(1)}, {"subscribe", 6, buffer},
 		{"stats", 7, buffer}, {"promote", 11, buffer}, {"commit-at", 14, buffer},
+		{"routing", 16, nil}, {"set-routing", 17, append(u64(2), "hash"...)},
+		{"export-range", 18, keyRange}, {"apply-range", 19, buffer}, {"discard-range", 20, keyRange},
 	} {
 		t.Run(retired.name, func(t *testing.T) {
 			srv, _ := startServer(t, oracle.WSI)

@@ -57,6 +57,8 @@ func (rc *remoteClock) NextBlockWith(n int, publish func(lo, hi uint64)) (uint64
 
 // DialPartitioned connects to every partition server (addrs indexed as the
 // router numbers partitions) and returns the coordinator-fronted client.
+// router must be the one every server was started with (-router): a
+// commit a server refuses as misrouted returns partition.ErrMisrouted.
 func DialPartitioned(engine oracle.Engine, router partition.Router, addrs ...string) (*PartitionedClient, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("netsrv: DialPartitioned needs at least one address")
@@ -93,36 +95,7 @@ func DialPartitioned(engine oracle.Engine, router partition.Router, addrs ...str
 		}
 		return nil, err
 	}
-	pc := &PartitionedClient{Coordinator: co, clients: clients}
-	// Best effort: a fleet that has rebalanced since this client's static
-	// router spec was written hands out its current table here, instead of
-	// the client discovering it through a redirect on its first commit.
-	pc.RefreshRouting()
-	return pc, nil
-}
-
-// RefreshRouting polls every partition server for its routing table and
-// adopts the newest one offered (the epoch fence ignores older tables).
-// Servers without a table — non-elastic deployments — are skipped. Reports
-// whether any table was adopted. Misrouted commits refresh the table
-// automatically through the server's redirect; this is for late-joining
-// clients and orchestration.
-func (pc *PartitionedClient) RefreshRouting() bool {
-	adopted := false
-	for _, c := range pc.clients {
-		epoch, spec, err := c.Routing()
-		if err != nil {
-			continue
-		}
-		r, err := partition.ParseRouter(spec, len(pc.clients))
-		if err != nil {
-			continue
-		}
-		if pc.ApplyRouting(partition.RoutingTable{Epoch: epoch, Router: r}) {
-			adopted = true
-		}
-	}
-	return adopted
+	return &PartitionedClient{Coordinator: co, clients: clients}, nil
 }
 
 // Clients exposes the per-partition network clients (orchestration and

@@ -1,6 +1,7 @@
 package netsrv
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/oracle"
@@ -8,32 +9,24 @@ import (
 	"repro/internal/tso"
 )
 
-// testLoadSpan sizes the partition oracles' load histogram: 64 buckets of
-// 100 rows each.
-const testLoadSpan = oracle.LoadBuckets * 100
-
 // startElasticServers boots n partition servers over in-process oracles
-// sharing one timestamp stream, each fenced by the given routing table.
+// sharing one timestamp stream, each guarding its ownership under router.
 // Partition 0 is the deployment's timestamp authority; the others never
 // allocate timestamps.
-func startElasticServers(t *testing.T, n int, engine oracle.Engine, rt partition.RoutingTable) ([]string, []*Server, []*oracle.StatusOracle) {
+func startElasticServers(t *testing.T, n int, engine oracle.Engine, router partition.Router) ([]string, []*Server, []*oracle.StatusOracle) {
 	t.Helper()
 	clock := tso.New(0, nil)
 	addrs := make([]string, n)
 	servers := make([]*Server, n)
 	oracles := make([]*oracle.StatusOracle, n)
 	for i := 0; i < n; i++ {
-		so, err := oracle.New(oracle.Config{Engine: engine, TSO: clock, LoadSpan: testLoadSpan})
+		so, err := oracle.New(oracle.Config{Engine: engine, TSO: clock})
 		if err != nil {
 			t.Fatalf("oracle %d: %v", i, err)
 		}
 		srv := NewServer(so)
 		srv.Logf = nil
-		srv.PartitionID = i
-		srv.Partitions = n
-		if !srv.SetRouting(rt) {
-			t.Fatalf("server %d rejected initial routing table", i)
-		}
+		srv.Router, srv.PartitionID = router, i
 		addr, err := srv.Listen("127.0.0.1:0")
 		if err != nil {
 			t.Fatalf("listen %d: %v", i, err)
@@ -51,7 +44,7 @@ func startElasticServers(t *testing.T, n int, engine oracle.Engine, rt partition
 // misrouting guard.
 func TestPartitionedClient(t *testing.T) {
 	router := partition.NewHashRouter(3)
-	addrs, _, oracles := startElasticServers(t, 3, oracle.WSI, partition.RoutingTable{Epoch: 1, Router: router})
+	addrs, _, oracles := startElasticServers(t, 3, oracle.WSI, router)
 	pc, err := DialPartitioned(oracle.WSI, router, addrs...)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -127,9 +120,9 @@ func TestPartitionedClient(t *testing.T) {
 }
 
 // TestPartitionedMisroutingGuard: a partition server rejects slices carrying
-// rows its routing table assigns elsewhere with a redirect at its epoch.
+// rows its router assigns elsewhere as misrouted.
 func TestPartitionedMisroutingGuard(t *testing.T) {
-	addrs, _, _ := startElasticServers(t, 2, oracle.WSI, partition.RoutingTable{Epoch: 1, Router: partition.NewHashRouter(2)})
+	addrs, _, _ := startElasticServers(t, 2, oracle.WSI, partition.NewHashRouter(2))
 	c, err := Dial(addrs[0])
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -141,13 +134,65 @@ func TestPartitionedMisroutingGuard(t *testing.T) {
 	}
 	// Row 1 belongs to partition 1; partition 0 must reject it.
 	_, err = c.PrepareBatch([]oracle.PrepareRequest{{StartTS: ts, WriteSet: []oracle.RowID{1}}})
-	if mr := partition.AsMisroute(err); mr == nil || mr.Epoch != 1 {
-		t.Fatalf("misrouted prepare: err %v, want a redirect at epoch 1", err)
+	if !errors.Is(err, partition.ErrMisrouted) {
+		t.Fatalf("misrouted prepare: err %v, want partition.ErrMisrouted", err)
 	}
 	// Correctly routed rows pass.
 	votes, err := c.PrepareBatch([]oracle.PrepareRequest{{StartTS: ts, WriteSet: []oracle.RowID{2}}})
 	if err != nil || !votes[0] {
 		t.Fatalf("routed prepare votes=%v err=%v", votes, err)
+	}
+}
+
+// TestPartitionedRouterDisagreement: a coordinator whose router disagrees
+// with the servers' gets ErrMisrouted for a commit a server refuses, and the
+// refused transaction is aborted everywhere, a partial prepare on the
+// partition that accepted its slice included; a commit both routers place
+// alike still succeeds.
+func TestPartitionedRouterDisagreement(t *testing.T) {
+	// The servers hash (row % 2); the client splits ranges at row 1000.
+	// Rows 2 and 1001 land alike under both, row 3 does not.
+	addrs, _, oracles := startElasticServers(t, 2, oracle.WSI, partition.NewHashRouter(2))
+	clientRouter, err := partition.ParseRouter("range:1000", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc, err := DialPartitioned(oracle.WSI, clientRouter, addrs...)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer pc.Close()
+
+	var refused []uint64
+	for _, rows := range [][]oracle.RowID{{3}, {3, 1001}} {
+		ts, err := pc.Begin()
+		if err != nil {
+			t.Fatalf("begin: %v", err)
+		}
+		if _, err := pc.Commit(oracle.CommitRequest{StartTS: ts, WriteSet: rows}); !errors.Is(err, partition.ErrMisrouted) {
+			t.Fatalf("commit of rows %v: err %v, want partition.ErrMisrouted", rows, err)
+		}
+		refused = append(refused, ts)
+	}
+	for _, rows := range [][]oracle.RowID{{2}, {2, 1001}} {
+		ts, err := pc.Begin()
+		if err != nil {
+			t.Fatalf("begin: %v", err)
+		}
+		res, err := pc.Commit(oracle.CommitRequest{StartTS: ts, WriteSet: rows})
+		if err != nil || !res.Committed {
+			t.Fatalf("commit of rows %v both routers agree on: %+v, err %v", rows, res, err)
+		}
+	}
+	for p, so := range oracles {
+		if d := so.InDoubt(); len(d) != 0 {
+			t.Fatalf("partition %d holds prepared transactions %+v", p, d)
+		}
+	}
+	for _, ts := range refused {
+		if st := pc.Query(ts); st.Status != oracle.StatusAborted {
+			t.Fatalf("refused transaction %d queries %+v, want aborted", ts, st)
+		}
 	}
 }
 
@@ -157,7 +202,7 @@ func TestPartitionedMisroutingGuard(t *testing.T) {
 // otherwise reject the whole commit (regression).
 func TestPartitionedSIForeignReads(t *testing.T) {
 	router := partition.NewHashRouter(2)
-	addrs, _, _ := startElasticServers(t, 2, oracle.SI, partition.RoutingTable{Epoch: 1, Router: router})
+	addrs, _, _ := startElasticServers(t, 2, oracle.SI, router)
 	pc, err := DialPartitioned(oracle.SI, router, addrs...)
 	if err != nil {
 		t.Fatalf("dial: %v", err)

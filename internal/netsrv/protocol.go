@@ -23,9 +23,10 @@ import (
 // Operation codes. 2 and 4 (the retired single commit and single status
 // query: one commit or lookup is a one-entry opCommitBatch or opQueryBatch),
 // 6 (a retired commit-notification stream), 7 (a retired positional stats
-// payload), 11 (a retired manual promote) and 14 (a retired one-shot commit
-// at coordinator-supplied timestamps) are never reused: a server answers
-// them, like any unknown op, with codeErr.
+// payload), 11 (a retired manual promote), 14 (a retired one-shot commit at
+// coordinator-supplied timestamps) and 16-20 (the retired routing-table and
+// range-migration ops of live repartitioning) are never reused: a server
+// answers them, like any unknown op, with codeErr.
 const (
 	opBegin       = 1
 	opAbort       = 3
@@ -42,14 +43,6 @@ const (
 	opPrepareBatch = 12
 	opDecideBatch  = 13
 	opBeginBlock   = 15
-	// The elastic-repartitioning ops: fetch/install the epoch-fenced
-	// routing table, and the three range-migration primitives the
-	// coordinator drives during a live move.
-	opRouting      = 16
-	opSetRouting   = 17
-	opExportRange  = 18
-	opApplyRange   = 19
-	opDiscardRange = 20
 	// opEnvelope wraps any data-plane op with the ingress header — tenant,
 	// logical session id and a relative deadline — so one transport carries
 	// many multiplexed client sessions and the server can make admission
@@ -76,11 +69,10 @@ const (
 const (
 	codeOK  = 0
 	codeErr = 1
-	// codeRedirect answers a misrouted request (rows the server does not
-	// own under its routing table) with the server's routing epoch and
-	// router spec, so the client refreshes its table and retries instead
-	// of failing. Payload: epoch(u64) spec(string).
-	codeRedirect = 3
+	// codeMisrouted answers a prepare slice carrying rows the server's
+	// router does not give its partition; the client reports it as
+	// partition.ErrMisrouted. No payload.
+	codeMisrouted = 3
 	// codeOverload answers a request shed by the admission layer before it
 	// touched the oracle: the tenant's bounded queue was full, its token
 	// bucket was empty, or the session cap was hit. The payload is a single
@@ -95,10 +87,9 @@ const (
 	// member that is not (or no longer) the leader — either a standby, or a
 	// leader that lost its lease mid-request (its append failed the epoch
 	// fence). The payload carries the member's current belief of where the
-	// leader is: epoch(u64) addr(string), same shape as codeRedirect's
-	// routing payload. The request was rejected before execution, so the
-	// client may transparently re-dial the hinted address and retry without
-	// ever double-submitting.
+	// leader is: epoch(u64) addr(string). The request was rejected before
+	// execution, so the client may transparently re-dial the hinted address
+	// and retry without ever double-submitting.
 	codeNotLeader = 6
 )
 
@@ -645,33 +636,18 @@ func splitRequest(body []byte) (reqID uint64, op byte, payload []byte, err error
 	return binary.BigEndian.Uint64(body[:8]), body[8], body[9:], nil
 }
 
-// appendRoutingPayload renders a routing table: epoch(u64) followed by the
-// router spec as the rest of the payload. Shared by the opRouting response,
-// the opSetRouting request, and the codeRedirect payload.
-func appendRoutingPayload(b []byte, epoch uint64, spec string) []byte {
+// appendLeaderHint renders a codeNotLeader payload: the epoch (u64)
+// followed by the leader's address as the rest of the payload.
+func appendLeaderHint(b []byte, epoch uint64, addr string) []byte {
 	b = appendU64(b, epoch)
-	return append(b, spec...)
+	return append(b, addr...)
 }
 
-func parseRoutingPayload(b []byte) (epoch uint64, spec string, err error) {
+func parseLeaderHint(b []byte) (epoch uint64, addr string, err error) {
 	if len(b) < 8 {
 		return 0, "", ErrBadFrame
 	}
 	return binary.BigEndian.Uint64(b[:8]), string(b[8:]), nil
-}
-
-// appendRangeReq renders a [lo, hi) operand (hi == 0 meaning end of the
-// row-id space) for opExportRange / opDiscardRange.
-func appendRangeReq(b []byte, lo, hi uint64) []byte {
-	b = appendU64(b, lo)
-	return appendU64(b, hi)
-}
-
-func parseRangeReq(b []byte) (lo, hi uint64, err error) {
-	if len(b) != 16 {
-		return 0, 0, ErrBadFrame
-	}
-	return binary.BigEndian.Uint64(b[:8]), binary.BigEndian.Uint64(b[8:]), nil
 }
 
 // remoteError wraps an error string sent by the server.

@@ -55,18 +55,14 @@ type Server struct {
 	// any other data op. Set before Listen.
 	StandbyReads func(startTSs []uint64, scratch []oracle.TxnStatus) ([]oracle.TxnStatus, bool)
 
-	// PartitionID / Partitions identify this server's slice of a
-	// partitioned deployment. With a routing table installed (SetRouting),
-	// prepare requests carrying rows the table did not assign
-	// here answer codeRedirect with the table's epoch and spec, before they
-	// can touch the partition's slice of the conflict state, so the client
-	// self-heals; without one the server owns every row. Set both before
-	// Listen.
+	// Router and PartitionID identify this server's slice of a partitioned
+	// deployment. With a Router set, prepare requests carrying rows it does
+	// not give PartitionID answer codeMisrouted before they can touch the
+	// partition's slice of the conflict state; without one the server owns
+	// every row. Every server and coordinator of a deployment must share
+	// one router. Set both before Listen; neither changes afterwards.
+	Router      partition.Router
 	PartitionID int
-	Partitions  int
-
-	routingMu sync.Mutex
-	routing   partition.RoutingTable
 
 	// CoalesceMaxBatch, when > 0, enables the server-side commit
 	// coalescer: concurrent one-request commit-batch frames are accumulated
@@ -675,8 +671,8 @@ func (s *Server) handle(ctx *handlerCtx, reqID uint64, op byte, payload []byte, 
 		if err != nil {
 			return respError(reqID, err)
 		}
-		if mr := s.checkOwnership(reqs); mr != nil {
-			return respRedirect(reqID, mr)
+		if !s.owns(reqs) {
+			return appendRespHdr(ctx.resp[:0], reqID, codeMisrouted)
 		}
 		votes, err := so.PrepareBatch(reqs)
 		if err != nil {
@@ -712,56 +708,6 @@ func (s *Server) handle(ctx *handlerCtx, reqID uint64, op byte, payload []byte, 
 		}
 		so.Forget(ts)
 		return ok
-	case opRouting:
-		rt := s.Routing()
-		if rt.Router == nil {
-			return respError(reqID, errors.New("netsrv: no routing table installed"))
-		}
-		return appendRoutingPayload(ok, rt.Epoch, rt.Spec())
-	case opSetRouting:
-		epoch, spec, err := parseRoutingPayload(payload)
-		if err != nil {
-			return respError(reqID, err)
-		}
-		if s.Partitions <= 0 {
-			return respError(reqID, errors.New("netsrv: server not configured for routed partitioning"))
-		}
-		r, err := partition.ParseRouter(spec, s.Partitions)
-		if err != nil {
-			return respError(reqID, err)
-		}
-		if !s.SetRouting(partition.RoutingTable{Epoch: epoch, Router: r}) {
-			return respError(reqID, errors.New("netsrv: routing table epoch not newer than installed"))
-		}
-		return ok
-	case opExportRange:
-		lo, hi, err := parseRangeReq(payload)
-		if err != nil {
-			return respError(reqID, err)
-		}
-		rs, err := so.ExportRange(lo, hi)
-		if err != nil {
-			return respError(reqID, err)
-		}
-		return append(ok, oracle.EncodeRangeState(rs)...)
-	case opApplyRange:
-		rs, err := oracle.DecodeRangeState(payload)
-		if err != nil {
-			return respError(reqID, err)
-		}
-		if err := so.ApplyRange(rs); err != nil {
-			return respError(reqID, err)
-		}
-		return ok
-	case opDiscardRange:
-		lo, hi, err := parseRangeReq(payload)
-		if err != nil {
-			return respError(reqID, err)
-		}
-		if err := so.DiscardRange(lo, hi); err != nil {
-			return respError(reqID, err)
-		}
-		return ok
 	default:
 		return respError(reqID, errors.New("unknown operation"))
 	}
@@ -795,62 +741,28 @@ func (s *Server) respNotLeader(reqID uint64, fallback error) []byte {
 	if s.LeaderHint != nil {
 		if epoch, addr := s.LeaderHint(); addr != "" {
 			body := appendRespHdr(make([]byte, 0, 9+8+len(addr)), reqID, codeNotLeader)
-			return appendRoutingPayload(body, epoch, addr)
+			return appendLeaderHint(body, epoch, addr)
 		}
 	}
 	return respError(reqID, fallback)
 }
 
-// SetRouting installs an epoch-fenced routing table (adopted only when
-// strictly newer than the held one) and reports whether it was adopted.
-// With a table installed, misrouted rows answer codeRedirect.
-func (s *Server) SetRouting(rt partition.RoutingTable) bool {
-	if rt.Router == nil {
-		return false
-	}
-	s.routingMu.Lock()
-	defer s.routingMu.Unlock()
-	if rt.Epoch <= s.routing.Epoch {
-		return false
-	}
-	s.routing = rt
-	return true
-}
-
-// Routing returns the installed routing table (zero-valued when none).
-func (s *Server) Routing() partition.RoutingTable {
-	s.routingMu.Lock()
-	defer s.routingMu.Unlock()
-	return s.routing
-}
-
-// checkOwnership rejects prepare slices carrying rows this partition does
-// not own under its routing table — atomically, before the oracle touches
-// any state, which is what lets the coordinator retry a transaction whose
-// every slice was rejected. Without a table the server owns every row.
-func (s *Server) checkOwnership(reqs []oracle.PrepareRequest) *partition.MisrouteError {
-	rt := s.Routing()
-	if rt.Router == nil {
-		return nil
+// owns reports whether every row of the prepare slices belongs to this
+// partition under its router. The check runs before the oracle touches any
+// state, so a refused slice parks nothing. Without a router the server owns
+// every row.
+func (s *Server) owns(reqs []oracle.PrepareRequest) bool {
+	if s.Router == nil {
+		return true
 	}
 	for i := range reqs {
-		for _, r := range reqs[i].WriteSet {
-			if rt.Router.Partition(r) != s.PartitionID {
-				return &partition.MisrouteError{Epoch: rt.Epoch, Spec: rt.Spec()}
-			}
-		}
-		for _, r := range reqs[i].ReadSet {
-			if rt.Router.Partition(r) != s.PartitionID {
-				return &partition.MisrouteError{Epoch: rt.Epoch, Spec: rt.Spec()}
+		for _, set := range [2][]oracle.RowID{reqs[i].WriteSet, reqs[i].ReadSet} {
+			for _, r := range set {
+				if s.Router.Partition(r) != s.PartitionID {
+					return false
+				}
 			}
 		}
 	}
-	return nil
-}
-
-// respRedirect renders a misroute as codeRedirect carrying the routing
-// table, for client self-healing.
-func respRedirect(reqID uint64, mr *partition.MisrouteError) []byte {
-	body := appendRespHdr(make([]byte, 0, 9+8+len(mr.Spec)), reqID, codeRedirect)
-	return appendRoutingPayload(body, mr.Epoch, mr.Spec)
+	return true
 }

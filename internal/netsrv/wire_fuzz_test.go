@@ -22,15 +22,6 @@ type enveloped struct {
 	inner   []byte
 }
 
-// rangeReq is a decoded [lo, hi) operand.
-type rangeReq struct{ lo, hi uint64 }
-
-// routing is a decoded routing payload.
-type routing struct {
-	epoch uint64
-	spec  string
-}
-
 var (
 	u64Codec = wireCodec{
 		decode: func(p []byte) (any, error) { return parseU64(p) },
@@ -39,10 +30,6 @@ var (
 	prepareBatchCodec = wireCodec{
 		decode: func(p []byte) (any, error) { return decodePrepareBatchReq(p) },
 		encode: func(b []byte, v any) []byte { return appendPrepareBatchReq(b, v.([]oracle.PrepareRequest)) },
-	}
-	rangeCodec = wireCodec{
-		decode: func(p []byte) (any, error) { lo, hi, err := parseRangeReq(p); return rangeReq{lo, hi}, err },
-		encode: func(b []byte, v any) []byte { return appendRangeReq(b, v.(rangeReq).lo, v.(rangeReq).hi) },
 	}
 )
 
@@ -64,19 +51,6 @@ var wireCodecs = map[byte]wireCodec{
 		encode: func(b []byte, v any) []byte { return appendDecideBatchReq(b, v.([]oracle.Decision)) },
 	},
 	opBeginBlock: u64Codec,
-	opSetRouting: {
-		decode: func(p []byte) (any, error) {
-			epoch, spec, err := parseRoutingPayload(p)
-			return routing{epoch, spec}, err
-		},
-		encode: func(b []byte, v any) []byte { return appendRoutingPayload(b, v.(routing).epoch, v.(routing).spec) },
-	},
-	opExportRange:  rangeCodec,
-	opDiscardRange: rangeCodec,
-	opApplyRange: {
-		decode: func(p []byte) (any, error) { return oracle.DecodeRangeState(p) },
-		encode: func(b []byte, v any) []byte { return append(b, oracle.EncodeRangeState(v.(*oracle.RangeState))...) },
-	},
 	opEnvelope: {
 		decode: func(p []byte) (any, error) {
 			env, op, inner, err := parseEnvelope(p)
@@ -137,10 +111,13 @@ func FuzzWireRequest(f *testing.F) {
 		{opPrepareBatch, appendPrepareBatchReq(nil, []oracle.PrepareRequest{prep})},
 		{opDecideBatch, appendDecideBatchReq(nil, []oracle.Decision{{StartTS: 4, CommitTS: 5, Commit: true}})},
 		{opBeginBlock, u64(16)},
-		{opSetRouting, appendRoutingPayload(nil, 2, "hash")},
-		{opExportRange, appendRangeReq(nil, 0, 100)},
-		{opApplyRange, oracle.EncodeRangeState(&oracle.RangeState{Lo: 0, Hi: 100, Tmax: 1, Rows: []oracle.RangeRow{{Row: 7, TS: 1}}})},
-		{opDiscardRange, appendRangeReq(nil, 0, 100)},
+		// Where the retired ops 17-20 stood, so the seed after them keeps its
+		// id: multi-request prepare and decide batches, and enveloped lookup
+		// and prepare requests.
+		{opPrepareBatch, appendPrepareBatchReq(nil, []oracle.PrepareRequest{prep, {StartTS: 7, WriteSet: []oracle.RowID{8}, ReadSet: []oracle.RowID{6}}})},
+		{opDecideBatch, appendDecideBatchReq(nil, []oracle.Decision{{StartTS: 4, CommitTS: 5, Commit: true}, {StartTS: 7}})},
+		{opEnvelope, appendQueryBatchReq(appendEnvelope(nil, envelope{tenant: 1, session: 2}, opQueryBatch), []uint64{1})},
+		{opEnvelope, appendPrepareBatchReq(appendEnvelope(nil, envelope{session: 4, deadline: 5}, opPrepareBatch), []oracle.PrepareRequest{prep})},
 		{opEnvelope, appendCommitBatchReq(appendEnvelope(nil, envelope{tenant: 1, session: 2, deadline: 3}, opCommitBatch), []oracle.CommitRequest{req})},
 	} {
 		f.Add(s.op, s.payload)

@@ -154,9 +154,6 @@ func (s *StatusOracle) commitBatch(reqs []CommitRequest, scratch []CommitResult)
 		stampSpans(reqs, metrics.StageApply)
 		return results, nil
 	}
-	for _, i := range writeIdx {
-		s.loads.note(reqs[i].WriteSet)
-	}
 
 	// Hold the checkpoint gate (shared) from the first state publication
 	// to the end of the WAL append: a checkpoint can then never capture a

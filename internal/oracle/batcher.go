@@ -18,16 +18,16 @@ var ErrExpired = errors.New("oracle: request deadline expired before decision")
 
 // batcherItem is one request parked in a Batcher. deadline is the absolute
 // expiry in nanoseconds (time.Time.UnixNano; 0 = none): carrying it as an
-// int64 keeps the comparison at batch-cut time to one load.
+// int64 keeps the comparison at batch-cut time to one load. done hands the
+// decision back to the blocked Submit, exactly once.
 type batcherItem[Q, R any] struct {
 	req      Q
 	deadline int64
 	done     func(R, error)
 }
 
-// Batcher is the shared accumulation loop behind every coalescing layer —
-// the netsrv server-side commit coalescer and the txn client-side commit
-// pipeliner: requests submitted by any number of goroutines are funneled
+// Batcher is the accumulation loop behind the netsrv server-side commit
+// coalescer: requests submitted by any number of goroutines are funneled
 // through a channel into one loop that hands batches to the decide function
 // (typically a CommitBatch). The loop is self-clocked: it cuts a batch when
 // it is full or when no decide is in flight, so an idle batcher decides an
@@ -62,59 +62,39 @@ func NewBatcher[Q, R any](decide func([]Q) ([]R, error), maxBatch int) *Batcher[
 	return b
 }
 
-// Submit parks one request; done is invoked exactly once, from a batcher
-// goroutine (or inline after Stop), when the decision is in.
-func (b *Batcher[Q, R]) Submit(req Q, done func(R, error)) {
-	b.SubmitDeadline(req, time.Time{}, done)
-}
-
-// SubmitDeadline parks one request carrying an absolute deadline (zero =
-// none). A request whose deadline has already passed fails inline with
-// ErrExpired; one that expires while parked is dropped when its batch is
-// cut, before the decide call sees it.
-func (b *Batcher[Q, R]) SubmitDeadline(req Q, deadline time.Time, done func(R, error)) {
+// Submit parks one request carrying an absolute deadline (zero = none) and
+// blocks until its batch's decision is in — the synchronous shape every
+// per-frame server handler needs. A request whose deadline has already
+// passed fails at once with ErrExpired; one that expires while parked is
+// dropped when its batch is cut, without occupying a decide slot.
+func (b *Batcher[Q, R]) Submit(req Q, deadline time.Time) (R, error) {
+	var zero R
 	var dl int64
 	if !deadline.IsZero() {
 		dl = deadline.UnixNano()
 		if time.Now().UnixNano() >= dl {
-			var zero R
-			done(zero, ErrExpired)
-			return
+			return zero, ErrExpired
 		}
 	}
-	// The closed flag is checked under a read lock so no send can race
-	// past Stop: Stop flips the flag under the write lock before closing
-	// quit, and the loop drains the channel on quit, so every request
-	// that enters the channel gets its callback.
-	b.mu.RLock()
-	if b.closed {
-		b.mu.RUnlock()
-		var zero R
-		done(zero, ErrBatcherStopped)
-		return
-	}
-	b.items <- batcherItem[Q, R]{req: req, deadline: dl, done: done}
-	b.mu.RUnlock()
-}
-
-// SubmitWait parks one request and blocks until its batch's decision is in
-// — the synchronous shape every per-frame server handler needs.
-func (b *Batcher[Q, R]) SubmitWait(req Q) (R, error) {
-	return b.SubmitWaitDeadline(req, time.Time{})
-}
-
-// SubmitWaitDeadline is SubmitWait with an expiry: the request is dropped
-// with ErrExpired — without occupying a decide slot — if the deadline passes
-// before its batch is cut.
-func (b *Batcher[Q, R]) SubmitWaitDeadline(req Q, deadline time.Time) (R, error) {
 	type outcome struct {
 		res R
 		err error
 	}
 	done := make(chan outcome, 1)
-	b.SubmitDeadline(req, deadline, func(res R, err error) {
+	item := batcherItem[Q, R]{req: req, deadline: dl, done: func(res R, err error) {
 		done <- outcome{res: res, err: err}
-	})
+	}}
+	// The closed flag is checked under a read lock so no send can race
+	// past Stop: Stop flips the flag under the write lock before closing
+	// quit, and the loop drains the channel on quit, so every request
+	// that enters the channel gets its answer.
+	b.mu.RLock()
+	if b.closed {
+		b.mu.RUnlock()
+		return zero, ErrBatcherStopped
+	}
+	b.items <- item
+	b.mu.RUnlock()
 	o := <-done
 	return o.res, o.err
 }

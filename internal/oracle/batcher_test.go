@@ -4,7 +4,6 @@ import (
 	"errors"
 	"runtime"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -34,12 +33,19 @@ type batcherOutcome struct {
 	err error
 }
 
-// submit parks req and returns the channel its callback reports on.
+// submit calls Submit on its own goroutine and returns the channel its
+// answer arrives on, once the loop has taken the request in (or Submit has
+// already answered): requests submitted one after another park in order.
 func submit(b *Batcher[int, int], req int, deadline time.Time) <-chan batcherOutcome {
 	out := make(chan batcherOutcome, 1)
-	b.SubmitDeadline(req, deadline, func(res int, err error) {
+	n := b.Accepted()
+	go func() {
+		res, err := b.Submit(req, deadline)
 		out <- batcherOutcome{res, err}
-	})
+	}()
+	for b.Accepted() == n && len(out) == 0 {
+		runtime.Gosched()
+	}
 	return out
 }
 
@@ -136,7 +142,7 @@ func TestBatcherDeadlineExpiresWhileParked(t *testing.T) {
 
 	first := submit(b, 100, time.Time{})
 	<-h.calls
-	deadline := time.Now().Add(2 * time.Millisecond)
+	deadline := time.Now().Add(10 * time.Millisecond)
 	doomed := submit(b, 1, deadline)
 	healthy := submit(b, 2, time.Time{})
 	waitAccepted(b, 3)
@@ -169,19 +175,15 @@ func TestBatcherStopDuringBlockedDecide(t *testing.T) {
 
 	first := submit(b, 100, time.Time{})
 	<-h.calls
-	var calls atomic.Int32
-	parked := make(chan error, 3)
+	var parked []<-chan batcherOutcome
 	for i := 0; i < 3; i++ {
-		b.Submit(i, func(_ int, err error) {
-			calls.Add(1)
-			parked <- err
-		})
+		parked = append(parked, submit(b, i, time.Time{}))
 	}
 	stopped := make(chan struct{})
 	go func() { b.Stop(); close(stopped) }()
-	for i := 0; i < 3; i++ {
-		if err := <-parked; !errors.Is(err, ErrBatcherStopped) {
-			t.Fatalf("parked request = %v, want ErrBatcherStopped", err)
+	for _, out := range parked {
+		if o := <-out; !errors.Is(o.err, ErrBatcherStopped) {
+			t.Fatalf("parked request = %+v, want ErrBatcherStopped", o)
 		}
 	}
 	select {
@@ -194,10 +196,7 @@ func TestBatcherStopDuringBlockedDecide(t *testing.T) {
 	if o := <-first; o.err != nil || o.res != 100 {
 		t.Fatalf("in-flight request = %+v", o)
 	}
-	if n := calls.Load(); n != 3 {
-		t.Fatalf("%d callbacks for 3 parked requests", n)
-	}
-	if _, err := b.SubmitWait(7); !errors.Is(err, ErrBatcherStopped) {
+	if _, err := b.Submit(7, time.Time{}); !errors.Is(err, ErrBatcherStopped) {
 		t.Fatalf("submit after Stop = %v, want ErrBatcherStopped", err)
 	}
 }

@@ -150,13 +150,6 @@ type Config struct {
 	WAL *wal.Writer
 	// TSO supplies timestamps. Required.
 	TSO *tso.Oracle
-	// LoadSpan scopes the per-slice load histogram (Stats.SliceLoads): the
-	// row-id range [0, LoadSpan) is divided into LoadBuckets fixed-width
-	// buckets, rows beyond it clamp into the last bucket. Zero buckets the
-	// full 64-bit space. The elastic rebalancer reads the histogram to find
-	// hot key ranges; set it to the workload's dense row count when row ids
-	// are dense indexes.
-	LoadSpan uint64
 }
 
 // CommitRequest is a transaction's commit submission (§5): the start
@@ -197,7 +190,6 @@ type StatusOracle struct {
 	shards []*shard
 	table  *commitTable
 	stats  statsCollector
-	loads  loadHistogram
 	// prepared indexes in-flight two-phase transactions by start timestamp
 	// (see prepare.go); the per-row refcounts live on the shards so the
 	// conflict check reaches them under the locks it already holds. prepMu
@@ -230,7 +222,6 @@ func New(cfg Config) (*StatusOracle, error) {
 		table:    newCommitTable(cfg.MaxCommits),
 		prepared: make(map[uint64]*preparedTxn),
 	}
-	s.loads.span = cfg.LoadSpan
 	perShard := 0
 	if cfg.MaxRows > 0 {
 		perShard = cfg.MaxRows / cfg.Shards
@@ -390,7 +381,6 @@ func (s *StatusOracle) Stats() Stats {
 		st.TableLoadFactor = float64(live) / float64(slots)
 	}
 	st.Rehashes = rehashes
-	st.SliceLoads = s.loads.snapshot()
 	return st
 }
 

@@ -201,9 +201,6 @@ func (s *StatusOracle) PrepareBatch(reqs []PrepareRequest) ([]bool, error) {
 	s.ckptMu.RLock()
 	defer s.ckptMu.RUnlock()
 
-	for i := range reqs {
-		s.loads.note(reqs[i].WriteSet)
-	}
 	locks := s.lockShards(len(reqs), func(i int) ([]RowID, []RowID) {
 		return reqs[i].WriteSet, reqs[i].ReadSet
 	})

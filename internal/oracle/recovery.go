@@ -19,6 +19,12 @@ const (
 	// has produced since Commit became a batch of one. Replay rejects it
 	// instead of skipping it as a foreign record; never reuse the kind.
 	recRetiredCommit = 0x43
+	// recRetiredRangeApply ('M') and recRetiredRangeDiscard ('X') carried
+	// live range migrations, which were removed: replay rejects them, since
+	// skipping one would silently drop or keep a migrated key range's rows.
+	// Never reuse either kind.
+	recRetiredRangeApply   = 0x4D
+	recRetiredRangeDiscard = 0x58
 )
 
 // commitEntry is one committed transaction inside a batch record.
@@ -223,6 +229,8 @@ func (s *StatusOracle) ApplyLogEntry(entry []byte) (applied bool, err error) {
 	switch entry[0] {
 	case recRetiredCommit:
 		return false, fmt.Errorf("oracle: retired single-commit record (kind %#x)", recRetiredCommit)
+	case recRetiredRangeApply, recRetiredRangeDiscard:
+		return false, fmt.Errorf("oracle: retired range-migration record (kind %#x)", entry[0])
 	case recCommitBatch:
 		commits, err := decodeCommitBatchRecord(entry)
 		if err != nil {
@@ -255,20 +263,6 @@ func (s *StatusOracle) ApplyLogEntry(entry []byte) (applied bool, err error) {
 			return false, err
 		}
 		if err := s.applyCheckpoint(cp); err != nil {
-			return false, err
-		}
-	case recRangeApply:
-		rs, err := decodeRangeApplyRecord(entry)
-		if err != nil {
-			return false, err
-		}
-		s.applyRangeState(rs)
-	case recRangeDiscard:
-		lo, hi, err := decodeRangeDiscardRecord(entry)
-		if err != nil {
-			return false, err
-		}
-		if err := s.discardRangeState(lo, hi, false); err != nil {
 			return false, err
 		}
 	default:

@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -232,6 +233,35 @@ func TestRecoverRejectsRetiredCommitRecord(t *testing.T) {
 	}
 	if _, _, err := RecoverState(Config{Engine: SI}, ledger, nil, 0); err == nil {
 		t.Fatal("RecoverState accepted a retired single-commit record")
+	}
+}
+
+// TestRecoverRejectsRetiredRangeRecords: the retired range-migration
+// records (kinds 0x4D apply and 0x58 discard) fail recovery rather than
+// being skipped as foreign records, which would silently drop or keep a
+// migrated range's rows.
+func TestRecoverRejectsRetiredRangeRecords(t *testing.T) {
+	for _, rec := range [][]byte{
+		// The retired apply layout: kind | lo | hi | tmax | count | (row, ts)...
+		appendU64(appendU64(binary.BigEndian.AppendUint32(appendU64(appendU64(appendU64([]byte{recRetiredRangeApply}, 0), 100), 5), 1), 7), 5),
+		// The retired discard layout: kind | lo | hi.
+		appendU64(appendU64([]byte{recRetiredRangeDiscard}, 0), 100),
+	} {
+		ledger := wal.NewMemLedger()
+		w, err := wal.NewWriter(wal.Config{}, ledger)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		if _, err := Recover(Config{Engine: SI, TSO: tso.New(0, nil)}, ledger); err == nil {
+			t.Fatalf("Recover accepted a retired range record of kind %#x", rec[0])
+		}
+		if _, _, err := RecoverState(Config{Engine: SI}, ledger, nil, 0); err == nil {
+			t.Fatalf("RecoverState accepted a retired range record of kind %#x", rec[0])
+		}
 	}
 }
 

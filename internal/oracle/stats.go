@@ -1,8 +1,6 @@
 package oracle
 
 import (
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,13 +70,6 @@ type Stats struct {
 	// are healthy.
 	TableLoadFactor float64
 	Rehashes        int64
-	// SliceLoads is the per-key-range write-load histogram (LoadBuckets
-	// cumulative counters over Config.LoadSpan): every submitted write row
-	// of the commit and prepare paths increments its range's
-	// bucket. The elastic rebalancer differences successive snapshots to
-	// find hot ranges; over the wire it travels as the
-	// oracle_slice_writes_total{slice="i"} series (SliceLoadsFrom).
-	SliceLoads []int64
 }
 
 // AbortRate returns aborts / (commits + aborts), the quantity plotted in
@@ -211,40 +202,6 @@ func (c *statsCollector) snapshot() Stats {
 	return s
 }
 
-// sliceWritesPrefix starts the name of every SliceLoads sample; the bucket
-// index and the closing `"}` follow.
-const sliceWritesPrefix = `oracle_slice_writes_total{slice="`
-
-// sliceWriteNames are the SliceLoads sample names, built once.
-var sliceWriteNames = func() (names [LoadBuckets]string) {
-	for i := range names {
-		names[i] = sliceWritesPrefix + strconv.Itoa(i) + `"}`
-	}
-	return names
-}()
-
-// SliceLoadsFrom rebuilds Stats.SliceLoads from gathered samples, the form
-// a remote oracle's histogram arrives in. Nil when the samples carry none
-// (a server with no oracle installed).
-func SliceLoadsFrom(samples []metrics.Sample) []int64 {
-	var loads []int64
-	for _, s := range samples {
-		rest, ok := strings.CutPrefix(s.Name, sliceWritesPrefix)
-		if !ok {
-			continue
-		}
-		i, err := strconv.Atoi(strings.TrimSuffix(rest, `"}`))
-		if err != nil || i < 0 || i >= LoadBuckets {
-			continue
-		}
-		if loads == nil {
-			loads = make([]int64, LoadBuckets)
-		}
-		loads[i] = s.Value
-	}
-	return loads
-}
-
 // MetricsSource adapts the oracle's counters to the self-describing metrics
 // registry — the only way they leave a server. Samples can be added freely:
 // the registry's length-prefixed wire encoding carries names, so no
@@ -274,8 +231,5 @@ func (s *StatusOracle) MetricsSource() metrics.Source {
 		emit(metrics.G("oracle_cross_partition_ratio", st.CrossPartitionRatio))
 		emit(metrics.G("oracle_table_load_factor", st.TableLoadFactor))
 		emit(metrics.C("oracle_table_rehashes_total", st.Rehashes))
-		for i, v := range st.SliceLoads {
-			emit(metrics.C(sliceWriteNames[i], v))
-		}
 	}
 }

@@ -26,9 +26,6 @@ type Backend interface {
 	Abort(startTS uint64) error
 	// Forget drops an aborted transaction's record after cleanup.
 	Forget(startTS uint64)
-	// SliceLoads snapshots the partition's per-slice write-load histogram
-	// (oracle.Stats.SliceLoads), the rebalancer's input.
-	SliceLoads() ([]int64, error)
 }
 
 // StatusResolving is implemented by backends whose status lookup reports
@@ -38,38 +35,10 @@ type StatusResolving interface {
 	ResolveStatus(startTS uint64) (oracle.TxnStatus, error)
 }
 
-// RangeMigratable is implemented by backends that can ship commit-table
-// state for a contiguous key range — the live-repartitioning primitives.
-// Local satisfies it through the embedded *oracle.StatusOracle; the netsrv
-// client forwards the calls over the wire.
-type RangeMigratable interface {
-	// ExportRange snapshots the partition's conflict-check state for
-	// [lo, hi) (hi == 0 means end of space); it refuses while prepared
-	// rows sit in the range.
-	ExportRange(lo, hi uint64) (*oracle.RangeState, error)
-	// ApplyRange merges an exported range into this partition, never
-	// lowering retained timestamps, and logs it to the partition's WAL.
-	ApplyRange(rs *oracle.RangeState) error
-	// DiscardRange drops the partition's state for a range whose ownership
-	// moved away, logging the drop to the WAL.
-	DiscardRange(lo, hi uint64) error
-}
-
-// RoutingUpdatable is implemented by backends that hold their own routing
-// table (partition servers enforcing ownership); the coordinator pushes
-// each new epoch-fenced table after a live move.
-type RoutingUpdatable interface {
-	SetRouting(rt RoutingTable) error
-}
-
 // Local adapts an in-process status oracle to the Backend interface.
 type Local struct {
 	*oracle.StatusOracle
 }
-
-// SliceLoads implements Backend with the error-carrying signature the
-// remote backend shares.
-func (l Local) SliceLoads() ([]int64, error) { return l.StatusOracle.Stats().SliceLoads, nil }
 
 // Clock is the shared timestamp authority: the coordinator draws start
 // timestamps and commit-timestamp blocks from it. In-process it is the

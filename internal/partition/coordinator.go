@@ -18,7 +18,9 @@ type Config struct {
 	// transaction's conflict check covers when slicing requests across
 	// partitions.
 	Engine oracle.Engine
-	// Router maps rows to partitions. Defaults to hash routing.
+	// Router maps rows to partitions. Defaults to hash routing. It never
+	// changes, and must be the router every partition server of the
+	// deployment was started with.
 	Router Router
 	// Backends are the partitions, indexed as the Router numbers them.
 	Backends []Backend
@@ -54,10 +56,6 @@ type Stats struct {
 	// decide-wait because the caller's deadline had passed (the fan-out
 	// completed in the background).
 	ExpiredDecides int64
-	// RoutingEpoch is the current routing-table epoch; Moves counts the
-	// live range migrations the coordinator has completed.
-	RoutingEpoch uint64
-	Moves        int64
 }
 
 // CrossRatio returns the fraction of routed write transactions that
@@ -79,18 +77,6 @@ type Coordinator struct {
 	clock Clock
 	dlog  *DecisionLog
 
-	// routeMu fences routing against live repartitioning: every commit
-	// fan-out holds it shared for the whole round (cover computation
-	// through the last backend call), MoveRange holds it exclusively while
-	// it ships range state and flips the router. A flip therefore never
-	// interleaves with an in-flight round — the invariant that makes a
-	// live split invisible to acked commits. epoch increases by one per
-	// flip; stale routing is detected (and adopted) by comparing epochs.
-	routeMu sync.RWMutex
-	router  Router
-	epoch   uint64
-	moves   atomic.Int64
-
 	begins     atomic.Int64
 	singleTxns atomic.Int64
 	crossTxns  atomic.Int64
@@ -110,6 +96,10 @@ type Coordinator struct {
 var (
 	ErrNoBackends = errors.New("partition: coordinator needs at least one backend")
 	ErrNoClock    = errors.New("partition: coordinator needs a shared clock")
+	// ErrMisrouted reports a slice a partition server refused because its
+	// router does not give it the slice's rows: every coordinator and
+	// server of a deployment must share one router.
+	ErrMisrouted = errors.New("partition: misrouted request: the partition does not own these rows under its router")
 )
 
 // NewCoordinator wires a coordinator over the configured partitions.
@@ -131,148 +121,11 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cfg.DecisionLog = NewDecisionLog(nil)
 	}
 	return &Coordinator{
-		cfg:    cfg,
-		router: cfg.Router,
-		epoch:  1,
-		parts:  cfg.Backends,
-		clock:  cfg.Clock,
-		dlog:   cfg.DecisionLog,
+		cfg:   cfg,
+		parts: cfg.Backends,
+		clock: cfg.Clock,
+		dlog:  cfg.DecisionLog,
 	}, nil
-}
-
-// Router returns the coordinator's current row router.
-func (co *Coordinator) Router() Router {
-	co.routeMu.RLock()
-	defer co.routeMu.RUnlock()
-	return co.router
-}
-
-// Routing returns the coordinator's current routing table (router + epoch).
-func (co *Coordinator) Routing() RoutingTable {
-	co.routeMu.RLock()
-	defer co.routeMu.RUnlock()
-	return RoutingTable{Epoch: co.epoch, Router: co.router}
-}
-
-// ApplyRouting adopts a routing table if it is newer than the one held —
-// the epoch fence: an older or equal table (a delayed redirect, a replay)
-// is ignored. Returns whether the table was adopted.
-func (co *Coordinator) ApplyRouting(rt RoutingTable) bool {
-	if rt.Router == nil || rt.Router.Partitions() != len(co.parts) {
-		return false
-	}
-	co.routeMu.Lock()
-	defer co.routeMu.Unlock()
-	if rt.Epoch <= co.epoch {
-		return false
-	}
-	co.epoch = rt.Epoch
-	co.router = rt.Router
-	return true
-}
-
-// adoptRedirect folds an epoch-aware misroute redirect into the routing
-// table (no-op when the local table is already as new).
-func (co *Coordinator) adoptRedirect(mr *MisrouteError) {
-	r, err := ParseRouter(mr.Spec, len(co.parts))
-	if err != nil {
-		return // unusable spec; the retry will fail and surface the misroute
-	}
-	co.ApplyRouting(RoutingTable{Epoch: mr.Epoch, Router: r})
-}
-
-// MoveRange performs one live repartitioning step: it reassigns [lo, hi)
-// (hi == 0 means the end of the row-id space) to partition to, migrating
-// the donor partitions' commit-table state for the range, and flips the
-// routing table under the epoch fence. The current router must be a
-// RangeMap (the elastic deployment's router).
-//
-// Ordering is what makes the move invisible to acked commits:
-//
-//  1. routeMu is taken exclusively — every commit fan-out holds it shared
-//     for its whole round, so the move begins only between rounds and no
-//     round ever straddles the flip.
-//  2. Background decide rounds are drained: every acked cross-partition
-//     verdict is applied on its partitions before any state ships.
-//  3. Per segment of [lo, hi) owned elsewhere: the donor's commit-table
-//     state for the range is exported (refused while prepared rows sit in
-//     range — the rebalancer retries next tick), applied on the target
-//     (logged to the target's WAL first), then discarded on the donor
-//     (logged to the donor's WAL), and the router flips for that segment.
-//     A crash between apply and discard replays into a doubly-owned range —
-//     safe pessimism, both copies answer conflict checks identically until
-//     the discard record replays.
-//  4. After the last segment the new table is pushed to every routing-aware
-//     backend. Push failures are harmless: the flip already happened, so a
-//     stale server answers with a redirect carrying the new epoch and
-//     adoption self-heals the table.
-//
-// Flipping per segment (not once at the end) keeps the router consistent
-// with wherever the state actually lives if a later segment's export fails
-// mid-move.
-func (co *Coordinator) MoveRange(lo, hi uint64, to int) error {
-	co.routeMu.Lock()
-	defer co.routeMu.Unlock()
-	if to < 0 || to >= len(co.parts) {
-		return fmt.Errorf("partition: move target %d out of range [0,%d)", to, len(co.parts))
-	}
-	rm, ok := co.router.(*RangeMap)
-	if !ok {
-		return fmt.Errorf("partition: live moves need a RangeMap router (have %T)", co.router)
-	}
-	if err := co.DrainDecides(); err != nil {
-		return err
-	}
-	tgt, ok := co.parts[to].(RangeMigratable)
-	if !ok {
-		return fmt.Errorf("partition: backend %d cannot accept range state (%T)", to, co.parts[to])
-	}
-	moved := false
-	for _, seg := range rm.rangesIn(lo, hi) {
-		if seg.owner == to {
-			continue
-		}
-		donor, ok := co.parts[seg.owner].(RangeMigratable)
-		if !ok {
-			return fmt.Errorf("partition: backend %d cannot export range state (%T)", seg.owner, co.parts[seg.owner])
-		}
-		rs, err := donor.ExportRange(seg.lo, seg.hi)
-		if err != nil {
-			return err
-		}
-		if err := tgt.ApplyRange(rs); err != nil {
-			return err
-		}
-		if err := donor.DiscardRange(seg.lo, seg.hi); err != nil {
-			return err
-		}
-		next, err := rm.WithMove(seg.lo, seg.hi, to)
-		if err != nil {
-			return err
-		}
-		rm = next
-		co.router = next
-		co.epoch++
-		moved = true
-	}
-	if !moved {
-		return nil
-	}
-	co.moves.Add(1)
-	co.pushRouting(RoutingTable{Epoch: co.epoch, Router: rm})
-	return nil
-}
-
-// pushRouting offers a routing table to every routing-aware backend. Push
-// failures are harmless (a stale server answers with a redirect and the
-// commit path re-pushes), as are pushes to already-current servers (the
-// epoch fence drops them).
-func (co *Coordinator) pushRouting(rt RoutingTable) {
-	for _, b := range co.parts {
-		if ru, ok := b.(RoutingUpdatable); ok {
-			_ = ru.SetRouting(rt)
-		}
-	}
 }
 
 // DecisionLog returns the coordinator's decision log (for recovery
@@ -291,12 +144,10 @@ func (co *Coordinator) Begin() (uint64, error) {
 	return ts, nil
 }
 
-// coverWith returns the sorted partition set covering a commit request's
-// write rows and check rows (oracle.Engine.Rows) per router — the
-// commit fan-out pins one router snapshot for its whole round (under
-// routeMu), so every cover and slice of the round agrees on ownership.
-func (co *Coordinator) coverWith(router Router, req *oracle.CommitRequest) []int {
-	n := router.Partitions()
+// cover returns the sorted partition set covering a commit request's write
+// rows and check rows (oracle.Engine.Rows).
+func (co *Coordinator) cover(req *oracle.CommitRequest) []int {
+	n := co.cfg.Router.Partitions()
 	if n == 1 {
 		return []int{0}
 	}
@@ -317,7 +168,7 @@ func (co *Coordinator) coverWith(router Router, req *oracle.CommitRequest) []int
 	check, _ := co.cfg.Engine.Rows(req.WriteSet, req.ReadSet)
 	for _, set := range [2][]oracle.RowID{req.WriteSet, check} {
 		for _, r := range set {
-			add(router.Partition(r))
+			add(co.cfg.Router.Partition(r))
 		}
 	}
 	if n <= 64 {
@@ -339,8 +190,7 @@ func (co *Coordinator) coverWith(router Router, req *oracle.CommitRequest) []int
 	return list
 }
 
-// sliceRows filters a row set down to the rows partition p owns under the
-// round's pinned router.
+// sliceRows filters a row set down to the rows partition p owns.
 func sliceRows(router Router, rows []oracle.RowID, p int) []oracle.RowID {
 	var out []oracle.RowID
 	for _, r := range rows {
@@ -365,14 +215,9 @@ func (co *Coordinator) Commit(req oracle.CommitRequest) (oracle.CommitResult, er
 // prepare/decide round — except that with SharedTSO a request whose rows
 // live on one partition takes that partition's one-shot CommitBatch. All
 // partitions work concurrently. An error reports an infrastructure
-// failure; per-transaction conflicts are reported in the results.
-//
-// The whole fan-out runs under the routing fence (routeMu, shared): a live
-// repartition waits for in-flight rounds and no round ever mixes routers.
-// A partition server that rejects a slice as misrouted (this coordinator's
-// table went stale against a rebalance elsewhere) answers with an
-// epoch-aware redirect; a transaction the rejection left parked nowhere is
-// re-routed under the refreshed table and retried once.
+// failure, or ErrMisrouted when a partition server refused a slice (its
+// router disagrees with the coordinator's); per-transaction conflicts are
+// reported in the results.
 func (co *Coordinator) CommitBatch(reqs []oracle.CommitRequest) ([]oracle.CommitResult, error) {
 	return co.CommitBatchDeadline(reqs, time.Time{})
 }
@@ -394,39 +239,22 @@ func (co *Coordinator) CommitBatchDeadline(reqs []oracle.CommitRequest, deadline
 		return nil, oracle.ErrExpired
 	}
 	results := make([]oracle.CommitResult, len(reqs))
-	if err := co.commitRouted(reqs, results, nil, 0, deadline); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// expired reports whether a non-zero absolute deadline has passed.
-func expired(deadline time.Time) bool {
-	return !deadline.IsZero() && !time.Now().Before(deadline)
-}
-
-// commitRouted routes and decides the requests selected by idxs (nil means
-// all of reqs) into results. depth > 0 marks a misroute retry; a request
-// misrouted twice surfaces the error rather than looping.
-func (co *Coordinator) commitRouted(reqs []oracle.CommitRequest, results []oracle.CommitResult, idxs []int, depth int, deadline time.Time) error {
-	co.routeMu.RLock()
-	router := co.router
 	singles := make(map[int][]int)
 	var multi []int
 	var nSingles, nCross int64
 	covers := make([][]int, len(reqs))
-	route := func(i int) {
+	for i := range reqs {
 		if reqs[i].ReadOnly() {
 			// §5.1 read-only fast path, unchanged by partitioning.
 			results[i] = oracle.CommitResult{Committed: true, CommitTS: reqs[i].StartTS}
-			return
+			continue
 		}
-		cover := co.coverWith(router, &reqs[i])
+		cover := co.cover(&reqs[i])
 		covers[i] = cover
 		if len(cover) > 1 {
 			nCross++
 			multi = append(multi, i)
-			return
+			continue
 		}
 		nSingles++
 		if co.cfg.SharedTSO {
@@ -438,37 +266,8 @@ func (co *Coordinator) commitRouted(reqs []oracle.CommitRequest, results []oracl
 			multi = append(multi, i)
 		}
 	}
-	if idxs == nil {
-		for i := range reqs {
-			route(i)
-		}
-	} else {
-		for _, i := range idxs {
-			route(i)
-		}
-	}
-	if depth == 0 {
-		// A retried request is counted once, under its first classification.
-		co.singleTxns.Add(nSingles)
-		co.crossTxns.Add(nCross)
-	}
-
-	// Misrouted requests collect here for the post-fence retry; the
-	// redirect with the newest epoch refreshes the routing table. The retry
-	// runs outside the read lock — adopting a table needs the write lock.
-	var (
-		redMu    sync.Mutex
-		retry    []int
-		redirect *MisrouteError
-	)
-	noteMisroute := func(mr *MisrouteError, group []int) {
-		redMu.Lock()
-		retry = append(retry, group...)
-		if redirect == nil || mr.Epoch > redirect.Epoch {
-			redirect = mr
-		}
-		redMu.Unlock()
-	}
+	co.singleTxns.Add(nSingles)
+	co.crossTxns.Add(nCross)
 
 	errCh := make(chan error, len(singles)+1)
 	var wg sync.WaitGroup
@@ -485,36 +284,23 @@ func (co *Coordinator) commitRouted(reqs []oracle.CommitRequest, results []oracl
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := co.commitCross(router, reqs, multi, covers, results, noteMisroute, deadline); err != nil {
+			if err := co.commitCross(reqs, multi, covers, results, deadline); err != nil {
 				errCh <- err
 			}
 		}()
 	}
 	wg.Wait()
-	co.routeMu.RUnlock()
 	select {
 	case err := <-errCh:
-		return err
+		return nil, err
 	default:
 	}
-	if redirect != nil {
-		co.adoptRedirect(redirect)
-		if rt := co.Routing(); redirect.Epoch < rt.Epoch {
-			// The redirecting server is the stale party — typically a
-			// partition that crash-restarted on its static flag table and
-			// lost the adopted routing epoch. Heal it by pushing the newer
-			// table down before the retry; the server-side epoch fence makes
-			// the push idempotent and drop-safe on already-current servers.
-			co.pushRouting(rt)
-		}
-	}
-	if len(retry) == 0 {
-		return nil
-	}
-	if depth > 0 {
-		return redirect
-	}
-	return co.commitRouted(reqs, results, retry, depth+1, deadline)
+	return results, nil
+}
+
+// expired reports whether a non-zero absolute deadline has passed.
+func expired(deadline time.Time) bool {
+	return !deadline.IsZero() && !time.Now().Before(deadline)
 }
 
 // Pools recycling the coordinator's per-round frame containers. Only the
@@ -555,9 +341,8 @@ type crossRound struct {
 }
 
 // buildSlices cuts each request of a round into per-partition prepare
-// slices under the round's pinned router. The slices carry no commit
-// timestamp: it is drawn after the votes.
-func (co *Coordinator) buildSlices(router Router, reqs []oracle.CommitRequest, multi []int, covers [][]int) crossRound {
+// slices. The slices carry no commit timestamp: it is drawn after the votes.
+func (co *Coordinator) buildSlices(reqs []oracle.CommitRequest, multi []int, covers [][]int) crossRound {
 	r := crossRound{
 		prepReqs: make(map[int][]oracle.PrepareRequest),
 		slots:    make(map[int][]int),
@@ -571,8 +356,8 @@ func (co *Coordinator) buildSlices(router Router, reqs []oracle.CommitRequest, m
 		for _, p := range covers[i] {
 			pr := oracle.PrepareRequest{
 				StartTS:  reqs[i].StartTS,
-				WriteSet: sliceRows(router, reqs[i].WriteSet, p),
-				ReadSet:  sliceRows(router, guard, p),
+				WriteSet: sliceRows(co.cfg.Router, reqs[i].WriteSet, p),
+				ReadSet:  sliceRows(co.cfg.Router, guard, p),
 			}
 			r.prepReqs[p] = append(r.prepReqs[p], pr)
 			r.slots[p] = append(r.slots[p], k)
@@ -585,11 +370,9 @@ func (co *Coordinator) buildSlices(router Router, reqs []oracle.CommitRequest, m
 // that fails to answer vetoes every transaction it covers — aborting more
 // than a serial oracle would is always safe, and the client is never
 // acknowledged for a commit that was not unanimously prepared. A partition
-// that rejects its slices as misrouted (it no longer owns those rows) parks
-// none of them and likewise vetoes; it is returned among the misrouted
-// partitions, with the newest redirect, so the caller can drop it from the
-// round and refresh its routing table.
-func (co *Coordinator) prepareRound(r crossRound, n int) ([]bool, *MisrouteError, []int) {
+// that refuses its slices as misrouted parks none of them and likewise
+// vetoes; the second result reports that one did.
+func (co *Coordinator) prepareRound(r crossRound, n int) ([]bool, bool) {
 	votes := make([]bool, n)
 	for i := range votes {
 		votes[i] = true
@@ -597,8 +380,7 @@ func (co *Coordinator) prepareRound(r crossRound, n int) ([]bool, *MisrouteError
 	// One struct, so the goroutines capture one heap variable.
 	var out struct {
 		mu        sync.Mutex
-		redirect  *MisrouteError
-		misrouted []int
+		misrouted bool
 	}
 	var wg sync.WaitGroup
 	for p, prs := range r.prepReqs {
@@ -609,11 +391,8 @@ func (co *Coordinator) prepareRound(r crossRound, n int) ([]bool, *MisrouteError
 			out.mu.Lock()
 			defer out.mu.Unlock()
 			if err != nil {
-				if mr := AsMisroute(err); mr != nil {
-					out.misrouted = append(out.misrouted, p)
-					if out.redirect == nil || mr.Epoch > out.redirect.Epoch {
-						out.redirect = mr
-					}
+				if errors.Is(err, ErrMisrouted) {
+					out.misrouted = true
 				}
 				for _, k := range r.slots[p] {
 					votes[k] = false
@@ -628,43 +407,7 @@ func (co *Coordinator) prepareRound(r crossRound, n int) ([]bool, *MisrouteError
 		}(p, prs)
 	}
 	wg.Wait()
-	return votes, out.redirect, out.misrouted
-}
-
-// dropMisrouted takes the misrouted partitions out of the round — they
-// parked nothing, so they get no decide — together with every transaction
-// that has no slice left on another partition. It returns the remaining
-// transactions with their votes, renumbering the slots to match, and the
-// dropped ones (as request indexes) for the misroute retry.
-func (r *crossRound) dropMisrouted(misrouted, multi []int, votes []bool) (kept []int, keptVotes []bool, retry []int) {
-	for _, p := range misrouted {
-		delete(r.prepReqs, p)
-		delete(r.slots, p)
-	}
-	renum := make([]int, len(multi))
-	for k := range renum {
-		renum[k] = -1
-	}
-	for _, ks := range r.slots {
-		for _, k := range ks {
-			renum[k] = 0
-		}
-	}
-	for k, i := range multi {
-		if renum[k] < 0 {
-			retry = append(retry, i)
-			continue
-		}
-		renum[k] = len(kept)
-		kept = append(kept, i)
-		keptVotes = append(keptVotes, votes[k])
-	}
-	for _, ks := range r.slots {
-		for j, k := range ks {
-			ks[j] = renum[k]
-		}
-	}
-	return kept, keptVotes, retry
+	return votes, out.misrouted
 }
 
 // decideRound fans the verdicts to every covering partition in parallel.
@@ -720,20 +463,14 @@ func (co *Coordinator) finishCross(multi []int, decisions []oracle.Decision, res
 // can already resolve the commit from the log. This mirrors how the single
 // oracle publishes its commit-table entries atomically with the
 // allocation.
-func (co *Coordinator) commitCross(router Router, reqs []oracle.CommitRequest, multi []int, covers [][]int, results []oracle.CommitResult, noteMisroute func(*MisrouteError, []int), deadline time.Time) error {
-	round := co.buildSlices(router, reqs, multi, covers)
-	votes, mr, misrouted := co.prepareRound(round, len(multi))
-	if mr != nil {
-		// A transaction with a slice placed aborts below (nothing is acked
-		// wrongly); one with none placed was parked nowhere and is retried
-		// under the refreshed table.
-		var retry []int
-		multi, votes, retry = round.dropMisrouted(misrouted, multi, votes)
-		noteMisroute(mr, retry)
-		if len(multi) == 0 {
-			return nil
-		}
-	}
+//
+// A slice refused as misrouted vetoes its transactions like any failed
+// prepare: the round aborts them everywhere and then returns ErrMisrouted,
+// so a coordinator whose router disagrees with the servers' sees an error
+// rather than a stream of aborts.
+func (co *Coordinator) commitCross(reqs []oracle.CommitRequest, multi []int, covers [][]int, results []oracle.CommitResult, deadline time.Time) error {
+	round := co.buildSlices(reqs, multi, covers)
+	votes, misrouted := co.prepareRound(round, len(multi))
 
 	decisions := make([]oracle.Decision, len(multi))
 	for k, i := range multi {
@@ -766,7 +503,13 @@ func (co *Coordinator) commitCross(router Router, reqs []oracle.CommitRequest, m
 	if walErr != nil {
 		return walErr
 	}
-	return decideErr
+	if decideErr != nil {
+		return decideErr
+	}
+	if misrouted {
+		return ErrMisrouted
+	}
+	return nil
 }
 
 // runDecides fans the verdicts out. A caller whose deadline passed while
@@ -948,8 +691,6 @@ func (co *Coordinator) Stats() Stats {
 		CrossCommits:   co.crossCommits.Load(),
 		CrossAborts:    co.crossAborts.Load(),
 		ExpiredDecides: co.expiredDecides.Load(),
-		RoutingEpoch:   co.Routing().Epoch,
-		Moves:          co.moves.Load(),
 	}
 }
 
@@ -964,7 +705,5 @@ func (co *Coordinator) MetricsSource() metrics.Source {
 		emit(metrics.C("partition_cross_commits_total", co.crossCommits.Load()))
 		emit(metrics.C("partition_cross_aborts_total", co.crossAborts.Load()))
 		emit(metrics.C("partition_expired_decides_total", co.expiredDecides.Load()))
-		emit(metrics.C("partition_moves_total", co.moves.Load()))
-		emit(metrics.G("partition_routing_epoch", float64(co.Routing().Epoch)))
 	}
 }

@@ -30,11 +30,6 @@ type LocalConfig struct {
 	WALFor func(i int) *wal.Writer
 	// TSOBatch sizes the shared timestamp oracle's reservation blocks.
 	TSOBatch int
-	// LoadSpan scopes each partition's per-slice load histogram to
-	// [0, LoadSpan) — the workload's row-id span — so the rebalancer sees
-	// the hot range at useful resolution. 0 spreads the histogram over the
-	// full 64-bit space.
-	LoadSpan uint64
 }
 
 // LocalCluster is an in-process partitioned status oracle: N real oracles
@@ -73,7 +68,6 @@ func NewLocal(cfg LocalConfig) (*LocalCluster, error) {
 			MaxCommits: cfg.MaxCommits,
 			Shards:     cfg.Shards,
 			TSO:        clock,
-			LoadSpan:   cfg.LoadSpan,
 		}
 		if cfg.WALFor != nil {
 			ocfg.WAL = cfg.WALFor(i)

@@ -39,7 +39,7 @@ func TestRouters(t *testing.T) {
 			t.Fatalf("narrow range route %d -> %d, want %d", row, p, want)
 		}
 	}
-	// Every range spec builds a RangeMap, which live moves need.
+	// Every range spec builds a RangeMap.
 	for _, spec := range []string{"range", "range:100,200,300"} {
 		r, err := ParseRouter(spec, 4)
 		if err != nil {

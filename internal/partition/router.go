@@ -67,11 +67,10 @@ func (h HashRouter) Partitions() int { return h.n }
 func (h HashRouter) String() string { return fmt.Sprintf("hash(%d)", h.n) }
 
 // NewEvenRangeRouter splits [0, space) into n equal slices, partition i
-// owning slice i and the last also everything above. It is a RangeMap, so a
-// live move can reassign any part of it later. The benchmark uses it with
-// space = the workload's row count, since its row ids are the dense record
-// indexes themselves. The slice width is at least one row, so n > space
-// still yields n slices.
+// owning slice i and the last also everything above. The benchmark uses it
+// with space = the workload's row count, since its row ids are the dense
+// record indexes themselves. The slice width is at least one row, so
+// n > space still yields n slices.
 func NewEvenRangeRouter(n int, space uint64) *RangeMap {
 	n = max(n, 1)
 	width := max(space/uint64(n), 1)
@@ -98,8 +97,7 @@ func newSlicedRangeMap(splits []uint64) (*RangeMap, error) {
 // space), "range:s1,s2,..." with explicit ascending split points, partition
 // i owning the i-th range ("range:" with no splits is the single-partition
 // range router), or "map:<parts>;o0,o1,...;s1,s2,..." with explicit
-// per-segment owners, the syntax RoutingTable redirects carry. Every range
-// spec builds a RangeMap.
+// per-segment owners. Every range spec builds a RangeMap.
 func ParseRouter(spec string, n int) (Router, error) {
 	switch {
 	case spec == "" || spec == "hash":

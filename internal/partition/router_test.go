@@ -2,7 +2,6 @@ package partition
 
 import (
 	"strconv"
-	"strings"
 	"testing"
 
 	"repro/internal/oracle"
@@ -55,22 +54,10 @@ func TestParseRouterEdgeCases(t *testing.T) {
 	}
 }
 
-func TestRangeMapMoveAndSpec(t *testing.T) {
-	m, err := NewSingleOwnerRangeMap(4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Carve an interior range out to partition 3, then its tail to 1.
-	m, err = m.WithMove(100, 200, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err = m.WithMove(150, 200, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Re-moving an open-ended tail works too.
-	m, err = m.WithMove(1000, 0, 2)
+// TestRangeMapSpecRoutes: a "map:" spec gives each segment its owner, and a
+// partition may own several non-adjacent segments.
+func TestRangeMapSpecRoutes(t *testing.T) {
+	r, err := ParseRouter("map:4;0,3,1,0,2;100,150,200,1000", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,66 +65,9 @@ func TestRangeMapMoveAndSpec(t *testing.T) {
 		row  oracle.RowID
 		want int
 	}{{0, 0}, {99, 0}, {100, 3}, {149, 3}, {150, 1}, {199, 1}, {200, 0}, {999, 0}, {1000, 2}, {1 << 50, 2}} {
-		if p := m.Partition(tc.row); p != tc.want {
-			t.Fatalf("route %d -> %d, want %d (map %s)", tc.row, p, tc.want, m.Spec())
+		if p := r.Partition(tc.row); p != tc.want {
+			t.Fatalf("route %d -> %d, want %d (%v)", tc.row, p, tc.want, r)
 		}
-	}
-
-	// The spec round-trips through ParseRouter to an identical routing
-	// function — this is what epoch redirects carry on the wire.
-	spec := m.Spec()
-	if !strings.HasPrefix(spec, "map:4;") {
-		t.Fatalf("spec = %q", spec)
-	}
-	r2, err := ParseRouter(spec, 4)
-	if err != nil {
-		t.Fatalf("reparse %q: %v", spec, err)
-	}
-	for row := oracle.RowID(0); row < 2000; row++ {
-		if m.Partition(row) != r2.Partition(row) {
-			t.Fatalf("spec round trip diverges at row %d", row)
-		}
-	}
-
-	// Moving a range back to its surrounding owner coalesces segments.
-	m2, err := m.WithMove(100, 200, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Segments() != 2 { // [0,1000)->0, [1000,∞)->2
-		t.Fatalf("coalesced map has %d segments (%s)", m2.Segments(), m2.Spec())
-	}
-
-	// Invalid moves are rejected.
-	if _, err := m.WithMove(100, 200, 4); err == nil {
-		t.Fatal("move to out-of-range partition accepted")
-	}
-	if _, err := m.WithMove(200, 100, 1); err == nil {
-		t.Fatal("empty move range accepted")
-	}
-}
-
-func TestRoutingTableEpochFence(t *testing.T) {
-	old := RoutingTable{Epoch: 3, Router: NewHashRouter(2)}
-	newer := RoutingTable{Epoch: 4, Router: NewHashRouter(2)}
-	if !newer.Newer(old) {
-		t.Fatal("higher epoch not newer")
-	}
-	if old.Newer(newer) || old.Newer(old) {
-		t.Fatal("stale or equal epoch considered newer")
-	}
-	if old.Spec() != "hash" {
-		t.Fatalf("hash table spec = %q", old.Spec())
-	}
-
-	m, _ := NewSingleOwnerRangeMap(2, 1)
-	rt := RoutingTable{Epoch: 9, Router: m}
-	r, err := ParseRouter(rt.Spec(), 2)
-	if err != nil {
-		t.Fatalf("reparse table spec %q: %v", rt.Spec(), err)
-	}
-	if r.Partition(12345) != 1 {
-		t.Fatal("table spec lost the owner assignment")
 	}
 }
 

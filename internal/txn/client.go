@@ -135,10 +135,6 @@ type Config struct {
 	// but deferral saves data-server traffic for transactions that abort
 	// before committing, at the cost of a commit-time write burst.
 	DeferWrites bool
-	// CommitBatchSize caps the number of CommitAsync submissions the
-	// commit pipeliner coalesces into one arbiter batch (default
-	// DefaultCommitBatchSize). Synchronous Commit is unaffected.
-	CommitBatchSize int
 	// Tap, when non-nil, receives sampled transaction lifecycle events
 	// (begin/read/write/commit/abort) for the streaming anomaly checker.
 	// The sampling decision is made once per transaction at Begin; an
@@ -160,10 +156,6 @@ type Client struct {
 	so     Arbiter
 	cfg    Config
 	active activeSet // live transactions, for GC watermarking
-
-	pipeMu     sync.Mutex
-	pipe       *commitPipeliner // started lazily by the first CommitAsync
-	pipeClosed bool
 }
 
 // NewClient creates a transaction client.
@@ -171,36 +163,9 @@ func NewClient(store *kvstore.Store, so Arbiter, cfg Config) (*Client, error) {
 	return &Client{store: store, so: so, cfg: cfg}, nil
 }
 
-// Close stops the client's commit pipeliner, if any. Outstanding
-// CommitAsync futures complete with ErrClientClosed.
-func (c *Client) Close() {
-	c.pipeMu.Lock()
-	pipe := c.pipe
-	c.pipe = nil
-	c.pipeClosed = true
-	c.pipeMu.Unlock()
-	if pipe != nil {
-		pipe.stop()
-	}
-}
-
-// pipeliner returns the client's commit pipeliner, starting it on first use;
-// nil after Close.
-func (c *Client) pipeliner() *commitPipeliner {
-	c.pipeMu.Lock()
-	defer c.pipeMu.Unlock()
-	if c.pipeClosed {
-		return nil
-	}
-	if c.pipe == nil {
-		size := c.cfg.CommitBatchSize
-		if size <= 0 {
-			size = DefaultCommitBatchSize
-		}
-		c.pipe = newCommitPipeliner(c.so, size)
-	}
-	return c.pipe
-}
+// Close releases the client. It holds no background resources, so Close
+// only exists for callers that pair every client with a Close.
+func (c *Client) Close() {}
 
 // Begin starts a transaction.
 func (c *Client) Begin() (*Txn, error) {

@@ -41,7 +41,7 @@ func TestPartitionedWireSerializability(t *testing.T) {
 		}
 		srv := netsrv.NewServer(so)
 		srv.Logf = nil
-		srv.PartitionID, srv.Partitions = i, n
+		srv.Router, srv.PartitionID = partition.NewHashRouter(n), i
 		if addrs[i], err = srv.Listen("127.0.0.1:0"); err != nil {
 			t.Fatalf("listen %d: %v", i, err)
 		}

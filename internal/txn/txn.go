@@ -434,40 +434,7 @@ func (t *Txn) Commit() error {
 		return nil
 	}
 	res, err := t.client.so.Commit(t.prepareCommit())
-	return t.finishCommit(res, err).Err
-}
-
-// CommitAsync submits the transaction through the client's commit pipeliner
-// and returns a future for the decision, letting one goroutine keep many
-// commits in flight while the pipeliner coalesces them into oracle batches.
-// The returned channel delivers exactly one CommitOutcome (Err is nil on
-// commit, ErrConflict on abort). The transaction must not be used again
-// until the outcome has been received; receiving it establishes the
-// happens-before edge for CommitTS and Committed.
-func (t *Txn) CommitAsync() <-chan CommitOutcome {
-	ch := make(chan CommitOutcome, 1)
-	if t.done {
-		ch <- CommitOutcome{Err: ErrClosed}
-		return ch
-	}
-	t.done = true
-	if t.readOnly {
-		t.committed = true
-		t.commitTS = t.startTS
-		ch <- CommitOutcome{Committed: true, CommitTS: t.startTS}
-		return ch
-	}
-	pipe := t.client.pipeliner()
-	if pipe == nil {
-		t.client.active.remove(t.startTS)
-		ch <- CommitOutcome{Err: ErrClientClosed}
-		return ch
-	}
-	req := t.prepareCommit()
-	pipe.submit(req, func(res oracle.CommitResult, err error) {
-		ch <- t.finishCommit(res, err)
-	})
-	return ch
+	return t.finishCommit(res, err)
 }
 
 // prepareCommit flushes deferred writes and renders the oracle request: the
@@ -538,7 +505,7 @@ func (t *Txn) releaseSets() {
 // its own write set on success. A submission error leaves the decision in
 // doubt and is settled by querying the transaction's status — never by
 // resubmitting.
-func (t *Txn) finishCommit(res oracle.CommitResult, err error) CommitOutcome {
+func (t *Txn) finishCommit(res oracle.CommitResult, err error) error {
 	t.client.active.remove(t.startTS)
 	// The arbiter has decided (or definitively failed); no layer holds the
 	// hashed row sets any longer.
@@ -550,13 +517,13 @@ func (t *Txn) finishCommit(res oracle.CommitResult, err error) CommitOutcome {
 		t.tapDecision(false, 0)
 		t.cleanup()
 		t.client.forget(t.startTS)
-		return CommitOutcome{Err: ErrConflict}
+		return ErrConflict
 	}
 	return t.applyCommitted(res.CommitTS)
 }
 
 // applyCommitted records a successful commit decision.
-func (t *Txn) applyCommitted(commitTS uint64) CommitOutcome {
+func (t *Txn) applyCommitted(commitTS uint64) error {
 	t.committed = true
 	t.commitTS = commitTS
 	t.tapDecision(true, commitTS)
@@ -567,7 +534,7 @@ func (t *Txn) applyCommitted(commitTS uint64) CommitOutcome {
 		}
 		t.client.store.StampCommits(stamps)
 	}
-	return CommitOutcome{Committed: true, CommitTS: commitTS}
+	return nil
 }
 
 // settleInDoubt resolves a commit whose submission failed (connection
@@ -586,10 +553,10 @@ func (t *Txn) applyCommitted(commitTS uint64) CommitOutcome {
 //     did land but is momentarily unobservable. The caller may retry the
 //     whole transaction (with a fresh timestamp) or garbage-collection
 //     will reap the versions once the fate is knowable.
-func (t *Txn) settleInDoubt(cause error) CommitOutcome {
+func (t *Txn) settleInDoubt(cause error) error {
 	st, resolved := t.client.resolveFate(t.startTS)
 	if !resolved {
-		return CommitOutcome{Err: cause}
+		return cause
 	}
 	switch st.Status {
 	case oracle.StatusCommitted:
@@ -598,9 +565,9 @@ func (t *Txn) settleInDoubt(cause error) CommitOutcome {
 		t.tapDecision(false, 0)
 		t.cleanup()
 		t.client.forget(t.startTS)
-		return CommitOutcome{Err: ErrConflict}
+		return ErrConflict
 	default:
-		return CommitOutcome{Err: cause}
+		return cause
 	}
 }
 

@@ -9,6 +9,8 @@
 # The root module only: benchmark/ is a module of its own with its own rules.
 # engine_switches counts comparisons against an engine outside tests: the
 # rule that tells SI from WSI is oracle.Engine.Rows, so it should stay 1.
+# unreachable_funcs is scripts/reach.sh's count of functions under internal/
+# that no shipped binary links.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -39,6 +41,7 @@ current() {
   "sleeps_outside_tests": $(matches 'time\.Sleep\(' -not -name '*_test.go'),
   "fuzz_targets": $(matches '^func Fuzz' -name '*_test.go'),
   "engine_switches": $(matches '[!=]= (oracle\.)?(WSI|SI)\b' -not -name '*_test.go'),
+  "unreachable_funcs": $(sh scripts/reach.sh),
   "design_md_lines": $(wc -l < DESIGN.md | tr -d ' ')
 }
 EOF
