@@ -584,3 +584,104 @@ func BenchmarkAdmissionDecision(b *testing.B) {
 		})
 	})
 }
+
+// TestOverloadParkedFramesKeepTheirOwnState: on one connection, data frames
+// that park in the admission queue, each with its own deadline, interleave
+// with control frames that bypass the gate and are answered at once. A
+// handler's per-frame values travel in its pooled context, so every reply
+// must carry its own request id and its own outcome: the frame that expires
+// while parked gets codeExpired, the other parked frames commit or begin,
+// and the control frames are answered while the parked ones still wait.
+func TestOverloadParkedFramesKeepTheirOwnState(t *testing.T) {
+	g := startGatedServer(t, &IngressConfig{MaxInflight: 1, QueueCap: 8}, 64)
+	m, err := DialMux(g.addr, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	tss := g.begins(t, m.Session(0), 3)
+	conn, err := net.Dial("tcp", g.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	send := func(reqID uint64, budget time.Duration, op byte, payload []byte) {
+		t.Helper()
+		env := envelope{session: uint32(reqID), deadline: uint32(budget / time.Microsecond)}
+		body := appendEnvelope(append(appendU64(nil, reqID), opEnvelope), env, op)
+		if _, err := conn.Write(appendFrame(nil, append(body, payload...))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	commit := func(i int) []byte {
+		return appendCommitBatchReq(nil, []oracle.CommitRequest{{StartTS: tss[i], WriteSet: []oracle.RowID{oracle.RowID(i + 1)}}})
+	}
+	type reply struct {
+		code    byte
+		payload []byte
+	}
+	read := func() (uint64, reply) {
+		t.Helper()
+		resp, err := readFrameInto(conn, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, code, p, err := splitResponse(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id, reply{code, p}
+	}
+
+	// Frame 1 takes the only slot and holds it in its ledger append.
+	send(1, 0, opCommitBatch, commit(0))
+	<-g.entered
+	const doomedBudget = 30 * time.Millisecond
+	send(2, 0, opHealth, nil)
+	send(3, 10*time.Second, opCommitBatch, commit(1))
+	send(4, 0, opHealth, nil)
+	send(5, doomedBudget, opCommitBatch, commit(2))
+	send(6, 0, opHealth, nil)
+	send(7, 11*time.Second, opBegin, nil)
+	send(8, 0, opHealth, nil)
+	g.settle(t, func(st gateState) bool { return st.waiting == 3 })
+	parkedAt := time.Now()
+	for range 4 {
+		id, r := read()
+		if id%2 != 0 || r.code != codeOK || len(r.payload) != 1 || r.payload[0] != rolePrimary {
+			t.Fatalf("reply %d (%+v) arrived while the data frames were held", id, r)
+		}
+	}
+
+	// Every server-side deadline of frame 5 lies before parkedAt+doomedBudget.
+	<-time.After(time.Until(parkedAt.Add(doomedBudget + 5*time.Millisecond)))
+	replies := make(map[uint64]reply)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range 4 {
+			id, r := read()
+			replies[id] = r
+		}
+	}()
+	g.releaseUntil(done, nil)
+	if len(replies) != 4 {
+		t.Fatalf("replies %v, want one each for frames 1, 3, 5 and 7", replies)
+	}
+	for _, id := range []uint64{1, 3} {
+		res := make([]oracle.CommitResult, 1)
+		if r := replies[id]; r.code != codeOK || decodeCommitBatchRespInto(res, r.payload) != nil || !res[0].Committed {
+			t.Fatalf("commit frame %d = %+v, want committed", id, r)
+		}
+	}
+	if r := replies[5]; r.code != codeExpired {
+		t.Fatalf("frame parked past its deadline = %+v, want codeExpired", r)
+	}
+	if r := replies[7]; r.code != codeOK || len(r.payload) != 8 {
+		t.Fatalf("begin frame = %+v, want a timestamp", r)
+	}
+	if got := g.so.Stats().Commits; got != 2 {
+		t.Fatalf("oracle committed %d, want 2: the expired frame must not reach it", got)
+	}
+}

@@ -700,3 +700,36 @@ func TestStatsBatchFieldsOverNetwork(t *testing.T) {
 		t.Fatalf("Batches = %v BatchSizeAvg = %v, want 1 and 2", batches, avg)
 	}
 }
+
+// TestPooledContextHoldsNoConnection: once a connection's requests are
+// answered and it has closed, the contexts back in the server's pool keep
+// their buffers but no reference to the connection or to a frame.
+func TestPooledContextHoldsNoConnection(t *testing.T) {
+	srv, c := startServer(t, oracle.WSI)
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Begin(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	c.Close()
+	srv.Close() // returns once every connection's read loop and handler has
+	hits := srv.poolHits.Load()
+	for n := 0; ; n++ {
+		ctx := srv.getCtx()
+		if srv.poolHits.Load() == hits+int64(n) {
+			if n == 0 {
+				t.Fatal("no context came back to the pool")
+			}
+			break
+		}
+		if ctx.cs != nil || ctx.payload != nil {
+			t.Fatalf("pooled context %d still holds connection %p, payload %q", n, ctx.cs, ctx.payload)
+		}
+	}
+}

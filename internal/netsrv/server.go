@@ -144,10 +144,13 @@ type Server struct {
 
 // handlerCtx is the reusable scratch of one in-flight request: the raw
 // frame, the decoded request structures (row-set arrays reused across
-// requests), and the buffer the response is built into. One context is
+// requests), the buffer the response is built into, and the per-frame values
+// the read loop hands to the request's handler goroutine. One context is
 // checked out of the server pool per frame and returned once the response
 // has been handed to the connection writer, so a steady request rate is
-// served with zero per-request allocation.
+// served with zero per-request allocation: the handler starts as go ctx.run(),
+// a method value bound once per context, so the go statement captures
+// nothing.
 type handlerCtx struct {
 	body    []byte                 // raw frame (request body)
 	resp    []byte                 // response build buffer
@@ -157,6 +160,25 @@ type handlerCtx struct {
 	sts     []oracle.TxnStatus     // QueryBatchInto result scratch
 	span    metrics.Span           // request lifecycle trace, embedded so tracing allocates nothing
 	op      byte                   // unwrapped op code, for per-class stage histograms
+
+	// Per-frame values, set by the read loop before the handler starts.
+	cs       *connState
+	reqID    uint64
+	payload  []byte // the unwrapped op's payload; aliases body
+	tenant   int
+	deadline time.Time
+	mustWait bool // admission said wait: park in the tenant queue first
+	gated    bool // admitted through the gate: release the slot when done
+
+	srv *Server
+	run func() // the method value ctx.serve, bound once in getCtx
+}
+
+// connState is what every handler of one connection shares.
+type connState struct {
+	w        *connWriter
+	conn     net.Conn
+	handlers sync.WaitGroup
 }
 
 // getCtx checks a handler context out of the pool.
@@ -166,11 +188,15 @@ func (s *Server) getCtx() *handlerCtx {
 		return c
 	}
 	s.poolMisses.Add(1)
-	return &handlerCtx{}
+	c := &handlerCtx{srv: s}
+	c.run = c.serve
+	return c
 }
 
-// putCtx returns a context once its response is buffered for write.
+// putCtx returns a context to the pool, dropping its per-frame references so
+// a pooled context never pins a closed connection or a frame.
 func (s *Server) putCtx(c *handlerCtx) {
+	c.cs, c.payload = nil, nil
 	const maxRetained = 1 << 20
 	if cap(c.body) > maxRetained || cap(c.resp) > maxRetained {
 		return // oversized one-off; let the GC have it
@@ -393,14 +419,13 @@ func isDataOp(op byte) bool {
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer s.dropConn(conn)
-	w := newConnWriter(conn, s.MaxPendingBytes, s.WriteStallTimeout, &s.wire)
+	cs := &connState{w: newConnWriter(conn, s.MaxPendingBytes, s.WriteStallTimeout, &s.wire), conn: conn}
 	// Frames are read through one buffered reader, so one read syscall
 	// drains every frame the kernel already holds. Read deadlines still
 	// work: they apply to the connection underneath.
 	br := bufio.NewReaderSize(countingReader{conn, &s.wire.readSyscalls}, connReadBuf)
 	frames := int64(0) // read since the buffer last ran dry; folded into s.wire when it does again
-	var handlers sync.WaitGroup
-	defer handlers.Wait()
+	defer cs.handlers.Wait()
 	// sessions tracks the distinct multiplexed session ids this transport
 	// carries (lazily allocated — bare-frame connections never pay for it);
 	// the server-wide gauge is released when the connection drops.
@@ -416,6 +441,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 	for {
 		ctx := s.getCtx()
+		ctx.cs = cs
 		if s.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.IdleTimeout))
 		}
@@ -469,7 +495,7 @@ func (s *Server) serveConn(conn net.Conn) {
 					if s.adm != nil {
 						s.adm.tenants[tenant].shed.Add(1)
 					}
-					s.sendAndRecycle(w, conn, ctx, resp)
+					s.sendAndRecycle(ctx, resp)
 					continue
 				}
 				if sessions == nil {
@@ -497,58 +523,67 @@ func (s *Server) serveConn(conn net.Conn) {
 			case admitWait:
 				mustWait = true
 			case admitExpired:
-				s.sendAndRecycle(w, conn, ctx, appendRespHdr(ctx.resp[:0], reqID, codeExpired))
+				s.sendAndRecycle(ctx, appendRespHdr(ctx.resp[:0], reqID, codeExpired))
 				continue
 			case admitRated:
-				s.sendAndRecycle(w, conn, ctx, append(appendRespHdr(ctx.resp[:0], reqID, codeOverload), shedRateLimited))
+				s.sendAndRecycle(ctx, append(appendRespHdr(ctx.resp[:0], reqID, codeOverload), shedRateLimited))
 				continue
 			default: // admitShed
-				s.sendAndRecycle(w, conn, ctx, append(appendRespHdr(ctx.resp[:0], reqID, codeOverload), shedQueueFull))
+				s.sendAndRecycle(ctx, append(appendRespHdr(ctx.resp[:0], reqID, codeOverload), shedQueueFull))
 				continue
 			}
 		}
-		handlers.Add(1)
-		go func(tenant int, deadline time.Time, mustWait, gated bool) {
-			defer handlers.Done()
-			if gated {
-				if mustWait {
-					switch s.adm.wait(tenant, deadline) {
-					case admitOK:
-					case admitExpired:
-						s.sendAndRecycle(w, conn, ctx, appendRespHdr(ctx.resp[:0], reqID, codeExpired))
-						return
-					default: // closed while parked
-						s.sendAndRecycle(w, conn, ctx, append(appendRespHdr(ctx.resp[:0], reqID, codeOverload), shedQueueFull))
-						return
-					}
-					if s.traceOn.Load() {
-						// Only requests that actually parked pay a clock
-						// read here: the delta back to the receive stamp is
-						// the admission wait. Fast-path admits leave the
-						// stamp zero, which recordSpan treats as no wait.
-						ctx.span.Stamp(metrics.StageAdmit)
-					}
-				}
-				defer s.adm.release()
-			}
-			resp := s.handle(ctx, reqID, op, payload, deadline)
-			if s.traceOn.Load() && ctx.span.At(metrics.StageApply) == 0 {
-				// Ops whose oracle path does not stamp (control plane,
-				// direct queries, errors): handler completion is the apply.
-				ctx.span.Stamp(metrics.StageApply)
-			}
-			s.sendAndRecycle(w, conn, ctx, resp)
-		}(tenant, deadline, mustWait, gated)
+		ctx.reqID, ctx.payload = reqID, payload
+		ctx.tenant, ctx.deadline = tenant, deadline
+		ctx.mustWait, ctx.gated = mustWait, gated
+		cs.handlers.Add(1)
+		go ctx.run()
 	}
+}
+
+// serve is one request's handler goroutine: it waits out admission if the
+// read loop parked the request, dispatches it and sends the response. It
+// runs as ctx.run, so everything it needs is in the context.
+func (ctx *handlerCtx) serve() {
+	s, cs := ctx.srv, ctx.cs
+	defer cs.handlers.Done()
+	if ctx.gated {
+		if ctx.mustWait {
+			switch s.adm.wait(ctx.tenant, ctx.deadline) {
+			case admitOK:
+			case admitExpired:
+				s.sendAndRecycle(ctx, appendRespHdr(ctx.resp[:0], ctx.reqID, codeExpired))
+				return
+			default: // closed while parked
+				s.sendAndRecycle(ctx, append(appendRespHdr(ctx.resp[:0], ctx.reqID, codeOverload), shedQueueFull))
+				return
+			}
+			if s.traceOn.Load() {
+				// Only requests that actually parked pay a clock
+				// read here: the delta back to the receive stamp is
+				// the admission wait. Fast-path admits leave the
+				// stamp zero, which recordSpan treats as no wait.
+				ctx.span.Stamp(metrics.StageAdmit)
+			}
+		}
+		defer s.adm.release()
+	}
+	resp := s.handle(ctx)
+	if s.traceOn.Load() && ctx.span.At(metrics.StageApply) == 0 {
+		// Ops whose oracle path does not stamp (control plane,
+		// direct queries, errors): handler completion is the apply.
+		ctx.span.Stamp(metrics.StageApply)
+	}
+	s.sendAndRecycle(ctx, resp)
 }
 
 // sendAndRecycle hands one response to the connection writer and returns the
 // handler context to the pool (send copies resp into the connection's
 // pending buffer, so the context and any decode scratch the response
 // aliases are free for the next frame).
-func (s *Server) sendAndRecycle(w *connWriter, conn net.Conn, ctx *handlerCtx, resp []byte) {
-	if err := w.send(resp, nil); err != nil {
-		s.logf("netsrv: write to %s: %v", conn.RemoteAddr(), err)
+func (s *Server) sendAndRecycle(ctx *handlerCtx, resp []byte) {
+	if err := ctx.cs.w.send(resp, nil); err != nil {
+		s.logf("netsrv: write to %s: %v", ctx.cs.conn.RemoteAddr(), err)
 	}
 	if s.traceOn.Load() {
 		ctx.span.Stamp(metrics.StageFlush)
@@ -564,13 +599,14 @@ func (s *Server) logf(format string, args ...interface{}) {
 	}
 }
 
-// handle dispatches one request and returns the response body, built into
-// ctx.resp (error responses allocate; they are off the steady-state path).
-// deadline, when non-zero, is the request's absolute expiry: work that has
-// already expired is answered codeExpired without touching the oracle, and
-// the coalesced paths carry it into the batcher so a request that expires
-// while parked is dropped at batch-cut time.
-func (s *Server) handle(ctx *handlerCtx, reqID uint64, op byte, payload []byte, deadline time.Time) []byte {
+// handle dispatches the request in ctx and returns the response body, built
+// into ctx.resp (error responses allocate; they are off the steady-state
+// path). ctx.deadline, when non-zero, is the request's absolute expiry: work
+// that has already expired is answered codeExpired without touching the
+// oracle, and the coalesced paths carry it into the batcher so a request that
+// expires while parked is dropped at batch-cut time.
+func (s *Server) handle(ctx *handlerCtx) []byte {
+	reqID, op, payload, deadline := ctx.reqID, ctx.op, ctx.payload, ctx.deadline
 	so := s.oracle()
 	ok := appendRespHdr(ctx.resp[:0], reqID, codeOK)
 	if !deadline.IsZero() && !time.Now().Before(deadline) {

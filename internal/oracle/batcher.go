@@ -18,12 +18,29 @@ var ErrExpired = errors.New("oracle: request deadline expired before decision")
 
 // batcherItem is one request parked in a Batcher. deadline is the absolute
 // expiry in nanoseconds (time.Time.UnixNano; 0 = none): carrying it as an
-// int64 keeps the comparison at batch-cut time to one load. done hands the
+// int64 keeps the comparison at batch-cut time to one load. w carries the
 // decision back to the blocked Submit, exactly once.
 type batcherItem[Q, R any] struct {
 	req      Q
 	deadline int64
-	done     func(R, error)
+	w        *waiter[R]
+}
+
+// waiter is the blocked Submit's end of one request: the loop stores the
+// outcome and signals ch once. Waiters cycle through the Batcher's pool, so a
+// steady submission rate allocates nothing; Submit zeroes the outcome before
+// putting one back, and the one-slot ch is empty again once Submit has
+// received from it.
+type waiter[R any] struct {
+	res R
+	err error
+	ch  chan struct{}
+}
+
+// deliver hands the outcome to the waiting Submit.
+func (w *waiter[R]) deliver(res R, err error) {
+	w.res, w.err = res, err
+	w.ch <- struct{}{}
 }
 
 // Batcher is the accumulation loop behind the netsrv server-side commit
@@ -43,6 +60,7 @@ type Batcher[Q, R any] struct {
 	quit     chan struct{}
 	wg       sync.WaitGroup
 	accepted atomic.Int64
+	waiters  sync.Pool // *waiter[R]
 
 	mu     sync.RWMutex
 	closed bool
@@ -57,6 +75,7 @@ func NewBatcher[Q, R any](decide func([]Q) ([]R, error), maxBatch int) *Batcher[
 		decided:  make(chan struct{}),
 		quit:     make(chan struct{}),
 	}
+	b.waiters.New = func() any { return &waiter[R]{ch: make(chan struct{}, 1)} }
 	b.wg.Add(1)
 	go b.loop()
 	return b
@@ -76,14 +95,6 @@ func (b *Batcher[Q, R]) Submit(req Q, deadline time.Time) (R, error) {
 			return zero, ErrExpired
 		}
 	}
-	type outcome struct {
-		res R
-		err error
-	}
-	done := make(chan outcome, 1)
-	item := batcherItem[Q, R]{req: req, deadline: dl, done: func(res R, err error) {
-		done <- outcome{res: res, err: err}
-	}}
 	// The closed flag is checked under a read lock so no send can race
 	// past Stop: Stop flips the flag under the write lock before closing
 	// quit, and the loop drains the channel on quit, so every request
@@ -93,10 +104,14 @@ func (b *Batcher[Q, R]) Submit(req Q, deadline time.Time) (R, error) {
 		b.mu.RUnlock()
 		return zero, ErrBatcherStopped
 	}
-	b.items <- item
+	w := b.waiters.Get().(*waiter[R])
+	b.items <- batcherItem[Q, R]{req: req, deadline: dl, w: w}
 	b.mu.RUnlock()
-	o := <-done
-	return o.res, o.err
+	<-w.ch
+	res, err := w.res, w.err
+	w.res, w.err = zero, nil
+	b.waiters.Put(w)
+	return res, err
 }
 
 // Accepted counts the requests the loop has taken in so far. One counted here
@@ -151,12 +166,12 @@ func (b *Batcher[Q, R]) loop() {
 			// behind.
 			var zero R
 			for _, it := range batch {
-				it.done(zero, ErrBatcherStopped)
+				it.w.deliver(zero, ErrBatcherStopped)
 			}
 			for {
 				select {
 				case it := <-b.items:
-					it.done(zero, ErrBatcherStopped)
+					it.w.deliver(zero, ErrBatcherStopped)
 				default:
 					return
 				}
@@ -178,8 +193,8 @@ func (b *Batcher[Q, R]) run(items []batcherItem[Q, R]) {
 				now = time.Now().UnixNano()
 			}
 			if now >= dl {
-				items[i].done(zero, ErrExpired)
-				items[i].done = nil
+				items[i].w.deliver(zero, ErrExpired)
+				items[i].w = nil
 				continue
 			}
 		}
@@ -191,13 +206,13 @@ func (b *Batcher[Q, R]) run(items []batcherItem[Q, R]) {
 	results, err := b.decide(reqs)
 	next := 0
 	for i := range items {
-		if items[i].done == nil {
+		if items[i].w == nil {
 			continue
 		}
 		if err != nil {
-			items[i].done(zero, err)
+			items[i].w.deliver(zero, err)
 		} else {
-			items[i].done(results[next], nil)
+			items[i].w.deliver(results[next], nil)
 		}
 		next++
 	}

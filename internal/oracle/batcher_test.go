@@ -200,3 +200,59 @@ func TestBatcherStopDuringBlockedDecide(t *testing.T) {
 		t.Fatalf("submit after Stop = %v, want ErrBatcherStopped", err)
 	}
 }
+
+// TestBatcherWaiterReuse: one goroutine submits four requests in turn, so
+// the pooled waiter of one call is, as a rule, the next call's: one that
+// expires while parked (beside a neighbour that is decided), one whose
+// batch's decide fails, one that succeeds and one after Stop. Each must come
+// back with its own outcome; a waiter put back without its outcome cleared,
+// or signalled twice, hands a later call the earlier one's.
+func TestBatcherWaiterReuse(t *testing.T) {
+	errDecide := errors.New("decide failed")
+	release := make(chan struct{})
+	decide := func(reqs []int) ([]int, error) {
+		switch reqs[0] {
+		case 0: // held in flight, so the next request parks behind it
+			<-release
+		case 2:
+			return nil, errDecide
+		}
+		out := make([]int, len(reqs))
+		for i, r := range reqs {
+			out[i] = -r
+		}
+		return out, nil
+	}
+	b := NewBatcher(decide, 64)
+	held := submit(b, 0, time.Time{})
+	neighbour := submit(b, 5, time.Time{})
+
+	deadline := time.Now().Add(20 * time.Millisecond)
+	go func() {
+		waitAccepted(b, 3)
+		<-time.After(time.Until(deadline) + time.Millisecond)
+		close(release)
+	}()
+	if res, err := b.Submit(1, deadline); !errors.Is(err, ErrExpired) || res != 0 {
+		t.Fatalf("parked past its deadline = (%d, %v), want ErrExpired", res, err)
+	}
+	if n := b.Accepted(); n != 3 {
+		t.Fatalf("accepted %d requests: the expiring one never parked", n)
+	}
+	if o := <-held; o.err != nil || o.res != 0 {
+		t.Fatalf("held request = %+v", o)
+	}
+	if o := <-neighbour; o.err != nil || o.res != -5 {
+		t.Fatalf("neighbour of the expired request = %+v, want -5", o)
+	}
+	if res, err := b.Submit(2, time.Time{}); !errors.Is(err, errDecide) || res != 0 {
+		t.Fatalf("failed decide = (%d, %v), want %v", res, err, errDecide)
+	}
+	if res, err := b.Submit(3, time.Time{}); err != nil || res != -3 {
+		t.Fatalf("decided = (%d, %v), want (-3, nil)", res, err)
+	}
+	b.Stop()
+	if res, err := b.Submit(4, time.Time{}); !errors.Is(err, ErrBatcherStopped) || res != 0 {
+		t.Fatalf("after Stop = (%d, %v), want ErrBatcherStopped", res, err)
+	}
+}
