@@ -206,22 +206,16 @@ func Recover(crashed *System, opts Options) (*System, error) {
 		return nil, err
 	}
 	sys.walWriter = w
-	sys.TSO, err = tso.Recover(0, ledger, w)
-	if err != nil {
-		return nil, err
-	}
-	so, err := oracle.Recover(oracle.Config{
+	so, clock, err := oracle.RecoverState(oracle.Config{
 		Engine:     opts.Engine,
 		MaxRows:    opts.MaxRows,
 		MaxCommits: opts.MaxCommits,
 		Shards:     opts.Shards,
-		WAL:        w,
-		TSO:        sys.TSO,
-	}, ledger)
+	}, ledger, w, 0)
 	if err != nil {
 		return nil, err
 	}
-	sys.Oracle = so
+	sys.TSO, sys.Oracle = clock, so
 	sys.Client, err = newClient(sys.Store, so, opts)
 	if err != nil {
 		return nil, err

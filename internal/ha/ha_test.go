@@ -126,7 +126,7 @@ func TestFailoverStandbyTailsAndPromotes(t *testing.T) {
 		t.Fatalf("promoted commit: %v %+v", err, res)
 	}
 	promoted.Stats() // exercise counters
-	recovered, err := oracle.Recover(oracle.Config{Engine: oracle.SI, TSO: tso.New(0, nil)}, newLedger)
+	recovered, _, err := oracle.RecoverState(oracle.Config{Engine: oracle.SI}, newLedger, nil, 0)
 	if err != nil {
 		t.Fatalf("recover from post-promotion log: %v", err)
 	}
@@ -334,7 +334,7 @@ func TestFailoverCheckpointerLoop(t *testing.T) {
 		t.Fatalf("checkpointer error: %v", err)
 	}
 	w.Flush()
-	recovered, err := oracle.Recover(oracle.Config{Engine: oracle.SI, TSO: tso.New(0, nil)}, ledger)
+	recovered, _, err := oracle.RecoverState(oracle.Config{Engine: oracle.SI}, ledger, nil, 0)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}

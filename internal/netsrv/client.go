@@ -147,6 +147,15 @@ func (e *NotLeaderError) Error() string {
 	return fmt.Sprintf("netsrv: not the group leader (epoch %d at %s)", e.Epoch, e.Addr)
 }
 
+// lostReply is the error of a request that was sent but never answered:
+// the connection failed with the request in flight, so the server may or
+// may not have executed it. It matches partition.ErrInDoubt.
+type lostReply struct{ err error }
+
+func (e lostReply) Error() string        { return e.err.Error() }
+func (e lostReply) Unwrap() error        { return e.err }
+func (e lostReply) Is(target error) bool { return target == partition.ErrInDoubt }
+
 // DialFailover connects to the first reachable address and fails over
 // across the whole set on connection loss: re-dials sweep the set with
 // jittered exponential backoff until the redial budget elapses, and a
@@ -456,7 +465,7 @@ func (c *Client) callRespOnce(op byte, payload []byte, env *envelope) (response,
 	resp := <-ch
 	respChPool.Put(ch)
 	if resp.err != nil {
-		return response{}, resp.err
+		return response{}, lostReply{resp.err}
 	}
 	if resp.code == codeErr {
 		err := remoteError(resp.payload)
@@ -566,15 +575,19 @@ func (c *Client) Abort(startTS uint64) error {
 	return nil
 }
 
-// BeginBlock allocates n consecutive timestamps in one round trip and
-// returns the lowest; the partitioned coordinator draws its
-// commit-timestamp blocks through it.
-func (c *Client) BeginBlock(n int) (uint64, error) {
-	resp, err := c.callResp(opBeginBlock, u64(uint64(n)))
+// PublishCommits asks a partitioned deployment's partition 0 to commit
+// startTSs at one block of fresh timestamps and returns the block's first
+// (partition.Backend). A reply lost in transit returns an error matching
+// partition.ErrInDoubt: the server may have published.
+func (c *Client) PublishCommits(startTSs []uint64) (uint64, error) {
+	pb := getPayloadBuf()
+	*pb = appendQueryBatchReq((*pb)[:0], startTSs)
+	resp, err := c.callResp(opPublishCommits, *pb)
+	putPayloadBuf(pb)
 	if err != nil {
 		return 0, err
 	}
-	lo, err := parseU64(resp.payload)
+	lo, err := parsePublishResp(resp.payload)
 	putRespBuf(resp)
 	return lo, err
 }

@@ -101,7 +101,7 @@ func FuzzServerConn(f *testing.F) {
 	// Here: one valid request per live op, and the one-entry batches a single
 	// commit and a single lookup travel in.
 	req := oracle.CommitRequest{StartTS: 1, WriteSet: []oracle.RowID{1, 2}, ReadSet: []oracle.RowID{3}}
-	prep := oracle.PrepareRequest{StartTS: 4, CommitTS: 5, WriteSet: []oracle.RowID{6}}
+	prep := oracle.PrepareRequest{StartTS: 4, WriteSet: []oracle.RowID{6}}
 	for _, s := range []struct {
 		op      byte
 		payload []byte
@@ -116,16 +116,16 @@ func FuzzServerConn(f *testing.F) {
 		{opHealth, nil},
 		{opPrepareBatch, appendPrepareBatchReq(nil, []oracle.PrepareRequest{prep})},
 		{opDecideBatch, appendDecideBatchReq(nil, []oracle.Decision{{StartTS: 4, CommitTS: 5, Commit: true}})},
-		{opBeginBlock, u64(16)},
+		{opPublishCommits, appendQueryBatchReq(nil, []uint64{4})},
 		// Where the retired ops 16-20 stood, so the seeds after them keep
 		// their ids: a prepare batch whose second request reads the first's
 		// row, an abort decide for a transaction never prepared, a read-only
-		// commit, an empty lookup batch and the largest timestamp block.
+		// commit, an empty lookup batch and an empty publication.
 		{opPrepareBatch, appendPrepareBatchReq(nil, []oracle.PrepareRequest{prep, {StartTS: 7, WriteSet: []oracle.RowID{8}, ReadSet: []oracle.RowID{6}}})},
 		{opDecideBatch, appendDecideBatchReq(nil, []oracle.Decision{{StartTS: 7}})},
 		{opCommitBatch, appendCommitBatchReq(nil, []oracle.CommitRequest{{StartTS: 1}})},
 		{opQueryBatch, appendQueryBatchReq(nil, nil)},
-		{opBeginBlock, u64(1 << 20)},
+		{opPublishCommits, appendQueryBatchReq(nil, nil)},
 		{opMetrics, nil},
 	} {
 		f.Add(fuzzRecord(nil, 0, s.op, s.payload))

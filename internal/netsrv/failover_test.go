@@ -30,7 +30,7 @@ func TestFailoverStatsCarriesAvailabilityCounters(t *testing.T) {
 		t.Fatalf("checkpoint: %v", err)
 	}
 	w.Flush()
-	recovered, err := oracle.Recover(oracle.Config{Engine: oracle.SI, TSO: tso.New(0, nil)}, ledger)
+	recovered, _, err := oracle.RecoverState(oracle.Config{Engine: oracle.SI}, ledger, nil, 0)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}

@@ -2,7 +2,6 @@ package netsrv
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/oracle"
 	"repro/internal/partition"
@@ -15,44 +14,15 @@ import (
 // two-phase prepare/decide protocol on the partitions its rows live on, and
 // status queries fan out to every partition and merge.
 //
-// Partition 0's server doubles as the timestamp authority: Begin and the
-// coordinator's commit-timestamp blocks are drawn there, which keeps the
-// whole deployment on one monotonic timestamp stream. A commit block is
-// drawn after its round's votes, and the round's verdicts are published to
-// the coordinator's decision log under the same mutex that orders Begin.
-// That mutex is coordinator-local, so run exactly one PartitionedClient per
-// deployment: independent coordinators over the same partitions would not
-// be ordered against each other.
+// Partition 0's server is the timestamp authority and the home of every
+// round's commit verdict: Begin draws there, and a round's commits are
+// published there (op 15) inside its timestamp critical section once the
+// votes are in, and logged to its WAL. The ordering of Begin against
+// publication lives at partition 0, not in the client, so several
+// PartitionedClients may front the same partitions.
 type PartitionedClient struct {
 	*partition.Coordinator
 	clients []*Client
-}
-
-// remoteClock adapts the timestamp partition's client to partition.Clock.
-// Its mutex is the critical section the in-process timestamp oracle gives
-// the coordinator: it is held across the BeginBlock round trip and the
-// publish, and Begin takes it too, so no start timestamp above a commit
-// timestamp is handed out before that commit's verdict is published.
-type remoteClock struct {
-	mu sync.Mutex
-	c  *Client
-}
-
-func (rc *remoteClock) Next() (uint64, error) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.c.Begin()
-}
-
-func (rc *remoteClock) NextBlockWith(n int, publish func(lo, hi uint64)) (uint64, error) {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	lo, err := rc.c.BeginBlock(n)
-	if err != nil {
-		return 0, err
-	}
-	publish(lo, lo+uint64(n)-1)
-	return lo, nil
 }
 
 // DialPartitioned connects to every partition server (addrs indexed as the
@@ -87,7 +57,6 @@ func DialPartitioned(engine oracle.Engine, router partition.Router, addrs ...str
 		Engine:   engine,
 		Router:   router,
 		Backends: backends,
-		Clock:    &remoteClock{c: clients[0]},
 	})
 	if err != nil {
 		for _, c := range clients {

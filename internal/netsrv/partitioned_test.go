@@ -2,11 +2,15 @@ package netsrv
 
 import (
 	"errors"
+	"io"
+	"net"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/oracle"
 	"repro/internal/partition"
 	"repro/internal/tso"
+	"repro/internal/wal"
 )
 
 // startElasticServers boots n partition servers over in-process oracles
@@ -112,7 +116,7 @@ func TestPartitionedClient(t *testing.T) {
 		t.Fatalf("partition 1 cross ratio %v, want 1 (it only saw two-phase traffic)", r)
 	}
 
-	// ResolveStatus answers from the coordinator's decision log.
+	// ResolveStatus answers from partition 0, which published t2's commit.
 	rs, err := pc.ResolveStatus(t2)
 	if err != nil || rs.Status != oracle.StatusCommitted || rs.CommitTS != res2.CommitTS {
 		t.Fatalf("resolve status %+v err=%v", rs, err)
@@ -219,5 +223,88 @@ func TestPartitionedSIForeignReads(t *testing.T) {
 	}
 	if !res.Committed {
 		t.Fatalf("SI commit with foreign reads aborted: %+v", res)
+	}
+}
+
+// refusingLedger refuses every append once fail is set.
+type refusingLedger struct {
+	*wal.MemLedger
+	fail atomic.Bool
+}
+
+func (l *refusingLedger) AppendBatch(b []byte) (int, error) {
+	if l.fail.Load() {
+		return 0, errors.New("ledger down")
+	}
+	return l.MemLedger.AppendBatch(b)
+}
+
+// TestPublishCommitsReplyCarriesLo: when partition 0 publishes a round's
+// commits and then fails to log them, op 15's reply still carries the
+// first commit timestamp beside the error, so the coordinator decides the
+// published commits instead of aborting them.
+func TestPublishCommitsReplyCarriesLo(t *testing.T) {
+	ledger := &refusingLedger{MemLedger: wal.NewMemLedger()}
+	w, err := wal.NewWriter(wal.Config{Quorum: 1}, ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	so, err := oracle.New(oracle.Config{Engine: oracle.WSI, TSO: tso.New(0, nil), WAL: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(so)
+	srv.Logf = nil
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	lo, err := c.PublishCommits([]uint64{3, 4})
+	if err != nil || lo == 0 {
+		t.Fatalf("publish: lo=%d err=%v", lo, err)
+	}
+	ledger.fail.Store(true)
+	lo, err = c.PublishCommits([]uint64{7})
+	if err == nil || lo == 0 {
+		t.Fatalf("publish with a failing log: lo=%d err=%v, want a timestamp and an error", lo, err)
+	}
+	if st := so.Query(7); st.Status != oracle.StatusCommitted || st.CommitTS != lo {
+		t.Fatalf("partition 0 answers %+v, want committed at %d", st, lo)
+	}
+}
+
+// TestLostReplyIsInDoubt: a request whose connection dies before its reply
+// arrives reports partition.ErrInDoubt, so a coordinator never reads a lost
+// op-15 reply as "nothing was published".
+func TestLostReplyIsInDoubt(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		// Read the request's length header, then hang up unanswered.
+		var hdr [4]byte
+		_, _ = io.ReadFull(conn, hdr[:])
+		conn.Close()
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.PublishCommits([]uint64{1}); !errors.Is(err, partition.ErrInDoubt) {
+		t.Fatalf("lost reply: err = %v, want partition.ErrInDoubt", err)
 	}
 }

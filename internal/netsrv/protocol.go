@@ -38,11 +38,14 @@ const (
 	// oracle.
 	opHealth = 10
 	// The partitioned-oracle ops (internal/partition): phase one and two
-	// of the commit protocol, and block allocation of commit timestamps
-	// from the shared clock.
-	opPrepareBatch = 12
-	opDecideBatch  = 13
-	opBeginBlock   = 15
+	// of the commit protocol, and partition 0's publication of a round's
+	// commits. opPublishCommits' request is a query batch's layout,
+	// count(u32) then the start timestamps; its reply is lo(u64), the
+	// first commit timestamp, followed by the failure's text when the
+	// commits were published but their record failed to persist.
+	opPrepareBatch   = 12
+	opDecideBatch    = 13
+	opPublishCommits = 15
 	// opEnvelope wraps any data-plane op with the ingress header — tenant,
 	// logical session id and a relative deadline — so one transport carries
 	// many multiplexed client sessions and the server can make admission
@@ -466,14 +469,11 @@ func parseEnvelope(b []byte) (env envelope, innerOp byte, innerPayload []byte, e
 	return env, b[9], b[10:], nil
 }
 
-// encodePrepareReq renders one prepare slice: startTS, commitTS, write
-// rows, read rows. A prepare-batch payload is a count-prefixed
-// concatenation of these.
+// encodePrepareReq renders one prepare slice: startTS, write rows, read
+// rows. A prepare-batch payload is a count-prefixed concatenation of
+// these.
 func encodePrepareReq(b []byte, req oracle.PrepareRequest) []byte {
-	var hdr [16]byte
-	binary.BigEndian.PutUint64(hdr[:8], req.StartTS)
-	binary.BigEndian.PutUint64(hdr[8:], req.CommitTS)
-	b = append(b, hdr[:]...)
+	b = appendU64(b, req.StartTS)
 	b = appendRows(b, req.WriteSet)
 	b = appendRows(b, req.ReadSet)
 	return b
@@ -482,13 +482,12 @@ func encodePrepareReq(b []byte, req oracle.PrepareRequest) []byte {
 // parsePrepareReqInto decodes one prepare slice in place, reusing req's
 // row-set backing arrays.
 func parsePrepareReqInto(req *oracle.PrepareRequest, b []byte) ([]byte, error) {
-	if len(b) < 16 {
+	if len(b) < 8 {
 		return nil, ErrBadFrame
 	}
 	req.StartTS = binary.BigEndian.Uint64(b[:8])
-	req.CommitTS = binary.BigEndian.Uint64(b[8:16])
 	var err error
-	rest := b[16:]
+	rest := b[8:]
 	req.WriteSet, rest, err = parseRowsInto(rest, req.WriteSet)
 	if err != nil {
 		return nil, err
@@ -508,7 +507,7 @@ func decodePrepareBatchReq(b []byte) ([]oracle.PrepareRequest, error) {
 	}
 	count := binary.BigEndian.Uint32(b[:4])
 	rest := b[4:]
-	if uint64(count)*24 > uint64(len(rest)) {
+	if uint64(count)*16 > uint64(len(rest)) {
 		return nil, ErrBadFrame
 	}
 	reqs := make([]oracle.PrepareRequest, count)
@@ -605,6 +604,19 @@ func decodeDecideBatchReq(b []byte) ([]oracle.Decision, error) {
 		rest = rest[17:]
 	}
 	return ds, nil
+}
+
+// parsePublishResp decodes an opPublishCommits reply: lo, and the error
+// the server reported after publishing, if any.
+func parsePublishResp(b []byte) (uint64, error) {
+	if len(b) < 8 {
+		return 0, ErrBadFrame
+	}
+	lo := binary.BigEndian.Uint64(b[:8])
+	if len(b) > 8 {
+		return lo, remoteError(b[8:])
+	}
+	return lo, nil
 }
 
 // appendRespHdr starts a response body: reqID(u64) code(u8). Payload bytes

@@ -410,7 +410,7 @@ func (s *Server) dropConn(conn net.Conn) {
 func isDataOp(op byte) bool {
 	switch op {
 	case opBegin, opAbort, opForget, opCommitBatch, opQueryBatch,
-		opPrepareBatch, opDecideBatch, opBeginBlock:
+		opPrepareBatch, opDecideBatch, opPublishCommits:
 		return true
 	}
 	return false
@@ -724,19 +724,24 @@ func (s *Server) handle(ctx *handlerCtx) []byte {
 			return respError(reqID, err)
 		}
 		return ok
-	case opBeginBlock:
-		n, err := parseU64(payload)
+	case opPublishCommits:
+		startTSs, err := decodeQueryBatchReqInto(ctx.tss, payload)
 		if err != nil {
 			return respError(reqID, err)
 		}
-		if n == 0 || n > 1<<20 {
-			return respError(reqID, ErrBadFrame)
-		}
-		lo, err := so.BeginBlock(int(n))
-		if err != nil {
+		ctx.tss = startTSs
+		lo, err := so.PublishCommits(startTSs)
+		if lo == 0 {
 			return s.respDataErr(ctx, reqID, err)
 		}
-		return appendU64(ok, lo)
+		// Published: the reply carries lo even when the record failed,
+		// so the coordinator decides the commits instead of aborting
+		// what readers may already have seen.
+		ok = appendU64(ok, lo)
+		if err != nil {
+			ok = append(ok, err.Error()...)
+		}
+		return ok
 	case opForget:
 		ts, err := parseU64(payload)
 		if err != nil {

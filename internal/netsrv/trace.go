@@ -66,8 +66,8 @@ func opName(op byte) string {
 		return "prepare-batch"
 	case opDecideBatch:
 		return "decide-batch"
-	case opBeginBlock:
-		return "begin-block"
+	case opPublishCommits:
+		return "publish-commits"
 	default:
 		return fmt.Sprintf("op(%d)", op)
 	}

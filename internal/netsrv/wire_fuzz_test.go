@@ -31,6 +31,12 @@ var (
 		decode: func(p []byte) (any, error) { return decodePrepareBatchReq(p) },
 		encode: func(b []byte, v any) []byte { return appendPrepareBatchReq(b, v.([]oracle.PrepareRequest)) },
 	}
+	// queryBatchCodec is a list of start timestamps: a status lookup's,
+	// and a publication's.
+	queryBatchCodec = wireCodec{
+		decode: func(p []byte) (any, error) { return decodeQueryBatchReqInto(nil, p) },
+		encode: func(b []byte, v any) []byte { return appendQueryBatchReq(b, v.([]uint64)) },
+	}
 )
 
 // wireCodecs maps every op whose request carries a payload to its codec.
@@ -41,16 +47,13 @@ var wireCodecs = map[byte]wireCodec{
 		decode: func(p []byte) (any, error) { return decodeCommitBatchReqInto(nil, p) },
 		encode: func(b []byte, v any) []byte { return appendCommitBatchReq(b, v.([]oracle.CommitRequest)) },
 	},
-	opQueryBatch: {
-		decode: func(p []byte) (any, error) { return decodeQueryBatchReqInto(nil, p) },
-		encode: func(b []byte, v any) []byte { return appendQueryBatchReq(b, v.([]uint64)) },
-	},
+	opQueryBatch:   queryBatchCodec,
 	opPrepareBatch: prepareBatchCodec,
 	opDecideBatch: {
 		decode: func(p []byte) (any, error) { return decodeDecideBatchReq(p) },
 		encode: func(b []byte, v any) []byte { return appendDecideBatchReq(b, v.([]oracle.Decision)) },
 	},
-	opBeginBlock: u64Codec,
+	opPublishCommits: queryBatchCodec,
 	opEnvelope: {
 		decode: func(p []byte) (any, error) {
 			env, op, inner, err := parseEnvelope(p)
@@ -97,7 +100,7 @@ func FuzzWireRequest(f *testing.F) {
 	// op that carries one, and the one-entry batches a single commit and a
 	// single lookup travel in.
 	req := oracle.CommitRequest{StartTS: 1, WriteSet: []oracle.RowID{1, 2}, ReadSet: []oracle.RowID{3}}
-	prep := oracle.PrepareRequest{StartTS: 4, CommitTS: 5, WriteSet: []oracle.RowID{6}}
+	prep := oracle.PrepareRequest{StartTS: 4, WriteSet: []oracle.RowID{6}}
 	for _, s := range []struct {
 		op      byte
 		payload []byte
@@ -110,7 +113,7 @@ func FuzzWireRequest(f *testing.F) {
 		{opQueryBatch, appendQueryBatchReq(nil, []uint64{1, 2})},
 		{opPrepareBatch, appendPrepareBatchReq(nil, []oracle.PrepareRequest{prep})},
 		{opDecideBatch, appendDecideBatchReq(nil, []oracle.Decision{{StartTS: 4, CommitTS: 5, Commit: true}})},
-		{opBeginBlock, u64(16)},
+		{opPublishCommits, appendQueryBatchReq(nil, []uint64{4, 7})},
 		// Where the retired ops 17-20 stood, so the seed after them keeps its
 		// id: multi-request prepare and decide batches, and enveloped lookup
 		// and prepare requests.

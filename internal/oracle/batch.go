@@ -328,3 +328,17 @@ func appendCommitBatchRecord(b []byte, reqs []CommitRequest, committed []int, lo
 	}
 	return b
 }
+
+// appendPublishedRecord renders PublishCommits' entries as one
+// recCommitBatch record with empty write sets: startTSs[k] commits at
+// lo+k. Replay applies it like any commit batch.
+func appendPublishedRecord(b []byte, startTSs []uint64, lo uint64) []byte {
+	b = append(b, recCommitBatch)
+	b = appendU32(b, uint32(len(startTSs)))
+	for k, ts := range startTSs {
+		b = appendU64(b, ts)
+		b = appendU64(b, lo+uint64(k))
+		b = appendU32(b, 0)
+	}
+	return b
+}

@@ -101,12 +101,10 @@ func TestCommitBatchMatchesSerial(t *testing.T) {
 							}
 						}
 					}
-					// prepareAt is request i at the serial run's commit
-					// timestamp (unused when the request aborts).
-					prepareAt := func(i int) PrepareRequest {
+					// prepareOf is request i's prepare slice.
+					prepareOf := func(i int) PrepareRequest {
 						return PrepareRequest{
 							StartTS:  reqs[i].StartTS,
-							CommitTS: want[i].CommitTS,
 							WriteSet: reqs[i].WriteSet,
 							ReadSet:  reqs[i].ReadSet,
 						}
@@ -135,17 +133,19 @@ func TestCommitBatchMatchesSerial(t *testing.T) {
 							gotTwoPhase[i] = CommitResult{Committed: true, CommitTS: reqs[i].StartTS}
 							continue
 						}
-						pr := prepareAt(i)
+						// The decide commits at the serial run's commit
+						// timestamp (unused when the request aborts).
+						pr := prepareOf(i)
 						votes, err := twoPhase.PrepareBatch([]PrepareRequest{pr})
 						if err != nil {
 							t.Fatal(err)
 						}
-						d := Decision{StartTS: pr.StartTS, CommitTS: pr.CommitTS, Commit: votes[0]}
+						d := Decision{StartTS: pr.StartTS, CommitTS: want[i].CommitTS, Commit: votes[0]}
 						if err := twoPhase.DecideBatch([]Decision{d}); err != nil {
 							t.Fatal(err)
 						}
 						if votes[0] {
-							gotTwoPhase[i] = CommitResult{Committed: true, CommitTS: pr.CommitTS}
+							gotTwoPhase[i] = CommitResult{Committed: true, CommitTS: want[i].CommitTS}
 						}
 					}
 					check("PrepareBatch+DecideBatch", twoPhase, gotTwoPhase)
@@ -347,7 +347,7 @@ func TestCommitBatchWALRecovery(t *testing.T) {
 	}
 	w.Flush()
 
-	recovered, err := Recover(Config{Engine: WSI, MaxRows: 16, TSO: tso.New(0, nil)}, ledger)
+	recovered, _, err := RecoverState(Config{Engine: WSI, MaxRows: 16}, ledger, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,5 +442,49 @@ func TestCommitBatchLatchesTSOFailure(t *testing.T) {
 	// silent conflict abort.
 	if _, err := so.Commit(CommitRequest{StartTS: 100, WriteSet: []RowID{99}}); err == nil {
 		t.Fatal("commit after TSO failure returned a decision instead of an error")
+	}
+}
+
+// TestPublishCommits: PublishCommits commits its start timestamps at one
+// contiguous block drawn after them, logs them so a recovery answers them
+// alone, and a later decide of the same commit (partition 0 covering its
+// own round) keeps one eviction-FIFO entry.
+func TestPublishCommits(t *testing.T) {
+	ledger := wal.NewMemLedger()
+	w, err := wal.NewWriter(wal.Config{Quorum: 1}, ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	so, err := New(Config{Engine: WSI, MaxCommits: 8, TSO: tso.New(0, nil), WAL: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := so.Begin()
+	b, _ := so.Begin()
+	if _, err := so.PrepareBatch([]PrepareRequest{{StartTS: a, WriteSet: []RowID{1}}}); err != nil {
+		t.Fatal(err)
+	}
+	lo, err := so.PublishCommits([]uint64{a, b})
+	if err != nil || lo <= b {
+		t.Fatalf("publish: lo=%d err=%v, want a block above %d", lo, err, b)
+	}
+	if err := so.DecideBatch([]Decision{{StartTS: a, CommitTS: lo, Commit: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(so.table.order); n != 2 {
+		t.Fatalf("eviction FIFO holds %d entries for 2 commits", n)
+	}
+	w.Flush()
+	rec, _, err := RecoverState(Config{Engine: WSI}, ledger, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, ts := range []uint64{a, b} {
+		if st := rec.Query(ts); st.Status != StatusCommitted || st.CommitTS != lo+uint64(k) {
+			t.Fatalf("recovered status of %d = %+v, want committed at %d", ts, st, lo+uint64(k))
+		}
+	}
+	if _, err := so.PublishCommits(nil); err == nil {
+		t.Fatal("an empty publication succeeded")
 	}
 }

@@ -88,11 +88,7 @@ func TestChaosRecoveryNeverLosesAckedCommits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			clock, err := tso.Recover(50, ledger, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			so, err := Recover(Config{Engine: WSI, WAL: w, TSO: clock}, ledger)
+			so, _, err := RecoverState(Config{Engine: WSI}, ledger, w, 50)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,11 +179,7 @@ func TestRecoveryReplicaEquivalence(t *testing.T) {
 	}
 	w.Close()
 	for i, ledger := range ledgers {
-		clock2, err := tso.Recover(50, ledger, nil)
-		if err != nil {
-			t.Fatalf("ledger %d: %v", i, err)
-		}
-		so2, err := Recover(Config{Engine: WSI, TSO: clock2}, ledger)
+		so2, _, err := RecoverState(Config{Engine: WSI}, ledger, nil, 50)
 		if err != nil {
 			t.Fatalf("ledger %d: %v", i, err)
 		}

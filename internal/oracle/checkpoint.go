@@ -16,7 +16,12 @@ import (
 // — the missing half of the paper's Appendix A failover story, where a
 // recovering status oracle "could still recreate the memory state from the
 // write-ahead log" but with no bound on how long that takes.
-const recCheckpoint = 0x4B // 'K'
+const recCheckpoint = 0x4A // 'J'
+
+// recRetiredCheckpoint ('K') was the checkpoint whose prepared section
+// carried a commit timestamp per prepare. Replay rejects it; never reuse
+// the kind.
+const recRetiredCheckpoint = 0x4B
 
 // checkpointState is the decoded content of a checkpoint record: the
 // commit table (commits, aborts, eviction FIFO, low-water mark), every
@@ -69,7 +74,7 @@ func CheckpointBound(entry []byte) (bound uint64, ok bool) {
 //	| [4] nShards  | per shard: [8] tmax
 //	                 | [4] nRows  | nRows × ([8] row [8] ts)
 //	                 | [4] qLen   | qLen  × ([8] row [8] ts)
-//	| [4] nPrepared | per prepare: [8] startTS [8] commitTS
+//	| [4] nPrepared | per prepare: [8] startTS
 //	                 | [4] nW | nW×[8] rows | [4] nR | nR×[8] rows
 func encodeCheckpointRecord(cp *checkpointState) []byte {
 	size := 1 + 8 + 8 + 4 + 16*len(cp.Commits) + 4 + 8*len(cp.Aborted) + 4 + 8*len(cp.Order) + 4
@@ -78,7 +83,7 @@ func encodeCheckpointRecord(cp *checkpointState) []byte {
 	}
 	size += 4
 	for i := range cp.Prepared {
-		size += 8 + 8 + 4 + 8*len(cp.Prepared[i].WriteSet) + 4 + 8*len(cp.Prepared[i].ReadSet)
+		size += 8 + 4 + 8*len(cp.Prepared[i].WriteSet) + 4 + 8*len(cp.Prepared[i].ReadSet)
 	}
 	b := make([]byte, 0, size)
 	b = append(b, recCheckpoint)
@@ -116,7 +121,6 @@ func encodeCheckpointRecord(cp *checkpointState) []byte {
 	for i := range cp.Prepared {
 		p := &cp.Prepared[i]
 		b = appendU64(b, p.StartTS)
-		b = appendU64(b, p.CommitTS)
 		b = appendRowSet(b, p.WriteSet)
 		b = appendRowSet(b, p.ReadSet)
 	}
@@ -231,18 +235,11 @@ func decodeCheckpointRecord(b []byte) (*checkpointState, error) {
 		sh.Queue = r.entries(r.u32())
 		cp.Shards = append(cp.Shards, sh)
 	}
-	if r.err == nil && len(r.b) == 0 {
-		// A checkpoint written before the partitioned-oracle protocol has
-		// no Prepared section; recovery of a pre-upgrade ledger must not
-		// fail on it. (No prepares could have been in flight then.)
-		return cp, nil
-	}
 	n = r.u32()
-	cp.Prepared = make([]PrepareRequest, 0, r.reserve(n, 24))
+	cp.Prepared = make([]PrepareRequest, 0, r.reserve(n, 16))
 	for i := uint32(0); i < n && r.err == nil; i++ {
 		var p PrepareRequest
 		p.StartTS = r.u64()
-		p.CommitTS = r.u64()
 		p.WriteSet = r.rows(r.u32())
 		p.ReadSet = r.rows(r.u32())
 		cp.Prepared = append(cp.Prepared, p)

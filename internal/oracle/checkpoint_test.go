@@ -113,7 +113,7 @@ func TestCheckpointedRecoveryEquivalence(t *testing.T) {
 	w.Flush()
 
 	// Bounded recovery from the checkpointed log.
-	bounded, err := Recover(Config{Engine: WSI, MaxRows: 16, MaxCommits: 32, Shards: 4, TSO: tso.New(0, nil)}, ledger)
+	bounded, _, err := RecoverState(Config{Engine: WSI, MaxRows: 16, MaxCommits: 32, Shards: 4}, ledger, nil, 0)
 	if err != nil {
 		t.Fatalf("bounded recover: %v", err)
 	}
@@ -139,7 +139,7 @@ func TestCheckpointedRecoveryEquivalence(t *testing.T) {
 		t.Fatalf("strip checkpoints: %v", err)
 	}
 	sw.Flush()
-	full, err := Recover(Config{Engine: WSI, MaxRows: 16, MaxCommits: 32, Shards: 4, TSO: tso.New(0, nil)}, stripped)
+	full, _, err := RecoverState(Config{Engine: WSI, MaxRows: 16, MaxCommits: 32, Shards: 4}, stripped, nil, 0)
 	if err != nil {
 		t.Fatalf("full recover: %v", err)
 	}
@@ -286,7 +286,7 @@ func TestCheckpointDuringConcurrentCommits(t *testing.T) {
 	close(done)
 	w.Flush()
 
-	recovered, err := Recover(Config{Engine: SI, TSO: tso.New(0, nil)}, ledger)
+	recovered, _, err := RecoverState(Config{Engine: SI}, ledger, nil, 0)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -298,36 +298,29 @@ func TestCheckpointDuringConcurrentCommits(t *testing.T) {
 	}
 }
 
-// TestCheckpointDecodeLegacyRecord: checkpoints written before the
-// partitioned-oracle protocol end at the shards section; recovery of a
-// pre-upgrade ledger must decode them (as zero in-flight prepares)
-// rather than fail (regression).
-func TestCheckpointDecodeLegacyRecord(t *testing.T) {
+// TestCheckpointRoundTripsPrepares: the prepared section round-trips, and
+// a checkpoint cut short before it is rejected as truncated (a checkpoint
+// without one has the retired kind, which replay rejects outright).
+func TestCheckpointRoundTripsPrepares(t *testing.T) {
 	cp := &checkpointState{
 		TSOBound: 7,
 		LowWater: 3,
 		Commits:  []commitPair{{StartTS: 1, CommitTS: 2}},
 		Aborted:  []uint64{5},
 		Shards:   []shardState{{Tmax: 4, Rows: []evictEntry{{row: 9, ts: 2}}}},
+		Prepared: []PrepareRequest{{StartTS: 11, WriteSet: []RowID{9}}},
 	}
 	rec := encodeCheckpointRecord(cp)
-	// Strip the trailing empty Prepared section to reproduce the legacy
-	// layout.
-	legacy := rec[:len(rec)-4]
-	got, err := decodeCheckpointRecord(legacy)
-	if err != nil {
-		t.Fatalf("legacy checkpoint rejected: %v", err)
-	}
-	if len(got.Prepared) != 0 || got.TSOBound != 7 || len(got.Commits) != 1 || got.Shards[0].Tmax != 4 {
-		t.Fatalf("legacy checkpoint decoded wrong: %+v", got)
-	}
-	// The current format still round-trips, prepared section included.
-	cp.Prepared = []PrepareRequest{{StartTS: 11, CommitTS: 12, WriteSet: []RowID{9}}}
-	got2, err := decodeCheckpointRecord(encodeCheckpointRecord(cp))
+	got, err := decodeCheckpointRecord(rec)
 	if err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
-	if len(got2.Prepared) != 1 || got2.Prepared[0].StartTS != 11 {
-		t.Fatalf("prepared section lost: %+v", got2)
+	if len(got.Prepared) != 1 || got.Prepared[0].StartTS != 11 || got.TSOBound != 7 || got.Shards[0].Tmax != 4 {
+		t.Fatalf("checkpoint decoded wrong: %+v", got)
+	}
+	cp.Prepared = nil
+	rec = encodeCheckpointRecord(cp)
+	if _, err := decodeCheckpointRecord(rec[:len(rec)-4]); err == nil {
+		t.Fatal("a checkpoint without its prepared section decoded")
 	}
 }

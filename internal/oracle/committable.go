@@ -109,8 +109,10 @@ func (t *commitTable) addCommit(startTS, commitTS uint64) {
 		return
 	}
 	t.evictMu.Lock()
-	t.order = append(t.order, startTS)
+	// A re-publication (partition 0's decide of a commit it published)
+	// is already in the FIFO.
 	if !existed {
+		t.order = append(t.order, startTS)
 		t.size++
 	}
 	for t.size > t.maxEntries && len(t.order) > 0 {

@@ -53,7 +53,8 @@ func TestLogDecodersBoundClaimedCount(t *testing.T) {
 }
 
 // logPrefix returns the batches of a valid log: batched commits, an abort, a
-// checkpoint, a commit after it, an in-doubt prepare and a decided one.
+// checkpoint, a commit after it, an in-doubt prepare and a decided one
+// whose commit was published first.
 func logPrefix(tb testing.TB, cfg Config) [][]byte {
 	tb.Helper()
 	ledger := wal.NewMemLedger()
@@ -87,14 +88,17 @@ func logPrefix(tb testing.TB, cfg Config) [][]byte {
 	commit(3)
 	start, _ := so.Begin()
 	decided, _ := so.Begin()
-	tc, _ := so.Begin()
 	if _, err := so.PrepareBatch([]PrepareRequest{
-		{StartTS: start, CommitTS: tc, WriteSet: []RowID{4}},
-		{StartTS: decided, CommitTS: tc + 1, WriteSet: []RowID{5}, ReadSet: []RowID{1}},
+		{StartTS: start, WriteSet: []RowID{4}},
+		{StartTS: decided, WriteSet: []RowID{5}, ReadSet: []RowID{1}},
 	}); err != nil {
 		tb.Fatal(err)
 	}
-	if err := so.DecideBatch([]Decision{{StartTS: decided, CommitTS: tc + 1, Commit: true}}); err != nil {
+	tc, err := so.PublishCommits([]uint64{decided})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := so.DecideBatch([]Decision{{StartTS: decided, CommitTS: tc, Commit: true}}); err != nil {
 		tb.Fatal(err)
 	}
 	w.Close()
@@ -149,13 +153,18 @@ func FuzzLogRecord(f *testing.F) {
 	f.Add(appendCommitBatchRecord(nil, []CommitRequest{{StartTS: 900, WriteSet: []RowID{1, 9}}}, []int{0}, 901))
 	f.Add(appendRowSet(appendU64(appendU64([]byte{recRetiredCommit}, 910), 911), []RowID{2}))
 	f.Add(encodeAbortRecord(920))
-	f.Add(encodePrepareRecord(&PrepareRequest{StartTS: 930, CommitTS: 931, WriteSet: []RowID{3}, ReadSet: []RowID{4}}))
+	f.Add(encodePrepareRecord(&PrepareRequest{StartTS: 930, WriteSet: []RowID{3}, ReadSet: []RowID{4}}))
 	f.Add(encodeDecideRecord(Decision{StartTS: 940, CommitTS: 941, Commit: true}, []RowID{6}))
 	// Where the range-migration records stood (their bytes are corpus files
 	// now): the retired kinds alone, which replay must reject too.
 	f.Add([]byte{recRetiredRangeApply})
 	f.Add([]byte{recRetiredRangeDiscard})
 	f.Add([]byte{recCheckpoint})
+	// The retired prepare-with-commit-timestamp layouts, and a published
+	// round: a commit batch with empty write sets.
+	f.Add(appendRowSet(appendRowSet(appendU64(appendU64([]byte{recRetiredPrepare}, 930), 931), []RowID{3}), []RowID{4}))
+	f.Add([]byte{recRetiredCheckpoint})
+	f.Add(appendPublishedRecord(nil, []uint64{950, 951}, 960))
 	f.Fuzz(func(t *testing.T, entry []byte) {
 		ref, err := recoverLog(t, cfg, prefix)
 		if err != nil {

@@ -32,28 +32,36 @@ import (
 //   - A prepared transaction answers Query as pending until its decide is
 //     applied, so no snapshot ever observes a half-decided transaction:
 //     readers resolve a transaction's fate once (per startTS), and the
-//     coordinator's merged query answers committed as soon as any covering
-//     partition has published.
+//     coordinator's merged query answers committed as soon as partition 0
+//     has published the round (PublishCommits).
+//   - PublishCommits is the timestamp partition's half: it draws a round's
+//     commit timestamps after the votes and publishes the commits in this
+//     oracle's commit table inside the same critical section, the way
+//     CommitBatch publishes its own. Partition 0 of a deployment is the
+//     one home of every round's commit verdict.
 //
 // Prepared state is in-memory (per-shard refcounts plus a registry), is
 // captured by checkpoints, and is rebuilt by recovery from recPrepare
-// records; prepares still undecided after replay surface through InDoubt
-// and are settled against the coordinator's decision log.
+// records; prepares still undecided after replay surface through InDoubt.
+// Partition 0's commit table knows which of them committed; nothing
+// settles them automatically yet (ROADMAP item 21(c)).
 
 // WAL record kinds of the two-phase protocol.
 const (
-	recPrepare = 0x50 // 'P': startTS, commitTS, write set, read set
+	recPrepare = 0x51 // 'Q': startTS, write set, read set
 	recDecide  = 0x44 // 'D': commit flag, startTS, commitTS, write set
+	// recRetiredPrepare ('P') was the prepare record that also carried a
+	// commit timestamp, always zero since the coordinator draws commit
+	// timestamps after the votes. Replay rejects it; never reuse the kind.
+	recRetiredPrepare = 0x50
 )
 
 // PrepareRequest is one transaction's slice of a two-phase commit as seen
 // by a single partition: the coordinator pre-filters the row sets down to
-// the rows this partition owns. The coordinator draws commit timestamps
-// after the votes, so it sends CommitTS as zero; the field stays in the
-// prepare record and the wire payload, whose layouts predate that.
+// the rows this partition owns. It carries no commit timestamp: the
+// coordinator draws that after the votes.
 type PrepareRequest struct {
 	StartTS  uint64
-	CommitTS uint64
 	WriteSet []RowID
 	ReadSet  []RowID
 }
@@ -68,25 +76,53 @@ type Decision struct {
 // preparedTxn is the partition-local state of an in-flight two-phase
 // transaction between its prepare and its decide.
 type preparedTxn struct {
-	commitTS uint64
 	writeSet []RowID
 	readSet  []RowID
 	since    time.Time
 }
 
-// BeginBlock allocates n consecutive start timestamps and returns the
-// lowest. The partitioned coordinator uses it over the wire to draw a
-// block of commit timestamps from the timestamp authority in one round
-// trip instead of one per transaction.
-func (s *StatusOracle) BeginBlock(n int) (uint64, error) {
-	if n <= 0 {
-		return 0, fmt.Errorf("oracle: BeginBlock needs n > 0, got %d", n)
+// PublishCommits commits the transactions startTSs at one block of fresh
+// timestamps, startTSs[k] at lo+k, and returns lo. The partitioned
+// coordinator calls it on partition 0 once a round's votes are in: the
+// commit-table entries are published inside the timestamp oracle's
+// critical section, as CommitBatch publishes its own, so no snapshot drawn
+// above a commit timestamp misses the commit. The entries are then logged
+// as one commit-batch record with empty write sets (the rows live on the
+// partitions that prepared them).
+//
+// lo is non-zero exactly when the commits were published: a returned error
+// with lo == 0 means nothing was published (the timestamp oracle failed),
+// and an error with lo != 0 means the commits stand but their record is
+// not durable here.
+func (s *StatusOracle) PublishCommits(startTSs []uint64) (uint64, error) {
+	if err, ok := s.failed.Load().(error); ok {
+		return 0, err
 	}
-	lo, err := s.tso.NextBlock(n, nil)
+	if len(startTSs) == 0 {
+		return 0, fmt.Errorf("oracle: PublishCommits needs at least one transaction")
+	}
+	// The checkpoint gate, as in commitBatch: a checkpoint never captures
+	// the entries while their record lands after it.
+	s.ckptMu.RLock()
+	defer s.ckptMu.RUnlock()
+	lo, err := s.tso.NextBlock(len(startTSs), func(blo, _ uint64) {
+		for k, ts := range startTSs {
+			s.table.addCommit(ts, blo+uint64(k))
+		}
+	})
 	if err != nil {
 		return 0, err
 	}
-	s.stats.begins(int64(n))
+	if s.cfg.WAL != nil {
+		rec := walRecPool.Get().(*[]byte)
+		*rec = appendPublishedRecord((*rec)[:0], startTSs, lo)
+		err := s.cfg.WAL.AppendAll(*rec)
+		walRecPool.Put(rec)
+		if err != nil {
+			s.latchFence(err)
+			return lo, fmt.Errorf("oracle: persist published commits: %w", err)
+		}
+	}
 	return lo, nil
 }
 
@@ -172,7 +208,6 @@ func (s *StatusOracle) dropPrepRefs(writeSet, readSet []RowID) {
 func (s *StatusOracle) registerPrepared(req *PrepareRequest, since time.Time) {
 	s.prepMu.Lock()
 	s.prepared[req.StartTS] = &preparedTxn{
-		commitTS: req.CommitTS,
 		writeSet: req.WriteSet,
 		readSet:  req.ReadSet,
 		since:    since,
@@ -333,16 +368,15 @@ func (s *StatusOracle) DecideBatch(decisions []Decision) error {
 }
 
 // InDoubt returns the prepares currently parked with no decide — after
-// recovery, the transactions whose fate only the coordinator's decision
-// log knows; a checkpoint carries the same vector. Sorted by start
-// timestamp for determinism.
+// recovery, the transactions whose fate only partition 0's commit table
+// knows; a checkpoint carries the same vector. Sorted by start timestamp
+// for determinism.
 func (s *StatusOracle) InDoubt() []PrepareRequest {
 	s.prepMu.Lock()
 	out := make([]PrepareRequest, 0, len(s.prepared))
 	for start, pt := range s.prepared {
 		out = append(out, PrepareRequest{
 			StartTS:  start,
-			CommitTS: pt.commitTS,
 			WriteSet: pt.writeSet,
 			ReadSet:  pt.readSet,
 		})
@@ -416,27 +450,22 @@ func (s *StatusOracle) applyDecideEntry(d Decision, writeSet []RowID) {
 
 // encodePrepareRecord renders a prepare. Layout:
 //
-//	[1] kind | [8] startTS | [8] commitTS
-//	| [4] nW | nW×[8] rows | [4] nR | nR×[8] rows
+//	[1] kind | [8] startTS | [4] nW | nW×[8] rows | [4] nR | nR×[8] rows
 func encodePrepareRecord(req *PrepareRequest) []byte {
-	b := make([]byte, 0, 1+8+8+4+8*len(req.WriteSet)+4+8*len(req.ReadSet))
+	b := make([]byte, 0, 1+8+4+8*len(req.WriteSet)+4+8*len(req.ReadSet))
 	b = append(b, recPrepare)
 	b = appendU64(b, req.StartTS)
-	b = appendU64(b, req.CommitTS)
 	b = appendRowSet(b, req.WriteSet)
 	b = appendRowSet(b, req.ReadSet)
 	return b
 }
 
 func decodePrepareRecord(b []byte) (*PrepareRequest, error) {
-	if len(b) < 17 || b[0] != recPrepare {
+	if len(b) < 9 || b[0] != recPrepare {
 		return nil, fmt.Errorf("oracle: not a prepare record")
 	}
-	req := &PrepareRequest{
-		StartTS:  binary.BigEndian.Uint64(b[1:9]),
-		CommitTS: binary.BigEndian.Uint64(b[9:17]),
-	}
-	rest := b[17:]
+	req := &PrepareRequest{StartTS: binary.BigEndian.Uint64(b[1:9])}
+	rest := b[9:]
 	var err error
 	req.WriteSet, rest, err = parseRowSet(rest)
 	if err != nil {

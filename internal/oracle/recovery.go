@@ -85,52 +85,26 @@ func decodeAbortRecord(b []byte) (startTS uint64, err error) {
 	return binary.BigEndian.Uint64(b[1:9]), nil
 }
 
-// Recover rebuilds a status oracle's in-memory state — the commit table,
-// the aborted set, lastCommit and Tmax — from a ledger written by a
-// previous incarnation, then serves requests using cfg (which typically
-// carries a fresh WAL writer appending to the same replicated log). This is
-// the paper's failover story for the centralized scheme (Appendix A): "the
-// same status oracle after recovery, or another fresh instance … could
-// still recreate the memory state from the write-ahead log".
+// RecoverState rebuilds a whole oracle server from a ledger written by a
+// previous incarnation: both the status oracle (commit table, aborted set,
+// lastCommit, Tmax, prepared transactions) and the timestamp oracle come
+// back from a single pass. This is the paper's failover story for the
+// centralized scheme (Appendix A): "the same status oracle after recovery,
+// or another fresh instance … could still recreate the memory state from
+// the write-ahead log".
 //
-// Recovery is bounded: the latest checkpoint record (if any) is loaded as
-// the starting state and only the records after it are replayed, so the
-// work — both the backward scan that locates the checkpoint and the replay
-// — is proportional to the checkpoint interval, not the history length.
-// The replayed-record count, checkpoint bound and replay duration are
-// surfaced through Stats.
+// Recovery is bounded: the latest checkpoint is loaded and only the records
+// after it are replayed, so the work is proportional to the checkpoint
+// interval, not the history length (Stats reports the replayed count, the
+// bound and the duration). The timestamp oracle resumes from the maximum
+// of the checkpoint's reservation bound and any reservation records in the
+// suffix — the epoch fence that keeps post-recovery timestamps strictly
+// above everything the previous incarnation could have issued — and both
+// oracles continue logging through w.
 //
-// Transactions that were in flight at the crash and have no commit record
-// are treated as uncommitted: readers skip their writes, which is safe
-// because their clients were never acknowledged.
-func Recover(cfg Config, ledger wal.Ledger) (*StatusOracle, error) {
-	s, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	pos, err := locateCheckpoint(ledger)
-	if err != nil {
-		return nil, err
-	}
-	if pos.found {
-		if err := s.applyCheckpoint(pos.cp); err != nil {
-			return nil, err
-		}
-	}
-	if err := s.replaySuffix(ledger, pos, start, nil); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// RecoverState is the one-call bounded recovery of a whole oracle server:
-// both the status oracle and the timestamp oracle come back from a single
-// pass over the checkpoint suffix. The timestamp oracle resumes from the
-// maximum of the checkpoint's reservation bound and any reservation
-// records in the suffix — the epoch fence that keeps post-recovery
-// timestamps strictly above everything the previous incarnation could have
-// issued — and continues logging through w, as does the status oracle.
+// Transactions in flight at the crash with no commit record are treated as
+// uncommitted: readers skip their writes, which is safe because their
+// clients were never acknowledged.
 func RecoverState(cfg Config, ledger wal.Ledger, w *wal.Writer, tsoBatch int) (*StatusOracle, *tso.Oracle, error) {
 	start := time.Now()
 	pos, err := locateCheckpoint(ledger)
@@ -231,6 +205,8 @@ func (s *StatusOracle) ApplyLogEntry(entry []byte) (applied bool, err error) {
 		return false, fmt.Errorf("oracle: retired single-commit record (kind %#x)", recRetiredCommit)
 	case recRetiredRangeApply, recRetiredRangeDiscard:
 		return false, fmt.Errorf("oracle: retired range-migration record (kind %#x)", entry[0])
+	case recRetiredPrepare, recRetiredCheckpoint:
+		return false, fmt.Errorf("oracle: retired record layout with a prepare commit timestamp (kind %#x)", entry[0])
 	case recCommitBatch:
 		commits, err := decodeCommitBatchRecord(entry)
 		if err != nil {

@@ -46,11 +46,7 @@ func TestRecoverRebuildsCommitTable(t *testing.T) {
 	w.Flush()
 
 	// "Crash" and recover from the ledger.
-	clock2, err := tso.Recover(100, ledger, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	so2, err := Recover(Config{Engine: WSI, TSO: clock2}, ledger)
+	so2, _, err := RecoverState(Config{Engine: WSI}, ledger, nil, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +71,7 @@ func TestRecoverRebuildsLastCommit(t *testing.T) {
 	}
 	w.Flush()
 
-	clock2, err := tso.Recover(100, ledger, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	so2, err := Recover(Config{Engine: SI, TSO: clock2}, ledger)
+	so2, _, err := RecoverState(Config{Engine: SI}, ledger, nil, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +121,7 @@ func TestRecoverEquivalentDecisions(t *testing.T) {
 	wA.Flush()
 
 	// Crash A; recover as A2. B keeps running as the reference.
-	clock2, err := tso.Recover(100, ledgerA, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	soA2, err := Recover(Config{Engine: WSI, TSO: clock2}, ledgerA)
+	soA2, _, err := RecoverState(Config{Engine: WSI}, ledgerA, nil, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +154,7 @@ func TestRecoverPreservesTmax(t *testing.T) {
 		t.Fatal("setup never evicted")
 	}
 
-	clock2, err := tso.Recover(100, ledger, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	so2, err := Recover(Config{Engine: SI, MaxRows: 4, TSO: clock2}, ledger)
+	so2, _, err := RecoverState(Config{Engine: SI, MaxRows: 4}, ledger, nil, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +191,7 @@ func TestRecoverRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	_, err = Recover(Config{Engine: SI, TSO: tso.New(0, nil)}, ledger)
+	_, _, err = RecoverState(Config{Engine: SI}, ledger, nil, 0)
 	if err == nil {
 		t.Fatal("recovery must reject malformed commit records")
 	}
@@ -228,9 +212,6 @@ func TestRecoverRejectsRetiredCommitRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	if _, err := Recover(Config{Engine: SI, TSO: tso.New(0, nil)}, ledger); err == nil {
-		t.Fatal("Recover accepted a retired single-commit record")
-	}
 	if _, _, err := RecoverState(Config{Engine: SI}, ledger, nil, 0); err == nil {
 		t.Fatal("RecoverState accepted a retired single-commit record")
 	}
@@ -256,11 +237,34 @@ func TestRecoverRejectsRetiredRangeRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 		w.Close()
-		if _, err := Recover(Config{Engine: SI, TSO: tso.New(0, nil)}, ledger); err == nil {
-			t.Fatalf("Recover accepted a retired range record of kind %#x", rec[0])
-		}
 		if _, _, err := RecoverState(Config{Engine: SI}, ledger, nil, 0); err == nil {
 			t.Fatalf("RecoverState accepted a retired range record of kind %#x", rec[0])
+		}
+	}
+}
+
+// TestRecoverRejectsRetiredPrepareLayouts: the prepare record and the
+// checkpoint whose prepares carried a commit timestamp (kinds 0x50 and
+// 0x4B) fail recovery rather than being skipped as foreign records, which
+// would silently drop a prepared transaction's row locks.
+func TestRecoverRejectsRetiredPrepareLayouts(t *testing.T) {
+	for _, rec := range [][]byte{
+		// The retired prepare layout: kind | startTS | commitTS | write set | read set.
+		appendRowSet(appendRowSet(appendU64(appendU64([]byte{recRetiredPrepare}, 7), 0), []RowID{1}), nil),
+		// The retired checkpoint kind on the current checkpoint body.
+		append([]byte{recRetiredCheckpoint}, encodeCheckpointRecord(&checkpointState{})[1:]...),
+	} {
+		ledger := wal.NewMemLedger()
+		w, err := wal.NewWriter(wal.Config{}, ledger)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		if _, _, err := RecoverState(Config{Engine: SI}, ledger, nil, 0); err == nil {
+			t.Fatalf("RecoverState accepted a retired record of kind %#x", rec[0])
 		}
 	}
 }
@@ -297,7 +301,7 @@ func TestRecoverRepeatedWriteRowMatchesLive(t *testing.T) {
 		t.Fatal("commit aborted")
 	}
 	w.Flush()
-	rec, err := Recover(Config{Engine: WSI, MaxRows: 2, TSO: tso.New(0, nil)}, ledger)
+	rec, _, err := RecoverState(Config{Engine: WSI, MaxRows: 2}, ledger, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

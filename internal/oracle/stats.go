@@ -103,13 +103,6 @@ func (c *statsCollector) begin() {
 	c.mu.Unlock()
 }
 
-// begins records a block allocation of n start timestamps.
-func (c *statsCollector) begins(n int64) {
-	c.mu.Lock()
-	c.s.Begins += n
-	c.mu.Unlock()
-}
-
 // applyPrepares records one PrepareBatch invocation: n prepares checked,
 // noVotes of them rejected.
 func (c *statsCollector) applyPrepares(n, noVotes int64) {

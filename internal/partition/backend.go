@@ -2,13 +2,23 @@ package partition
 
 import (
 	"repro/internal/oracle"
-	"repro/internal/tso"
 )
 
 // Backend is one status-oracle partition as the Coordinator sees it. It is
 // satisfied by Local (an in-process *oracle.StatusOracle) and by
 // *netsrv.Client (a partition server reached over the wire).
 type Backend interface {
+	// Begin draws a start timestamp. The coordinator asks partition 0
+	// only: its timestamp oracle is the deployment's clock.
+	Begin() (uint64, error)
+	// PublishCommits commits a round's transactions at one block of fresh
+	// timestamps, startTSs[k] at lo+k, inside the partition's timestamp
+	// critical section, and logs them. The coordinator asks partition 0
+	// only, so partition 0's commit table holds every round's commits. A
+	// non-zero lo means the commits were published (an error then reports
+	// that their record is not durable); lo == 0 with an error means
+	// nothing was published, unless the error is ErrInDoubt.
+	PublishCommits(startTSs []uint64) (lo uint64, err error)
 	// PrepareBatch conflict-checks this partition's slices of a batch of
 	// cross-partition transactions and parks the yes votes' rows.
 	PrepareBatch([]oracle.PrepareRequest) ([]bool, error)
@@ -38,28 +48,4 @@ type StatusResolving interface {
 // Local adapts an in-process status oracle to the Backend interface.
 type Local struct {
 	*oracle.StatusOracle
-}
-
-// Clock is the shared timestamp authority: the coordinator draws start
-// timestamps and commit-timestamp blocks from it. In-process it is the
-// cluster's *tso.Oracle (via TSOClock); over the wire it is the timestamp
-// partition's netsrv client behind a mutex.
-//
-// NextBlockWith runs publish inside the clock's critical section, before
-// any later timestamp can be issued: the coordinator publishes a round's
-// verdicts there, so every snapshot above a commit timestamp can already
-// resolve the commit. That is what lets Begin be a bare Next.
-type Clock interface {
-	Next() (uint64, error)
-	NextBlockWith(n int, publish func(lo, hi uint64)) (uint64, error)
-}
-
-// TSOClock adapts a *tso.Oracle to the Clock interface.
-type TSOClock struct {
-	*tso.Oracle
-}
-
-// NextBlockWith implements Clock.
-func (c TSOClock) NextBlockWith(n int, publish func(lo, hi uint64)) (uint64, error) {
-	return c.Oracle.NextBlock(n, publish)
 }

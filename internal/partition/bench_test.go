@@ -76,7 +76,6 @@ func BenchmarkPrepareDecide(b *testing.B) {
 		ct := clock.MustNext()
 		votes, err := so.PrepareBatch([]oracle.PrepareRequest{{
 			StartTS:  ts,
-			CommitTS: ct,
 			WriteSet: []oracle.RowID{oracle.RowID(n), oracle.RowID(n + 1)},
 			ReadSet:  []oracle.RowID{oracle.RowID(n + 2)},
 		}})

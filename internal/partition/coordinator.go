@@ -23,20 +23,17 @@ type Config struct {
 	// deployment was started with.
 	Router Router
 	// Backends are the partitions, indexed as the Router numbers them.
+	// Partition 0 is also the clock: Begin draws there, and every round's
+	// commits are published there (Backend.PublishCommits).
 	Backends []Backend
-	// Clock is the shared timestamp authority.
-	Clock Clock
-	// SharedTSO marks the backends as in-process oracles built on Clock's
-	// own timestamp oracle: a single-partition transaction then takes its
+	// SharedTSO marks the backends as in-process oracles sharing partition
+	// 0's timestamp oracle: a single-partition transaction then takes its
 	// partition's CommitBatch, which draws and publishes its commit
 	// timestamp inside the same critical section the coordinator's rounds
-	// use. When false (remote partitions, which cannot draw from the
-	// coordinator's clock), single-partition transactions run the same
-	// two-phase round as cross-partition ones.
+	// use. When false (remote partitions, each with its own clock),
+	// single-partition transactions run the same two-phase round as
+	// cross-partition ones.
 	SharedTSO bool
-	// DecisionLog records two-phase verdicts; nil creates an in-memory
-	// log (no coordinator-crash durability).
-	DecisionLog *DecisionLog
 }
 
 // Stats aggregates the coordinator's own counters with a snapshot of every
@@ -74,8 +71,6 @@ func (s Stats) CrossRatio() float64 {
 type Coordinator struct {
 	cfg   Config
 	parts []Backend
-	clock Clock
-	dlog  *DecisionLog
 
 	begins     atomic.Int64
 	singleTxns atomic.Int64
@@ -95,7 +90,11 @@ type Coordinator struct {
 // Errors returned by the coordinator.
 var (
 	ErrNoBackends = errors.New("partition: coordinator needs at least one backend")
-	ErrNoClock    = errors.New("partition: coordinator needs a shared clock")
+	// ErrInDoubt reports a request whose outcome a backend cannot know:
+	// the request was sent and its reply was lost. After a PublishCommits
+	// in doubt, partition 0 may hold the round's commits, so the round's
+	// yes votes stay prepared instead of being decided abort.
+	ErrInDoubt = errors.New("partition: request in doubt: its reply was lost")
 	// ErrMisrouted reports a slice a partition server refused because its
 	// router does not give it the slice's rows: every coordinator and
 	// server of a deployment must share one router.
@@ -107,9 +106,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, ErrNoBackends
 	}
-	if cfg.Clock == nil {
-		return nil, ErrNoClock
-	}
 	if cfg.Router == nil {
 		cfg.Router = NewHashRouter(len(cfg.Backends))
 	}
@@ -117,26 +113,15 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		return nil, fmt.Errorf("partition: router covers %d partitions, have %d backends",
 			cfg.Router.Partitions(), len(cfg.Backends))
 	}
-	if cfg.DecisionLog == nil {
-		cfg.DecisionLog = NewDecisionLog(nil)
-	}
-	return &Coordinator{
-		cfg:   cfg,
-		parts: cfg.Backends,
-		clock: cfg.Clock,
-		dlog:  cfg.DecisionLog,
-	}, nil
+	return &Coordinator{cfg: cfg, parts: cfg.Backends}, nil
 }
 
-// DecisionLog returns the coordinator's decision log (for recovery
-// tooling).
-func (co *Coordinator) DecisionLog() *DecisionLog { return co.dlog }
-
-// Begin draws a start timestamp. Every round publishes its verdicts inside
-// the clock's critical section (commitCross), so a fresh snapshot can
-// already resolve every commit below it.
+// Begin draws a start timestamp from partition 0. Every round publishes
+// its commits at partition 0 inside the same timestamp critical section
+// (commitCross), so a fresh snapshot can already resolve every commit
+// below it.
 func (co *Coordinator) Begin() (uint64, error) {
-	ts, err := co.clock.Next()
+	ts, err := co.parts[0].Begin()
 	if err != nil {
 		return 0, err
 	}
@@ -226,8 +211,8 @@ func (co *Coordinator) CommitBatch(reqs []oracle.CommitRequest) ([]oracle.Commit
 // cooperative-cancellation hook for callers serving requests under ingress
 // envelope deadlines. An already-expired batch does no work and returns
 // oracle.ErrExpired. A deadline that passes mid-round is honored at the
-// decide-wait: once the verdicts are durably recorded in the decision log
-// they are final and queryable, so the decide fan-out is moved to the
+// decide-wait: once partition 0 has published the round's commits they are
+// final and queryable, so the decide fan-out is moved to the
 // background (DrainDecides waits for it) and the caller gets
 // oracle.ErrExpired back instead of occupying its slot for the slowest
 // partition's decide round trip. A server fronting the coordinator renders
@@ -410,8 +395,9 @@ func (co *Coordinator) prepareRound(r crossRound, n int) ([]bool, bool) {
 	return votes, out.misrouted
 }
 
-// decideRound fans the verdicts to every covering partition in parallel.
-func (co *Coordinator) decideRound(r crossRound, decisions []oracle.Decision) error {
+// decideRound fans the verdicts to every covering partition in parallel;
+// with abortsOnly, the commit verdicts stay back.
+func (co *Coordinator) decideRound(r crossRound, decisions []oracle.Decision, abortsOnly bool) error {
 	var dmu sync.Mutex
 	var decideErr error
 	var wg sync.WaitGroup
@@ -422,7 +408,9 @@ func (co *Coordinator) decideRound(r crossRound, decisions []oracle.Decision) er
 			dp := decideSubPool.Get().(*[]oracle.Decision)
 			ds := (*dp)[:0]
 			for _, k := range r.slots[p] {
-				ds = append(ds, decisions[k])
+				if !abortsOnly || !decisions[k].Commit {
+					ds = append(ds, decisions[k])
+				}
 			}
 			err := co.parts[p].DecideBatch(ds)
 			*dp = ds[:0]
@@ -456,13 +444,22 @@ func (co *Coordinator) finishCross(multi []int, decisions []oracle.Decision, res
 
 // commitCross runs one two-phase round for the requests in multi.
 //
-// The commit timestamps are drawn *after* the votes, inside the clock's
-// critical section, and the same section publishes the verdicts to the
-// decision log. So every transaction is checked against every commit below
-// its commit timestamp, and any snapshot issued above a commit's timestamp
-// can already resolve the commit from the log. This mirrors how the single
-// oracle publishes its commit-table entries atomically with the
-// allocation.
+// The commit timestamps are drawn *after* the votes, by partition 0's
+// PublishCommits, which publishes the round's commits in partition 0's
+// commit table inside its timestamp critical section and logs them there.
+// So every transaction is checked against every commit below its commit
+// timestamp, and any snapshot drawn above a commit's timestamp (Begin
+// draws at partition 0 too) resolves the commit from partition 0: the
+// single oracle's atomic publication, kept at one partition. Aborts need
+// no timestamp and are not published; until their decide lands they read
+// pending, which readers skip.
+//
+// The failure rule: a round whose commits partition 0 did not publish
+// aborts everywhere; a round whose commits it published stands, so they
+// are decided commit even when their record failed, and the error is
+// returned after the decides; a round whose publication is in doubt
+// (ErrInDoubt) decides only its aborts and leaves its yes votes prepared,
+// since an abort could contradict a commit partition 0 published.
 //
 // A slice refused as misrouted vetoes its transactions like any failed
 // prepare: the round aborts them everywhere and then returns ErrMisrouted,
@@ -473,35 +470,43 @@ func (co *Coordinator) commitCross(reqs []oracle.CommitRequest, multi []int, cov
 	votes, misrouted := co.prepareRound(round, len(multi))
 
 	decisions := make([]oracle.Decision, len(multi))
+	var commits []uint64
 	for k, i := range multi {
 		decisions[k] = oracle.Decision{StartTS: reqs[i].StartTS, Commit: votes[k]}
-	}
-	_, err := co.clock.NextBlockWith(len(multi), func(lo, _ uint64) {
-		for k := range decisions {
-			decisions[k].CommitTS = lo + uint64(k)
+		if votes[k] {
+			commits = append(commits, reqs[i].StartTS)
 		}
-		// Inside the critical section: every later snapshot resolves
-		// these verdicts from the log.
-		co.dlog.publishMem(decisions)
-	})
-	if err != nil {
-		// No timestamps, nothing published: abort everything to release
-		// the prepared rows, then surface the infrastructure failure.
-		for k := range decisions {
-			decisions[k].Commit = false
-		}
-		_ = co.decideRound(round, decisions)
-		co.finishCross(multi, decisions, results)
-		return err
 	}
-	// The verdicts are already published; a durability failure here makes
-	// the commits in-doubt for the client (surfaced as an error), but they
-	// stand — readers may have observed them.
-	walErr := co.dlog.appendWAL(decisions)
+	var pubErr error
+	if len(commits) > 0 {
+		var lo uint64
+		lo, pubErr = co.parts[0].PublishCommits(commits)
+		switch {
+		case lo != 0:
+			for k := range decisions {
+				if decisions[k].Commit {
+					decisions[k].CommitTS = lo
+					lo++
+				}
+			}
+		case errors.Is(pubErr, ErrInDoubt):
+			_ = co.decideRound(round, decisions, true)
+			return pubErr
+		default:
+			// Nothing published: abort everything to release the
+			// prepared rows, then surface the failure.
+			for k := range decisions {
+				decisions[k].Commit = false
+			}
+			_ = co.decideRound(round, decisions, false)
+			co.finishCross(multi, decisions, results)
+			return pubErr
+		}
+	}
 	decideErr := co.runDecides(round, decisions, deadline)
 	co.finishCross(multi, decisions, results)
-	if walErr != nil {
-		return walErr
+	if pubErr != nil {
+		return pubErr
 	}
 	if decideErr != nil {
 		return decideErr
@@ -513,20 +518,20 @@ func (co *Coordinator) commitCross(reqs []oracle.CommitRequest, multi []int, cov
 }
 
 // runDecides fans the verdicts out. A caller whose deadline passed while
-// the verdicts were being recorded is released here instead of waiting out
-// the fan-out: the decisions are final and queryable through the log, so
-// the round moves to the background (DrainDecides waits for it) and the
+// the round was being voted and published is released here instead of
+// waiting out the fan-out: the decisions are final and partition 0 already
+// answers the commits, so the round moves to the background (DrainDecides waits for it) and the
 // caller gets oracle.ErrExpired — cooperative cancellation of
 // post-admission work that nobody is waiting for.
 func (co *Coordinator) runDecides(round crossRound, decisions []oracle.Decision, deadline time.Time) error {
 	if !expired(deadline) {
-		return co.decideRound(round, decisions)
+		return co.decideRound(round, decisions, false)
 	}
 	co.expiredDecides.Add(1)
 	co.decideWG.Add(1)
 	go func() {
 		defer co.decideWG.Done()
-		if err := co.decideRound(round, decisions); err != nil {
+		if err := co.decideRound(round, decisions, false); err != nil {
 			co.decideMu.Lock()
 			if co.decideErr == nil {
 				co.decideErr = err
@@ -554,10 +559,11 @@ func (co *Coordinator) Query(startTS uint64) oracle.TxnStatus {
 // QueryBatch resolves transaction statuses by fanning each batch out to
 // every partition and merging the answers: committed wins (any partition
 // that published the commit is proof of the unanimous verdict), then
-// aborted, then unknown (evicted), then pending. Because readers resolve a
-// transaction's fate once per start timestamp and the first published
-// partition already answers committed, a snapshot can never observe a
-// half-decided transaction — one key committed, another still pending.
+// aborted, then unknown (evicted), then pending. Partition 0 publishes a
+// round's commits before any snapshot above them is drawn, and readers
+// resolve a transaction's fate once per start timestamp, so a snapshot can
+// never observe a half-decided transaction — one key committed, another
+// still pending.
 func (co *Coordinator) QueryBatch(startTSs []uint64) []oracle.TxnStatus {
 	out := make([]oracle.TxnStatus, len(startTSs))
 	if len(startTSs) == 0 {
@@ -578,18 +584,6 @@ func (co *Coordinator) QueryBatch(startTSs []uint64) []oracle.TxnStatus {
 	wg.Wait()
 	for i := range out {
 		out[i] = mergeStatuses(answers, i)
-		if out[i].Status == oracle.StatusPending || out[i].Status == oracle.StatusUnknown {
-			// The decision log bridges the decide fan-out window: a
-			// verdict is published there before (shared mode: atomically
-			// with) its commit timestamp becomes visible to any snapshot.
-			if d, ok := co.dlog.Lookup(startTSs[i]); ok {
-				if d.Commit {
-					out[i] = oracle.TxnStatus{Status: oracle.StatusCommitted, CommitTS: d.CommitTS}
-				} else {
-					out[i] = oracle.TxnStatus{Status: oracle.StatusAborted}
-				}
-			}
-		}
 	}
 	return out
 }
@@ -617,16 +611,10 @@ func mergeStatuses(answers [][]oracle.TxnStatus, i int) oracle.TxnStatus {
 }
 
 // ResolveStatus is the error-aware status lookup in-doubt clients use: it
-// answers from the decision log first (the authoritative verdict record),
-// then from the partitions; a transport failure is reported only when no
+// asks the partitions in order, partition 0 (which holds every round's
+// commits) first; a transport failure is reported only when no
 // authoritative answer could be obtained.
 func (co *Coordinator) ResolveStatus(startTS uint64) (oracle.TxnStatus, error) {
-	if d, ok := co.dlog.Lookup(startTS); ok {
-		if d.Commit {
-			return oracle.TxnStatus{Status: oracle.StatusCommitted, CommitTS: d.CommitTS}, nil
-		}
-		return oracle.TxnStatus{Status: oracle.StatusAborted}, nil
-	}
 	// A partition that failed leaves its answer empty, which mergeStatuses
 	// skips; a committed answer is final, so the partitions after it are
 	// not asked.

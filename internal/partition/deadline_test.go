@@ -36,7 +36,6 @@ func newSlowCluster(t *testing.T, delay time.Duration) *Coordinator {
 		Engine:    oracle.WSI,
 		Router:    NewHashRouter(2),
 		Backends:  backends,
-		Clock:     TSOClock{clock},
 		SharedTSO: true,
 	})
 	if err != nil {
@@ -74,8 +73,8 @@ func TestCommitBatchDeadlineExpiredAtEntry(t *testing.T) {
 
 // TestCommitBatchDeadlineReleasesDecideWait: the deadline expires during
 // the (slow) prepare phase; the caller is released with ErrExpired instead
-// of waiting out the decide fan-out, while the verdict — already recorded
-// in the decision log — lands in the background and stays queryable.
+// of waiting out the decide fan-out, while the verdict — already published
+// at partition 0 — lands in the background and stays queryable.
 func TestCommitBatchDeadlineReleasesDecideWait(t *testing.T) {
 	co := newSlowCluster(t, 40*time.Millisecond)
 	defer co.Close()

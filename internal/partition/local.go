@@ -24,9 +24,10 @@ type LocalConfig struct {
 	MaxRows    int
 	MaxCommits int
 	Shards     int
-	// WALFor, when non-nil, supplies each partition's WAL writer (index
-	// Partitions is the coordinator's decision log). Nil runs without
-	// durability.
+	// WALFor, when non-nil, supplies each partition's WAL writer, indexed
+	// 0 to Partitions-1; partition 0's log also holds the shared timestamp
+	// oracle's reservations and every round's published commits. Nil runs
+	// without durability.
 	WALFor func(i int) *wal.Writer
 	// TSOBatch sizes the shared timestamp oracle's reservation blocks.
 	TSOBatch int
@@ -79,17 +80,11 @@ func NewLocal(cfg LocalConfig) (*LocalCluster, error) {
 		parts[i] = so
 		backends[i] = Local{so}
 	}
-	var dlog *DecisionLog
-	if cfg.WALFor != nil {
-		dlog = NewDecisionLog(cfg.WALFor(n))
-	}
 	co, err := NewCoordinator(Config{
-		Engine:      cfg.Engine,
-		Router:      cfg.Router,
-		Backends:    backends,
-		Clock:       TSOClock{clock},
-		SharedTSO:   true,
-		DecisionLog: dlog,
+		Engine:    cfg.Engine,
+		Router:    cfg.Router,
+		Backends:  backends,
+		SharedTSO: true,
 	})
 	if err != nil {
 		return nil, err

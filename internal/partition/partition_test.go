@@ -199,8 +199,9 @@ func TestPartitionCrossCommit(t *testing.T) {
 	if st.CrossTxns != 3 || st.CrossCommits != 2 || st.CrossAborts != 1 {
 		t.Fatalf("coordinator stats %+v", st)
 	}
-	if co.DecisionLog().Len() != 3 {
-		t.Fatalf("decision log holds %d verdicts, want 3", co.DecisionLog().Len())
+	// Partition 0 holds every round's commit, covering or not.
+	if st := lc.Partitions[0].Query(t3); st.Status != oracle.StatusCommitted || st.CommitTS != res3.CommitTS {
+		t.Fatalf("partition 0 answers %+v for a commit at %d", st, res3.CommitTS)
 	}
 }
 
@@ -217,7 +218,7 @@ func TestPartitionPreparedBlocksOneShot(t *testing.T) {
 	t1 := clock.MustNext()
 	ct := clock.MustNext()
 	votes, err := so.PrepareBatch([]oracle.PrepareRequest{{
-		StartTS: t1, CommitTS: ct,
+		StartTS:  t1,
 		WriteSet: []oracle.RowID{10}, ReadSet: []oracle.RowID{20},
 	}})
 	if err != nil || !votes[0] {
@@ -270,9 +271,10 @@ func TestPartitionPreparedBlocksOneShot(t *testing.T) {
 }
 
 // TestPartitionInDoubtRecovery crashes a partition between its prepare and
-// its decide, recovers it from its WAL, and settles the in-doubt prepare
-// against the coordinator's decision log — a logged commit re-decides as
-// commit, an unlogged prepare aborts.
+// its decide, recovers it from its WAL, and settles the in-doubt prepares
+// by asking partition 0: the round partition 0 published re-decides as
+// commit at its published timestamp, and the prepare whose round never
+// reached partition 0 (its coordinator is gone) aborts.
 func TestPartitionInDoubtRecovery(t *testing.T) {
 	ledger := wal.NewMemLedger()
 	w, err := wal.NewWriter(wal.Config{Quorum: 1}, ledger)
@@ -280,33 +282,37 @@ func TestPartitionInDoubtRecovery(t *testing.T) {
 		t.Fatalf("writer: %v", err)
 	}
 	clock := tso.New(0, nil)
+	p0, err := oracle.New(oracle.Config{Engine: oracle.WSI, TSO: clock})
+	if err != nil {
+		t.Fatalf("partition 0: %v", err)
+	}
 	so, err := oracle.New(oracle.Config{Engine: oracle.WSI, TSO: clock, WAL: w})
 	if err != nil {
-		t.Fatalf("new: %v", err)
+		t.Fatalf("partition 1: %v", err)
 	}
 
-	// Two prepares: one whose commit the coordinator logged, one whose
-	// fate was never recorded.
-	t1, ct1 := clock.MustNext(), clock.MustNext()
-	t2, ct2 := clock.MustNext(), clock.MustNext()
+	// Two prepares: one whose round partition 0 published, one whose
+	// round never got that far.
+	t1, t2 := clock.MustNext(), clock.MustNext()
 	votes, err := so.PrepareBatch([]oracle.PrepareRequest{
-		{StartTS: t1, CommitTS: ct1, WriteSet: []oracle.RowID{1}, ReadSet: []oracle.RowID{2}},
-		{StartTS: t2, CommitTS: ct2, WriteSet: []oracle.RowID{3}, ReadSet: []oracle.RowID{4}},
+		{StartTS: t1, WriteSet: []oracle.RowID{1}, ReadSet: []oracle.RowID{2}},
+		{StartTS: t2, WriteSet: []oracle.RowID{3}, ReadSet: []oracle.RowID{4}},
 	})
 	if err != nil || !votes[0] || !votes[1] {
 		t.Fatalf("prepare: votes=%v err=%v", votes, err)
 	}
 	w.Flush()
-
-	dlog := NewDecisionLog(nil)
-	dlog.publishMem([]oracle.Decision{{StartTS: t1, CommitTS: ct1, Commit: true}})
+	ct1, err := p0.PublishCommits([]uint64{t1})
+	if err != nil {
+		t.Fatalf("publish: %v", err)
+	}
 
 	// Crash: recover a fresh oracle from the ledger.
 	rw, err := wal.NewWriter(wal.Config{Quorum: 1}, ledger)
 	if err != nil {
 		t.Fatalf("recover writer: %v", err)
 	}
-	rec, err := oracle.Recover(oracle.Config{Engine: oracle.WSI, TSO: tso.New(0, nil), WAL: rw}, ledger)
+	rec, _, err := oracle.RecoverState(oracle.Config{Engine: oracle.WSI}, ledger, rw, 0)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -314,23 +320,27 @@ func TestPartitionInDoubtRecovery(t *testing.T) {
 	if len(inDoubt) != 2 {
 		t.Fatalf("in-doubt prepares = %d, want 2", len(inDoubt))
 	}
-	commits, aborts, err := ResolveInDoubt(rec, dlog)
-	if err != nil {
-		t.Fatalf("resolve: %v", err)
+	starts := make([]uint64, len(inDoubt))
+	for i, p := range inDoubt {
+		starts[i] = p.StartTS
 	}
-	if commits != 1 || aborts != 1 {
-		t.Fatalf("resolved %d commits, %d aborts", commits, aborts)
+	ds := make([]oracle.Decision, len(inDoubt))
+	for i, st := range p0.QueryBatch(starts) {
+		ds[i] = oracle.Decision{StartTS: starts[i], CommitTS: st.CommitTS, Commit: st.Status == oracle.StatusCommitted}
+	}
+	if err := rec.DecideBatch(ds); err != nil {
+		t.Fatalf("settle: %v", err)
 	}
 	if st := rec.Query(t1); st.Status != oracle.StatusCommitted || st.CommitTS != ct1 {
-		t.Fatalf("logged commit resolved to %+v", st)
+		t.Fatalf("published commit settled to %+v", st)
 	}
 	if st := rec.Query(t2); st.Status != oracle.StatusAborted {
-		t.Fatalf("unlogged prepare resolved to %+v", st)
+		t.Fatalf("unpublished prepare settled to %+v", st)
 	}
 	if n := rec.PreparedCount(); n != 0 {
-		t.Fatalf("%d prepares left after resolution", n)
+		t.Fatalf("%d prepares left after settlement", n)
 	}
-	// The resolved commit's write row is folded into lastCommit.
+	// The settled commit's write row is folded into lastCommit.
 	if tc, ok := rec.LastCommitOf(1); !ok || tc != ct1 {
 		t.Fatalf("lastCommit[1] = %d,%v want %d", tc, ok, ct1)
 	}
@@ -338,7 +348,7 @@ func TestPartitionInDoubtRecovery(t *testing.T) {
 	// A second recovery (after the decides landed in the WAL) comes back
 	// with nothing in doubt.
 	rw.Flush()
-	rec2, err := oracle.Recover(oracle.Config{Engine: oracle.WSI, TSO: tso.New(0, nil)}, ledger)
+	rec2, _, err := oracle.RecoverState(oracle.Config{Engine: oracle.WSI}, ledger, nil, 0)
 	if err != nil {
 		t.Fatalf("second recover: %v", err)
 	}
@@ -366,8 +376,7 @@ func TestPartitionCheckpointCarriesPrepares(t *testing.T) {
 		t.Fatalf("new: %v", err)
 	}
 	t1, _ := so.Begin()
-	ct1, _ := so.BeginBlock(1)
-	if _, err := so.PrepareBatch([]oracle.PrepareRequest{{StartTS: t1, CommitTS: ct1, WriteSet: []oracle.RowID{7}}}); err != nil {
+	if _, err := so.PrepareBatch([]oracle.PrepareRequest{{StartTS: t1, WriteSet: []oracle.RowID{7}}}); err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
 	if err := so.Checkpoint(); err != nil {
@@ -382,16 +391,16 @@ func TestPartitionCheckpointCarriesPrepares(t *testing.T) {
 	}
 	w.Flush()
 
-	rec, err := oracle.Recover(oracle.Config{Engine: oracle.WSI, TSO: tso.New(0, nil)}, ledger)
+	rec, _, err := oracle.RecoverState(oracle.Config{Engine: oracle.WSI}, ledger, nil, 0)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
 	inDoubt := rec.InDoubt()
-	if len(inDoubt) != 1 || inDoubt[0].StartTS != t1 || inDoubt[0].CommitTS != ct1 {
+	if len(inDoubt) != 1 || inDoubt[0].StartTS != t1 {
 		t.Fatalf("in-doubt after bounded recovery = %+v, want txn %d", inDoubt, t1)
 	}
 	// The prepared lock survived recovery: an overlapping reader aborts.
-	res, err := rec.Commit(oracle.CommitRequest{StartTS: ct1 + 100, WriteSet: []oracle.RowID{8}, ReadSet: []oracle.RowID{7}})
+	res, err := rec.Commit(oracle.CommitRequest{StartTS: t1 + 100, WriteSet: []oracle.RowID{8}, ReadSet: []oracle.RowID{7}})
 	if err != nil {
 		t.Fatalf("commit: %v", err)
 	}
@@ -452,7 +461,7 @@ func TestLateWriterCommitsAfterReader(t *testing.T) {
 		t.Fatalf("oracle: %v", err)
 	}
 	pb := &parkingBackend{Backend: Local{so}, arrived: make(chan struct{}), release: make(chan struct{})}
-	co, err := NewCoordinator(Config{Engine: oracle.WSI, Backends: []Backend{pb}, Clock: TSOClock{clock}})
+	co, err := NewCoordinator(Config{Engine: oracle.WSI, Backends: []Backend{pb}})
 	if err != nil {
 		t.Fatalf("coordinator: %v", err)
 	}
@@ -568,7 +577,7 @@ func TestResolveStatusMergesAnswers(t *testing.T) {
 				}
 				backends[i] = fixedResolver{Local{so}, r.st, r.err, &asked}
 			}
-			co, err := NewCoordinator(Config{Engine: oracle.WSI, Backends: backends, Clock: TSOClock{clock}})
+			co, err := NewCoordinator(Config{Engine: oracle.WSI, Backends: backends})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -9,18 +9,18 @@
 // A transaction spanning several partitions commits in two phases: the
 // Coordinator fans out Prepare (the conflict check on each partition's
 // slice, parking the slice's rows until the verdict) and ANDs the votes.
-// Only then does it draw the commit timestamps from the shared clock, and
-// inside the clock's critical section it publishes the verdicts to its
-// decision log; it persists them there and fans out Decide. So every
-// transaction is checked against every commit below its commit timestamp,
-// and every snapshot issued above a commit timestamp can already resolve
-// that commit. Readers resolve a transaction's fate through the
-// Coordinator's merged status query — committed as soon as any covering
-// partition has published, else the decision log's verdict — so no
-// snapshot ever observes a half-decided transaction. A single-partition
-// transaction takes its partition's one-shot CommitBatch when the
-// partitions share the coordinator's timestamp oracle in-process, and the
-// same two phases otherwise.
+// Only then does partition 0, the deployment's clock, draw the commit
+// timestamps and publish the commits in its own commit table inside its
+// timestamp critical section, and log them; the Coordinator then fans out
+// Decide. So every transaction is checked against every commit below its
+// commit timestamp, and every snapshot issued above a commit timestamp can
+// already resolve that commit at partition 0. Readers resolve a
+// transaction's fate through the Coordinator's merged status query —
+// committed as soon as any partition has published — so no snapshot ever
+// observes a half-decided transaction. A single-partition transaction
+// takes its partition's one-shot CommitBatch when the partitions share
+// partition 0's timestamp oracle in-process, and the same two phases
+// otherwise.
 package partition
 
 import (
