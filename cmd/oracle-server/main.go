@@ -58,6 +58,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -80,119 +81,184 @@ import (
 )
 
 func main() {
-	var (
-		addr    = flag.String("addr", "127.0.0.1:7070", "listen address")
-		engine  = flag.String("engine", "wsi", "conflict detection: wsi (serializable) or si")
-		walPath = flag.String("wal", "", "path to a file-backed WAL ledger (empty: no durability)")
-		maxRows = flag.Int("max-rows", 0, "bound on retained lastCommit rows (Algorithm 3 NR; 0 = unbounded)")
-		shards  = flag.Int("shards", 1, "critical-section shards (1 = paper's implementation)")
-		table   = flag.String("table", "open", "lastCommit storage: open (open-addressed, zero-allocation) or map (reference)")
-		fsync   = flag.Bool("fsync", true, "fsync each WAL batch (with -wal)")
-
-		debugAddr   = flag.String("debug-addr", "", "listen address for the debug HTTP plane: /metrics (Prometheus text), /vars (JSON), /debug/pprof (empty: disabled), e.g. 127.0.0.1:6060")
-		slowMS      = flag.Float64("slow-ms", 0, "log a structured exemplar for requests slower than this many milliseconds end-to-end (0 = off)")
-		traceSample = flag.Int("trace-sample", 100, "log 1 in N slow requests over -slow-ms (1 = every slow request)")
-		noTrace     = flag.Bool("no-trace", false, "disable hot-path lifecycle tracing (per-stage histograms stay empty)")
-		statsEvery  = flag.Duration("stats-every", 0, "log an oracle/ingress stats summary this often, with per-tenant admission breakdown (0 = off)")
-		anomSample  = flag.Float64("anomaly-sample", 0, "fraction of commit decisions fed to the streaming anomaly checker (0 = off, 1 = every decision; history_* metrics)")
-		coalesce    = flag.Int("coalesce", 0, "server-side coalescing: max one-request commit frames merged into one oracle batch (0 = off)")
-
-		tenants     = flag.Int("tenants", 0, "admission classes for the ingress gate (envelope tenant ids 0..n-1; enables admission when any ingress flag is set)")
-		maxInflight = flag.Int("max-inflight", 0, "data-plane requests executing concurrently before arrivals queue (0 = gate default 256)")
-		queueCap    = flag.Int("queue-cap", 0, "admitted-but-waiting requests one tenant may park; beyond it arrivals are shed with overload (0 = gate default 128)")
-		rate        = flag.Float64("rate", 0, "per-tenant token-bucket refill in requests/second (0 = unlimited)")
-		burst       = flag.Int("burst", 0, "token-bucket depth (with -rate; 0 = max(rate, 1))")
-		maxSessions = flag.Int("max-sessions", 0, "server-wide cap on live multiplexed sessions (0 = unlimited)")
-		idleTimeout = flag.Duration("idle-timeout", 0, "disconnect a connection sending no frame for this long (0 = never)")
-		maxPending  = flag.Int("max-pending", 0, "per-connection response buffer bound in bytes; a slow reader beyond it is disconnected (0 = default 4MiB, -1 = unbounded)")
-
-		ckptInterval = flag.Duration("checkpoint-interval", 0, "write a commit-table checkpoint this often (0 = off; requires -wal)")
-
-		groupDir  = flag.String("group", "", "epoch-ledger directory of a self-healing replicated group; runs this server as one member (with -node-id)")
-		nodeID    = flag.Int("node-id", 0, "this member's id in the group; also staggers election timeouts (with -group)")
-		leaseMS   = flag.Int("lease-ms", 1000, "leader lease duration in milliseconds; failover takes ~2 leases (with -group)")
-		bootstrap = flag.Bool("bootstrap", false, "create epoch 1 and lead when the group directory is empty (exactly one member; with -group)")
-		advertise = flag.String("advertise", "", "address redirects and lease records name this member by (default: the bound listen address)")
-
-		partitions  = flag.Int("partitions", 1, "total status-oracle partitions in the deployment (this server is one of them)")
-		partitionID = flag.Int("partition-id", 0, "this server's partition index in [0, -partitions) (with -partitions > 1)")
-		routerSpec  = flag.String("router", "hash", "row router of the partitioned deployment: hash, range, range:s1,s2,..., or map:... (with -partitions > 1)")
-	)
-	flag.Parse()
-
-	var eng oracle.Engine
-	switch *engine {
-	case "wsi":
-		eng = oracle.WSI
-	case "si":
-		eng = oracle.SI
-	default:
-		fmt.Fprintf(os.Stderr, "oracle-server: unknown engine %q\n", *engine)
+	cfg, err := parseFlags(os.Args[1:])
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		os.Exit(0)
+	case err != nil:
+		// One line per refused flag.
+		fmt.Fprintf(os.Stderr, "oracle-server: %s\n", strings.ReplaceAll(err.Error(), "\n", "\noracle-server: "))
 		os.Exit(2)
 	}
-	kind, err := oracle.ParseTableKind(*table)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "oracle-server: %v\n", err)
-		os.Exit(2)
-	}
-	cfg := oracle.Config{Engine: eng, Table: kind, MaxRows: *maxRows, Shards: *shards}
-
-	// Partitioned deployment: this server owns one key slice of a
-	// -partitions-wide status oracle. The router must match the one the
-	// PartitionedClient coordinators dial with; requests carrying rows it
-	// did not assign here are refused as misrouted.
-	var role *partitionRole
-	if *partitions > 1 {
-		if *partitionID < 0 || *partitionID >= *partitions {
-			fmt.Fprintf(os.Stderr, "oracle-server: -partition-id %d outside [0, %d)\n", *partitionID, *partitions)
-			os.Exit(2)
-		}
-		router, err := partition.ParseRouter(*routerSpec, *partitions)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "oracle-server: %v\n", err)
-			os.Exit(2)
-		}
-		role = &partitionRole{router: router, id: *partitionID}
-		log.Printf("oracle-server: partition %d of %d (%s router)", *partitionID, *partitions, *routerSpec)
-	}
-
-	ing := ingressFlags{
-		tenants:     *tenants,
-		maxInflight: *maxInflight,
-		queueCap:    *queueCap,
-		rate:        *rate,
-		burst:       *burst,
-		maxSessions: *maxSessions,
-		idleTimeout: *idleTimeout,
-		maxPending:  *maxPending,
-	}
-
-	obs := obsFlags{
-		debugAddr:     *debugAddr,
-		slow:          time.Duration(*slowMS * float64(time.Millisecond)),
-		traceSample:   *traceSample,
-		noTrace:       *noTrace,
-		statsEvery:    *statsEvery,
-		anomalySample: *anomSample,
+	if cfg.role != nil {
+		log.Printf("oracle-server: partition %d of %d (%s router)", cfg.role.id, cfg.role.router.Partitions(), cfg.role.spec)
 	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	if cfg.group != nil {
+		runGroup(cfg, sig)
+		return
+	}
+	runPrimary(cfg, sig)
+}
 
+// config is the server's start-up configuration. It runs in one of three
+// modes: a single oracle, one partition of a partitioned deployment (role
+// non-nil), or a member of a replicated group (group non-nil).
+type config struct {
+	addr     string
+	oracle   oracle.Config
+	walPath  string
+	fsync    bool
+	ckpt     time.Duration
+	coalesce int
+	ing      ingressFlags
+	obs      obsFlags
+	role     *partitionRole
+	group    *groupFlags
+}
+
+// parseFlags turns the command line into a config. A flag the chosen mode
+// would ignore is an error, so a server never runs in a mode other than the
+// one its flags describe.
+func parseFlags(args []string) (config, error) {
+	fs := flag.NewFlagSet("oracle-server", flag.ContinueOnError)
+	var (
+		addr    = fs.String("addr", "127.0.0.1:7070", "listen address")
+		engine  = fs.String("engine", "wsi", "conflict detection: wsi (serializable) or si")
+		walPath = fs.String("wal", "", "path to a file-backed WAL ledger (empty: no durability)")
+		maxRows = fs.Int("max-rows", 0, "bound on retained lastCommit rows (Algorithm 3 NR; 0 = unbounded)")
+		fsync   = fs.Bool("fsync", true, "fsync each WAL batch (with -wal or -group)")
+
+		debugAddr   = fs.String("debug-addr", "", "listen address for the debug HTTP plane: /metrics (Prometheus text), /vars (JSON), /debug/pprof (empty: disabled), e.g. 127.0.0.1:6060")
+		slowMS      = fs.Float64("slow-ms", 0, "log a structured exemplar for requests slower than this many milliseconds end-to-end (0 = off)")
+		traceSample = fs.Int("trace-sample", 100, "log 1 in N slow requests over -slow-ms (1 = every slow request)")
+		noTrace     = fs.Bool("no-trace", false, "disable hot-path lifecycle tracing (per-stage histograms stay empty)")
+		statsEvery  = fs.Duration("stats-every", 0, "log an oracle/ingress stats summary this often, with per-tenant admission breakdown (0 = off)")
+		anomSample  = fs.Float64("anomaly-sample", 0, "fraction of commit decisions fed to the streaming anomaly checker (0 = off, 1 = every decision; history_* metrics)")
+		coalesce    = fs.Int("coalesce", 0, "server-side coalescing: max one-request commit frames merged into one oracle batch (0 = off)")
+
+		tenants     = fs.Int("tenants", 0, "admission classes for the ingress gate (envelope tenant ids 0..n-1; enables admission when any ingress flag is set)")
+		maxInflight = fs.Int("max-inflight", 0, "data-plane requests executing concurrently before arrivals queue (0 = gate default 256)")
+		queueCap    = fs.Int("queue-cap", 0, "admitted-but-waiting requests one tenant may park; beyond it arrivals are shed with overload (0 = gate default 128)")
+		rate        = fs.Float64("rate", 0, "per-tenant token-bucket refill in requests/second (0 = unlimited)")
+		burst       = fs.Int("burst", 0, "token-bucket depth (with -rate; 0 = max(rate, 1))")
+		maxSessions = fs.Int("max-sessions", 0, "server-wide cap on live multiplexed sessions (0 = unlimited)")
+		idleTimeout = fs.Duration("idle-timeout", 0, "disconnect a connection sending no frame for this long (0 = never)")
+		maxPending  = fs.Int("max-pending", 0, "per-connection response buffer bound in bytes; a slow reader beyond it is disconnected (0 = default 4MiB, -1 = unbounded)")
+
+		ckptInterval = fs.Duration("checkpoint-interval", 0, "write a commit-table checkpoint this often (0 = off; with -wal or -group)")
+
+		groupDir  = fs.String("group", "", "epoch-ledger directory of a self-healing replicated group; runs this server as one member (with -node-id)")
+		nodeID    = fs.Int("node-id", 0, "this member's id in the group; also staggers election timeouts (with -group)")
+		leaseMS   = fs.Int("lease-ms", 1000, "leader lease duration in milliseconds; failover takes ~2 leases (with -group)")
+		bootstrap = fs.Bool("bootstrap", false, "create epoch 1 and lead when the group directory is empty (exactly one member; with -group)")
+		advertise = fs.String("advertise", "", "address redirects and lease records name this member by (default: the bound listen address; with -group)")
+
+		partitions  = fs.Int("partitions", 1, "total status-oracle partitions in the deployment (this server is one of them)")
+		partitionID = fs.Int("partition-id", 0, "this server's partition index in [0, -partitions) (with -partitions > 1)")
+		routerSpec  = fs.String("router", "hash", "row router of the partitioned deployment: hash, range, range:s1,s2,..., or map:... (with -partitions > 1)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return config{}, err
+	}
+	if fs.NArg() > 0 {
+		return config{}, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+
+	var errs []error
+	refuse := func(format string, a ...any) { errs = append(errs, fmt.Errorf(format, a...)) }
 	if *groupDir != "" {
-		gf := groupFlags{
+		// A member runs the whole key space: it has no partition role, and
+		// it logs into the group directory's epoch ledgers.
+		if *partitions > 1 {
+			refuse("-group with -partitions %d: a group member serves every row, not one partition's", *partitions)
+		}
+		if set["wal"] {
+			refuse("-group with -wal: a group member logs to the group directory's ledgers")
+		}
+	} else {
+		for _, name := range []string{"node-id", "lease-ms", "bootstrap", "advertise"} {
+			if set[name] {
+				refuse("-%s needs -group", name)
+			}
+		}
+		if *walPath == "" {
+			for _, name := range []string{"fsync", "checkpoint-interval"} {
+				if set[name] {
+					refuse("-%s needs -wal", name)
+				}
+			}
+		}
+	}
+	if *partitions <= 1 {
+		for _, name := range []string{"partition-id", "router"} {
+			if set[name] {
+				refuse("-%s needs -partitions > 1", name)
+			}
+		}
+	}
+
+	cfg := config{
+		addr:     *addr,
+		oracle:   oracle.Config{MaxRows: *maxRows},
+		walPath:  *walPath,
+		fsync:    *fsync,
+		ckpt:     *ckptInterval,
+		coalesce: *coalesce,
+		ing: ingressFlags{
+			tenants:     *tenants,
+			maxInflight: *maxInflight,
+			queueCap:    *queueCap,
+			rate:        *rate,
+			burst:       *burst,
+			maxSessions: *maxSessions,
+			idleTimeout: *idleTimeout,
+			maxPending:  *maxPending,
+		},
+		obs: obsFlags{
+			debugAddr:     *debugAddr,
+			slow:          time.Duration(*slowMS * float64(time.Millisecond)),
+			traceSample:   *traceSample,
+			noTrace:       *noTrace,
+			statsEvery:    *statsEvery,
+			anomalySample: *anomSample,
+		},
+	}
+	switch *engine {
+	case "wsi":
+		cfg.oracle.Engine = oracle.WSI
+	case "si":
+		cfg.oracle.Engine = oracle.SI
+	default:
+		refuse("unknown engine %q", *engine)
+	}
+	// Partitioned deployment: this server owns one key slice of a
+	// -partitions-wide status oracle. The router must match the one the
+	// PartitionedClient coordinators dial with; requests carrying rows it
+	// did not assign here are refused as misrouted.
+	if *partitions > 1 && *groupDir == "" {
+		if *partitionID < 0 || *partitionID >= *partitions {
+			refuse("-partition-id %d outside [0, %d)", *partitionID, *partitions)
+		} else if router, err := partition.ParseRouter(*routerSpec, *partitions); err != nil {
+			errs = append(errs, err)
+		} else {
+			cfg.role = &partitionRole{router: router, id: *partitionID, spec: *routerSpec}
+		}
+	}
+	if *groupDir != "" {
+		cfg.group = &groupFlags{
 			dir:       *groupDir,
 			nodeID:    *nodeID,
 			lease:     time.Duration(*leaseMS) * time.Millisecond,
 			bootstrap: *bootstrap,
 			advertise: *advertise,
-			fsync:     *fsync,
-			ckpt:      *ckptInterval,
 		}
-		runGroup(cfg, *addr, gf, *coalesce, ing, obs, sig)
-		return
 	}
-	runPrimary(cfg, *addr, *walPath, *fsync, *ckptInterval, *coalesce, ing, obs, role, sig)
+	return cfg, errors.Join(errs...)
 }
 
 // obsFlags carries the observability knobs: the debug HTTP plane address,
@@ -341,6 +407,7 @@ func (f ingressFlags) apply(srv *netsrv.Server) {
 type partitionRole struct {
 	router partition.Router
 	id     int
+	spec   string // the -router flag, for the start-up log
 }
 
 func (p *partitionRole) apply(srv *netsrv.Server) {
@@ -358,15 +425,15 @@ func configureCoalescing(srv *netsrv.Server, coalesce int) {
 	}
 }
 
-func runPrimary(cfg oracle.Config, addr, walPath string, fsync bool, ckptInterval time.Duration, coalesce int, ing ingressFlags, obs obsFlags, role *partitionRole, sig chan os.Signal) {
+func runPrimary(cfg config, sig chan os.Signal) {
 	var (
 		so     *oracle.StatusOracle
 		writer *wal.Writer
 		ledger *wal.FileLedger
 		err    error
 	)
-	if walPath != "" {
-		ledger, err = wal.OpenFileLedger(walPath, fsync)
+	if cfg.walPath != "" {
+		ledger, err = wal.OpenFileLedger(cfg.walPath, cfg.fsync)
 		if err != nil {
 			log.Fatalf("oracle-server: open wal: %v", err)
 		}
@@ -374,15 +441,15 @@ func runPrimary(cfg oracle.Config, addr, walPath string, fsync bool, ckptInterva
 		if err != nil {
 			log.Fatalf("oracle-server: wal writer: %v", err)
 		}
-		so, _, err = oracle.RecoverState(cfg, ledger, writer, 0)
+		so, _, err = oracle.RecoverState(cfg.oracle, ledger, writer, 0)
 		if err != nil {
 			log.Fatalf("oracle-server: recover state: %v", err)
 		}
 		st := so.Stats()
 		log.Printf("oracle-server: recovered from %s: %d records replayed after checkpoint (bound %d) in %v",
-			walPath, st.ReplayedRecords, st.LastCheckpointTS, time.Duration(st.RecoveryNanos))
+			cfg.walPath, st.ReplayedRecords, st.LastCheckpointTS, time.Duration(st.RecoveryNanos))
 	} else {
-		memCfg := cfg
+		memCfg := cfg.oracle
 		memCfg.TSO = tso.New(0, nil)
 		so, err = oracle.New(memCfg)
 		if err != nil {
@@ -391,28 +458,25 @@ func runPrimary(cfg oracle.Config, addr, walPath string, fsync bool, ckptInterva
 	}
 
 	var ckpt *ha.Checkpointer
-	if ckptInterval > 0 {
-		if writer == nil {
-			log.Fatalf("oracle-server: -checkpoint-interval requires -wal")
-		}
-		ckpt = ha.StartCheckpointer(so, ckptInterval)
-		log.Printf("oracle-server: checkpointing every %v", ckptInterval)
+	if cfg.ckpt > 0 {
+		ckpt = ha.StartCheckpointer(so, cfg.ckpt)
+		log.Printf("oracle-server: checkpointing every %v", cfg.ckpt)
 	}
 
 	srv := netsrv.NewServer(so)
-	role.apply(srv)
-	configureCoalescing(srv, coalesce)
-	ing.apply(srv)
-	obs.apply(srv)
-	bound, err := srv.Listen(addr)
+	cfg.role.apply(srv)
+	configureCoalescing(srv, cfg.coalesce)
+	cfg.ing.apply(srv)
+	cfg.obs.apply(srv)
+	bound, err := srv.Listen(cfg.addr)
 	if err != nil {
 		log.Fatalf("oracle-server: listen: %v", err)
 	}
 	if writer != nil {
 		srv.Registry().Register(writer.MetricsSource())
 	}
-	obs.start(srv)
-	log.Printf("oracle-server: %s engine serving on %s", cfg.Engine, bound)
+	cfg.obs.start(srv)
+	log.Printf("oracle-server: %s engine serving on %s", cfg.oracle.Engine, bound)
 
 	<-sig
 	// Graceful shutdown: stop accepting and drain in-flight requests,
@@ -446,8 +510,6 @@ type groupFlags struct {
 	lease     time.Duration
 	bootstrap bool
 	advertise string
-	fsync     bool
-	ckpt      time.Duration
 }
 
 // runGroup runs the server as one member of a self-healing replicated
@@ -457,17 +519,18 @@ type groupFlags struct {
 // observes a higher epoch (OnFollow). Data ops sent here while following
 // answer a leader redirect built from replayed lease records; status reads
 // are served from the follower's shadow at bounded staleness.
-func runGroup(cfg oracle.Config, addr string, gf groupFlags, coalesce int, ing ingressFlags, obs obsFlags, sig chan os.Signal) {
-	store := &ha.DirStore{Dir: gf.dir, Sync: gf.fsync}
+func runGroup(cfg config, sig chan os.Signal) {
+	gf := cfg.group
+	store := &ha.DirStore{Dir: gf.dir, Sync: cfg.fsync}
 	srv := netsrv.NewStandbyServer()
-	configureCoalescing(srv, coalesce)
-	ing.apply(srv)
-	obs.apply(srv)
+	configureCoalescing(srv, cfg.coalesce)
+	cfg.ing.apply(srv)
+	cfg.obs.apply(srv)
 
 	// Bind before building the member so lease records can advertise the
 	// actual bound address (":0" resolves to a concrete port), but start
 	// serving only after the member's hooks are installed.
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		log.Fatalf("oracle-server: listen: %v", err)
 	}
@@ -480,10 +543,10 @@ func runGroup(cfg oracle.Config, addr string, gf groupFlags, coalesce int, ing i
 		ID:              gf.nodeID,
 		Addr:            adv,
 		Store:           store,
-		Oracle:          cfg,
+		Oracle:          cfg.oracle,
 		Lease:           gf.lease,
 		Bootstrap:       gf.bootstrap,
-		CheckpointEvery: gf.ckpt,
+		CheckpointEvery: cfg.ckpt,
 		OnLead: func(so *oracle.StatusOracle, epoch uint64) {
 			srv.Install(so)
 			log.Printf("oracle-server: node %d leading epoch %d (serving on %s)", gf.nodeID, epoch, bound)
@@ -502,8 +565,8 @@ func runGroup(cfg oracle.Config, addr string, gf groupFlags, coalesce int, ing i
 		log.Fatalf("oracle-server: group member: %v", err)
 	}
 	log.Printf("oracle-server: %s engine group member %d on %s (ledgers %s, lease %v, advertised %s)",
-		cfg.Engine, gf.nodeID, bound, gf.dir, gf.lease, adv)
-	obs.start(srv)
+		cfg.oracle.Engine, gf.nodeID, bound, gf.dir, gf.lease, adv)
+	cfg.obs.start(srv)
 
 	<-sig
 	log.Printf("oracle-server: shutting down group member %d (role %v, epoch %d)", gf.nodeID, m.Role(), m.Epoch())

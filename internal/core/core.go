@@ -67,9 +67,6 @@ type Options struct {
 	// once the oracle may answer StatusUnknown for an acked commit (§2.2),
 	// txn.ModeQuery otherwise.
 	MaxCommits int
-	// Shards splits the status oracle's critical section (1 = the
-	// paper's implementation).
-	Shards int
 	// Bucketer enables the §5.2 analytics extension.
 	Bucketer txn.Bucketer
 }
@@ -90,9 +87,6 @@ type System struct {
 func New(opts Options) (*System, error) {
 	if opts.Ledgers <= 0 {
 		opts.Ledgers = 3
-	}
-	if opts.Shards <= 0 {
-		opts.Shards = 1
 	}
 
 	sys := &System{Engine: opts.Engine}
@@ -119,7 +113,6 @@ func New(opts Options) (*System, error) {
 		Engine:     opts.Engine,
 		MaxRows:    opts.MaxRows,
 		MaxCommits: opts.MaxCommits,
-		Shards:     opts.Shards,
 		WAL:        w,
 		TSO:        sys.TSO,
 	})
@@ -191,9 +184,6 @@ func Recover(crashed *System, opts Options) (*System, error) {
 	if opts.Ledgers <= 0 {
 		opts.Ledgers = len(crashed.ledgers)
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = 1
-	}
 	ledger := crashed.ledgers[0]
 
 	sys := &System{Engine: opts.Engine, Store: crashed.Store}
@@ -210,7 +200,6 @@ func Recover(crashed *System, opts Options) (*System, error) {
 		Engine:     opts.Engine,
 		MaxRows:    opts.MaxRows,
 		MaxCommits: opts.MaxCommits,
-		Shards:     opts.Shards,
 	}, ledger, w, 0)
 	if err != nil {
 		return nil, err

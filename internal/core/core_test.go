@@ -257,7 +257,6 @@ func TestBoundedSystemOptions(t *testing.T) {
 		Engine:     WSI,
 		MaxRows:    8,
 		MaxCommits: 8,
-		Shards:     4,
 	})
 	for i := 0; i < 50; i++ {
 		tx, _ := sys.Begin()

@@ -2,7 +2,6 @@ package oracle
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/metrics"
@@ -25,7 +24,7 @@ func stampSpans(reqs []CommitRequest, stage int) {
 
 // batchPlaceholderBase is the provisional commit timestamp assigned to a
 // batch entry's lastCommit updates before the batch's real timestamp block
-// is allocated. Placeholders live only while the shard locks are held, are
+// is allocated. Placeholders live only while the oracle's mutex is held, are
 // larger than any real timestamp or start timestamp (timestamps are issued
 // from 1 and never approach 2^63), and preserve intra-batch commit order, so
 // every comparison the conflict check and the eviction path perform against
@@ -39,50 +38,6 @@ type batchAbort struct {
 	tmax bool
 }
 
-// singleShardLocks is the lock set of every batch on an unsharded oracle;
-// callers only iterate it, so one shared instance serves all batches.
-var singleShardLocks = []int{0}
-
-// lockShards locks, in ascending index order, every shard covering the
-// write rows and the engine's check and guard rows (Engine.Rows) of n
-// requests, and returns the lock set for unlockShards. rows(i) yields the
-// i-th request's write and read sets.
-func (s *StatusOracle) lockShards(n int, rows func(i int) (writeSet, readSet []RowID)) []int {
-	if len(s.shards) == 1 {
-		s.shards[0].mu.Lock()
-		return singleShardLocks
-	}
-	seen := make(map[int]struct{}, len(s.shards))
-	mark := func(set []RowID) {
-		for _, r := range set {
-			seen[s.shardOf(r)] = struct{}{}
-		}
-	}
-	for i := 0; i < n; i++ {
-		writeSet, readSet := rows(i)
-		check, guard := s.cfg.Engine.Rows(writeSet, readSet)
-		mark(writeSet)
-		mark(check)
-		mark(guard)
-	}
-	locks := make([]int, 0, len(seen))
-	for i := range seen {
-		locks = append(locks, i)
-	}
-	sort.Ints(locks)
-	for _, i := range locks {
-		s.shards[i].mu.Lock()
-	}
-	return locks
-}
-
-// unlockShards releases a lock set taken by lockShards.
-func (s *StatusOracle) unlockShards(locks []int) {
-	for j := len(locks) - 1; j >= 0; j-- {
-		s.shards[locks[j]].mu.Unlock()
-	}
-}
-
 // CommitBatch decides a batch of commit requests in request order, with
 // decisions identical to an equivalent sequence of serial Commit calls —
 // including intra-batch conflicts: a request whose check rows overlap the
@@ -90,8 +45,8 @@ func (s *StatusOracle) unlockShards(locks []int) {
 // that earlier commit's timestamp necessarily exceeds the later request's
 // start timestamp.
 //
-// The batch amortizes the whole commit path: each covered shard lock is
-// taken once, all commit timestamps come from one contiguous tso.NextBlock
+// The batch amortizes the whole commit path: the oracle's mutex is taken
+// once, all commit timestamps come from one contiguous tso.NextBlock
 // allocation (publishing every commit-table entry atomically with the block,
 // upholding the §2 snapshot-visibility invariant batch-wide), and all commit
 // records are persisted through a single WAL group append. An error reports
@@ -163,9 +118,7 @@ func (s *StatusOracle) commitBatch(reqs []CommitRequest, scratch []CommitResult)
 	s.ckptMu.RLock()
 	defer s.ckptMu.RUnlock()
 
-	locks := s.lockShards(len(writeIdx), func(k int) ([]RowID, []RowID) {
-		return reqs[writeIdx[k]].WriteSet, reqs[writeIdx[k]].ReadSet
-	})
+	s.lc.mu.Lock()
 
 	// Pass 1: sequential conflict checks (Algorithm 3 lines 1–11). Each
 	// commit updates lastCommit before the next request is checked, so
@@ -191,7 +144,7 @@ func (s *StatusOracle) commitBatch(reqs []CommitRequest, scratch []CommitResult)
 		// A placeholder stands in until pass 2 allocates the block.
 		ph := batchPlaceholderBase + uint64(len(committed))
 		for _, r := range req.WriteSet {
-			s.shards[s.shardOf(r)].update(r, ph)
+			s.lc.update(r, ph)
 		}
 		committed = append(committed, i)
 	}
@@ -199,12 +152,12 @@ func (s *StatusOracle) commitBatch(reqs []CommitRequest, scratch []CommitResult)
 	var lo uint64
 	if len(committed) > 0 {
 		var err error
-		if lo, err = s.publishBlock(reqs, committed, locks); err != nil {
-			s.unlockShards(locks)
+		if lo, err = s.publishBlock(reqs, committed); err != nil {
+			s.lc.mu.Unlock()
 			return nil, err
 		}
 	}
-	s.unlockShards(locks)
+	s.lc.mu.Unlock()
 
 	// Abort bookkeeping. When the batch also commits, the abort records
 	// ride the same WAL group append below; a batch with only aborts
@@ -261,8 +214,8 @@ func (s *StatusOracle) commitBatch(reqs []CommitRequest, scratch []CommitResult)
 // whole batch, returned as its lowest timestamp. The commit-table entries are published inside the timestamp
 // oracle's critical section, so no transaction can obtain a start timestamp
 // above any of the batch's commit timestamps before the corresponding entry
-// is queryable. Caller holds the batch's lock set.
-func (s *StatusOracle) publishBlock(reqs []CommitRequest, committed, locks []int) (uint64, error) {
+// is queryable. Caller holds s.lc.mu.
+func (s *StatusOracle) publishBlock(reqs []CommitRequest, committed []int) (uint64, error) {
 	lo, err := s.tso.NextBlock(len(committed), func(blo, _ uint64) {
 		for k, i := range committed {
 			s.table.addCommit(reqs[i].StartTS, blo+uint64(k))
@@ -270,13 +223,14 @@ func (s *StatusOracle) publishBlock(reqs []CommitRequest, committed, locks []int
 	})
 	if err != nil {
 		// The batch's placeholder updates cannot be rolled back exactly
-		// (their evictions already discarded real rows), so the shard
-		// state is poisoned toward aborting. A timestamp-oracle failure
+		// (their evictions already discarded real rows), so lastCommit
+		// is poisoned toward aborting. A timestamp-oracle failure
 		// is permanent by design; latch it so every later commit fails
 		// fast instead of being silently aborted by leftover placeholders.
 		s.failed.Store(err)
 		return 0, err
 	}
+	lc := s.lc
 	// Replace placeholders with the real timestamps. Rows overwritten
 	// later in the batch or already evicted no longer hold their
 	// placeholder and are skipped.
@@ -284,25 +238,21 @@ func (s *StatusOracle) publishBlock(reqs []CommitRequest, committed, locks []int
 		ph := batchPlaceholderBase + uint64(k)
 		ts := lo + uint64(k)
 		for _, r := range reqs[i].WriteSet {
-			sh := s.shards[s.shardOf(r)]
-			if cur, ok := sh.getRow(r); ok && cur == ph {
-				sh.putRow(r, ts)
+			if cur, ok := lc.rows.get(r); ok && cur == ph {
+				lc.rows.put(r, ts)
 			}
 		}
 	}
-	for _, li := range locks {
-		sh := s.shards[li]
-		// Placeholder queue entries are exactly the entries this batch
-		// appended: appends go to the tail, pops leave the head, and
-		// compaction preserves order, so they form a contiguous tail
-		// suffix — the fixup walks backward and stops at the first real
-		// timestamp instead of scanning the whole O(capacity) queue.
-		for qi := len(sh.queue) - 1; qi >= 0 && sh.queue[qi].ts >= batchPlaceholderBase; qi-- {
-			sh.queue[qi].ts = lo + (sh.queue[qi].ts - batchPlaceholderBase)
-		}
-		if sh.tmax >= batchPlaceholderBase {
-			sh.tmax = lo + (sh.tmax - batchPlaceholderBase)
-		}
+	// Placeholder queue entries are exactly the entries this batch
+	// appended: appends go to the tail, pops leave the head, and
+	// compaction preserves order, so they form a contiguous tail suffix —
+	// the fixup walks backward and stops at the first real timestamp
+	// instead of scanning the whole O(MaxRows) queue.
+	for qi := len(lc.queue) - 1; qi >= 0 && lc.queue[qi].ts >= batchPlaceholderBase; qi-- {
+		lc.queue[qi].ts = lo + (lc.queue[qi].ts - batchPlaceholderBase)
+	}
+	if lc.tmax >= batchPlaceholderBase {
+		lc.tmax = lo + (lc.tmax - batchPlaceholderBase)
 	}
 	return lo, nil
 }

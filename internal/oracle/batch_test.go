@@ -50,110 +50,108 @@ func burnStarts(t *testing.T, clock *tso.Oracle, n int) {
 func TestCommitBatchMatchesSerial(t *testing.T) {
 	for _, engine := range []Engine{SI, WSI} {
 		for _, maxRows := range []int{0, 8} {
-			for _, shards := range []int{1, 4} {
-				name := fmt.Sprintf("%v/maxRows=%d/shards=%d", engine, maxRows, shards)
-				t.Run(name, func(t *testing.T) {
-					rng := rand.New(rand.NewSource(int64(maxRows)*31 + int64(shards)))
-					const n, rows = 600, 24
-					reqs := randomRequests(rng, n, rows)
-					cfg := Config{Engine: engine, MaxRows: maxRows, Shards: shards}
-					fresh := func() *StatusOracle {
-						t.Helper()
-						clock := tso.New(0, nil)
-						c := cfg
-						c.TSO = clock
-						so, err := New(c)
-						if err != nil {
-							t.Fatal(err)
-						}
-						burnStarts(t, clock, n)
-						return so
+			name := fmt.Sprintf("%v/maxRows=%d", engine, maxRows)
+			t.Run(name, func(t *testing.T) {
+				rng := rand.New(rand.NewSource(int64(maxRows)*31 + 1))
+				const n, rows = 600, 24
+				reqs := randomRequests(rng, n, rows)
+				cfg := Config{Engine: engine, MaxRows: maxRows}
+				fresh := func() *StatusOracle {
+					t.Helper()
+					clock := tso.New(0, nil)
+					c := cfg
+					c.TSO = clock
+					so, err := New(c)
+					if err != nil {
+						t.Fatal(err)
 					}
+					burnStarts(t, clock, n)
+					return so
+				}
 
-					serial := fresh()
-					want := make([]CommitResult, n)
-					for i, req := range reqs {
-						res, err := serial.Commit(req)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want[i] = res
+				serial := fresh()
+				want := make([]CommitResult, n)
+				for i, req := range reqs {
+					res, err := serial.Commit(req)
+					if err != nil {
+						t.Fatal(err)
 					}
-					check := func(path string, so *StatusOracle, got []CommitResult) {
-						t.Helper()
-						for i := range want {
-							if got[i] != want[i] {
-								t.Fatalf("%s: request %d: got %+v, serial %+v", path, i, got[i], want[i])
-							}
-						}
-						// The surviving oracle state must match too.
-						if gt, st := so.Tmax(), serial.Tmax(); gt != st {
-							t.Fatalf("%s: Tmax %d, serial %d", path, gt, st)
-						}
-						if gr, sr := so.RetainedRows(), serial.RetainedRows(); gr != sr {
-							t.Fatalf("%s: retained rows %d, serial %d", path, gr, sr)
-						}
-						for r := 0; r < rows; r++ {
-							gtc, gok := so.LastCommitOf(RowID(r))
-							stc, sok := serial.LastCommitOf(RowID(r))
-							if gtc != stc || gok != sok {
-								t.Fatalf("%s: lastCommit[%d] (%d,%v), serial (%d,%v)", path, r, gtc, gok, stc, sok)
-							}
+					want[i] = res
+				}
+				check := func(path string, so *StatusOracle, got []CommitResult) {
+					t.Helper()
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%s: request %d: got %+v, serial %+v", path, i, got[i], want[i])
 						}
 					}
-					// prepareOf is request i's prepare slice.
-					prepareOf := func(i int) PrepareRequest {
-						return PrepareRequest{
-							StartTS:  reqs[i].StartTS,
-							WriteSet: reqs[i].WriteSet,
-							ReadSet:  reqs[i].ReadSet,
+					// The surviving oracle state must match too.
+					if gt, st := so.Tmax(), serial.Tmax(); gt != st {
+						t.Fatalf("%s: Tmax %d, serial %d", path, gt, st)
+					}
+					if gr, sr := so.RetainedRows(), serial.RetainedRows(); gr != sr {
+						t.Fatalf("%s: retained rows %d, serial %d", path, gr, sr)
+					}
+					for r := 0; r < rows; r++ {
+						gtc, gok := so.LastCommitOf(RowID(r))
+						stc, sok := serial.LastCommitOf(RowID(r))
+						if gtc != stc || gok != sok {
+							t.Fatalf("%s: lastCommit[%d] (%d,%v), serial (%d,%v)", path, r, gtc, gok, stc, sok)
 						}
 					}
+				}
+				// prepareOf is request i's prepare slice.
+				prepareOf := func(i int) PrepareRequest {
+					return PrepareRequest{
+						StartTS:  reqs[i].StartTS,
+						WriteSet: reqs[i].WriteSet,
+						ReadSet:  reqs[i].ReadSet,
+					}
+				}
 
-					batched := fresh()
-					got := make([]CommitResult, 0, n)
-					for lo := 0; lo < n; {
-						hi := lo + 1 + rng.Intn(64)
-						if hi > n {
-							hi = n
-						}
-						res, err := batched.CommitBatch(reqs[lo:hi])
-						if err != nil {
-							t.Fatal(err)
-						}
-						got = append(got, res...)
-						lo = hi
+				batched := fresh()
+				got := make([]CommitResult, 0, n)
+				for lo := 0; lo < n; {
+					hi := lo + 1 + rng.Intn(64)
+					if hi > n {
+						hi = n
 					}
-					check("CommitBatch", batched, got)
+					res, err := batched.CommitBatch(reqs[lo:hi])
+					if err != nil {
+						t.Fatal(err)
+					}
+					got = append(got, res...)
+					lo = hi
+				}
+				check("CommitBatch", batched, got)
 
-					twoPhase := fresh()
-					gotTwoPhase := make([]CommitResult, n)
-					for i := range reqs {
-						if reqs[i].ReadOnly() {
-							gotTwoPhase[i] = CommitResult{Committed: true, CommitTS: reqs[i].StartTS}
-							continue
-						}
-						// The decide commits at the serial run's commit
-						// timestamp (unused when the request aborts).
-						pr := prepareOf(i)
-						votes, err := twoPhase.PrepareBatch([]PrepareRequest{pr})
-						if err != nil {
-							t.Fatal(err)
-						}
-						d := Decision{StartTS: pr.StartTS, CommitTS: want[i].CommitTS, Commit: votes[0]}
-						if err := twoPhase.DecideBatch([]Decision{d}); err != nil {
-							t.Fatal(err)
-						}
-						if votes[0] {
-							gotTwoPhase[i] = CommitResult{Committed: true, CommitTS: want[i].CommitTS}
-						}
+				twoPhase := fresh()
+				gotTwoPhase := make([]CommitResult, n)
+				for i := range reqs {
+					if reqs[i].ReadOnly() {
+						gotTwoPhase[i] = CommitResult{Committed: true, CommitTS: reqs[i].StartTS}
+						continue
 					}
-					check("PrepareBatch+DecideBatch", twoPhase, gotTwoPhase)
-					if n := twoPhase.PreparedCount(); n != 0 {
-						t.Fatalf("%d prepares left undecided", n)
+					// The decide commits at the serial run's commit
+					// timestamp (unused when the request aborts).
+					pr := prepareOf(i)
+					votes, err := twoPhase.PrepareBatch([]PrepareRequest{pr})
+					if err != nil {
+						t.Fatal(err)
 					}
-				})
-			}
+					d := Decision{StartTS: pr.StartTS, CommitTS: want[i].CommitTS, Commit: votes[0]}
+					if err := twoPhase.DecideBatch([]Decision{d}); err != nil {
+						t.Fatal(err)
+					}
+					if votes[0] {
+						gotTwoPhase[i] = CommitResult{Committed: true, CommitTS: want[i].CommitTS}
+					}
+				}
+				check("PrepareBatch+DecideBatch", twoPhase, gotTwoPhase)
+				if n := twoPhase.PreparedCount(); n != 0 {
+					t.Fatalf("%d prepares left undecided", n)
+				}
+			})
 		}
 	}
 }
@@ -245,7 +243,7 @@ func TestCommitBatchEmptyAndAllReadOnly(t *testing.T) {
 // timestamps from one batch contiguous within the batch, no errors.
 func TestCommitBatchStress(t *testing.T) {
 	clock := tso.New(0, nil)
-	so, err := New(Config{Engine: WSI, MaxRows: 64, Shards: 4, TSO: clock})
+	so, err := New(Config{Engine: WSI, MaxRows: 64, TSO: clock})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,58 +11,54 @@ import (
 
 // BenchmarkCommitBatch measures per-transaction commit cost through
 // CommitBatch across batch sizes (batch-1 is the serial Commit wrapper's
-// cost) and lastCommit table kinds; the amortization of shard locks and
-// timestamp allocation is the headroom behind the batched network and
-// client pipelines. Each benchmark op is one transaction, so ns/op is
-// directly comparable across sizes. The harness reuses its request and
-// result buffers and the oracle is bounded (so the tables reach their
-// working-set size), making -benchmem report the commit path's own
-// steady-state allocation: the open-addressed table holds it at zero.
+// cost); the amortization of the critical section and timestamp allocation
+// is the headroom behind the batched network and client pipelines. Each
+// benchmark op is one transaction, so ns/op is directly comparable across
+// sizes. The harness reuses its request and result buffers and the oracle
+// is bounded (so lastCommit reaches its working-set size), making
+// -benchmem report the commit path's own steady-state allocation: zero.
 func BenchmarkCommitBatch(b *testing.B) {
-	for _, kind := range []oracle.TableKind{oracle.TableOpen, oracle.TableMap} {
-		for _, size := range []int{1, 8, 64, 256} {
-			b.Run(fmt.Sprintf("table-%s/batch-%d", kind, size), func(b *testing.B) {
-				clock := tso.New(0, nil)
-				so, err := oracle.New(oracle.Config{
-					Engine:     oracle.WSI,
-					Table:      kind,
-					MaxRows:    1 << 16,
-					MaxCommits: 1 << 16,
-					TSO:        clock,
-				})
-				if err != nil {
-					b.Fatal(err)
+	for _, size := range []int{1, 8, 64, 256} {
+		b.Run(fmt.Sprintf("batch-%d", size), func(b *testing.B) {
+			clock := tso.New(0, nil)
+			so, err := oracle.New(oracle.Config{
+				Engine:     oracle.WSI,
+				MaxRows:    1 << 16,
+				MaxCommits: 1 << 16,
+				TSO:        clock,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			reqs := make([]oracle.CommitRequest, size)
+			for i := range reqs {
+				reqs[i].WriteSet = make([]oracle.RowID, 10)
+				reqs[i].ReadSet = make([]oracle.RowID, 10)
+			}
+			results := make([]oracle.CommitResult, size)
+			b.ResetTimer()
+			for done := 0; done < b.N; done += size {
+				n := size
+				if b.N-done < n {
+					n = b.N - done
 				}
-				rng := rand.New(rand.NewSource(1))
-				reqs := make([]oracle.CommitRequest, size)
-				for i := range reqs {
-					reqs[i].WriteSet = make([]oracle.RowID, 10)
-					reqs[i].ReadSet = make([]oracle.RowID, 10)
-				}
-				results := make([]oracle.CommitResult, size)
-				b.ResetTimer()
-				for done := 0; done < b.N; done += size {
-					n := size
-					if b.N-done < n {
-						n = b.N - done
-					}
-					for i := 0; i < n; i++ {
-						ts, err := so.Begin()
-						if err != nil {
-							b.Fatal(err)
-						}
-						reqs[i].StartTS = ts
-						for j := 0; j < 10; j++ {
-							reqs[i].WriteSet[j] = oracle.RowID(rng.Int63n(20_000_000))
-							reqs[i].ReadSet[j] = oracle.RowID(rng.Int63n(20_000_000))
-						}
-					}
-					if _, err := so.CommitBatchInto(reqs[:n], results[:0]); err != nil {
+				for i := 0; i < n; i++ {
+					ts, err := so.Begin()
+					if err != nil {
 						b.Fatal(err)
 					}
+					reqs[i].StartTS = ts
+					for j := 0; j < 10; j++ {
+						reqs[i].WriteSet[j] = oracle.RowID(rng.Int63n(20_000_000))
+						reqs[i].ReadSet[j] = oracle.RowID(rng.Int63n(20_000_000))
+					}
 				}
-			})
-		}
+				if _, err := so.CommitBatchInto(reqs[:n], results[:0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -24,18 +24,20 @@ const recCheckpoint = 0x4A // 'J'
 const recRetiredCheckpoint = 0x4B
 
 // checkpointState is the decoded content of a checkpoint record: the
-// commit table (commits, aborts, eviction FIFO, low-water mark), every
-// lastCommit shard (rows, eviction queue, tmax), and the timestamp
-// oracle's durable reservation bound — the epoch fence that keeps a
-// promoted or recovered oracle's timestamps strictly above everything the
-// previous incarnation could have issued.
+// commit table (commits, aborts, eviction FIFO, low-water mark), lastCommit
+// (rows, eviction queue, tmax), and the timestamp oracle's durable
+// reservation bound — the epoch fence that keeps a promoted or recovered
+// oracle's timestamps strictly above everything the previous incarnation
+// could have issued.
 type checkpointState struct {
 	TSOBound uint64
 	LowWater uint64
 	Commits  []commitPair
 	Aborted  []uint64
 	Order    []uint64 // commit-table eviction FIFO (bounded mode only)
-	Shards   []shardState
+	Tmax     uint64
+	Rows     []evictEntry // lastCommit contents, sorted by row for determinism
+	Queue    []evictEntry // NR-eviction FIFO, in insertion order
 	// Prepared carries the in-flight two-phase transactions (prepare.go)
 	// whose recPrepare records lie before this checkpoint: without it, a
 	// bounded replay would lose their prepared row locks and in-doubt
@@ -47,12 +49,6 @@ type checkpointState struct {
 type commitPair struct {
 	StartTS  uint64
 	CommitTS uint64
-}
-
-type shardState struct {
-	Tmax  uint64
-	Rows  []evictEntry // lastCommit contents, sorted by row for determinism
-	Queue []evictEntry // NR-eviction FIFO, in insertion order
 }
 
 // CheckpointBound extracts the TSO reservation bound from a checkpoint
@@ -71,17 +67,18 @@ func CheckpointBound(entry []byte) (bound uint64, ok bool) {
 //	| [4] nCommits | nCommits × ([8] startTS [8] commitTS)
 //	| [4] nAborted | nAborted × [8] startTS
 //	| [4] orderLen | orderLen × [8] startTS
-//	| [4] nShards  | per shard: [8] tmax
-//	                 | [4] nRows  | nRows × ([8] row [8] ts)
-//	                 | [4] qLen   | qLen  × ([8] row [8] ts)
+//	| [4] 1 | [8] tmax
+//	        | [4] nRows | nRows × ([8] row [8] ts)
+//	        | [4] qLen  | qLen  × ([8] row [8] ts)
 //	| [4] nPrepared | per prepare: [8] startTS
 //	                 | [4] nW | nW×[8] rows | [4] nR | nR×[8] rows
+//
+// The constant 1 is the count of lastCommit sections: a server run with the
+// retired lock-striped lastCommit wrote one per stripe, and decoding refuses
+// any count but 1.
 func encodeCheckpointRecord(cp *checkpointState) []byte {
-	size := 1 + 8 + 8 + 4 + 16*len(cp.Commits) + 4 + 8*len(cp.Aborted) + 4 + 8*len(cp.Order) + 4
-	for i := range cp.Shards {
-		size += 8 + 4 + 16*len(cp.Shards[i].Rows) + 4 + 16*len(cp.Shards[i].Queue)
-	}
-	size += 4
+	size := 1 + 8 + 8 + 4 + 16*len(cp.Commits) + 4 + 8*len(cp.Aborted) + 4 + 8*len(cp.Order) +
+		4 + 8 + 4 + 16*len(cp.Rows) + 4 + 16*len(cp.Queue) + 4
 	for i := range cp.Prepared {
 		size += 8 + 4 + 8*len(cp.Prepared[i].WriteSet) + 4 + 8*len(cp.Prepared[i].ReadSet)
 	}
@@ -102,17 +99,11 @@ func encodeCheckpointRecord(cp *checkpointState) []byte {
 	for _, ts := range cp.Order {
 		b = appendU64(b, ts)
 	}
-	b = appendU32(b, uint32(len(cp.Shards)))
-	for i := range cp.Shards {
-		sh := &cp.Shards[i]
-		b = appendU64(b, sh.Tmax)
-		b = appendU32(b, uint32(len(sh.Rows)))
-		for _, e := range sh.Rows {
-			b = appendU64(b, uint64(e.row))
-			b = appendU64(b, e.ts)
-		}
-		b = appendU32(b, uint32(len(sh.Queue)))
-		for _, e := range sh.Queue {
+	b = appendU32(b, 1)
+	b = appendU64(b, cp.Tmax)
+	for _, set := range [][]evictEntry{cp.Rows, cp.Queue} {
+		b = appendU32(b, uint32(len(set)))
+		for _, e := range set {
 			b = appendU64(b, uint64(e.row))
 			b = appendU64(b, e.ts)
 		}
@@ -226,15 +217,12 @@ func decodeCheckpointRecord(b []byte) (*checkpointState, error) {
 	for i := uint32(0); i < n && r.err == nil; i++ {
 		cp.Order = append(cp.Order, r.u64())
 	}
-	n = r.u32()
-	cp.Shards = make([]shardState, 0, r.reserve(n, 16))
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		var sh shardState
-		sh.Tmax = r.u64()
-		sh.Rows = r.entries(r.u32())
-		sh.Queue = r.entries(r.u32())
-		cp.Shards = append(cp.Shards, sh)
+	if n = r.u32(); r.err == nil && n != 1 {
+		return nil, fmt.Errorf("oracle: checkpoint has %d lastCommit shards, want 1", n)
 	}
+	cp.Tmax = r.u64()
+	cp.Rows = r.entries(r.u32())
+	cp.Queue = r.entries(r.u32())
 	n = r.u32()
 	cp.Prepared = make([]PrepareRequest, 0, r.reserve(n, 16))
 	for i := uint32(0); i < n && r.err == nil; i++ {
@@ -258,6 +246,7 @@ func decodeCheckpointRecord(b []byte) (*checkpointState, error) {
 // state and appending its WAL record); concurrent readers are excluded per
 // structure by taking the ordinary locks.
 func (s *StatusOracle) captureCheckpoint(tsoBound uint64) *checkpointState {
+	lc := s.lc
 	cp := &checkpointState{TSOBound: tsoBound, LowWater: s.table.lowWater.Load()}
 	for i := range s.table.shards {
 		sh := &s.table.shards[i]
@@ -276,19 +265,15 @@ func (s *StatusOracle) captureCheckpoint(tsoBound uint64) *checkpointState {
 	s.table.evictMu.Lock()
 	cp.Order = append([]uint64(nil), s.table.order...)
 	s.table.evictMu.Unlock()
-	cp.Shards = make([]shardState, len(s.shards))
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		st := &cp.Shards[i]
-		st.Tmax = sh.tmax
-		st.Rows = make([]evictEntry, 0, sh.rowCount())
-		sh.forEachRow(func(r RowID, ts uint64) {
-			st.Rows = append(st.Rows, evictEntry{row: r, ts: ts})
-		})
-		st.Queue = append([]evictEntry(nil), sh.queue...)
-		sh.mu.Unlock()
-		sort.Slice(st.Rows, func(a, b int) bool { return st.Rows[a].row < st.Rows[b].row })
-	}
+	lc.mu.Lock()
+	cp.Tmax = lc.tmax
+	cp.Rows = make([]evictEntry, 0, lc.rows.len())
+	lc.rows.forEach(func(r RowID, ts uint64) {
+		cp.Rows = append(cp.Rows, evictEntry{row: r, ts: ts})
+	})
+	cp.Queue = append([]evictEntry(nil), lc.queue...)
+	lc.mu.Unlock()
+	sort.Slice(cp.Rows, func(a, b int) bool { return cp.Rows[a].row < cp.Rows[b].row })
 	cp.Prepared = s.InDoubt()
 	return cp
 }
@@ -297,11 +282,8 @@ func (s *StatusOracle) captureCheckpoint(tsoBound uint64) *checkpointState {
 // recovery (the snapshot replaces the log prefix) and by the hot-standby
 // tailer (a checkpoint record reasserts exactly the state the tailer has
 // already accumulated, so resetting to it is idempotent).
-func (s *StatusOracle) applyCheckpoint(cp *checkpointState) error {
-	if len(cp.Shards) != len(s.shards) {
-		return fmt.Errorf("oracle: checkpoint has %d lastCommit shards, config has %d",
-			len(cp.Shards), len(s.shards))
-	}
+func (s *StatusOracle) applyCheckpoint(cp *checkpointState) {
+	lc := s.lc
 	for i := range s.table.shards {
 		sh := &s.table.shards[i]
 		sh.mu.Lock()
@@ -323,27 +305,23 @@ func (s *StatusOracle) applyCheckpoint(cp *checkpointState) error {
 	s.table.order = append([]uint64(nil), cp.Order...)
 	s.table.size = len(cp.Commits)
 	s.table.evictMu.Unlock()
-	for i, sh := range s.shards {
-		st := &cp.Shards[i]
-		sh.mu.Lock()
-		sh.resetRows(len(st.Rows))
-		for _, e := range st.Rows {
-			sh.putRow(e.row, e.ts)
-		}
-		sh.queue = append([]evictEntry(nil), st.Queue...)
-		sh.tmax = st.Tmax
-		// The prepared refcounts are re-derived from the snapshot below.
-		sh.preparedW = nil
-		sh.preparedR = nil
-		sh.mu.Unlock()
+	lc.mu.Lock()
+	lc.rows = newOpenRowTable(len(cp.Rows))
+	for _, e := range cp.Rows {
+		lc.rows.put(e.row, e.ts)
 	}
+	lc.queue = append([]evictEntry(nil), cp.Queue...)
+	lc.tmax = cp.Tmax
+	// The prepared refcounts are re-derived from the snapshot below.
+	lc.preparedW = nil
+	lc.preparedR = nil
+	lc.mu.Unlock()
 	s.prepMu.Lock()
 	s.prepared = make(map[uint64]*preparedTxn, len(cp.Prepared))
 	s.prepMu.Unlock()
 	for i := range cp.Prepared {
 		s.applyPrepareEntry(&cp.Prepared[i])
 	}
-	return nil
 }
 
 // Checkpoint writes a commit-table snapshot record to the WAL. The capture

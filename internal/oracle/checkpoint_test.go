@@ -3,6 +3,7 @@ package oracle
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,10 +28,9 @@ func TestCheckpointRecordRoundTrip(t *testing.T) {
 		Commits:  []commitPair{{1, 2}, {5, 9}},
 		Aborted:  []uint64{3, 11},
 		Order:    []uint64{1, 5},
-		Shards: []shardState{
-			{Tmax: 4, Rows: []evictEntry{{row: 7, ts: 2}}, Queue: []evictEntry{{row: 7, ts: 2}}},
-			{Tmax: 0, Rows: []evictEntry{}, Queue: []evictEntry{}},
-		},
+		Tmax:     4,
+		Rows:     []evictEntry{{row: 7, ts: 2}},
+		Queue:    []evictEntry{{row: 7, ts: 2}},
 	}
 	got, err := decodeCheckpointRecord(encodeCheckpointRecord(cp))
 	if err != nil {
@@ -40,14 +40,29 @@ func TestCheckpointRecordRoundTrip(t *testing.T) {
 		!reflect.DeepEqual(got.Commits, cp.Commits) ||
 		!reflect.DeepEqual(got.Aborted, cp.Aborted) ||
 		!reflect.DeepEqual(got.Order, cp.Order) ||
-		len(got.Shards) != len(cp.Shards) ||
-		got.Shards[0].Tmax != cp.Shards[0].Tmax ||
-		!reflect.DeepEqual(got.Shards[0].Rows, cp.Shards[0].Rows) ||
-		!reflect.DeepEqual(got.Shards[0].Queue, cp.Shards[0].Queue) {
+		got.Tmax != cp.Tmax ||
+		!reflect.DeepEqual(got.Rows, cp.Rows) ||
+		!reflect.DeepEqual(got.Queue, cp.Queue) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, cp)
 	}
 	if _, err := decodeCheckpointRecord([]byte{recCheckpoint, 1, 2}); err == nil {
 		t.Fatalf("truncated record decoded without error")
+	}
+}
+
+// TestShardedCheckpointRefused: a checkpoint with two lastCommit sections,
+// the layout a server with a lock-striped lastCommit wrote, fails recovery
+// with an error that names the count.
+func TestShardedCheckpointRefused(t *testing.T) {
+	ledger := wal.NewMemLedger()
+	w := newCheckpointTestWriter(t, ledger)
+	if err := w.AppendAll(shardedCheckpointRecord); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	_, _, err := RecoverState(Config{Engine: WSI}, ledger, nil, 0)
+	if err == nil || !strings.Contains(err.Error(), "2 lastCommit shards") {
+		t.Fatalf("recovering a two-section checkpoint: err = %v, want one naming 2 lastCommit shards", err)
 	}
 }
 
@@ -100,7 +115,7 @@ func runMixedLog(t *testing.T, so *StatusOracle, checkpointEvery int) int {
 // must produce state bit-identical to a full replay of the same decisions
 // — and must demonstrably replay only the post-checkpoint suffix.
 func TestCheckpointedRecoveryEquivalence(t *testing.T) {
-	cfg := Config{Engine: WSI, MaxRows: 16, MaxCommits: 32, Shards: 4}
+	cfg := Config{Engine: WSI, MaxRows: 16, MaxCommits: 32}
 	ledger := wal.NewMemLedger()
 	w := newCheckpointTestWriter(t, ledger)
 	cfg.WAL = w
@@ -113,7 +128,7 @@ func TestCheckpointedRecoveryEquivalence(t *testing.T) {
 	w.Flush()
 
 	// Bounded recovery from the checkpointed log.
-	bounded, _, err := RecoverState(Config{Engine: WSI, MaxRows: 16, MaxCommits: 32, Shards: 4}, ledger, nil, 0)
+	bounded, _, err := RecoverState(Config{Engine: WSI, MaxRows: 16, MaxCommits: 32}, ledger, nil, 0)
 	if err != nil {
 		t.Fatalf("bounded recover: %v", err)
 	}
@@ -139,7 +154,7 @@ func TestCheckpointedRecoveryEquivalence(t *testing.T) {
 		t.Fatalf("strip checkpoints: %v", err)
 	}
 	sw.Flush()
-	full, _, err := RecoverState(Config{Engine: WSI, MaxRows: 16, MaxCommits: 32, Shards: 4}, stripped, nil, 0)
+	full, _, err := RecoverState(Config{Engine: WSI, MaxRows: 16, MaxCommits: 32}, stripped, nil, 0)
 	if err != nil {
 		t.Fatalf("full recover: %v", err)
 	}
@@ -307,7 +322,8 @@ func TestCheckpointRoundTripsPrepares(t *testing.T) {
 		LowWater: 3,
 		Commits:  []commitPair{{StartTS: 1, CommitTS: 2}},
 		Aborted:  []uint64{5},
-		Shards:   []shardState{{Tmax: 4, Rows: []evictEntry{{row: 9, ts: 2}}}},
+		Tmax:     4,
+		Rows:     []evictEntry{{row: 9, ts: 2}},
 		Prepared: []PrepareRequest{{StartTS: 11, WriteSet: []RowID{9}}},
 	}
 	rec := encodeCheckpointRecord(cp)
@@ -315,7 +331,7 @@ func TestCheckpointRoundTripsPrepares(t *testing.T) {
 	if err != nil {
 		t.Fatalf("round trip: %v", err)
 	}
-	if len(got.Prepared) != 1 || got.Prepared[0].StartTS != 11 || got.TSOBound != 7 || got.Shards[0].Tmax != 4 {
+	if len(got.Prepared) != 1 || got.Prepared[0].StartTS != 11 || got.TSOBound != 7 || got.Tmax != 4 {
 		t.Fatalf("checkpoint decoded wrong: %+v", got)
 	}
 	cp.Prepared = nil

@@ -17,6 +17,23 @@ var (
 	hugeCheckpointRecord  = append(append([]byte{recCheckpoint}, make([]byte, 16)...), 0x00, 0x0f, 0xff, 0xff)
 )
 
+// shardedCheckpointRecord is a checkpoint with two lastCommit sections, as a
+// server with a lock-striped lastCommit wrote it (row r in section r % 2):
+// bound 7, low water 0, no commits, aborts or eviction order, then row 2 at
+// 4 in the first section and row 1 at 3 in the second, and no prepares.
+var shardedCheckpointRecord = func() []byte {
+	b := appendU64(appendU64([]byte{recCheckpoint}, 7), 0)
+	b = appendU32(appendU32(appendU32(b, 0), 0), 0)
+	b = appendU32(b, 2)
+	for _, e := range []evictEntry{{row: 2, ts: 4}, {row: 1, ts: 3}} {
+		b = appendU64(b, 0) // tmax
+		b = appendU32(b, 1)
+		b = appendU64(appendU64(b, uint64(e.row)), e.ts)
+		b = appendU32(b, 0) // eviction queue
+	}
+	return appendU32(b, 0)
+}()
+
 // allocated returns the bytes fn allocates, the least of three runs, so an
 // allocation by some other goroutine does not count against fn.
 func allocated(fn func()) uint64 {
@@ -146,7 +163,7 @@ func stateOf(so *StatusOracle) []byte {
 // timestamp reservation, an unknown kind) leaves the prefix's state as it
 // was.
 func FuzzLogRecord(f *testing.F) {
-	cfg := Config{Engine: WSI, MaxRows: 4, MaxCommits: 8, Shards: 2}
+	cfg := Config{Engine: WSI, MaxRows: 4, MaxCommits: 8}
 	prefix := logPrefix(f, cfg)
 	f.Add(hugeCommitBatchRecord)
 	f.Add(hugeCheckpointRecord)
@@ -165,6 +182,7 @@ func FuzzLogRecord(f *testing.F) {
 	f.Add(appendRowSet(appendRowSet(appendU64(appendU64([]byte{recRetiredPrepare}, 930), 931), []RowID{3}), []RowID{4}))
 	f.Add([]byte{recRetiredCheckpoint})
 	f.Add(appendPublishedRecord(nil, []uint64{950, 951}, 960))
+	f.Add(shardedCheckpointRecord)
 	f.Fuzz(func(t *testing.T, entry []byte) {
 		ref, err := recoverLog(t, cfg, prefix)
 		if err != nil {

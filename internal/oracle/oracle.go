@@ -88,51 +88,10 @@ func (e Engine) String() string {
 	}
 }
 
-// TableKind selects the lastCommit storage backend of a shard.
-type TableKind uint8
-
-const (
-	// TableOpen (the default) stores lastCommit in an open-addressed,
-	// linear-probe slot array: conflict checks are inline cache-line scans
-	// with zero pointer chasing and zero steady-state allocation.
-	TableOpen TableKind = iota
-	// TableMap keeps the original map[RowID]uint64 shard, retained as the
-	// reference implementation behind this flag; the equivalence tests
-	// prove the two backends produce bit-identical decisions.
-	TableMap
-)
-
-func (k TableKind) String() string {
-	switch k {
-	case TableOpen:
-		return "open"
-	case TableMap:
-		return "map"
-	default:
-		return fmt.Sprintf("TableKind(%d)", uint8(k))
-	}
-}
-
-// ParseTableKind parses "open" or "map" (the -table flag of
-// cmd/oracle-server).
-func ParseTableKind(s string) (TableKind, error) {
-	switch s {
-	case "open", "":
-		return TableOpen, nil
-	case "map":
-		return TableMap, nil
-	default:
-		return 0, fmt.Errorf("oracle: unknown table kind %q (want open or map)", s)
-	}
-}
-
 // Config parameterizes a status oracle.
 type Config struct {
 	// Engine selects SI or WSI conflict detection.
 	Engine Engine
-	// Table selects the lastCommit storage backend: TableOpen (default)
-	// or the map-based reference implementation.
-	Table TableKind
 	// MaxRows bounds the number of rows retained in lastCommit
 	// (Algorithm 3's NR). Zero keeps every row (no Tmax aborts).
 	MaxRows int
@@ -141,10 +100,6 @@ type Config struct {
 	// transactions return StatusUnknown and clients must resolve commit
 	// timestamps from the stamps on the versions (write-back mode).
 	MaxCommits int
-	// Shards splits lastCommit into independently locked shards.
-	// 1 reproduces the paper's single critical section (§6.3); larger
-	// values implement the paper's proposed future-work optimization.
-	Shards int
 	// WAL, when non-nil, persists every commit and abort decision before
 	// it is acknowledged. Nil disables durability.
 	WAL *wal.Writer
@@ -185,15 +140,14 @@ var (
 // StatusOracle is the centralized commit arbiter. All methods are safe for
 // concurrent use.
 type StatusOracle struct {
-	cfg    Config
-	tso    *tso.Oracle
-	shards []*shard
-	table  *commitTable
-	stats  statsCollector
+	cfg   Config
+	tso   *tso.Oracle
+	lc    *lastCommit
+	table *commitTable
+	stats statsCollector
 	// prepared indexes in-flight two-phase transactions by start timestamp
-	// (see prepare.go); the per-row refcounts live on the shards so the
-	// conflict check reaches them under the locks it already holds. prepMu
-	// is innermost: it is only ever taken alone or inside shard locks.
+	// (see prepare.go). prepMu is innermost: it is only ever taken alone or
+	// inside lc.mu.
 	prepMu   sync.Mutex
 	prepared map[uint64]*preparedTxn
 	// ckptMu excludes a checkpoint capture from every mutation's window
@@ -213,27 +167,13 @@ func New(cfg Config) (*StatusOracle, error) {
 	if cfg.TSO == nil {
 		return nil, ErrNoTSO
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
-	s := &StatusOracle{
+	return &StatusOracle{
 		cfg:      cfg,
 		tso:      cfg.TSO,
+		lc:       &lastCommit{rows: newOpenRowTable(cfg.MaxRows), maxRows: cfg.MaxRows},
 		table:    newCommitTable(cfg.MaxCommits),
 		prepared: make(map[uint64]*preparedTxn),
-	}
-	perShard := 0
-	if cfg.MaxRows > 0 {
-		perShard = cfg.MaxRows / cfg.Shards
-		if perShard == 0 {
-			perShard = 1
-		}
-	}
-	s.shards = make([]*shard, cfg.Shards)
-	for i := range s.shards {
-		s.shards[i] = newShard(perShard, cfg.Table)
-	}
-	return s, nil
+	}, nil
 }
 
 // Begin allocates a start timestamp.
@@ -244,11 +184,6 @@ func (s *StatusOracle) Begin() (uint64, error) {
 	}
 	s.stats.begin()
 	return ts, nil
-}
-
-// shardOf returns the shard index owning a row.
-func (s *StatusOracle) shardOf(r RowID) int {
-	return int(uint64(r) % uint64(len(s.shards)))
 }
 
 // Commit processes a commit request (Algorithms 1–3) as a batch of one. It
@@ -329,77 +264,57 @@ func (s *StatusOracle) Err() error {
 	return err
 }
 
-// Tmax returns the maximum commit timestamp evicted from lastCommit
-// across all shards (0 when nothing was evicted).
+// Tmax returns the maximum commit timestamp evicted from lastCommit (0
+// when nothing was evicted).
 func (s *StatusOracle) Tmax() uint64 {
-	var max uint64
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		if sh.tmax > max {
-			max = sh.tmax
-		}
-		sh.mu.Unlock()
-	}
-	return max
+	s.lc.mu.Lock()
+	defer s.lc.mu.Unlock()
+	return s.lc.tmax
 }
 
 // RetainedRows returns the number of rows currently held in lastCommit.
 func (s *StatusOracle) RetainedRows() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += sh.rowCount()
-		sh.mu.Unlock()
-	}
-	return n
+	s.lc.mu.Lock()
+	defer s.lc.mu.Unlock()
+	return s.lc.rows.len()
 }
 
 // LastCommitOf returns the retained last-commit timestamp of a row; ok is
 // false if the row is not retained (evicted or never written).
 func (s *StatusOracle) LastCommitOf(r RowID) (uint64, bool) {
-	sh := s.shards[s.shardOf(r)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.getRow(r)
+	s.lc.mu.Lock()
+	defer s.lc.mu.Unlock()
+	return s.lc.rows.get(r)
 }
 
 // Stats returns a snapshot of the oracle's counters. TableLoadFactor and
-// Rehashes come from the live open-addressed shards (zero under TableMap).
+// Rehashes come from the live lastCommit table.
 func (s *StatusOracle) Stats() Stats {
+	lc := s.lc
 	st := s.stats.snapshot()
-	var live, slots, rehashes int64
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		if sh.rows != nil {
-			live += int64(sh.rows.len())
-			slots += int64(sh.rows.slotCount())
-			rehashes += sh.rows.rehashes
-		}
-		sh.mu.Unlock()
-	}
-	if slots > 0 {
-		st.TableLoadFactor = float64(live) / float64(slots)
-	}
-	st.Rehashes = rehashes
+	lc.mu.Lock()
+	st.TableLoadFactor = float64(lc.rows.len()) / float64(lc.rows.slotCount())
+	st.Rehashes = lc.rows.rehashes
+	lc.mu.Unlock()
 	return st
 }
 
-// shard is one lock-striped fragment of the lastCommit state. capacity 0
-// means unbounded. Exactly one of rows (open-addressed, the default) and
-// lastCommit (the map reference implementation) is non-nil; getRow/putRow/
-// delRow dispatch on that, and the branch is cheaper than an interface call
-// on the conflict check's inner loop.
-type shard struct {
-	mu         sync.Mutex
-	rows       *openRowTable
-	lastCommit map[RowID]uint64
-	queue      []evictEntry // FIFO of insertions for NR-bounded eviction
-	capacity   int
-	tmax       uint64
-	// Prepared-row refcounts of the two-phase protocol (prepare.go):
-	// in-flight prepared writers and — under WSI — prepared readers of
-	// each row. Allocated lazily so the unpartitioned path never pays
-	// for them.
+// lastCommit is Algorithm 3's lastCommit and what the commit check reads
+// beside it, all guarded by mu, the oracle's one critical section (§6.3):
+// rows, the FIFO queue of their insertions for NR-bounded eviction (maxRows
+// is NR; 0 keeps every row), tmax, the largest timestamp eviction
+// discarded, and the prepared-row refcounts of the two-phase protocol
+// (prepare.go) — in-flight prepared writers and, under WSI, prepared
+// readers of each row, allocated lazily so the unpartitioned path never
+// pays for them. StatusOracle holds it by pointer: the lines the check
+// reads are then written only under mu, never by the stats counters and
+// the checkpoint gate that every request updates inside StatusOracle.
+type lastCommit struct {
+	mu        sync.Mutex
+	rows      *openRowTable
+	queue     []evictEntry
+	maxRows   int
+	tmax      uint64
 	preparedW map[RowID]int
 	preparedR map[RowID]int
 }
@@ -409,102 +324,35 @@ type evictEntry struct {
 	ts  uint64
 }
 
-func newShard(capacity int, kind TableKind) *shard {
-	sh := &shard{capacity: capacity}
-	if kind == TableMap {
-		sh.lastCommit = make(map[RowID]uint64)
-	} else {
-		sh.rows = newOpenRowTable(capacity)
-	}
-	return sh
-}
-
-// getRow returns a row's retained last-commit timestamp. Caller holds sh.mu.
-func (sh *shard) getRow(r RowID) (uint64, bool) {
-	if sh.rows != nil {
-		return sh.rows.get(uint64(r))
-	}
-	tc, ok := sh.lastCommit[r]
-	return tc, ok
-}
-
-// putRow inserts or overwrites a row's timestamp. Caller holds sh.mu.
-func (sh *shard) putRow(r RowID, ts uint64) {
-	if sh.rows != nil {
-		sh.rows.put(uint64(r), ts)
-		return
-	}
-	sh.lastCommit[r] = ts
-}
-
-// delRow removes a row. Caller holds sh.mu.
-func (sh *shard) delRow(r RowID) {
-	if sh.rows != nil {
-		sh.rows.del(uint64(r))
-		return
-	}
-	delete(sh.lastCommit, r)
-}
-
-// rowCount returns the number of retained rows. Caller holds sh.mu.
-func (sh *shard) rowCount() int {
-	if sh.rows != nil {
-		return sh.rows.len()
-	}
-	return len(sh.lastCommit)
-}
-
-// forEachRow visits every retained row in unspecified order. Caller holds
-// sh.mu.
-func (sh *shard) forEachRow(fn func(r RowID, ts uint64)) {
-	if sh.rows != nil {
-		sh.rows.forEach(func(k, ts uint64) { fn(RowID(k), ts) })
-		return
-	}
-	for r, ts := range sh.lastCommit {
-		fn(r, ts)
-	}
-}
-
-// resetRows clears the row storage, pre-sizing for n rows. Caller holds
-// sh.mu.
-func (sh *shard) resetRows(n int) {
-	if sh.rows != nil {
-		sh.rows = newOpenRowTable(n)
-		return
-	}
-	sh.lastCommit = make(map[RowID]uint64, n)
-}
-
 // update sets the row's last commit timestamp and evicts the oldest rows
-// beyond capacity, maintaining tmax. Caller holds sh.mu.
-func (sh *shard) update(r RowID, ts uint64) {
-	sh.putRow(r, ts)
-	if sh.capacity <= 0 {
+// beyond MaxRows, maintaining tmax. Caller holds lc.mu.
+func (lc *lastCommit) update(r RowID, ts uint64) {
+	lc.rows.put(r, ts)
+	if lc.maxRows <= 0 {
 		return
 	}
-	sh.queue = append(sh.queue, evictEntry{row: r, ts: ts})
+	lc.queue = append(lc.queue, evictEntry{row: r, ts: ts})
 	// Hot rows leave stale queue entries behind; compact when they
-	// dominate so the queue stays O(capacity).
-	if len(sh.queue) > 4*sh.capacity+16 {
-		live := sh.queue[:0]
-		for _, e := range sh.queue {
-			if cur, ok := sh.getRow(e.row); ok && cur == e.ts {
+	// dominate so the queue stays O(MaxRows).
+	if len(lc.queue) > 4*lc.maxRows+16 {
+		live := lc.queue[:0]
+		for _, e := range lc.queue {
+			if cur, ok := lc.rows.get(e.row); ok && cur == e.ts {
 				live = append(live, e)
 			}
 		}
-		sh.queue = live
+		lc.queue = live
 	}
-	for sh.rowCount() > sh.capacity && len(sh.queue) > 0 {
-		head := sh.queue[0]
-		sh.queue = sh.queue[1:]
+	for lc.rows.len() > lc.maxRows && len(lc.queue) > 0 {
+		head := lc.queue[0]
+		lc.queue = lc.queue[1:]
 		// Only evict if the queued entry is still the row's current
 		// value; otherwise a newer update supersedes it and this
 		// queue entry is stale.
-		if cur, ok := sh.getRow(head.row); ok && cur == head.ts {
-			sh.delRow(head.row)
-			if head.ts > sh.tmax {
-				sh.tmax = head.ts
+		if cur, ok := lc.rows.get(head.row); ok && cur == head.ts {
+			lc.rows.del(head.row)
+			if head.ts > lc.tmax {
+				lc.tmax = head.ts
 			}
 		}
 	}
@@ -513,16 +361,16 @@ func (sh *shard) update(r RowID, ts uint64) {
 // updateMax is update for commits that may apply out of commit order (a
 // two-phase decide can land after a later-timestamped commit of the same
 // row): it never lowers a row's retained timestamp, so the conflict check's
-// view of the latest committed writer stays monotone. Caller holds sh.mu.
-func (sh *shard) updateMax(r RowID, ts uint64) {
-	if cur, ok := sh.getRow(r); ok {
+// view of the latest committed writer stays monotone. Caller holds lc.mu.
+func (lc *lastCommit) updateMax(r RowID, ts uint64) {
+	if cur, ok := lc.rows.get(r); ok {
 		// Equality reapplies: a write set may list a row twice, and the
 		// live path's unconditional update records one eviction-queue
 		// entry per occurrence — replay must match it entry for entry.
 		if cur > ts {
 			return
 		}
-	} else if ts < sh.tmax {
+	} else if ts < lc.tmax {
 		// The row is absent because eviction already raised tmax past ts;
 		// reinstating it at a lower timestamp would weaken the Tmax
 		// pessimism and could hide the row's true (evicted, higher)
@@ -532,5 +380,5 @@ func (sh *shard) updateMax(r RowID, ts uint64) {
 		// twice and the first occurrence was evicted in between.
 		return
 	}
-	sh.update(r, ts)
+	lc.update(r, ts)
 }

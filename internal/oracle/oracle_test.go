@@ -231,27 +231,39 @@ func TestConflictAbortRecorded(t *testing.T) {
 
 func TestBoundedMemoryTmaxAbort(t *testing.T) {
 	// Algorithm 3: a transaction whose snapshot predates the retained
-	// window aborts pessimistically when its row is unknown.
-	so := newOracle(t, Config{Engine: SI, MaxRows: 4})
-	old := mustBegin(t, so)
-	// Fill lastCommit well past capacity, evicting early rows.
-	for i := 0; i < 20; i++ {
-		ts := mustBegin(t, so)
-		mustCommit(t, so, CommitRequest{StartTS: ts, WriteSet: rows(fmt.Sprintf("fill%d", i))})
-	}
-	if so.Tmax() == 0 {
-		t.Fatal("eviction never advanced Tmax")
-	}
-	if got := so.RetainedRows(); got > 4 {
-		t.Fatalf("retained %d rows, capacity 4", got)
-	}
-	// old writes an unseen row: lastCommit(r)=null and Tmax > Ts(old).
-	res := mustCommit(t, so, CommitRequest{StartTS: old, WriteSet: rows("never-seen")})
-	if res.Committed {
-		t.Fatal("stale transaction must abort pessimistically (Alg. 3 line 8)")
-	}
-	if s := so.Stats(); s.TmaxAborts != 1 {
-		t.Fatalf("TmaxAborts = %d, want 1", s.TmaxAborts)
+	// window aborts pessimistically when a checked row is unknown. SI checks
+	// the write set, so the stale transaction writes an unseen row; WSI
+	// checks the read set, so it reads one.
+	for _, tc := range []struct {
+		engine Engine
+		stale  CommitRequest
+	}{
+		{SI, CommitRequest{WriteSet: rows("never-seen")}},
+		{WSI, CommitRequest{WriteSet: rows("w"), ReadSet: rows("never-seen")}},
+	} {
+		t.Run(tc.engine.String(), func(t *testing.T) {
+			so := newOracle(t, Config{Engine: tc.engine, MaxRows: 4})
+			old := mustBegin(t, so)
+			// Fill lastCommit well past capacity, evicting early rows.
+			for i := 0; i < 20; i++ {
+				ts := mustBegin(t, so)
+				mustCommit(t, so, CommitRequest{StartTS: ts, WriteSet: rows(fmt.Sprintf("fill%d", i))})
+			}
+			if so.Tmax() == 0 {
+				t.Fatal("eviction never advanced Tmax")
+			}
+			if got := so.RetainedRows(); got > 4 {
+				t.Fatalf("retained %d rows, capacity 4", got)
+			}
+			// lastCommit(r)=null for the checked row and Tmax > Ts(old).
+			tc.stale.StartTS = old
+			if res := mustCommit(t, so, tc.stale); res.Committed {
+				t.Fatal("stale transaction must abort pessimistically (Alg. 3 line 8)")
+			}
+			if s := so.Stats(); s.TmaxAborts != 1 {
+				t.Fatalf("TmaxAborts = %d, want 1", s.TmaxAborts)
+			}
+		})
 	}
 }
 
@@ -298,82 +310,38 @@ func TestLastCommitOf(t *testing.T) {
 	}
 }
 
-// TestShardedEquivalence replays an identical random request stream through
-// a single-section oracle and a sharded one; every commit decision must
-// match (the sharded critical section is a pure optimization, §6.3).
-func TestShardedEquivalence(t *testing.T) {
-	type op struct {
-		write []RowID
-		read  []RowID
-	}
-	run := func(shards int, ops []op) []bool {
-		so := newOracle(t, Config{Engine: WSI, Shards: shards})
-		out := make([]bool, 0, len(ops))
-		var starts []uint64
-		for range ops {
-			starts = append(starts, mustBegin(t, so))
-		}
-		for i, o := range ops {
-			res := mustCommit(t, so, CommitRequest{StartTS: starts[i], WriteSet: o.write, ReadSet: o.read})
-			out = append(out, res.Committed)
-		}
-		return out
-	}
-	rng := rand.New(rand.NewSource(11))
-	var ops []op
-	for i := 0; i < 200; i++ {
-		var o op
-		for j := 0; j < 1+rng.Intn(4); j++ {
-			o.write = append(o.write, RowID(rng.Intn(20)))
-		}
-		for j := 0; j < rng.Intn(4); j++ {
-			o.read = append(o.read, RowID(rng.Intn(20)))
-		}
-		ops = append(ops, o)
-	}
-	a := run(1, ops)
-	b := run(8, ops)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("decision %d differs: single=%v sharded=%v", i, a[i], b[i])
-		}
-	}
-}
-
 func TestConcurrentCommitsSameRowExactlyOneWins(t *testing.T) {
 	// Race N goroutines committing a write to the same row with the same
 	// snapshot: exactly one may commit.
-	for _, shards := range []int{1, 8} {
-		so := newOracle(t, Config{Engine: SI, Shards: shards})
-		const n = 32
-		starts := make([]uint64, n)
-		for i := range starts {
-			starts[i] = mustBegin(t, so)
-		}
-		var wg sync.WaitGroup
-		committed := make([]bool, n)
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				res, err := so.Commit(CommitRequest{StartTS: starts[i], WriteSet: rows("hot")})
-				if err != nil {
-					t.Errorf("commit: %v", err)
-					return
-				}
-				committed[i] = res.Committed
-			}(i)
-		}
-		wg.Wait()
-		wins := 0
-		for _, c := range committed {
-			if c {
-				wins++
+	so := newOracle(t, Config{Engine: SI})
+	const n = 32
+	starts := make([]uint64, n)
+	for i := range starts {
+		starts[i] = mustBegin(t, so)
+	}
+	var wg sync.WaitGroup
+	committed := make([]bool, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := so.Commit(CommitRequest{StartTS: starts[i], WriteSet: rows("hot")})
+			if err != nil {
+				t.Errorf("commit: %v", err)
+				return
 			}
+			committed[i] = res.Committed
+		}(i)
+	}
+	wg.Wait()
+	wins := 0
+	for _, c := range committed {
+		if c {
+			wins++
 		}
-		if wins != 1 {
-			t.Fatalf("shards=%d: %d transactions won the same-row race, want exactly 1", shards, wins)
-		}
+	}
+	if wins != 1 {
+		t.Fatalf("%d transactions won the same-row race, want exactly 1", wins)
 	}
 }
 
@@ -513,29 +481,6 @@ func TestPropertySIInvariant(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBoundedShardedCombination(t *testing.T) {
-	// Per-shard capacity: MaxRows is split across shards, and the Tmax
-	// guard still fires for stale transactions.
-	so := newOracle(t, Config{Engine: WSI, MaxRows: 16, Shards: 4})
-	old := mustBegin(t, so)
-	for i := 0; i < 200; i++ {
-		ts := mustBegin(t, so)
-		mustCommit(t, so, CommitRequest{StartTS: ts, WriteSet: rows(fmt.Sprintf("f%d", i))})
-	}
-	if got := so.RetainedRows(); got > 16 {
-		t.Fatalf("retained %d rows across shards, cap 16", got)
-	}
-	if so.Tmax() == 0 {
-		t.Fatal("no shard ever evicted")
-	}
-	res := mustCommit(t, so, CommitRequest{
-		StartTS: old, WriteSet: rows("w"), ReadSet: rows("unseen-row"),
-	})
-	if res.Committed {
-		t.Fatal("stale read under sharded+bounded config must Tmax-abort")
 	}
 }
 

@@ -40,7 +40,7 @@ import (
 //     CommitBatch publishes its own. Partition 0 of a deployment is the
 //     one home of every round's commit verdict.
 //
-// Prepared state is in-memory (per-shard refcounts plus a registry), is
+// Prepared state is in-memory (per-row refcounts plus a registry), is
 // captured by checkpoints, and is rebuilt by recovery from recPrepare
 // records; prepares still undecided after replay surface through InDoubt.
 // Partition 0's commit table knows which of them committed; nothing
@@ -126,25 +126,24 @@ func (s *StatusOracle) PublishCommits(startTSs []uint64) (uint64, error) {
 	return lo, nil
 }
 
-// checkConflict runs the engine's conflict rule for one request under the
-// already-held shard locks: the check rows (Engine.Rows) against
-// lastCommit/Tmax and the prepared write rows, and the write rows against
-// the prepared guard rows. Caller holds the locks of every covered shard.
+// checkConflict runs the engine's conflict rule for one request: the check
+// rows (Engine.Rows) against lastCommit/Tmax and the prepared write rows,
+// and the write rows against the prepared guard rows. Caller holds s.lc.mu.
 func (s *StatusOracle) checkConflict(startTS uint64, writeSet, readSet []RowID) (conflict, tmaxAbort bool) {
+	lc := s.lc
 	check, _ := s.cfg.Engine.Rows(writeSet, readSet)
 	for _, r := range check {
-		sh := s.shards[s.shardOf(r)]
-		if tc, ok := sh.getRow(r); ok {
+		if tc, ok := lc.rows.get(r); ok {
 			if tc > startTS {
 				return true, false
 			}
-		} else if sh.tmax > startTS {
+		} else if lc.tmax > startTS {
 			return true, true
 		}
 		// A prepared writer of a check row may still commit above this
 		// snapshot; abort pessimistically rather than let the vote race
 		// the decide.
-		if len(sh.preparedW) != 0 && sh.preparedW[r] > 0 {
+		if len(lc.preparedW) != 0 && lc.preparedW[r] > 0 {
 			return true, false
 		}
 	}
@@ -152,8 +151,7 @@ func (s *StatusOracle) checkConflict(startTS uint64, writeSet, readSet []RowID) 
 	// prepared transaction that read them. preparedR holds guard rows
 	// only, so it stays empty under SI.
 	for _, w := range writeSet {
-		sh := s.shards[s.shardOf(w)]
-		if len(sh.preparedR) != 0 && sh.preparedR[w] > 0 {
+		if len(lc.preparedR) != 0 && lc.preparedR[w] > 0 {
 			return true, false
 		}
 	}
@@ -161,50 +159,44 @@ func (s *StatusOracle) checkConflict(startTS uint64, writeSet, readSet []RowID) 
 }
 
 // addPrepRefs registers a prepared transaction's write rows and guard rows
-// (Engine.Rows) in the per-shard prepared sets. Caller holds the covered
-// shard locks.
+// (Engine.Rows) in the prepared sets. Caller holds s.lc.mu.
 func (s *StatusOracle) addPrepRefs(writeSet, readSet []RowID) {
+	lc := s.lc
+	if lc.preparedW == nil {
+		lc.preparedW = make(map[RowID]int)
+		lc.preparedR = make(map[RowID]int)
+	}
 	for _, w := range writeSet {
-		sh := s.shards[s.shardOf(w)]
-		if sh.preparedW == nil {
-			sh.preparedW = make(map[RowID]int)
-		}
-		sh.preparedW[w]++
+		lc.preparedW[w]++
 	}
 	_, guard := s.cfg.Engine.Rows(writeSet, readSet)
 	for _, r := range guard {
-		sh := s.shards[s.shardOf(r)]
-		if sh.preparedR == nil {
-			sh.preparedR = make(map[RowID]int)
-		}
-		sh.preparedR[r]++
+		lc.preparedR[r]++
 	}
 }
 
-// dropPrepRefs releases a prepared transaction's rows. Caller holds the
-// covered shard locks.
+// dropPrepRefs releases a prepared transaction's rows. Caller holds s.lc.mu.
 func (s *StatusOracle) dropPrepRefs(writeSet, readSet []RowID) {
+	lc := s.lc
 	for _, w := range writeSet {
-		sh := s.shards[s.shardOf(w)]
-		if sh.preparedW[w] > 1 {
-			sh.preparedW[w]--
+		if lc.preparedW[w] > 1 {
+			lc.preparedW[w]--
 		} else {
-			delete(sh.preparedW, w)
+			delete(lc.preparedW, w)
 		}
 	}
 	_, guard := s.cfg.Engine.Rows(writeSet, readSet)
 	for _, r := range guard {
-		sh := s.shards[s.shardOf(r)]
-		if sh.preparedR[r] > 1 {
-			sh.preparedR[r]--
+		if lc.preparedR[r] > 1 {
+			lc.preparedR[r]--
 		} else {
-			delete(sh.preparedR, r)
+			delete(lc.preparedR, r)
 		}
 	}
 }
 
 // registerPrepared indexes a prepared transaction and its row refs.
-// Caller holds the covered shard locks.
+// Caller holds s.lc.mu.
 func (s *StatusOracle) registerPrepared(req *PrepareRequest, since time.Time) {
 	s.prepMu.Lock()
 	s.prepared[req.StartTS] = &preparedTxn{
@@ -236,9 +228,7 @@ func (s *StatusOracle) PrepareBatch(reqs []PrepareRequest) ([]bool, error) {
 	s.ckptMu.RLock()
 	defer s.ckptMu.RUnlock()
 
-	locks := s.lockShards(len(reqs), func(i int) ([]RowID, []RowID) {
-		return reqs[i].WriteSet, reqs[i].ReadSet
-	})
+	s.lc.mu.Lock()
 	now := time.Now()
 	var yes []int
 	for i := range reqs {
@@ -250,7 +240,7 @@ func (s *StatusOracle) PrepareBatch(reqs []PrepareRequest) ([]bool, error) {
 		votes[i] = true
 		yes = append(yes, i)
 	}
-	s.unlockShards(locks)
+	s.lc.mu.Unlock()
 
 	if s.cfg.WAL != nil && len(yes) > 0 {
 		entries := make([][]byte, len(yes))
@@ -273,16 +263,14 @@ func (s *StatusOracle) PrepareBatch(reqs []PrepareRequest) ([]bool, error) {
 // rollbackPrepares withdraws the prepared state of the given yes votes
 // after their WAL append failed.
 func (s *StatusOracle) rollbackPrepares(reqs []PrepareRequest, yes []int) {
-	locks := s.lockShards(len(yes), func(k int) ([]RowID, []RowID) {
-		return reqs[yes[k]].WriteSet, reqs[yes[k]].ReadSet
-	})
+	s.lc.mu.Lock()
 	for _, i := range yes {
 		s.prepMu.Lock()
 		delete(s.prepared, reqs[i].StartTS)
 		s.prepMu.Unlock()
 		s.dropPrepRefs(reqs[i].WriteSet, reqs[i].ReadSet)
 	}
-	s.unlockShards(locks)
+	s.lc.mu.Unlock()
 }
 
 // DecideBatch is phase two: it applies the coordinator's verdicts to this
@@ -305,7 +293,7 @@ func (s *StatusOracle) DecideBatch(decisions []Decision) error {
 	s.ckptMu.RLock()
 	defer s.ckptMu.RUnlock()
 
-	// Snapshot the prepared entries first so the lock set covers their rows.
+	// Take the prepared entries out of the registry before folding them.
 	type applied struct {
 		d  Decision
 		pt *preparedTxn // nil when this partition holds no prepared state
@@ -319,12 +307,7 @@ func (s *StatusOracle) DecideBatch(decisions []Decision) error {
 	s.prepMu.Unlock()
 
 	now := time.Now()
-	locks := s.lockShards(len(apps), func(i int) ([]RowID, []RowID) {
-		if apps[i].pt == nil {
-			return nil, nil
-		}
-		return apps[i].pt.writeSet, apps[i].pt.readSet
-	})
+	s.lc.mu.Lock()
 	var commits, aborts int64
 	var waitNanos int64
 	for i := range apps {
@@ -334,8 +317,7 @@ func (s *StatusOracle) DecideBatch(decisions []Decision) error {
 			waitNanos += now.Sub(pt.since).Nanoseconds()
 			if d.Commit {
 				for _, w := range pt.writeSet {
-					sh := s.shards[s.shardOf(w)]
-					sh.updateMax(w, d.CommitTS)
+					s.lc.updateMax(w, d.CommitTS)
 				}
 			}
 		}
@@ -347,7 +329,7 @@ func (s *StatusOracle) DecideBatch(decisions []Decision) error {
 			aborts++
 		}
 	}
-	s.unlockShards(locks)
+	s.lc.mu.Unlock()
 
 	if s.cfg.WAL != nil {
 		entries := make([][]byte, len(apps))
@@ -402,11 +384,9 @@ func (s *StatusOracle) applyPrepareEntry(req *PrepareRequest) {
 		return
 	}
 	s.prepMu.Unlock()
-	locks := s.lockShards(1, func(int) ([]RowID, []RowID) {
-		return req.WriteSet, req.ReadSet
-	})
+	s.lc.mu.Lock()
 	s.registerPrepared(req, time.Now())
-	s.unlockShards(locks)
+	s.lc.mu.Unlock()
 }
 
 // applyDecideEntry applies a recDecide record: the record carries the
@@ -417,30 +397,19 @@ func (s *StatusOracle) applyDecideEntry(d Decision, writeSet []RowID) {
 	pt := s.prepared[d.StartTS]
 	delete(s.prepared, d.StartTS)
 	s.prepMu.Unlock()
-	var prepW, prepR []RowID
+	s.lc.mu.Lock()
 	if pt != nil {
-		prepW, prepR = pt.writeSet, pt.readSet
+		s.dropPrepRefs(pt.writeSet, pt.readSet)
 		if len(writeSet) == 0 {
 			writeSet = pt.writeSet
 		}
 	}
-	// Two lock-set entries: the prepared rows the decide releases, and the
-	// record's write rows it folds into lastCommit.
-	locks := s.lockShards(2, func(i int) ([]RowID, []RowID) {
-		if i == 0 {
-			return prepW, prepR
-		}
-		return writeSet, nil
-	})
-	if pt != nil {
-		s.dropPrepRefs(prepW, prepR)
-	}
 	if d.Commit {
 		for _, w := range writeSet {
-			s.shards[s.shardOf(w)].updateMax(w, d.CommitTS)
+			s.lc.updateMax(w, d.CommitTS)
 		}
 	}
-	s.unlockShards(locks)
+	s.lc.mu.Unlock()
 	if d.Commit {
 		s.table.addCommit(d.StartTS, d.CommitTS)
 	} else {

@@ -123,9 +123,7 @@ func RecoverState(cfg Config, ledger wal.Ledger, w *wal.Writer, tsoBatch int) (*
 	bound := uint64(0)
 	if pos.found {
 		bound = pos.cp.TSOBound
-		if err := s.applyCheckpoint(pos.cp); err != nil {
-			return nil, nil, err
-		}
+		s.applyCheckpoint(pos.cp)
 	}
 	if err := s.replaySuffix(ledger, pos, start, &bound); err != nil {
 		return nil, nil, err
@@ -238,9 +236,7 @@ func (s *StatusOracle) ApplyLogEntry(entry []byte) (applied bool, err error) {
 		if err != nil {
 			return false, err
 		}
-		if err := s.applyCheckpoint(cp); err != nil {
-			return false, err
-		}
+		s.applyCheckpoint(cp)
 	default:
 		return false, nil
 	}
@@ -263,11 +259,10 @@ func (s *StatusOracle) Promote(clock *tso.Oracle, w *wal.Writer) {
 // commit-timestamp order and a replay must never lower a row's retained
 // timestamp.
 func (s *StatusOracle) replayCommit(startTS, commitTS uint64, writeSet []RowID) {
+	s.lc.mu.Lock()
 	for _, r := range writeSet {
-		sh := s.shards[s.shardOf(r)]
-		sh.mu.Lock()
-		sh.updateMax(r, commitTS)
-		sh.mu.Unlock()
+		s.lc.updateMax(r, commitTS)
 	}
+	s.lc.mu.Unlock()
 	s.table.addCommit(startTS, commitTS)
 }

@@ -1,26 +1,21 @@
 package oracle
 
-// This file implements the open-addressed lastCommit row table — the
-// steady-state-zero-allocation replacement for the per-shard
-// map[RowID]uint64. The paper's throughput argument (§6.3) is that a commit
-// check is a handful of memory operations; a Go map puts bucket pointers,
-// tophash probes and incremental-growth allocations on that path. The open
-// table stores (key, timestamp) pairs inline in a flat power-of-two slot
-// array, so a conflict check is a linear cache-line scan from the key's
-// hashed home slot with zero pointer chasing, and — because deletion is
-// tombstone-free (backward-shift) and growth is an incremental rehash into
-// a retained twin array — the table never degrades and never allocates once
-// it has reached its working-set size.
-//
-// The map-based shard survives behind Config.Table = TableMap; the
-// equivalence tests in rowtable_test.go and tableequiv_test.go prove the
-// two produce bit-identical oracle decisions.
+// This file implements lastCommit's row table. The paper's throughput
+// argument (§6.3) is that a commit check is a handful of memory operations
+// in one critical section; a Go map puts bucket pointers, tophash probes and
+// incremental-growth allocations on that path. The open table stores (row,
+// timestamp) pairs inline in a flat power-of-two slot array, so a conflict
+// check is a linear cache-line scan from the row's hashed home slot with
+// zero pointer chasing, and — because deletion is tombstone-free
+// (backward-shift) and growth is an incremental rehash into a retained twin
+// array — the table never degrades and never allocates once it has reached
+// its working-set size. TestOpenRowTableFuzz checks it against a map.
 
 // rowSlot is one inline slot of the open table. key == 0 marks an empty
 // slot; RowID 0 itself (a valid FNV hash value) is carried out of line in
 // zeroSet/zeroTS.
 type rowSlot struct {
-	key uint64
+	key RowID
 	ts  uint64
 }
 
@@ -37,8 +32,8 @@ const minTableSlots = 16
 const maxTableLoad = 3
 
 // openRowTable is an open-addressed, linear-probe hash table from RowID to
-// last-commit timestamp. Not safe for concurrent use; the owning shard's
-// mutex serializes access exactly as it did for the map.
+// last-commit timestamp. Not safe for concurrent use; StatusOracle.mu
+// serializes access.
 type openRowTable struct {
 	slots []rowSlot
 	mask  uint64
@@ -67,9 +62,10 @@ func newOpenRowTable(sizeHint int) *openRowTable {
 
 // mixRow finalizes a RowID into its home-slot hash (splitmix64 finalizer).
 // RowIDs are already FNV hashes, but their low bits were consumed by the
-// shard router (shardOf is r % shards), so the table re-mixes to keep home
-// slots uniform within a shard.
-func mixRow(x uint64) uint64 {
+// partition hash router (r % N), so the table re-mixes to keep home slots
+// uniform within a partition.
+func mixRow(r RowID) uint64 {
+	x := uint64(r)
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33
@@ -88,7 +84,7 @@ func (t *openRowTable) len() int {
 }
 
 // get returns the timestamp stored for key.
-func (t *openRowTable) get(key uint64) (uint64, bool) {
+func (t *openRowTable) get(key RowID) (uint64, bool) {
 	if key == 0 {
 		return t.zeroTS, t.zeroSet
 	}
@@ -108,7 +104,7 @@ func (t *openRowTable) get(key uint64) (uint64, bool) {
 }
 
 // put inserts or overwrites key's timestamp.
-func (t *openRowTable) put(key, ts uint64) {
+func (t *openRowTable) put(key RowID, ts uint64) {
 	t.migrate(rehashStep)
 	if key == 0 {
 		t.zeroSet = true
@@ -138,7 +134,7 @@ func (t *openRowTable) put(key, ts uint64) {
 }
 
 // del removes key, if present, with tombstone-free backward-shift deletion.
-func (t *openRowTable) del(key uint64) {
+func (t *openRowTable) del(key RowID) {
 	t.migrate(rehashStep)
 	if key == 0 {
 		t.zeroSet = false
@@ -159,7 +155,7 @@ func (t *openRowTable) del(key uint64) {
 
 // removeOld deletes key from the old array (backward-shift), reporting
 // whether it was present.
-func (t *openRowTable) removeOld(key uint64) bool {
+func (t *openRowTable) removeOld(key RowID) bool {
 	for i := mixRow(key) & t.oldMask; t.old[i].key != 0; i = (i + 1) & t.oldMask {
 		if t.old[i].key == key {
 			backwardShift(t.old, t.oldMask, i)
@@ -253,7 +249,7 @@ func (t *openRowTable) migrate(runs int) {
 
 // insertNew inserts into the new array only (migration path; the key is
 // known absent there).
-func (t *openRowTable) insertNew(key, ts uint64) {
+func (t *openRowTable) insertNew(key RowID, ts uint64) {
 	i := mixRow(key) & t.mask
 	for t.slots[i].key != 0 {
 		i = (i + 1) & t.mask
@@ -263,7 +259,7 @@ func (t *openRowTable) insertNew(key, ts uint64) {
 }
 
 // forEach visits every live (key, timestamp) pair in unspecified order.
-func (t *openRowTable) forEach(fn func(key, ts uint64)) {
+func (t *openRowTable) forEach(fn func(key RowID, ts uint64)) {
 	if t.zeroSet {
 		fn(0, t.zeroTS)
 	}

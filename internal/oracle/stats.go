@@ -64,10 +64,9 @@ type Stats struct {
 	DecideWaitAvg       float64
 	CrossPartitionRatio float64
 	// Allocation-discipline counters. TableLoadFactor is the live-key /
-	// slot ratio of the open-addressed lastCommit shards (0 under
-	// TableMap) and Rehashes the number of incremental growth passes they
-	// have run; together they say whether the conflict-check scan lengths
-	// are healthy.
+	// slot ratio of the open-addressed lastCommit table and Rehashes the
+	// number of incremental growth passes it has run; together they say
+	// whether the conflict-check scan lengths are healthy.
 	TableLoadFactor float64
 	Rehashes        int64
 }

@@ -16,14 +16,13 @@ type LocalConfig struct {
 	Engine oracle.Engine
 	// Router maps rows to partitions (default: hash).
 	Router Router
-	// MaxRows / MaxCommits / Shards configure each partition's oracle as
+	// MaxRows / MaxCommits configure each partition's oracle as
 	// in oracle.Config. MaxCommits > 0 obliges every txn client of the
 	// coordinator to read in txn.ModeWriteBack: an evicted writer answers
 	// StatusUnknown, and only a reader whose committers stamped their
 	// versions before the ack may read unknown + unstamped as aborted.
 	MaxRows    int
 	MaxCommits int
-	Shards     int
 	// WALFor, when non-nil, supplies each partition's WAL writer, indexed
 	// 0 to Partitions-1; partition 0's log also holds the shared timestamp
 	// oracle's reservations and every round's published commits. Nil runs
@@ -67,7 +66,6 @@ func NewLocal(cfg LocalConfig) (*LocalCluster, error) {
 			Engine:     cfg.Engine,
 			MaxRows:    cfg.MaxRows,
 			MaxCommits: cfg.MaxCommits,
-			Shards:     cfg.Shards,
 			TSO:        clock,
 		}
 		if cfg.WALFor != nil {

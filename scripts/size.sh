@@ -9,6 +9,8 @@
 # The root module only: benchmark/ is a module of its own with its own rules.
 # engine_switches counts comparisons against an engine outside tests: the
 # rule that tells SI from WSI is oracle.Engine.Rows, so it should stay 1.
+# oracle_server_flags counts the flags defined on cmd/oracle-server's
+# FlagSet, fs (parseFlags).
 # unreachable_funcs is scripts/reach.sh's count of functions under internal/
 # that no shipped binary links.
 set -eu
@@ -35,7 +37,7 @@ current() {
   "non_test_lines": $(lines -not -name '*_test.go'),
   "test_lines": $(lines -name '*_test.go'),
   "wire_ops": $(grep -c -E '^	op[A-Z][A-Za-z]* += [0-9]+$' internal/netsrv/protocol.go),
-  "oracle_server_flags": $(grep -c -E 'flag\.[A-Z][A-Za-z0-9]*\(([a-zA-Z]+, )?"' cmd/oracle-server/main.go),
+  "oracle_server_flags": $(grep -c -E '\<fs\.[A-Z][A-Za-z0-9]*\(([a-zA-Z]+, )?"' cmd/oracle-server/main.go),
   "exported_identifiers": $(exported),
   "sleeps_in_tests": $(matches 'time\.Sleep\(' -name '*_test.go'),
   "sleeps_outside_tests": $(matches 'time\.Sleep\(' -not -name '*_test.go'),
