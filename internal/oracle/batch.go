@@ -248,7 +248,7 @@ func (s *StatusOracle) publishBlock(reqs []CommitRequest, committed []int) (uint
 	// compaction preserves order, so they form a contiguous tail suffix —
 	// the fixup walks backward and stops at the first real timestamp
 	// instead of scanning the whole O(MaxRows) queue.
-	for qi := len(lc.queue) - 1; qi >= 0 && lc.queue[qi].ts >= batchPlaceholderBase; qi-- {
+	for qi := len(lc.queue) - 1; qi >= lc.qhead && lc.queue[qi].ts >= batchPlaceholderBase; qi-- {
 		lc.queue[qi].ts = lo + (lc.queue[qi].ts - batchPlaceholderBase)
 	}
 	if lc.tmax >= batchPlaceholderBase {

@@ -263,7 +263,7 @@ func (s *StatusOracle) captureCheckpoint(tsoBound uint64) *checkpointState {
 	sort.Slice(cp.Commits, func(i, j int) bool { return cp.Commits[i].StartTS < cp.Commits[j].StartTS })
 	sort.Slice(cp.Aborted, func(i, j int) bool { return cp.Aborted[i] < cp.Aborted[j] })
 	s.table.evictMu.Lock()
-	cp.Order = append([]uint64(nil), s.table.order...)
+	cp.Order = append([]uint64(nil), s.table.order[s.table.ohead:]...)
 	s.table.evictMu.Unlock()
 	lc.mu.Lock()
 	cp.Tmax = lc.tmax
@@ -271,7 +271,7 @@ func (s *StatusOracle) captureCheckpoint(tsoBound uint64) *checkpointState {
 	lc.rows.forEach(func(r RowID, ts uint64) {
 		cp.Rows = append(cp.Rows, evictEntry{row: r, ts: ts})
 	})
-	cp.Queue = append([]evictEntry(nil), lc.queue...)
+	cp.Queue = append([]evictEntry(nil), lc.queue[lc.qhead:]...)
 	lc.mu.Unlock()
 	sort.Slice(cp.Rows, func(a, b int) bool { return cp.Rows[a].row < cp.Rows[b].row })
 	cp.Prepared = s.InDoubt()
@@ -302,7 +302,7 @@ func (s *StatusOracle) applyCheckpoint(cp *checkpointState) {
 	}
 	s.table.lowWater.Store(cp.LowWater)
 	s.table.evictMu.Lock()
-	s.table.order = append([]uint64(nil), cp.Order...)
+	s.table.order, s.table.ohead = append([]uint64(nil), cp.Order...), 0
 	s.table.size = len(cp.Commits)
 	s.table.evictMu.Unlock()
 	lc.mu.Lock()
@@ -310,7 +310,7 @@ func (s *StatusOracle) applyCheckpoint(cp *checkpointState) {
 	for _, e := range cp.Rows {
 		lc.rows.put(e.row, e.ts)
 	}
-	lc.queue = append([]evictEntry(nil), cp.Queue...)
+	lc.queue, lc.qhead = append([]evictEntry(nil), cp.Queue...), 0
 	lc.tmax = cp.Tmax
 	// The prepared refcounts are re-derived from the snapshot below.
 	lc.preparedW = nil

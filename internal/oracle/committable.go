@@ -79,10 +79,11 @@ type commitTable struct {
 	lowWater   atomic.Uint64
 	maxEntries int
 
-	// Writer-only eviction state: order is the FIFO of inserted start
-	// timestamps, size the number of retained committed entries.
+	// Writer-only eviction state: order[ohead:] is the FIFO of inserted
+	// start timestamps, size the number of retained committed entries.
 	evictMu sync.Mutex
 	order   []uint64
+	ohead   int
 	size    int
 }
 
@@ -115,9 +116,9 @@ func (t *commitTable) addCommit(startTS, commitTS uint64) {
 		t.order = append(t.order, startTS)
 		t.size++
 	}
-	for t.size > t.maxEntries && len(t.order) > 0 {
-		old := t.order[0]
-		t.order = t.order[1:]
+	for t.size > t.maxEntries && t.ohead < len(t.order) {
+		old := t.order[t.ohead]
+		t.ohead++
 		osh := t.shard(old)
 		osh.mu.Lock()
 		if _, ok := osh.commits[old]; ok {
@@ -132,6 +133,12 @@ func (t *commitTable) addCommit(startTS, commitTS uint64) {
 			t.size--
 		}
 		osh.mu.Unlock()
+	}
+	// As in lastCommit.update: pops advance ohead, and the live window
+	// slides down once the dead prefix is the larger half.
+	if t.ohead > len(t.order)/2 {
+		n := copy(t.order, t.order[t.ohead:])
+		t.order, t.ohead = t.order[:n], 0
 	}
 	t.evictMu.Unlock()
 }

@@ -313,6 +313,7 @@ type lastCommit struct {
 	mu        sync.Mutex
 	rows      *openRowTable
 	queue     []evictEntry
+	qhead     int // queue[qhead:] is the live FIFO; pops advance qhead
 	maxRows   int
 	tmax      uint64
 	preparedW map[RowID]int
@@ -334,18 +335,18 @@ func (lc *lastCommit) update(r RowID, ts uint64) {
 	lc.queue = append(lc.queue, evictEntry{row: r, ts: ts})
 	// Hot rows leave stale queue entries behind; compact when they
 	// dominate so the queue stays O(MaxRows).
-	if len(lc.queue) > 4*lc.maxRows+16 {
+	if len(lc.queue)-lc.qhead > 4*lc.maxRows+16 {
 		live := lc.queue[:0]
-		for _, e := range lc.queue {
+		for _, e := range lc.queue[lc.qhead:] {
 			if cur, ok := lc.rows.get(e.row); ok && cur == e.ts {
 				live = append(live, e)
 			}
 		}
-		lc.queue = live
+		lc.queue, lc.qhead = live, 0
 	}
-	for lc.rows.len() > lc.maxRows && len(lc.queue) > 0 {
-		head := lc.queue[0]
-		lc.queue = lc.queue[1:]
+	for lc.rows.len() > lc.maxRows && lc.qhead < len(lc.queue) {
+		head := lc.queue[lc.qhead]
+		lc.qhead++
 		// Only evict if the queued entry is still the row's current
 		// value; otherwise a newer update supersedes it and this
 		// queue entry is stale.
@@ -355,6 +356,13 @@ func (lc *lastCommit) update(r RowID, ts uint64) {
 				lc.tmax = head.ts
 			}
 		}
+	}
+	// Pops advance qhead instead of reslicing, so appends reuse the
+	// backing array; once the dead prefix is the larger half, slide the
+	// live window down (amortized O(1) per pop).
+	if lc.qhead > len(lc.queue)/2 {
+		n := copy(lc.queue, lc.queue[lc.qhead:])
+		lc.queue, lc.qhead = lc.queue[:n], 0
 	}
 }
 

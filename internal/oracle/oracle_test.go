@@ -526,3 +526,89 @@ func TestAbortRateMath(t *testing.T) {
 		t.Fatal("empty stats AbortRate must be 0")
 	}
 }
+
+// refFIFO is the plain NR-eviction model: a row map, a FIFO that pops by
+// reslicing and never compacts, and the largest evicted key.
+type refFIFO struct {
+	max     int
+	rows    map[uint64]uint64
+	queue   [][2]uint64 // key, value
+	top     uint64
+	evicted int
+}
+
+func (f *refFIFO) put(key, val uint64) {
+	f.rows[key] = val
+	f.queue = append(f.queue, [2]uint64{key, val})
+	for len(f.rows) > f.max && len(f.queue) > 0 {
+		e := f.queue[0]
+		f.queue = f.queue[1:]
+		if cur, ok := f.rows[e[0]]; ok && cur == e[1] {
+			delete(f.rows, e[0])
+			f.evicted++
+			if f.top < e[1] {
+				f.top = e[1]
+			}
+		}
+	}
+}
+
+// TestEvictionFIFOsMatchReference drives lastCommit's row FIFO and the
+// commit table's start-timestamp FIFO through many times their capacity of
+// evictions, with hot rows written again and again (stale queue entries)
+// and rows listed twice in one write set, and checks Tmax, LowWater and the
+// retained row count against refFIFO after every batch. Halfway through,
+// the oracle is replaced by one restored from its checkpoint, which must
+// carry the live windows.
+func TestEvictionFIFOsMatchReference(t *testing.T) {
+	const maxRows, maxCommits, steps = 8, 8, 400
+	so := newOracle(t, Config{Engine: SI, MaxRows: maxRows, MaxCommits: maxCommits})
+	lastRow := &refFIFO{max: maxRows, rows: map[uint64]uint64{}}
+	table := &refFIFO{max: maxCommits, rows: map[uint64]uint64{}}
+	rng := rand.New(rand.NewSource(7))
+	for step := 0; step < steps; step++ {
+		if step == steps/2 {
+			restored := newOracle(t, Config{Engine: SI, MaxRows: maxRows, MaxCommits: maxCommits, TSO: so.tso})
+			restored.applyCheckpoint(so.captureCheckpoint(0))
+			so = restored
+		}
+		reqs := make([]CommitRequest, 1+rng.Intn(4))
+		for i := range reqs {
+			reqs[i].StartTS = mustBegin(t, so)
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				// 24 rows, the first 4 hot: most writes land on a row
+				// whose older queue entries are stale.
+				r := RowID(rng.Intn(24))
+				if rng.Intn(2) == 0 {
+					r = RowID(rng.Intn(4))
+				}
+				reqs[i].WriteSet = append(reqs[i].WriteSet, r)
+			}
+		}
+		res, err := so.CommitBatch(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range res {
+			if !r.Committed {
+				continue
+			}
+			for _, row := range reqs[i].WriteSet {
+				lastRow.put(uint64(row), r.CommitTS)
+			}
+			table.put(reqs[i].StartTS, reqs[i].StartTS)
+		}
+		if got, want := so.Tmax(), lastRow.top; got != want {
+			t.Fatalf("step %d: Tmax %d, reference %d", step, got, want)
+		}
+		if got, want := so.LowWater(), table.top; got != want {
+			t.Fatalf("step %d: LowWater %d, reference %d", step, got, want)
+		}
+		if got, want := so.RetainedRows(), len(lastRow.rows); got != want {
+			t.Fatalf("step %d: %d rows retained, reference %d", step, got, want)
+		}
+	}
+	if lastRow.evicted <= 3*maxRows || table.evicted <= 3*maxCommits {
+		t.Fatalf("only %d row and %d commit evictions", lastRow.evicted, table.evicted)
+	}
+}

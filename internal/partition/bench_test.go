@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/oracle"
@@ -59,6 +60,54 @@ func BenchmarkPartitionedCommit(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkCoordinatorCommit is the cross-partition workload's shape
+// without the logs: parallel callers, each drawing a Begin and then
+// committing one request (Coordinator.Commit) through a two-partition
+// NewLocal cluster, 10% of the write transactions spanning both
+// partitions. The requests are generated before the timer starts, so
+// allocs/op is the coordinator's and the oracles' alone.
+func BenchmarkCoordinatorCommit(b *testing.B) {
+	const rows = 1 << 20
+	lc, err := NewLocal(LocalConfig{
+		Partitions: 2,
+		Engine:     oracle.WSI,
+		Router:     NewEvenRangeRouter(2, rows),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	co := lc.Coordinator
+	rng := rand.New(rand.NewSource(1))
+	mix := workload.NewCrossMix(workload.ComplexWorkload(), 2, 0.1, rows)
+	reqs := make([]oracle.CommitRequest, 4096)
+	for i := range reqs {
+		tx := mix.Next(rng)
+		for _, r := range tx.WriteRows() {
+			reqs[i].WriteSet = append(reqs[i].WriteSet, oracle.RowID(r))
+		}
+		for _, r := range tx.ReadRows() {
+			reqs[i].ReadSet = append(reqs[i].ReadSet, oracle.RowID(r))
+		}
+	}
+	var next atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			req := reqs[next.Add(1)%int64(len(reqs))]
+			ts, err := co.Begin()
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			req.StartTS = ts
+			if _, err := co.Commit(req); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
 }
 
 // BenchmarkPrepareDecide measures one prepare+decide round on a single

@@ -3,6 +3,7 @@ package partition
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,9 +23,9 @@ type Config struct {
 	// changes, and must be the router every partition server of the
 	// deployment was started with.
 	Router Router
-	// Backends are the partitions, indexed as the Router numbers them.
-	// Partition 0 is also the clock: Begin draws there, and every round's
-	// commits are published there (Backend.PublishCommits).
+	// Backends are the partitions, indexed as the Router numbers them; at
+	// most 64. Partition 0 is also the clock: Begin draws there, and every
+	// round's commits are published there (Backend.PublishCommits).
 	Backends []Backend
 	// SharedTSO marks the backends as in-process oracles sharing partition
 	// 0's timestamp oracle: a single-partition transaction then takes its
@@ -101,10 +102,18 @@ var (
 	ErrMisrouted = errors.New("partition: misrouted request: the partition does not own these rows under its router")
 )
 
+// maxPartitions bounds a coordinator's partitions: it holds each
+// transaction's partition set as one uint64 bitmask.
+const maxPartitions = 64
+
 // NewCoordinator wires a coordinator over the configured partitions.
 func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, ErrNoBackends
+	}
+	if len(cfg.Backends) > maxPartitions {
+		return nil, fmt.Errorf("partition: %d backends, a coordinator covers at most %d",
+			len(cfg.Backends), maxPartitions)
 	}
 	if cfg.Router == nil {
 		cfg.Router = NewHashRouter(len(cfg.Backends))
@@ -129,79 +138,79 @@ func (co *Coordinator) Begin() (uint64, error) {
 	return ts, nil
 }
 
-// cover returns the sorted partition set covering a commit request's write
-// rows and check rows (oracle.Engine.Rows).
-func (co *Coordinator) cover(req *oracle.CommitRequest) []int {
-	n := co.cfg.Router.Partitions()
-	if n == 1 {
-		return []int{0}
+// cover returns the partition set covering a commit request's write rows
+// and check rows (oracle.Engine.Rows), as a bitmask: bit p is partition p.
+func (co *Coordinator) cover(req *oracle.CommitRequest) uint64 {
+	if co.cfg.Router.Partitions() == 1 {
+		return 1
 	}
-	var mask uint64 // partitions fit in a word for any sane N; fall back below
-	var list []int
-	add := func(p int) {
-		if n <= 64 {
-			mask |= 1 << uint(p)
-			return
-		}
-		for _, q := range list {
-			if q == p {
-				return
-			}
-		}
-		list = append(list, p)
-	}
+	var mask uint64
 	check, _ := co.cfg.Engine.Rows(req.WriteSet, req.ReadSet)
 	for _, set := range [2][]oracle.RowID{req.WriteSet, check} {
 		for _, r := range set {
-			add(co.cfg.Router.Partition(r))
+			mask |= 1 << uint(co.cfg.Router.Partition(r))
 		}
 	}
-	if n <= 64 {
-		out := make([]int, 0, 2)
-		for p := 0; p < n; p++ {
-			if mask&(1<<uint(p)) != 0 {
-				out = append(out, p)
-			}
-		}
-		return out
-	}
-	// Rare large-N path: list is unsorted; selection sort is fine at this
-	// size.
-	for i := 1; i < len(list); i++ {
-		for j := i; j > 0 && list[j] < list[j-1]; j-- {
-			list[j], list[j-1] = list[j-1], list[j]
-		}
-	}
-	return list
+	return mask
 }
 
-// sliceRows filters a row set down to the rows partition p owns.
-func sliceRows(router Router, rows []oracle.RowID, p int) []oracle.RowID {
-	var out []oracle.RowID
+// sliceRows appends the rows partition p owns to buf and returns buf and
+// the appended rows, capped so that a later append never grows into them.
+func sliceRows(buf []oracle.RowID, router Router, rows []oracle.RowID, p int) ([]oracle.RowID, []oracle.RowID) {
+	start := len(buf)
 	for _, r := range rows {
 		if router.Partition(r) == p {
-			out = append(out, r)
+			buf = append(buf, r)
 		}
 	}
-	return out
+	return buf, buf[start:len(buf):len(buf)]
 }
 
-// Commit decides one commit request; it is a CommitBatch of one.
+// fanOut runs units 0 to n-1 of one fan-out and returns once all have
+// returned: the caller's goroutine runs unit 0 and one goroutine each runs
+// the others, so a fan-out of one unit starts no goroutine and allocates
+// nothing. It returns unit 0's error, else the first another unit reported.
+func fanOut(n int, unit func(k int) error) error {
+	switch n {
+	case 0:
+		return nil
+	case 1:
+		return unit(0)
+	}
+	errs := make(chan error, n-1)
+	for k := 1; k < n; k++ {
+		go func(k int) { errs <- unit(k) }(k)
+	}
+	err := unit(0)
+	for k := 1; k < n; k++ {
+		if e := <-errs; err == nil {
+			err = e
+		}
+	}
+	return err
+}
+
+// Commit decides one commit request; it is a CommitBatch of one, run in the
+// pooled call's own one-request arrays.
 func (co *Coordinator) Commit(req oracle.CommitRequest) (oracle.CommitResult, error) {
-	res, err := co.CommitBatch([]oracle.CommitRequest{req})
-	if err != nil {
+	c := callPool.Get().(*call)
+	defer c.release()
+	c.one[0], c.oneRes[0] = req, oracle.CommitResult{}
+	if err := c.commit(co, c.one[:], c.oneRes[:], time.Time{}); err != nil {
 		return oracle.CommitResult{}, err
 	}
-	return res[0], nil
+	return c.oneRes[0], nil
 }
 
 // CommitBatch decides a batch of commit requests across the partitions:
 // read-only requests commit immediately, and the others run the two-phase
 // prepare/decide round — except that with SharedTSO a request whose rows
-// live on one partition takes that partition's one-shot CommitBatch. All
-// partitions work concurrently. An error reports an infrastructure
-// failure, or ErrMisrouted when a partition server refused a slice (its
-// router disagrees with the coordinator's); per-transaction conflicts are
+// live on one partition takes that partition's one-shot CommitBatch. Each
+// partition's one-shot group and the two-phase round are the units of one
+// fanOut, so a batch whose requests all land on one partition runs on the
+// caller's goroutine. An error reports an infrastructure failure, or
+// ErrMisrouted when a partition server refused a slice (its router
+// disagrees with the coordinator's); per-transaction conflicts are
 // reported in the results.
 func (co *Coordinator) CommitBatch(reqs []oracle.CommitRequest) ([]oracle.CommitResult, error) {
 	return co.CommitBatchDeadline(reqs, time.Time{})
@@ -224,61 +233,11 @@ func (co *Coordinator) CommitBatchDeadline(reqs []oracle.CommitRequest, deadline
 		return nil, oracle.ErrExpired
 	}
 	results := make([]oracle.CommitResult, len(reqs))
-	singles := make(map[int][]int)
-	var multi []int
-	var nSingles, nCross int64
-	covers := make([][]int, len(reqs))
-	for i := range reqs {
-		if reqs[i].ReadOnly() {
-			// §5.1 read-only fast path, unchanged by partitioning.
-			results[i] = oracle.CommitResult{Committed: true, CommitTS: reqs[i].StartTS}
-			continue
-		}
-		cover := co.cover(&reqs[i])
-		covers[i] = cover
-		if len(cover) > 1 {
-			nCross++
-			multi = append(multi, i)
-			continue
-		}
-		nSingles++
-		if co.cfg.SharedTSO {
-			singles[cover[0]] = append(singles[cover[0]], i)
-		} else {
-			// A remote partition cannot draw its commit timestamp after
-			// its check from the coordinator's clock, so the request takes
-			// the two-phase round, which can.
-			multi = append(multi, i)
-		}
-	}
-	co.singleTxns.Add(nSingles)
-	co.crossTxns.Add(nCross)
-
-	errCh := make(chan error, len(singles)+1)
-	var wg sync.WaitGroup
-	for p, group := range singles {
-		wg.Add(1)
-		go func(p int, group []int) {
-			defer wg.Done()
-			if err := co.commitSingles(p, reqs, group, results); err != nil {
-				errCh <- err
-			}
-		}(p, group)
-	}
-	if len(multi) > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := co.commitCross(reqs, multi, covers, results, deadline); err != nil {
-				errCh <- err
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
+	c := callPool.Get().(*call)
+	err := c.commit(co, reqs, results, deadline)
+	c.release()
+	if err != nil {
 		return nil, err
-	default:
 	}
 	return results, nil
 }
@@ -288,15 +247,100 @@ func expired(deadline time.Time) bool {
 	return !deadline.IsZero() && !time.Now().Before(deadline)
 }
 
-// Pools recycling the coordinator's per-round frame containers. Only the
-// container slices cycle: every backend — the in-process oracle and the
-// wire client alike — is done with the container when its call returns
-// (what a prepare retains are the per-slice row sets, which are fresh
-// sliceRows copies, never pooled).
+// call is one commit call's routing state, pooled. Its units (run) are the
+// one-shot groups in partition order, then the two-phase round if any.
+type call struct {
+	co       *Coordinator
+	reqs     []oracle.CommitRequest
+	results  []oracle.CommitResult
+	deadline time.Time
+	singles  [][]int  // by partition: its one-shot requests
+	groups   []int    // the partitions with one-shot requests, ascending
+	multi    []int    // the requests of the two-phase round
+	covers   []uint64 // by index in multi: the request's partition set
+	one      [1]oracle.CommitRequest
+	oneRes   [1]oracle.CommitResult
+	run      func(k int) error // c.unit, bound once
+}
+
+// Pools recycling the coordinator's per-call state and per-round frame
+// containers. Every backend — the in-process oracle and the wire client
+// alike — is done with a container when its call returns; what a prepare
+// retains are its slices' rows, which live in one fresh array per round
+// (newRound), never pooled. A Commit whose rows live on one partition thus
+// allocates only what its partition's CommitBatch returns: 1 allocation
+// per transaction in BenchmarkCoordinatorCommit's one-shot case.
 var (
+	callPool      = sync.Pool{New: func() interface{} { c := new(call); c.run = c.unit; return c }}
+	roundPool     = sync.Pool{New: func() interface{} { r := new(crossRound); r.prepare, r.decide = r.prepareUnit, r.decideUnit; return r }}
 	commitSubPool = sync.Pool{New: func() interface{} { s := make([]oracle.CommitRequest, 0, 64); return &s }}
 	decideSubPool = sync.Pool{New: func() interface{} { s := make([]oracle.Decision, 0, 64); return &s }}
 )
+
+// commit routes the requests and runs the call's units; results has one
+// entry per request.
+func (c *call) commit(co *Coordinator, reqs []oracle.CommitRequest, results []oracle.CommitResult, deadline time.Time) error {
+	c.co, c.reqs, c.results, c.deadline = co, reqs, results, deadline
+	for len(c.singles) < len(co.parts) {
+		c.singles = append(c.singles, nil)
+	}
+	var nSingles, nCross int64
+	var groups uint64
+	for i := range reqs {
+		if reqs[i].ReadOnly() {
+			// §5.1 read-only fast path, unchanged by partitioning.
+			results[i] = oracle.CommitResult{Committed: true, CommitTS: reqs[i].StartTS}
+			continue
+		}
+		cover := co.cover(&reqs[i])
+		if cover&(cover-1) != 0 {
+			nCross++
+		} else {
+			nSingles++
+			if co.cfg.SharedTSO {
+				p := bits.TrailingZeros64(cover)
+				groups |= cover
+				c.singles[p] = append(c.singles[p], i)
+				continue
+			}
+			// A remote partition cannot draw its commit timestamp after
+			// its check from the coordinator's clock, so the request takes
+			// the two-phase round, which can.
+		}
+		c.multi = append(c.multi, i)
+		c.covers = append(c.covers, cover)
+	}
+	co.singleTxns.Add(nSingles)
+	co.crossTxns.Add(nCross)
+	for ; groups != 0; groups &= groups - 1 {
+		c.groups = append(c.groups, bits.TrailingZeros64(groups))
+	}
+	units := len(c.groups)
+	if len(c.multi) > 0 {
+		units++
+	}
+	return fanOut(units, c.run)
+}
+
+// unit runs the call's unit k: a one-shot group, or the two-phase round.
+func (c *call) unit(k int) error {
+	if k < len(c.groups) {
+		p := c.groups[k]
+		return c.co.commitSingles(p, c.reqs, c.singles[p], c.results)
+	}
+	return c.co.commitCross(c.reqs, c.multi, c.covers, c.results, c.deadline)
+}
+
+// release returns the call to its pool, keeping no caller memory alive.
+func (c *call) release() {
+	for _, p := range c.groups {
+		c.singles[p] = c.singles[p][:0]
+	}
+	c.groups, c.multi, c.covers = c.groups[:0], c.multi[:0], c.covers[:0]
+	c.co, c.reqs, c.results = nil, nil, nil
+	c.one[0] = oracle.CommitRequest{}
+	callPool.Put(c)
+}
 
 // commitSingles sends one partition's group of single-partition requests
 // down its CommitBatch, which draws and publishes their commit timestamps
@@ -319,127 +363,120 @@ func (co *Coordinator) commitSingles(p int, reqs []oracle.CommitRequest, idxs []
 	return nil
 }
 
-// crossRound is the shared state of one two-phase fan-out.
+// crossRound is one two-phase round's state, pooled. Its units are the
+// covered partitions: prepareUnit and decideUnit run one partition's phase.
 type crossRound struct {
-	prepReqs map[int][]oracle.PrepareRequest
-	slots    map[int][]int // partition -> index into multi, per prepare slice
+	co        *Coordinator
+	parts     []int                     // the covered partitions, ascending
+	prepReqs  [][]oracle.PrepareRequest // by partition: its prepare slices
+	slots     [][]int                   // by partition: each slice's index in multi
+	votes     []bool                    // by index in multi
+	decisions []oracle.Decision         // by index in multi
+	commits   []uint64                  // the start timestamps partition 0 publishes
+
+	mu         sync.Mutex // guards votes and misrouted during the prepare fan-out
+	misrouted  bool
+	abortsOnly bool // the decide fan-out keeps the commit verdicts back
+
+	prepare, decide func(k int) error // r.prepareUnit, r.decideUnit, bound once
 }
 
-// buildSlices cuts each request of a round into per-partition prepare
-// slices. The slices carry no commit timestamp: it is drawn after the votes.
-func (co *Coordinator) buildSlices(reqs []oracle.CommitRequest, multi []int, covers [][]int) crossRound {
-	r := crossRound{
-		prepReqs: make(map[int][]oracle.PrepareRequest),
-		slots:    make(map[int][]int),
+// newRound cuts each request of a round into per-partition prepare slices.
+// The slices carry no commit timestamp: it is drawn after the votes.
+func (co *Coordinator) newRound(reqs []oracle.CommitRequest, multi []int, covers []uint64) *crossRound {
+	r := roundPool.Get().(*crossRound)
+	r.co = co
+	for len(r.prepReqs) < len(co.parts) {
+		r.prepReqs = append(r.prepReqs, nil)
+		r.slots = append(r.slots, nil)
 	}
+	// Only the guard rows travel as the read set: the cover includes every
+	// check row's partition, so each slice's guard rows are owned there.
+	// Under SI there are none, and a read set spanning foreign partitions
+	// would trip the server's ownership guard. Every slice's rows are cut
+	// from one fresh array, sized here: a prepare keeps them.
+	var all uint64
+	n := 0
 	for k, i := range multi {
-		// Only the guard rows travel as the read set: the cover includes
-		// every check row's partition, so each slice's guard rows are owned
-		// there. Under SI there are none, and a read set spanning foreign
-		// partitions would trip the server's ownership guard.
 		_, guard := co.cfg.Engine.Rows(reqs[i].WriteSet, reqs[i].ReadSet)
-		for _, p := range covers[i] {
-			pr := oracle.PrepareRequest{
-				StartTS:  reqs[i].StartTS,
-				WriteSet: sliceRows(co.cfg.Router, reqs[i].WriteSet, p),
-				ReadSet:  sliceRows(co.cfg.Router, guard, p),
-			}
+		n += len(reqs[i].WriteSet) + len(guard)
+		all |= covers[k]
+	}
+	buf := make([]oracle.RowID, 0, n)
+	for k, i := range multi {
+		_, guard := co.cfg.Engine.Rows(reqs[i].WriteSet, reqs[i].ReadSet)
+		for m := covers[k]; m != 0; m &= m - 1 {
+			p := bits.TrailingZeros64(m)
+			pr := oracle.PrepareRequest{StartTS: reqs[i].StartTS}
+			buf, pr.WriteSet = sliceRows(buf, co.cfg.Router, reqs[i].WriteSet, p)
+			buf, pr.ReadSet = sliceRows(buf, co.cfg.Router, guard, p)
 			r.prepReqs[p] = append(r.prepReqs[p], pr)
 			r.slots[p] = append(r.slots[p], k)
 		}
+		r.votes = append(r.votes, true)
+	}
+	for ; all != 0; all &= all - 1 {
+		r.parts = append(r.parts, bits.TrailingZeros64(all))
 	}
 	return r
 }
 
-// prepareRound runs phase one in parallel and ANDs the votes. A partition
-// that fails to answer vetoes every transaction it covers — aborting more
-// than a serial oracle would is always safe, and the client is never
-// acknowledged for a commit that was not unanimously prepared. A partition
-// that refuses its slices as misrouted parks none of them and likewise
-// vetoes; the second result reports that one did.
-func (co *Coordinator) prepareRound(r crossRound, n int) ([]bool, bool) {
-	votes := make([]bool, n)
-	for i := range votes {
-		votes[i] = true
+// release returns the round to its pool, keeping no prepare's rows alive.
+func (r *crossRound) release() {
+	for _, p := range r.parts {
+		clear(r.prepReqs[p])
+		r.prepReqs[p], r.slots[p] = r.prepReqs[p][:0], r.slots[p][:0]
 	}
-	// One struct, so the goroutines capture one heap variable.
-	var out struct {
-		mu        sync.Mutex
-		misrouted bool
-	}
-	var wg sync.WaitGroup
-	for p, prs := range r.prepReqs {
-		wg.Add(1)
-		go func(p int, prs []oracle.PrepareRequest) {
-			defer wg.Done()
-			vs, err := co.parts[p].PrepareBatch(prs)
-			out.mu.Lock()
-			defer out.mu.Unlock()
-			if err != nil {
-				if errors.Is(err, ErrMisrouted) {
-					out.misrouted = true
-				}
-				for _, k := range r.slots[p] {
-					votes[k] = false
-				}
-				return
-			}
-			for j, k := range r.slots[p] {
-				if !vs[j] {
-					votes[k] = false
-				}
-			}
-		}(p, prs)
-	}
-	wg.Wait()
-	return votes, out.misrouted
+	r.parts, r.votes, r.decisions, r.commits = r.parts[:0], r.votes[:0], r.decisions[:0], r.commits[:0]
+	r.misrouted, r.abortsOnly = false, false
+	r.co = nil
+	roundPool.Put(r)
 }
 
-// decideRound fans the verdicts to every covering partition in parallel;
-// with abortsOnly, the commit verdicts stay back.
-func (co *Coordinator) decideRound(r crossRound, decisions []oracle.Decision, abortsOnly bool) error {
-	var dmu sync.Mutex
-	var decideErr error
-	var wg sync.WaitGroup
-	for p := range r.prepReqs {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			dp := decideSubPool.Get().(*[]oracle.Decision)
-			ds := (*dp)[:0]
-			for _, k := range r.slots[p] {
-				if !abortsOnly || !decisions[k].Commit {
-					ds = append(ds, decisions[k])
-				}
-			}
-			err := co.parts[p].DecideBatch(ds)
-			*dp = ds[:0]
-			decideSubPool.Put(dp)
-			if err != nil {
-				dmu.Lock()
-				decideErr = err
-				dmu.Unlock()
-			}
-		}(p)
+// prepareUnit runs phase one on the round's partition k and ANDs its votes
+// into the round's. A partition that fails to answer vetoes every
+// transaction it covers — aborting more than a serial oracle would is
+// always safe, and the client is never acknowledged for a commit that was
+// not unanimously prepared. A partition that refuses its slices as
+// misrouted parks none of them and likewise vetoes, and the round records
+// that one did.
+func (r *crossRound) prepareUnit(k int) error {
+	p := r.parts[k]
+	vs, err := r.co.parts[p].PrepareBatch(r.prepReqs[p])
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if err != nil {
+		if errors.Is(err, ErrMisrouted) {
+			r.misrouted = true
+		}
+		for _, k := range r.slots[p] {
+			r.votes[k] = false
+		}
+		return nil
 	}
-	wg.Wait()
-	return decideErr
-}
-
-// finishCross writes the round's results and counters.
-func (co *Coordinator) finishCross(multi []int, decisions []oracle.Decision, results []oracle.CommitResult) {
-	var commits, aborts int64
-	for k, i := range multi {
-		results[i] = oracle.CommitResult{Committed: decisions[k].Commit}
-		if decisions[k].Commit {
-			results[i].CommitTS = decisions[k].CommitTS
-			commits++
-		} else {
-			aborts++
+	for j, k := range r.slots[p] {
+		if !vs[j] {
+			r.votes[k] = false
 		}
 	}
-	co.crossCommits.Add(commits)
-	co.crossAborts.Add(aborts)
+	return nil
+}
+
+// decideUnit sends the verdicts to the round's partition k; with
+// abortsOnly, the commit verdicts stay back.
+func (r *crossRound) decideUnit(k int) error {
+	p := r.parts[k]
+	dp := decideSubPool.Get().(*[]oracle.Decision)
+	ds := (*dp)[:0]
+	for _, k := range r.slots[p] {
+		if !r.abortsOnly || !r.decisions[k].Commit {
+			ds = append(ds, r.decisions[k])
+		}
+	}
+	err := r.co.parts[p].DecideBatch(ds)
+	*dp = ds[:0]
+	decideSubPool.Put(dp)
+	return err
 }
 
 // commitCross runs one two-phase round for the requests in multi.
@@ -465,73 +502,84 @@ func (co *Coordinator) finishCross(multi []int, decisions []oracle.Decision, res
 // prepare: the round aborts them everywhere and then returns ErrMisrouted,
 // so a coordinator whose router disagrees with the servers' sees an error
 // rather than a stream of aborts.
-func (co *Coordinator) commitCross(reqs []oracle.CommitRequest, multi []int, covers [][]int, results []oracle.CommitResult, deadline time.Time) error {
-	round := co.buildSlices(reqs, multi, covers)
-	votes, misrouted := co.prepareRound(round, len(multi))
-
-	decisions := make([]oracle.Decision, len(multi))
-	var commits []uint64
+func (co *Coordinator) commitCross(reqs []oracle.CommitRequest, multi []int, covers []uint64, results []oracle.CommitResult, deadline time.Time) error {
+	r := co.newRound(reqs, multi, covers)
+	_ = fanOut(len(r.parts), r.prepare) // prepare units veto instead of failing
+	misrouted := r.misrouted
 	for k, i := range multi {
-		decisions[k] = oracle.Decision{StartTS: reqs[i].StartTS, Commit: votes[k]}
-		if votes[k] {
-			commits = append(commits, reqs[i].StartTS)
+		r.decisions = append(r.decisions, oracle.Decision{StartTS: reqs[i].StartTS, Commit: r.votes[k]})
+		if r.votes[k] {
+			r.commits = append(r.commits, reqs[i].StartTS)
 		}
 	}
 	var pubErr error
-	if len(commits) > 0 {
+	if len(r.commits) > 0 {
 		var lo uint64
-		lo, pubErr = co.parts[0].PublishCommits(commits)
+		lo, pubErr = co.parts[0].PublishCommits(r.commits)
 		switch {
 		case lo != 0:
-			for k := range decisions {
-				if decisions[k].Commit {
-					decisions[k].CommitTS = lo
+			for k := range r.decisions {
+				if r.decisions[k].Commit {
+					r.decisions[k].CommitTS = lo
 					lo++
 				}
 			}
 		case errors.Is(pubErr, ErrInDoubt):
-			_ = co.decideRound(round, decisions, true)
-			return pubErr
+			r.abortsOnly = true
 		default:
 			// Nothing published: abort everything to release the
 			// prepared rows, then surface the failure.
-			for k := range decisions {
-				decisions[k].Commit = false
+			for k := range r.decisions {
+				r.decisions[k].Commit = false
 			}
-			_ = co.decideRound(round, decisions, false)
-			co.finishCross(multi, decisions, results)
-			return pubErr
 		}
 	}
-	decideErr := co.runDecides(round, decisions, deadline)
-	co.finishCross(multi, decisions, results)
-	if pubErr != nil {
+	// The verdicts are final (in doubt, nobody reads them): write the
+	// results before the decides, which may outlive this call.
+	if !r.abortsOnly {
+		var commits int64
+		for k, i := range multi {
+			d := r.decisions[k]
+			results[i] = oracle.CommitResult{Committed: d.Commit, CommitTS: d.CommitTS}
+			if d.Commit {
+				commits++
+			}
+		}
+		co.crossCommits.Add(commits)
+		co.crossAborts.Add(int64(len(multi)) - commits)
+	}
+	decideErr := co.runDecides(r, deadline)
+	switch {
+	case pubErr != nil:
 		return pubErr
-	}
-	if decideErr != nil {
+	case decideErr != nil:
 		return decideErr
-	}
-	if misrouted {
+	case misrouted:
 		return ErrMisrouted
 	}
 	return nil
 }
 
-// runDecides fans the verdicts out. A caller whose deadline passed while
-// the round was being voted and published is released here instead of
-// waiting out the fan-out: the decisions are final and partition 0 already
-// answers the commits, so the round moves to the background (DrainDecides waits for it) and the
-// caller gets oracle.ErrExpired — cooperative cancellation of
-// post-admission work that nobody is waiting for.
-func (co *Coordinator) runDecides(round crossRound, decisions []oracle.Decision, deadline time.Time) error {
+// runDecides fans the verdicts out and releases the round. A caller whose
+// deadline passed while the round was being voted and published is
+// released here instead of waiting out the fan-out: the decisions are
+// final and partition 0 already answers the commits, so the round moves to
+// the background (DrainDecides waits for it) and the caller gets
+// oracle.ErrExpired — cooperative cancellation of post-admission work that
+// nobody is waiting for.
+func (co *Coordinator) runDecides(r *crossRound, deadline time.Time) error {
 	if !expired(deadline) {
-		return co.decideRound(round, decisions, false)
+		err := fanOut(len(r.parts), r.decide)
+		r.release()
+		return err
 	}
 	co.expiredDecides.Add(1)
 	co.decideWG.Add(1)
 	go func() {
 		defer co.decideWG.Done()
-		if err := co.decideRound(round, decisions, false); err != nil {
+		err := fanOut(len(r.parts), r.decide)
+		r.release()
+		if err != nil {
 			co.decideMu.Lock()
 			if co.decideErr == nil {
 				co.decideErr = err
@@ -573,15 +621,10 @@ func (co *Coordinator) QueryBatch(startTSs []uint64) []oracle.TxnStatus {
 		return co.parts[0].QueryBatch(startTSs)
 	}
 	answers := make([][]oracle.TxnStatus, len(co.parts))
-	var wg sync.WaitGroup
-	for p := range co.parts {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			answers[p] = co.parts[p].QueryBatch(startTSs)
-		}(p)
-	}
-	wg.Wait()
+	_ = fanOut(len(co.parts), func(p int) error {
+		answers[p] = co.parts[p].QueryBatch(startTSs)
+		return nil
+	})
 	for i := range out {
 		out[i] = mergeStatuses(answers, i)
 	}
