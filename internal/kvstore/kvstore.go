@@ -46,11 +46,14 @@ func New(Config) *Store {
 	return &Store{rows: make(map[string]*row)}
 }
 
-// Put writes a version of a cell.
-func (s *Store) Put(key string, ts uint64, value []byte) {
-	val := make([]byte, len(value))
-	copy(val, value)
+// Put writes a version of a cell, replacing the one written at the same
+// timestamp, and reports whether the version is new (none was there). The
+// store keeps value itself, not a copy: the caller hands over a buffer it
+// will not change again — the transaction layer's freshly encoded value, its
+// shared read-only tombstone — and every reader gets that same slice back.
+func (s *Store) Put(key string, ts uint64, value []byte) bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	rw, ok := s.rows[key]
 	if !ok {
 		rw = &row{}
@@ -58,8 +61,7 @@ func (s *Store) Put(key string, ts uint64, value []byte) {
 		s.keys = append(s.keys, key)
 		s.dirty = true
 	}
-	rw.insert(Version{TS: ts, Value: val})
-	s.mu.Unlock()
+	return rw.insert(Version{TS: ts, Value: value})
 }
 
 // Get returns key's candidates for a snapshot at before, newest TS first, up

@@ -186,14 +186,29 @@ func TestStampDoesNotSurviveRewrite(t *testing.T) {
 	}
 }
 
+// TestValueCopiedOnPut pins where a write's one copy is made: by the
+// caller, before Put. The store keeps the very slice it is given, so a reader
+// gets that buffer back, and Put reports whether the version is new — true
+// for a fresh timestamp, false for a rewrite at the same one.
 func TestValueCopiedOnPut(t *testing.T) {
 	s := New(Config{})
 	buf := []byte("mutable")
-	s.Put("k", 1, buf)
-	buf[0] = 'X'
+	if !s.Put("k", 1, buf) {
+		t.Fatal("first write at ts 1 reported as a rewrite")
+	}
 	vs := s.Get("k", 2, 0)
-	if string(vs[0].Value) != "mutable" {
-		t.Fatal("store aliases caller's buffer")
+	if len(vs) != 1 || &vs[0].Value[0] != &buf[0] {
+		t.Fatalf("store copied the value it was given: %v", vs)
+	}
+	again := []byte("rewritten")
+	if s.Put("k", 1, again) {
+		t.Fatal("rewrite at ts 1 reported as a new version")
+	}
+	if vs := s.Get("k", 2, 0); len(vs) != 1 || &vs[0].Value[0] != &again[0] {
+		t.Fatalf("rewrite not kept as given: %v", vs)
+	}
+	if !s.Put("k", 3, buf) {
+		t.Fatal("write at ts 3 reported as a rewrite")
 	}
 }
 

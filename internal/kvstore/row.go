@@ -17,22 +17,25 @@ type row struct {
 }
 
 // insert adds v to the pending part, replacing the version written at the
-// same timestamp (a transaction rewriting its own tentative write). The new
-// version is stored whole, so the replaced one's CommitTS goes with it: a
-// stamp never outlives the bytes it was learned about. A fresh write moves
-// only the pending part.
-func (rw *row) insert(v Version) {
-	if i := rw.locate(v.TS); i >= rw.stamped {
-		rw.versions[i] = v
-		return
-	} else if i >= 0 {
-		rw.remove(i)
+// same timestamp (a transaction rewriting its own tentative write), and
+// reports whether no version was written there before. The new version is
+// stored whole, so the replaced one's CommitTS goes with it: a stamp never
+// outlives the bytes it was learned about. A fresh write moves only the
+// pending part.
+func (rw *row) insert(v Version) bool {
+	at := rw.locate(v.TS)
+	if at >= rw.stamped {
+		rw.versions[at] = v
+		return false
+	} else if at >= 0 {
+		rw.remove(at)
 	}
 	i := rw.stamped
 	for i < len(rw.versions) && rw.versions[i].TS > v.TS {
 		i++
 	}
 	rw.versions = slices.Insert(rw.versions, i, v)
+	return at < 0
 }
 
 // locate returns the index of the version written at ts, or -1. Only the

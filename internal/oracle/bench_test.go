@@ -62,6 +62,44 @@ func BenchmarkCommitBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkCommit is the serial one-request Commit the in-process
+// transaction client calls: a Begin and a commit of 10 written and 10 read
+// rows per op, on the same bounded oracle as BenchmarkCommitBatch. The
+// decision lands in Commit's one-element stack array, so -benchmem reports
+// zero.
+func BenchmarkCommit(b *testing.B) {
+	so, err := oracle.New(oracle.Config{
+		Engine:     oracle.WSI,
+		MaxRows:    1 << 16,
+		MaxCommits: 1 << 16,
+		TSO:        tso.New(0, nil),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	req := oracle.CommitRequest{
+		WriteSet: make([]oracle.RowID, 10),
+		ReadSet:  make([]oracle.RowID, 10),
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		ts, err := so.Begin()
+		if err != nil {
+			b.Fatal(err)
+		}
+		req.StartTS = ts
+		for j := range req.WriteSet {
+			req.WriteSet[j] = oracle.RowID(rng.Int63n(20_000_000))
+			req.ReadSet[j] = oracle.RowID(rng.Int63n(20_000_000))
+		}
+		if _, err := so.Commit(req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkQueryBatch measures per-lookup status-resolution cost through
 // QueryBatch across batch sizes (batch-1 is the serial Query cost); the
 // amortization of commit-table lock passes is the headroom behind the

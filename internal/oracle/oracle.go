@@ -186,13 +186,15 @@ func (s *StatusOracle) Begin() (uint64, error) {
 	return ts, nil
 }
 
-// Commit processes a commit request (Algorithms 1–3) as a batch of one. It
-// returns the decision; an error indicates an infrastructure failure
-// (timestamp oracle or WAL), not a conflict. High-throughput callers should
-// prefer CommitBatch, which amortizes lock acquisition, timestamp allocation
-// and WAL appends across many requests.
+// Commit processes a commit request (Algorithms 1–3) as a batch of one,
+// decided into a one-element array on the stack. It returns the decision; an
+// error indicates an infrastructure failure (timestamp oracle or WAL), not a
+// conflict. High-throughput callers should prefer CommitBatch, which
+// amortizes lock acquisition, timestamp allocation and WAL appends across
+// many requests.
 func (s *StatusOracle) Commit(req CommitRequest) (CommitResult, error) {
-	res, err := s.CommitBatch([]CommitRequest{req})
+	var out [1]CommitResult
+	res, err := s.commitBatch([]CommitRequest{req}, out[:0])
 	if err != nil {
 		return CommitResult{}, err
 	}

@@ -4,8 +4,10 @@
 // A transaction receives a start timestamp, reads from the snapshot that
 // timestamp defines, buffers nothing — tentative writes go straight to the
 // store versioned by the start timestamp, exactly as in the paper's
-// lock-free scheme — and finally submits its write set (and, under WSI, its
-// read set) to the status oracle, which decides commit or abort.
+// lock-free scheme, and the transaction's own reads find them there — and
+// finally submits its write set (and, under WSI, its read set) to the status
+// oracle, which decides commit or abort. The store is the only write buffer:
+// Put encodes the value once, and the store keeps that copy.
 //
 // To decide whether a version it encounters is visible, a reader must learn
 // the commit status of the writing transaction. The paper lists three
@@ -128,13 +130,6 @@ type Config struct {
 	// scans may submit compact bucket-level read sets instead of
 	// enumerating rows.
 	Bucketer Bucketer
-	// DeferWrites buffers writes client-side and flushes them to the
-	// data servers only at commit time, Percolator-style (§2.1), instead
-	// of the default eager write-through. Visibility is identical either
-	// way — tentative versions are invisible until the oracle commits —
-	// but deferral saves data-server traffic for transactions that abort
-	// before committing, at the cost of a commit-time write burst.
-	DeferWrites bool
 	// Tap, when non-nil, receives sampled transaction lifecycle events
 	// (begin/read/write/commit/abort) for the streaming anomaly checker.
 	// The sampling decision is made once per transaction at Begin; an
@@ -174,11 +169,7 @@ func (c *Client) Begin() (*Txn, error) {
 		return nil, err
 	}
 	c.active.add(ts)
-	t := &Txn{
-		client:  c,
-		startTS: ts,
-		writes:  make(map[string][]byte),
-	}
+	t := &Txn{client: c, startTS: ts}
 	if tap := c.cfg.Tap; tap != nil && tap.Sampled(ts) {
 		t.tap = tap
 		tap.Record(history.StreamEvent{Kind: history.EvBegin, Start: ts})

@@ -102,11 +102,5 @@ func (c *Client) GC() (int, error) {
 // below its watermark, so callers coordinate time-travel depth with their
 // GC policy.
 func (c *Client) BeginAt(ts uint64) *Txn {
-	t := &Txn{
-		client:   c,
-		startTS:  ts,
-		writes:   nil, // nil write map marks the transaction read-only
-		readOnly: true,
-	}
-	return t
+	return &Txn{client: c, startTS: ts, readOnly: true}
 }

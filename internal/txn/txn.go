@@ -1,7 +1,7 @@
 package txn
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/history"
@@ -23,7 +23,7 @@ func encodeValue(v []byte) []byte {
 	return out
 }
 
-var tombstone = []byte{tagTombstone} // the store copies what it is given
+var tombstone = []byte{tagTombstone} // shared and read-only: the store keeps what it is given
 
 func decodeValue(raw []byte) (value []byte, live bool) {
 	if len(raw) == 0 || raw[0] == tagTombstone {
@@ -33,22 +33,15 @@ func decodeValue(raw []byte) (value []byte, live bool) {
 }
 
 // Txn is one transaction. A Txn must be used by a single goroutine.
+//
+// The transaction keeps no copy of what it writes: its tentative versions
+// live in the store at its start timestamp, and its own reads find them
+// there — a writer reads at startTS+1 and takes the version written at
+// startTS as its own (pick). What it keeps are its row sets, in pooled
+// arrays (sets).
 type Txn struct {
 	client  *Client
 	startTS uint64
-
-	// writes buffers this transaction's own writes for read-your-writes, as
-	// encoded store values (the very buffer Put handed the store, or hands
-	// it at commit under DeferWrites). The store already holds them as
-	// tentative versions at startTS.
-	writes map[string][]byte
-	// reads is the read set: every row the transaction actually read,
-	// whether addressed by key or reached by a scan (§5). Created by the
-	// first read: blind writers never pay for it.
-	reads map[string]struct{}
-	// readBuckets holds §5.2 compact read-set entries (bucket labels)
-	// accumulated by BucketScan.
-	readBuckets map[string]struct{}
 
 	done      bool
 	committed bool
@@ -56,9 +49,10 @@ type Txn struct {
 	// readOnly marks a BeginAt time-travel transaction: writes are
 	// rejected and commit is local (no oracle interaction).
 	readOnly bool
-	// sets holds the pooled row-set buffers backing this transaction's
-	// commit request; finishCommit returns them once the arbiter has
-	// decided (no layer retains the hashed sets past the decision).
+	// sets holds the transaction's row sets in pooled arrays: taken by the
+	// first read or write, returned once the arbiter has decided or the
+	// transaction aborts (no layer retains the hashed sets past the
+	// decision). nil for a transaction that has touched no row yet.
 	sets *commitSets
 	// tap is the sampled anomaly-lab event sink; nil unless the client
 	// has a Tap configured and this transaction won the sampling draw at
@@ -99,21 +93,74 @@ func (t *Txn) tapDecision(committed bool, commitTS uint64) {
 	}
 }
 
-// commitSets is a pooled pair of row-set buffers for prepareCommit: commit
-// requests are built into recycled arrays instead of fresh allocations, so
-// a steady commit rate hashes its read/write sets with zero allocation.
+// commitSets is a transaction's row sets in recycled arrays, so a steady
+// transaction rate records and hashes them with zero allocation:
+//   - keys holds the written keys, once each: Store.Put reports whether a
+//     write is new, so a rewrite of the same key adds nothing;
+//   - r holds the hashed rows (and §5.2 bucket labels) read so far,
+//     deduplicated by sort and compact at commit, and whenever the array is
+//     full, so repeated reads of one row stay bounded;
+//   - w is the write set prepareCommit hashes from keys.
 type commitSets struct {
+	keys []string
 	w, r []oracle.RowID
 }
 
 var commitSetsPool = sync.Pool{New: func() interface{} { return new(commitSets) }}
 
-// read adds key to the read set.
-func (t *Txn) read(key string) {
-	if t.reads == nil {
-		t.reads = make(map[string]struct{})
+// rowSets returns the transaction's row sets, taking them from the pool at
+// first use.
+func (t *Txn) rowSets() *commitSets {
+	if t.sets == nil {
+		t.sets = commitSetsPool.Get().(*commitSets)
 	}
-	t.reads[key] = struct{}{}
+	return t.sets
+}
+
+// written returns the keys this transaction has written, once each.
+func (t *Txn) written() []string {
+	if t.sets == nil {
+		return nil
+	}
+	return t.sets.keys
+}
+
+// read adds key's row to the read set.
+func (t *Txn) read(key string) { t.readRow(oracle.HashRow(key)) }
+
+// readRow adds a hashed row or bucket to the read set. A BeginAt reader
+// submits no read set, so it records none.
+func (t *Txn) readRow(id oracle.RowID) {
+	if t.readOnly {
+		return
+	}
+	s := t.rowSets()
+	if len(s.r) == cap(s.r) {
+		s.r = compactRows(s.r)
+		// Mostly distinct rows: grow now, or the next few reads would
+		// compact the same array again.
+		if len(s.r) > cap(s.r)/2 {
+			s.r = slices.Grow(s.r, cap(s.r))
+		}
+	}
+	s.r = append(s.r, id)
+}
+
+// compactRows sorts ids and drops the duplicates, in place.
+func compactRows(ids []oracle.RowID) []oracle.RowID {
+	slices.Sort(ids)
+	return slices.Compact(ids)
+}
+
+// before is the snapshot bound this transaction reads the store at. A
+// writer's own tentative versions sit at its start timestamp, so it reads
+// one above; a BeginAt reader owns no version, and one written at its
+// timestamp is another transaction's.
+func (t *Txn) before() uint64 {
+	if t.readOnly {
+		return t.startTS
+	}
+	return t.startTS + 1
 }
 
 // StartTS returns the transaction's start timestamp (its snapshot).
@@ -133,11 +180,7 @@ func (t *Txn) Get(key string) (value []byte, ok bool, err error) {
 		return nil, false, ErrClosed
 	}
 	t.read(key)
-	raw, mine := t.writes[key]
-	obs := t.startTS
-	if !mine {
-		raw, obs = t.snapshotRead(key)
-	}
+	raw, obs := t.snapshotRead(key)
 	t.tapRead(key, obs)
 	val, live := decodeValue(raw)
 	if !live {
@@ -148,12 +191,12 @@ func (t *Txn) Get(key string) (value []byte, ok bool, err error) {
 
 // Every read takes the same road. The store hands back a row's candidates —
 // its unstamped versions below the snapshot and the one stamped version that
-// can win — each with its commit timestamp if anybody has stamped it;
-// unstamped collects the rest, resolveInto asks the mode's source about them
-// in one batch, pick walks each row's candidates in the same order — stamp
-// when present, next answer otherwise — and every committed answer is
-// stamped back into the store, so no reader of that version, on any client,
-// asks again.
+// can win, and the transaction's own write — each with its commit timestamp
+// if anybody has stamped it; unstamped collects the rest, resolveInto asks
+// the mode's source about them in one batch, pick walks each row's
+// candidates in the same order — stamp when present, next answer otherwise —
+// and every committed answer is stamped back into the store, so no reader of
+// that version, on any client, asks again.
 
 // snapshotRead returns the raw store value of key in this transaction's
 // snapshot and its writer's start timestamp (nil, 0 when it has none).
@@ -166,16 +209,20 @@ func (t *Txn) snapshotRead(key string) (raw []byte, obs uint64) {
 		statusBuf  [4]oracle.TxnStatus
 		stampBuf   [4]kvstore.Stamp
 	)
-	versions := t.client.store.GetInto(versionBuf[:0], key, t.startTS, 0)
-	statuses := t.client.resolveInto(unstamped(askBuf[:0], versions), statusBuf[:0])
+	versions := t.client.store.GetInto(versionBuf[:0], key, t.before(), 0)
+	statuses := t.client.resolveInto(unstamped(askBuf[:0], versions, t.startTS), statusBuf[:0])
 	raw, obs, _, stamps := pick(key, versions, t.startTS, statuses, stampBuf[:0])
 	t.client.store.StampCommits(stamps)
 	return raw, obs
 }
 
 // unstamped appends to ask the write timestamps of the versions nobody has
-// resolved yet.
-func unstamped(ask []uint64, versions []kvstore.Version) []uint64 {
+// resolved yet. A row the transaction wrote asks nothing: its own version is
+// the answer.
+func unstamped(ask []uint64, versions []kvstore.Version, startTS uint64) []uint64 {
+	if own(versions, startTS) {
+		return ask
+	}
 	for i := range versions {
 		if versions[i].CommitTS == 0 {
 			ask = append(ask, versions[i].TS)
@@ -184,7 +231,15 @@ func unstamped(ask []uint64, versions []kvstore.Version) []uint64 {
 	return ask
 }
 
-// pick selects key's snapshot version: among the committed versions with
+// own reports whether a row's candidates, newest TS first, start with the
+// version written at startTS: the reading transaction's own tentative write,
+// which no other version can follow in TS order.
+func own(versions []kvstore.Version, startTS uint64) bool {
+	return len(versions) > 0 && versions[0].TS == startTS
+}
+
+// pick selects key's snapshot version: the transaction's own write if it
+// made one (own), and otherwise, among the committed versions with
 // commit timestamp below startTS, the one with the *largest commit
 // timestamp*. Selecting by commit rather than write (start) timestamp
 // matters under WSI, which — unlike SI — allows two overlapping transactions
@@ -199,6 +254,9 @@ func unstamped(ask []uint64, versions []kvstore.Version) []uint64 {
 // unknown-means-aborted is an inference, and an aborted version is its
 // writer's to delete.
 func pick(key string, versions []kvstore.Version, startTS uint64, statuses []oracle.TxnStatus, stamps []kvstore.Stamp) (raw []byte, obs uint64, _ []oracle.TxnStatus, _ []kvstore.Stamp) {
+	if own(versions, startTS) {
+		return versions[0].Value, startTS, statuses, stamps
+	}
 	var bestTC uint64
 	for i := range versions {
 		tc := versions[i].CommitTS
@@ -219,14 +277,11 @@ func pick(key string, versions []kvstore.Version, startTS uint64, statuses []ora
 }
 
 // readScratch is everything GetMulti and Scan need and do not return: the
-// store's read buffer, the keys to fetch and where their answers go, the
-// unstamped versions' write timestamps, their writers' statuses and the
-// stamps the read learned. Pooled, so a steady read rate allocates only what
-// the caller keeps.
+// store's read buffer, the unstamped versions' write timestamps, their
+// writers' statuses and the stamps the read learned. Pooled, so a steady
+// read rate allocates only what the caller keeps.
 type readScratch struct {
 	buf      kvstore.ReadBuf
-	fetch    []string
-	fetchIdx []int
 	ask      []uint64
 	statuses []oracle.TxnStatus
 	stamps   []kvstore.Stamp
@@ -248,40 +303,24 @@ func (t *Txn) GetMulti(keys []string) (values [][]byte, ok []bool, err error) {
 	ok = make([]bool, len(keys))
 	sc := readScratchPool.Get().(*readScratch)
 	defer readScratchPool.Put(sc)
-	// Own writes answer immediately; the store is consulted for the rest.
-	fetch, fetchIdx := sc.fetch[:0], sc.fetchIdx[:0]
-	for i, key := range keys {
+	for _, key := range keys {
 		t.read(key)
-		if v, mine := t.writes[key]; mine {
-			t.tapRead(key, t.startTS)
-			if val, live := decodeValue(v); live {
-				values[i] = append([]byte(nil), val...)
-				ok[i] = true
-			}
-			continue
-		}
-		fetch = append(fetch, key)
-		fetchIdx = append(fetchIdx, i)
 	}
-	sc.fetch, sc.fetchIdx = fetch, fetchIdx
-	if len(fetch) == 0 {
-		return values, ok, nil
-	}
-	t.client.store.MultiGetInto(&sc.buf, fetch, t.startTS, 0)
+	t.client.store.MultiGetInto(&sc.buf, keys, t.before(), 0)
 	ask, stamps := sc.ask[:0], sc.stamps[:0]
-	for k := range fetch {
-		ask = unstamped(ask, sc.buf.Versions(k))
+	for k := range keys {
+		ask = unstamped(ask, sc.buf.Versions(k), t.startTS)
 	}
 	sc.statuses = t.client.resolveInto(ask, sc.statuses)
 	statuses := sc.statuses
-	for k, key := range fetch {
+	for k, key := range keys {
 		var raw []byte
 		var obs uint64
 		raw, obs, statuses, stamps = pick(key, sc.buf.Versions(k), t.startTS, statuses, stamps)
 		t.tapRead(key, obs)
 		if val, live := decodeValue(raw); live {
-			values[fetchIdx[k]] = append([]byte(nil), val...)
-			ok[fetchIdx[k]] = true
+			values[k] = append([]byte(nil), val...)
+			ok[k] = true
 		}
 	}
 	t.client.store.StampCommits(stamps)
@@ -290,37 +329,45 @@ func (t *Txn) GetMulti(keys []string) (values [][]byte, ok []bool, err error) {
 }
 
 // Put writes key=value, visible to this transaction immediately and to
-// others only if the transaction commits.
+// others only if the transaction commits. The value is copied once, into
+// the encoded version the store keeps as the tentative write at the start
+// timestamp; the caller may reuse its buffer.
 func (t *Txn) Put(key string, value []byte) error {
-	if t.done {
-		return ErrClosed
+	if err := t.writable(); err != nil {
+		return err
 	}
-	if t.readOnly {
-		return errReadOnly
-	}
-	enc := encodeValue(value)
-	t.writes[key] = enc
-	t.tapWrite(key)
-	if !t.client.cfg.DeferWrites {
-		t.client.store.Put(key, t.startTS, enc)
-	}
+	t.write(key, encodeValue(value))
 	return nil
 }
 
 // Delete removes key (a versioned tombstone write).
 func (t *Txn) Delete(key string) error {
+	if err := t.writable(); err != nil {
+		return err
+	}
+	t.write(key, tombstone)
+	return nil
+}
+
+// writable reports why the transaction may not write, if it may not.
+func (t *Txn) writable() error {
 	if t.done {
 		return ErrClosed
 	}
 	if t.readOnly {
 		return errReadOnly
 	}
-	t.writes[key] = tombstone
-	t.tapWrite(key)
-	if !t.client.cfg.DeferWrites {
-		t.client.store.Put(key, t.startTS, tombstone)
-	}
 	return nil
+}
+
+// write stores enc as the transaction's tentative version of key and
+// records key in the write set the first time it is written.
+func (t *Txn) write(key string, enc []byte) {
+	t.tapWrite(key)
+	if t.client.store.Put(key, t.startTS, enc) {
+		s := t.rowSets()
+		s.keys = append(s.keys, key)
+	}
 }
 
 // KV is one row of a scan result.
@@ -356,66 +403,43 @@ func (t *Txn) scan(startKey, endKey string, limit int, buckets bool) ([]KV, erro
 		if t.client.cfg.Bucketer == nil {
 			return nil, errBucketerRequired
 		}
-		if t.readBuckets == nil {
-			t.readBuckets = make(map[string]struct{})
-		}
 		for _, b := range t.client.cfg.Bucketer.RangeBuckets(startKey, endKey) {
-			t.readBuckets[b] = struct{}{}
+			t.readRow(bucketRowID(b))
 		}
 	}
-	rows := t.client.store.Scan(startKey, endKey, t.startTS, 0, 0)
+	// The store's rows come in key order, the transaction's own among them.
+	rows := t.client.store.Scan(startKey, endKey, t.before(), 0, 0)
 	sc := readScratchPool.Get().(*readScratch)
 	defer readScratchPool.Put(sc)
 	// Resolve every unstamped candidate across the scanned range in one
-	// batched status lookup (own-written rows contribute none — their
-	// buffer overrides).
+	// batched status lookup.
 	ask, stamps := sc.ask[:0], sc.stamps[:0]
 	for _, r := range rows {
 		if !buckets {
 			t.read(r.Key)
 		}
-		if _, mine := t.writes[r.Key]; !mine {
-			ask = unstamped(ask, r.Versions)
-		}
+		ask = unstamped(ask, r.Versions, t.startTS)
 	}
 	sc.statuses = t.client.resolveInto(ask, sc.statuses)
 	statuses := sc.statuses
-	merged := make(map[string][]byte, len(rows))
+	n := len(rows)
+	if limit > 0 && limit < n {
+		n = limit
+	}
+	out := make([]KV, 0, n)
 	for _, r := range rows {
-		obs := t.startTS
-		if _, mine := t.writes[r.Key]; !mine {
-			var raw []byte
-			raw, obs, statuses, stamps = pick(r.Key, r.Versions, t.startTS, statuses, stamps)
-			if val, live := decodeValue(raw); live {
-				merged[r.Key] = val
-			}
-		}
+		var raw []byte
+		var obs uint64
+		raw, obs, statuses, stamps = pick(r.Key, r.Versions, t.startTS, statuses, stamps)
 		if !buckets {
 			t.tapRead(r.Key, obs)
+		}
+		if val, live := decodeValue(raw); live && len(out) < n {
+			out = append(out, KV{Key: r.Key, Value: append([]byte(nil), val...)})
 		}
 	}
 	t.client.store.StampCommits(stamps)
 	sc.ask, sc.stamps = ask, stamps
-	for k, v := range t.writes {
-		if k < startKey || (endKey != "" && k >= endKey) {
-			continue
-		}
-		if val, live := decodeValue(v); live {
-			merged[k] = val
-		}
-	}
-	keys := make([]string, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	if limit > 0 && len(keys) > limit {
-		keys = keys[:limit]
-	}
-	out := make([]KV, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, KV{Key: k, Value: append([]byte(nil), merged[k]...)})
-	}
 	return out, nil
 }
 
@@ -437,65 +461,45 @@ func (t *Txn) Commit() error {
 	return t.finishCommit(res, err)
 }
 
-// prepareCommit flushes deferred writes and renders the oracle request: the
-// hashed write set (plus write buckets under a Bucketer) and, for WSI, the
-// hashed read set. Read-only transactions submit empty sets (§5.1).
+// prepareCommit renders the oracle request: the hashed write set (plus
+// write buckets under a Bucketer) and, for WSI, the hashed read set.
+// Read-only transactions submit empty sets (§5.1).
 func (t *Txn) prepareCommit() oracle.CommitRequest {
-	if len(t.writes) == 0 {
+	keys := t.written()
+	if len(keys) == 0 {
 		return oracle.CommitRequest{StartTS: t.startTS}
 	}
-
-	// Deferred writes reach the data servers before the commit request:
-	// the oracle's decision must cover versions that are actually
-	// present, or a crash between ack and flush would lose them.
-	if t.client.cfg.DeferWrites {
-		for k, v := range t.writes {
-			t.client.store.Put(k, t.startTS, v)
-		}
+	s := t.sets
+	w := s.w[:0]
+	for _, k := range keys {
+		w = append(w, oracle.HashRow(k))
 	}
-
-	t.sets = commitSetsPool.Get().(*commitSets)
-	req := oracle.CommitRequest{
-		StartTS:  t.startTS,
-		WriteSet: t.sets.w[:0],
-		ReadSet:  t.sets.r[:0],
-	}
-	bucketer := t.client.cfg.Bucketer
-	writeBuckets := make(map[string]struct{})
-	for k := range t.writes {
-		req.WriteSet = append(req.WriteSet, oracle.HashRow(k))
-		if bucketer != nil {
-			writeBuckets[bucketer.Bucket(k)] = struct{}{}
-		}
-	}
-	if bucketer != nil {
-		// Always publish the whole-table bucket so degraded scans
+	if bucketer := t.client.cfg.Bucketer; bucketer != nil {
+		// Publish write buckets so bucket-level read sets detect conflicts,
+		// and always the whole-table bucket so degraded scans
 		// (WholeTableBucket read sets) stay sound.
-		writeBuckets[WholeTableBucket] = struct{}{}
-	}
-	// Publish write buckets so bucket-level read sets detect conflicts.
-	for b := range writeBuckets {
-		req.WriteSet = append(req.WriteSet, bucketRowID(b))
-	}
-	for k := range t.reads {
-		req.ReadSet = append(req.ReadSet, oracle.HashRow(k))
-	}
-	for b := range t.readBuckets {
-		req.ReadSet = append(req.ReadSet, bucketRowID(b))
+		rows := len(w)
+		for _, k := range keys {
+			w = append(w, bucketRowID(bucketer.Bucket(k)))
+		}
+		w = append(w, bucketRowID(WholeTableBucket))
+		w = w[:rows+len(compactRows(w[rows:]))]
 	}
 	// Keep the (possibly grown) arrays on the pooled holder so the pool
-	// retains their capacity when finishCommit releases them.
-	t.sets.w, t.sets.r = req.WriteSet, req.ReadSet
-	return req
+	// retains their capacity when the transaction releases them.
+	s.w, s.r = w, compactRows(s.r)
+	return oracle.CommitRequest{StartTS: t.startTS, WriteSet: s.w, ReadSet: s.r}
 }
 
-// releaseSets returns the transaction's pooled row-set buffers after the
-// arbiter's decision. Nothing downstream retains the hashed sets past the
-// decision: the oracle copies what it keeps, the wire client copies them
-// into its frame buffer, and the partition coordinator slices copies.
+// releaseSets returns the transaction's pooled row sets once it is decided.
+// Nothing downstream retains the hashed sets past the decision: the oracle
+// copies what it keeps, the wire client copies them into its frame buffer,
+// and the partition coordinator slices copies.
 func (t *Txn) releaseSets() {
-	if t.sets != nil {
-		commitSetsPool.Put(t.sets)
+	if s := t.sets; s != nil {
+		clear(s.keys) // the pool must not keep the keys alive
+		s.keys, s.w, s.r = s.keys[:0], s.w[:0], s.r[:0]
+		commitSetsPool.Put(s)
 		t.sets = nil
 	}
 }
@@ -508,8 +512,9 @@ func (t *Txn) releaseSets() {
 func (t *Txn) finishCommit(res oracle.CommitResult, err error) error {
 	t.client.active.remove(t.startTS)
 	// The arbiter has decided (or definitively failed); no layer holds the
-	// hashed row sets any longer.
-	t.releaseSets()
+	// hashed row sets any longer, and the written keys go once the cleanup
+	// or the write-back stamps have used them.
+	defer t.releaseSets()
 	if err != nil {
 		return t.settleInDoubt(err)
 	}
@@ -528,8 +533,9 @@ func (t *Txn) applyCommitted(commitTS uint64) error {
 	t.commitTS = commitTS
 	t.tapDecision(true, commitTS)
 	if t.client.cfg.Mode == ModeWriteBack {
-		stamps := make([]kvstore.Stamp, 0, len(t.writes))
-		for k := range t.writes {
+		keys := t.written()
+		stamps := make([]kvstore.Stamp, 0, len(keys))
+		for _, k := range keys {
 			stamps = append(stamps, kvstore.Stamp{Key: k, WriteTS: t.startTS, CommitTS: commitTS})
 		}
 		t.client.store.StampCommits(stamps)
@@ -584,7 +590,8 @@ func (t *Txn) Abort() error {
 	}
 	t.client.active.remove(t.startTS)
 	t.tapDecision(false, 0)
-	if len(t.writes) == 0 {
+	defer t.releaseSets()
+	if len(t.written()) == 0 {
 		return nil
 	}
 	if err := t.client.so.Abort(t.startTS); err != nil {
@@ -597,7 +604,7 @@ func (t *Txn) Abort() error {
 
 // cleanup removes the transaction's tentative versions from the store.
 func (t *Txn) cleanup() {
-	for k := range t.writes {
+	for _, k := range t.written() {
 		t.client.store.DeleteVersion(k, t.startTS)
 	}
 }

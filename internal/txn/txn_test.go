@@ -495,70 +495,6 @@ func TestPutValueCopied(t *testing.T) {
 	commit(t, tx)
 }
 
-func TestDeferWritesEquivalentOutcome(t *testing.T) {
-	// Deferred and eager write-through must be observationally identical
-	// to other transactions.
-	for _, defer_ := range []bool{false, true} {
-		t.Run(fmt.Sprintf("defer=%v", defer_), func(t *testing.T) {
-			store, _, c := newStack(t, oracle.WSI, Config{DeferWrites: defer_})
-			w := begin(t, c)
-			put(t, w, "k", "v")
-			// Before commit the store holds a tentative version only
-			// in eager mode.
-			versions := store.Get("k", ^uint64(0), 0)
-			if defer_ && len(versions) != 0 {
-				t.Fatal("deferred write reached the store before commit")
-			}
-			if !defer_ && len(versions) != 1 {
-				t.Fatal("eager write missing from the store")
-			}
-			// Own reads see the buffer either way.
-			if v, ok := get(t, w, "k"); !ok || v != "v" {
-				t.Fatalf("own read = %q,%v", v, ok)
-			}
-			commit(t, w)
-			r := begin(t, c)
-			if v, ok := get(t, r, "k"); !ok || v != "v" {
-				t.Fatalf("post-commit read = %q,%v", v, ok)
-			}
-			commit(t, r)
-		})
-	}
-}
-
-func TestDeferWritesAbortLeavesNothing(t *testing.T) {
-	store, _, c := newStack(t, oracle.WSI, Config{DeferWrites: true})
-	w := begin(t, c)
-	put(t, w, "k", "doomed")
-	if err := w.Abort(); err != nil {
-		t.Fatal(err)
-	}
-	if n := store.VersionCount(); n != 0 {
-		t.Fatalf("deferred abort left %d versions", n)
-	}
-}
-
-func TestDeferWritesConflictCleanup(t *testing.T) {
-	store, _, c := newStack(t, oracle.WSI, Config{DeferWrites: true})
-	seed := begin(t, c)
-	put(t, seed, "x", "0")
-	commit(t, seed)
-
-	t1 := begin(t, c)
-	get(t, t1, "x")
-	w := begin(t, c)
-	put(t, w, "x", "1")
-	commit(t, w)
-	put(t, t1, "y", "z")
-	if err := t1.Commit(); !errors.Is(err, ErrConflict) {
-		t.Fatalf("expected conflict, got %v", err)
-	}
-	// The flushed-then-aborted version of y must be cleaned up.
-	if vs := store.Get("y", ^uint64(0), 0); len(vs) != 0 {
-		t.Fatal("conflict abort left flushed deferred writes")
-	}
-}
-
 func TestCommitTSExposed(t *testing.T) {
 	_, _, c := newStack(t, oracle.WSI, Config{})
 	tx := begin(t, c)

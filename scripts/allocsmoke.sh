@@ -6,9 +6,9 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-out=$(go test -run=NONE -bench 'BenchmarkCommitBatch|BenchmarkQueryBatch' -benchmem -benchtime 5000x ./internal/oracle
+out=$(go test -run=NONE -bench 'BenchmarkCommit|BenchmarkQueryBatch' -benchmem -benchtime 5000x ./internal/oracle
       go test -run=NONE -bench 'BenchmarkAdmissionDecision|BenchmarkSessionRoundTrip|BenchmarkSessionCommitRoundTrip|BenchmarkCommitRoundTrip|BenchmarkQueryRoundTrip' -benchmem -benchtime 5000x ./internal/netsrv
-      go test -run=NONE -bench 'BenchmarkGet|BenchmarkPut' -benchmem -benchtime 5000x ./internal/txn
+      go test -run=NONE -bench 'BenchmarkGet|BenchmarkPut|BenchmarkTxnCommit' -benchmem -benchtime 5000x ./internal/txn
       go test -run=NONE -bench 'BenchmarkCoordinatorCommit|BenchmarkPartitionedCommit' -benchmem -benchtime 5000x ./internal/partition
       go test -run=NONE -bench 'BenchmarkMultiGetHotRow' -benchmem -benchtime 5000x ./internal/kvstore
       go test -run=NONE -bench 'BenchmarkWriterAppend' -benchmem -benchtime 5000x ./internal/wal
